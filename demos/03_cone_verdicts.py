@@ -11,9 +11,10 @@ combines section counts, the gamma threshold, and root rationality.
 """
 
 from cycone import chow, cone
-from cycone.bundles import BundleSpec, catalog_entries
+from cycone.bundles import BundleSpec, catalog_entries, h0_anticanonical
 from cycone.chow import ChernPair, ChowClass
 from cycone.exactnum import QuadValue
+from cycone.report import build_report
 
 # The boundary root for E = S^2(T(-1)) (gamma = -9): irrational.
 c = ChernPair(3, 6)
@@ -44,7 +45,7 @@ print()
 print("catalog verdicts:")
 for entry in catalog_entries():
     spec = BundleSpec.named(entry.name)
-    report = cone.cone_report(spec)
+    report = build_report(spec).cone
     k_desc = str(report.k_root.k) if report.k_root.exists else "none"
     print(
         f"  {entry.name:<14} gamma {spec.gamma:>3}  verdict {report.verdict:<9}"
@@ -55,8 +56,9 @@ for entry in catalog_entries():
 # directly, the big-nef-not-ample ones carry a contracted-surface
 # candidate, and c1 = 2 kills the candidate by integrality.
 for spec in (BundleSpec.split(0, 0, 1), BundleSpec.split(0, 1, 2)):
-    res = cone.cone_restriction_case(spec)
+    status = cone.anticanonical_status(spec, h0_anticanonical(spec))
+    res = cone.cone_restriction_case(status, chow.exceptional_surface_class(spec.chern))
     print(spec.describe(), "->", res.case, res.via or "")
 asserted = cone.MinusKStatus(nef=True, ample=False, big=True, h0_gt_1=None)
-res = cone.cone_restriction_case(BundleSpec.chern_only(2, 5), asserted)
+res = cone.cone_restriction_case(asserted, chow.exceptional_surface_class(ChernPair(2, 5)))
 print("chern (2, 5) with big-nef-not-ample asserted ->", res.case, res.via)

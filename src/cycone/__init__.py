@@ -33,8 +33,8 @@ from .errors import (
     UnknownBundleError,
     UnsupportedExpressionError,
 )
-from .exactnum import QuadValue, Rational, quad_is_rational, sqrt_to_quad
-from .invariants import chi_on_cy, cy_invariants, gamma, rho_of_x, section_bounds
+from .exactnum import QuadValue, sqrt_to_quad
+from .invariants import chi_on_cy, cy_invariants, rho_of_x, section_bounds
 from .report import AnalysisReport, build_report, report_from_dict, report_to_dict
 
 __version__ = "0.1.0"
@@ -51,7 +51,6 @@ __all__ = [
     "InvariantViolationError",
     "MixedRadicalError",
     "QuadValue",
-    "Rational",
     "UnknownBundleError",
     "UnsupportedExpressionError",
     "allowed_splitting_types",
@@ -69,11 +68,9 @@ __all__ = [
     "cone_restriction_case",
     "cy_invariants",
     "exceptional_surface_class",
-    "gamma",
     "gram_matrix",
     "h0_anticanonical",
     "parse_sheaf_expr",
-    "quad_is_rational",
     "rationality_verdict",
     "report_from_dict",
     "report_to_dict",

@@ -2,20 +2,17 @@
 
 Exit codes: 0 success, 1 usage error, 2 domain or invariant error.  Data
 output is deterministic (stable ordering, no timestamps); ``--meta`` adds a
-provenance block separately.  ``CYCONE_WORKERS`` sets the survey
-parallelism; results are assembled in input order, so the output is
-identical for any worker count.
+provenance block separately.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 
+from . import __version__
 from . import report as report_mod
 from . import selftest as selftest_mod
 from .bundles import BundleSpec, catalog_entries, h0_anticanonical
@@ -67,8 +64,6 @@ def _spec_from_args(args) -> BundleSpec:
 
 
 def _meta_block() -> dict:
-    from . import __version__
-
     return {
         "tool": "cycone",
         "version": __version__,
@@ -105,7 +100,7 @@ def cmd_analyze(args) -> int:
 
 
 def _parse_filters(filters):
-    keyed, flags = {}, []
+    keyed, flags = [], []
     for f in filters or ():
         if "=" in f:
             key, _, value = f.partition("=")
@@ -113,7 +108,7 @@ def _parse_filters(filters):
             if key not in ("c1", "c2", "gamma"):
                 raise UsageError(f"unknown filter key {key!r}")
             try:
-                keyed[key] = int(value)
+                keyed.append((key, int(value)))
             except ValueError as exc:
                 raise UsageError(f"filter {f!r}: value must be an integer") from exc
         elif f in ("nef", "ample", "big", "tab"):
@@ -125,7 +120,7 @@ def _parse_filters(filters):
 
 def _row_passes(row, keyed, flags) -> bool:
     values = {"c1": row.c1, "c2": row.c2, "gamma": row.gamma}
-    if any(values[k] != v for k, v in keyed.items()):
+    if any(values[k] != v for k, v in keyed):
         return False
     checks = {
         "nef": row.nef is True,
@@ -134,14 +129,6 @@ def _row_passes(row, keyed, flags) -> bool:
         "tab": row.tab_admissible,
     }
     return all(checks[f] for f in flags)
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("CYCONE_WORKERS", "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        raise UsageError(f"CYCONE_WORKERS must be an integer, got {raw!r}")
 
 
 def cmd_survey(args) -> int:
@@ -153,13 +140,7 @@ def cmd_survey(args) -> int:
         )
     keyed, flags = _parse_filters(args.filter)
     types = split_types(args.emin, args.emax)  # already lexicographically sorted
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(survey_row, types))
-    else:
-        rows = [survey_row(t) for t in types]
-    rows = [r for r in rows if _row_passes(r, keyed, flags)]
+    rows = [r for r in map(survey_row, types) if _row_passes(r, keyed, flags)]
     lines = []
     if args.meta:
         meta = _meta_block()
@@ -250,8 +231,7 @@ def build_parser() -> _Parser:
         epilog=(
             "TSV columns: "
             + " ".join(SURVEY_COLUMNS)
-            + ". Tri-state columns print true/false/unknown; rows are sorted by (e1, e2, e3). "
-            "CYCONE_WORKERS sets the parallelism without changing the output."
+            + ". Tri-state columns print true/false/unknown; rows are sorted by (e1, e2, e3)."
         ),
     )
     survey.add_argument("--emin", type=int, required=True)
@@ -260,7 +240,7 @@ def build_parser() -> _Parser:
         "--filter",
         action="append",
         metavar="F",
-        help="c1=N, c2=N, gamma=N, or one of: nef ample big tab (repeatable)",
+        help="c1=N, c2=N, gamma=N, or one of: nef ample big tab (repeatable; all must hold)",
     )
     survey.add_argument(
         "--max-range", type=int, default=DEFAULT_MAX_RANGE,

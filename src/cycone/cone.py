@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import chow, invariants
-from .bundles import BundleSpec, h0_anticanonical
-from .chow import ChernPair, ExceptionalSurfaceClass, exceptional_surface_class
+from .bundles import BundleSpec, H0Anticanonical
+from .chow import ChernPair, ExceptionalSurfaceClass
 from .errors import DomainError, InvariantViolationError
 from .exactnum import QuadValue, sqrt_to_quad
 
@@ -53,8 +53,8 @@ class MinusKStatus:
             raise DomainError("ample implies nef")
 
 
-def anticanonical_status(spec: BundleSpec) -> MinusKStatus:
-    """Positivity of -K_Z from the spec.
+def anticanonical_status(spec: BundleSpec, h0: H0Anticanonical) -> MinusKStatus:
+    """Positivity of -K_Z from the spec and its h^0(-K_Z) record.
 
     Uniform splitting types admit the exact line test on every line;
     Chern-only specs leave nef and ample undecided, and bigness undecided
@@ -74,7 +74,6 @@ def anticanonical_status(spec: BundleSpec) -> MinusKStatus:
         if nef:
             big = quartic > 0
         # without nefness the top self-intersection proves nothing; big stays unknown
-    h0 = h0_anticanonical(spec)
     if h0.value is not None:
         witnesses.append(("h0_minus_k", str(h0.value)))
     return MinusKStatus(nef, ample, big, h0.gt1, tuple(witnesses))
@@ -88,6 +87,12 @@ class BoundaryRoot:
     k_other: QuadValue | None
     exists: bool
     normalization: str
+
+    def scaled(self) -> "BoundaryRoot":
+        """This OZ3 root in the OZ1 normalization: both branches divided by 3."""
+        if not self.exists:
+            return BoundaryRoot(None, None, False, OZ1)
+        return BoundaryRoot(self.k / 3, self.k_other / 3, True, OZ1)
 
 
 def boundary_root_for_gamma(g: int, c1: int, normalization: str = OZ3) -> BoundaryRoot:
@@ -105,13 +110,12 @@ def boundary_root_for_gamma(g: int, c1: int, normalization: str = OZ3) -> Bounda
         raise DomainError(f"unknown normalization {normalization!r}")
     disc = Fraction(9, 4) - g
     if disc < 0:
-        return BoundaryRoot(None, None, False, normalization)
-    root = sqrt_to_quad(disc)
-    center = QuadValue.rational(Fraction(2 * c1 + 3, 2))
-    low, high = center - root, center + root
-    if normalization == OZ1:
-        low, high = low / 3, high / 3
-    return BoundaryRoot(low, high, True, normalization)
+        root = BoundaryRoot(None, None, False, OZ3)
+    else:
+        half_width = sqrt_to_quad(disc)
+        center = QuadValue.rational(Fraction(2 * c1 + 3, 2))
+        root = BoundaryRoot(center - half_width, center + half_width, True, OZ3)
+    return root.scaled() if normalization == OZ1 else root
 
 
 def boundary_root(c: ChernPair, normalization: str = OZ3) -> BoundaryRoot:
@@ -150,15 +154,15 @@ def c2_positivity_for_gamma(g: int) -> C2Positivity:
     )
 
 
-def c2_positivity(c: ChernPair) -> C2Positivity:
+def c2_positivity(c: ChernPair, root: BoundaryRoot) -> C2Positivity:
     """Evaluate D.c2(X) at the cone-boundary data of the given bundle.
 
-    When the root exists the boundary value is computed through the pairing
+    ``root`` is the bundle's boundary root in the OZ1 normalization.  When
+    it exists the boundary value is computed through the pairing
     D.c2(X) = (36 + 12 c1 + 2 gamma) - 36 k' with the exact quadratic k',
     and cross-checked against the closed gamma-only bound.
     """
     report = c2_positivity_for_gamma(c.gamma)
-    root = boundary_root(c, OZ1)
     if root.exists:
         pairing = invariants.closed_form_pairings(c)
         via_root = QuadValue.rational(pairing.o1_c2) - 36 * root.k
@@ -195,22 +199,21 @@ class ConeRestriction:
     surface: ExceptionalSurfaceClass | None = None
 
 
-def cone_restriction_case(spec: BundleSpec, minus_k: MinusKStatus | None = None) -> ConeRestriction:
+def cone_restriction_case(
+    minus_k: MinusKStatus, surface: ExceptionalSurfaceClass
+) -> ConeRestriction:
     """Classify the restriction equality K(X) = K(Z)|X.
 
     Ample -K_Z gives equality outright; non-nef -K_Z gives equality on the
     canonical side; big and nef but not ample is the one exceptional
     pattern, which still collapses to equality when the contracted-surface
-    class admits no integral multiple (empty mu-candidate set).
+    class ``surface`` admits no integral multiple (empty mu-candidate set).
     """
-    if minus_k is None:
-        minus_k = anticanonical_status(spec)
     if minus_k.ample is True:
         return ConeRestriction(EQUALITY, "ample-anticanonical")
     if minus_k.nef is False:
         return ConeRestriction(EQUALITY, "canonical-side-only")
     if minus_k.nef is True and minus_k.big is True and minus_k.ample is False:
-        surface = exceptional_surface_class(spec.chern)
         if not surface.mu_candidates:
             return ConeRestriction(EQUALITY, "exceptional-class-impossible", surface)
         return ConeRestriction(EXCEPTIONAL_CANDIDATE, None, surface)
@@ -232,8 +235,9 @@ class RationalityResult:
 
 def rationality_verdict(
     spec: BundleSpec,
-    minus_k: MinusKStatus | None = None,
-    rho: invariants.RhoResult | None = None,
+    h0: H0Anticanonical,
+    rho: invariants.RhoResult,
+    root: BoundaryRoot | None = None,
 ) -> RationalityResult:
     """Is the boundary of the Kahler cone of X spanned by rational classes?
 
@@ -248,16 +252,14 @@ def rationality_verdict(
        covers the rays on it (conditional on the boundary lying in that
        cubic; tagged as such).
     4. otherwise open: this is exactly the h^0(-K_Z) = 1 territory.
+
+    ``root`` is the OZ3 boundary root when the caller holds it; otherwise
+    it is solved only if clauses 1 and 2 do not decide.
     """
-    if minus_k is None:
-        minus_k = anticanonical_status(spec)
-    if rho is None:
-        rho = invariants.rho_of_x(spec, minus_k)
     notes = []
     if rho.value is not None and rho.value != 2:
         notes.append(f"rho(X) = {rho.value} contradicts the rho(X) = 2 hypothesis")
     g = spec.gamma
-    h0 = h0_anticanonical(spec)
     if h0.gt1 is True:
         # the trail records how the section bound was established
         if h0.reason == "exact":
@@ -267,7 +269,8 @@ def rationality_verdict(
         return RationalityResult(RATIONAL, trail, tuple(notes))
     if g >= -18:
         return RationalityResult(RATIONAL, ("gamma-ge-minus-18",), tuple(notes))
-    root = boundary_root(spec.chern)
+    if root is None:
+        root = boundary_root(spec.chern)
     if not root.exists:
         notes.append("conditional-on-boundary-in-cubic")
         return RationalityResult(RATIONAL, ("no-real-cubic-root",), tuple(notes))
@@ -293,17 +296,29 @@ class ConeReport:
     w_contains_boundary: bool | None  # open question; reported, never assumed
 
 
-def cone_report(spec: BundleSpec, rho: invariants.RhoResult | None = None) -> ConeReport:
-    minus_k = anticanonical_status(spec)
-    verdict = rationality_verdict(spec, minus_k, rho)
+def cone_report(
+    spec: BundleSpec,
+    h0: H0Anticanonical,
+    minus_k: MinusKStatus,
+    rho: invariants.RhoResult,
+    surface: ExceptionalSurfaceClass,
+) -> ConeReport:
+    """The cone-side facts of one spec, given the facts its caller holds.
+
+    The boundary root is solved once; the verdict takes it as is and the
+    c2 cross-check in the OZ1 normalization.
+    """
+    k_root = boundary_root(spec.chern, OZ3)
+    k_root_scaled = k_root.scaled()
+    verdict = rationality_verdict(spec, h0, rho, k_root)
     return ConeReport(
         minus_k=minus_k,
-        k_root=boundary_root(spec.chern, OZ3),
-        k_root_scaled=boundary_root(spec.chern, OZ1),
+        k_root=k_root,
+        k_root_scaled=k_root_scaled,
         verdict=verdict.verdict,
         trail=verdict.trail,
         notes=verdict.notes,
-        c2=c2_positivity(spec.chern),
-        restriction=cone_restriction_case(spec, minus_k),
+        c2=c2_positivity(spec.chern, k_root_scaled),
+        restriction=cone_restriction_case(minus_k, surface),
         w_contains_boundary=None,
     )

@@ -1,6 +1,6 @@
 """Exact scalars: arbitrary-precision rationals and quadratic irrationals.
 
-``Rational`` is ``fractions.Fraction``, which is already canonical (reduced,
+Rationals are ``fractions.Fraction``, which is already canonical (reduced,
 positive denominator), so rational arithmetic is plain operator use.
 ``QuadValue`` adds exact real values a + b*sqrt(n) with rational a, b and a
 squarefree integer radicand n; this is the smallest number field that holds
@@ -16,10 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from .errors import DomainError, InvariantViolationError, MixedRadicalError
-
-Rational = Fraction
 
 _RATIONAL_TYPES = (int, Fraction)
 
@@ -70,14 +69,7 @@ def squarefree_decompose(m: int) -> tuple[int, int]:
 
 
 def is_perfect_square(m: int) -> bool:
-    if m < 0:
-        return False
-    r = int(m**0.5)
-    while r * r > m:
-        r -= 1
-    while (r + 1) * (r + 1) <= m:
-        r += 1
-    return r * r == m
+    return m >= 0 and isqrt(m) ** 2 == m
 
 
 @dataclass(frozen=True)
@@ -294,7 +286,3 @@ def sqrt_to_quad(q) -> QuadValue:
     p, r = q.numerator, q.denominator
     s, n = squarefree_decompose(p * r)  # sqrt(p/r) = sqrt(p*r)/r
     return QuadValue.make(0, Fraction(s, r), n)
-
-
-def quad_is_rational(v: QuadValue) -> bool:
-    return v.is_rational

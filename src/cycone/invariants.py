@@ -25,11 +25,6 @@ from .cohom import h0_line
 from .errors import InvariantViolationError
 
 
-def gamma(c: ChernPair) -> int:
-    """The twist-invariant gamma = c1^2 - 3 c2."""
-    return c.gamma
-
-
 @dataclass(frozen=True)
 class XPairings:
     """The six intersection pairings on X (all integers)."""
@@ -58,17 +53,19 @@ def closed_form_pairings(c: ChernPair) -> XPairings:
 
 
 def engine_pairings(c: ChernPair) -> XPairings:
+    """The pairings through the ambient ring; c2(X) and c3(X) come from one
+    adjunction lift."""
     xi = chow.ChowClass.monomial(1, 0)
     h = chow.ChowClass.monomial(0, 1)
     fiber = chow.ChowClass.monomial(0, 2)
-    c2x = chow.c2_of_x(c)
+    c2x, c3x = chow.cy_chern_lifts(c)
     return XPairings(
         o1_cubed=as_integer(chow.pair_on_cy(xi, chow.mul(xi, xi, c), c)),
         o1_sq_h=as_integer(chow.pair_on_cy(xi, chow.mul(xi, h, c), c)),
         o1_fiber=as_integer(chow.pair_on_cy(xi, fiber, c)),
         o1_c2=as_integer(chow.pair_on_cy(xi, c2x, c)),
         h_c2=as_integer(chow.pair_on_cy(h, c2x, c)),
-        c3=chow.c3_of_x(c),
+        c3=as_integer(chow.mul(c3x, chow.anticanonical(c), c).point_coefficient),
     )
 
 
@@ -173,17 +170,14 @@ def _normalized_type(spec: BundleSpec) -> tuple[int, int, int] | None:
     return tuple(e + t for e in stype)
 
 
-def rho_of_x(spec: BundleSpec, minus_k=None) -> RhoResult:
+def rho_of_x(spec: BundleSpec, minus_k) -> RhoResult:
     """Picard number of X: 2 + h^2(End E) when -K_Z is big and nef.
 
-    Falls back to the splitting-type criterion (uniform type, normalized so
-    c1 is in {1,2,3}, different from (0,0,3) forces rho = 2) when End
-    cohomology is out of reach; returns unknown otherwise.
+    ``minus_k`` is the spec's -K_Z status (a ``cone.MinusKStatus``).  Falls
+    back to the splitting-type criterion (uniform type, normalized so c1 is
+    in {1,2,3}, different from (0,0,3) forces rho = 2) when End cohomology
+    is out of reach; returns unknown otherwise.
     """
-    if minus_k is None:
-        from . import cone  # deferred: cone imports this module
-
-        minus_k = cone.anticanonical_status(spec)
     if not (minus_k.nef is True and minus_k.big is True):
         return RhoResult(None, "anticanonical-not-known-big-nef")
     diffs = spec.end_difference_exponents()

@@ -83,12 +83,14 @@ def tab_admissible(spec: BundleSpec) -> bool | None:
 
 
 def build_report(spec: BundleSpec) -> AnalysisReport:
-    rho = invariants.rho_of_x(spec)
-    inv = invariants.cy_invariants(spec.chern, rho.value)
-    cone_rep = cone.cone_report(spec, rho)
+    """One evaluation pass: each fact is computed once and handed on."""
     h0 = h0_anticanonical(spec)
-    bounds = invariants.section_bounds(spec.chern)
+    minus_k = cone.anticanonical_status(spec, h0)
+    rho = invariants.rho_of_x(spec, minus_k)
+    inv = invariants.cy_invariants(spec.chern, rho.value)
     surface = exceptional_surface_class(spec.chern)
+    cone_rep = cone.cone_report(spec, h0, minus_k, rho, surface)
+    bounds = invariants.section_bounds(spec.chern)
     g = spec.gamma
 
     # cone notes become report warnings; the report owns all caveats
@@ -360,9 +362,10 @@ class SurveyRow:
 
 def survey_row(exponents: tuple[int, int, int]) -> SurveyRow:
     spec = BundleSpec.split(*exponents)
-    minus_k = cone.anticanonical_status(spec)
+    h0 = h0_anticanonical(spec)
+    minus_k = cone.anticanonical_status(spec, h0)
     rho = invariants.rho_of_x(spec, minus_k)
-    verdict = cone.rationality_verdict(spec, minus_k, rho)
+    verdict = cone.rationality_verdict(spec, h0, rho)
     return SurveyRow(
         exponents=spec.exponents,
         c1=spec.chern.c1,

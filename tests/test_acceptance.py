@@ -1,186 +1,38 @@
 """Acceptance suite: the exact-value regressions and property grids.
 
-Every criterion runs in exact arithmetic with zero tolerance.  One PASS or
-FAIL line is printed per criterion (run with ``pytest -s`` to watch them;
-``cycone selftest`` covers the same ground from the installed CLI).
+Every criterion runs in exact arithmetic with zero tolerance.  The checks
+themselves are ``cycone.selftest.CHECKS`` (what ``cycone selftest`` runs);
+this suite runs the ones that are acceptance criteria under their AC ids
+and prints one PASS or FAIL line per criterion (run with ``pytest -s`` to
+watch them).
 """
-
-from fractions import Fraction
-from itertools import combinations_with_replacement
 
 import pytest
 
-from cycone import chow, cohom, cone, invariants
-from cycone.bundles import UNIFORM_012_NAMES, BundleSpec
-from cycone.chow import ChernPair, ChowClass
-from cycone.exactnum import QuadValue, is_perfect_square, sqrt_to_quad
+from cycone import selftest
 
-CHERN_GRID = [ChernPair(c1, c2) for c1 in range(-6, 7) for c2 in range(-10, 11)]
-SPLIT_GRID = list(combinations_with_replacement(range(-4, 5), 3))
+# AC id of each acceptance criterion -> name of the selftest check behind it.
+AC_CHECKS = {
+    "AC-01 anticanonical-contraction-regression": "split-012-regression",
+    "AC-02 picard-rank-four-regression": "split-003-regression",
+    "AC-03 gamma-catalog": "gamma-catalog",
+    "AC-04 closed-form-engine-equivalence": "pairing-closed-forms-grid",
+    "AC-05 chi-end-formula": "chi-end-grid",
+    "AC-06 splitting-type-table": "splitting-type-table",
+    "AC-07 riemann-roch-on-x": "riemann-roch-on-x",
+    "AC-08 plethysm-check": "plethysm-h0",
+    "AC-09 boundary-root-exactness": "boundary-root-exactness",
+    "AC-10 gram-unimodularity": "gram-unimodularity",
+    "AC-11 c2-positivity-sweep": "c2-positivity-sweep",
+    "AC-12 nef-survey": "nef-gamma-survey",
+    "AC-13 mu-contradiction": "mu-candidates-empty-c1-2",
+}
 
-
-def criterion_01_anticanonical_contraction_regression():
-    """split (0,1,2): (-K_Z)^4 = 567, big and nef not ample, surface class checks."""
-    spec = BundleSpec.split(0, 1, 2)
-    c = spec.chern
-    a = chow.anticanonical(c)
-    assert chow.intersect4(a, a, a, a, c) == 567
-    status = cone.anticanonical_status(spec)
-    assert (status.nef, status.big, status.ample) == (True, True, False)
-    restriction = cone.cone_restriction_case(spec, status)
-    assert restriction.case == cone.EXCEPTIONAL_CANDIDATE
-    reduced = restriction.surface.reduced_class()
-    oracle = chow.mul(ChowClass.degree1(1, -1), ChowClass.degree1(1, -2), c)
-    assert reduced == oracle
-    assert reduced == (
-        ChowClass.monomial(2, 0) - 3 * ChowClass.monomial(1, 1) + 2 * ChowClass.monomial(0, 2)
-    )
+CHECKS = dict(selftest.CHECKS)
+CRITERIA = [(name, CHECKS[check]) for name, check in AC_CHECKS.items()]
 
 
-def criterion_02_picard_rank_four_regression():
-    """split (0,0,3): (-K_Z)^4 = 729, h^2(End E) = 2, rho(X) = 4."""
-    spec = BundleSpec.split(0, 0, 3)
-    c = spec.chern
-    a = chow.anticanonical(c)
-    assert chow.intersect4(a, a, a, a, c) == 729
-    end = cohom.EndOf(cohom.DirectSum(*[cohom.LineBundle(e) for e in (0, 0, 3)]))
-    assert cohom.cohom_expr(end).h2 == 2
-    assert invariants.rho_of_x(spec).value == 4
-
-
-def criterion_03_gamma_catalog():
-    """the four uniform (0,1,2)-type bundles have gamma = 3, 0, 0, -9."""
-    gammas = [BundleSpec.named(name).gamma for name in UNIFORM_012_NAMES]
-    assert gammas == [3, 0, 0, -9]
-
-
-def criterion_04_closed_form_engine_equivalence():
-    """all six pairings match closed forms on |c1| <= 6, |c2| <= 10."""
-    for c in CHERN_GRID:
-        closed = invariants.closed_form_pairings(c)
-        assert invariants.engine_pairings(c) == closed
-        assert closed.c3 == -6 * c.gamma - 162
-
-
-def criterion_05_chi_end_formula():
-    """chi(End E) = 2 gamma + 9 for split exponents in [-4, 4], both routes."""
-    for exps in SPLIT_GRID:
-        c = chow.chern_pair_of_split(*exps)
-        end = cohom.EndOf(cohom.DirectSum(*[cohom.LineBundle(e) for e in exps]))
-        assert cohom.cohom_expr(end).chi == 2 * c.gamma + 9
-        assert cohom.chi_rr(end) == 2 * c.gamma + 9
-
-
-def criterion_06_splitting_type_table():
-    """the admissible-type table over c1 in [-1, 4] is reproduced exactly."""
-    table = {
-        -1: [(-1, -1, 1), (-1, 0, 0)],
-        0: [(-1, 0, 1), (0, 0, 0)],
-        1: [(0, 0, 1)],
-        2: [(0, 0, 2), (0, 1, 1)],
-        3: [(0, 1, 2), (1, 1, 1)],
-        4: [(1, 1, 2)],
-    }
-    for c1 in range(-1, 5):
-        assert cone.allowed_splitting_types(c1) == table[c1]
-    assert sum(len(v) for v in table.values()) == 10
-
-
-def criterion_07_riemann_roch_on_x():
-    """chi(O_X(1)) closed forms for c1 = 2, 3 and the c1 = -1 cubic in m."""
-    for c2 in range(-8, 9):
-        c = ChernPair(2, c2)
-        assert invariants.chi_on_cy(c, (1, 0), 1) == Fraction(c.gamma, 3) + Fraction(20, 3)
-        c = ChernPair(3, c2)
-        assert invariants.chi_on_cy(c, (1, 0), 1) == Fraction(c.gamma, 3) + 9
-        c = ChernPair(-1, c2)
-        g = c.gamma
-        for m in range(-5, 6):
-            expected = (Fraction(9 * g, 2) - 9) * m**3 + (Fraction(g, 2) + 6) * m
-            assert invariants.chi_on_cy(c, (3, 0), m) == expected
-
-
-def criterion_08_plethysm_check():
-    """h^0(S^2 E(-1)) = 3 for E = S^2(T(-1)); h^0(S^4 T(-5)) = 0."""
-    expr = cohom.TwistBy(
-        cohom.SymPower(cohom.SymPower(cohom.SymTangent(1, -1), 2), 2), -1
-    )
-    assert cohom.cohom_expr(expr).h0 == 3
-    assert cohom.cohom_sym_tangent(4, -5).h0 == 0
-    assert cohom.cohom_line(1).h0 == 3
-
-
-def criterion_09_boundary_root_exactness():
-    """k = 9/2 - (3/2) sqrt 5 at (gamma, c1) = (-9, 3); D^3 = 0 exactly;
-    root rationality is the perfect-square condition on 9 - 4 gamma."""
-    c = ChernPair(3, 6)
-    root = cone.boundary_root(c)
-    assert root.k == QuadValue.rational(Fraction(9, 2)) - Fraction(3, 2) * sqrt_to_quad(5)
-    d = ChowClass.degree1(QuadValue.rational(3), -root.k)
-    assert chow.intersect4(d, d, d, chow.anticanonical(c), c) == 0
-    assert not root.k.is_rational
-    for g in range(-27, 3):
-        k = cone.boundary_root_for_gamma(g, 0).k
-        assert k.is_rational == is_perfect_square(9 - 4 * g)
-
-
-def criterion_10_gram_unimodularity():
-    """det of the degree-4 pairing matrix is -1 across the Chern grid."""
-    for c in CHERN_GRID:
-        assert chow.gram_matrix(c).det == -1
-
-
-def criterion_11_c2_positivity_sweep():
-    """boundary values of D.c2(X) are positive for every gamma in [-27, 27]."""
-    for g in range(-27, 28):
-        rep = cone.c2_positivity_for_gamma(g)
-        assert rep.h_ray == 36
-        assert rep.positive
-        if g <= 2:
-            assert cone.c2_bound_for_gamma(g) > 0
-        else:
-            assert rep.minus_k_ray == 6 * g + 216 > 0
-
-
-def criterion_12_nef_survey():
-    """over split exponents in [-4, 4]: nef -K_Z implies gamma >= -18, and
-    the verdict is Rational for every nef case."""
-    nef_count = 0
-    for exps in SPLIT_GRID:
-        spec = BundleSpec.split(*exps)
-        status = cone.anticanonical_status(spec)
-        if status.nef:
-            nef_count += 1
-            assert spec.gamma >= -18
-            assert cone.rationality_verdict(spec, status).verdict == cone.RATIONAL
-    assert nef_count > 0
-
-
-def criterion_13_mu_contradiction():
-    """c1 = 2 Chern-only specs admit no integral surface multiple."""
-    for c2 in range(-10, 11):
-        surface = chow.exceptional_surface_class(ChernPair(2, c2))
-        assert surface.mu_candidates == ()
-
-
-CRITERIA = [
-    ("AC-01 anticanonical-contraction-regression", criterion_01_anticanonical_contraction_regression),
-    ("AC-02 picard-rank-four-regression", criterion_02_picard_rank_four_regression),
-    ("AC-03 gamma-catalog", criterion_03_gamma_catalog),
-    ("AC-04 closed-form-engine-equivalence", criterion_04_closed_form_engine_equivalence),
-    ("AC-05 chi-end-formula", criterion_05_chi_end_formula),
-    ("AC-06 splitting-type-table", criterion_06_splitting_type_table),
-    ("AC-07 riemann-roch-on-x", criterion_07_riemann_roch_on_x),
-    ("AC-08 plethysm-check", criterion_08_plethysm_check),
-    ("AC-09 boundary-root-exactness", criterion_09_boundary_root_exactness),
-    ("AC-10 gram-unimodularity", criterion_10_gram_unimodularity),
-    ("AC-11 c2-positivity-sweep", criterion_11_c2_positivity_sweep),
-    ("AC-12 nef-survey", criterion_12_nef_survey),
-    ("AC-13 mu-contradiction", criterion_13_mu_contradiction),
-]
-
-
-@pytest.mark.parametrize("name,criterion", CRITERIA, ids=[n for n, _ in CRITERIA])
+@pytest.mark.parametrize("name,criterion", CRITERIA, ids=list(AC_CHECKS))
 def test_acceptance(name, criterion):
     try:
         criterion()

@@ -6,8 +6,8 @@ from itertools import combinations_with_replacement
 import pytest
 
 from cycone import chow, invariants
-from cycone.bundles import BundleSpec
-from cycone.chow import ChernPair, ChowClass
+from cycone.bundles import BundleSpec, H0Anticanonical, h0_anticanonical
+from cycone.chow import ChernPair, ChowClass, exceptional_surface_class
 from cycone.cone import (
     EQUALITY,
     EXCEPTIONAL_CANDIDATE,
@@ -32,34 +32,48 @@ from cycone.errors import DomainError
 from cycone.exactnum import QuadValue, is_perfect_square, sqrt_to_quad
 
 
+def status_of(spec):
+    return anticanonical_status(spec, h0_anticanonical(spec))
+
+
+def verdict_of(spec):
+    h0 = h0_anticanonical(spec)
+    rho = invariants.rho_of_x(spec, anticanonical_status(spec, h0))
+    return rationality_verdict(spec, h0, rho)
+
+
+def restriction_of(spec):
+    return cone_restriction_case(status_of(spec), exceptional_surface_class(spec.chern))
+
+
 # --- anticanonical status ------------------------------------------------------
 
 
 def test_status_split_012():
-    s = anticanonical_status(BundleSpec.split(0, 1, 2))
+    s = status_of(BundleSpec.split(0, 1, 2))
     assert (s.nef, s.ample, s.big, s.h0_gt_1) == (True, False, True, True)
     assert ("minus_k_quartic", "567") in s.witnesses
 
 
 def test_status_split_001_is_ample():
-    s = anticanonical_status(BundleSpec.split(0, 0, 1))
+    s = status_of(BundleSpec.split(0, 0, 1))
     assert (s.nef, s.ample) == (True, True)
 
 
 def test_status_split_003():
-    s = anticanonical_status(BundleSpec.split(0, 0, 3))
+    s = status_of(BundleSpec.split(0, 0, 3))
     assert (s.nef, s.ample, s.big) == (True, False, True)
     assert ("minus_k_quartic", "729") in s.witnesses
 
 
 def test_status_chern_only_is_unknown():
-    s = anticanonical_status(BundleSpec.chern_only(3, 2))
+    s = status_of(BundleSpec.chern_only(3, 2))
     assert (s.nef, s.ample, s.big) == (None, None, None)
     assert s.h0_gt_1 is True  # gamma = 3 >= -18
 
 
 def test_status_non_nef_split():
-    s = anticanonical_status(BundleSpec.split(-2, 2, 3))
+    s = status_of(BundleSpec.split(-2, 2, 3))
     assert s.nef is False and s.ample is False
     assert s.big is None  # top power alone decides nothing without nefness
 
@@ -147,7 +161,7 @@ def test_c2_h_ray_is_36_everywhere():
 def test_c2_engine_route_matches_closed_bound():
     # pairing route (36 + 12 c1 + 2 gamma) - 36 k' against the gamma-only bound
     for c in (ChernPair(3, 6), ChernPair(0, 0), ChernPair(-1, 1), ChernPair(4, 8)):
-        rep = c2_positivity(c)
+        rep = c2_positivity(c, boundary_root(c, OZ1))
         assert rep.boundary_value == c2_bound_for_gamma(c.gamma)
 
 
@@ -186,32 +200,32 @@ def test_splitting_table_entries_are_consistent():
 
 
 def test_restriction_exceptional_candidate_012():
-    res = cone_restriction_case(BundleSpec.split(0, 1, 2))
+    res = restriction_of(BundleSpec.split(0, 1, 2))
     assert res.case == EXCEPTIONAL_CANDIDATE
     assert res.surface.coeffs == (9, -27, 18)
     assert res.surface.mu_candidates == (1, 3, 9)
 
 
 def test_restriction_equality_for_ample():
-    res = cone_restriction_case(BundleSpec.split(0, 0, 1))
+    res = restriction_of(BundleSpec.split(0, 0, 1))
     assert (res.case, res.via) == (EQUALITY, "ample-anticanonical")
 
 
 def test_restriction_equality_for_non_nef():
-    res = cone_restriction_case(BundleSpec.split(-2, 2, 3))
+    res = restriction_of(BundleSpec.split(-2, 2, 3))
     assert (res.case, res.via) == (EQUALITY, "canonical-side-only")
 
 
 def test_restriction_c1_2_downgrades_to_equality():
     # statuses asserted externally: big and nef, not ample
     asserted = MinusKStatus(nef=True, ample=False, big=True, h0_gt_1=None)
-    res = cone_restriction_case(BundleSpec.chern_only(2, 5), asserted)
+    res = cone_restriction_case(asserted, exceptional_surface_class(ChernPair(2, 5)))
     assert (res.case, res.via) == (EQUALITY, "exceptional-class-impossible")
     assert res.surface.mu_candidates == ()
 
 
 def test_restriction_not_determined_without_status():
-    res = cone_restriction_case(BundleSpec.chern_only(3, 2))
+    res = restriction_of(BundleSpec.chern_only(3, 2))
     assert res.case == NOT_DETERMINED
 
 
@@ -219,37 +233,37 @@ def test_restriction_not_determined_without_status():
 
 
 def test_verdict_split_012():
-    v = rationality_verdict(BundleSpec.split(0, 1, 2))
+    v = verdict_of(BundleSpec.split(0, 1, 2))
     assert v.verdict == RATIONAL
     assert v.trail == ("h0-minus-k-gt-1",)
 
 
 def test_verdict_gamma_minus_20_is_open():
-    v = rationality_verdict(BundleSpec.chern_only(1, 7))  # gamma = -20
+    v = verdict_of(BundleSpec.chern_only(1, 7))  # gamma = -20
     assert v.verdict == UNKNOWN
     assert v.trail == ()
 
 
 def test_verdict_gamma_minus_18_boundary():
     spec = BundleSpec.chern_only(0, 6)  # gamma = -18, c3 = -54
-    v = rationality_verdict(spec)
+    v = verdict_of(spec)
     assert v.verdict == RATIONAL
     assert v.trail[0] == "gamma-ge-minus-18"
     assert invariants.cy_invariants(spec.chern).c3 == -54
 
 
 def test_verdict_flags_rho_contradiction():
-    v = rationality_verdict(BundleSpec.split(0, 0, 3))
+    v = verdict_of(BundleSpec.split(0, 0, 3))
     assert v.verdict == RATIONAL
     assert any("rho(X) = 4" in note for note in v.notes)
 
 
 def test_verdict_rational_root_clause():
     # gamma = -22 < -18 with no h0 information, root exists and is irrational
-    v = rationality_verdict(BundleSpec.chern_only(2, 2 + 8))  # gamma = 4 - 30 = -26
+    v = verdict_of(BundleSpec.chern_only(2, 2 + 8))  # gamma = 4 - 30 = -26
     assert v.verdict == UNKNOWN
-    # force the root-rationality clause: fake status with unknown h0
-    blank = MinusKStatus(nef=None, ample=None, big=None, h0_gt_1=None)
+    # force the root-rationality clause: fake record with unknown h0
+    blank = H0Anticanonical(value=None, gt1=None, reason="test")
     rho = invariants.RhoResult(None, "test")
     spec20 = BundleSpec.chern_only(1, 7)  # gamma = -20, 9 - 4g = 89: irrational
     assert rationality_verdict(spec20, blank, rho).verdict == UNKNOWN
@@ -259,24 +273,28 @@ def test_verdict_monotone_in_h0():
     # h0 > 1 dominates even when the root is irrational
     spec = BundleSpec.named("S2TP2(-1)")  # gamma = -9, root irrational
     assert not boundary_root(spec.chern).k.is_rational
-    v = rationality_verdict(spec)
+    v = verdict_of(spec)
     assert v.verdict == RATIONAL and "h0-minus-k-gt-1" in v.trail
 
 
 def test_nef_survey_gamma_bound_and_verdicts():
     for exps in combinations_with_replacement(range(-4, 5), 3):
         spec = BundleSpec.split(*exps)
-        status = anticanonical_status(spec)
+        status = status_of(spec)
         if status.nef:
             assert spec.gamma >= -18
-            assert rationality_verdict(spec, status).verdict == RATIONAL
+            assert verdict_of(spec).verdict == RATIONAL
 
 
 # --- aggregate report ---------------------------------------------------------------------
 
 
 def test_cone_report_aggregates():
-    rep = cone_report(BundleSpec.split(0, 1, 2))
+    spec = BundleSpec.split(0, 1, 2)
+    h0 = h0_anticanonical(spec)
+    status = anticanonical_status(spec, h0)
+    rho = invariants.rho_of_x(spec, status)
+    rep = cone_report(spec, h0, status, rho, exceptional_surface_class(spec.chern))
     assert rep.verdict == RATIONAL
     assert rep.k_root.normalization == OZ3
     assert rep.k_root_scaled.normalization == OZ1
@@ -290,16 +308,16 @@ def test_cone_data_is_twist_equivariant():
     # the boundary root just shifts by 3t along the relabeled ray
     for exps in ((0, 1, 2), (0, 0, 3), (-1, 0, 2)):
         spec = BundleSpec.split(*exps)
-        base_status = anticanonical_status(spec)
-        base_verdict = rationality_verdict(spec)
+        base_status = status_of(spec)
+        base_verdict = verdict_of(spec)
         base_root = boundary_root(spec.chern)
         for t in (-2, 1, 3):
             twisted = spec.twist(t)
-            status = anticanonical_status(twisted)
+            status = status_of(twisted)
             assert (status.nef, status.ample, status.big) == (
                 base_status.nef, base_status.ample, base_status.big
             )
-            verdict = rationality_verdict(twisted)
+            verdict = verdict_of(twisted)
             assert (verdict.verdict, verdict.trail) == (
                 base_verdict.verdict, base_verdict.trail
             )

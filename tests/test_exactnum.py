@@ -12,7 +12,6 @@ from cycone.exactnum import (
     format_rational,
     is_perfect_square,
     parse_rational,
-    quad_is_rational,
     sqrt_to_quad,
     squarefree_decompose,
 )
@@ -68,14 +67,14 @@ def test_squarefree_decompose(m, expected):
 
 def test_sqrt_perfect_square_is_rational():
     v = sqrt_to_quad(Fraction(9, 4))
-    assert quad_is_rational(v) and v == Fraction(3, 2)
+    assert v.is_rational and v == Fraction(3, 2)
 
 
 def test_sqrt_of_45_over_4():
     # 9/4 - (-9) = 45/4, whose root is (3/2) sqrt(5)
     v = sqrt_to_quad(Fraction(45, 4))
     assert v == QuadValue.make(0, Fraction(3, 2), 5)
-    assert not quad_is_rational(v)
+    assert not v.is_rational
 
 
 def test_sqrt_of_quarter():
@@ -96,13 +95,13 @@ def test_sqrt_squares_back(q):
 
 @given(st.integers(min_value=-40, max_value=40), st.integers(min_value=1, max_value=40))
 def test_rational_squares_have_rational_roots(p, q):
-    assert quad_is_rational(sqrt_to_quad(Fraction(p * p, q * q)))
+    assert sqrt_to_quad(Fraction(p * p, q * q)).is_rational
 
 
 def test_quad_is_rational_examples():
-    assert quad_is_rational(QuadValue.make(Fraction(3, 2)))
-    assert not quad_is_rational(QuadValue.make(Fraction(9, 2), Fraction(-3, 2), 5))
-    assert quad_is_rational(QuadValue.rational(0))
+    assert QuadValue.make(Fraction(3, 2)).is_rational
+    assert not QuadValue.make(Fraction(9, 2), Fraction(-3, 2), 5).is_rational
+    assert QuadValue.rational(0).is_rational
 
 
 def test_make_normalizes_square_factors():
@@ -178,6 +177,6 @@ def test_json_roundtrip():
 
 
 def test_is_perfect_square():
-    squares = {m * m for m in range(0, 15)}
-    for m in range(-5, 130):
+    squares = {m * m for m in range(0, 15)} | {10**400, (10**200 + 1) ** 2}
+    for m in [*range(-5, 130), 10**400, (10**200 + 1) ** 2, 10**400 + 1]:
         assert is_perfect_square(m) == (m in squares)

@@ -1,0 +1,72 @@
+"""Golden outputs: byte-exact CLI output for a fixed set of invocations.
+
+Each case runs ``cycone.cli.main`` in-process and compares its stdout with
+the file of the same name under ``tests/golden/``.  The files were written
+by this module (``python tests/test_golden.py --write``) from the code
+before the single-pass refactor of the report pipeline; any change to them
+is a change of the tool's output and has to be deliberate.
+"""
+
+import contextlib
+import io
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+from cycone import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CATALOG_IDS = ("O+O(1)+O(2)", "2O+O(3)", "TP2+O", "TP2(-1)+O(2)", "S2TP2(-1)", "TP3restP2")
+FORMATS = (("json", ["--json"]), ("tsv", ["--tsv"]), ("txt", []))
+
+
+def _slug(text: str) -> str:
+    return re.sub(r"[^A-Za-z0-9]+", "_", text).strip("_")
+
+
+def _cases():
+    specs = []
+    for name in CATALOG_IDS:
+        specs.append((f"named-{_slug(name)}", ["--named", name]))
+        specs.append((f"named-{_slug(name)}-twist2", ["--named", name, "--twist", "2"]))
+    specs += [
+        ("chern-3_12", ["--chern", "3,12"]),
+        ("chern-3_6", ["--chern", "3,6"]),
+        ("split-m5_6_6", ["--split=-5,6,6"]),
+    ]
+    cases = [
+        (f"analyze-{stem}.{ext}", ["analyze", *spec, *flags])
+        for stem, spec in specs
+        for ext, flags in FORMATS
+    ]
+    cases += [
+        ("survey-m4_4.tsv", ["survey", "--emin", "-4", "--emax", "4"]),
+        ("survey-m4_4.jsonl", ["survey", "--emin", "-4", "--emax", "4", "--json"]),
+        ("catalog.json", ["catalog", "--json"]),
+    ]
+    return cases
+
+
+CASES = _cases()
+
+
+def run_main(argv) -> bytes:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(argv))
+    assert code == 0, f"cycone {' '.join(argv)} exited {code}"
+    return out.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("filename,argv", CASES, ids=[name for name, _ in CASES])
+def test_golden_output(filename, argv):
+    assert run_main(argv) == (GOLDEN / filename).read_bytes()
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
+    GOLDEN.mkdir(exist_ok=True)
+    for filename, argv in CASES:
+        (GOLDEN / filename).write_bytes(run_main(argv))

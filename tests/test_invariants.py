@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycone import invariants
-from cycone.bundles import BundleSpec
+from cycone import cone, invariants
+from cycone.bundles import BundleSpec, h0_anticanonical
 from cycone.chow import ChernPair
 from cycone.errors import InvariantViolationError
 
@@ -23,7 +23,7 @@ chern_pairs = st.builds(
     "c, expected", [(ChernPair(3, 2), 3), (ChernPair(3, 6), -9), (ChernPair(3, 3), 0)]
 )
 def test_gamma_examples(c, expected):
-    assert invariants.gamma(c) == expected
+    assert c.gamma == expected
 
 
 @given(chern_pairs, st.integers(min_value=-5, max_value=5))
@@ -123,33 +123,35 @@ def test_large_c1_has_positive_lower_bound():
             assert invariants.section_bounds(c).lower_bound_o1_minus_h > 0
 
 
+def rho_of(spec):
+    return invariants.rho_of_x(spec, cone.anticanonical_status(spec, h0_anticanonical(spec)))
+
+
 def test_rho_examples():
-    assert invariants.rho_of_x(BundleSpec.split(0, 0, 3)).value == 4
-    assert invariants.rho_of_x(BundleSpec.split(0, 1, 2)).value == 2
-    res = invariants.rho_of_x(BundleSpec.named("TP3restP2"))
+    assert rho_of(BundleSpec.split(0, 0, 3)).value == 4
+    assert rho_of(BundleSpec.split(0, 1, 2)).value == 2
+    res = rho_of(BundleSpec.named("TP3restP2"))
     assert (res.value, res.reason) == (2, "splitting-type-criterion")
 
 
 def test_rho_uses_splitting_type_for_catalog_bundles():
     for name in ("TP2+O", "TP2(-1)+O(2)", "S2TP2(-1)"):
-        res = invariants.rho_of_x(BundleSpec.named(name))
+        res = rho_of(BundleSpec.named(name))
         assert res.value == 2
 
 
 def test_rho_unknown_without_positivity():
-    res = invariants.rho_of_x(BundleSpec.chern_only(3, 2))
+    res = rho_of(BundleSpec.chern_only(3, 2))
     assert res.value is None
     assert res.reason == "anticanonical-not-known-big-nef"
     # non-nef split: formula hypotheses fail as well
-    assert invariants.rho_of_x(BundleSpec.split(-1, 2, 2)).value is None
+    assert rho_of(BundleSpec.split(-1, 2, 2)).value is None
 
 
 def test_rho_matches_end_cohomology_on_nef_splits():
-    from cycone import cone
-
     for exps in combinations_with_replacement(range(-2, 4), 3):
         spec = BundleSpec.split(*exps)
-        status = cone.anticanonical_status(spec)
+        status = cone.anticanonical_status(spec, h0_anticanonical(spec))
         res = invariants.rho_of_x(spec, status)
         if status.nef and status.big:
             assert res.value is not None and res.value >= 2

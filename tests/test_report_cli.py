@@ -215,19 +215,12 @@ def test_cli_survey_json_lines():
     assert all(set(report.SURVEY_COLUMNS) <= set(r) for r in rows)
 
 
-def test_cli_survey_worker_invariance(monkeypatch):
-    import os
-
-    base = subprocess.run(
-        [sys.executable, "-m", "cycone", "survey", "--emin", "-2", "--emax", "2"],
-        capture_output=True, text=True, env={**os.environ, "CYCONE_WORKERS": "1"},
-    )
-    multi = subprocess.run(
-        [sys.executable, "-m", "cycone", "survey", "--emin", "-2", "--emax", "2"],
-        capture_output=True, text=True, env={**os.environ, "CYCONE_WORKERS": "4"},
-    )
-    assert base.returncode == multi.returncode == 0
-    assert base.stdout == multi.stdout
+def test_cli_survey_repeated_keyed_filters_all_hold(capsys):
+    argv = ["survey", "--emin", "0", "--emax", "3", "--filter", "c1=3"]
+    assert cli.main(argv) == 0
+    assert len(capsys.readouterr().out.strip().split("\n")) > 1
+    assert cli.main([*argv, "--filter", "c1=4"]) == 0
+    assert capsys.readouterr().out.strip().split("\n") == ["\t".join(report.SURVEY_COLUMNS)]
 
 
 def test_cli_catalog_contents():
