@@ -9,9 +9,15 @@ down: H^3 = 0 (the base is a surface) and the tautological relation
 where (c1, c2) are the Chern numbers of E.  Everything is stored reduced in
 the monomial basis {1; xi, H; xi^2, xi*H, H^2; xi^2*H, xi*H^2; xi^2*H^2},
 and the degree-4 coefficient is the integral against the point class
-xi^2 H^2.  Coefficients are exact (Fraction, or QuadValue for boundary-root
-computations); integrality of geometric quantities is asserted, never
-assumed.
+xi^2 H^2.  The ring is integral: the relation has integer coefficients, so
+classes built from ints keep plain ``int`` coefficients throughout.
+``Fraction`` and ``QuadValue`` coefficients (the latter for boundary-root
+computations) are accepted as given and never introduced by the engine;
+integrality of geometric quantities is asserted, never assumed.
+
+The relation is applied in one place, ``ChernPair.reductions``: once per
+pair, to every monomial a product of two basis monomials can produce.
+``mul`` is a sparse contraction over that table.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations_with_replacement
 
 from .errors import DomainError, InvariantViolationError
@@ -28,7 +35,16 @@ MONOMIALS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (2, 1), (1, 2), (2,
 MONOMIAL_NAMES = ("1", "xi", "h", "xi2", "xi_h", "h2", "xi2_h", "xi_h2", "xi2_h2")
 _INDEX = {m: i for i, m in enumerate(MONOMIALS)}
 
-_ZERO = Fraction(0)
+# Every xi^i H^j a product of two basis monomials can give with j <= 2 and
+# i + j <= 4 (anything else dies by H^3 = 0 or by degree).  The basis comes
+# first, so slot k < 9 is basis index k, and each monomial above the basis
+# follows the two it reduces to.
+_REDUCIBLE = MONOMIALS + ((3, 0), (3, 1), (4, 0))
+_SLOT = {m: k for k, m in enumerate(_REDUCIBLE)}
+# _PRODUCT_SLOT[a][b]: slot of basis monomial a times basis monomial b, or None
+_PRODUCT_SLOT = tuple(
+    tuple(_SLOT.get((i1 + i2, j1 + j2)) for (i2, j2) in MONOMIALS) for (i1, j1) in MONOMIALS
+)
 
 
 @dataclass(frozen=True)
@@ -47,6 +63,29 @@ class ChernPair:
         """Chern numbers of E tensored with O(t)."""
         return ChernPair(self.c1 + 3 * t, self.c2 + 2 * t * self.c1 + 3 * t * t)
 
+    @cached_property
+    def reductions(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Each monomial of ``_REDUCIBLE``, in slot order, as sparse
+        (basis index, int) terms in the reduced basis.
+
+        This is the one place the relation xi^3 = c1 xi^2 H - c2 xi H^2 is
+        applied.  The table is held by the pair, so it is freed with it.
+        """
+        table = []
+        for i, j in _REDUCIBLE:
+            if i <= 2:
+                table.append({_INDEX[i, j]: 1})
+                continue
+            acc = {}
+            for scale, (li, lj) in ((self.c1, (i - 1, j + 1)), (-self.c2, (i - 2, j + 2))):
+                slot = _SLOT.get((li, lj))
+                if slot is None:  # H^3 = 0
+                    continue
+                for k, v in table[slot].items():
+                    acc[k] = acc.get(k, 0) + scale * v
+            table.append(acc)
+        return tuple(tuple((k, v) for k, v in t.items() if v) for t in table)
+
 
 @dataclass(frozen=True)
 class ChowClass:
@@ -56,14 +95,14 @@ class ChowClass:
 
     @classmethod
     def zero(cls) -> "ChowClass":
-        return cls((_ZERO,) * 9)
+        return cls((0,) * 9)
 
     @classmethod
     def monomial(cls, i: int, j: int, coeff=1) -> "ChowClass":
         if (i, j) not in _INDEX:
             raise DomainError(f"xi^{i} H^{j} is not a basis monomial")
-        coeffs = [_ZERO] * 9
-        coeffs[_INDEX[(i, j)]] = _as_coeff(coeff)
+        coeffs = [0] * 9
+        coeffs[_INDEX[(i, j)]] = coeff
         return cls(tuple(coeffs))
 
     @classmethod
@@ -72,9 +111,9 @@ class ChowClass:
 
     @classmethod
     def degree1(cls, xi_coef, h_coef) -> "ChowClass":
-        coeffs = [_ZERO] * 9
-        coeffs[_INDEX[(1, 0)]] = _as_coeff(xi_coef)
-        coeffs[_INDEX[(0, 1)]] = _as_coeff(h_coef)
+        coeffs = [0] * 9
+        coeffs[_INDEX[(1, 0)]] = xi_coef
+        coeffs[_INDEX[(0, 1)]] = h_coef
         return cls(tuple(coeffs))
 
     def coefficient(self, i: int, j: int):
@@ -87,7 +126,7 @@ class ChowClass:
 
     def degree_part(self, d: int) -> "ChowClass":
         coeffs = [
-            c if i + j == d else _ZERO
+            c if i + j == d else 0
             for (i, j), c in zip(MONOMIALS, self.coeffs)
         ]
         return ChowClass(tuple(coeffs))
@@ -110,7 +149,6 @@ class ChowClass:
     def scale(self, k) -> "ChowClass":
         if isinstance(k, ChowClass):
             raise DomainError("'*' scales by numbers; ring products need mul(x, y, c)")
-        k = _as_coeff(k)
         return ChowClass(tuple(k * a for a in self.coeffs))
 
     __rmul__ = scale
@@ -131,12 +169,6 @@ class ChowClass:
         return " + ".join(terms) if terms else "0"
 
 
-def _as_coeff(x):
-    if isinstance(x, int):
-        return Fraction(x)
-    return x
-
-
 def as_integer(q) -> int:
     """Assert a coefficient is an integer and return it."""
     if isinstance(q, int):
@@ -151,31 +183,40 @@ def as_integer(q) -> int:
 def reduce_monomial(i: int, j: int, c: ChernPair) -> ChowClass:
     """Rewrite xi^i H^j in the canonical basis.
 
-    H^3 = 0 and xi^3 = c1*xi^2 H - c2*xi H^2 are applied until the xi
-    exponent drops to at most 2; anything of total degree above 4 dies.
+    Read from the pair's reduction table; anything with H^3 or of total
+    degree above 4 dies.
     """
     if i < 0 or j < 0:
         raise DomainError("exponents must be nonnegative")
-    if j >= 3 or i + j > 4:
-        return ChowClass.zero()
-    if i <= 2:
-        return ChowClass.monomial(i, j)
-    lower = reduce_monomial(i - 1, j + 1, c).scale(c.c1)
-    lowest = reduce_monomial(i - 2, j + 2, c).scale(c.c2)
-    return lower - lowest
+    slot = _SLOT.get((i, j))
+    coeffs = [0] * 9
+    if slot is not None:
+        for k, v in c.reductions[slot]:
+            coeffs[k] = v
+    return ChowClass(tuple(coeffs))
 
 
 def mul(x: ChowClass, y: ChowClass, c: ChernPair) -> ChowClass:
-    """Graded product, fully reduced; commutative and associative."""
-    out = ChowClass.zero()
-    for (i1, j1), a in zip(MONOMIALS, x.coeffs):
-        if a == 0:
+    """Graded product, fully reduced; commutative and associative.
+
+    A sparse contraction of the two coefficient vectors over the pair's
+    reduction table, accumulated into one coefficient list.
+    """
+    table = c.reductions
+    ys = [(b, yb) for b, yb in enumerate(y.coeffs) if yb != 0]
+    out = [0] * 9
+    for a, xa in enumerate(x.coeffs):
+        if xa == 0:
             continue
-        for (i2, j2), b in zip(MONOMIALS, y.coeffs):
-            if b == 0:
+        slots = _PRODUCT_SLOT[a]
+        for b, yb in ys:
+            slot = slots[b]
+            if slot is None:
                 continue
-            out = out + reduce_monomial(i1 + i2, j1 + j2, c).scale(a * b)
-    return out
+            p = xa * yb
+            for k, v in table[slot]:
+                out[k] += v * p
+    return ChowClass(tuple(out))
 
 
 def intersect4(f1: ChowClass, f2: ChowClass, f3: ChowClass, f4: ChowClass, c: ChernPair):
@@ -198,35 +239,33 @@ def minus_k_quartic(c: ChernPair) -> int:
 
 
 def _dual_chern_pullbacks(c: ChernPair) -> tuple[ChowClass, ...]:
-    """Pullbacks of the Chern classes of the dual bundle: 1, -c1*H, c2*H^2, 0."""
+    """Pullbacks of the Chern classes of the dual bundle: 1, -c1*H, c2*H^2
+    (the pulled-back c3 is 0, since H^3 = 0)."""
     return (
         ChowClass.one(),
         ChowClass.monomial(0, 1, -c.c1),
         ChowClass.monomial(0, 2, c.c2),
-        ChowClass.zero(),
     )
 
 
 def tangent_chern_classes(c: ChernPair) -> tuple[ChowClass, ChowClass, ChowClass, ChowClass]:
     """Chern classes c1..c4 of the tangent bundle of Z.
 
-    Computed as c(p^* T_P2) * c(p^* E-dual tensor O_Z(1)); the rank-3 twist
-    is expanded from the Chern roots, so the degree-3 piece of the twisted
-    factor vanishes by the defining relation.
+    Computed as c(p^* T_P2) * c(p^* E-dual tensor O_Z(1)), one product of
+    the two total classes (exact by bilinearity).  The rank-3 twist is
+    expanded from the Chern roots, c(E-dual (x) L) = sum_i c_i(E-dual)
+    (1 + c1(L))^(3 - i), so the degree-3 piece of the twisted factor
+    vanishes by the defining relation.
     """
     dual = _dual_chern_pullbacks(c)
-    twisted = []  # degree-k Chern class of p^*(E dual) (x) O_Z(1), k = 0..3
-    for k in range(4):
-        acc = ChowClass.zero()
-        for i in range(0, min(k, 2) + 1):
-            xi_pow = reduce_monomial(k - i, 0, c)
-            acc = acc + mul(dual[i], xi_pow, c).scale(math.comb(3 - i, k - i))
-        twisted.append(acc)
-    base = (ChowClass.one(), ChowClass.monomial(0, 1, 3), ChowClass.monomial(0, 2, 3))
-    total = ChowClass.zero()
-    for bd, bcls in enumerate(base):
-        for td in range(4):
-            total = total + mul(bcls, twisted[td], c)
+    twisted = ChowClass.zero()  # total Chern class of p^*(E dual) (x) O_Z(1)
+    for i, dual_i in enumerate(dual):
+        one_plus_xi = ChowClass.zero()  # (1 + xi)^(3 - i), reduced
+        for m in range(4 - i):
+            one_plus_xi = one_plus_xi + reduce_monomial(m, 0, c).scale(math.comb(3 - i, m))
+        twisted = twisted + mul(dual_i, one_plus_xi, c)
+    base = ChowClass.one() + ChowClass.monomial(0, 1, 3) + ChowClass.monomial(0, 2, 3)
+    total = mul(base, twisted, c)
     return tuple(total.degree_part(d) for d in (1, 2, 3, 4))
 
 

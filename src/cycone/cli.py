@@ -27,6 +27,12 @@ from .report import (
 )
 
 DEFAULT_MAX_RANGE = 12
+# Largest |value| accepted for a Chern number, a splitting exponent (from
+# --split or a --named line-bundle sum) or a twist.  The cost of a report
+# grows with the size of gamma (the boundary root factors |9 - 4 gamma|),
+# so unbounded input could run for hours; at this bound every report
+# finishes in milliseconds.
+MAX_SPEC_VALUE = 10_000
 
 
 class UsageError(Exception):
@@ -48,16 +54,25 @@ def _parse_ints(text: str, count: int, what: str) -> tuple[int, ...]:
         raise UsageError(f"{what}: not integers: {text!r}") from exc
 
 
+def _bounded(values: tuple[int, ...], what: str) -> tuple[int, ...]:
+    for v in values:
+        if abs(v) > MAX_SPEC_VALUE:
+            raise UsageError(f"{what} value {v} is outside [-{MAX_SPEC_VALUE}, {MAX_SPEC_VALUE}]")
+    return values
+
+
 def _spec_from_args(args) -> BundleSpec:
     if args.split is not None:
-        spec = BundleSpec.split(*_parse_ints(args.split, 3, "--split"))
+        spec = BundleSpec.split(*_bounded(_parse_ints(args.split, 3, "--split"), "--split"))
     elif args.named is not None:
         try:
             spec = BundleSpec.named(args.named)
         except DomainError as exc:
             raise UsageError(str(exc)) from exc
+        _bounded(spec.exponents or (), "--named exponent")
     else:
-        spec = BundleSpec.chern_only(*_parse_ints(args.chern, 2, "--chern"))
+        spec = BundleSpec.chern_only(*_bounded(_parse_ints(args.chern, 2, "--chern"), "--chern"))
+    _bounded((args.twist,), "--twist")
     if args.twist:
         spec = spec.twist(args.twist)
     return spec
@@ -210,7 +225,9 @@ def build_parser() -> _Parser:
         epilog=(
             "TSV columns: "
             + " ".join(SURVEY_COLUMNS + ANALYZE_EXTRA_COLUMNS)
-            + ". Tri-state columns print true/false/unknown."
+            + ". Tri-state columns print true/false/unknown. Every integer of the spec"
+            f" (--split, --chern, --named exponents, --twist) lies in"
+            f" [-{MAX_SPEC_VALUE}, {MAX_SPEC_VALUE}]."
         ),
     )
     spec_group = analyze.add_mutually_exclusive_group(required=True)

@@ -375,6 +375,11 @@ def chi_rr(e) -> int:
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z]+)|([()+,*-]))")
 
+# Deepest nesting of twist/sym/end/dual the parser accepts.  The catalog and
+# every expression seen in practice stay within 4 levels; the cap keeps a
+# hostile input from exhausting the interpreter's recursion limit.
+MAX_EXPR_DEPTH = 32
+
 
 class _Parser:
     """Recursive-descent parser for the expression grammar.
@@ -384,6 +389,8 @@ class _Parser:
     atom := 'O' ['(' int ')'] | 'SymT' '(' int ',' int ')'
           | 'twist' '(' expr ',' int ')' | 'sym' '(' expr ',' int ')'
           | 'end' '(' expr ')' | 'dual' '(' expr ')'
+
+    Nesting deeper than ``MAX_EXPR_DEPTH`` raises DomainError.
     """
 
     def __init__(self, text: str):
@@ -399,6 +406,7 @@ class _Parser:
             pos = m.end()
             self.tokens.append(m.group(1) or m.group(2) or m.group(3))
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -446,6 +454,15 @@ class _Parser:
             raise DomainError("multiplicity must be positive")
         return atom if mult == 1 else DirectSum(*([atom] * mult))
 
+    def nested(self):
+        """An expression one level down, within ``MAX_EXPR_DEPTH``."""
+        self.depth += 1
+        if self.depth > MAX_EXPR_DEPTH:
+            raise DomainError(f"expression nested deeper than {MAX_EXPR_DEPTH} levels")
+        e = self.expr()
+        self.depth -= 1
+        return e
+
     def atom(self):
         tok = self.take()
         if tok == "O":
@@ -464,21 +481,24 @@ class _Parser:
             return SymTangent(a, b)
         if tok in ("twist", "sym"):
             self.take("(")
-            e = self.expr()
+            e = self.nested()
             self.take(",")
             k = self.integer()
             self.take(")")
             return TwistBy(e, k) if tok == "twist" else SymPower(e, k)
         if tok in ("end", "dual"):
             self.take("(")
-            e = self.expr()
+            e = self.nested()
             self.take(")")
             return EndOf(e) if tok == "end" else DualOf(e)
         raise DomainError(f"unknown symbol {tok!r} in expression {self.text!r}")
 
 
 def parse_sheaf_expr(text: str):
-    """Parse the CLI grammar: O(k), SymT(a,b), +, twist(e,k), sym(e,p), end(e), dual(e)."""
+    """Parse the CLI grammar: O(k), SymT(a,b), +, twist(e,k), sym(e,p), end(e), dual(e).
+
+    Nesting of twist/sym/end/dual is capped at ``MAX_EXPR_DEPTH`` levels.
+    """
     return _Parser(text).parse()
 
 

@@ -154,18 +154,20 @@ def c2_positivity_for_gamma(g: int) -> C2Positivity:
     )
 
 
-def c2_positivity(c: ChernPair, root: BoundaryRoot) -> C2Positivity:
+def c2_positivity(
+    c: ChernPair, root: BoundaryRoot, pairings: invariants.XPairings
+) -> C2Positivity:
     """Evaluate D.c2(X) at the cone-boundary data of the given bundle.
 
-    ``root`` is the bundle's boundary root in the OZ1 normalization.  When
-    it exists the boundary value is computed through the pairing
-    D.c2(X) = (36 + 12 c1 + 2 gamma) - 36 k' with the exact quadratic k',
-    and cross-checked against the closed gamma-only bound.
+    ``root`` is the bundle's boundary root in the OZ1 normalization and
+    ``pairings`` are the pairings of X.  When the root exists the boundary
+    value is computed through the pairing D.c2(X) = O_X(1).c2(X) - 36 k'
+    with the exact quadratic k', and cross-checked against the closed
+    gamma-only bound.
     """
     report = c2_positivity_for_gamma(c.gamma)
     if root.exists:
-        pairing = invariants.closed_form_pairings(c)
-        via_root = QuadValue.rational(pairing.o1_c2) - 36 * root.k
+        via_root = QuadValue.rational(pairings.o1_c2) - 36 * root.k
         if via_root != report.boundary_value:
             raise InvariantViolationError(
                 f"boundary c2-value mismatch for {c}: {via_root} vs {report.boundary_value}"
@@ -302,6 +304,7 @@ def cone_report(
     minus_k: MinusKStatus,
     rho: invariants.RhoResult,
     surface: ExceptionalSurfaceClass,
+    pairings: invariants.XPairings,
 ) -> ConeReport:
     """The cone-side facts of one spec, given the facts its caller holds.
 
@@ -318,7 +321,7 @@ def cone_report(
         verdict=verdict.verdict,
         trail=verdict.trail,
         notes=verdict.notes,
-        c2=c2_positivity(spec.chern, k_root_scaled),
+        c2=c2_positivity(spec.chern, k_root_scaled, pairings),
         restriction=cone_restriction_case(minus_k, surface),
         w_contains_boundary=None,
     )

@@ -95,10 +95,9 @@ def cy_invariants(c: ChernPair, rho: int | None = None) -> CYInvariants:
     )
 
 
-def divisor_cube(c: ChernPair, d: tuple[int, int]) -> int:
-    """(alpha*O_X(1) + beta*pi*h)^3 on X."""
+def divisor_cube(p: XPairings, d: tuple[int, int]) -> int:
+    """(alpha*O_X(1) + beta*pi*h)^3 on X, from the pairings ``p`` of X."""
     alpha, beta = d
-    p = closed_form_pairings(c)
     return (
         alpha**3 * p.o1_cubed
         + 3 * alpha**2 * beta * p.o1_sq_h
@@ -106,25 +105,24 @@ def divisor_cube(c: ChernPair, d: tuple[int, int]) -> int:
     )
 
 
-def divisor_dot_c2(c: ChernPair, d: tuple[int, int]) -> int:
+def divisor_dot_c2(p: XPairings, d: tuple[int, int]) -> int:
     alpha, beta = d
-    p = closed_form_pairings(c)
     return alpha * p.o1_c2 + beta * p.h_c2
 
 
-def chi_cubic_coefficients(c: ChernPair, d: tuple[int, int]) -> tuple[Fraction, Fraction]:
+def chi_cubic_coefficients(p: XPairings, d: tuple[int, int]) -> tuple[Fraction, Fraction]:
     """(a, b) with chi(m D|X) = a m^3 + b m; no quadratic or constant term
     since K_X = 0."""
-    return Fraction(divisor_cube(c, d), 6), Fraction(divisor_dot_c2(c, d), 12)
+    return Fraction(divisor_cube(p, d), 6), Fraction(divisor_dot_c2(p, d), 12)
 
 
-def chi_on_cy(c: ChernPair, d: tuple[int, int], m: int) -> Fraction:
+def chi_on_cy(p: XPairings, d: tuple[int, int], m: int) -> Fraction:
     """Riemann-Roch on X: chi(m D|X) = m^3 D^3 / 6 + m D.c2(X) / 12.
 
     Equals h^0 when D|X is ample (Kodaira vanishing, K_X = 0); knowing
-    ampleness is the caller's business.
+    ampleness is the caller's business.  ``p`` are the pairings of X.
     """
-    a, b = chi_cubic_coefficients(c, d)
+    a, b = chi_cubic_coefficients(p, d)
     return a * m**3 + b * m
 
 
@@ -140,10 +138,11 @@ class SectionBounds:
     assumes: tuple[str, ...] = ("O_X(1) ample", "-K_Z nef")
 
 
-def section_bounds(c: ChernPair) -> SectionBounds:
+def section_bounds(c: ChernPair, p: XPairings) -> SectionBounds:
+    """The section bounds of ``c``, given its pairings ``p``."""
     g = c.gamma
     lb = Fraction(g, 3) + Fraction(c.c1 * c.c1, 6) + Fraction(c.c1, 2)
-    chi_o1 = chi_on_cy(c, (1, 0), 1)
+    chi_o1 = chi_on_cy(p, (1, 0), 1)
     return SectionBounds(
         lower_bound_o1_minus_h=lb,
         chi_o1=chi_o1,

@@ -89,8 +89,8 @@ def build_report(spec: BundleSpec) -> AnalysisReport:
     rho = invariants.rho_of_x(spec, minus_k)
     inv = invariants.cy_invariants(spec.chern, rho.value)
     surface = exceptional_surface_class(spec.chern)
-    cone_rep = cone.cone_report(spec, h0, minus_k, rho, surface)
-    bounds = invariants.section_bounds(spec.chern)
+    cone_rep = cone.cone_report(spec, h0, minus_k, rho, surface, inv.pairings)
+    bounds = invariants.section_bounds(spec.chern, inv.pairings)
     g = spec.gamma
 
     # cone notes become report warnings; the report owns all caveats

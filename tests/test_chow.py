@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cycone import chow
 from cycone.chow import (
+    MONOMIALS,
     ChernPair,
     ChowClass,
     anticanonical,
@@ -22,7 +23,9 @@ from cycone.chow import (
     reduce_monomial,
     tangent_chern_classes,
 )
+from cycone.cone import boundary_root
 from cycone.errors import DomainError
+from cycone.exactnum import QuadValue
 
 GRID = [ChernPair(c1, c2) for c1 in range(-6, 7) for c2 in range(-10, 11)]
 
@@ -73,7 +76,45 @@ def test_reduction_confluence(c):
     assert mul(H, reduce_monomial(3, 0, c), c) == reduce_monomial(3, 1, c)
 
 
+def _reference_reduce(i, j, c):
+    # the defining relation applied recursively, as {(i, j): coeff}; kept
+    # apart from the engine's per-pair table on purpose
+    if j >= 3 or i + j > 4:
+        return {}
+    if i <= 2:
+        return {(i, j): 1}
+    out = {}
+    for scale, (li, lj) in ((c.c1, (i - 1, j + 1)), (-c.c2, (i - 2, j + 2))):
+        for m, v in _reference_reduce(li, lj, c).items():
+            out[m] = out.get(m, 0) + scale * v
+    return out
+
+
+def _reference_mul(x, y, c):
+    out = dict.fromkeys(MONOMIALS, 0)
+    for (i1, j1), a in zip(MONOMIALS, x.coeffs):
+        for (i2, j2), b in zip(MONOMIALS, y.coeffs):
+            for m, v in _reference_reduce(i1 + i2, j1 + j2, c).items():
+                out[m] += a * b * v
+    return ChowClass(tuple(out[m] for m in MONOMIALS))
+
+
+def test_reduce_monomial_matches_recursive_reference():
+    for c in GRID[::5]:
+        for i in range(7):
+            for j in range(5):
+                ref = _reference_reduce(i, j, c)
+                expected = ChowClass(tuple(ref.get(m, 0) for m in MONOMIALS))
+                assert reduce_monomial(i, j, c) == expected
+
+
 # --- products ----------------------------------------------------------------
+
+
+@settings(max_examples=60)
+@given(coeffs_strategy(), coeffs_strategy(), chern_pairs)
+def test_table_mul_matches_recursive_reference(x, y, c):
+    assert mul(x, y, c) == _reference_mul(x, y, c)
 
 
 def test_basis_monomial_product():
@@ -215,6 +256,32 @@ def test_cy_c2_lift_collapses_to_ambient_c2():
 @settings(max_examples=25)
 def test_euler_number_is_nine(c):
     assert chow.euler_number(c) == 9
+
+
+def test_integer_input_keeps_int_coefficients():
+    for c in GRID[::7]:
+        for cls in (*tangent_chern_classes(c), *chow.cy_chern_lifts(c)):
+            assert all(type(v) is int for v in cls.coeffs), cls
+
+
+def test_intersect4_boundary_root_class_cubes_to_zero():
+    # D = 3 xi - k H with the irrational boundary root k at gamma = -9
+    c = ChernPair(3, 6)
+    assert c.gamma == -9
+    k = boundary_root(c).k
+    assert not k.is_rational
+    d = ChowClass.degree1(QuadValue.rational(3), -k)
+    assert intersect4(d, d, d, anticanonical(c), c) == 0
+
+
+def test_reduction_table_leaves_pair_identity():
+    c = ChernPair(3, 2)
+    before = hash(c)
+    assert c.reductions is c.reductions
+    assert hash(c) == before == hash(ChernPair(3, 2))
+    assert c == ChernPair(3, 2) and c != ChernPair(3, 3)
+    assert {ChernPair(3, 2): "x"}[c] == "x"
+    assert repr(c) == "ChernPair(c1=3, c2=2)"
 
 
 # --- hypersurface Chern data ---------------------------------------------------

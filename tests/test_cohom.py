@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from cycone.chow import chern_pair_of_split
 from cycone.cohom import (
+    MAX_EXPR_DEPTH,
     CohomologyTable,
     DirectSum,
     DualOf,
@@ -242,6 +243,16 @@ def test_parse_operators():
 def test_parse_rejects_malformed(text):
     with pytest.raises(DomainError):
         parse_sheaf_expr(text)
+
+
+def test_parse_caps_nesting_depth():
+    deep = "dual(" * 3000 + "O" + ")" * 3000
+    with pytest.raises(DomainError, match="nested deeper"):
+        parse_sheaf_expr(deep)
+    at_cap = "twist(" * MAX_EXPR_DEPTH + "O(1)" + ",1)" * MAX_EXPR_DEPTH
+    assert cohom_expr(parse_sheaf_expr(at_cap)) == cohom_line(1 + MAX_EXPR_DEPTH)
+    with pytest.raises(DomainError, match="nested deeper"):
+        parse_sheaf_expr("end(" + at_cap + ")")
 
 
 def test_sym_tangent_rejects_negative_degree():

@@ -161,7 +161,7 @@ def test_c2_h_ray_is_36_everywhere():
 def test_c2_engine_route_matches_closed_bound():
     # pairing route (36 + 12 c1 + 2 gamma) - 36 k' against the gamma-only bound
     for c in (ChernPair(3, 6), ChernPair(0, 0), ChernPair(-1, 1), ChernPair(4, 8)):
-        rep = c2_positivity(c, boundary_root(c, OZ1))
+        rep = c2_positivity(c, boundary_root(c, OZ1), invariants.closed_form_pairings(c))
         assert rep.boundary_value == c2_bound_for_gamma(c.gamma)
 
 
@@ -294,7 +294,10 @@ def test_cone_report_aggregates():
     h0 = h0_anticanonical(spec)
     status = anticanonical_status(spec, h0)
     rho = invariants.rho_of_x(spec, status)
-    rep = cone_report(spec, h0, status, rho, exceptional_surface_class(spec.chern))
+    rep = cone_report(
+        spec, h0, status, rho, exceptional_surface_class(spec.chern),
+        invariants.closed_form_pairings(spec.chern),
+    )
     assert rep.verdict == RATIONAL
     assert rep.k_root.normalization == OZ3
     assert rep.k_root_scaled.normalization == OZ1

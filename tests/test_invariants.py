@@ -68,24 +68,24 @@ def test_h12_consistency_identity():
 def test_chi_on_cy_closed_forms():
     for c2 in range(-5, 6):
         c = ChernPair(2, c2)
-        assert invariants.chi_on_cy(c, (1, 0), 1) == Fraction(c.gamma, 3) + Fraction(20, 3)
+        assert invariants.chi_on_cy(invariants.closed_form_pairings(c), (1, 0), 1) == Fraction(c.gamma, 3) + Fraction(20, 3)
         c = ChernPair(3, c2)
-        assert invariants.chi_on_cy(c, (1, 0), 1) == Fraction(c.gamma, 3) + 9
+        assert invariants.chi_on_cy(invariants.closed_form_pairings(c), (1, 0), 1) == Fraction(c.gamma, 3) + 9
 
 
 def test_chi_on_cy_cubic_for_c1_minus_one():
     for c2 in range(-4, 5):
         c = ChernPair(-1, c2)
         g = c.gamma
-        a, b = invariants.chi_cubic_coefficients(c, (3, 0))
+        a, b = invariants.chi_cubic_coefficients(invariants.closed_form_pairings(c), (3, 0))
         assert (a, b) == (Fraction(9 * g, 2) - 9, Fraction(g, 2) + 6)
         for m in range(1, 5):
-            assert invariants.chi_on_cy(c, (3, 0), m) == a * m**3 + b * m
+            assert invariants.chi_on_cy(invariants.closed_form_pairings(c), (3, 0), m) == a * m**3 + b * m
 
 
 def test_chi_of_trivial_divisor_vanishes():
     for c in GRID[:: 19]:
-        assert invariants.chi_on_cy(c, (0, 0), 1) == 0
+        assert invariants.chi_on_cy(invariants.closed_form_pairings(c), (0, 0), 1) == 0
 
 
 @given(chern_pairs, st.integers(min_value=-3, max_value=3),
@@ -93,13 +93,14 @@ def test_chi_of_trivial_divisor_vanishes():
 @settings(max_examples=60)
 def test_chi_is_an_odd_polynomial(c, alpha, beta, m):
     d = (alpha, beta)
-    assert invariants.chi_on_cy(c, d, m) == -invariants.chi_on_cy(c, d, -m)
-    a, b = invariants.chi_cubic_coefficients(c, d)
-    assert invariants.chi_on_cy(c, d, m) == a * m**3 + b * m
+    assert invariants.chi_on_cy(invariants.closed_form_pairings(c), d, m) == -invariants.chi_on_cy(invariants.closed_form_pairings(c), d, -m)
+    a, b = invariants.chi_cubic_coefficients(invariants.closed_form_pairings(c), d)
+    assert invariants.chi_on_cy(invariants.closed_form_pairings(c), d, m) == a * m**3 + b * m
 
 
 def test_section_bounds_012():
-    sb = invariants.section_bounds(ChernPair(3, 2))
+    c = ChernPair(3, 2)
+    sb = invariants.section_bounds(c, invariants.closed_form_pairings(c))
     assert sb.lower_bound_o1_minus_h == 4
     assert sb.chi_o1 == 10
     assert sb.normal_bound == 106
@@ -112,7 +113,7 @@ def test_normal_bound_at_gamma_edge():
     # gamma = -18 leaves exactly one section's worth of room
     c = ChernPair(0, 6)
     assert c.gamma == -18
-    assert invariants.section_bounds(c).normal_bound == 1
+    assert invariants.section_bounds(c, invariants.closed_form_pairings(c)).normal_bound == 1
 
 
 def test_large_c1_has_positive_lower_bound():
@@ -120,7 +121,7 @@ def test_large_c1_has_positive_lower_bound():
     for c2 in range(8, 15):
         c = ChernPair(5, c2)
         if -18 < c.gamma <= 1:
-            assert invariants.section_bounds(c).lower_bound_o1_minus_h > 0
+            assert invariants.section_bounds(c, invariants.closed_form_pairings(c)).lower_bound_o1_minus_h > 0
 
 
 def rho_of(spec):

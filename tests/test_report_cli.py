@@ -3,10 +3,11 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
-from cycone import cli, report, selftest
+from cycone import cli, invariants, report, selftest
 from cycone.bundles import BundleSpec
 from cycone.errors import InvariantViolationError
 from cycone.report import (
@@ -221,6 +222,55 @@ def test_cli_survey_repeated_keyed_filters_all_hold(capsys):
     assert len(capsys.readouterr().out.strip().split("\n")) > 1
     assert cli.main([*argv, "--filter", "c1=4"]) == 0
     assert capsys.readouterr().out.strip().split("\n") == ["\t".join(report.SURVEY_COLUMNS)]
+
+
+def test_cli_rejects_deeply_nested_named_expression(capsys):
+    assert cli.main(["analyze", "--named", "dual(" * 3000 + "O" + ")" * 3000]) == 1
+    assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--chern=0,1000000000000000000000000000001"],
+        ["--chern=-10001,0"],
+        ["--split=0,0,10001"],
+        ["--named=O(-10001)+O+O"],
+        ["--chern=3,6", "--twist=10001"],
+    ],
+)
+def test_cli_rejects_spec_values_beyond_the_bound(argv, capsys):
+    assert cli.main(["analyze", *argv]) == 1
+    assert "outside [-10000, 10000]" in capsys.readouterr().err
+
+
+def test_cli_worst_accepted_specs_finish_quickly(capsys):
+    bound = cli.MAX_SPEC_VALUE
+    for argv in (
+        [f"--chern=0,{bound}"],  # most negative gamma: the largest radicand
+        [f"--chern=-{bound},-{bound}", f"--twist={bound}"],
+        [f"--split=-{bound},0,{bound}"],
+        ["--named=S2TP2(-1)", f"--twist=-{bound}"],
+    ):
+        start = time.perf_counter()
+        assert cli.main(["analyze", *argv, "--json"]) == 0
+        assert time.perf_counter() - start < 1.0
+    capsys.readouterr()
+
+
+def test_build_report_evaluates_closed_forms_once(monkeypatch):
+    calls = []
+    original = invariants.closed_form_pairings
+
+    def counting(c):
+        calls.append(c)
+        return original(c)
+
+    monkeypatch.setattr(invariants, "closed_form_pairings", counting)
+    for spec in (BundleSpec.split(0, 1, 2), BundleSpec.chern_only(3, 6)):
+        calls.clear()
+        build_report(spec)
+        assert calls == [spec.chern]
 
 
 def test_cli_catalog_contents():
