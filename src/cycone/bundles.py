@@ -23,7 +23,7 @@ from math import comb
 
 from . import cohom
 from .chow import ChernPair, chern_pair_of_split
-from .errors import DomainError, UnknownBundleError
+from .errors import UnknownBundleError, quote_input
 
 SPLIT, NAMED, CHERN_ONLY = "split", "named", "chern"
 
@@ -92,12 +92,14 @@ class BundleSpec:
         # fall back to the expression grammar for line-bundle sums
         try:
             expr = cohom.parse_sheaf_expr(name)
-        except DomainError as exc:
-            raise UnknownBundleError(f"unknown bundle {name!r}") from exc
-        exps = cohom.line_bundle_exponents(expr)
-        if exps is None or len(exps) != 3:
+        except ValueError as exc:  # a DomainError, or int() refusing a huge literal
+            raise UnknownBundleError(f"unknown bundle {quote_input(name)}") from exc
+        # The rank is read off the tree before anything is expanded, so a
+        # sym() whose expansion would run to millions of atoms is refused here.
+        exps = cohom.line_bundle_exponents(expr) if cohom.expr_rank(expr) == 3 else None
+        if exps is None:
             raise UnknownBundleError(
-                f"{name!r} is not a catalog id or a rank-3 sum of line bundles"
+                f"{quote_input(name)} is not a catalog id or a rank-3 sum of line bundles"
             )
         return cls.split(*exps)
 

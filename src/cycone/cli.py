@@ -8,7 +8,9 @@ provenance block separately.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import re
 import sys
 from datetime import datetime, timezone
 
@@ -17,7 +19,7 @@ from . import report as report_mod
 from . import selftest as selftest_mod
 from .bundles import BundleSpec, catalog_entries, h0_anticanonical
 from .chow import split_types
-from .errors import CyconeError, DomainError
+from .errors import CyconeError, DomainError, quote_input
 from .report import (
     ANALYZE_EXTRA_COLUMNS,
     SURVEY_COLUMNS,
@@ -47,11 +49,13 @@ class _Parser(argparse.ArgumentParser):
 def _parse_ints(text: str, count: int, what: str) -> tuple[int, ...]:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != count:
-        raise UsageError(f"{what} needs {count} comma-separated integers, got {text!r}")
+        raise UsageError(
+            f"{what} needs {count} comma-separated integers, got {quote_input(text)}"
+        )
     try:
         return tuple(int(p) for p in parts)
     except ValueError as exc:
-        raise UsageError(f"{what}: not integers: {text!r}") from exc
+        raise UsageError(f"{what}: not integers: {quote_input(text)}") from exc
 
 
 def _bounded(values: tuple[int, ...], what: str) -> tuple[int, ...]:
@@ -121,15 +125,15 @@ def _parse_filters(filters):
             key, _, value = f.partition("=")
             key = key.strip()
             if key not in ("c1", "c2", "gamma"):
-                raise UsageError(f"unknown filter key {key!r}")
+                raise UsageError(f"unknown filter key {quote_input(key)}")
             try:
                 keyed.append((key, int(value)))
             except ValueError as exc:
-                raise UsageError(f"filter {f!r}: value must be an integer") from exc
+                raise UsageError(f"filter {quote_input(f)}: value must be an integer") from exc
         elif f in ("nef", "ample", "big", "tab"):
             flags.append(f)
         else:
-            raise UsageError(f"unknown filter {f!r}")
+            raise UsageError(f"unknown filter {quote_input(f)}")
     return keyed, flags
 
 
@@ -209,7 +213,14 @@ def cmd_selftest(args) -> int:
     return 2 if failures else 0
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The ``cycone`` argument parser, built once per process and shared.
+
+    ``parse_args`` keeps no state on the parser between calls (each call
+    gets a fresh namespace), so every ``main`` call reuses this one object.
+    Callers must not mutate it.
+    """
     parser = _Parser(
         prog="cycone",
         description=(
@@ -279,10 +290,29 @@ def build_parser() -> _Parser:
     return parser
 
 
+# A comma-separated integer list, as --split and --chern take.
+_INT_LIST = re.compile(r"\s*-?\d+(?:\s*,\s*-?\d+)*\s*")
+
+
+def _join_int_list_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--split X`` / ``--chern X`` as ``--split=X`` when X is an integer list.
+
+    argparse takes a separate value that starts with '-' (``-5,6,6``) for an
+    option and reports a missing argument; the joined form is unambiguous.
+    """
+    out = []
+    for tok in argv:
+        if out and out[-1] in ("--split", "--chern") and _INT_LIST.fullmatch(tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = _join_int_list_values(sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"cycone: usage error: {exc}", file=sys.stderr)

@@ -502,6 +502,46 @@ def parse_sheaf_expr(text: str):
     return _Parser(text).parse()
 
 
+# Largest rank ``expr_rank`` reports exactly; any larger rank reads as the
+# cap.  Rank-3 checks only need to tell 3 from the rest, and the cap keeps
+# the count small for expressions whose true rank runs into the millions.
+RANK_CAP = 64
+
+
+def expr_rank(expr) -> int:
+    """Rank of an expression, from the tree alone, saturating at ``RANK_CAP``.
+
+    Nothing is expanded: ``sym(e, p)`` has rank C(r + p - 1, p) for e of
+    rank r (1 when p <= 0) and ``end(e)`` has rank r^2.  Every construction
+    is monotone in r, so anything built on a saturated rank stays saturated.
+
+    >>> expr_rank(parse_sheaf_expr("sym(O+O(1)+O(2),2000)"))
+    64
+    >>> expr_rank(parse_sheaf_expr("sym(end(SymT(5,0)),0)+twist(SymT(1,0),3)"))
+    3
+    """
+    if isinstance(expr, LineBundle):
+        return 1
+    if isinstance(expr, SymTangent):
+        return min(expr.a + 1, RANK_CAP)
+    if isinstance(expr, _PlethSq):
+        return 6
+    if isinstance(expr, DirectSum):
+        return min(sum(expr_rank(p) for p in expr.parts), RANK_CAP)
+    if isinstance(expr, (TwistBy, DualOf)):
+        return expr_rank(expr.expr)
+    if isinstance(expr, EndOf):
+        return min(expr_rank(expr.expr) ** 2, RANK_CAP)
+    if isinstance(expr, SymPower):
+        if expr.p <= 0:
+            return 1
+        r = expr_rank(expr.expr)
+        if r >= 2 and expr.p >= RANK_CAP:  # C(r + p - 1, p) >= p + 1 >= the cap
+            return RANK_CAP
+        return min(comb(r + expr.p - 1, expr.p), RANK_CAP)
+    raise UnsupportedExpressionError(expr, "unknown expression node")
+
+
 def line_bundle_exponents(expr) -> list[int] | None:
     """Exponents when the expression is a direct sum of line bundles, else None."""
     try:

@@ -2,6 +2,23 @@
 
 from __future__ import annotations
 
+# Longest input an error message repeats in full; longer inputs are cut to
+# this many characters and their length is given instead.
+ECHO_LIMIT = 40
+
+
+def quote_input(text: str) -> str:
+    """``repr(text)`` for an error message, cut to ``ECHO_LIMIT`` characters.
+
+    >>> quote_input("nope")
+    "'nope'"
+    >>> quote_input("dual(" * 100)
+    "'dual(dual(dual(dual(dual(dual(dual(dual('... (500 chars)"
+    """
+    if len(text) <= ECHO_LIMIT:
+        return repr(text)
+    return f"{text[:ECHO_LIMIT]!r}... ({len(text)} chars)"
+
 
 class CyconeError(Exception):
     """Base class for all library errors."""

@@ -79,6 +79,8 @@ class QuadValue:
     Canonical form: if b == 0 then n == 0; otherwise n is squarefree and
     n >= 2.  Use :meth:`make` (or the arithmetic operators) so values are
     always canonical; the constructor validates but does not normalize.
+    Each radicand is decomposed once, where it enters: arithmetic keeps the
+    radicand of a canonical operand and skips the check.
     """
 
     a: Fraction
@@ -107,10 +109,23 @@ class QuadValue:
         if n < 0:
             raise DomainError("radicand must be nonnegative")
         s, nf = squarefree_decompose(n)
-        b = b * s
-        if nf == 1:
-            return cls(a + b, Fraction(0), 0)
-        return cls(a, b, nf)
+        return cls._canonical(a, b * s, nf)
+
+    @classmethod
+    def _canonical(cls, a: Fraction, b: Fraction, n: int) -> "QuadValue":
+        """a + b*sqrt(n) for a radicand n already known to be squarefree.
+
+        ``n`` is the radicand of a canonical value or one just decomposed,
+        so ``__post_init__``'s decomposition is skipped.  n = 1 folds b into
+        a, and b == 0 drops the radicand.
+        """
+        if n == 1:
+            a, b = a + b, Fraction(0)
+        value = object.__new__(cls)
+        object.__setattr__(value, "a", a)
+        object.__setattr__(value, "b", b)
+        object.__setattr__(value, "n", n if b else 0)
+        return value
 
     @classmethod
     def rational(cls, q) -> "QuadValue":
@@ -166,12 +181,12 @@ class QuadValue:
             return NotImplemented
         other = self._coerce(other)
         n = self._join_radicand(other)
-        return QuadValue.make(self.a + other.a, self.b + other.b, n)
+        return QuadValue._canonical(self.a + other.a, self.b + other.b, n)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadValue.make(-self.a, -self.b, self.n)
+        return QuadValue._canonical(-self.a, -self.b, self.n)
 
     def __sub__(self, other):
         if not isinstance(other, (QuadValue, *_RATIONAL_TYPES)):
@@ -190,7 +205,7 @@ class QuadValue:
         n = self._join_radicand(other)
         a = self.a * other.a + self.b * other.b * n
         b = self.a * other.b + self.b * other.a
-        return QuadValue.make(a, b, n)
+        return QuadValue._canonical(a, b, n)
 
     __rmul__ = __mul__
 
@@ -202,7 +217,7 @@ class QuadValue:
         other = as_rational(other)
         if other == 0:
             raise DomainError("division by zero")
-        return QuadValue.make(self.a / other, self.b / other, self.n)
+        return QuadValue._canonical(self.a / other, self.b / other, self.n)
 
     # --- exact ordering --------------------------------------------------
 
@@ -285,4 +300,4 @@ def sqrt_to_quad(q) -> QuadValue:
         return QuadValue.rational(0)
     p, r = q.numerator, q.denominator
     s, n = squarefree_decompose(p * r)  # sqrt(p/r) = sqrt(p*r)/r
-    return QuadValue.make(0, Fraction(s, r), n)
+    return QuadValue._canonical(Fraction(0), Fraction(s, r), n)

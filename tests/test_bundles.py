@@ -47,6 +47,8 @@ def test_named_line_bundle_sums_parse_as_split():
     assert spec.exponents == (0, 1, 2)
     spec = BundleSpec.named("O(-1)+2O(1)")
     assert spec.exponents == (-1, 1, 1)
+    spec = BundleSpec.named("sym(O(1),2)+dual(O(1))+sym(end(SymT(4,0)),0)")
+    assert spec.exponents == (-1, 0, 2)
 
 
 def test_named_rejects_unknown_and_wrong_rank():

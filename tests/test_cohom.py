@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from cycone.chow import chern_pair_of_split
 from cycone.cohom import (
     MAX_EXPR_DEPTH,
+    RANK_CAP,
     CohomologyTable,
     DirectSum,
     DualOf,
@@ -20,6 +21,7 @@ from cycone.cohom import (
     cohom_expr,
     cohom_line,
     cohom_sym_tangent,
+    expr_rank,
     h0_line,
     line_bundle_exponents,
     normalize,
@@ -258,3 +260,37 @@ def test_parse_caps_nesting_depth():
 def test_sym_tangent_rejects_negative_degree():
     with pytest.raises(DomainError):
         SymTangent(-1, 0)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "O(4)",
+        "SymT(3,-2)",
+        "O+O(1)+O(2)",
+        "3*O(-1)+SymT(2,1)",
+        "twist(dual(SymT(2,0)),5)",
+        "end(O+O(3)+SymT(1,0))",
+        "sym(O+O(1)+O(2),0)",
+        "sym(O(1)+O(2),5)",
+        "sym(O+O(1)+O(2),3)",
+        "sym(sym(SymT(1,0),2),2)",
+        "end(sym(O+O(1),3))",
+    ],
+)
+def test_expr_rank_matches_chern_data(text):
+    expr = parse_sheaf_expr(text)
+    assert expr_rank(expr) == min(chern_data(expr).rank, RANK_CAP)
+
+
+def test_expr_rank_saturates_without_expanding():
+    for text in (
+        "sym(O+O(1)+O(2),2000)",
+        "sym(sym(O+O(1)+O(2),1000),1000)",
+        "end(end(end(SymT(100,0))))",
+        "sym(SymT(1,0)," + "9" * 400 + ")",
+    ):
+        assert expr_rank(parse_sheaf_expr(text)) == RANK_CAP
+    assert expr_rank(parse_sheaf_expr("sym(sym(O+O(1),1000)," + "9" * 400 + ")")) == RANK_CAP
+    assert expr_rank(parse_sheaf_expr("sym(O(1),1000000)")) == 1
+    assert expr_rank(parse_sheaf_expr("sym(end(SymT(40,0)),0)")) == 1

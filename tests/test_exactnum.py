@@ -180,3 +180,22 @@ def test_is_perfect_square():
     squares = {m * m for m in range(0, 15)} | {10**400, (10**200 + 1) ** 2}
     for m in [*range(-5, 130), 10**400, (10**200 + 1) ** 2, 10**400 + 1]:
         assert is_perfect_square(m) == (m in squares)
+
+
+def test_radicands_are_decomposed_once_where_they_enter(monkeypatch):
+    from cycone import exactnum
+
+    calls = []
+    original = exactnum.squarefree_decompose
+
+    def counting(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(exactnum, "squarefree_decompose", counting)
+    root = sqrt_to_quad(Fraction(45, 4))  # sqrt(45 * 4) / 4
+    values = (root + 1, root - root, root * root, -root, root / 3, 2 * root * Fraction(1, 5))
+    assert QuadValue.make(1, 2, 12) == QuadValue.make(1, 4, 3)
+    assert calls == [180, 12, 3]
+    for value in values:
+        assert QuadValue(value.a, value.b, value.n) == value  # the validating constructor

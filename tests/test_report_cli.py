@@ -1,13 +1,16 @@
 """Report serialization and the command-line front end."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from cycone import cli, invariants, report, selftest
+from cycone import cli, exactnum, invariants, report, selftest
 from cycone.bundles import BundleSpec
 from cycone.errors import InvariantViolationError
 from cycone.report import (
@@ -19,12 +22,29 @@ from cycone.report import (
 )
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
 def run_cli(*argv):
     """Invoke the installed CLI in a subprocess; returns (code, stdout, stderr)."""
     proc = subprocess.run(
         [sys.executable, "-m", "cycone", *argv], capture_output=True, text=True
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_main(argv):
+    """``cli.main`` in this process; returns (code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_alone(argv):
+    """``run_main`` on a parser no other call has used."""
+    cli.build_parser.cache_clear()
+    return run_main(argv)
 
 
 # --- report content -----------------------------------------------------------
@@ -229,6 +249,98 @@ def test_cli_rejects_deeply_nested_named_expression(capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+def test_cli_usage_error_echoes_a_long_input_in_short():
+    deep = "dual(" * 3000 + "O" + ")" * 3000
+    code, _, err = run_main(["analyze", "--named", deep])
+    assert code == 1
+    assert err.startswith("cycone: usage error:")
+    assert len(err.encode()) < 300
+    assert f"({len(deep)} chars)" in err
+
+
+@pytest.mark.parametrize(
+    "expr", ["sym(O+O(1)+O(2),2000)", "sym(sym(O+O(1)+O(2),1000),1000)"]
+)
+def test_cli_rejects_named_rank_before_expanding(expr):
+    start = time.perf_counter()
+    code, _, err = run_main(["analyze", "--named", expr])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert "rank-3 sum of line bundles" in err
+
+
+@pytest.mark.parametrize("expr", ["O(" + "1" * 5000 + ")+O+O", "sym(O," + "9" * 5000 + ")+O+O"])
+def test_cli_rejects_named_integer_literal_too_long_to_read(expr):
+    code, _, err = run_main(["analyze", "--named", expr])
+    assert code == 1
+    assert err.startswith("cycone: usage error: unknown bundle")
+    assert len(err.encode()) < 300
+
+
+@pytest.mark.parametrize(
+    "spaced, joined",
+    [
+        (["--split", "-5,6,6"], ["--split=-5,6,6"]),
+        (["--chern", "-3,4"], ["--chern=-3,4"]),
+        (["--chern", "-3, -4", "--twist", "-2"], ["--chern=-3, -4", "--twist=-2"]),
+    ],
+)
+def test_cli_accepts_negative_leading_values_after_a_space(spaced, joined):
+    for fmt in (["--json"], ["--tsv"], []):
+        code, out, err = run_main(["analyze", *spaced, *fmt])
+        assert (code, err) == (0, "")
+        assert out == run_main(["analyze", *joined, *fmt])[1]
+    assert run_main(["analyze", "--split", "-5,6,6"])[1].encode() == (
+        GOLDEN / "analyze-split-m5_6_6.txt"
+    ).read_bytes()
+
+
+def test_cli_parser_is_built_once_and_shared():
+    assert cli.build_parser() is cli.build_parser()
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (
+            ["analyze", "--split", "0,1,2", "--twist", "2", "--json", "--meta", "--out", "{out}"],
+            ["analyze", "--split=0,1,2"],
+        ),
+        (
+            ["survey", "--emin", "-2", "--emax", "2", "--filter", "nef", "--filter", "c1=4",
+             "--json", "--meta", "--out", "{out}"],
+            ["survey", "--emin", "-2", "--emax", "2"],
+        ),
+    ],
+)
+def test_cli_calls_in_one_process_leak_no_state(first, second, tmp_path):
+    alone = run_alone(second)
+    first = [arg.replace("{out}", str(tmp_path / "first.out")) for arg in first]
+    assert run_main(first) == (0, "", "")
+    assert (tmp_path / "first.out").read_text().strip()
+    assert run_main(second) == alone
+    assert alone[0] == 0 and alone[1].strip()
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ["analyze", "--split", "0,1"],  # rejected by the command
+        ["analyze", "--split", "0,1,2", "--named", "TP2+O"],  # rejected by argparse
+        ["analyze", "--split", "0,1,2", "--bogus"],
+        ["survey", "--emin", "0"],
+    ],
+)
+def test_cli_usage_error_leaves_the_parser_usable(bad):
+    good = ["analyze", "--named", "TP2+O", "--twist", "2", "--tsv"]
+    alone = run_alone(good)
+    code, out, err = run_main(bad)
+    assert (code, out) == (1, "")
+    assert err.startswith("cycone: usage error:")
+    assert run_main(good) == alone
+    assert alone[1].encode() == (GOLDEN / "analyze-named-TP2_O-twist2.tsv").read_bytes()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -256,6 +368,21 @@ def test_cli_worst_accepted_specs_finish_quickly(capsys):
         assert cli.main(["analyze", *argv, "--json"]) == 0
         assert time.perf_counter() - start < 1.0
     capsys.readouterr()
+
+
+def test_cli_chern_request_decomposes_each_radicand_once(monkeypatch):
+    calls = []
+    original = exactnum.squarefree_decompose
+
+    def counting(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(exactnum, "squarefree_decompose", counting)
+    code, out, _ = run_main(["analyze", "--chern=3,6"])
+    assert code == 0
+    assert len(calls) <= 2  # one per sqrt_to_quad: the boundary root and the c2 bound
+    assert out.encode() == (GOLDEN / "analyze-chern-3_6.txt").read_bytes()
 
 
 def test_build_report_evaluates_closed_forms_once(monkeypatch):
