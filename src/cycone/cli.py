@@ -41,8 +41,16 @@ class UsageError(Exception):
     pass
 
 
+# Longest argparse usage message repeated in full.  argparse quotes the
+# offending value whole, so a long one is cut to this many characters and
+# its length is given instead, as ``errors.quote_input`` does for inputs.
+USAGE_MESSAGE_LIMIT = 200
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2; we use 1
+        if len(message) > USAGE_MESSAGE_LIMIT:
+            message = f"{message[:USAGE_MESSAGE_LIMIT]}... ({len(message)} chars)"
         raise UsageError(message)
 
 
@@ -90,6 +98,12 @@ def _meta_block() -> dict:
     }
 
 
+def _meta_comment() -> str:
+    """The provenance of ``_meta_block`` as a TSV comment line."""
+    meta = _meta_block()
+    return f"# generated_at={meta['generated_at']} version={meta['version']}"
+
+
 def _emit(text: str, out_path: str | None):
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -107,10 +121,7 @@ def cmd_analyze(args) -> int:
     elif args.tsv:
         header = "\t".join(SURVEY_COLUMNS + ANALYZE_EXTRA_COLUMNS)
         row = "\t".join(report_mod.analyze_row_cells(rep))
-        lines = []
-        if args.meta:
-            meta = _meta_block()
-            lines.append(f"# generated_at={meta['generated_at']} version={meta['version']}")
+        lines = [_meta_comment()] if args.meta else []
         lines += [header, row]
         _emit("\n".join(lines), args.out)
     else:
@@ -162,11 +173,7 @@ def cmd_survey(args) -> int:
     rows = [r for r in map(survey_row, types) if _row_passes(r, keyed, flags)]
     lines = []
     if args.meta:
-        meta = _meta_block()
-        if args.json:
-            lines.append(json.dumps({"meta": meta}))
-        else:
-            lines.append(f"# generated_at={meta['generated_at']} version={meta['version']}")
+        lines.append(json.dumps({"meta": _meta_block()}) if args.json else _meta_comment())
     if args.json:
         lines += [json.dumps(r.to_json_dict()) for r in rows]
     else:
@@ -176,35 +183,33 @@ def cmd_survey(args) -> int:
     return 0
 
 
+def _catalog_cell(value) -> str:
+    if value is None:
+        return "n/a"
+    if isinstance(value, list):
+        return "(" + ",".join(str(x) for x in value) + ")"
+    return str(value)
+
+
 def cmd_catalog(args) -> int:
-    entries = catalog_entries()
+    records = [
+        {
+            "name": e.name,
+            "c1": e.chern.c1,
+            "c2": e.chern.c2,
+            "gamma": e.chern.gamma,
+            "splitting_type": list(e.splitting_type),
+            "strategy": e.strategy,
+            "h0_minus_k": h0_anticanonical(BundleSpec.named(e.name)).value,
+        }
+        for e in catalog_entries()
+    ]
     if args.json:
-        payload = []
-        for e in entries:
-            spec = BundleSpec.named(e.name)
-            payload.append(
-                {
-                    "name": e.name,
-                    "c1": e.chern.c1,
-                    "c2": e.chern.c2,
-                    "gamma": e.chern.gamma,
-                    "splitting_type": list(e.splitting_type),
-                    "strategy": e.strategy,
-                    "h0_minus_k": h0_anticanonical(spec).value,
-                }
-            )
-        _emit(json.dumps(payload, indent=2), args.out)
-        return 0
-    lines = ["name\tc1\tc2\tgamma\tsplitting_type\tstrategy\th0_minus_k"]
-    for e in entries:
-        spec = BundleSpec.named(e.name)
-        h0 = h0_anticanonical(spec).value
-        stype = ",".join(str(x) for x in e.splitting_type)
-        lines.append(
-            f"{e.name}\t{e.chern.c1}\t{e.chern.c2}\t{e.chern.gamma}"
-            f"\t({stype})\t{e.strategy}\t{h0 if h0 is not None else 'n/a'}"
-        )
-    _emit("\n".join(lines), args.out)
+        _emit(json.dumps(records, indent=2), args.out)
+    else:
+        lines = ["\t".join(records[0])]
+        lines += ["\t".join(_catalog_cell(v) for v in rec.values()) for rec in records]
+        _emit("\n".join(lines), args.out)
     return 0
 
 

@@ -236,6 +236,8 @@ def _normalize_sym(expr: SymPower) -> tuple:
     if expr.p == 1:
         return normalize(expr.expr)
     atoms = normalize(expr.expr)
+    if len(atoms) == 1 and isinstance(atoms[0], LineBundle):
+        return (LineBundle(expr.p * atoms[0].k),)  # S^p O(k) = O(pk)
     if all(isinstance(a, LineBundle) for a in atoms):
         degrees = [a.k for a in atoms]
         return tuple(
@@ -380,6 +382,11 @@ _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z]+)|([()+,*-]))")
 # hostile input from exhausting the interpreter's recursion limit.
 MAX_EXPR_DEPTH = 32
 
+# Largest multiplicity N accepted in an ``N*atom`` term.  The parser builds
+# the N parts before any rank check runs, so N is bounded here; rank-3 sums
+# need N <= 3, and the cap equals RANK_CAP.
+MAX_MULTIPLICITY = 64
+
 
 class _Parser:
     """Recursive-descent parser for the expression grammar.
@@ -390,7 +397,8 @@ class _Parser:
           | 'twist' '(' expr ',' int ')' | 'sym' '(' expr ',' int ')'
           | 'end' '(' expr ')' | 'dual' '(' expr ')'
 
-    Nesting deeper than ``MAX_EXPR_DEPTH`` raises DomainError.
+    Nesting deeper than ``MAX_EXPR_DEPTH``, or a multiplicity INT above
+    ``MAX_MULTIPLICITY``, raises DomainError.
     """
 
     def __init__(self, text: str):
@@ -450,8 +458,8 @@ class _Parser:
             if self.peek() == "*":
                 self.take("*")
         atom = self.atom()
-        if mult < 1:
-            raise DomainError("multiplicity must be positive")
+        if not 1 <= mult <= MAX_MULTIPLICITY:
+            raise DomainError(f"multiplicity must lie in [1, {MAX_MULTIPLICITY}]")
         return atom if mult == 1 else DirectSum(*([atom] * mult))
 
     def nested(self):

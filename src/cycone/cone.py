@@ -95,31 +95,27 @@ class BoundaryRoot:
         return BoundaryRoot(self.k / 3, self.k_other / 3, True, OZ1)
 
 
-def boundary_root_for_gamma(g: int, c1: int, normalization: str = OZ3) -> BoundaryRoot:
-    """Solve D^3 = 0 for D = O_X(3) - k pi*h (or O_X(1) - k pi*h for OZ1).
+def boundary_root_for_gamma(g: int, c1: int) -> BoundaryRoot:
+    """Solve D^3 = 0 for D = O_X(3) - k pi*h (the OZ3 normalization).
 
-    In the OZ3 normalization k = c1 + 3/2 -+ sqrt(9/4 - gamma); no real
-    root exists once gamma exceeds 9/4.
+    k = c1 + 3/2 -+ sqrt(9/4 - gamma); no real root exists once gamma
+    exceeds 9/4.  ``BoundaryRoot.scaled`` gives the OZ1 root.
 
     >>> boundary_root_for_gamma(-9, 3).k
     QuadValue(9/2 - 3/2*sqrt(5))
     >>> boundary_root_for_gamma(3, 3).exists
     False
     """
-    if normalization not in (OZ3, OZ1):
-        raise DomainError(f"unknown normalization {normalization!r}")
     disc = Fraction(9, 4) - g
     if disc < 0:
-        root = BoundaryRoot(None, None, False, OZ3)
-    else:
-        half_width = sqrt_to_quad(disc)
-        center = QuadValue.rational(Fraction(2 * c1 + 3, 2))
-        root = BoundaryRoot(center - half_width, center + half_width, True, OZ3)
-    return root.scaled() if normalization == OZ1 else root
+        return BoundaryRoot(None, None, False, OZ3)
+    half_width = sqrt_to_quad(disc)
+    center = QuadValue.rational(Fraction(2 * c1 + 3, 2))
+    return BoundaryRoot(center - half_width, center + half_width, True, OZ3)
 
 
-def boundary_root(c: ChernPair, normalization: str = OZ3) -> BoundaryRoot:
-    return boundary_root_for_gamma(c.gamma, c.c1, normalization)
+def boundary_root(c: ChernPair) -> BoundaryRoot:
+    return boundary_root_for_gamma(c.gamma, c.c1)
 
 
 @dataclass(frozen=True)
@@ -311,7 +307,7 @@ def cone_report(
     The boundary root is solved once; the verdict takes it as is and the
     c2 cross-check in the OZ1 normalization.
     """
-    k_root = boundary_root(spec.chern, OZ3)
+    k_root = boundary_root(spec.chern)
     k_root_scaled = k_root.scaled()
     verdict = rationality_verdict(spec, h0, rho, k_root)
     return ConeReport(

@@ -9,13 +9,30 @@ Conventions (stable across releases):
 * conditional values carry their hypotheses in an "assumes" list, and
   report-level caveats land in "warnings";
 * data output is deterministic; provenance only appears under --meta.
+
+Where a JSON key comes from: a codec is an (encode, decode) pair, and each
+key is written down in one of two places.  The records ``MinusKStatus``,
+``BoundaryRoot``, ``RhoResult``, ``H0Anticanonical``, ``XPairings``,
+``SectionBounds`` and ``ConeRestriction`` take their codec from
+``_record``: one key per dataclass field, in field order, so renaming or
+reordering a field changes the JSON.  Three layouts are written by hand,
+once per direction: the spec (``spec_to_dict`` / ``spec_from_dict``, which
+flatten ``chern`` and write ``twist_applied`` as ``twist``), the
+exceptional-surface class (``_SURFACE``, keyed by basis names), and the
+top level with its ``cone`` block (``report_to_dict`` /
+``report_from_dict``, which lift ``minus_k`` to the top and flatten the
+c2 facts into ``c2_*`` keys).
+
+The 12 survey columns come from ``SurveyRow.values``, which the TSV cells,
+the JSON-lines rows and the first cells of ``analyze --tsv`` share.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from collections.abc import Callable
+from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 from . import cone, invariants
 from .bundles import BundleSpec, H0Anticanonical, h0_anticanonical
@@ -43,20 +60,9 @@ def untri(s: str) -> bool | None:
     return table[s]
 
 
-def _quad(v: QuadValue | None):
-    return None if v is None else v.to_json_dict()
-
-
-def _unquad(d) -> QuadValue | None:
-    return None if d is None else QuadValue.from_json_dict(d)
-
-
-def _rat(q: Fraction | None):
-    return None if q is None else format_rational(q)
-
-
-def _unrat(s) -> Fraction | None:
-    return None if s is None else parse_rational(s)
+def _or(value, absent: str):
+    """``value``, or the word written in its place when it is None."""
+    return absent if value is None else value
 
 
 @dataclass(frozen=True)
@@ -122,188 +128,168 @@ def build_report(spec: BundleSpec) -> AnalysisReport:
     )
 
 
-# --- dict (de)serialization -------------------------------------------------
+# --- codecs ----------------------------------------------------------------
+
+
+class _Codec(NamedTuple):
+    """How one value is written to JSON and read back."""
+
+    encode: Callable
+    decode: Callable
+
+
+def _nullable(codec: _Codec) -> _Codec:
+    """``codec`` for a value that may be None, written as JSON null."""
+    enc, dec = codec
+    return _Codec(
+        lambda v: None if v is None else enc(v), lambda j: None if j is None else dec(j)
+    )
+
+
+_TRI = _Codec(tri, untri)
+_RAT = _Codec(format_rational, parse_rational)
+_OPT_QUAD = _nullable(_Codec(QuadValue.to_json_dict, QuadValue.from_json_dict))
+_LIST = _Codec(list, tuple)
+_OPT_LIST = _nullable(_LIST)
+_PAIRS = _Codec(lambda ws: [list(w) for w in ws], lambda ws: tuple(tuple(w) for w in ws))
+
+
+def _record(cls, **overrides: _Codec) -> _Codec:
+    """The codec of a dataclass: one JSON key per field, in field order.
+
+    A field is written as-is unless ``overrides`` names its codec.
+    """
+    names = [f.name for f in fields(cls)]
+    encoders = [(n, overrides[n].encode if n in overrides else None) for n in names]
+    decoders = [(n, overrides[n].decode if n in overrides else None) for n in names]
+
+    def encode(obj) -> dict:
+        return {n: getattr(obj, n) if f is None else f(getattr(obj, n)) for n, f in encoders}
+
+    def decode(d: dict):
+        return cls(*[d[n] if f is None else f(d[n]) for n, f in decoders])
+
+    return _Codec(encode, decode)
+
+
+_SURFACE_BASIS = ("xi2", "xi_h", "h2")  # h2 is the fiber class
+_BASIS = _Codec(
+    lambda v: dict(zip(_SURFACE_BASIS, v)), lambda d: tuple(d[k] for k in _SURFACE_BASIS)
+)
+_OPT_BASIS = _nullable(_BASIS)
+
+
+def _surface_to_json(s: ExceptionalSurfaceClass) -> dict:
+    return {
+        "class_times_mu": _BASIS.encode(s.coeffs),
+        "mu_candidates": _LIST.encode(s.mu_candidates),
+        "reduced_class": _OPT_BASIS.encode(s.reduced),
+    }
+
+
+def _surface_from_json(d: dict) -> ExceptionalSurfaceClass:
+    return ExceptionalSurfaceClass(
+        _BASIS.decode(d["class_times_mu"]),
+        _LIST.decode(d["mu_candidates"]),
+        _OPT_BASIS.decode(d["reduced_class"]),
+    )
+
+
+_SURFACE = _Codec(_surface_to_json, _surface_from_json)
+_MINUS_K = _record(MinusKStatus, nef=_TRI, ample=_TRI, big=_TRI, h0_gt_1=_TRI, witnesses=_PAIRS)
+_ROOT = _record(BoundaryRoot, k=_OPT_QUAD, k_other=_OPT_QUAD)
+_RHO = _record(RhoResult)
+_H0 = _record(H0Anticanonical, gt1=_TRI)
+_PAIRINGS = _record(XPairings)
+_BOUNDS = _record(SectionBounds, lower_bound_o1_minus_h=_RAT, chi_o1=_RAT, assumes=_LIST)
+_RESTRICTION = _record(ConeRestriction, surface=_nullable(_SURFACE))
+
+
+# --- JSON layouts ---------------------------------------------------------
 
 
 def spec_to_dict(spec: BundleSpec) -> dict:
     return {
         "kind": spec.kind,
         "name": spec.name,
-        "exponents": list(spec.exponents) if spec.exponents else None,
+        "exponents": _OPT_LIST.encode(spec.exponents),
         "twist": spec.twist_applied,
         "c1": spec.chern.c1,
         "c2": spec.chern.c2,
-        "splitting_type": list(spec.splitting_type) if spec.splitting_type else None,
+        "splitting_type": _OPT_LIST.encode(spec.splitting_type),
     }
 
 
 def spec_from_dict(d: dict) -> BundleSpec:
-    exponents = tuple(d["exponents"]) if d["exponents"] else None
     return BundleSpec(
         kind=d["kind"],
         chern=ChernPair(d["c1"], d["c2"]),
-        exponents=exponents,
+        exponents=_OPT_LIST.decode(d["exponents"]),
         name=d["name"],
         twist_applied=d["twist"],
     )
 
 
-def _minus_k_to_dict(s: MinusKStatus) -> dict:
-    return {
-        "nef": tri(s.nef),
-        "ample": tri(s.ample),
-        "big": tri(s.big),
-        "h0_gt_1": tri(s.h0_gt_1),
-        "witnesses": [list(w) for w in s.witnesses],
-    }
-
-
-def _minus_k_from_dict(d: dict) -> MinusKStatus:
-    return MinusKStatus(
-        untri(d["nef"]),
-        untri(d["ample"]),
-        untri(d["big"]),
-        untri(d["h0_gt_1"]),
-        tuple(tuple(w) for w in d["witnesses"]),
-    )
-
-
-def _root_to_dict(r: BoundaryRoot) -> dict:
-    return {
-        "k": _quad(r.k),
-        "k_other": _quad(r.k_other),
-        "exists": r.exists,
-        "normalization": r.normalization,
-    }
-
-
-def _root_from_dict(d: dict) -> BoundaryRoot:
-    return BoundaryRoot(_unquad(d["k"]), _unquad(d["k_other"]), d["exists"], d["normalization"])
-
-
-_SURFACE_BASIS = ("xi2", "xi_h", "h2")  # h2 is the fiber class
-
-
-def _surface_to_dict(s: ExceptionalSurfaceClass) -> dict:
-    return {
-        "class_times_mu": dict(zip(_SURFACE_BASIS, s.coeffs)),
-        "mu_candidates": list(s.mu_candidates),
-        "reduced_class": dict(zip(_SURFACE_BASIS, s.reduced)) if s.reduced else None,
-    }
-
-
-def _surface_from_dict(d: dict) -> ExceptionalSurfaceClass:
-    coeffs = tuple(d["class_times_mu"][k] for k in _SURFACE_BASIS)
-    raw = d["reduced_class"]
-    reduced = tuple(raw[k] for k in _SURFACE_BASIS) if raw else None
-    return ExceptionalSurfaceClass(coeffs, tuple(d["mu_candidates"]), reduced)
-
-
 def report_to_dict(r: AnalysisReport) -> dict:
-    inv, c2 = r.invariants, r.cone.c2
-    restriction = r.cone.restriction
+    inv, cone_rep, c2 = r.invariants, r.cone, r.cone.c2
     return {
         "spec": spec_to_dict(r.spec),
         "gamma": inv.gamma,
         "c3": inv.c3,
         "h12": r.h12_display,
-        "rho": {"value": r.rho.value, "reason": r.rho.reason},
-        "minus_k": _minus_k_to_dict(r.cone.minus_k),
-        "h0_minus_k": {
-            "value": r.h0_minus_k.value,
-            "gt1": tri(r.h0_minus_k.gt1),
-            "reason": r.h0_minus_k.reason,
-        },
-        "pairings": {
-            "o1_cubed": inv.pairings.o1_cubed,
-            "o1_sq_h": inv.pairings.o1_sq_h,
-            "o1_fiber": inv.pairings.o1_fiber,
-            "o1_c2": inv.pairings.o1_c2,
-            "h_c2": inv.pairings.h_c2,
-            "c3": inv.pairings.c3,
-        },
-        "section_bounds": {
-            "lower_bound_o1_minus_h": _rat(r.bounds.lower_bound_o1_minus_h),
-            "chi_o1": _rat(r.bounds.chi_o1),
-            "normal_bound": r.bounds.normal_bound,
-            "c1_ge_minus_1": r.bounds.c1_ge_minus_1,
-            "positive_bound_forces_c1_ge_1": r.bounds.positive_bound_forces_c1_ge_1,
-            "assumes": list(r.bounds.assumes),
-        },
+        "rho": _RHO.encode(r.rho),
+        "minus_k": _MINUS_K.encode(cone_rep.minus_k),
+        "h0_minus_k": _H0.encode(r.h0_minus_k),
+        "pairings": _PAIRINGS.encode(inv.pairings),
+        "section_bounds": _BOUNDS.encode(r.bounds),
         "cone": {
-            "k_root": _root_to_dict(r.cone.k_root),
-            "k_root_scaled": _root_to_dict(r.cone.k_root_scaled),
-            "verdict": r.cone.verdict,
-            "trail": list(r.cone.trail),
-            "c2_min_value": _quad(c2.boundary_value),
+            "k_root": _ROOT.encode(cone_rep.k_root),
+            "k_root_scaled": _ROOT.encode(cone_rep.k_root_scaled),
+            "verdict": cone_rep.verdict,
+            "trail": list(cone_rep.trail),
+            "c2_min_value": _OPT_QUAD.encode(c2.boundary_value),
             "c2_minus_k_ray": c2.minus_k_ray,
             "c2_h_ray": c2.h_ray,
             "c2_positive": c2.positive,
-            "kollar_case": {
-                "case": restriction.case,
-                "via": restriction.via,
-                "surface": _surface_to_dict(restriction.surface) if restriction.surface else None,
-            },
-            "w_contains_boundary": tri(r.cone.w_contains_boundary),
+            "kollar_case": _RESTRICTION.encode(cone_rep.restriction),
+            "w_contains_boundary": tri(cone_rep.w_contains_boundary),
         },
-        "g_surface": _surface_to_dict(r.surface),
+        "g_surface": _SURFACE.encode(r.surface),
         "warnings": list(r.warnings),
     }
 
 
 def report_from_dict(d: dict) -> AnalysisReport:
-    pairings = XPairings(**d["pairings"])
-    inv = CYInvariants(
-        gamma=d["gamma"],
-        c3=d["c3"],
-        h12=d["h12"] if d["rho"]["value"] == 2 else None,
-        pairings=pairings,
-        gamma_in_rho2_range=d["gamma"] >= -27,
-    )
-    sb = d["section_bounds"]
-    bounds = SectionBounds(
-        lower_bound_o1_minus_h=_unrat(sb["lower_bound_o1_minus_h"]),
-        chi_o1=_unrat(sb["chi_o1"]),
-        normal_bound=sb["normal_bound"],
-        c1_ge_minus_1=sb["c1_ge_minus_1"],
-        positive_bound_forces_c1_ge_1=sb["positive_bound_forces_c1_ge_1"],
-        assumes=tuple(sb["assumes"]),
-    )
-    cd = d["cone"]
-    kollar = cd["kollar_case"]
-    restriction = ConeRestriction(
-        case=kollar["case"],
-        via=kollar["via"],
-        surface=_surface_from_dict(kollar["surface"]) if kollar["surface"] else None,
-    )
+    gamma, rho, cd = d["gamma"], _RHO.decode(d["rho"]), d["cone"]
+    in_rho2_range = gamma >= -27
+    pairings = _PAIRINGS.decode(d["pairings"])
+    h12 = d["h12"] if rho.value == 2 else None
     c2 = C2Positivity(
-        boundary_value=_unquad(cd["c2_min_value"]),
+        boundary_value=_OPT_QUAD.decode(cd["c2_min_value"]),
         minus_k_ray=cd["c2_minus_k_ray"],
         h_ray=cd["c2_h_ray"],
         positive=cd["c2_positive"],
-        gamma_in_rho2_range=d["gamma"] >= -27,
+        gamma_in_rho2_range=in_rho2_range,
     )
     cone_rep = ConeReport(
-        minus_k=_minus_k_from_dict(d["minus_k"]),
-        k_root=_root_from_dict(cd["k_root"]),
-        k_root_scaled=_root_from_dict(cd["k_root_scaled"]),
+        minus_k=_MINUS_K.decode(d["minus_k"]),
+        k_root=_ROOT.decode(cd["k_root"]),
+        k_root_scaled=_ROOT.decode(cd["k_root_scaled"]),
         verdict=cd["verdict"],
         trail=tuple(cd["trail"]),
         notes=(),
         c2=c2,
-        restriction=restriction,
+        restriction=_RESTRICTION.decode(cd["kollar_case"]),
         w_contains_boundary=untri(cd["w_contains_boundary"]),
     )
     return AnalysisReport(
         spec=spec_from_dict(d["spec"]),
-        invariants=inv,
-        rho=RhoResult(d["rho"]["value"], d["rho"]["reason"]),
-        h0_minus_k=H0Anticanonical(
-            d["h0_minus_k"]["value"], untri(d["h0_minus_k"]["gt1"]), d["h0_minus_k"]["reason"]
-        ),
-        bounds=bounds,
+        invariants=CYInvariants(gamma, d["c3"], h12, pairings, in_rho2_range),
+        rho=rho,
+        h0_minus_k=_H0.decode(d["h0_minus_k"]),
+        bounds=_BOUNDS.decode(d["section_bounds"]),
         cone=cone_rep,
-        surface=_surface_from_dict(d["g_surface"]),
+        surface=_SURFACE.decode(d["g_surface"]),
         h12_display=d["h12"],
         warnings=tuple(d["warnings"]),
     )
@@ -330,7 +316,7 @@ ANALYZE_EXTRA_COLUMNS = (
 
 @dataclass(frozen=True)
 class SurveyRow:
-    exponents: tuple[int, int, int]
+    exponents: tuple[int, int, int] | None  # None for a Chern-only spec
     c1: int
     c2: int
     gamma: int
@@ -339,35 +325,28 @@ class SurveyRow:
     big: bool | None
     rho: int | None
     verdict: str
-    tab_admissible: bool
+    tab_admissible: bool | None  # None for a Chern-only spec
 
-    def cells(self) -> list[str]:
+    def values(self) -> list:
+        """The ``SURVEY_COLUMNS`` values, in column order."""
+        e1, e2, e3 = self.exponents or ("", "", "")
         return [
-            str(self.exponents[0]), str(self.exponents[1]), str(self.exponents[2]),
-            str(self.c1), str(self.c2), str(self.gamma),
+            e1, e2, e3, self.c1, self.c2, self.gamma,
             tri(self.nef), tri(self.ample), tri(self.big),
-            "unknown" if self.rho is None else str(self.rho),
+            _or(self.rho, "unknown"),
             self.verdict, tri(self.tab_admissible),
         ]
 
+    def cells(self) -> list[str]:
+        return [str(v) for v in self.values()]
+
     def to_json_dict(self) -> dict:
-        return dict(zip(SURVEY_COLUMNS, [
-            self.exponents[0], self.exponents[1], self.exponents[2],
-            self.c1, self.c2, self.gamma,
-            tri(self.nef), tri(self.ample), tri(self.big),
-            self.rho if self.rho is not None else "unknown",
-            self.verdict, tri(self.tab_admissible),
-        ]))
+        return dict(zip(SURVEY_COLUMNS, self.values()))
 
 
-def survey_row(exponents: tuple[int, int, int]) -> SurveyRow:
-    spec = BundleSpec.split(*exponents)
-    h0 = h0_anticanonical(spec)
-    minus_k = cone.anticanonical_status(spec, h0)
-    rho = invariants.rho_of_x(spec, minus_k)
-    verdict = cone.rationality_verdict(spec, h0, rho)
+def _row(spec: BundleSpec, minus_k: MinusKStatus, rho: RhoResult, verdict: str) -> SurveyRow:
     return SurveyRow(
-        exponents=spec.exponents,
+        exponents=spec.splitting_type,
         c1=spec.chern.c1,
         c2=spec.chern.c2,
         gamma=spec.gamma,
@@ -375,73 +354,55 @@ def survey_row(exponents: tuple[int, int, int]) -> SurveyRow:
         ample=minus_k.ample,
         big=minus_k.big,
         rho=rho.value,
-        verdict=verdict.verdict,
-        tab_admissible=bool(tab_admissible(spec)),
+        verdict=verdict,
+        tab_admissible=tab_admissible(spec),
     )
 
 
+def survey_row(exponents: tuple[int, int, int]) -> SurveyRow:
+    spec = BundleSpec.split(*exponents)
+    h0 = h0_anticanonical(spec)
+    minus_k = cone.anticanonical_status(spec, h0)
+    rho = invariants.rho_of_x(spec, minus_k)
+    return _row(spec, minus_k, rho, cone.rationality_verdict(spec, h0, rho).verdict)
+
+
 def analyze_row_cells(r: AnalysisReport) -> list[str]:
-    spec = r.spec
-    exps = spec.splitting_type or ("", "", "")
+    """The ``SURVEY_COLUMNS + ANALYZE_EXTRA_COLUMNS`` cells of one report."""
     root = r.cone.k_root
-    base = [
-        str(exps[0]), str(exps[1]), str(exps[2]),
-        str(spec.chern.c1), str(spec.chern.c2), str(r.invariants.gamma),
-        tri(r.cone.minus_k.nef), tri(r.cone.minus_k.ample), tri(r.cone.minus_k.big),
-        "unknown" if r.rho.value is None else str(r.rho.value),
-        r.cone.verdict, tri(tab_admissible(spec)),
-    ]
     extra = [
-        str(r.invariants.c3),
-        "" if r.h12_display is None else str(r.h12_display),
-        "" if r.h0_minus_k.value is None else str(r.h0_minus_k.value),
+        r.invariants.c3,
+        _or(r.h12_display, ""),
+        _or(r.h0_minus_k.value, ""),
         tri(root.exists),
         tri(root.k.is_rational if root.exists else None),
         tri(r.cone.c2.positive),
         r.cone.restriction.case,
     ]
-    return base + extra
+    row = _row(r.spec, r.cone.minus_k, r.rho, r.cone.verdict)
+    return row.cells() + [str(v) for v in extra]
 
 
 def render_text_report(r: AnalysisReport) -> str:
     """Human-readable rendering; mirrors the JSON content."""
-    d = report_to_dict(r)
-    lines = [f"bundle: {r.spec.describe()}"]
-    lines.append(
-        f"  chern pair: ({d['spec']['c1']}, {d['spec']['c2']})   gamma: {d['gamma']}"
-        f"   c3(X): {d['c3']}   h12: {d['h12'] if d['h12'] is not None else 'n/a'}"
-    )
-    lines.append(
-        f"  rho(X): {d['rho']['value'] if d['rho']['value'] is not None else 'unknown'}"
-        f" ({d['rho']['reason']})"
-    )
-    mk = d["minus_k"]
-    lines.append(
-        f"  -K_Z: nef={mk['nef']} ample={mk['ample']} big={mk['big']}"
-        f" h0>1={mk['h0_gt_1']}"
-    )
-    h0 = d["h0_minus_k"]
-    lines.append(
-        f"  h0(-K_Z): {h0['value'] if h0['value'] is not None else 'n/a'} ({h0['reason']})"
-    )
-    root = r.cone.k_root
-    k_str = str(root.k) if root.exists else "none"
-    lines.append(f"  cone boundary root k (O_Z(3) ray): {k_str}")
-    lines.append(f"  verdict: {d['cone']['verdict']}  trail: {', '.join(d['cone']['trail']) or '-'}")
-    c2v = r.cone.c2.boundary_value
-    lines.append(
-        f"  c2(X) positivity: {tri(r.cone.c2.positive)}"
-        f" (boundary {c2v if c2v is not None else 'n/a'}, h-ray 36)"
-    )
-    kc = d["cone"]["kollar_case"]
-    via = f" via {kc['via']}" if kc["via"] else ""
-    lines.append(f"  restriction K(X)=K(Z)|X: {kc['case']}{via}")
-    gs = d["g_surface"]
-    coeffs = tuple(gs["class_times_mu"][k] for k in _SURFACE_BASIS)
-    lines.append(
-        f"  exceptional-surface class: coeffs {coeffs},"
-        f" mu candidates {gs['mu_candidates'] or 'none'}"
-    )
-    for w in d["warnings"]:
-        lines.append(f"  warning: {w}")
+    inv, rho, h0, cone_rep = r.invariants, r.rho, r.h0_minus_k, r.cone
+    mk, root, kc = cone_rep.minus_k, cone_rep.k_root, cone_rep.restriction
+    via = f" via {kc.via}" if kc.via else ""
+    lines = [
+        f"bundle: {r.spec.describe()}",
+        f"  chern pair: ({r.spec.chern.c1}, {r.spec.chern.c2})   gamma: {inv.gamma}"
+        f"   c3(X): {inv.c3}   h12: {_or(r.h12_display, 'n/a')}",
+        f"  rho(X): {_or(rho.value, 'unknown')} ({rho.reason})",
+        f"  -K_Z: nef={tri(mk.nef)} ample={tri(mk.ample)} big={tri(mk.big)}"
+        f" h0>1={tri(mk.h0_gt_1)}",
+        f"  h0(-K_Z): {_or(h0.value, 'n/a')} ({h0.reason})",
+        f"  cone boundary root k (O_Z(3) ray): {root.k if root.exists else 'none'}",
+        f"  verdict: {cone_rep.verdict}  trail: {', '.join(cone_rep.trail) or '-'}",
+        f"  c2(X) positivity: {tri(cone_rep.c2.positive)}"
+        f" (boundary {_or(cone_rep.c2.boundary_value, 'n/a')}, h-ray 36)",
+        f"  restriction K(X)=K(Z)|X: {kc.case}{via}",
+        f"  exceptional-surface class: coeffs {r.surface.coeffs},"
+        f" mu candidates {list(r.surface.mu_candidates) or 'none'}",
+    ]
+    lines += [f"  warning: {w}" for w in r.warnings]
     return "\n".join(lines)

@@ -88,7 +88,7 @@ def test_status_rejects_inconsistent_construction():
 
 def test_root_example_gamma_minus_nine():
     c = ChernPair(3, 6)  # gamma = -9
-    root = boundary_root(c, OZ3)
+    root = boundary_root(c)
     expected = QuadValue.rational(Fraction(9, 2)) - Fraction(3, 2) * sqrt_to_quad(5)
     assert root.exists and root.k == expected
     assert not root.k.is_rational
@@ -96,26 +96,27 @@ def test_root_example_gamma_minus_nine():
 
 
 def test_root_gamma_zero_c1_zero_is_rational_zero():
-    root = boundary_root_for_gamma(0, 0, OZ3)
+    root = boundary_root_for_gamma(0, 0)
     assert root.exists and root.k == 0
     assert root.k.is_rational
 
 
 def test_root_absent_for_gamma_three():
-    root = boundary_root(ChernPair(3, 2), OZ3)
+    root = boundary_root(ChernPair(3, 2))
     assert not root.exists and root.k is None
 
 
 def test_scaled_normalization_is_one_third():
     c = ChernPair(3, 6)
-    k3 = boundary_root(c, OZ3).k
-    k1 = boundary_root(c, OZ1).k
-    assert k1 * 3 == k3
+    root = boundary_root(c)
+    scaled = root.scaled()
+    assert scaled.normalization == OZ1
+    assert scaled.k * 3 == root.k and scaled.k_other * 3 == root.k_other
 
 
 def test_root_plugs_back_to_zero():
     for c in (ChernPair(3, 6), ChernPair(0, 0), ChernPair(-1, 3), ChernPair(2, 4)):
-        root = boundary_root(c, OZ3)
+        root = boundary_root(c)
         if not root.exists:
             continue
         for k in (root.k, root.k_other):
@@ -129,11 +130,6 @@ def test_root_rationality_is_perfect_square_condition():
         k = boundary_root_for_gamma(g, 0).k
         assert k.is_rational == is_perfect_square(9 - 4 * g)
     assert [g for g in range(-27, 3) if is_perfect_square(9 - 4 * g)] == [-18, -10, -4, 0, 2]
-
-
-def test_root_rejects_bad_normalization():
-    with pytest.raises(DomainError):
-        boundary_root(ChernPair(0, 0), "OZ2")
 
 
 # --- c2 positivity ----------------------------------------------------------------
@@ -161,7 +157,7 @@ def test_c2_h_ray_is_36_everywhere():
 def test_c2_engine_route_matches_closed_bound():
     # pairing route (36 + 12 c1 + 2 gamma) - 36 k' against the gamma-only bound
     for c in (ChernPair(3, 6), ChernPair(0, 0), ChernPair(-1, 1), ChernPair(4, 8)):
-        rep = c2_positivity(c, boundary_root(c, OZ1), invariants.closed_form_pairings(c))
+        rep = c2_positivity(c, boundary_root(c).scaled(), invariants.closed_form_pairings(c))
         assert rep.boundary_value == c2_bound_for_gamma(c.gamma)
 
 

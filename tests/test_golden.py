@@ -3,8 +3,9 @@
 Each case runs ``cycone.cli.main`` in-process and compares its stdout with
 the file of the same name under ``tests/golden/``.  The files were written
 by this module (``python tests/test_golden.py --write``) from the code
-before the single-pass refactor of the report pipeline; any change to them
-is a change of the tool's output and has to be deliberate.
+before the single-pass refactor of the report pipeline (``catalog.tsv``
+from the code before the report codec refactor); any change to them is a
+change of the tool's output and has to be deliberate.
 """
 
 import contextlib
@@ -46,6 +47,7 @@ def _cases():
         ("survey-m4_4.tsv", ["survey", "--emin", "-4", "--emax", "4"]),
         ("survey-m4_4.jsonl", ["survey", "--emin", "-4", "--emax", "4", "--json"]),
         ("catalog.json", ["catalog", "--json"]),
+        ("catalog.tsv", ["catalog"]),
     ]
     return cases
 

@@ -6,12 +6,13 @@ import json
 import subprocess
 import sys
 import time
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
 
 from cycone import cli, exactnum, invariants, report, selftest
-from cycone.bundles import BundleSpec
+from cycone.bundles import BundleSpec, catalog_entries
 from cycone.errors import InvariantViolationError
 from cycone.report import (
     build_report,
@@ -80,17 +81,21 @@ def test_report_h12_suppressed_when_rho_known_not_two():
     assert d["h12"] is None
 
 
+# Split triples in [-4, 4], the selftest Chern grid, and every catalog id
+# under each twist in [-3, 3].
+ROUNDTRIP_SPECS = (
+    [BundleSpec.split(*e) for e in combinations_with_replacement(range(-4, 5), 3)]
+    + [BundleSpec.chern_only(c.c1, c.c2) for c in selftest.CHERN_GRID]
+    + [BundleSpec.named(e.name).twist(t) for e in catalog_entries() for t in range(-3, 4)]
+)
+
+
 def test_report_json_roundtrip():
-    for spec in (
-        BundleSpec.split(0, 1, 2),
-        BundleSpec.split(0, 0, 3),
-        BundleSpec.named("S2TP2(-1)"),
-        BundleSpec.chern_only(3, 12),
-        BundleSpec.chern_only(-1, 4),
-    ):
+    width = len(report.SURVEY_COLUMNS + report.ANALYZE_EXTRA_COLUMNS)
+    for spec in ROUNDTRIP_SPECS:
         rep = build_report(spec)
-        wire = json.dumps(report_to_dict(rep))
-        assert report_from_dict(json.loads(wire)) == rep
+        assert report_from_dict(json.loads(report.report_to_json(rep))) == rep, spec
+        assert len(report.analyze_row_cells(rep)) == width, spec
 
 
 def test_tab_admissible_flag():
@@ -267,6 +272,39 @@ def test_cli_rejects_named_rank_before_expanding(expr):
     assert time.perf_counter() - start < 1.0
     assert code == 1
     assert "rank-3 sum of line bundles" in err
+
+
+def test_cli_named_rank_one_sym_and_multiplicity_do_not_expand():
+    start = time.perf_counter()
+    code, out, err = run_main(["analyze", "--named", "sym(O,1000000)+O+O", "--json"])
+    assert time.perf_counter() - start < 0.05
+    assert (code, err) == (0, "")
+    assert out == run_main(["analyze", "--split=0,0,0", "--json"])[1]
+    start = time.perf_counter()
+    code, _, err = run_main(["analyze", "--named", "1000000*O"])
+    assert time.perf_counter() - start < 0.05
+    assert code == 1 and err.startswith("cycone: usage error: unknown bundle")
+    code, _, err = run_main(["analyze", "--named", "sym(O(1),1000000)+O+O"])
+    assert code == 1 and "outside [-10000, 10000]" in err
+
+
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [
+        (["analyze", "--split=0,1,2", "--twist", "x" * 100_000],
+         "argument --twist: invalid int value"),
+        (["y" * 100_000], "argument command: invalid choice"),
+        (["survey", "--emin", "0", "--emax", "y" * 100_000],
+         "argument --emax: invalid int value"),
+        (["catalog", *["zz"] * 5000], "unrecognized arguments: zz zz"),
+    ],
+)
+def test_cli_usage_error_cuts_a_long_argparse_message(argv, prefix):
+    code, out, err = run_main(argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"cycone: usage error: {prefix}")
+    assert len(err.encode()) < 300
+    assert err.rstrip().endswith(" chars)")
 
 
 @pytest.mark.parametrize("expr", ["O(" + "1" * 5000 + ")+O+O", "sym(O," + "9" * 5000 + ")+O+O"])
