@@ -39,10 +39,12 @@ gram = chow.gram_matrix(c)
 print("Gram matrix:", gram.entries, "det =", gram.det)
 
 # Hypersurface data: c2(X) pairings and the Euler number c3(X).
-c2x = chow.c2_of_x(c)
+# Adjunction lifts c2(X) and c3(X) to classes on Z; c3(X) integrates
+# against -K_Z to the Euler number of X.
+c2x, c3x = chow.cy_chern_lifts(c)
 print("O_X(1) . c2(X) =", chow.pair_on_cy(xi, c2x, c))
 print("pi*h   . c2(X) =", chow.pair_on_cy(h, c2x, c), "(36 for every bundle)")
-print("c3(X) =", chow.c3_of_x(c), "= -6*gamma - 162")
+print("c3(X) =", chow.mul(c3x, a, c).point_coefficient, "= -6*gamma - 162")
 
 # The numerically-pinned class of a surface contracted by |-K_Z|.  For the
 # split bundle the section P(O) realizes it: (xi - h)(xi - 2h).

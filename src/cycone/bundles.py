@@ -23,7 +23,7 @@ from math import comb
 
 from . import cohom
 from .chow import ChernPair, chern_pair_of_split
-from .errors import UnknownBundleError, quote_input
+from .errors import DomainError, UnknownBundleError, quote_input
 
 SPLIT, NAMED, CHERN_ONLY = "split", "named", "chern"
 
@@ -92,8 +92,8 @@ class BundleSpec:
         # fall back to the expression grammar for line-bundle sums
         try:
             expr = cohom.parse_sheaf_expr(name)
-        except ValueError as exc:  # a DomainError, or int() refusing a huge literal
-            raise UnknownBundleError(f"unknown bundle {quote_input(name)}") from exc
+        except DomainError as exc:
+            raise UnknownBundleError(f"unknown bundle {quote_input(name)}: {exc}") from exc
         # The rank is read off the tree before anything is expanded, so a
         # sym() whose expansion would run to millions of atoms is refused here.
         exps = cohom.line_bundle_exponents(expr) if cohom.expr_rank(expr) == 3 else None

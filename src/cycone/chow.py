@@ -15,9 +15,13 @@ classes built from ints keep plain ``int`` coefficients throughout.
 computations) are accepted as given and never introduced by the engine;
 integrality of geometric quantities is asserted, never assumed.
 
-The relation is applied in one place, ``ChernPair.reductions``: once per
-pair, to every monomial a product of two basis monomials can produce.
-``mul`` is a sparse contraction over that table.
+The relation is applied in two places, each for its own kind of product.
+``ChernPair.point_integrals`` holds the five integrals of xi^i H^(4-i),
+and ``intersect4`` (hence ``minus_k_quartic``) expands a product of four
+degree-1 classes against them, with no reduction table.  Everything else
+goes through ``mul``, a sparse contraction over ``ChernPair.reductions``:
+the relation applied once per pair to every monomial a product of two
+basis monomials can produce.
 """
 
 from __future__ import annotations
@@ -63,13 +67,22 @@ class ChernPair:
         """Chern numbers of E tensored with O(t)."""
         return ChernPair(self.c1 + 3 * t, self.c2 + 2 * t * self.c1 + 3 * t * t)
 
+    @property
+    def point_integrals(self) -> tuple[int, int, int, int, int]:
+        """s_i = the integral of xi^i H^(4-i), for i = 0..4.
+
+        H^3 = 0 kills i = 0, 1; xi^2 H^2 is the point class; the relation
+        gives xi^3 H = c1 xi^2 H^2 and xi^4 = c1 xi^3 H - c2 xi^2 H^2.
+        """
+        return (0, 0, 1, self.c1, self.c1 * self.c1 - self.c2)
+
     @cached_property
     def reductions(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Each monomial of ``_REDUCIBLE``, in slot order, as sparse
         (basis index, int) terms in the reduced basis.
 
-        This is the one place the relation xi^3 = c1 xi^2 H - c2 xi H^2 is
-        applied.  The table is held by the pair, so it is freed with it.
+        Here the relation xi^3 = c1 xi^2 H - c2 xi H^2 is applied for
+        ``mul``.  The table is held by the pair, so it is freed with it.
         """
         table = []
         for i, j in _REDUCIBLE:
@@ -220,11 +233,23 @@ def mul(x: ChowClass, y: ChowClass, c: ChernPair) -> ChowClass:
 
 
 def intersect4(f1: ChowClass, f2: ChowClass, f3: ChowClass, f4: ChowClass, c: ChernPair):
-    """Total intersection number of four degree-1 classes on Z."""
+    """Total intersection number of four degree-1 classes on Z.
+
+    The product of the factors a xi + b H is expanded as a polynomial in
+    xi and H, and its xi^i H^(4-i) coefficients are weighted by the point
+    integrals of ``c``.  Coefficients may be int, Fraction or QuadValue.
+    """
+    # p_i: coefficient of xi^i H^(k-i) in the product of the first k factors
+    p0, p1, p2, p3, p4 = 1, 0, 0, 0, 0
     for f in (f1, f2, f3, f4):
-        if not f.is_homogeneous(1):
+        unit, a, b, *higher = f.coeffs  # the basis is ordered by degree
+        if unit or any(higher):
             raise DomainError("intersect4 needs purely degree-1 classes")
-    return mul(mul(mul(f1, f2, c), f3, c), f4, c).point_coefficient
+        p0, p1, p2, p3, p4 = (
+            b * p0, b * p1 + a * p0, b * p2 + a * p1, b * p3 + a * p2, b * p4 + a * p3
+        )
+    s0, s1, s2, s3, s4 = c.point_integrals
+    return p0 * s0 + p1 * s1 + p2 * s2 + p3 * s3 + p4 * s4
 
 
 def anticanonical(c: ChernPair) -> ChowClass:
@@ -292,17 +317,6 @@ def cy_chern_lifts(c: ChernPair) -> tuple[ChowClass, ChowClass]:
     if not total.degree_part(1).is_zero():
         raise InvariantViolationError("adjunction did not cancel c1 on the hypersurface")
     return total.degree_part(2), total.degree_part(3)
-
-
-def c2_of_x(c: ChernPair) -> ChowClass:
-    """The degree-2 class on Z whose restriction to X is c2(X)."""
-    return cy_chern_lifts(c)[0]
-
-
-def c3_of_x(c: ChernPair) -> int:
-    """The Euler number of X, integrated through the ambient ring."""
-    lift = cy_chern_lifts(c)[1]
-    return as_integer(mul(lift, anticanonical(c), c).point_coefficient)
 
 
 def pair_on_cy(u: ChowClass, v: ChowClass, c: ChernPair):

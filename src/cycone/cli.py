@@ -25,7 +25,7 @@ from .report import (
     SURVEY_COLUMNS,
     build_report,
     render_text_report,
-    survey_row,
+    survey_rows,
 )
 
 DEFAULT_MAX_RANGE = 12
@@ -170,7 +170,7 @@ def cmd_survey(args) -> int:
         )
     keyed, flags = _parse_filters(args.filter)
     types = split_types(args.emin, args.emax)  # already lexicographically sorted
-    rows = [r for r in map(survey_row, types) if _row_passes(r, keyed, flags)]
+    rows = [r for r in survey_rows(types) if _row_passes(r, keyed, flags)]
     lines = []
     if args.meta:
         lines.append(json.dumps({"meta": _meta_block()}) if args.json else _meta_comment())

@@ -32,7 +32,12 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
 
-from .errors import DomainError, InvariantViolationError, UnsupportedExpressionError
+from .errors import (
+    DomainError,
+    InvariantViolationError,
+    UnsupportedExpressionError,
+    quote_input,
+)
 
 # --- expression trees ------------------------------------------------------
 
@@ -388,6 +393,14 @@ MAX_EXPR_DEPTH = 32
 MAX_MULTIPLICITY = 64
 
 
+def _literal(digits: str) -> int:
+    """The value of an integer token; one too long for ``int`` is a DomainError."""
+    try:
+        return int(digits)
+    except ValueError as exc:
+        raise DomainError(f"integer literal of {len(digits)} digits is too long to read") from exc
+
+
 class _Parser:
     """Recursive-descent parser for the expression grammar.
 
@@ -409,7 +422,7 @@ class _Parser:
             m = _TOKEN.match(text, pos)
             if not m or m.end() == pos:
                 if text[pos:].strip():
-                    raise DomainError(f"bad character in expression: {text[pos:]!r}")
+                    raise DomainError(f"bad character in expression: {quote_input(text[pos:])}")
                 break
             pos = m.end()
             self.tokens.append(m.group(1) or m.group(2) or m.group(3))
@@ -423,7 +436,7 @@ class _Parser:
         tok = self.peek()
         if tok is None or (expected is not None and tok != expected):
             raise DomainError(
-                f"expected {expected or 'a token'} at position {self.i} in {self.text!r}"
+                f"expected {expected or 'a token'} at position {self.i} in {quote_input(self.text)}"
             )
         self.i += 1
         return tok
@@ -431,7 +444,7 @@ class _Parser:
     def parse(self):
         e = self.expr()
         if self.peek() is not None:
-            raise DomainError(f"trailing input in expression: {self.text!r}")
+            raise DomainError(f"trailing input in expression: {quote_input(self.text)}")
         return e
 
     def expr(self):
@@ -448,13 +461,13 @@ class _Parser:
             sign = -1
         tok = self.take()
         if not tok.isdigit():
-            raise DomainError(f"expected an integer in {self.text!r}")
-        return sign * int(tok)
+            raise DomainError(f"expected an integer in {quote_input(self.text)}")
+        return sign * _literal(tok)
 
     def term(self):
         mult = 1
         if self.peek() is not None and self.peek().isdigit():
-            mult = int(self.take())
+            mult = _literal(self.take())
             if self.peek() == "*":
                 self.take("*")
         atom = self.atom()
@@ -499,7 +512,9 @@ class _Parser:
             e = self.nested()
             self.take(")")
             return EndOf(e) if tok == "end" else DualOf(e)
-        raise DomainError(f"unknown symbol {tok!r} in expression {self.text!r}")
+        raise DomainError(
+            f"unknown symbol {quote_input(tok)} in expression {quote_input(self.text)}"
+        )
 
 
 def parse_sheaf_expr(text: str):

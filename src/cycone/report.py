@@ -367,6 +367,39 @@ def survey_row(exponents: tuple[int, int, int]) -> SurveyRow:
     return _row(spec, minus_k, rho, cone.rationality_verdict(spec, h0, rho).verdict)
 
 
+def survey_rows(types) -> list[SurveyRow]:
+    """``survey_row`` of each triple, evaluated once per twist class.
+
+    Twisting by O(t) leaves Z = P(E) alone, so nef, ample, big, rho and
+    the verdict depend only on the class (e2 - e1, e3 - e1).  Each class
+    is evaluated through ``survey_row`` at its representative
+    (0, e2 - e1, e3 - e1), in a memo that lives for this call only; a row
+    computes just its own c1, c2, gamma and ``tab_admissible``.
+    """
+    classes = {}
+    rows = []
+    for exponents in types:
+        spec = BundleSpec.split(*exponents)
+        e1, e2, e3 = spec.exponents
+        key = (e2 - e1, e3 - e1)
+        facts = classes.get(key)
+        if facts is None:
+            facts = classes[key] = survey_row((0, *key))
+        rows.append(SurveyRow(
+            exponents=spec.exponents,
+            c1=spec.chern.c1,
+            c2=spec.chern.c2,
+            gamma=spec.gamma,
+            nef=facts.nef,
+            ample=facts.ample,
+            big=facts.big,
+            rho=facts.rho,
+            verdict=facts.verdict,
+            tab_admissible=tab_admissible(spec),
+        ))
+    return rows
+
+
 def analyze_row_cells(r: AnalysisReport) -> list[str]:
     """The ``SURVEY_COLUMNS + ANALYZE_EXTRA_COLUMNS`` cells of one report."""
     root = r.cone.k_root

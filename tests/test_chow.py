@@ -13,19 +13,19 @@ from cycone.chow import (
     ChernPair,
     ChowClass,
     anticanonical,
-    c2_of_x,
-    c3_of_x,
+    as_integer,
     chern_pair_of_split,
     exceptional_surface_class,
     gram_matrix,
     intersect4,
+    minus_k_quartic,
     mul,
     reduce_monomial,
     tangent_chern_classes,
 )
 from cycone.cone import boundary_root
 from cycone.errors import DomainError
-from cycone.exactnum import QuadValue
+from cycone.exactnum import QuadValue, sqrt_to_quad
 
 GRID = [ChernPair(c1, c2) for c1 in range(-6, 7) for c2 in range(-10, 11)]
 
@@ -214,6 +214,47 @@ def test_intersect4_matches_symbolic_oracle(coeff_pairs, c):
     assert intersect4(*factors, c) == _intersect4_oracle(factors, c)
 
 
+def _intersect4_by_ring(factors, c):
+    # the ring route: three products over the reduction table, then the point
+    # coefficient; independent of the point integrals intersect4 uses
+    f1, f2, f3, f4 = factors
+    return mul(mul(mul(f1, f2, c), f3, c), f4, c).point_coefficient
+
+
+_FRACTIONS = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+_COEFFS = {
+    "int": st.integers(min_value=-9, max_value=9),
+    "Fraction": _FRACTIONS,
+    "QuadValue": st.builds(
+        lambda a, b: QuadValue.rational(a) + b * sqrt_to_quad(5), _FRACTIONS, _FRACTIONS
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_COEFFS))
+@settings(max_examples=40)
+@given(data=st.data(), c=chern_pairs)
+def test_intersect4_matches_ring_route(kind, data, c):
+    coeff = _COEFFS[kind]
+    factors = [ChowClass.degree1(data.draw(coeff), data.draw(coeff)) for _ in range(4)]
+    value = intersect4(*factors, c)
+    assert value == _intersect4_by_ring(factors, c)
+    if kind == "int":
+        assert type(value) is int
+
+
+def test_point_integrals_match_reduced_monomials():
+    for c in GRID:
+        ring = tuple(reduce_monomial(i, 4 - i, c).point_coefficient for i in range(5))
+        assert c.point_integrals == ring
+
+
+def test_minus_k_quartic_builds_no_reduction_table():
+    c = ChernPair(3, 2)
+    assert minus_k_quartic(c) == 567
+    assert "reductions" not in vars(c)
+
+
 # --- anticanonical and tangent Chern classes ---------------------------------
 
 
@@ -246,10 +287,21 @@ def test_tangent_chern_closed_forms():
         )
 
 
+def _c2_of_x(c):
+    """The degree-2 class on Z whose restriction to X is c2(X)."""
+    return chow.cy_chern_lifts(c)[0]
+
+
+def _c3_of_x(c):
+    """The Euler number of X, integrated through the ambient ring."""
+    lift = chow.cy_chern_lifts(c)[1]
+    return as_integer(mul(lift, anticanonical(c), c).point_coefficient)
+
+
 def test_cy_c2_lift_collapses_to_ambient_c2():
     # adjunction: the c1(Z).K_Z term cancels K_Z^2 exactly, leaving c2(Z)
     for c in GRID[:: 23]:
-        assert c2_of_x(c) == tangent_chern_classes(c)[1]
+        assert _c2_of_x(c) == tangent_chern_classes(c)[1]
 
 
 @given(chern_pairs)
@@ -289,16 +341,16 @@ def test_reduction_table_leaves_pair_identity():
 
 def test_c2_pairings():
     c = ChernPair(3, 2)
-    c2x = c2_of_x(c)
+    c2x = _c2_of_x(c)
     assert chow.pair_on_cy(XI, c2x, c) == 78  # 36 + 12*3 + 2*3
     for cc in GRID[:: 11]:
-        assert chow.pair_on_cy(H, c2_of_x(cc), cc) == 36
+        assert chow.pair_on_cy(H, _c2_of_x(cc), cc) == 36
 
 
 def test_c3_value():
-    assert c3_of_x(ChernPair(3, 2)) == -180
+    assert _c3_of_x(ChernPair(3, 2)) == -180
     for c in (ChernPair(0, 0), ChernPair(-2, 5)):
-        assert c3_of_x(c) == -6 * c.gamma - 162
+        assert _c3_of_x(c) == -6 * c.gamma - 162
 
 
 # --- Gram matrix ---------------------------------------------------------------

@@ -247,6 +247,23 @@ def test_parse_rejects_malformed(text):
         parse_sheaf_expr(text)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "O(1)+" * 500 + "@",  # bad character
+        "O(1)+" * 500 + "Q",  # unknown symbol
+        "O(1)+" * 500 + "O)",  # trailing input
+        "O(1)+" * 500 + "O(x)",  # expected an integer
+        "O(1)+" * 500 + "O(1",  # expected a token
+        "O(1)+" * 500 + "O(" + "1" * 5000 + ")",  # literal too long for int
+    ],
+)
+def test_parse_errors_echo_the_input_in_short(text):
+    with pytest.raises(DomainError) as info:
+        parse_sheaf_expr(text)
+    assert len(str(info.value)) < 200
+
+
 def test_parse_caps_nesting_depth():
     deep = "dual(" * 3000 + "O" + ")" * 3000
     with pytest.raises(DomainError, match="nested deeper"):

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion with nothing on stderr."""
+"""Every demo script runs to completion, with nothing on stderr and its
+stdout byte-identical to ``tests/golden/demo-<name>.out``."""
 
 import os
 import subprocess
@@ -9,13 +10,13 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = ROOT / "tests" / "golden"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs_clean(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == ""
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stderr == b""
+    assert proc.stdout == (GOLDEN / f"demo-{demo.stem}.out").read_bytes()

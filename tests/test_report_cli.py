@@ -264,6 +264,21 @@ def test_cli_usage_error_echoes_a_long_input_in_short():
 
 
 @pytest.mark.parametrize(
+    "expr, reason",
+    [
+        ("1000000*O", "multiplicity must lie in [1, 64]"),
+        ("dual(" * 3000 + "O" + ")" * 3000, "nested deeper than 32 levels"),
+    ],
+)
+def test_cli_unknown_bundle_keeps_the_parser_reason(expr, reason):
+    code, _, err = run_main(["analyze", "--named", expr])
+    assert code == 1
+    assert err.startswith("cycone: usage error: unknown bundle")
+    assert reason in err
+    assert len(err.encode()) < 300
+
+
+@pytest.mark.parametrize(
     "expr", ["sym(O+O(1)+O(2),2000)", "sym(sym(O+O(1)+O(2),1000),1000)"]
 )
 def test_cli_rejects_named_rank_before_expanding(expr):
