@@ -6,7 +6,7 @@ down: H^3 = 0 (the base is a surface) and the tautological relation
 
     xi^3 = c1 * xi^2 H  -  c2 * xi H^2
 
-where (c1, c2) are the Chern numbers of E.  Everything is stored reduced in
+where (c1, c2) are the Chern numbers of E.  Classes are returned reduced in
 the monomial basis {1; xi, H; xi^2, xi*H, H^2; xi^2*H, xi*H^2; xi^2*H^2},
 and the degree-4 coefficient is the integral against the point class
 xi^2 H^2.  The ring is integral: the relation has integer coefficients, so
@@ -15,13 +15,14 @@ classes built from ints keep plain ``int`` coefficients throughout.
 computations) are accepted as given and never introduced by the engine;
 integrality of geometric quantities is asserted, never assumed.
 
-The relation is applied in two places, each for its own kind of product.
-``ChernPair.point_integrals`` holds the five integrals of xi^i H^(4-i),
-and ``intersect4`` (hence ``minus_k_quartic``) expands a product of four
-degree-1 classes against them, with no reduction table.  Everything else
-goes through ``mul``, a sparse contraction over ``ChernPair.reductions``:
-the relation applied once per pair to every monomial a product of two
-basis monomials can produce.
+Products have one route, ``_expand``: a polynomial product over the twelve
+monomials xi^i H^j with j <= 2 and i + j <= 4, with no relation applied.
+Numbers come from the point integrals: ``integral`` weights the degree-4
+part of an expansion by ``ChernPair.point_integrals``, so ``intersect4``,
+``pair_on_cy``, the Gram matrix and every pairing on X need no reduction.
+The relation is applied only when a class is returned: ``mul``,
+``tangent_chern_classes`` and ``cy_chern_lifts`` reduce their expansion
+once through ``ChernPair.reductions``.
 """
 
 from __future__ import annotations
@@ -45,9 +46,14 @@ _INDEX = {m: i for i, m in enumerate(MONOMIALS)}
 # follows the two it reduces to.
 _REDUCIBLE = MONOMIALS + ((3, 0), (3, 1), (4, 0))
 _SLOT = {m: k for k, m in enumerate(_REDUCIBLE)}
-# _PRODUCT_SLOT[a][b]: slot of basis monomial a times basis monomial b, or None
+# _PRODUCT_SLOT[a][b]: slot of monomial a times monomial b, or None when the
+# product dies (H^3 = 0, or degree above 4)
 _PRODUCT_SLOT = tuple(
-    tuple(_SLOT.get((i1 + i2, j1 + j2)) for (i2, j2) in MONOMIALS) for (i1, j1) in MONOMIALS
+    tuple(_SLOT.get((i1 + i2, j1 + j2)) for (i2, j2) in _REDUCIBLE) for (i1, j1) in _REDUCIBLE
+)
+# _OF_DEGREE[d]: (slot, xi-exponent) of every monomial of degree d
+_OF_DEGREE = tuple(
+    tuple((k, i) for k, (i, j) in enumerate(_REDUCIBLE) if i + j == d) for d in range(5)
 )
 
 
@@ -81,8 +87,9 @@ class ChernPair:
         """Each monomial of ``_REDUCIBLE``, in slot order, as sparse
         (basis index, int) terms in the reduced basis.
 
-        Here the relation xi^3 = c1 xi^2 H - c2 xi H^2 is applied for
-        ``mul``.  The table is held by the pair, so it is freed with it.
+        Here the relation xi^3 = c1 xi^2 H - c2 xi H^2 is applied, for the
+        classes the module returns.  The table is held by the pair, so it
+        is freed with it.
         """
         table = []
         for i, j in _REDUCIBLE:
@@ -194,62 +201,67 @@ def as_integer(q) -> int:
 
 
 def reduce_monomial(i: int, j: int, c: ChernPair) -> ChowClass:
-    """Rewrite xi^i H^j in the canonical basis.
-
-    Read from the pair's reduction table; anything with H^3 or of total
-    degree above 4 dies.
-    """
+    """Rewrite xi^i H^j in the canonical basis; anything with H^3 or of total
+    degree above 4 dies."""
     if i < 0 or j < 0:
         raise DomainError("exponents must be nonnegative")
-    slot = _SLOT.get((i, j))
-    coeffs = [0] * 9
-    if slot is not None:
-        for k, v in c.reductions[slot]:
-            coeffs[k] = v
-    return ChowClass(tuple(coeffs))
+    p = [0] * len(_REDUCIBLE)
+    if (i, j) in _SLOT:
+        p[_SLOT[i, j]] = 1
+    return _reduce(p, c)
 
 
-def mul(x: ChowClass, y: ChowClass, c: ChernPair) -> ChowClass:
-    """Graded product, fully reduced; commutative and associative.
-
-    A sparse contraction of the two coefficient vectors over the pair's
-    reduction table, accumulated into one coefficient list.
-    """
-    table = c.reductions
-    ys = [(b, yb) for b, yb in enumerate(y.coeffs) if yb != 0]
-    out = [0] * 9
-    for a, xa in enumerate(x.coeffs):
-        if xa == 0:
+def _expand(x, y) -> list:
+    """The module's one product: x * y on the slots of ``_REDUCIBLE`` (a
+    ``ChowClass``'s coefficients are the first nine), no relation applied."""
+    ys = [(b, yb) for b, yb in enumerate(y) if yb]
+    out = [0] * len(_REDUCIBLE)
+    for a, xa in enumerate(x):
+        if not xa:
             continue
         slots = _PRODUCT_SLOT[a]
         for b, yb in ys:
             slot = slots[b]
-            if slot is None:
-                continue
-            p = xa * yb
-            for k, v in table[slot]:
-                out[k] += v * p
+            if slot is not None:
+                out[slot] += xa * yb
+    return out
+
+
+def _reduce(p: list, c: ChernPair) -> ChowClass:
+    """The class of an expansion, through the pair's reduction table."""
+    out = p[:9]
+    for slot in range(9, len(_REDUCIBLE)):
+        if p[slot]:
+            for k, v in c.reductions[slot]:
+                out[k] += v * p[slot]
     return ChowClass(tuple(out))
 
 
-def intersect4(f1: ChowClass, f2: ChowClass, f3: ChowClass, f4: ChowClass, c: ChernPair):
-    """Total intersection number of four degree-1 classes on Z.
+def integral(p: list, c: ChernPair, monomial: tuple[int, int] = (0, 0)):
+    """The integral over Z of xi^i H^j times the expansion ``p``, for
+    ``monomial`` = (i, j): each xi^k H^l of degree 4 - i - j in ``p`` is
+    weighted by the point integral s_(k+i) of ``c``."""
+    i, j = monomial
+    s = c.point_integrals
+    total = 0
+    for slot, k in _OF_DEGREE[4 - i - j] if i + j <= 4 else ():
+        total += p[slot] * s[k + i]
+    return total
 
-    The product of the factors a xi + b H is expanded as a polynomial in
-    xi and H, and its xi^i H^(4-i) coefficients are weighted by the point
-    integrals of ``c``.  Coefficients may be int, Fraction or QuadValue.
-    """
-    # p_i: coefficient of xi^i H^(k-i) in the product of the first k factors
-    p0, p1, p2, p3, p4 = 1, 0, 0, 0, 0
+
+def mul(x: ChowClass, y: ChowClass, c: ChernPair) -> ChowClass:
+    """Graded product, fully reduced; commutative and associative."""
+    return _reduce(_expand(x.coeffs, y.coeffs), c)
+
+
+def intersect4(f1: ChowClass, f2: ChowClass, f3: ChowClass, f4: ChowClass, c: ChernPair):
+    """Total intersection number of four degree-1 classes on Z: the integral
+    of their expansion.  Coefficients may be int, Fraction or QuadValue."""
     for f in (f1, f2, f3, f4):
-        unit, a, b, *higher = f.coeffs  # the basis is ordered by degree
+        unit, _, _, *higher = f.coeffs  # the basis is ordered by degree
         if unit or any(higher):
             raise DomainError("intersect4 needs purely degree-1 classes")
-        p0, p1, p2, p3, p4 = (
-            b * p0, b * p1 + a * p0, b * p2 + a * p1, b * p3 + a * p2, b * p4 + a * p3
-        )
-    s0, s1, s2, s3, s4 = c.point_integrals
-    return p0 * s0 + p1 * s1 + p2 * s2 + p3 * s3 + p4 * s4
+    return integral(_expand(_expand(f1.coeffs, f2.coeffs), _expand(f3.coeffs, f4.coeffs)), c)
 
 
 def anticanonical(c: ChernPair) -> ChowClass:
@@ -257,71 +269,74 @@ def anticanonical(c: ChernPair) -> ChowClass:
     return ChowClass.degree1(3, 3 - c.c1)
 
 
+def _power_sum(d: ChowClass, powers) -> list:
+    """The sum of d^k over ``powers`` for a degree-1 class d = a xi + b H,
+    written binomially as an expansion (H^3 = 0 drops the rest)."""
+    _, a, b, *_ = d.coeffs
+    out = [0] * len(_REDUCIBLE)
+    for k in powers:
+        for m in range(max(0, k - 2), k + 1):
+            out[_SLOT[m, k - m]] += math.comb(k, m) * a**m * b ** (k - m)
+    return out
+
+
 def minus_k_quartic(c: ChernPair) -> int:
     """(-K_Z)^4, which evaluates to 27*gamma + 486."""
-    a = anticanonical(c)
-    return as_integer(intersect4(a, a, a, a, c))
+    return as_integer(integral(_power_sum(anticanonical(c), (4,)), c))
 
 
-def _dual_chern_pullbacks(c: ChernPair) -> tuple[ChowClass, ...]:
-    """Pullbacks of the Chern classes of the dual bundle: 1, -c1*H, c2*H^2
-    (the pulled-back c3 is 0, since H^3 = 0)."""
-    return (
-        ChowClass.one(),
-        ChowClass.monomial(0, 1, -c.c1),
-        ChowClass.monomial(0, 2, c.c2),
-    )
+def _tangent_total(c: ChernPair) -> list:
+    """c(T_Z) = c(p^* T_P2) * c(p^* E-dual (x) O_Z(1)), in one expansion.
+
+    The twisted factor is written from the Chern roots as sum_i c_i(E-dual)
+    (1 + xi)^(3 - i), with c_i(E-dual) = 1, -c1 H, c2 H^2 (c3 dies with H^3).
+    """
+    twisted = [0] * len(_REDUCIBLE)
+    for i, dual_i in enumerate((1, -c.c1, c.c2)):
+        for m in range(4 - i):
+            twisted[_SLOT[m, i]] += dual_i * math.comb(3 - i, m)
+    return _expand((1, 0, 3, 0, 0, 3), twisted)  # c(p^* T_P2) = 1 + 3H + 3H^2
 
 
 def tangent_chern_classes(c: ChernPair) -> tuple[ChowClass, ChowClass, ChowClass, ChowClass]:
-    """Chern classes c1..c4 of the tangent bundle of Z.
-
-    Computed as c(p^* T_P2) * c(p^* E-dual tensor O_Z(1)), one product of
-    the two total classes (exact by bilinearity).  The rank-3 twist is
-    expanded from the Chern roots, c(E-dual (x) L) = sum_i c_i(E-dual)
-    (1 + c1(L))^(3 - i), so the degree-3 piece of the twisted factor
-    vanishes by the defining relation.
-    """
-    dual = _dual_chern_pullbacks(c)
-    twisted = ChowClass.zero()  # total Chern class of p^*(E dual) (x) O_Z(1)
-    for i, dual_i in enumerate(dual):
-        one_plus_xi = ChowClass.zero()  # (1 + xi)^(3 - i), reduced
-        for m in range(4 - i):
-            one_plus_xi = one_plus_xi + reduce_monomial(m, 0, c).scale(math.comb(3 - i, m))
-        twisted = twisted + mul(dual_i, one_plus_xi, c)
-    base = ChowClass.one() + ChowClass.monomial(0, 1, 3) + ChowClass.monomial(0, 2, 3)
-    total = mul(base, twisted, c)
+    """Chern classes c1..c4 of the tangent bundle of Z."""
+    total = _reduce(_tangent_total(c), c)
     return tuple(total.degree_part(d) for d in (1, 2, 3, 4))
 
 
 def euler_number(c: ChernPair) -> int:
     """Integral of c4(T_Z); the topological Euler number of Z (always 9)."""
-    return as_integer(tangent_chern_classes(c)[3].point_coefficient)
+    return as_integer(integral(_tangent_total(c), c))
+
+
+def _adjunction_lift(c: ChernPair) -> list:
+    """c(T_Z) * (1 + K + ... + K^4) with K = K_Z, which restricts to c(T_X)
+    on X in |-K_Z| (adjunction).  The powers of K are written binomially, so
+    the lift takes two expansions.  Its degree-1 part must cancel exactly
+    (X is Calabi-Yau); that cancellation is asserted.
+    """
+    lift = _expand(_tangent_total(c), _power_sum(-anticanonical(c), range(5)))
+    if lift[1] or lift[2]:
+        raise InvariantViolationError("adjunction did not cancel c1 on the hypersurface")
+    return lift
 
 
 def cy_chern_lifts(c: ChernPair) -> tuple[ChowClass, ChowClass]:
-    """Degree-2 and degree-3 classes on Z restricting to c2(X) and c3(X).
-
-    Adjunction for X in |-K_Z|: c(T_X) lifts to c(T_Z) * (1 + K + K^2 + ...)
-    with K = K_Z.  The degree-1 part must cancel exactly (X is Calabi-Yau);
-    that cancellation is asserted.
-    """
-    c1z, c2z, c3z, c4z = tangent_chern_classes(c)
-    k = -anticanonical(c)
-    k_pow = [ChowClass.one()]
-    for _ in range(4):
-        k_pow.append(mul(k_pow[-1], k, c))
-    total_tz = ChowClass.one() + c1z + c2z + c3z + c4z
-    inv_normal = k_pow[0] + k_pow[1] + k_pow[2] + k_pow[3] + k_pow[4]
-    total = mul(total_tz, inv_normal, c)
-    if not total.degree_part(1).is_zero():
-        raise InvariantViolationError("adjunction did not cancel c1 on the hypersurface")
+    """Degree-2 and degree-3 classes on Z restricting to c2(X) and c3(X):
+    the adjunction lift, reduced once."""
+    total = _reduce(_adjunction_lift(c), c)
     return total.degree_part(2), total.degree_part(3)
+
+
+def cy_chern_pushforward(c: ChernPair) -> list:
+    """c(T_X) . [X] on Z as an expansion: the adjunction lift times -K_Z.
+    Its ``integral`` against xi^i H^j integrates xi^i H^j c_(3-i-j)(X) over X."""
+    return _expand(_adjunction_lift(c), anticanonical(c).coeffs)
 
 
 def pair_on_cy(u: ChowClass, v: ChowClass, c: ChernPair):
     """Intersection number of u.v restricted to X, i.e. u.v.(-K_Z) on Z."""
-    return mul(mul(u, v, c), anticanonical(c), c).point_coefficient
+    return integral(_expand(_expand(u.coeffs, v.coeffs), anticanonical(c).coeffs), c)
 
 
 @dataclass(frozen=True)
@@ -347,7 +362,7 @@ def gram_matrix(c: ChernPair) -> GramMatrix:
         ChowClass.monomial(2, 0),  # xi^2
     )
     entries = tuple(
-        tuple(as_integer(mul(u, v, c).point_coefficient) for v in basis) for u in basis
+        tuple(as_integer(integral(_expand(u.coeffs, v.coeffs), c)) for v in basis) for u in basis
     )
     return GramMatrix(entries, _det3(entries))
 

@@ -415,14 +415,16 @@ class _Parser:
     """
 
     def __init__(self, text: str):
-        self.text = text
         self.tokens = []
         pos = 0
         while pos < len(text):
             m = _TOKEN.match(text, pos)
             if not m or m.end() == pos:
-                if text[pos:].strip():
-                    raise DomainError(f"bad character in expression: {quote_input(text[pos:])}")
+                rest = text[pos:].lstrip()
+                if rest:
+                    raise DomainError(
+                        f"bad character {rest[0]!r} at character {len(text) - len(rest)}"
+                    )
                 break
             pos = m.end()
             self.tokens.append(m.group(1) or m.group(2) or m.group(3))
@@ -435,16 +437,15 @@ class _Parser:
     def take(self, expected=None):
         tok = self.peek()
         if tok is None or (expected is not None and tok != expected):
-            raise DomainError(
-                f"expected {expected or 'a token'} at position {self.i} in {quote_input(self.text)}"
-            )
+            want = repr(expected) if expected else "more input"
+            raise DomainError(f"expected {want} at token {self.i}")
         self.i += 1
         return tok
 
     def parse(self):
         e = self.expr()
         if self.peek() is not None:
-            raise DomainError(f"trailing input in expression: {quote_input(self.text)}")
+            raise DomainError(f"trailing input at token {self.i}")
         return e
 
     def expr(self):
@@ -461,7 +462,7 @@ class _Parser:
             sign = -1
         tok = self.take()
         if not tok.isdigit():
-            raise DomainError(f"expected an integer in {quote_input(self.text)}")
+            raise DomainError(f"expected an integer at token {self.i - 1}, got {quote_input(tok)}")
         return sign * _literal(tok)
 
     def term(self):
@@ -512,15 +513,15 @@ class _Parser:
             e = self.nested()
             self.take(")")
             return EndOf(e) if tok == "end" else DualOf(e)
-        raise DomainError(
-            f"unknown symbol {quote_input(tok)} in expression {quote_input(self.text)}"
-        )
+        raise DomainError(f"unknown symbol {quote_input(tok)} at token {self.i - 1}")
 
 
 def parse_sheaf_expr(text: str):
     """Parse the CLI grammar: O(k), SymT(a,b), +, twist(e,k), sym(e,p), end(e), dual(e).
 
     Nesting of twist/sym/end/dual is capped at ``MAX_EXPR_DEPTH`` levels.
+    A DomainError names the offending token and where it stands, never the
+    whole text, which the caller quotes once if it wants to.
     """
     return _Parser(text).parse()
 

@@ -188,6 +188,13 @@ def allowed_splitting_types(c1: int) -> list[tuple[int, int, int]]:
     return out
 
 
+def is_allowed_splitting_type(a: int, b: int, c: int) -> bool:
+    """Whether (a, b, c) is in ``allowed_splitting_types(a + b + c)``, by the
+    same bounds tested directly instead of by building the list."""
+    c1 = a + b + c
+    return -1 <= c1 <= 4 and a <= b <= c and 3 * a >= c1 - 3 and 3 * b + 3 - c1 > 0
+
+
 @dataclass(frozen=True)
 class ConeRestriction:
     """Whether K(X) = K(Z)|X, and through which mechanism."""

@@ -1,8 +1,10 @@
 """Numerical invariants of the Calabi-Yau hypersurface X in |-K_Z|.
 
-Every pairing on X is computed twice: through the ambient Chow engine
-(restriction is multiplication by -K_Z) and through closed forms; the two
-routes must agree exactly or an InvariantViolationError is raised.  The
+Every pairing on X is computed twice: through the ambient Chow engine and
+through closed forms; the two routes must agree exactly or an
+InvariantViolationError is raised.  The engine route takes each pairing
+as a point integral (``chow.integral``) of one unreduced expansion of the
+adjunction lift times [X] = -K_Z, with no reduction table.  The
 closed forms are, with gamma = c1^2 - 3 c2:
 
     O_X(1)^3          = gamma + c1^2 + 3 c1
@@ -53,19 +55,17 @@ def closed_form_pairings(c: ChernPair) -> XPairings:
 
 
 def engine_pairings(c: ChernPair) -> XPairings:
-    """The pairings through the ambient ring; c2(X) and c3(X) come from one
-    adjunction lift."""
-    xi = chow.ChowClass.monomial(1, 0)
-    h = chow.ChowClass.monomial(0, 1)
-    fiber = chow.ChowClass.monomial(0, 2)
-    c2x, c3x = chow.cy_chern_lifts(c)
+    """The pairings as point integrals of c(T_X) . [X], left unreduced:
+    against O_X(1)^i (pi*h)^j the grading reads off c_(3-i-j)(X), so c2(X)
+    for one divisor and c3(X) for none."""
+    x = chow.cy_chern_pushforward(c)
+
+    def on_x(i: int, j: int) -> int:
+        return as_integer(chow.integral(x, c, (i, j)))
+
     return XPairings(
-        o1_cubed=as_integer(chow.pair_on_cy(xi, chow.mul(xi, xi, c), c)),
-        o1_sq_h=as_integer(chow.pair_on_cy(xi, chow.mul(xi, h, c), c)),
-        o1_fiber=as_integer(chow.pair_on_cy(xi, fiber, c)),
-        o1_c2=as_integer(chow.pair_on_cy(xi, c2x, c)),
-        h_c2=as_integer(chow.pair_on_cy(h, c2x, c)),
-        c3=as_integer(chow.mul(c3x, chow.anticanonical(c), c).point_coefficient),
+        o1_cubed=on_x(3, 0), o1_sq_h=on_x(2, 1), o1_fiber=on_x(1, 2),
+        o1_c2=on_x(1, 0), h_c2=on_x(0, 1), c3=on_x(0, 0),
     )
 
 

@@ -85,7 +85,7 @@ def tab_admissible(spec: BundleSpec) -> bool | None:
     stype = spec.splitting_type
     if stype is None:
         return None
-    return tuple(stype) in cone.allowed_splitting_types(spec.chern.c1)
+    return cone.is_allowed_splitting_type(*stype)
 
 
 def build_report(spec: BundleSpec) -> AnalysisReport:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycone import chow
+from cycone import chow, invariants
 from cycone.chow import (
     MONOMIALS,
     ChernPair,
@@ -24,7 +24,7 @@ from cycone.chow import (
     tangent_chern_classes,
 )
 from cycone.cone import boundary_root
-from cycone.errors import DomainError
+from cycone.errors import DomainError, InvariantViolationError
 from cycone.exactnum import QuadValue, sqrt_to_quad
 
 GRID = [ChernPair(c1, c2) for c1 in range(-6, 7) for c2 in range(-10, 11)]
@@ -253,6 +253,46 @@ def test_minus_k_quartic_builds_no_reduction_table():
     c = ChernPair(3, 2)
     assert minus_k_quartic(c) == 567
     assert "reductions" not in vars(c)
+
+
+# --- one expansion: numbers from the point integrals, classes reduced once ---
+
+
+@settings(max_examples=60)
+@given(coeffs_strategy(), coeffs_strategy(), st.sampled_from(MONOMIALS), chern_pairs)
+def test_integral_of_expansion_matches_reduced_product(x, y, monomial, c):
+    # the number route (point integrals of the unreduced x * y, times a basis
+    # monomial) against the class route (two reduced products)
+    expected = mul(mul(x, y, c), ChowClass.monomial(*monomial), c).point_coefficient
+    assert chow.integral(chow._expand(x.coeffs, y.coeffs), c, monomial) == expected
+
+
+@pytest.mark.parametrize("kind", ["int", "QuadValue"])  # Fraction: see above
+@settings(max_examples=30)
+@given(data=st.data(), c=chern_pairs)
+def test_mul_matches_recursive_reference_for_int_and_quad_coefficients(kind, data, c):
+    x, y = (ChowClass(tuple(data.draw(_COEFFS[kind]) for _ in MONOMIALS)) for _ in range(2))
+    assert mul(x, y, c) == _reference_mul(x, y, c)
+
+
+def test_broken_adjunction_raises(monkeypatch):
+    # with -K_Z off by one H, K_Z no longer cancels c1(T_Z) in the lift
+    monkeypatch.setattr(chow, "anticanonical", lambda c: ChowClass.degree1(3, 4 - c.c1))
+    c = ChernPair(3, 2)
+    for route in (chow.cy_chern_lifts, chow.cy_chern_pushforward, invariants.engine_pairings):
+        with pytest.raises(InvariantViolationError, match="adjunction"):
+            route(c)
+
+
+def test_pushforward_integrals_are_the_pairings_on_x():
+    # xi^i H^j against c(T_X).[X] picks c_(3-i-j)(X) by degree
+    for c in GRID[:: 19]:
+        x = chow.cy_chern_pushforward(c)
+        c2x, c3x = chow.cy_chern_lifts(c)
+        assert chow.integral(x, c, (0, 0)) == _c3_of_x(c)
+        assert chow.integral(x, c, (1, 0)) == chow.pair_on_cy(XI, c2x, c)
+        assert chow.integral(x, c, (0, 1)) == chow.pair_on_cy(H, c2x, c)
+        assert chow.integral(x, c, (2, 1)) == intersect4(XI, XI, H, anticanonical(c), c)
 
 
 # --- anticanonical and tangent Chern classes ---------------------------------

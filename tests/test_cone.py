@@ -1,7 +1,7 @@
 """Cone analysis: anticanonical status, boundary roots, c2, verdicts."""
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -26,6 +26,7 @@ from cycone.cone import (
     c2_positivity_for_gamma,
     cone_report,
     cone_restriction_case,
+    is_allowed_splitting_type,
     rationality_verdict,
 )
 from cycone.errors import DomainError
@@ -182,6 +183,11 @@ def test_splitting_types_empty_outside_range():
     assert allowed_splitting_types(-2) == []
     assert allowed_splitting_types(5) == []
     assert allowed_splitting_types(9) == []
+
+
+def test_is_allowed_splitting_type_agrees_with_the_table():
+    for t in product(range(-8, 9), repeat=3):
+        assert is_allowed_splitting_type(*t) == (t in allowed_splitting_types(sum(t))), t
 
 
 def test_splitting_table_entries_are_consistent():

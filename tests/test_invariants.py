@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycone import cone, invariants
+from cycone import cone, invariants, selftest
 from cycone.bundles import BundleSpec, h0_anticanonical
 from cycone.chow import ChernPair
 from cycone.errors import InvariantViolationError
@@ -33,8 +33,24 @@ def test_gamma_twist_invariance(c, t):
 
 
 def test_pairing_tables_agree_on_grid():
-    for c in GRID:
+    for c in selftest.CHERN_GRID:
         assert invariants.closed_form_pairings(c) == invariants.engine_pairings(c)
+
+
+@settings(max_examples=200)
+@given(st.integers(min_value=-50, max_value=50), st.integers(min_value=-500, max_value=500))
+def test_pairing_tables_agree_on_a_wide_grid(c1, c2):
+    c = ChernPair(c1, c2)
+    assert invariants.closed_form_pairings(c) == invariants.engine_pairings(c)
+
+
+def test_engine_route_calls_no_closed_form(monkeypatch):
+    def forbidden(c):
+        raise AssertionError("the engine route reached a closed form")
+
+    monkeypatch.setattr(invariants, "closed_form_pairings", forbidden)
+    engine = invariants.engine_pairings(ChernPair(3, 2))
+    assert engine.as_tuple() == (21, 9, 3, 78, 36, -180)
 
 
 def test_pairing_universal_entries():

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from cycone import cli, exactnum, invariants, report, selftest
+from cycone import chow, cli, exactnum, invariants, report, selftest
 from cycone.bundles import BundleSpec, catalog_entries
 from cycone.errors import InvariantViolationError
 from cycone.report import (
@@ -278,6 +278,14 @@ def test_cli_unknown_bundle_keeps_the_parser_reason(expr, reason):
     assert len(err.encode()) < 300
 
 
+@pytest.mark.parametrize("expr", ["O(1)+Q+O", "O(1)+O(x)+O", "O(1)+O+O)", "O(1)+O+@", "O(1+O+O"])
+def test_cli_unknown_bundle_quotes_the_input_once(expr):
+    code, _, err = run_main(["analyze", "--named", expr])
+    assert code == 1
+    assert err.startswith(f"cycone: usage error: unknown bundle {expr!r}: ")
+    assert err.count(expr) == 1
+
+
 @pytest.mark.parametrize(
     "expr", ["sym(O+O(1)+O(2),2000)", "sym(sym(O+O(1)+O(2),1000),1000)"]
 )
@@ -451,6 +459,26 @@ def test_build_report_evaluates_closed_forms_once(monkeypatch):
         calls.clear()
         build_report(spec)
         assert calls == [spec.chern]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [BundleSpec.split(0, 1, 2), BundleSpec.named("TP2+O"), BundleSpec.chern_only(3, 6)],
+    ids=["split", "catalog", "chern-only"],
+)
+def test_build_report_multiplies_nothing_and_builds_no_reduction_table(spec, monkeypatch):
+    calls = {"mul": 0}
+
+    def counted(*args):
+        calls["mul"] += 1
+        return original(*args)
+
+    original = chow.mul
+    monkeypatch.setattr(chow, "mul", counted)
+    vars(spec.chern).pop("reductions", None)  # a catalog pair is shared across tests
+    build_report(spec)
+    assert calls == {"mul": 0}
+    assert "reductions" not in vars(spec.chern)
 
 
 def test_cli_catalog_contents():
