@@ -2,14 +2,11 @@
 
 A BundleSpec is the single input type for all verdict machinery.  Split and
 catalog bundles know their generic splitting type on lines (all catalog
-entries are uniform), and each carries a section-counting strategy for
-h^0(-K_Z) = h^0(S^3 E (3 - c1)):
-
-* ``split``             expand symmetric-power exponent multisets;
-* ``sym_sum``           a pre-expanded sum of S^a T(b) pieces;
-* ``euler_restriction`` the symmetric power of 0 -> O -> O(1)^4 -> E -> 0,
-                        whose line-bundle terms make h^0 a difference;
-* ``none``              only chi- and gamma-based criteria apply.
+entries are uniform).  A split entry carries its exponents; every other
+catalog entry carries its bundle as a sheaf expression, whose Chern data
+must equal the hand-typed pair.  h^0(-K_Z) = h^0(S^3 E (3 - c1)) is a sum
+over exponent multisets for split bundles and ``cohom.cohom_expr`` for the
+rest.
 
 Twisting E by O(t) changes the Chern pair and splitting type but not Z, so
 every anticanonical quantity is computed from the untwisted catalog data.
@@ -19,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement
-from math import comb
 
 from . import cohom
 from .chow import ChernPair, chern_pair_of_split
@@ -33,35 +29,27 @@ class CatalogEntry:
     name: str
     chern: ChernPair
     splitting_type: tuple[int, int, int]
-    strategy: str
     exponents: tuple[int, int, int] | None = None
-    sections_expr: object | None = None  # S^3 E (3 - c1) as a SheafExpr, for sym_sum
+    expr: object | None = None  # the bundle as a SheafExpr, when it does not split
 
 
-def _entry(name, c1, c2, stype, strategy, exponents=None, sections_expr=None):
-    return CatalogEntry(
-        name, ChernPair(c1, c2), tuple(stype), strategy, exponents, sections_expr
-    )
+def _entry(name, c1, c2, stype, exponents=None, expr=None):
+    if expr is not None:
+        expr = cohom.parse_sheaf_expr(expr)
+    return CatalogEntry(name, ChernPair(c1, c2), tuple(stype), exponents, expr)
 
-
-# S^3(T + O) = S^3 T + S^2 T + T + O                    (c1 = 3, no extra twist)
-_TP2_PLUS_O_SECTIONS = cohom.DirectSum(
-    cohom.SymTangent(3, 0), cohom.SymTangent(2, 0), cohom.SymTangent(1, 0), cohom.LineBundle(0)
-)
-# S^3(T(-1) + O(2)) = S^3T(-3) + S^2T(0) + T(3) + O(6)  (c1 = 3, no extra twist)
-_TP2M1_PLUS_O2_SECTIONS = cohom.DirectSum(
-    cohom.SymTangent(3, -3), cohom.SymTangent(2, 0), cohom.SymTangent(1, 3), cohom.LineBundle(6)
-)
 
 CATALOG: dict[str, CatalogEntry] = {
     e.name: e
     for e in (
-        _entry("O+O(1)+O(2)", 3, 2, (0, 1, 2), "split", exponents=(0, 1, 2)),
-        _entry("2O+O(3)", 3, 0, (0, 0, 3), "split", exponents=(0, 0, 3)),
-        _entry("TP2+O", 3, 3, (0, 1, 2), "sym_sum", sections_expr=_TP2_PLUS_O_SECTIONS),
-        _entry("TP2(-1)+O(2)", 3, 3, (0, 1, 2), "sym_sum", sections_expr=_TP2M1_PLUS_O2_SECTIONS),
-        _entry("S2TP2(-1)", 3, 6, (0, 1, 2), "none"),
-        _entry("TP3restP2", 4, 6, (1, 1, 2), "euler_restriction"),
+        _entry("O+O(1)+O(2)", 3, 2, (0, 1, 2), exponents=(0, 1, 2)),
+        _entry("2O+O(3)", 3, 0, (0, 0, 3), exponents=(0, 0, 3)),
+        _entry("TP2+O", 3, 3, (0, 1, 2), expr="SymT(1,0)+O"),
+        _entry("TP2(-1)+O(2)", 3, 3, (0, 1, 2), expr="SymT(1,-1)+O(2)"),
+        _entry("S2TP2(-1)", 3, 6, (0, 1, 2), expr="sym(SymT(1,-1),2)"),
+        # The normal-bundle sequence 0 -> T -> T_P3|P2 -> O(1) -> 0 splits,
+        # because Ext^1(O(1), T) = H^1(T(-1)) = 0.
+        _entry("TP3restP2", 4, 6, (1, 1, 2), expr="SymT(1,0)+O(1)"),
     )
 }
 
@@ -181,24 +169,18 @@ def _split_sections_h0(exponents, c1: int) -> int:
 
 
 def h0_anticanonical(spec: BundleSpec) -> H0Anticanonical:
-    """h^0(-K_Z) = h^0(S^3 E (3 - c1)), by the strategy the spec supports.
+    """h^0(-K_Z) = h^0(S^3 E (3 - c1)), exact for split and catalog bundles.
 
-    For specs without a section-counting strategy the > 1 question falls
-    back to the topological bound: gamma >= -18 forces h^0(-K_Z) > 1
-    (assuming rho(X) = 2), and below that the answer is open.
+    For Chern-only specs the > 1 question falls back to the topological
+    bound: gamma >= -18 forces h^0(-K_Z) > 1 (assuming rho(X) = 2), and
+    below that the answer is open.
     """
     value = None
     if spec.exponents is not None:
         value = _split_sections_h0(spec.exponents, spec.chern.c1)
-    else:
-        entry = spec.entry
-        if entry is not None and entry.strategy == "sym_sum":
-            value = cohom.cohom_expr(entry.sections_expr).h0
-        elif entry is not None and entry.strategy == "euler_restriction":
-            # S^m of 0 -> O -> O(1)^4 -> E -> 0 keeps h^0 a difference of
-            # line-bundle terms (no h^1 in the sub).
-            t = 3 - entry.chern.c1
-            value = comb(6, 3) * cohom.h0_line(3 + t) - comb(5, 3) * cohom.h0_line(2 + t)
+    elif (entry := spec.entry) is not None:
+        sections = cohom.TwistBy(cohom.SymPower(entry.expr, 3), 3 - entry.chern.c1)
+        value = cohom.cohom_expr(sections).h0
     if value is not None:
         return H0Anticanonical(value, value > 1, "exact")
     if spec.gamma >= -18:

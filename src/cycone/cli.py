@@ -199,7 +199,6 @@ def cmd_catalog(args) -> int:
             "c2": e.chern.c2,
             "gamma": e.chern.gamma,
             "splitting_type": list(e.splitting_type),
-            "strategy": e.strategy,
             "h0_minus_k": h0_anticanonical(BundleSpec.named(e.name)).value,
         }
         for e in catalog_entries()

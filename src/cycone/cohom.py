@@ -1,11 +1,24 @@
 """Exact sheaf cohomology on P2.
 
-Supported objects: line bundles O(k), the homogeneous family S^a T(b)
-(symmetric powers of the tangent bundle, twisted), finite direct sums,
-twists, duals, symmetric powers and endomorphism bundles of split bundles,
-and one plethysm family S^2(S^2 T(b)) needed for the rank-3 boundary-root
-analysis.  Everything else raises UnsupportedExpressionError naming the
-offending node.
+Every expression the grammar builds from line bundles O(k) and the family
+S^a T(b) (symmetric powers of the tangent bundle, twisted) through finite
+direct sums, twists, duals, symmetric powers and endomorphism bundles is
+evaluable.  T_P2 has rank 2, so every such bundle is a sum of S^a T(b),
+with a = 0 for O(b); ``normalize`` writes it in that form from four rules,
+with det T = O(3):
+
+* twist shifts b;
+* dual sends S^a T(b) to S^a T(-3a - b);
+* tensor products follow Clebsch-Gordan,
+  S^a T (x) S^c T = sum_{j <= min(a, c)} S^(a+c-2j) T (x) det^j;
+* symmetric powers follow Cayley-Sylvester,
+  S^p(S^a T) = sum_j m_j S^(pa-2j) T (x) det^j, where m_j = N(j) - N(j-1)
+  and N(j) counts the partitions of j that fit in a p x a box; S^p of a
+  sum is sum_i S^i A (x) S^(p-i) B, and End(E) = E^v (x) E.
+
+``cohom_expr`` and ``chi_rr`` refuse an expression of rank ``RANK_CAP`` or
+more with a DomainError before anything is expanded.  Only an unknown node
+raises UnsupportedExpressionError.
 
 Method notes:
 
@@ -14,13 +27,11 @@ Method notes:
   is a clean difference of binomials.
 * h^2 comes from Serre duality through Omega = T(-3) (rank 2).
 * h^1 is chi-complemented, with chi from Riemann-Roch on P2:
-  chi = rank + c1(c1+3)/2 - c2, evaluated exactly.
-* The plethysm family is evaluated through the exact sequence
-  0 -> (det H)^2 -> S^2 S^2 H -> S^4 H -> 0 for rank-2 H, whose line-bundle
-  sub has no h^1, so h^0 is additive.
+  chi = rank + c1(c1+3)/2 - c2, evaluated exactly.  ``chi_rr`` reaches chi
+  through the splitting principle and never expands a plethysm, so it
+  checks the tables independently.
 
-Tables are cached; all functions are pure, and the lru caches are the
-synchronized-cache concession the concurrency model allows.
+The tables of the atoms are cached; all functions are pure.
 """
 
 from __future__ import annotations
@@ -95,13 +106,6 @@ class DualOf:
     expr: object
 
 
-@dataclass(frozen=True)
-class _PlethSq:
-    """Internal atom: S^2 S^2 T_P2 tensor O(t).  Closed under twist and dual."""
-
-    t: int
-
-
 SheafExpr = object  # structural union of the node classes above
 
 
@@ -124,9 +128,6 @@ class CohomologyTable:
 
     def __add__(self, other: "CohomologyTable") -> "CohomologyTable":
         return CohomologyTable(self.h0 + other.h0, self.h1 + other.h1, self.h2 + other.h2)
-
-
-_EMPTY = CohomologyTable(0, 0, 0)
 
 
 @lru_cache(maxsize=None)
@@ -163,120 +164,116 @@ def cohom_sym_tangent(a: int, b: int) -> CohomologyTable:
     return CohomologyTable(h0, h1, h2)
 
 
-def _pleth_h0(t: int) -> int:
-    # 0 -> O(6+t) -> S^2 S^2 T (t) -> S^4 T(t) -> 0, line-bundle sub has no h^1
-    return h0_line(6 + t) + sym_tangent_h0(4, t)
-
-
-@lru_cache(maxsize=None)
-def _pleth_table(t: int) -> CohomologyTable:
-    h0 = _pleth_h0(t)
-    h2 = _pleth_h0(-15 - t)  # Serre dual: (S^2S^2T)^v = S^2S^2T(-12)
-    chi = chi_rr(_PlethSq(t))
-    h1 = h0 + h2 - chi
-    if h1 < 0:
-        raise InvariantViolationError(f"S^2S^2T({t}) produced h1 = {h1}")
-    return CohomologyTable(h0, h1, h2)
-
-
-# --- normalization to evaluable atoms --------------------------------------
+# --- normalization to S^a T(b) pairs ---------------------------------------
 
 
 def normalize(expr) -> tuple:
-    """Flatten an expression into evaluable atoms.
+    """The expression as a tuple of (a, b) pairs, each meaning S^a T(b).
 
-    Atoms are LineBundle, SymTangent with a >= 1, and the internal plethysm
-    family.  Raises UnsupportedExpressionError when the expression leaves
-    the evaluable fragment.
+    a = 0 stands for the line bundle O(b).  Raises
+    UnsupportedExpressionError on an unknown node.
+
+    >>> normalize(parse_sheaf_expr("end(SymT(1,0))"))
+    ((2, -3), (0, 0))
     """
     if isinstance(expr, LineBundle):
-        return (expr,)
+        return ((0, expr.k),)
     if isinstance(expr, SymTangent):
-        return (LineBundle(expr.b),) if expr.a == 0 else (expr,)
-    if isinstance(expr, _PlethSq):
-        return (expr,)
+        return ((expr.a, expr.b),)
     if isinstance(expr, DirectSum):
-        out = []
-        for p in expr.parts:
-            out.extend(normalize(p))
-        return tuple(out)
+        return tuple([atom for p in expr.parts for atom in normalize(p)])
     if isinstance(expr, TwistBy):
-        return tuple(_twist_atom(a, expr.k) for a in normalize(expr.expr))
+        return tuple([(a, b + expr.k) for a, b in normalize(expr.expr)])
     if isinstance(expr, DualOf):
-        return tuple(_dual_atom(a) for a in normalize(expr.expr))
+        return tuple(_dual(normalize(expr.expr)))
     if isinstance(expr, SymPower):
-        return _normalize_sym(expr)
+        # S^p for p <= 0 is O, whatever the inner expression
+        return tuple(_sym(normalize(expr.expr), expr.p)) if expr.p > 0 else ((0, 0),)
     if isinstance(expr, EndOf):
         atoms = normalize(expr.expr)
-        if not all(isinstance(a, LineBundle) for a in atoms):
-            raise UnsupportedExpressionError(
-                expr, "End is only evaluable for direct sums of line bundles"
-            )
-        return tuple(
-            LineBundle(aj.k - ai.k) for ai in atoms for aj in atoms
-        )
+        return tuple(_tensor(_dual(atoms), atoms))
     raise UnsupportedExpressionError(expr, "unknown expression node")
 
 
-def _twist_atom(atom, k: int):
-    if isinstance(atom, LineBundle):
-        return LineBundle(atom.k + k)
-    if isinstance(atom, SymTangent):
-        return SymTangent(atom.a, atom.b + k)
-    return _PlethSq(atom.t + k)
+def _dual(atoms) -> list:
+    # (S^a T)^v = S^a(T(-3)), since T^v = T (x) det^-1 on a surface
+    return [(a, -3 * a - b) for a, b in atoms]
 
 
-def _dual_atom(atom):
-    if isinstance(atom, LineBundle):
-        return LineBundle(-atom.k)
-    if isinstance(atom, SymTangent):
-        # (S^a T)^v = S^a(T(-3)), since T is self-dual up to det on a surface
-        return SymTangent(atom.a, -3 * atom.a - atom.b)
-    return _PlethSq(-12 - atom.t)
+def _tensor(xs, ys) -> list:
+    """Clebsch-Gordan: S^a T (x) S^c T = sum_{j <= min(a, c)} S^(a+c-2j) T (x) O(3j)."""
+    out = []
+    for a, b in xs:
+        if a == 0:  # j = 0 only: a line bundle shifts the twist
+            out += [(c, b + d) for c, d in ys]
+        else:
+            out += [(a + c - 2 * j, b + d + 3 * j) for c, d in ys for j in range(min(a, c) + 1)]
+    return out
 
 
-def _normalize_sym(expr: SymPower) -> tuple:
-    if expr.p <= 0:
-        return (LineBundle(0),)  # degenerate powers normalize to O
-    if expr.p == 1:
-        return normalize(expr.expr)
-    atoms = normalize(expr.expr)
-    if len(atoms) == 1 and isinstance(atoms[0], LineBundle):
-        return (LineBundle(expr.p * atoms[0].k),)  # S^p O(k) = O(pk)
-    if all(isinstance(a, LineBundle) for a in atoms):
-        degrees = [a.k for a in atoms]
-        return tuple(
-            LineBundle(sum(degrees[i] for i in idx))
-            for idx in combinations_with_replacement(range(len(degrees)), expr.p)
-        )
-    if len(atoms) == 1 and isinstance(atoms[0], SymTangent):
-        st = atoms[0]
-        if st.a == 1:
-            return (SymTangent(expr.p, expr.p * st.b),)
-        if st.a == 2 and expr.p == 2:
-            return (_PlethSq(2 * st.b),)
-    raise UnsupportedExpressionError(
-        expr, "symmetric power is outside the evaluable fragment"
-    )
+def _sym(atoms, p: int) -> list:
+    """S^p of a sum of atoms: S^p(A + B) = sum_i S^i A (x) S^(p-i) B."""
+    if len(atoms) == 1:
+        return _plethysm(*atoms[0], p)
+    if not atoms:
+        return [] if p else [(0, 0)]
+    (a, b), rest = atoms[0], atoms[1:]
+    out = []
+    for i in range(p, -1, -1):
+        out += _tensor(_plethysm(a, b, i), _sym(rest, p - i))
+    return out
+
+
+def _plethysm(a: int, b: int, p: int) -> list:
+    """Cayley-Sylvester: S^p(S^a T(b)) = sum_j m_j S^(pa-2j) T(pb + 3j).
+
+    m_j = N(j) - N(j-1), where N(j) counts the partitions of j that fit in
+    a p x a box.
+    """
+    if a == 0:
+        return [(0, p * b)]  # S^p O(b) = O(pb), for any p
+    n = _box_partitions(p, a)
+    return [
+        (p * a - 2 * j, p * b + 3 * j)
+        for j in range(p * a // 2 + 1)
+        for _ in range(n[j] - (n[j - 1] if j else 0))
+    ]
+
+
+def _box_partitions(p: int, a: int) -> list[int]:
+    """N(0), ..., N(pa): the coefficients of the Gaussian binomial [p + a, p]_q."""
+    n = [1] + [0] * (p * a)
+    for i in range(1, p + 1):
+        # [a + i, i]_q = [a + i - 1, i - 1]_q (1 - q^(a+i)) / (1 - q^i), kept mod q^(pa+1)
+        for j in range(p * a, a + i - 1, -1):
+            n[j] -= n[j - a - i]
+        for j in range(i, p * a + 1):
+            n[j] += n[j - i]
+    return n
+
+
+def _check_size(e) -> None:
+    """Refuse, before any expansion, an expression of rank ``RANK_CAP`` or more."""
+    if expr_rank(e) >= RANK_CAP:
+        raise DomainError(f"expression of rank {RANK_CAP} or more is too large to evaluate")
 
 
 def cohom_expr(e) -> CohomologyTable:
-    """Cohomology table of an evaluable expression (additive over sums).
+    """Cohomology table of an expression (additive over sums).
+
+    Raises DomainError when the rank reaches ``RANK_CAP``.
 
     >>> cohom_expr(parse_sheaf_expr("end(O+O+O(3))")).h2
     2
     >>> cohom_expr(parse_sheaf_expr("twist(sym(sym(SymT(1,-1),2),2),-1)")).h0
     3
     """
-    table = _EMPTY
-    for atom in normalize(e):
-        if isinstance(atom, LineBundle):
-            table = table + cohom_line(atom.k)
-        elif isinstance(atom, SymTangent):
-            table = table + cohom_sym_tangent(atom.a, atom.b)
-        else:
-            table = table + _pleth_table(atom.t)
-    return table
+    _check_size(e)
+    h0 = h1 = h2 = 0
+    for a, b in normalize(e):
+        t = cohom_sym_tangent(a, b)
+        h0, h1, h2 = h0 + t.h0, h1 + t.h1, h2 + t.h2
+    return CohomologyTable(h0, h1, h2)
 
 
 # --- Chern-character bookkeeping and Riemann-Roch --------------------------
@@ -346,13 +343,11 @@ class ChernData:
 
 
 def chern_data(expr) -> ChernData:
-    """Chern-character data of any expression (no evaluability restriction)."""
+    """Chern-character data of any expression, by the splitting principle (no size check)."""
     if isinstance(expr, LineBundle):
         return ChernData.line(expr.k)
     if isinstance(expr, SymTangent):
         return ChernData.tangent().sym(expr.a).twist(expr.b)
-    if isinstance(expr, _PlethSq):
-        return ChernData.tangent().sym(2).sym(2).twist(expr.t)
     if isinstance(expr, DirectSum):
         data = ChernData(0, Fraction(0), Fraction(0))
         for p in expr.parts:
@@ -363,7 +358,8 @@ def chern_data(expr) -> ChernData:
     if isinstance(expr, DualOf):
         return chern_data(expr.expr).dual()
     if isinstance(expr, SymPower):
-        return chern_data(expr.expr).sym(expr.p)
+        # S^p for p <= 0 is O, whatever the inner expression
+        return chern_data(expr.expr).sym(expr.p) if expr.p > 0 else ChernData.line(0)
     if isinstance(expr, EndOf):
         d = chern_data(expr.expr)
         return d.dual().tensor(d)
@@ -371,7 +367,11 @@ def chern_data(expr) -> ChernData:
 
 
 def chi_rr(e) -> int:
-    """Exact Euler characteristic via Riemann-Roch (always an integer)."""
+    """Exact Euler characteristic via Riemann-Roch (always an integer).
+
+    Raises DomainError when the rank reaches ``RANK_CAP``.
+    """
+    _check_size(e)
     chi = chern_data(e).chi
     if chi.denominator != 1:
         raise InvariantViolationError(f"Riemann-Roch produced a non-integer chi for {e!r}")
@@ -548,8 +548,6 @@ def expr_rank(expr) -> int:
         return 1
     if isinstance(expr, SymTangent):
         return min(expr.a + 1, RANK_CAP)
-    if isinstance(expr, _PlethSq):
-        return 6
     if isinstance(expr, DirectSum):
         return min(sum(expr_rank(p) for p in expr.parts), RANK_CAP)
     if isinstance(expr, (TwistBy, DualOf)):
@@ -568,10 +566,7 @@ def expr_rank(expr) -> int:
 
 def line_bundle_exponents(expr) -> list[int] | None:
     """Exponents when the expression is a direct sum of line bundles, else None."""
-    try:
-        atoms = normalize(expr)
-    except UnsupportedExpressionError:
-        return None
-    if all(isinstance(a, LineBundle) for a in atoms):
-        return sorted(a.k for a in atoms)
+    atoms = normalize(expr)
+    if all(a == 0 for a, _ in atoms):
+        return sorted(b for _, b in atoms)
     return None

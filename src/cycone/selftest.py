@@ -154,7 +154,7 @@ def check_riemann_roch_on_x():
 
 
 def check_plethysm_sections():
-    """h^0(S^2 E(-1)) = 3 for E = S^2(T(-1)), via the plethysm sequence."""
+    """h^0(S^2 E(-1)) = 3 for E = S^2(T(-1)), since S^2 E(-1) = S^4 T(-5) + O(1)."""
     expr = cohom.TwistBy(
         cohom.SymPower(cohom.SymPower(cohom.SymTangent(1, -1), 2), 2), -1
     )

@@ -1,6 +1,7 @@
 """Bundle specs, the named catalog, and anticanonical section counts."""
 
 from itertools import combinations_with_replacement
+from math import comb
 
 import pytest
 
@@ -12,7 +13,15 @@ from cycone.bundles import (
     h0_anticanonical,
 )
 from cycone.chow import ChernPair
-from cycone.cohom import h0_line
+from cycone.cohom import (
+    DirectSum,
+    LineBundle,
+    SymTangent,
+    chern_data,
+    cohom_expr,
+    expr_rank,
+    h0_line,
+)
 from cycone.errors import UnknownBundleError
 
 
@@ -116,11 +125,45 @@ def test_h0_anticanonical_catalog_values():
     assert h0_anticanonical(BundleSpec.named("2O+O(3)")).value == 145
 
 
-def test_h0_anticanonical_strategy_none_falls_back_to_gamma():
+def test_h0_anticanonical_s2tp2_is_exact():
+    # S^3(S^2 T(-1)) = S^6 T(-6) + S^2 T: 28 + 27 sections
     res = h0_anticanonical(BundleSpec.named("S2TP2(-1)"))
-    assert res.value is None
-    assert res.gt1 is True  # gamma = -9 >= -18
-    assert res.reason == "gamma-ge-minus-18"
+    assert (res.value, res.gt1, res.reason) == (55, True, "exact")
+
+
+# Hand expansions of S^3 E (3 - c1), kept as fixtures independent of the
+# Cayley-Sylvester and Clebsch-Gordan rules.
+HAND_SECTIONS = {
+    # S^3(T + O) = S^3 T + S^2 T + T + O
+    "TP2+O": DirectSum(SymTangent(3, 0), SymTangent(2, 0), SymTangent(1, 0), LineBundle(0)),
+    # S^3(T(-1) + O(2)) = S^3 T(-3) + S^2 T(0) + T(3) + O(6)
+    "TP2(-1)+O(2)": DirectSum(SymTangent(3, -3), SymTangent(2, 0), SymTangent(1, 3), LineBundle(6)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_SECTIONS))
+def test_h0_anticanonical_matches_hand_expansion(name):
+    expected = cohom_expr(HAND_SECTIONS[name]).h0
+    assert expected == 100
+    assert h0_anticanonical(BundleSpec.named(name)).value == expected
+
+
+def test_h0_anticanonical_matches_euler_restriction():
+    # S^3 of 0 -> O -> O(1)^4 -> T_P3|P2 -> 0 twisted by 3 - c1 = -1: the sub
+    # has no h^1, so h^0 is a difference of line-bundle terms.
+    expected = comb(6, 3) * h0_line(2) - comb(5, 3) * h0_line(1)
+    assert expected == 90
+    assert h0_anticanonical(BundleSpec.named("TP3restP2")).value == expected
+
+
+@pytest.mark.parametrize("entry", catalog_entries(), ids=lambda e: e.name)
+def test_catalog_expressions_match_the_hand_typed_chern_pairs(entry):
+    if entry.expr is None:
+        assert entry.exponents is not None
+        return
+    data = chern_data(entry.expr)
+    assert (data.rank, data.c1, data.c2) == (3, entry.chern.c1, entry.chern.c2)
+    assert expr_rank(entry.expr) == 3
 
 
 def test_h0_anticanonical_chern_only():

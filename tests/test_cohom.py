@@ -1,4 +1,8 @@
-"""Sheaf cohomology engine: tables, Riemann-Roch, grammar, plethysm."""
+"""Sheaf cohomology engine: tables, Riemann-Roch, grammar, Schur functors of T."""
+
+import time
+from itertools import combinations_with_replacement
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +20,7 @@ from cycone.cohom import (
     SymPower,
     SymTangent,
     TwistBy,
+    _box_partitions,
     chern_data,
     chi_rr,
     cohom_expr,
@@ -157,26 +162,123 @@ def test_additivity_of_direct_sums():
 
 
 def test_twist_and_dual_normalization():
-    assert normalize(TwistBy(LineBundle(2), -5)) == (LineBundle(-3),)
-    assert normalize(DualOf(SymTangent(2, 1))) == (SymTangent(2, -7),)
-    assert normalize(SymPower(SymTangent(1, -1), 3)) == (SymTangent(3, -3),)
-    assert normalize(SymPower(LineBundle(4), 0)) == (LineBundle(0),)
-    assert normalize(SymPower(split_sum(0, 1), 2)) == (
-        LineBundle(0),
-        LineBundle(1),
-        LineBundle(2),
-    )
+    assert normalize(TwistBy(LineBundle(2), -5)) == ((0, -3),)
+    assert normalize(DualOf(SymTangent(2, 1))) == ((2, -7),)
+    assert normalize(SymPower(SymTangent(1, -1), 3)) == ((3, -3),)
+    assert normalize(SymPower(LineBundle(4), 0)) == ((0, 0),)
+    assert normalize(SymPower(split_sum(0, 1), 2)) == ((0, 0), (0, 1), (0, 2))
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("sym(SymT(2,0),3)", (505, 0, 0)),  # S^6 T + S^2 T(6)
+        ("end(SymT(1,0)+O)", (10, 1, 0)),  # S^2 T(-3) + 2 O + T(-3) + T
+        ("sym(SymT(1,0)+O,3)", (100, 0, 0)),  # S^3(T + O) = S^3 T + S^2 T + T + O
+        ("end(SymT(1,0))", (1, 0, 0)),  # End T = S^2 T(-3) + O: T is simple and rigid
+    ],
+)
+def test_formerly_refused_expressions_evaluate(text, expected):
+    e = parse_sheaf_expr(text)
+    t = cohom_expr(e)
+    assert (t.h0, t.h1, t.h2) == expected
+    assert t.chi == chi_rr(e)
 
 
 def test_unsupported_expressions_name_the_node():
-    bad = SymPower(SymTangent(2, 0), 3)
+    bad = DirectSum(LineBundle(0), "Q")
     with pytest.raises(UnsupportedExpressionError) as err:
         cohom_expr(bad)
-    assert err.value.node == bad
-    with pytest.raises(UnsupportedExpressionError):
-        cohom_expr(EndOf(SymTangent(1, 0)))
-    with pytest.raises(UnsupportedExpressionError):
-        cohom_expr(SymPower(DirectSum(SymTangent(1, 0), LineBundle(0)), 3))
+    assert err.value.node == "Q"
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["sym(SymT(13,0),13)", "sym(O+O(1)+O(2),2000)", "sym(SymT(40,0),40)", "SymT(63,0)"],
+)
+def test_size_is_checked_before_any_expansion(text):
+    e = parse_sheaf_expr(text)
+    for evaluate in (cohom_expr, chi_rr):
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="too large"):
+            evaluate(e)
+        assert time.perf_counter() - start < 0.05
+
+
+def test_sym_of_degree_zero_skips_the_inner_expression():
+    e = parse_sheaf_expr("sym(sym(SymT(13,0),13),0)+O(1)")
+    start = time.perf_counter()
+    assert cohom_expr(e) == table(4, 0, 0)
+    assert chi_rr(e) == 4
+    assert time.perf_counter() - start < 0.05
+
+
+# --- Schur functors of T: the normalization rules against independent oracles ---
+
+
+def _box_partitions_by_enumeration(p, a):
+    # a partition of j into at most p parts, each at most a, is a multiset of
+    # p values in [0, a] summing to j
+    counts = [0] * (p * a + 1)
+    for parts in combinations_with_replacement(range(a + 1), p):
+        counts[sum(parts)] += 1
+    return counts
+
+
+@pytest.mark.parametrize("p, a", [(p, a) for p in range(0, 6) for a in range(0, 6)])
+def test_cayley_sylvester_multiplicities(p, a):
+    assert _box_partitions(p, a) == _box_partitions_by_enumeration(p, a)
+    atoms = normalize(SymPower(SymTangent(a, 0), p))
+    # sum_j m_j (pa - 2j + 1) = rank S^p(S^a) = C(a + p, p)
+    assert sum(deg + 1 for deg, _ in atoms) == comb(a + p, p)
+    assert all(3 * (p * a - deg) == 2 * b for deg, b in atoms)  # S^(pa-2j) (x) det^j
+
+
+def _weyl_dimension(l1, l2):
+    """dim S_(l1, l2, 0) C^3 by the Weyl dimension formula."""
+    return (l1 - l2 + 1) * (l2 + 1) * (l1 + 2) // 2
+
+
+@pytest.mark.parametrize("l1, l2", [(l1, l2) for l1 in range(0, 9) for l2 in range(0, l1 + 1)])
+def test_sections_of_schur_functors_of_the_quotient_bundle(l1, l2):
+    # Q = T(-1) is the universal quotient of C^3 (x) O, det Q = O(1), and
+    # H^0(S_l Q) = S_l C^3 with S_l Q = S^(l1 - l2) Q (x) det^l2.
+    schur = TwistBy(SymPower(SymTangent(1, -1), l1 - l2), l2)
+    assert cohom_expr(schur) == table(_weyl_dimension(l1, l2), 0, 0)
+
+
+@pytest.mark.parametrize("a", range(0, 6))
+def test_clebsch_gordan_sections_match_pieri(a):
+    # S^a Q (x) S^a Q = sum_j S_(2a - j, j) Q by Pieri, and so does
+    # S^a C^3 (x) S^a C^3: h^0 is C(a + 2, 2)^2.  (S^a Q)^v = S^a Q(-a).
+    square = TwistBy(EndOf(SymPower(SymTangent(1, -1), a)), a)
+    assert cohom_expr(square).h0 == comb(a + 2, 2) ** 2
+
+
+def _grammar_exprs():
+    leaves = st.one_of(
+        st.builds(LineBundle, st.integers(-6, 6)),
+        st.builds(SymTangent, st.integers(0, 3), st.integers(-8, 4)),
+    )
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.builds(lambda *ps: DirectSum(*ps), inner, inner),
+            st.builds(TwistBy, inner, st.integers(-4, 4)),
+            st.builds(DualOf, inner),
+            st.builds(SymPower, inner, st.integers(0, 4)),
+            st.builds(EndOf, inner),
+        ),
+        max_leaves=4,
+    ).filter(lambda e: expr_rank(e) < RANK_CAP)
+
+
+@given(_grammar_exprs())
+@settings(max_examples=150, deadline=None)
+def test_tables_agree_with_the_splitting_principle(e):
+    # chern_data never sees a plethysm or a Clebsch-Gordan sum
+    assert cohom_expr(e).chi == chi_rr(e)
+    assert sum(a + 1 for a, _ in normalize(e)) == expr_rank(e) == chern_data(e).rank
 
 
 def test_chi_rr_matches_tables_where_evaluable():
@@ -193,8 +295,6 @@ def test_chi_rr_matches_tables_where_evaluable():
 
 
 def test_chi_end_grid():
-    from itertools import combinations_with_replacement
-
     for exps in combinations_with_replacement(range(-4, 5), 3):
         c = chern_pair_of_split(*exps)
         assert chi_rr(EndOf(split_sum(*exps))) == 2 * c.gamma + 9

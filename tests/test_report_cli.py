@@ -10,6 +10,8 @@ from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycone import chow, cli, exactnum, invariants, report, selftest
 from cycone.bundles import BundleSpec, catalog_entries
@@ -431,6 +433,109 @@ def test_cli_worst_accepted_specs_finish_quickly(capsys):
     capsys.readouterr()
 
 
+# --- CLI fuzz -------------------------------------------------------------------
+
+
+def _grammar_text():
+    """Expression-grammar text, well formed or cut short and spliced."""
+    ints = st.integers(-12, 12)
+    leaves = st.one_of(
+        st.just("O"),
+        ints.map("O({})".format),
+        st.tuples(st.integers(0, 5), ints).map(lambda t: "SymT(%d,%d)" % t),
+    )
+    exprs = st.recursive(
+        leaves,
+        lambda e: st.one_of(
+            st.tuples(e, e).map("+".join),
+            st.tuples(st.integers(1, 4), e).map(lambda t: "%d*%s" % t),
+            st.tuples(e, ints).map(lambda t: "twist(%s,%d)" % t),
+            st.tuples(e, st.integers(-1, 5)).map(lambda t: "sym(%s,%d)" % t),
+            e.map("end({})".format),
+            e.map("dual({})".format),
+        ),
+        max_leaves=6,
+    )
+    spliced = st.tuples(exprs, st.integers(0, 40), st.text("O()+,*-0123456789SymTtwistdualend", max_size=8))
+    return st.one_of(exprs, spliced.map(lambda t: t[0][: t[1]] + t[2]))
+
+
+def _int_list(n):
+    return st.lists(st.integers(-8, 8), min_size=n, max_size=n).map(lambda xs: ",".join(map(str, xs)))
+
+
+_SMALL_INT = st.integers(-8, 8).map(str)
+_FLAGS = st.lists(st.sampled_from(["--json", "--tsv", "--meta"]), max_size=2)
+_ANALYZE = st.tuples(
+    st.one_of(
+        st.tuples(st.just("--split"), _int_list(3)),
+        st.tuples(st.just("--chern"), _int_list(2)),
+        st.tuples(st.just("--named"), st.sampled_from(["TP2+O", "S2TP2(-1)", "O(-1)+2O(1)"])),
+    ),
+    st.lists(st.tuples(st.just("--twist"), _SMALL_INT), max_size=1),
+    _FLAGS,
+).map(lambda t: ["analyze", *t[0], *(tok for opt in t[1] for tok in opt), *t[2]])
+_SURVEY = st.tuples(
+    _SMALL_INT,
+    _SMALL_INT,
+    st.lists(st.sampled_from(["nef", "ample", "big", "tab", "gamma=0", "c1=3", "c2=x"]), max_size=2),
+    st.lists(st.integers(-1, 16).map(str), max_size=1),
+    _FLAGS,
+).map(lambda t: [
+    "survey", "--emin", t[0], "--emax", t[1],
+    *(tok for f in t[2] for tok in ("--filter", f)),
+    *(tok for m in t[3] for tok in ("--max-range", m)),
+    *t[4],
+])
+_CATALOG = _FLAGS.map(lambda flags: ["catalog", *flags])
+# Tokens spliced into a command line: any option but --out (so that the
+# fuzz writes no file), small integers and lists, and free text.  The text
+# has no digits: --max-range lifts the survey's range cap, and the small
+# integers keep that range small.  selftest takes no input and is left out.
+_JUNK = st.one_of(
+    st.sampled_from(
+        ["analyze", "survey", "catalog", "--split", "--named", "--chern", "--twist", "--emin",
+         "--emax", "--filter", "--max-range", "--json", "--tsv", "--meta", "-h", "--", "--bogus"]
+    ),
+    _SMALL_INT,
+    st.integers(1, 4).flatmap(_int_list),
+    st.text("-=,()+OSymTtwistdualend ", max_size=10),
+)
+_ARGV = st.tuples(
+    st.one_of(_ANALYZE, _SURVEY, _CATALOG), st.lists(st.tuples(st.integers(0, 12), _JUNK), max_size=2)
+).map(lambda t: _splice(*t))
+
+
+def _splice(argv, inserts):
+    argv = list(argv)
+    for pos, token in inserts:
+        argv.insert(pos, token)
+    return argv
+
+
+def _check_total(argv):
+    start = time.perf_counter()
+    try:
+        code, _, err = run_main(argv)
+    except SystemExit as exc:  # argparse's --help
+        code, err = exc.code, ""
+    assert time.perf_counter() - start < 1.0, argv
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err
+
+
+@given(_grammar_text(), st.sampled_from([[], ["--json"], ["--tsv"], ["--twist", "2"]]))
+@settings(max_examples=150, deadline=None)
+def test_cli_fuzz_named_expressions(text, extra):
+    _check_total(["analyze", "--named", text, *extra])
+
+
+@given(_ARGV)
+@settings(max_examples=150, deadline=None)
+def test_cli_fuzz_argv(argv):
+    _check_total(argv)
+
+
 def test_cli_chern_request_decomposes_each_radicand_once(monkeypatch):
     calls = []
     original = exactnum.squarefree_decompose
@@ -494,7 +599,8 @@ def test_cli_catalog_json():
     entries = {e["name"]: e for e in json.loads(out)}
     assert entries["TP3restP2"]["c1"] == 4 and entries["TP3restP2"]["c2"] == 6
     assert entries["TP2+O"]["gamma"] == 0
-    assert entries["S2TP2(-1)"]["h0_minus_k"] is None
+    assert entries["S2TP2(-1)"]["h0_minus_k"] == 55
+    assert "strategy" not in entries["TP2+O"]
 
 
 def test_cli_out_file(tmp_path):
