@@ -22,7 +22,8 @@ part of an expansion by ``ChernPair.point_integrals``, so ``intersect4``,
 ``pair_on_cy``, the Gram matrix and every pairing on X need no reduction.
 The relation is applied only when a class is returned: ``mul``,
 ``tangent_chern_classes`` and ``cy_chern_lifts`` reduce their expansion
-once through ``ChernPair.reductions``.
+once, in closed form on the only three monomials above the basis
+(xi^3, xi^3 H, xi^4); there is no reduction table.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations_with_replacement
 
 from .errors import DomainError, InvariantViolationError
@@ -42,8 +42,8 @@ _INDEX = {m: i for i, m in enumerate(MONOMIALS)}
 
 # Every xi^i H^j a product of two basis monomials can give with j <= 2 and
 # i + j <= 4 (anything else dies by H^3 = 0 or by degree).  The basis comes
-# first, so slot k < 9 is basis index k, and each monomial above the basis
-# follows the two it reduces to.
+# first, so slot k < 9 is basis index k; the three monomials above the
+# basis take slots 9-11, where ``_reduce`` reads them.
 _REDUCIBLE = MONOMIALS + ((3, 0), (3, 1), (4, 0))
 _SLOT = {m: k for k, m in enumerate(_REDUCIBLE)}
 # _PRODUCT_SLOT[a][b]: slot of monomial a times monomial b, or None when the
@@ -81,30 +81,6 @@ class ChernPair:
         gives xi^3 H = c1 xi^2 H^2 and xi^4 = c1 xi^3 H - c2 xi^2 H^2.
         """
         return (0, 0, 1, self.c1, self.c1 * self.c1 - self.c2)
-
-    @cached_property
-    def reductions(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Each monomial of ``_REDUCIBLE``, in slot order, as sparse
-        (basis index, int) terms in the reduced basis.
-
-        Here the relation xi^3 = c1 xi^2 H - c2 xi H^2 is applied, for the
-        classes the module returns.  The table is held by the pair, so it
-        is freed with it.
-        """
-        table = []
-        for i, j in _REDUCIBLE:
-            if i <= 2:
-                table.append({_INDEX[i, j]: 1})
-                continue
-            acc = {}
-            for scale, (li, lj) in ((self.c1, (i - 1, j + 1)), (-self.c2, (i - 2, j + 2))):
-                slot = _SLOT.get((li, lj))
-                if slot is None:  # H^3 = 0
-                    continue
-                for k, v in table[slot].items():
-                    acc[k] = acc.get(k, 0) + scale * v
-            table.append(acc)
-        return tuple(tuple((k, v) for k, v in t.items() if v) for t in table)
 
 
 @dataclass(frozen=True)
@@ -174,9 +150,6 @@ class ChowClass:
     __rmul__ = scale
     __mul__ = scale
 
-    def mul(self, other: "ChowClass", c: ChernPair) -> "ChowClass":
-        return mul(self, other, c)
-
     def to_coeff_map(self) -> dict:
         return {
             name: coeff
@@ -228,12 +201,14 @@ def _expand(x, y) -> list:
 
 
 def _reduce(p: list, c: ChernPair) -> ChowClass:
-    """The class of an expansion, through the pair's reduction table."""
+    """The class of an expansion: the relation in closed form on the three
+    monomials above the basis, xi^3 -> c1 xi^2 H - c2 xi H^2,
+    xi^3 H -> c1 xi^2 H^2 and xi^4 -> (c1^2 - c2) xi^2 H^2."""
     out = p[:9]
-    for slot in range(9, len(_REDUCIBLE)):
-        if p[slot]:
-            for k, v in c.reductions[slot]:
-                out[k] += v * p[slot]
+    xi3, xi3_h, xi4 = p[9:]
+    out[6] += c.c1 * xi3
+    out[7] -= c.c2 * xi3
+    out[8] += c.c1 * xi3_h + (c.c1 * c.c1 - c.c2) * xi4
     return ChowClass(tuple(out))
 
 

@@ -28,7 +28,9 @@ from .report import (
     survey_rows,
 )
 
-DEFAULT_MAX_RANGE = 12
+# Largest emax - emin a survey accepts: 455 split types at the cap.  The
+# row count grows with the cube of the range, so the cap is fixed.
+MAX_RANGE = 12
 # Largest |value| accepted for a Chern number, a splitting exponent (from
 # --split or a --named line-bundle sum) or a twist.  The cost of a report
 # grows with the size of gamma (the boundary root factors |9 - 4 gamma|),
@@ -164,10 +166,8 @@ def _row_passes(row, keyed, flags) -> bool:
 def cmd_survey(args) -> int:
     if args.emin > args.emax:
         raise UsageError("--emin must not exceed --emax")
-    if args.emax - args.emin > args.max_range:
-        raise UsageError(
-            f"range size {args.emax - args.emin} exceeds the cap {args.max_range}"
-        )
+    if args.emax - args.emin > MAX_RANGE:
+        raise UsageError(f"range size {args.emax - args.emin} exceeds the cap {MAX_RANGE}")
     keyed, flags = _parse_filters(args.filter)
     types = split_types(args.emin, args.emax)  # already lexicographically sorted
     rows = [r for r in survey_rows(types) if _row_passes(r, keyed, flags)]
@@ -267,16 +267,14 @@ def build_parser() -> _Parser:
         ),
     )
     survey.add_argument("--emin", type=int, required=True)
-    survey.add_argument("--emax", type=int, required=True)
+    survey.add_argument(
+        "--emax", type=int, required=True, help=f"at most emin + {MAX_RANGE}"
+    )
     survey.add_argument(
         "--filter",
         action="append",
         metavar="F",
         help="c1=N, c2=N, gamma=N, or one of: nef ample big tab (repeatable; all must hold)",
-    )
-    survey.add_argument(
-        "--max-range", type=int, default=DEFAULT_MAX_RANGE,
-        help=f"cap on emax - emin (default {DEFAULT_MAX_RANGE})",
     )
     survey.add_argument("--json", action="store_true", help="JSON-lines instead of TSV")
     survey.add_argument("--meta", action="store_true", help="add provenance metadata")

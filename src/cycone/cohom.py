@@ -27,19 +27,20 @@ Method notes:
   is a clean difference of binomials.
 * h^2 comes from Serre duality through Omega = T(-3) (rank 2).
 * h^1 is chi-complemented, with chi from Riemann-Roch on P2:
-  chi = rank + c1(c1+3)/2 - c2, evaluated exactly.  ``chi_rr`` reaches chi
-  through the splitting principle and never expands a plethysm, so it
-  checks the tables independently.
+  chi = rank + c1(c1+3)/2 - c2.  ``chi_rr`` reaches chi through the
+  splitting principle and never expands a plethysm, so it checks the
+  tables independently.
 
-The tables of the atoms are cached; all functions are pure.
+``ChernData`` is integral: it carries (rank, c1, ch2x2) with
+ch2x2 = 2 ch2 = c1^2 - 2 c2, so 2 chi = ch2x2 + 3 c1 + 2 rank, and the
+integrality of chi is checked as the parity of that sum.  Nothing is
+cached; all functions are pure.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -126,22 +127,16 @@ class CohomologyTable:
     def chi(self) -> int:
         return self.h0 - self.h1 + self.h2
 
-    def __add__(self, other: "CohomologyTable") -> "CohomologyTable":
-        return CohomologyTable(self.h0 + other.h0, self.h1 + other.h1, self.h2 + other.h2)
 
-
-@lru_cache(maxsize=None)
 def h0_line(k: int) -> int:
     return comb(k + 2, 2) if k >= 0 else 0
 
 
-@lru_cache(maxsize=None)
 def cohom_line(k: int) -> CohomologyTable:
     """h^i(O(k)) on P2; h^1 always vanishes, h^2 by Serre duality."""
     return CohomologyTable(h0_line(k), 0, h0_line(-3 - k))
 
 
-@lru_cache(maxsize=None)
 def sym_tangent_h0(a: int, b: int) -> int:
     if a < 0:
         raise DomainError("symmetric power degree must be nonnegative")
@@ -150,7 +145,6 @@ def sym_tangent_h0(a: int, b: int) -> int:
     return comb(a + 2, 2) * h0_line(a + b) - comb(a + 1, 2) * h0_line(a + b - 1)
 
 
-@lru_cache(maxsize=None)
 def cohom_sym_tangent(a: int, b: int) -> CohomologyTable:
     """h^i(S^a T(b)) via the Euler resolution, Serre duality and chi."""
     if a == 0:
@@ -281,44 +275,39 @@ def cohom_expr(e) -> CohomologyTable:
 
 @dataclass(frozen=True)
 class ChernData:
-    """Rank and the first two Chern-character components of a sheaf on P2."""
+    """Rank, c1 and twice ch2 (ch2x2 = c1^2 - 2 c2) of a sheaf on P2, all ints."""
 
     rank: int
-    c1: Fraction
-    ch2: Fraction
+    c1: int
+    ch2x2: int
 
     @classmethod
     def line(cls, k: int) -> "ChernData":
-        return cls(1, Fraction(k), Fraction(k * k, 2))
+        return cls(1, k, k * k)
 
     @classmethod
     def tangent(cls) -> "ChernData":
-        return cls(2, Fraction(3), Fraction(3, 2))  # c1 = 3, c2 = 3
+        return cls(2, 3, 3)  # c1 = 3, c2 = 3
 
     @property
-    def c2(self) -> Fraction:
-        return (self.c1 * self.c1 - 2 * self.ch2) / 2
-
-    @property
-    def chi(self) -> Fraction:
-        """Riemann-Roch on P2: chi = rank + c1(c1+3)/2 - c2 = ch2 + 3/2 c1 + rank."""
-        return self.ch2 + Fraction(3, 2) * self.c1 + self.rank
+    def c2(self) -> int:
+        return (self.c1 * self.c1 - self.ch2x2) // 2
 
     def __add__(self, other: "ChernData") -> "ChernData":
-        return ChernData(self.rank + other.rank, self.c1 + other.c1, self.ch2 + other.ch2)
+        return ChernData(self.rank + other.rank, self.c1 + other.c1, self.ch2x2 + other.ch2x2)
 
     def tensor(self, other: "ChernData") -> "ChernData":
         return ChernData(
             self.rank * other.rank,
             other.rank * self.c1 + self.rank * other.c1,
-            other.rank * self.ch2 + self.c1 * other.c1 + self.rank * other.ch2,
+            other.rank * self.ch2x2 + 2 * self.c1 * other.c1 + self.rank * other.ch2x2,
         )
 
     def twist(self, k: int) -> "ChernData":
         return self.tensor(ChernData.line(k))
 
     def dual(self) -> "ChernData":
-        return ChernData(self.rank, -self.c1, self.ch2)
+        return ChernData(self.rank, -self.c1, self.ch2x2)
 
     def sym(self, p: int) -> "ChernData":
         if p <= 0:
@@ -326,7 +315,7 @@ class ChernData:
         if p == 1:
             return self
         if self.rank == 1:
-            return ChernData(1, p * self.c1, p * p * self.ch2)
+            return ChernData(1, p * self.c1, p * p * self.ch2x2)
         # ch of S^p through the splitting principle: for Chern roots x_i the
         # roots of S^p are the multiset sums; only degree <= 2 data is needed.
         r = self.rank
@@ -338,8 +327,8 @@ class ChernData:
             sq_m1 += m0 * m0
             m1_m2 += m0 * idx.count(1)
         c1_out = sum_m1 * self.c1
-        ch2_out = (sq_m1 - m1_m2) * self.ch2 + Fraction(m1_m2, 2) * self.c1 * self.c1
-        return ChernData(rank_out, c1_out, ch2_out)
+        ch2x2_out = (sq_m1 - m1_m2) * self.ch2x2 + m1_m2 * self.c1 * self.c1
+        return ChernData(rank_out, c1_out, ch2x2_out)
 
 
 def chern_data(expr) -> ChernData:
@@ -349,7 +338,7 @@ def chern_data(expr) -> ChernData:
     if isinstance(expr, SymTangent):
         return ChernData.tangent().sym(expr.a).twist(expr.b)
     if isinstance(expr, DirectSum):
-        data = ChernData(0, Fraction(0), Fraction(0))
+        data = ChernData(0, 0, 0)
         for p in expr.parts:
             data = data + chern_data(p)
         return data
@@ -367,15 +356,17 @@ def chern_data(expr) -> ChernData:
 
 
 def chi_rr(e) -> int:
-    """Exact Euler characteristic via Riemann-Roch (always an integer).
+    """Exact Euler characteristic via Riemann-Roch on P2:
+    2 chi = ch2x2 + 3 c1 + 2 rank, which must be even.
 
     Raises DomainError when the rank reaches ``RANK_CAP``.
     """
     _check_size(e)
-    chi = chern_data(e).chi
-    if chi.denominator != 1:
+    d = chern_data(e)
+    twice = d.ch2x2 + 3 * d.c1 + 2 * d.rank
+    if twice % 2:
         raise InvariantViolationError(f"Riemann-Roch produced a non-integer chi for {e!r}")
-    return chi.numerator
+    return twice // 2
 
 
 # --- textual grammar --------------------------------------------------------

@@ -215,8 +215,8 @@ def test_intersect4_matches_symbolic_oracle(coeff_pairs, c):
 
 
 def _intersect4_by_ring(factors, c):
-    # the ring route: three products over the reduction table, then the point
-    # coefficient; independent of the point integrals intersect4 uses
+    # the ring route: three reduced products, then the point coefficient;
+    # independent of the point integrals intersect4 uses
     f1, f2, f3, f4 = factors
     return mul(mul(mul(f1, f2, c), f3, c), f4, c).point_coefficient
 
@@ -249,10 +249,8 @@ def test_point_integrals_match_reduced_monomials():
         assert c.point_integrals == ring
 
 
-def test_minus_k_quartic_builds_no_reduction_table():
-    c = ChernPair(3, 2)
-    assert minus_k_quartic(c) == 567
-    assert "reductions" not in vars(c)
+def test_minus_k_quartic_at_3_2():
+    assert minus_k_quartic(ChernPair(3, 2)) == 567
 
 
 # --- one expansion: numbers from the point integrals, classes reduced once ---
@@ -366,11 +364,9 @@ def test_intersect4_boundary_root_class_cubes_to_zero():
     assert intersect4(d, d, d, anticanonical(c), c) == 0
 
 
-def test_reduction_table_leaves_pair_identity():
+def test_chern_pair_identity():
     c = ChernPair(3, 2)
-    before = hash(c)
-    assert c.reductions is c.reductions
-    assert hash(c) == before == hash(ChernPair(3, 2))
+    assert hash(c) == hash(ChernPair(3, 2))
     assert c == ChernPair(3, 2) and c != ChernPair(3, 3)
     assert {ChernPair(3, 2): "x"}[c] == "x"
     assert repr(c) == "ChernPair(c1=3, c2=2)"

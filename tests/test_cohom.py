@@ -1,5 +1,7 @@
 """Sheaf cohomology engine: tables, Riemann-Roch, grammar, Schur functors of T."""
 
+import importlib
+import pkgutil
 import time
 from itertools import combinations_with_replacement
 from math import comb
@@ -8,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cycone
 from cycone.chow import chern_pair_of_split
 from cycone.cohom import (
     MAX_EXPR_DEPTH,
     RANK_CAP,
+    ChernData,
     CohomologyTable,
     DirectSum,
     DualOf,
@@ -27,12 +31,11 @@ from cycone.cohom import (
     cohom_line,
     cohom_sym_tangent,
     expr_rank,
-    h0_line,
     line_bundle_exponents,
     normalize,
     parse_sheaf_expr,
 )
-from cycone.errors import DomainError, UnsupportedExpressionError
+from cycone.errors import DomainError, InvariantViolationError, UnsupportedExpressionError
 
 
 def table(h0, h1, h2):
@@ -153,10 +156,7 @@ def test_additivity_of_direct_sums():
     def run(exps):
         total = cohom_expr(split_sum(*exps))
         parts = [cohom_line(e) for e in exps]
-        summed = parts[0]
-        for p in parts[1:]:
-            summed = summed + p
-        assert total == summed
+        assert total == table(*(sum(column) for column in zip(*((t.h0, t.h1, t.h2) for t in parts))))
 
     run()
 
@@ -309,12 +309,40 @@ def test_chern_data_examples():
     assert (end.rank, end.c1) == (9, 0)
 
 
-def test_memoized_tables_are_stable():
-    first = cohom_sym_tangent(3, -2)
-    cohom_sym_tangent.cache_clear()
-    cohom_line.cache_clear()
-    h0_line.cache_clear()
-    assert cohom_sym_tangent(3, -2) == first
+@given(_grammar_exprs())
+@settings(max_examples=100, deadline=None)
+def test_chern_data_and_chi_are_plain_ints(e):
+    d = chern_data(e)
+    assert all(type(v) is int for v in (d.rank, d.c1, d.ch2x2)), d
+    assert type(chi_rr(e)) is int
+
+
+def test_odd_parity_chern_data_fails_the_integrality_check(monkeypatch):
+    # ch2x2 = 2 for c1 = 3 has the wrong parity: c2 would be 7/2
+    monkeypatch.setattr(ChernData, "tangent", classmethod(lambda cls: cls(2, 3, 2)))
+    with pytest.raises(InvariantViolationError, match="non-integer chi"):
+        chi_rr(SymTangent(1, 0))
+    with pytest.raises(InvariantViolationError, match="non-integer chi"):
+        cohom_sym_tangent(1, 0)
+
+
+def test_huge_atom_is_refused_at_once():
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="too large"):
+        cohom_sym_tangent(10**6, 0)
+    assert time.perf_counter() - start < 0.05
+
+
+def test_only_the_cli_parser_is_memoized():
+    memoized = set()
+    for info in pkgutil.iter_modules(cycone.__path__, "cycone."):
+        if info.name == "cycone.__main__":  # runs the CLI when imported
+            continue
+        module = importlib.import_module(info.name)
+        for attr, obj in vars(module).items():
+            if callable(obj) and hasattr(obj, "cache_info"):
+                memoized.add(f"{obj.__module__}.{attr}")
+    assert memoized == {"cycone.cli.build_parser"}
 
 
 # --- grammar ---------------------------------------------------------------------

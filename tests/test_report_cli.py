@@ -479,19 +479,16 @@ _SURVEY = st.tuples(
     _SMALL_INT,
     _SMALL_INT,
     st.lists(st.sampled_from(["nef", "ample", "big", "tab", "gamma=0", "c1=3", "c2=x"]), max_size=2),
-    st.lists(st.integers(-1, 16).map(str), max_size=1),
     _FLAGS,
 ).map(lambda t: [
     "survey", "--emin", t[0], "--emax", t[1],
     *(tok for f in t[2] for tok in ("--filter", f)),
-    *(tok for m in t[3] for tok in ("--max-range", m)),
-    *t[4],
+    *t[3],
 ])
 _CATALOG = _FLAGS.map(lambda flags: ["catalog", *flags])
 # Tokens spliced into a command line: any option but --out (so that the
-# fuzz writes no file), small integers and lists, and free text.  The text
-# has no digits: --max-range lifts the survey's range cap, and the small
-# integers keep that range small.  selftest takes no input and is left out.
+# fuzz writes no file), a retired one, small integers and lists, and free
+# text.  selftest takes no input and is left out.
 _JUNK = st.one_of(
     st.sampled_from(
         ["analyze", "survey", "catalog", "--split", "--named", "--chern", "--twist", "--emin",
@@ -536,6 +533,19 @@ def test_cli_fuzz_argv(argv):
     _check_total(argv)
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [([], "range size 1000 exceeds the cap 12"), (["--max-range", "30"], "unrecognized arguments")],
+    ids=["wide", "max-range"],
+)
+def test_survey_range_cap_is_fixed(extra, message):
+    start = time.perf_counter()
+    code, out, err = run_main(["survey", "--emin", "-500", "--emax", "500", *extra])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert message in err and "Traceback" not in err
+
+
 def test_cli_chern_request_decomposes_each_radicand_once(monkeypatch):
     calls = []
     original = exactnum.squarefree_decompose
@@ -571,7 +581,7 @@ def test_build_report_evaluates_closed_forms_once(monkeypatch):
     [BundleSpec.split(0, 1, 2), BundleSpec.named("TP2+O"), BundleSpec.chern_only(3, 6)],
     ids=["split", "catalog", "chern-only"],
 )
-def test_build_report_multiplies_nothing_and_builds_no_reduction_table(spec, monkeypatch):
+def test_build_report_multiplies_nothing(spec, monkeypatch):
     calls = {"mul": 0}
 
     def counted(*args):
@@ -580,10 +590,8 @@ def test_build_report_multiplies_nothing_and_builds_no_reduction_table(spec, mon
 
     original = chow.mul
     monkeypatch.setattr(chow, "mul", counted)
-    vars(spec.chern).pop("reductions", None)  # a catalog pair is shared across tests
     build_report(spec)
     assert calls == {"mul": 0}
-    assert "reductions" not in vars(spec.chern)
 
 
 def test_cli_catalog_contents():
