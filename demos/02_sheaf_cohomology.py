@@ -4,10 +4,10 @@ The engine computes h^0, h^1, h^2 for every bundle built from line bundles
 and twisted symmetric powers S^a T(b) of the tangent bundle by sums,
 twists, duals, symmetric powers and End.  Because T has rank 2, each such
 bundle is a sum of S^a T(b): Clebsch-Gordan splits tensor products and
-Cayley-Sylvester splits symmetric powers.  Dimensions come from the
-symmetric-power Euler resolution, Serre duality, and Riemann-Roch; each
-table satisfies chi = h0 - h1 + h2 by construction and is cross-checked
-against an independent Riemann-Roch computation.
+Cayley-Sylvester splits symmetric powers.  By Bott's theorem each
+S^a T(b) has its cohomology in one degree, given by a closed form (the
+Weyl dimension); the tables never use Riemann-Roch, which computes chi
+by a second, independent route and is checked against them below.
 """
 
 from cycone import DomainError

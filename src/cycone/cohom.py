@@ -22,14 +22,13 @@ raises UnsupportedExpressionError.
 
 Method notes:
 
-* h^1 of a line bundle on P2 vanishes, so h^0 along the symmetric-power
-  Euler resolution 0 -> S^{a-1}(O(1)^3)(b) -> S^a(O(1)^3)(b) -> S^a T(b) -> 0
-  is a clean difference of binomials.
-* h^2 comes from Serre duality through Omega = T(-3) (rank 2).
-* h^1 is chi-complemented, with chi from Riemann-Roch on P2:
-  chi = rank + c1(c1+3)/2 - c2.  ``chi_rr`` reaches chi through the
-  splitting principle and never expands a plethysm, so it checks the
-  tables independently.
+* With Q = T(-1), S^a T(b) = S^a Q(k) for k = a + b is irreducible, and
+  Bott's theorem puts its cohomology in one degree: h^0 if k >= 0, h^2 if
+  a + k + 2 < 0, else h^1.  That entry is |chi|, chi = (a+1)(k+1)(a+k+2)/2,
+  the Weyl dimension of S_(a+k, k) C^3 when k >= 0; a = 0 gives O(k).
+* ``chi_rr`` is a second route to chi, Riemann-Roch on P2,
+  chi = rank + c1(c1+3)/2 - c2, through the splitting principle on the
+  unexpanded tree.  The tables never call it, so the two check each other.
 
 ``ChernData`` is integral: it carries (rank, c1, ch2x2) with
 ch2x2 = 2 ch2 = c1^2 - 2 c2, so 2 chi = ch2x2 + 3 c1 + 2 rank, and the
@@ -41,7 +40,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from math import comb
 
 from .errors import (
@@ -133,29 +131,30 @@ def h0_line(k: int) -> int:
 
 
 def cohom_line(k: int) -> CohomologyTable:
-    """h^i(O(k)) on P2; h^1 always vanishes, h^2 by Serre duality."""
-    return CohomologyTable(h0_line(k), 0, h0_line(-3 - k))
-
-
-def sym_tangent_h0(a: int, b: int) -> int:
-    if a < 0:
-        raise DomainError("symmetric power degree must be nonnegative")
-    if a == 0:
-        return h0_line(b)
-    return comb(a + 2, 2) * h0_line(a + b) - comb(a + 1, 2) * h0_line(a + b - 1)
+    """h^i(O(k)) on P2: the a = 0 case of ``cohom_sym_tangent``, so h^1 vanishes."""
+    return cohom_sym_tangent(0, k)
 
 
 def cohom_sym_tangent(a: int, b: int) -> CohomologyTable:
-    """h^i(S^a T(b)) via the Euler resolution, Serre duality and chi."""
-    if a == 0:
-        return cohom_line(b)
-    h0 = sym_tangent_h0(a, b)
-    h2 = sym_tangent_h0(a, -3 * a - b - 3)  # Serre dual: S^a T(-3a-b-3)
-    chi = chi_rr(SymTangent(a, b))
-    h1 = h0 + h2 - chi
-    if h1 < 0:
-        raise InvariantViolationError(f"S^{a}T({b}) produced h1 = {h1}")
-    return CohomologyTable(h0, h1, h2)
+    """h^i(S^a T(b)) in closed form, by Bott's theorem (see the module notes).
+
+    >>> cohom_sym_tangent(1, 0)
+    CohomologyTable(h0=8, h1=0, h2=0)
+    >>> cohom_sym_tangent(1, -3)
+    CohomologyTable(h0=0, h1=1, h2=0)
+    >>> cohom_sym_tangent(4, -5)
+    CohomologyTable(h0=0, h1=0, h2=0)
+    """
+    if a < 0:
+        raise DomainError("symmetric power degree must be nonnegative")
+    _check_rank(a + 1)
+    k = a + b  # S^a T(b) = S^a Q(k)
+    chi = (a + 1) * (k + 1) * (a + k + 2) // 2
+    if k >= 0:
+        return CohomologyTable(chi, 0, 0)
+    if a + k + 2 < 0:
+        return CohomologyTable(0, 0, chi)
+    return CohomologyTable(0, -chi, 0)
 
 
 # --- normalization to S^a T(b) pairs ---------------------------------------
@@ -246,9 +245,9 @@ def _box_partitions(p: int, a: int) -> list[int]:
     return n
 
 
-def _check_size(e) -> None:
+def _check_rank(rank: int) -> None:
     """Refuse, before any expansion, an expression of rank ``RANK_CAP`` or more."""
-    if expr_rank(e) >= RANK_CAP:
+    if rank >= RANK_CAP:
         raise DomainError(f"expression of rank {RANK_CAP} or more is too large to evaluate")
 
 
@@ -262,7 +261,7 @@ def cohom_expr(e) -> CohomologyTable:
     >>> cohom_expr(parse_sheaf_expr("twist(sym(sym(SymT(1,-1),2),2),-1)")).h0
     3
     """
-    _check_size(e)
+    _check_rank(expr_rank(e))
     h0 = h1 = h2 = 0
     for a, b in normalize(e):
         t = cohom_sym_tangent(a, b)
@@ -312,23 +311,18 @@ class ChernData:
     def sym(self, p: int) -> "ChernData":
         if p <= 0:
             return ChernData.line(0)
-        if p == 1:
-            return self
-        if self.rank == 1:
-            return ChernData(1, p * self.c1, p * p * self.ch2x2)
-        # ch of S^p through the splitting principle: for Chern roots x_i the
-        # roots of S^p are the multiset sums; only degree <= 2 data is needed.
-        r = self.rank
-        rank_out = comb(r + p - 1, p)
-        sum_m1 = sq_m1 = m1_m2 = 0
-        for idx in combinations_with_replacement(range(r), p):
-            m0 = idx.count(0)
-            sum_m1 += m0
-            sq_m1 += m0 * m0
-            m1_m2 += m0 * idx.count(1)
-        c1_out = sum_m1 * self.c1
-        ch2x2_out = (sq_m1 - m1_m2) * self.ch2x2 + m1_m2 * self.c1 * self.c1
-        return ChernData(rank_out, c1_out, ch2x2_out)
+        # ch of S^p through the splitting principle: the roots of S^p are the
+        # sums m.x over multisets m of size p of the Chern roots x_i, and the
+        # sums of m_0, m_0^2 and m_0 m_1 over them are binomials in n.
+        n = self.rank + p - 1
+        sum_m0 = comb(n, p - 1)
+        pairs = comb(n, p - 2) if p >= 2 else 0  # sum of C(m_0, 2), and of m_0 m_1
+        cross = pairs if self.rank >= 2 else 0
+        return ChernData(
+            comb(n, p),
+            sum_m0 * self.c1,
+            (sum_m0 + 2 * pairs - cross) * self.ch2x2 + cross * self.c1 * self.c1,
+        )
 
 
 def chern_data(expr) -> ChernData:
@@ -361,7 +355,7 @@ def chi_rr(e) -> int:
 
     Raises DomainError when the rank reaches ``RANK_CAP``.
     """
-    _check_size(e)
+    _check_rank(expr_rank(e))
     d = chern_data(e)
     twice = d.ch2x2 + 3 * d.c1 + 2 * d.rank
     if twice % 2:

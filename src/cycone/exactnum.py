@@ -137,11 +137,6 @@ class QuadValue:
     def is_rational(self) -> bool:
         return self.b == 0
 
-    def to_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise DomainError(f"{self} is irrational")
-        return self.a
-
     def __bool__(self) -> bool:
         return self.a != 0 or self.b != 0
 

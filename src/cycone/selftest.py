@@ -9,7 +9,7 @@ list of these checks; the acceptance suite runs the same functions.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 from . import bundles, chow, cohom, cone, invariants
 from .bundles import BundleSpec
@@ -154,7 +154,9 @@ def check_riemann_roch_on_x():
 
 
 def check_plethysm_sections():
-    """h^0(S^2 E(-1)) = 3 for E = S^2(T(-1)), since S^2 E(-1) = S^4 T(-5) + O(1)."""
+    """h^0(S^2 E(-1)) = 3 for E = S^2(T(-1)), since S^2 E(-1) = S^4 T(-5) + O(1);
+    each S^a T(b) with a <= 12 and |b| <= 30 has its cohomology in one degree
+    and the chi of Riemann-Roch."""
     expr = cohom.TwistBy(
         cohom.SymPower(cohom.SymPower(cohom.SymTangent(1, -1), 2), 2), -1
     )
@@ -162,6 +164,9 @@ def check_plethysm_sections():
     _require(cohom.cohom_sym_tangent(4, -5).h0 == 0, "h^0(S^4 T(-5)) != 0")
     _require(cohom.h0_line(1) == 3, "h^0(O(1)) != 3")
     _require(cohom.cohom_line(1).h0 == 3, "cohomology table of O(1) has h^0 != 3")
+    for a, b in product(range(13), range(-30, 31)):
+        t, rr = cohom.cohom_sym_tangent(a, b), cohom.chi_rr(cohom.SymTangent(a, b))
+        _require(t.chi == rr and (t.h0, t.h1, t.h2).count(0) >= 2, f"S^{a}T({b}): {t}, chi_rr {rr}")
 
 
 def check_boundary_root_exactness():

@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cycone
+from cycone import cohom
+from cycone.bundles import CATALOG
 from cycone.chow import chern_pair_of_split
 from cycone.cohom import (
     MAX_EXPR_DEPTH,
@@ -31,6 +33,7 @@ from cycone.cohom import (
     cohom_line,
     cohom_sym_tangent,
     expr_rank,
+    h0_line,
     line_bundle_exponents,
     normalize,
     parse_sheaf_expr,
@@ -322,8 +325,76 @@ def test_odd_parity_chern_data_fails_the_integrality_check(monkeypatch):
     monkeypatch.setattr(ChernData, "tangent", classmethod(lambda cls: cls(2, 3, 2)))
     with pytest.raises(InvariantViolationError, match="non-integer chi"):
         chi_rr(SymTangent(1, 0))
-    with pytest.raises(InvariantViolationError, match="non-integer chi"):
-        cohom_sym_tangent(1, 0)
+    # the table takes nothing from the Chern data, so it does not move
+    assert cohom_sym_tangent(1, 0) == table(8, 0, 0)
+
+
+def test_tables_never_call_riemann_roch(monkeypatch):
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(cohom, "chi_rr", counted(cohom.chi_rr))
+    monkeypatch.setattr(cohom, "chern_data", counted(cohom.chern_data))
+    sections = [
+        TwistBy(SymPower(entry.expr, 3), 3 - entry.chern.c1)
+        for entry in CATALOG.values()
+        if entry.expr is not None
+    ]
+    assert len(sections) == 4
+    for e in sections + [parse_sheaf_expr("end(O+O(1)+O(2))")]:
+        cohom_expr(e)
+    assert calls == []
+
+
+def test_bott_tables_match_the_euler_resolution():
+    # the route the closed form replaced: h^0 along
+    # 0 -> S^(a-1)(O(1)^3)(b) -> S^a(O(1)^3)(b) -> S^a T(b) -> 0, h^2 by Serre
+    # duality through Omega = T(-3), and chi from Riemann-Roch
+    def euler_h0(a, b):
+        return comb(a + 2, 2) * h0_line(a + b) - comb(a + 1, 2) * h0_line(a + b - 1)
+
+    for a in range(0, 25):
+        for b in range(-80, 81):
+            t = cohom_sym_tangent(a, b)
+            assert t.h0 == euler_h0(a, b)
+            assert t.h2 == euler_h0(a, -3 * a - b - 3)
+            assert t.chi == chi_rr(SymTangent(a, b))
+            assert (t.h0, t.h1, t.h2).count(0) >= 2, (a, b, t)
+
+
+def _sym_by_enumeration(d, p):
+    # the roots of S^p are the sums m.x over multisets m of size p of the
+    # Chern roots x_i; by symmetry only the counts of roots 0 and 1 matter
+    if p <= 0:
+        return ChernData.line(0)
+    sum_m0 = sq_m0 = m0_m1 = n = 0
+    for idx in combinations_with_replacement(range(d.rank), p):
+        n += 1
+        m0 = idx.count(0)
+        sum_m0 += m0
+        sq_m0 += m0 * m0
+        m0_m1 += m0 * idx.count(1)
+    return ChernData(n, sum_m0 * d.c1, (sq_m0 - m0_m1) * d.ch2x2 + m0_m1 * d.c1 * d.c1)
+
+
+@given(st.integers(1, 8), st.integers(0, 8), st.integers(), st.integers())
+@settings(max_examples=80, deadline=None)
+def test_chern_data_sym_matches_multiset_enumeration(rank, p, c1, ch2x2):
+    d = ChernData(rank, c1, ch2x2)
+    assert d.sym(p) == _sym_by_enumeration(d, p)
+
+
+def test_chern_data_of_a_huge_symmetric_power_is_immediate():
+    start = time.perf_counter()
+    d = chern_data(SymPower(SymTangent(1, 0), 10**6))
+    assert time.perf_counter() - start < 0.05
+    assert (d.rank, d.c1) == (10**6 + 1, 3 * comb(10**6 + 1, 2))
 
 
 def test_huge_atom_is_refused_at_once():
