@@ -11,70 +11,90 @@ The public surface, by layer:
 * :mod:`cycone.cone`       boundary roots, c2 positivity, verdicts
 * :mod:`cycone.report`     report assembly and serialization
 * :mod:`cycone.cli`        the ``cycone`` command
+
+Names load on first use: ``import cycone`` runs no layer, and the first
+access to a name of ``__all__`` or to a layer attribute (``cycone.cohom``)
+imports the whole engine at once.  So the ``cycone`` command parses its
+arguments, prints help and reports usage errors without loading it.
 """
 
-from .bundles import BundleSpec, CatalogEntry, catalog_entries, h0_anticanonical
-from .chow import ChernPair, ChowClass, exceptional_surface_class, gram_matrix
-from .cohom import CohomologyTable, chi_rr, cohom_expr, cohom_line, cohom_sym_tangent, parse_sheaf_expr
-from .cone import (
-    allowed_splitting_types,
-    anticanonical_status,
-    boundary_root,
-    c2_positivity,
-    cone_report,
-    cone_restriction_case,
-    rationality_verdict,
-)
-from .errors import (
-    CyconeError,
-    DomainError,
-    InvariantViolationError,
-    MixedRadicalError,
-    UnknownBundleError,
-    UnsupportedExpressionError,
-)
-from .exactnum import QuadValue, sqrt_to_quad
-from .invariants import chi_on_cy, cy_invariants, rho_of_x, section_bounds
-from .report import AnalysisReport, build_report, report_from_dict, report_to_dict
+import importlib
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnalysisReport",
-    "BundleSpec",
-    "CatalogEntry",
-    "ChernPair",
-    "ChowClass",
-    "CohomologyTable",
-    "CyconeError",
-    "DomainError",
-    "InvariantViolationError",
-    "MixedRadicalError",
-    "QuadValue",
-    "UnknownBundleError",
-    "UnsupportedExpressionError",
-    "allowed_splitting_types",
-    "anticanonical_status",
-    "boundary_root",
-    "build_report",
-    "c2_positivity",
-    "catalog_entries",
-    "chi_on_cy",
-    "chi_rr",
-    "cohom_expr",
-    "cohom_line",
-    "cohom_sym_tangent",
-    "cone_report",
-    "cone_restriction_case",
-    "cy_invariants",
-    "exceptional_surface_class",
-    "gram_matrix",
-    "h0_anticanonical",
-    "parse_sheaf_expr",
-    "rationality_verdict",
-    "report_from_dict",
-    "report_to_dict",
-    "rho_of_x",
-    "section_bounds",
-    "sqrt_to_quad",
-]
+# The exported names by the layer that defines them, in import order.
+_LAYERS = {
+    "errors": (
+        "CyconeError",
+        "DomainError",
+        "InvariantViolationError",
+        "MixedRadicalError",
+        "UnknownBundleError",
+        "UnsupportedExpressionError",
+    ),
+    "exactnum": ("QuadValue", "sqrt_to_quad"),
+    "chow": ("ChernPair", "ChowClass", "exceptional_surface_class", "gram_matrix"),
+    "cohom": (
+        "CohomologyTable",
+        "chi_rr",
+        "cohom_expr",
+        "cohom_line",
+        "cohom_sym_tangent",
+        "parse_sheaf_expr",
+    ),
+    "bundles": ("BundleSpec", "CatalogEntry", "catalog_entries", "h0_anticanonical"),
+    "invariants": ("chi_on_cy", "cy_invariants", "rho_of_x", "section_bounds"),
+    "cone": (
+        "allowed_splitting_types",
+        "anticanonical_status",
+        "boundary_root",
+        "c2_positivity",
+        "cone_report",
+        "cone_restriction_case",
+        "rationality_verdict",
+    ),
+    "report": ("AnalysisReport", "build_report", "report_from_dict", "report_to_dict"),
+}
+
+__all__ = sorted(name for names in _LAYERS.values() for name in names)
+
+# The column names of the flat rows: ``survey`` (TSV and JSON lines) and
+# ``analyze --tsv``.  ``cycone.report`` re-exports them; they are defined
+# here so that the CLI's help lists them without loading the engine.
+SURVEY_COLUMNS = (
+    "e1", "e2", "e3", "c1", "c2", "gamma",
+    "nef", "ample", "big", "rho", "verdict", "tab_admissible",
+)
+
+ANALYZE_EXTRA_COLUMNS = (
+    "c3", "h12", "h0_minus_k", "k_exists", "k_rational", "c2_positive", "kollar_case",
+)
+
+
+def _layer_importing() -> bool:
+    """Whether a layer is running its body right now.
+
+    A submodule is in ``sys.modules`` while it runs, and Python binds it
+    here only once it has finished.
+    """
+    return any(f"{__name__}.{layer}" in sys.modules and layer not in globals() for layer in _LAYERS)
+
+
+def __getattr__(name):
+    if name in _LAYERS and _layer_importing():
+        # a layer's own ``from . import cohom``: load that layer alone, as
+        # the import system would; the whole engine would need the layer
+        # that is still running
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _LAYERS and name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    for layer, names in _LAYERS.items():
+        module = importlib.import_module(f"{__name__}.{layer}")
+        for attr in names:
+            globals()[attr] = getattr(module, attr)
+    return globals()[name]
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | set(_LAYERS))

@@ -3,6 +3,12 @@
 Exit codes: 0 success, 1 usage error, 2 domain or invariant error.  Data
 output is deterministic (stable ordering, no timestamps); ``--meta`` adds a
 provenance block separately.
+
+Each command imports the layers it uses when it runs, so building the
+parser, printing help and reporting a usage error load no engine layer.
+Those imports are absolute (``import cycone.report as report``): in a
+function body a relative import costs about three times as much, and
+``analyze`` and ``survey`` pay it on every call.
 """
 
 from __future__ import annotations
@@ -12,21 +18,9 @@ import functools
 import json
 import re
 import sys
-from datetime import datetime, timezone
 
-from . import __version__
-from . import report as report_mod
-from . import selftest as selftest_mod
-from .bundles import BundleSpec, catalog_entries, h0_anticanonical
-from .chow import split_types
+from . import ANALYZE_EXTRA_COLUMNS, SURVEY_COLUMNS, __version__
 from .errors import CyconeError, DomainError, quote_input
-from .report import (
-    ANALYZE_EXTRA_COLUMNS,
-    SURVEY_COLUMNS,
-    build_report,
-    render_text_report,
-    survey_rows,
-)
 
 # Largest emax - emin a survey accepts: 455 split types at the cap.  The
 # row count grows with the cube of the range, so the cap is fixed.
@@ -75,17 +69,20 @@ def _bounded(values: tuple[int, ...], what: str) -> tuple[int, ...]:
     return values
 
 
-def _spec_from_args(args) -> BundleSpec:
+def _spec_from_args(args):
+    import cycone.bundles as bundles
+
     if args.split is not None:
-        spec = BundleSpec.split(*_bounded(_parse_ints(args.split, 3, "--split"), "--split"))
+        spec = bundles.BundleSpec.split(*_bounded(_parse_ints(args.split, 3, "--split"), "--split"))
     elif args.named is not None:
         try:
-            spec = BundleSpec.named(args.named)
+            spec = bundles.BundleSpec.named(args.named)
         except DomainError as exc:
             raise UsageError(str(exc)) from exc
         _bounded(spec.exponents or (), "--named exponent")
     else:
-        spec = BundleSpec.chern_only(*_bounded(_parse_ints(args.chern, 2, "--chern"), "--chern"))
+        chern = _bounded(_parse_ints(args.chern, 2, "--chern"), "--chern")
+        spec = bundles.BundleSpec.chern_only(*chern)
     _bounded((args.twist,), "--twist")
     if args.twist:
         spec = spec.twist(args.twist)
@@ -93,6 +90,8 @@ def _spec_from_args(args) -> BundleSpec:
 
 
 def _meta_block() -> dict:
+    from datetime import datetime, timezone
+
     return {
         "tool": "cycone",
         "version": __version__,
@@ -115,19 +114,21 @@ def _emit(text: str, out_path: str | None):
 
 
 def cmd_analyze(args) -> int:
+    import cycone.report as report
+
     spec = _spec_from_args(args)
-    rep = build_report(spec)
+    rep = report.build_report(spec)
     if args.json:
         meta = _meta_block() if args.meta else None
-        _emit(report_mod.report_to_json(rep, meta), args.out)
+        _emit(report.report_to_json(rep, meta), args.out)
     elif args.tsv:
         header = "\t".join(SURVEY_COLUMNS + ANALYZE_EXTRA_COLUMNS)
-        row = "\t".join(report_mod.analyze_row_cells(rep))
+        row = "\t".join(report.analyze_row_cells(rep))
         lines = [_meta_comment()] if args.meta else []
         lines += [header, row]
         _emit("\n".join(lines), args.out)
     else:
-        _emit(render_text_report(rep), args.out)
+        _emit(report.render_text_report(rep), args.out)
     return 0
 
 
@@ -164,13 +165,16 @@ def _row_passes(row, keyed, flags) -> bool:
 
 
 def cmd_survey(args) -> int:
+    import cycone.chow as chow
+    import cycone.report as report
+
     if args.emin > args.emax:
         raise UsageError("--emin must not exceed --emax")
     if args.emax - args.emin > MAX_RANGE:
         raise UsageError(f"range size {args.emax - args.emin} exceeds the cap {MAX_RANGE}")
     keyed, flags = _parse_filters(args.filter)
-    types = split_types(args.emin, args.emax)  # already lexicographically sorted
-    rows = [r for r in survey_rows(types) if _row_passes(r, keyed, flags)]
+    types = chow.split_types(args.emin, args.emax)  # already lexicographically sorted
+    rows = [r for r in report.survey_rows(types) if _row_passes(r, keyed, flags)]
     lines = []
     if args.meta:
         lines.append(json.dumps({"meta": _meta_block()}) if args.json else _meta_comment())
@@ -192,6 +196,8 @@ def _catalog_cell(value) -> str:
 
 
 def cmd_catalog(args) -> int:
+    from cycone.bundles import BundleSpec, catalog_entries, h0_anticanonical
+
     records = [
         {
             "name": e.name,
@@ -213,7 +219,9 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    failures = selftest_mod.run_selftest()
+    from cycone.selftest import run_selftest
+
+    failures = run_selftest()
     return 2 if failures else 0
 
 

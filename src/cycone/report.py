@@ -24,7 +24,10 @@ top level with its ``cone`` block (``report_to_dict`` /
 c2 facts into ``c2_*`` keys).
 
 The 12 survey columns come from ``SurveyRow.values``, which the TSV cells,
-the JSON-lines rows and the first cells of ``analyze --tsv`` share.
+the JSON-lines rows and the first cells of ``analyze --tsv`` share.  Their
+names, ``SURVEY_COLUMNS`` and ``ANALYZE_EXTRA_COLUMNS``, are defined in the
+package ``__init__`` (so the CLI's help can print them without loading the
+engine) and re-exported here.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
-from . import cone, invariants
+from . import ANALYZE_EXTRA_COLUMNS, SURVEY_COLUMNS, cone, invariants
 from .bundles import BundleSpec, H0Anticanonical, h0_anticanonical
 from .chow import ChernPair, ExceptionalSurfaceClass, exceptional_surface_class
 from .cone import (
@@ -303,16 +306,6 @@ def report_to_json(r: AnalysisReport, meta: dict | None = None) -> str:
 
 
 # --- flat rows (survey and analyze --tsv) -----------------------------------
-
-SURVEY_COLUMNS = (
-    "e1", "e2", "e3", "c1", "c2", "gamma",
-    "nef", "ample", "big", "rho", "verdict", "tab_admissible",
-)
-
-ANALYZE_EXTRA_COLUMNS = (
-    "c3", "h12", "h0_minus_k", "k_exists", "k_rational", "c2_positive", "kollar_case",
-)
-
 
 @dataclass(frozen=True)
 class SurveyRow:

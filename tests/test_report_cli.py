@@ -193,7 +193,7 @@ def test_cli_internal_invariant_errors_exit_2(monkeypatch, capsys):
     def explode(spec):
         raise InvariantViolationError("synthetic failure")
 
-    monkeypatch.setattr(cli, "build_report", explode)
+    monkeypatch.setattr(report, "build_report", explode)
     assert cli.main(["analyze", "--split", "0,1,2"]) == 2
     assert "synthetic failure" in capsys.readouterr().err
 

@@ -1,0 +1,162 @@
+"""Start-up: which modules each entry point loads.
+
+``cycone`` loads its engine on first use, so each check runs in a fresh
+interpreter, where nothing is loaded yet.  Nothing here is timed.
+"""
+
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import cycone
+from cycone import cli, report
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+
+LOADED = "print(json.dumps(sorted(m for m in sys.modules if m.startswith('cycone'))))"
+
+
+def run_python(code: str) -> str:
+    """Run ``code`` in a fresh interpreter with cycone from ./src; returns its stdout."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=ROOT, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def loaded_after(code: str) -> set[str]:
+    """The cycone modules in ``sys.modules`` once ``code`` has run."""
+    out = run_python(f"import json, sys\n{code}\n{LOADED}")
+    return set(json.loads(out.splitlines()[-1]))
+
+
+FRONT = {"cycone", "cycone.cli", "cycone.errors"}
+QUIET_MAIN = """
+import contextlib, io
+from cycone import cli
+
+def main(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli.main(argv)
+        except SystemExit as exc:
+            return exc.code
+"""
+
+
+def test_building_the_parser_loads_no_engine():
+    assert loaded_after("from cycone import cli; cli.build_parser()") == FRONT
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["--help"], 0),
+        (["analyze", "--help"], 0),
+        (["survey", "--help"], 0),
+        (["analyze"], 1),  # no spec
+        (["survey", "--emin", "x", "--emax", "1"], 1),
+        (["nonsense"], 1),
+    ],
+    ids=["help", "analyze-help", "survey-help", "analyze-no-spec", "survey-bad-int", "unknown-command"],
+)
+def test_help_and_usage_errors_load_no_engine(argv, code):
+    assert loaded_after(f"{QUIET_MAIN}\nassert main({argv!r}) == {code}") == FRONT
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--split", "0,1,2", "--json"],
+        ["analyze", "--named", "S2TP2(-1)", "--tsv", "--meta"],
+        ["survey", "--emin", "0", "--emax", "2", "--filter", "nef"],
+    ],
+    ids=["analyze-json", "analyze-tsv-meta", "survey"],
+)
+def test_analyze_and_survey_never_load_selftest(argv):
+    loaded = loaded_after(f"{QUIET_MAIN}\nassert main({argv!r}) == 0")
+    assert "cycone.report" in loaded
+    assert "cycone.selftest" not in loaded
+
+
+BUNDLE_LAYERS = {"cycone", "cycone.errors", "cycone.chow", "cycone.cohom", "cycone.bundles"}
+
+
+def test_importing_a_layer_loads_only_what_it_imports():
+    """``bundles`` imports ``cohom`` by ``from . import cohom``, which must not load the engine."""
+    assert loaded_after("import cycone.bundles") == BUNDLE_LAYERS
+
+
+def test_catalog_loads_only_the_bundle_layers():
+    assert loaded_after(f"{QUIET_MAIN}\nassert main(['catalog']) == 0") == BUNDLE_LAYERS | FRONT
+
+
+MODULES = ["errors", "exactnum", "chow", "cohom", "bundles", "invariants", "cone", "report", "cli", "selftest"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_any_module_imported_first_then_the_whole_surface(module):
+    """A layer's own ``from . import x`` runs while it is half-initialized."""
+    run_python(
+        f"import cycone.{module}\n"
+        "import cycone\n"
+        "for name in cycone.__all__:\n"
+        "    getattr(cycone, name)\n"
+    )
+
+
+def test_exports_are_the_defining_modules_objects():
+    out = run_python(
+        "import json, sys, cycone\n"
+        "assert set(cycone.__all__) <= set(dir(cycone))\n"
+        "bad = [n for n in cycone.__all__\n"
+        "       if getattr(sys.modules[getattr(cycone, n).__module__], n) is not getattr(cycone, n)]\n"
+        "print(json.dumps(bad))\n"
+    )
+    assert json.loads(out) == []
+
+
+def test_dir_and_unknown_names_load_nothing():
+    out = run_python(
+        "import sys, cycone\n"
+        "print(hasattr(cycone, 'no_such_name'), 'chow' in dir(cycone), 'cycone.chow' in sys.modules)\n"
+    )
+    assert out.split() == ["False", "True", "False"]
+
+
+def test_a_layer_attribute_loads_every_traced_layer():
+    """The benchmark's tracer wraps every layer it lists, so a layer attribute loads all of them."""
+    out = run_python(
+        "import sys\n"
+        "sys.path.insert(0, 'perfbench')\n"
+        "from spans import LAYERS\n"
+        "import cycone, cycone.cli\n"
+        "cycone.cohom\n"
+        "print([layer for layer in LAYERS if f'cycone.{layer}' not in sys.modules])\n"
+    )
+    assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", ["analyze", "survey"])
+def test_help_text_is_pinned(command, monkeypatch):
+    """The epilogs list the column names without loading the engine; the text is unchanged."""
+    monkeypatch.setenv("COLUMNS", "80")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    assert out.getvalue().encode("utf-8") == (GOLDEN / f"help-{command}.txt").read_bytes()
+
+
+def test_column_names_have_one_definition():
+    assert report.SURVEY_COLUMNS is cycone.SURVEY_COLUMNS
+    assert report.ANALYZE_EXTRA_COLUMNS is cycone.ANALYZE_EXTRA_COLUMNS

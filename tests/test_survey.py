@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycone import chow, cli, cone
+from cycone import chow, cli, cone, report
 from cycone.chow import ChernPair
 from cycone.report import survey_row, survey_rows
 
@@ -45,7 +45,7 @@ def test_class_memo_prints_what_per_triple_rows_print(emin, emax, filters, fmt, 
     for f in filters:
         argv += ["--filter", f]
     memo = run_main(argv)
-    monkeypatch.setattr(cli, "survey_rows", _per_triple)
+    monkeypatch.setattr(report, "survey_rows", _per_triple)
     reference = run_main(argv)
     assert memo == reference
     assert memo.count("\n") >= 1 + (not fmt)  # every filter keeps at least one row
