@@ -20,16 +20,16 @@ import re
 import sys
 
 from . import ANALYZE_EXTRA_COLUMNS, SURVEY_COLUMNS, __version__
-from .errors import CyconeError, DomainError, quote_input
+from .errors import ECHO_LIMIT, CyconeError, DomainError, quote_input
 
 # Largest emax - emin a survey accepts: 455 split types at the cap.  The
 # row count grows with the cube of the range, so the cap is fixed.
 MAX_RANGE = 12
 # Largest |value| accepted for a Chern number, a splitting exponent (from
-# --split or a --named line-bundle sum) or a twist.  The cost of a report
-# grows with the size of gamma (the boundary root factors |9 - 4 gamma|),
-# so unbounded input could run for hours; at this bound every report
-# finishes in milliseconds.
+# --split, or in the splitting type of a --named bundle) or a twist.  The
+# cost of a report grows with the size of gamma (the boundary root factors
+# |9 - 4 gamma|), so unbounded input could run for hours; at this bound
+# every report finishes in milliseconds.
 MAX_SPEC_VALUE = 10_000
 
 
@@ -65,7 +65,9 @@ def _parse_ints(text: str, count: int, what: str) -> tuple[int, ...]:
 def _bounded(values: tuple[int, ...], what: str) -> tuple[int, ...]:
     for v in values:
         if abs(v) > MAX_SPEC_VALUE:
-            raise UsageError(f"{what} value {v} is outside [-{MAX_SPEC_VALUE}, {MAX_SPEC_VALUE}]")
+            # too long to quote (and str() raises past 4300 digits): give the size
+            val = v if abs(v) < 10**ECHO_LIMIT else f"of {v.bit_length()} bits"
+            raise UsageError(f"{what} value {val} is outside [-{MAX_SPEC_VALUE}, {MAX_SPEC_VALUE}]")
     return values
 
 
@@ -79,7 +81,7 @@ def _spec_from_args(args):
             spec = bundles.BundleSpec.named(args.named)
         except DomainError as exc:
             raise UsageError(str(exc)) from exc
-        _bounded(spec.exponents or (), "--named exponent")
+        _bounded(spec.splitting_type, "--named splitting-type")
     else:
         chern = _bounded(_parse_ints(args.chern, 2, "--chern"), "--chern")
         spec = bundles.BundleSpec.chern_only(*chern)
@@ -200,14 +202,14 @@ def cmd_catalog(args) -> int:
 
     records = [
         {
-            "name": e.name,
-            "c1": e.chern.c1,
-            "c2": e.chern.c2,
-            "gamma": e.chern.gamma,
-            "splitting_type": list(e.splitting_type),
-            "h0_minus_k": h0_anticanonical(BundleSpec.named(e.name)).value,
+            "name": spec.name,
+            "c1": spec.chern.c1,
+            "c2": spec.chern.c2,
+            "gamma": spec.gamma,
+            "splitting_type": list(spec.splitting_type),
+            "h0_minus_k": h0_anticanonical(spec).value,
         }
-        for e in catalog_entries()
+        for spec in (BundleSpec.named(e.name) for e in catalog_entries())
     ]
     if args.json:
         _emit(json.dumps(records, indent=2), args.out)
@@ -255,7 +257,7 @@ def build_parser() -> _Parser:
     )
     spec_group = analyze.add_mutually_exclusive_group(required=True)
     spec_group.add_argument("--split", metavar="E1,E2,E3", help="split bundle exponents")
-    spec_group.add_argument("--named", metavar="ID", help="catalog id or line-bundle sum")
+    spec_group.add_argument("--named", metavar="ID", help="catalog id or rank-3 sheaf expression")
     spec_group.add_argument("--chern", metavar="C1,C2", help="Chern numbers only")
     analyze.add_argument("--twist", type=int, default=0, help="tensor E by O(t) first")
     fmt = analyze.add_mutually_exclusive_group()

@@ -148,13 +148,23 @@ def cohom_sym_tangent(a: int, b: int) -> CohomologyTable:
     if a < 0:
         raise DomainError("symmetric power degree must be nonnegative")
     _check_rank(a + 1)
-    k = a + b  # S^a T(b) = S^a Q(k)
-    chi = (a + 1) * (k + 1) * (a + k + 2) // 2
-    if k >= 0:
-        return CohomologyTable(chi, 0, 0)
-    if a + k + 2 < 0:
-        return CohomologyTable(0, 0, chi)
-    return CohomologyTable(0, -chi, 0)
+    return cohom_atoms(((a, b),))
+
+
+def cohom_atoms(atoms) -> CohomologyTable:
+    """Cohomology table of a sum of (a, b) atoms, each meaning S^a T(b): each
+    adds |chi| in the one degree Bott's theorem gives it (no rank check)."""
+    h0 = h1 = h2 = 0
+    for a, b in atoms:
+        k = a + b  # S^a T(b) = S^a Q(k)
+        chi = (a + 1) * (k + 1) * (a + k + 2) // 2
+        if k >= 0:
+            h0 += chi
+        elif a + k + 2 < 0:
+            h2 += chi
+        else:
+            h1 -= chi
+    return CohomologyTable(h0, h1, h2)
 
 
 # --- normalization to S^a T(b) pairs ---------------------------------------
@@ -183,9 +193,13 @@ def normalize(expr) -> tuple:
         # S^p for p <= 0 is O, whatever the inner expression
         return tuple(_sym(normalize(expr.expr), expr.p)) if expr.p > 0 else ((0, 0),)
     if isinstance(expr, EndOf):
-        atoms = normalize(expr.expr)
-        return tuple(_tensor(_dual(atoms), atoms))
+        return tuple(end_atoms(normalize(expr.expr)))
     raise UnsupportedExpressionError(expr, "unknown expression node")
+
+
+def end_atoms(atoms) -> list:
+    """End(E) = E^v (x) E of a sum of atoms, as atoms."""
+    return _tensor(_dual(atoms), atoms)
 
 
 def _dual(atoms) -> list:
@@ -262,11 +276,7 @@ def cohom_expr(e) -> CohomologyTable:
     3
     """
     _check_rank(expr_rank(e))
-    h0 = h1 = h2 = 0
-    for a, b in normalize(e):
-        t = cohom_sym_tangent(a, b)
-        h0, h1, h2 = h0 + t.h0, h1 + t.h1, h2 + t.h2
-    return CohomologyTable(h0, h1, h2)
+    return cohom_atoms(normalize(e))
 
 
 # --- Chern-character bookkeeping and Riemann-Roch --------------------------
@@ -548,10 +558,3 @@ def expr_rank(expr) -> int:
         return min(comb(r + expr.p - 1, expr.p), RANK_CAP)
     raise UnsupportedExpressionError(expr, "unknown expression node")
 
-
-def line_bundle_exponents(expr) -> list[int] | None:
-    """Exponents when the expression is a direct sum of line bundles, else None."""
-    atoms = normalize(expr)
-    if all(a == 0 for a, _ in atoms):
-        return sorted(b for _, b in atoms)
-    return None

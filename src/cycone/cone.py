@@ -56,7 +56,10 @@ class MinusKStatus:
 def anticanonical_status(spec: BundleSpec, h0: H0Anticanonical) -> MinusKStatus:
     """Positivity of -K_Z from the spec and its h^0(-K_Z) record.
 
-    Uniform splitting types admit the exact line test on every line;
+    A spec with atoms has a uniform splitting type, and the line test on it
+    is exact: -K_Z is nef iff E (x) O((3 - c1)/3) is, and with Q = T(-1) a
+    quotient of O^3 an atom S^a T(b) = S^a Q(a + b) is nef iff its
+    smallest line degree a + b is >= 0 (so also after a rational twist).
     Chern-only specs leave nef and ample undecided, and bigness undecided
     too since the top self-intersection alone proves nothing without
     nefness.
@@ -66,7 +69,7 @@ def anticanonical_status(spec: BundleSpec, h0: H0Anticanonical) -> MinusKStatus:
     witnesses = [("minus_k_quartic", str(quartic))]
     nef = ample = big = None
     stype = spec.splitting_type
-    if stype is not None and spec.uniform:
+    if stype is not None:
         line_value = 3 * stype[0] + 3 - c.c1
         witnesses.append(("line_test_min_summand", str(line_value)))
         nef = line_value >= 0
@@ -172,25 +175,21 @@ def c2_positivity(
 
 
 def allowed_splitting_types(c1: int) -> list[tuple[int, int, int]]:
-    """Splitting types (a <= b <= c) compatible with the boundary analysis.
-
-    Empty outside -1 <= c1 <= 4.  Inside, a is bounded below by the nef
-    line test ceil(c1/3 - 1) and b by the strict test 3b + 3 - c1 > 0.
-    """
-    if c1 < -1 or c1 > 4:
-        return []
-    a_min = -((3 - c1) // 3)  # ceil((c1 - 3)/3)
-    b_min = (c1 - 3) // 3 + 1  # smallest b with 3b + 3 - c1 > 0
-    out = []
-    for a in range(a_min, c1 // 3 + 1):
-        for b in range(max(a, b_min), (c1 - a) // 2 + 1):
-            out.append((a, b, c1 - a - b))
-    return out
+    """The types (a <= b <= c) with a + b + c = c1 that pass
+    ``is_allowed_splitting_type``, sorted; its bounds keep a in [-1, 1] and
+    b in [a, 2], so only those are tried (none outside -1 <= c1 <= 4)."""
+    return [
+        (a, b, c1 - a - b)
+        for a in range(-1, 2)
+        for b in range(a, 3)
+        if is_allowed_splitting_type(a, b, c1 - a - b)
+    ]
 
 
 def is_allowed_splitting_type(a: int, b: int, c: int) -> bool:
-    """Whether (a, b, c) is in ``allowed_splitting_types(a + b + c)``, by the
-    same bounds tested directly instead of by building the list."""
+    """Whether (a, b, c) is admissible: -1 <= c1 <= 4 for c1 = a + b + c,
+    a <= b <= c, the nef line test 3a + 3 - c1 >= 0 and the strict test
+    3b + 3 - c1 > 0."""
     c1 = a + b + c
     return -1 <= c1 <= 4 and a <= b <= c and 3 * a >= c1 - 3 and 3 * b + 3 - c1 > 0
 

@@ -45,7 +45,7 @@ class UnsupportedExpressionError(DomainError):
 
 
 class UnknownBundleError(DomainError):
-    """A bundle name is neither a catalog id nor a line-bundle sum."""
+    """A bundle name is neither a catalog id nor a rank-3 sheaf expression."""
 
 
 class InvariantViolationError(CyconeError):

@@ -23,7 +23,7 @@ from fractions import Fraction
 from . import chow
 from .bundles import BundleSpec
 from .chow import ChernPair, as_integer
-from .cohom import h0_line
+from .cohom import cohom_atoms, end_atoms
 from .errors import InvariantViolationError
 
 
@@ -158,35 +158,15 @@ class RhoResult:
     reason: str
 
 
-def _normalized_type(spec: BundleSpec) -> tuple[int, int, int] | None:
-    """Splitting type twisted so that c1 lands in {1, 2, 3}."""
-    stype = spec.splitting_type
-    if stype is None:
-        return None
-    c1 = spec.chern.c1
-    target = (c1 - 1) % 3 + 1
-    t = (target - c1) // 3
-    return tuple(e + t for e in stype)
-
-
 def rho_of_x(spec: BundleSpec, minus_k) -> RhoResult:
     """Picard number of X: 2 + h^2(End E) when -K_Z is big and nef.
 
-    ``minus_k`` is the spec's -K_Z status (a ``cone.MinusKStatus``).  Falls
-    back to the splitting-type criterion (uniform type, normalized so c1 is
-    in {1,2,3}, different from (0,0,3) forces rho = 2) when End cohomology
-    is out of reach; returns unknown otherwise.
+    ``minus_k`` is the spec's -K_Z status (a ``cone.MinusKStatus``).
+    h^2(End E) is read off End of the spec's atoms by ``cohom``, one route
+    for every spec that has them; rho is unknown for a Chern-only spec.
     """
     if not (minus_k.nef is True and minus_k.big is True):
         return RhoResult(None, "anticanonical-not-known-big-nef")
-    diffs = spec.end_difference_exponents()
-    if diffs is not None:
-        h2 = sum(h0_line(-3 - d) for d in diffs)  # Serre duality per summand
-        return RhoResult(2 + h2, "end-cohomology")
-    if spec.uniform:
-        ntype = _normalized_type(spec)
-        if ntype is not None and ntype != (0, 0, 3):
-            return RhoResult(2, "splitting-type-criterion")
-        if ntype == (0, 0, 3):
-            return RhoResult(None, "splitting-type-inconclusive")
-    return RhoResult(None, "insufficient-data")
+    if spec.atoms is None:
+        return RhoResult(None, "insufficient-data")
+    return RhoResult(2 + cohom_atoms(end_atoms(spec.atoms)).h2, "end-cohomology")

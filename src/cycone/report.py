@@ -37,7 +37,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
-from . import ANALYZE_EXTRA_COLUMNS, SURVEY_COLUMNS, cone, invariants
+from . import ANALYZE_EXTRA_COLUMNS, SURVEY_COLUMNS, chow, cone, invariants
 from .bundles import BundleSpec, H0Anticanonical, h0_anticanonical
 from .chow import ChernPair, ExceptionalSurfaceClass, exceptional_surface_class
 from .cone import (
@@ -224,13 +224,16 @@ def spec_to_dict(spec: BundleSpec) -> dict:
 
 
 def spec_from_dict(d: dict) -> BundleSpec:
-    return BundleSpec(
-        kind=d["kind"],
-        chern=ChernPair(d["c1"], d["c2"]),
-        exponents=_OPT_LIST.decode(d["exponents"]),
-        name=d["name"],
-        twist_applied=d["twist"],
-    )
+    """The spec back from its JSON; the atoms come from the exponents, else
+    from the name under the twist (a Chern-only spec has neither)."""
+    exps, name, twist = _OPT_LIST.decode(d["exponents"]), d["name"], d["twist"]
+    if exps is not None:
+        atoms = BundleSpec.split(*exps).atoms
+    elif name is not None:
+        atoms = BundleSpec.named(name).twist(twist).atoms
+    else:
+        atoms = None
+    return BundleSpec(d["kind"], ChernPair(d["c1"], d["c2"]), atoms, name, twist)
 
 
 def report_to_dict(r: AnalysisReport) -> dict:
@@ -367,28 +370,29 @@ def survey_rows(types) -> list[SurveyRow]:
     the verdict depend only on the class (e2 - e1, e3 - e1).  Each class
     is evaluated through ``survey_row`` at its representative
     (0, e2 - e1, e3 - e1), in a memo that lives for this call only; a row
-    computes just its own c1, c2, gamma and ``tab_admissible``.
+    computes just its own c1, c2, gamma and table admissibility from the
+    sorted triple, with no spec of its own.
     """
     classes = {}
     rows = []
     for exponents in types:
-        spec = BundleSpec.split(*exponents)
-        e1, e2, e3 = spec.exponents
+        e1, e2, e3 = exponents = tuple(sorted(exponents))
         key = (e2 - e1, e3 - e1)
         facts = classes.get(key)
         if facts is None:
             facts = classes[key] = survey_row((0, *key))
+        c = chow.chern_pair_of_split(e1, e2, e3)
         rows.append(SurveyRow(
-            exponents=spec.exponents,
-            c1=spec.chern.c1,
-            c2=spec.chern.c2,
-            gamma=spec.gamma,
+            exponents=exponents,
+            c1=c.c1,
+            c2=c.c2,
+            gamma=c.gamma,
             nef=facts.nef,
             ample=facts.ample,
             big=facts.big,
             rho=facts.rho,
             verdict=facts.verdict,
-            tab_admissible=tab_admissible(spec),
+            tab_admissible=cone.is_allowed_splitting_type(e1, e2, e3),
         ))
     return rows
 

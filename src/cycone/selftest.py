@@ -77,13 +77,28 @@ def check_picard_rank_four_example():
     _require(rho.value == 4, f"rho(X) = {rho.value}, expected 4")
 
 
+def _rho_by_splitting_type(stype) -> int | None:
+    """The splitting-type criterion: a uniform type, twisted so that c1 lies
+    in {1, 2, 3}, other than (0, 0, 3) forces rho(X) = 2; else it is silent."""
+    c1 = sum(stype)
+    t = ((c1 - 1) % 3 + 1 - c1) // 3
+    return None if tuple(e + t for e in stype) == (0, 0, 3) else 2
+
+
 def check_gamma_catalog():
-    """The four uniform (0,1,2) bundles carry gamma = 3, 0, 0, -9."""
-    expected = dict(zip(bundles.UNIFORM_012_NAMES, (3, 0, 0, -9)))
-    for name, g in expected.items():
+    """The four uniform (0,1,2) bundles carry gamma = 3, 0, 0, -9; their
+    Chern pairs and splitting types, read off the sheaf expressions, match
+    the hand-typed ones, and rho by End cohomology matches the
+    splitting-type criterion."""
+    hand_typed = ((3, 2), (3, 3), (3, 3), (3, 6))
+    for name, pair, g in zip(bundles.UNIFORM_012_NAMES, hand_typed, (3, 0, 0, -9)):
         spec = BundleSpec.named(name)
         _require(spec.gamma == g, f"gamma({name}) = {spec.gamma}, expected {g}")
+        _require(spec.chern == ChernPair(*pair), f"chern({name}) = {spec.chern}, expected {pair}")
         _require(spec.splitting_type == (0, 1, 2), f"{name} splitting type")
+        rho = invariants.rho_of_x(spec, _status(spec)).value
+        criterion = _rho_by_splitting_type(spec.splitting_type)
+        _require(rho == criterion, f"rho({name}) = {rho}, the criterion gives {criterion}")
 
 
 def check_pairing_closed_forms():

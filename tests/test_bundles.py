@@ -16,7 +16,9 @@ from cycone.chow import ChernPair
 from cycone.cohom import (
     DirectSum,
     LineBundle,
+    SymPower,
     SymTangent,
+    TwistBy,
     chern_data,
     cohom_expr,
     expr_rank,
@@ -31,15 +33,14 @@ def test_split_spec_sorts_and_derives_chern():
     assert spec.chern == ChernPair(3, 2)
     assert spec.splitting_type == (0, 1, 2)
     assert spec.gamma == 3
-    assert spec.uniform is True
+    assert spec.atoms == ((0, 0), (0, 1), (0, 2))
 
 
 def test_chern_only_spec():
     spec = BundleSpec.chern_only(3, 12)
     assert spec.gamma == -27
     assert spec.splitting_type is None
-    assert spec.uniform is None
-    assert spec.end_difference_exponents() is None
+    assert spec.atoms is None and spec.exponents is None
 
 
 def test_named_catalog_lookup():
@@ -65,8 +66,11 @@ def test_named_rejects_unknown_and_wrong_rank():
         BundleSpec.named("mystery")
     with pytest.raises(UnknownBundleError):
         BundleSpec.named("O+O(1)")  # rank 2
-    with pytest.raises(UnknownBundleError):
-        BundleSpec.named("SymT(1,0)+O")  # not a sum of line bundles
+    with pytest.raises(UnknownBundleError, match="rank-3 sheaf expression"):
+        BundleSpec.named("SymT(1,0)")  # rank 2
+    spec = BundleSpec.named("SymT(1,0)+O")  # T + O, the catalog's TP2+O
+    assert (spec.kind, spec.name) == ("named", "SymT(1,0)+O")
+    assert (spec.chern, spec.splitting_type, spec.exponents) == (ChernPair(3, 3), (0, 1, 2), None)
 
 
 def test_catalog_gamma_values():
@@ -79,8 +83,9 @@ def test_catalog_gamma_values():
         "TP3restP2": -2,
     }
     for name, g in expected.items():
-        assert CATALOG[name].chern.gamma == g
-    assert [CATALOG[n].chern.gamma for n in UNIFORM_012_NAMES] == [3, 0, 0, -9]
+        assert BundleSpec.named(name).gamma == g
+    assert [BundleSpec.named(n).gamma for n in UNIFORM_012_NAMES] == [3, 0, 0, -9]
+    assert sorted(CATALOG) == sorted(expected)
 
 
 def test_catalog_entries_sorted():
@@ -156,14 +161,55 @@ def test_h0_anticanonical_matches_euler_restriction():
     assert h0_anticanonical(BundleSpec.named("TP3restP2")).value == expected
 
 
+# Hand-typed catalog data: (c1, c2), the splitting type on lines and, for
+# the split ids, the exponents.  The spec reads all three off the entry's
+# sheaf expression, so these are a second route.
+HAND_TYPED = {
+    "O+O(1)+O(2)": ((3, 2), (0, 1, 2), (0, 1, 2)),
+    "2O+O(3)": ((3, 0), (0, 0, 3), (0, 0, 3)),
+    "TP2+O": ((3, 3), (0, 1, 2), None),
+    "TP2(-1)+O(2)": ((3, 3), (0, 1, 2), None),
+    "S2TP2(-1)": ((3, 6), (0, 1, 2), None),
+    "TP3restP2": ((4, 6), (1, 1, 2), None),
+}
+
+
 @pytest.mark.parametrize("entry", catalog_entries(), ids=lambda e: e.name)
 def test_catalog_expressions_match_the_hand_typed_chern_pairs(entry):
-    if entry.expr is None:
-        assert entry.exponents is not None
-        return
+    pair, stype, exponents = HAND_TYPED[entry.name]
     data = chern_data(entry.expr)
-    assert (data.rank, data.c1, data.c2) == (3, entry.chern.c1, entry.chern.c2)
+    assert (data.rank, data.c1, data.c2) == (3, *pair)
     assert expr_rank(entry.expr) == 3
+    spec = BundleSpec.named(entry.name)
+    assert (spec.kind, spec.name) == ("named", entry.name)
+    assert (spec.chern, spec.splitting_type, spec.exponents) == (ChernPair(*pair), stype, exponents)
+
+
+@pytest.mark.parametrize(
+    "text, atoms, stype",
+    [
+        ("SymT(2,0)", ((2, 0),), (2, 3, 4)),
+        ("sym(SymT(1,-1),2)", ((2, -2),), (0, 1, 2)),
+        ("dual(SymT(1,0))+O(2)", ((0, 2), (1, -3)), (-2, -1, 2)),
+        ("twist(SymT(1,0)+O,-1)", ((0, -1), (1, -1)), (-1, 0, 1)),
+    ],
+)
+def test_splitting_type_is_read_off_the_atoms(text, atoms, stype):
+    # S^a T(b) restricts to a line as O(a+b) + ... + O(2a+b), since T|L = O(1) + O(2)
+    spec = BundleSpec.named(text)
+    assert (spec.atoms, spec.splitting_type, spec.exponents) == (atoms, stype, None)
+    assert spec.twist(3).splitting_type == tuple(e + 3 for e in stype)
+    assert spec.twist(3).atoms == tuple((a, b + 3) for a, b in atoms)
+
+
+def test_split_h0_path_matches_cohomology():
+    # h^0(-K_Z) of a sum of lines takes the multiset sum; cohom_expr on the
+    # same S^3 E (3 - c1) is the other path
+    for exps in combinations_with_replacement(range(-3, 4), 3):
+        spec = BundleSpec.split(*exps)
+        e = DirectSum(*[LineBundle(k) for k in spec.exponents])
+        sections = TwistBy(SymPower(e, 3), 3 - spec.chern.c1)
+        assert h0_anticanonical(spec).value == cohom_expr(sections).h0, exps
 
 
 def test_h0_anticanonical_chern_only():

@@ -1,0 +1,124 @@
+"""Census of rank-3 twist classes: the 91 split classes of width at most 12
+and the five homogeneous classes whose -K_Z is nef and big.
+
+Twisting E by O(t) leaves Z = P(E) alone, so a class is analyzed at one
+representative.  Each class pins nef, ample and big of -K_Z, rho(X),
+h^0(-K_Z), the verdict and the restriction case.  Wherever -K_Z is nef and
+big, Kawamata-Viehweg kills the higher cohomology of -K_Z, so h^0(-K_Z)
+must equal chi(Z, -K_Z) = 5 gamma + 100; that closed form lives only here.
+"""
+
+import pytest
+
+from cycone.bundles import BundleSpec
+from cycone.report import build_report
+
+R, EQ, EXC = "Rational", "equality", "exceptional_candidate"
+
+# The split classes (0, d2, d3) with -K_Z nef: exactly those with d2 + d3 <= 3.
+NEF_SPLIT = {
+    (0, 0, 0): (True, True, True, 2, 100, R, EQ),
+    (0, 0, 1): (True, True, True, 2, 105, R, EQ),
+    (0, 0, 2): (True, True, True, 2, 120, R, EQ),
+    (0, 0, 3): (True, False, True, 4, 145, R, EXC),
+    (0, 1, 1): (True, True, True, 2, 105, R, EQ),
+    (0, 1, 2): (True, False, True, 2, 115, R, EXC),
+}
+
+# h^0(-K_Z) of the other split classes: row d2 lists d3 = max(d2, 4 - d2), ..., 12.
+NON_NEF_H0 = (
+    (180, 225, 276, 333, 396, 465, 540, 621, 708),
+    (135, 165, 204, 251, 305, 365, 431, 503, 581, 665),
+    (120, 135, 159, 192, 233, 282, 338, 401, 470, 545, 626),
+    (144, 162, 189, 224, 267, 318, 376, 441, 513, 591),
+    (174, 195, 224, 261, 306, 359, 419, 486, 560),
+    (210, 233, 264, 303, 350, 405, 467, 536),
+    (250, 275, 308, 349, 398, 455, 519),
+    (294, 321, 356, 399, 450, 509),
+    (342, 371, 408, 453, 506),
+    (394, 425, 464, 511),
+    (450, 483, 524),
+    (510, 545),
+    (574,),
+)
+
+
+def _split_census() -> dict:
+    census = dict(NEF_SPLIT)
+    for d2, row in enumerate(NON_NEF_H0):
+        for d3, h0 in enumerate(row, start=max(d2, 4 - d2)):
+            census[(0, d2, d3)] = (False, False, None, None, h0, R, EQ)
+    return census
+
+
+SPLIT_CENSUS = _split_census()
+
+# T(b) + O(c) for d = b - c in {-3, -2, -1, 0}, at b = 0, and S^2 T; the
+# gamma is d^2 + 3d for T(b) + O(c) and -9 for S^2 T.
+HOMOGENEOUS = {
+    "SymT(1,0)+O(3)": (0, (True, False, True, 2, 100, R, EXC)),
+    "SymT(1,0)+O(2)": (-2, (True, True, True, 2, 90, R, EQ)),
+    "SymT(1,0)+O(1)": (-2, (True, True, True, 2, 90, R, EQ)),
+    "SymT(1,0)+O": (0, (True, False, True, 2, 100, R, EXC)),
+    "SymT(2,0)": (-9, (True, False, True, 2, 55, R, EXC)),
+}
+
+
+def facts(spec: BundleSpec) -> tuple:
+    """(nef, ample, big, rho, h0, verdict, restriction case) of the spec."""
+    r = build_report(spec)
+    mk = r.cone.minus_k
+    return (
+        mk.nef, mk.ample, mk.big, r.rho.value, r.h0_minus_k.value,
+        r.cone.verdict, r.cone.restriction.case,
+    )
+
+
+def _check_kawamata_viehweg(spec: BundleSpec, f: tuple):
+    nef, _, big, _, h0 = f[:5]
+    if nef and big:
+        assert h0 == 5 * spec.gamma + 100, spec
+
+
+def test_split_census_covers_the_91_classes():
+    classes = [(0, d2, d3) for d2 in range(13) for d3 in range(d2, 13)]
+    assert sorted(SPLIT_CENSUS) == classes and len(classes) == 91
+
+
+def test_split_census():
+    for triple, expected in SPLIT_CENSUS.items():
+        spec = BundleSpec.split(*triple)
+        got = facts(spec)
+        assert got == expected, triple
+        _check_kawamata_viehweg(spec, got)
+
+
+@pytest.mark.parametrize("text", HOMOGENEOUS)
+def test_homogeneous_census(text):
+    gamma, expected = HOMOGENEOUS[text]
+    spec = BundleSpec.named(text)
+    assert spec.gamma == gamma
+    got = facts(spec)
+    assert got == expected
+    _check_kawamata_viehweg(spec, got)
+    for t in (-2, 1):
+        assert facts(spec.twist(t)) == expected
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("TP2(-1)+O(2)", "SymT(1,0)+O(3)"),
+        ("TP2+O", "SymT(1,0)+O"),
+        ("TP3restP2", "SymT(1,0)+O(1)"),
+        ("S2TP2(-1)", "SymT(2,0)"),
+    ],
+)
+def test_catalog_ids_fall_in_their_homogeneous_class(name, text):
+    assert facts(BundleSpec.named(name)) == HOMOGENEOUS[text][1]
+
+
+def test_no_other_tangent_plus_line_class_is_nef_and_big():
+    for d in range(-8, 9):
+        f = facts(BundleSpec.named(f"SymT(1,0)+O({-d})"))
+        assert (f[0] is True and f[2] is True) == (-3 <= d <= 0), d

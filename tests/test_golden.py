@@ -34,6 +34,8 @@ def _cases():
         specs.append((f"named-{_slug(name)}", ["--named", name]))
         specs.append((f"named-{_slug(name)}-twist2", ["--named", name, "--twist", "2"]))
     specs += [
+        # T + O(2), the fifth homogeneous class with nef and big -K_Z
+        ("named-SymT_1_0_O_2", ["--named", "SymT(1,0)+O(2)"]),
         ("chern-3_12", ["--chern", "3,12"]),
         ("chern-3_6", ["--chern", "3,6"]),
         ("split-m5_6_6", ["--split=-5,6,6"]),

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cycone import cone, invariants, selftest
 from cycone.bundles import BundleSpec, h0_anticanonical
 from cycone.chow import ChernPair
+from cycone.cohom import h0_line
 from cycone.errors import InvariantViolationError
 
 GRID = [ChernPair(c1, c2) for c1 in range(-6, 7) for c2 in range(-10, 11)]
@@ -148,13 +149,13 @@ def test_rho_examples():
     assert rho_of(BundleSpec.split(0, 0, 3)).value == 4
     assert rho_of(BundleSpec.split(0, 1, 2)).value == 2
     res = rho_of(BundleSpec.named("TP3restP2"))
-    assert (res.value, res.reason) == (2, "splitting-type-criterion")
+    assert (res.value, res.reason) == (2, "end-cohomology")
 
 
-def test_rho_uses_splitting_type_for_catalog_bundles():
-    for name in ("TP2+O", "TP2(-1)+O(2)", "S2TP2(-1)"):
+def test_rho_by_end_cohomology_for_catalog_bundles():
+    for name in ("TP2+O", "TP2(-1)+O(2)", "S2TP2(-1)", "SymT(1,0)+O(2)"):
         res = rho_of(BundleSpec.named(name))
-        assert res.value == 2
+        assert (res.value, res.reason) == (2, "end-cohomology")
 
 
 def test_rho_unknown_without_positivity():
@@ -171,7 +172,9 @@ def test_rho_matches_end_cohomology_on_nef_splits():
         status = cone.anticanonical_status(spec, h0_anticanonical(spec))
         res = invariants.rho_of_x(spec, status)
         if status.nef and status.big:
-            assert res.value is not None and res.value >= 2
+            # the Serre route per summand: h^2(O(d)) = h^0(O(-3 - d))
+            h2 = sum(h0_line(-3 - (ej - ei)) for ei in exps for ej in exps)
+            assert res.value == 2 + h2 and res.value >= 2
         else:
             assert res.value is None
 

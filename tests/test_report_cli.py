@@ -296,7 +296,7 @@ def test_cli_rejects_named_rank_before_expanding(expr):
     code, _, err = run_main(["analyze", "--named", expr])
     assert time.perf_counter() - start < 1.0
     assert code == 1
-    assert "rank-3 sum of line bundles" in err
+    assert "is not a catalog id or a rank-3 sheaf expression" in err
 
 
 def test_cli_named_rank_one_sym_and_multiplicity_do_not_expand():
@@ -412,11 +412,28 @@ def test_cli_usage_error_leaves_the_parser_usable(bad):
         ["--split=0,0,10001"],
         ["--named=O(-10001)+O+O"],
         ["--chern=3,6", "--twist=10001"],
+        ["--named=SymT(1,10000)+O"],  # the splitting type (0, 10001, 10002)
     ],
 )
 def test_cli_rejects_spec_values_beyond_the_bound(argv, capsys):
     assert cli.main(["analyze", *argv]) == 1
     assert "outside [-10000, 10000]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--chern=0," + "9" * 4000],
+        ["--split=0,0," + "9" * 41],
+        ["--named=sym(sym(O(1)," + "9" * 3000 + ")," + "9" * 3000 + ")+O+O"],
+        ["--named=SymT(1,0)+sym(sym(O(-1)," + "9" * 3000 + ")," + "9" * 3000 + ")"],
+    ],
+)
+def test_cli_bound_error_gives_a_huge_value_by_its_size(argv):
+    code, _, err = run_main(["analyze", *argv])
+    assert code == 1
+    assert err.startswith("cycone: usage error:") and "bits is outside [-10000, 10000]" in err
+    assert len(err.encode()) < 300
 
 
 def test_cli_worst_accepted_specs_finish_quickly(capsys):
@@ -426,6 +443,7 @@ def test_cli_worst_accepted_specs_finish_quickly(capsys):
         [f"--chern=-{bound},-{bound}", f"--twist={bound}"],
         [f"--split=-{bound},0,{bound}"],
         ["--named=S2TP2(-1)", f"--twist=-{bound}"],
+        [f"--named=SymT(1,{bound - 2})+O(-{bound})"],
     ):
         start = time.perf_counter()
         assert cli.main(["analyze", *argv, "--json"]) == 0
