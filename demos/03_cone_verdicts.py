@@ -45,7 +45,7 @@ print()
 print("catalog verdicts:")
 for entry in catalog_entries():
     spec = BundleSpec.named(entry.name)
-    report = build_report(spec).cone
+    report = build_report(spec)
     k_desc = str(report.k_root.k) if report.k_root.exists else "none"
     print(
         f"  {entry.name:<14} gamma {spec.gamma:>3}  verdict {report.verdict:<9}"

@@ -7,7 +7,7 @@ The public surface, by layer:
 * :mod:`cycone.chow`       the ambient Chow ring, Chern calculus, pairing data
 * :mod:`cycone.cohom`      sheaf cohomology on P2 and the expression grammar
 * :mod:`cycone.bundles`    bundle specs and the named catalog
-* :mod:`cycone.invariants` invariants of the hypersurface (gamma, c3, h12, chi)
+* :mod:`cycone.invariants` pairings of the hypersurface (c3 among them), rho, chi
 * :mod:`cycone.cone`       boundary roots, c2 positivity, verdicts
 * :mod:`cycone.report`     report assembly and serialization
 * :mod:`cycone.cli`        the ``cycone`` command
@@ -15,11 +15,13 @@ The public surface, by layer:
 Names load on first use: ``import cycone`` runs no layer, and the first
 access to a name of ``__all__`` or to a layer attribute (``cycone.cohom``)
 imports the whole engine at once.  So the ``cycone`` command parses its
-arguments, prints help and reports usage errors without loading it.
+arguments, prints help and reports usage errors without loading it.  The
+layers import each other by absolute import (``import cycone.cohom as
+cohom``), which never reaches this module's ``__getattr__``, so importing
+one layer loads only the layers it needs.
 """
 
 import importlib
-import sys
 
 __version__ = "0.1.0"
 
@@ -50,7 +52,6 @@ _LAYERS = {
         "anticanonical_status",
         "boundary_root",
         "c2_positivity",
-        "cone_report",
         "cone_restriction_case",
         "rationality_verdict",
     ),
@@ -72,21 +73,7 @@ ANALYZE_EXTRA_COLUMNS = (
 )
 
 
-def _layer_importing() -> bool:
-    """Whether a layer is running its body right now.
-
-    A submodule is in ``sys.modules`` while it runs, and Python binds it
-    here only once it has finished.
-    """
-    return any(f"{__name__}.{layer}" in sys.modules and layer not in globals() for layer in _LAYERS)
-
-
 def __getattr__(name):
-    if name in _LAYERS and _layer_importing():
-        # a layer's own ``from . import cohom``: load that layer alone, as
-        # the import system would; the whole engine would need the layer
-        # that is still running
-        return importlib.import_module(f"{__name__}.{name}")
     if name not in _LAYERS and name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     for layer, names in _LAYERS.items():

@@ -8,11 +8,13 @@ E is read off that form:
 * the splitting type on lines: T|L = O(1) + O(2), so S^a T(b) restricts to
   every line L as O(a+b) + O(a+b+1) + ... + O(2a+b); the type is uniform;
 * ``exponents``, the sorted b's when every atom is a line bundle;
-* the Chern pair, by ``cohom.chern_data`` of the sum of the atoms;
 * h^0(-K_Z) = h^0(S^3 E (3 - c1)), a sum over exponent multisets when every
-  atom is a line bundle and ``cohom.cohom_expr`` otherwise.
+  atom is a line bundle and ``cohom.cohom_atoms`` of S^3 of the atoms
+  otherwise.
 
-The catalog names rank-3 sheaf expressions, split ones included.
+The Chern pair is ``cohom.chern_data`` of the parsed expression.  The
+catalog names rank-3 sheaf expressions, split ones included; any other
+expression is named by its atoms, so its name depends on the bundle only.
 Twisting E by O(t) shifts every b and changes the Chern pair, but not Z.
 """
 
@@ -22,7 +24,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations_with_replacement
 
-from . import cohom
+import cycone.cohom as cohom
 from .chow import ChernPair, chern_pair_of_split
 from .errors import DomainError, UnknownBundleError, quote_input
 
@@ -53,9 +55,16 @@ CATALOG: dict[str, CatalogEntry] = {
 UNIFORM_012_NAMES = ("O+O(1)+O(2)", "TP2+O", "TP2(-1)+O(2)", "S2TP2(-1)")
 
 
-def _atoms_expr(atoms):
-    """The sum of the atoms as a sheaf expression."""
-    return cohom.DirectSum(*[cohom.SymTangent(a, b) for a, b in atoms])
+def _atoms_name(atoms) -> str:
+    """The atoms written largest a first, as ``SymT(a,b)`` or ``O(b)`` (``O`` for b = 0).
+
+    >>> _atoms_name(((0, 2), (1, 0)))
+    'SymT(1,0)+O(2)'
+    """
+    return "+".join(
+        f"SymT({a},{b})" if a else (f"O({b})" if b else "O")
+        for a, b in sorted(atoms, key=lambda atom: -atom[0])
+    )
 
 
 @dataclass(frozen=True)
@@ -77,7 +86,8 @@ class BundleSpec:
     def named(cls, name: str) -> "BundleSpec":
         """A catalog id, or any rank-3 expression of the sheaf grammar.
 
-        A sum of line bundles that is not a catalog id is a split spec.
+        A sum of line bundles that is not a catalog id is a split spec; any
+        other expression is named by ``_atoms_name`` of its atoms.
         """
         entry = CATALOG.get(name)
         if entry is not None:
@@ -94,9 +104,16 @@ class BundleSpec:
                     f"{quote_input(name)} is not a catalog id or a rank-3 sheaf expression"
                 )
         atoms = tuple(sorted(cohom.normalize(expr)))
-        if entry is None and all(a == 0 for a, _ in atoms):
-            return cls.split(*(b for _, b in atoms))
-        data = cohom.chern_data(_atoms_expr(atoms))
+        if entry is None:
+            if all(a == 0 for a, _ in atoms):
+                return cls.split(*(b for _, b in atoms))
+            try:
+                name = _atoms_name(atoms)
+            except ValueError:
+                # a degree past str()'s 4300 digits keeps the input text; the
+                # CLI refuses such a bundle by the size of its splitting type
+                pass
+        data = cohom.chern_data(expr)
         return cls(NAMED, ChernPair(data.c1, data.c2), atoms, name)
 
     @classmethod
@@ -161,8 +178,9 @@ def _split_sections_h0(exponents, c1: int) -> int:
 def h0_anticanonical(spec: BundleSpec) -> H0Anticanonical:
     """h^0(-K_Z) = h^0(S^3 E (3 - c1)), exact for every spec with atoms.
 
-    A sum of line bundles takes the sum over exponent multisets, about ten
-    times cheaper than ``cohom.cohom_expr``, which takes the rest.  For
+    A sum of line bundles takes the sum over exponent multisets, about five
+    times cheaper than the atom route, which takes the rest: S^3 of the
+    atoms by ``cohom.sym_atoms``, twisted, then ``cohom.cohom_atoms``.  For
     Chern-only specs the > 1 question falls back to the topological bound:
     gamma >= -18 forces h^0(-K_Z) > 1 (assuming rho(X) = 2), and below that
     the answer is open.
@@ -172,8 +190,8 @@ def h0_anticanonical(spec: BundleSpec) -> H0Anticanonical:
     if exps is not None:
         value = _split_sections_h0(exps, spec.chern.c1)
     elif spec.atoms is not None:
-        sections = cohom.TwistBy(cohom.SymPower(_atoms_expr(spec.atoms), 3), 3 - spec.chern.c1)
-        value = cohom.cohom_expr(sections).h0
+        t = 3 - spec.chern.c1
+        value = cohom.cohom_atoms([(a, b + t) for a, b in cohom.sym_atoms(spec.atoms, 3)]).h0
     if value is not None:
         return H0Anticanonical(value, value > 1, "exact")
     if spec.gamma >= -18:

@@ -6,9 +6,11 @@ provenance block separately.
 
 Each command imports the layers it uses when it runs, so building the
 parser, printing help and reporting a usage error load no engine layer.
-Those imports are absolute (``import cycone.report as report``): in a
-function body a relative import costs about three times as much, and
-``analyze`` and ``survey`` pay it on every call.
+Those imports are absolute (``import cycone.report as report``), as in
+every layer: a relative ``from . import report`` asks the package's lazy
+``__getattr__``, which loads the whole engine, and in a function body it
+costs about three times as much, which ``analyze`` and ``survey`` pay on
+every call.
 """
 
 from __future__ import annotations

@@ -191,7 +191,7 @@ def normalize(expr) -> tuple:
         return tuple(_dual(normalize(expr.expr)))
     if isinstance(expr, SymPower):
         # S^p for p <= 0 is O, whatever the inner expression
-        return tuple(_sym(normalize(expr.expr), expr.p)) if expr.p > 0 else ((0, 0),)
+        return tuple(sym_atoms(normalize(expr.expr), expr.p)) if expr.p > 0 else ((0, 0),)
     if isinstance(expr, EndOf):
         return tuple(end_atoms(normalize(expr.expr)))
     raise UnsupportedExpressionError(expr, "unknown expression node")
@@ -218,7 +218,7 @@ def _tensor(xs, ys) -> list:
     return out
 
 
-def _sym(atoms, p: int) -> list:
+def sym_atoms(atoms, p: int) -> list:
     """S^p of a sum of atoms: S^p(A + B) = sum_i S^i A (x) S^(p-i) B."""
     if len(atoms) == 1:
         return _plethysm(*atoms[0], p)
@@ -227,7 +227,7 @@ def _sym(atoms, p: int) -> list:
     (a, b), rest = atoms[0], atoms[1:]
     out = []
     for i in range(p, -1, -1):
-        out += _tensor(_plethysm(a, b, i), _sym(rest, p - i))
+        out += _tensor(_plethysm(a, b, i), sym_atoms(rest, p - i))
     return out
 
 

@@ -16,6 +16,9 @@ The pieces, all in exact arithmetic:
   canonical-side case, or an exceptional-surface candidate whose class is
   pinned numerically);
 * the rationality verdict with a first-match trail of criteria.
+
+Each is a function of facts its caller already holds; ``report.build_report``
+calls each once per spec and keeps the results side by side.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import chow, invariants
+import cycone.chow as chow
+import cycone.invariants as invariants
 from .bundles import BundleSpec, H0Anticanonical
 from .chow import ChernPair, ExceptionalSurfaceClass
 from .errors import DomainError, InvariantViolationError
@@ -129,7 +133,6 @@ class C2Positivity:
     minus_k_ray: int                  # -K_Z|X . c2(X) = 6*gamma + 216
     h_ray: int                        # pi*h . c2(X), always 36
     positive: bool
-    gamma_in_rho2_range: bool
 
 
 def c2_bound_for_gamma(g: int) -> QuadValue | None:
@@ -149,7 +152,6 @@ def c2_positivity_for_gamma(g: int) -> C2Positivity:
         minus_k_ray=minus_k_ray,
         h_ray=36,
         positive=all(v > 0 for v in values),
-        gamma_in_rho2_range=g >= -27,
     )
 
 
@@ -283,47 +285,3 @@ def rationality_verdict(
         return RationalityResult(RATIONAL, ("rational-cubic-root",), tuple(notes))
     notes.append("h0(-K_Z) may equal 1; open territory")
     return RationalityResult(UNKNOWN, (), tuple(notes))
-
-
-@dataclass(frozen=True)
-class ConeReport:
-    """Aggregate cone-side verdict for one bundle spec."""
-
-    minus_k: MinusKStatus
-    k_root: BoundaryRoot          # OZ3 normalization
-    k_root_scaled: BoundaryRoot   # OZ1 normalization
-    verdict: str
-    trail: tuple[str, ...]
-    notes: tuple[str, ...]
-    c2: C2Positivity
-    restriction: ConeRestriction
-    w_contains_boundary: bool | None  # open question; reported, never assumed
-
-
-def cone_report(
-    spec: BundleSpec,
-    h0: H0Anticanonical,
-    minus_k: MinusKStatus,
-    rho: invariants.RhoResult,
-    surface: ExceptionalSurfaceClass,
-    pairings: invariants.XPairings,
-) -> ConeReport:
-    """The cone-side facts of one spec, given the facts its caller holds.
-
-    The boundary root is solved once; the verdict takes it as is and the
-    c2 cross-check in the OZ1 normalization.
-    """
-    k_root = boundary_root(spec.chern)
-    k_root_scaled = k_root.scaled()
-    verdict = rationality_verdict(spec, h0, rho, k_root)
-    return ConeReport(
-        minus_k=minus_k,
-        k_root=k_root,
-        k_root_scaled=k_root_scaled,
-        verdict=verdict.verdict,
-        trail=verdict.trail,
-        notes=verdict.notes,
-        c2=c2_positivity(spec.chern, k_root_scaled, pairings),
-        restriction=cone_restriction_case(minus_k, surface),
-        w_contains_boundary=None,
-    )

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import chow
+import cycone.chow as chow
 from .bundles import BundleSpec
 from .chow import ChernPair, as_integer
 from .cohom import cohom_atoms, end_atoms
@@ -69,30 +69,18 @@ def engine_pairings(c: ChernPair) -> XPairings:
     )
 
 
-@dataclass(frozen=True)
-class CYInvariants:
-    gamma: int
-    c3: int
-    h12: int | None  # 3*gamma + 83, only once rho(X) = 2 is established
-    pairings: XPairings
-    gamma_in_rho2_range: bool  # gamma >= -27, forced by c3(X) <= 4 when rho = 2
+def cy_invariants(c: ChernPair) -> XPairings:
+    """The pairings of X, c3(X) among them, checked engine against closed forms.
 
-
-def cy_invariants(c: ChernPair, rho: int | None = None) -> CYInvariants:
+    Raises InvariantViolationError when the two routes disagree.
+    """
     closed = closed_form_pairings(c)
     engine = engine_pairings(c)
     if closed != engine:
         raise InvariantViolationError(
             f"pairing tables disagree for {c}: closed {closed} vs engine {engine}"
         )
-    g = c.gamma
-    return CYInvariants(
-        gamma=g,
-        c3=closed.c3,
-        h12=3 * g + 83 if rho == 2 else None,
-        pairings=closed,
-        gamma_in_rho2_range=g >= -27,
-    )
+    return closed
 
 
 def divisor_cube(p: XPairings, d: tuple[int, int]) -> int:

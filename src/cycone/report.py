@@ -10,6 +10,13 @@ Conventions (stable across releases):
   report-level caveats land in "warnings";
 * data output is deterministic; provenance only appears under --meta.
 
+An ``AnalysisReport`` is flat: one field per stage result, each held once
+(the spec, h^0(-K_Z), the -K_Z status, rho, the pairings of X, h12, the
+two boundary roots, the verdict and its trail, c2 positivity, the
+restriction case, the exceptional-surface class, the section bounds and
+the warnings).  Facts that follow from these are not stored: gamma is
+``spec.gamma`` and c3(X) is ``pairings.c3``.
+
 Where a JSON key comes from: a codec is an (encode, decode) pair, and each
 key is written down in one of two places.  The records ``MinusKStatus``,
 ``BoundaryRoot``, ``RhoResult``, ``H0Anticanonical``, ``XPairings``,
@@ -20,8 +27,10 @@ once per direction: the spec (``spec_to_dict`` / ``spec_from_dict``, which
 flatten ``chern`` and write ``twist_applied`` as ``twist``), the
 exceptional-surface class (``_SURFACE``, keyed by basis names), and the
 top level with its ``cone`` block (``report_to_dict`` /
-``report_from_dict``, which lift ``minus_k`` to the top and flatten the
-c2 facts into ``c2_*`` keys).
+``report_from_dict``, which group the roots, the verdict, the c2 facts as
+``c2_*`` keys and the restriction case under ``cone``, and write the
+derived ``gamma``, ``c3`` and ``w_contains_boundary`` keys that the
+decoder skips).
 
 The 12 survey columns come from ``SurveyRow.values``, which the TSV cells,
 the JSON-lines rows and the first cells of ``analyze --tsv`` share.  Their
@@ -34,22 +43,19 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
-from . import ANALYZE_EXTRA_COLUMNS, SURVEY_COLUMNS, chow, cone, invariants
+import cycone.chow as chow
+import cycone.cone as cone
+import cycone.invariants as invariants
+from . import ANALYZE_EXTRA_COLUMNS, SURVEY_COLUMNS
 from .bundles import BundleSpec, H0Anticanonical, h0_anticanonical
 from .chow import ChernPair, ExceptionalSurfaceClass, exceptional_surface_class
-from .cone import (
-    BoundaryRoot,
-    C2Positivity,
-    ConeReport,
-    ConeRestriction,
-    MinusKStatus,
-)
+from .cone import BoundaryRoot, C2Positivity, ConeRestriction, MinusKStatus
 from .errors import DomainError
 from .exactnum import QuadValue, format_rational, parse_rational
-from .invariants import CYInvariants, RhoResult, SectionBounds, XPairings
+from .invariants import RhoResult, SectionBounds, XPairings
 
 
 def tri(value: bool | None) -> str:
@@ -70,16 +76,22 @@ def _or(value, absent: str):
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    """Everything the analyzer knows about one bundle spec."""
+    """Everything the analyzer knows about one bundle spec, each fact once."""
 
     spec: BundleSpec
-    invariants: CYInvariants
-    rho: RhoResult
     h0_minus_k: H0Anticanonical
-    bounds: SectionBounds
-    cone: ConeReport
+    minus_k: MinusKStatus
+    rho: RhoResult
+    pairings: XPairings
+    h12: int | None               # 3 gamma + 83 unless rho is known and not 2
+    k_root: BoundaryRoot          # OZ3 normalization
+    k_root_scaled: BoundaryRoot   # OZ1 normalization
+    verdict: str
+    trail: tuple[str, ...]
+    c2: C2Positivity
+    restriction: ConeRestriction
     surface: ExceptionalSurfaceClass
-    h12_display: int | None
+    bounds: SectionBounds
     warnings: tuple[str, ...]
 
 
@@ -92,22 +104,27 @@ def tab_admissible(spec: BundleSpec) -> bool | None:
 
 
 def build_report(spec: BundleSpec) -> AnalysisReport:
-    """One evaluation pass: each fact is computed once and handed on."""
+    """One evaluation pass: each fact is computed once and handed on.
+
+    The boundary root is solved once; the verdict takes it as is and the
+    c2 cross-check in the OZ1 normalization.
+    """
+    c = spec.chern
     h0 = h0_anticanonical(spec)
     minus_k = cone.anticanonical_status(spec, h0)
     rho = invariants.rho_of_x(spec, minus_k)
-    inv = invariants.cy_invariants(spec.chern, rho.value)
-    surface = exceptional_surface_class(spec.chern)
-    cone_rep = cone.cone_report(spec, h0, minus_k, rho, surface, inv.pairings)
-    bounds = invariants.section_bounds(spec.chern, inv.pairings)
+    pairings = invariants.cy_invariants(c)
+    k_root = cone.boundary_root(c)
+    k_root_scaled = k_root.scaled()
+    verdict = cone.rationality_verdict(spec, h0, rho, k_root)
+    surface = exceptional_surface_class(c)
+    bounds = invariants.section_bounds(c, pairings)
     g = spec.gamma
 
-    # cone notes become report warnings; the report owns all caveats
-    warnings = list(cone_rep.notes)
-    cone_rep = replace(cone_rep, notes=())
-    h12_display = inv.h12
+    # the verdict's notes become report warnings; the report owns all caveats
+    warnings = list(verdict.notes)
+    h12 = 3 * g + 83 if rho.value in (None, 2) else None
     if rho.value is None:
-        h12_display = 3 * g + 83
         warnings.append("h12 assumes rho(X) = 2, which is not established for this spec")
     if h0.reason == "gamma-ge-minus-18":
         warnings.append("h0(-K_Z) > 1 is inferred from gamma >= -18 (assumes rho(X) = 2)")
@@ -120,13 +137,19 @@ def build_report(spec: BundleSpec) -> AnalysisReport:
 
     return AnalysisReport(
         spec=spec,
-        invariants=inv,
-        rho=rho,
         h0_minus_k=h0,
-        bounds=bounds,
-        cone=cone_rep,
+        minus_k=minus_k,
+        rho=rho,
+        pairings=pairings,
+        h12=h12,
+        k_root=k_root,
+        k_root_scaled=k_root_scaled,
+        verdict=verdict.verdict,
+        trail=verdict.trail,
+        c2=cone.c2_positivity(c, k_root_scaled, pairings),
+        restriction=cone.cone_restriction_case(minus_k, surface),
         surface=surface,
-        h12_display=h12_display,
+        bounds=bounds,
         warnings=tuple(warnings),
     )
 
@@ -237,28 +260,30 @@ def spec_from_dict(d: dict) -> BundleSpec:
 
 
 def report_to_dict(r: AnalysisReport) -> dict:
-    inv, cone_rep, c2 = r.invariants, r.cone, r.cone.c2
+    c2 = r.c2
     return {
         "spec": spec_to_dict(r.spec),
-        "gamma": inv.gamma,
-        "c3": inv.c3,
-        "h12": r.h12_display,
+        "gamma": r.spec.gamma,
+        "c3": r.pairings.c3,
+        "h12": r.h12,
         "rho": _RHO.encode(r.rho),
-        "minus_k": _MINUS_K.encode(cone_rep.minus_k),
+        "minus_k": _MINUS_K.encode(r.minus_k),
         "h0_minus_k": _H0.encode(r.h0_minus_k),
-        "pairings": _PAIRINGS.encode(inv.pairings),
+        "pairings": _PAIRINGS.encode(r.pairings),
         "section_bounds": _BOUNDS.encode(r.bounds),
         "cone": {
-            "k_root": _ROOT.encode(cone_rep.k_root),
-            "k_root_scaled": _ROOT.encode(cone_rep.k_root_scaled),
-            "verdict": cone_rep.verdict,
-            "trail": list(cone_rep.trail),
+            "k_root": _ROOT.encode(r.k_root),
+            "k_root_scaled": _ROOT.encode(r.k_root_scaled),
+            "verdict": r.verdict,
+            "trail": list(r.trail),
             "c2_min_value": _OPT_QUAD.encode(c2.boundary_value),
             "c2_minus_k_ray": c2.minus_k_ray,
             "c2_h_ray": c2.h_ray,
             "c2_positive": c2.positive,
-            "kollar_case": _RESTRICTION.encode(cone_rep.restriction),
-            "w_contains_boundary": tri(cone_rep.w_contains_boundary),
+            "kollar_case": _RESTRICTION.encode(r.restriction),
+            # whether W contains the boundary is open; ROADMAP item 3 (the
+            # nef cone ray by ray) is the change that gives it a value
+            "w_contains_boundary": "unknown",
         },
         "g_surface": _SURFACE.encode(r.surface),
         "warnings": list(r.warnings),
@@ -266,37 +291,29 @@ def report_to_dict(r: AnalysisReport) -> dict:
 
 
 def report_from_dict(d: dict) -> AnalysisReport:
-    gamma, rho, cd = d["gamma"], _RHO.decode(d["rho"]), d["cone"]
-    in_rho2_range = gamma >= -27
-    pairings = _PAIRINGS.decode(d["pairings"])
-    h12 = d["h12"] if rho.value == 2 else None
-    c2 = C2Positivity(
-        boundary_value=_OPT_QUAD.decode(cd["c2_min_value"]),
-        minus_k_ray=cd["c2_minus_k_ray"],
-        h_ray=cd["c2_h_ray"],
-        positive=cd["c2_positive"],
-        gamma_in_rho2_range=in_rho2_range,
-    )
-    cone_rep = ConeReport(
+    """The report back from its JSON; ``gamma``, ``c3`` and
+    ``w_contains_boundary`` follow from the rest and are not read."""
+    cd = d["cone"]
+    return AnalysisReport(
+        spec=spec_from_dict(d["spec"]),
+        h0_minus_k=_H0.decode(d["h0_minus_k"]),
         minus_k=_MINUS_K.decode(d["minus_k"]),
+        rho=_RHO.decode(d["rho"]),
+        pairings=_PAIRINGS.decode(d["pairings"]),
+        h12=d["h12"],
         k_root=_ROOT.decode(cd["k_root"]),
         k_root_scaled=_ROOT.decode(cd["k_root_scaled"]),
         verdict=cd["verdict"],
         trail=tuple(cd["trail"]),
-        notes=(),
-        c2=c2,
+        c2=C2Positivity(
+            boundary_value=_OPT_QUAD.decode(cd["c2_min_value"]),
+            minus_k_ray=cd["c2_minus_k_ray"],
+            h_ray=cd["c2_h_ray"],
+            positive=cd["c2_positive"],
+        ),
         restriction=_RESTRICTION.decode(cd["kollar_case"]),
-        w_contains_boundary=untri(cd["w_contains_boundary"]),
-    )
-    return AnalysisReport(
-        spec=spec_from_dict(d["spec"]),
-        invariants=CYInvariants(gamma, d["c3"], h12, pairings, in_rho2_range),
-        rho=rho,
-        h0_minus_k=_H0.decode(d["h0_minus_k"]),
-        bounds=_BOUNDS.decode(d["section_bounds"]),
-        cone=cone_rep,
         surface=_SURFACE.decode(d["g_surface"]),
-        h12_display=d["h12"],
+        bounds=_BOUNDS.decode(d["section_bounds"]),
         warnings=tuple(d["warnings"]),
     )
 
@@ -399,37 +416,36 @@ def survey_rows(types) -> list[SurveyRow]:
 
 def analyze_row_cells(r: AnalysisReport) -> list[str]:
     """The ``SURVEY_COLUMNS + ANALYZE_EXTRA_COLUMNS`` cells of one report."""
-    root = r.cone.k_root
+    root = r.k_root
     extra = [
-        r.invariants.c3,
-        _or(r.h12_display, ""),
+        r.pairings.c3,
+        _or(r.h12, ""),
         _or(r.h0_minus_k.value, ""),
         tri(root.exists),
         tri(root.k.is_rational if root.exists else None),
-        tri(r.cone.c2.positive),
-        r.cone.restriction.case,
+        tri(r.c2.positive),
+        r.restriction.case,
     ]
-    row = _row(r.spec, r.cone.minus_k, r.rho, r.cone.verdict)
+    row = _row(r.spec, r.minus_k, r.rho, r.verdict)
     return row.cells() + [str(v) for v in extra]
 
 
 def render_text_report(r: AnalysisReport) -> str:
     """Human-readable rendering; mirrors the JSON content."""
-    inv, rho, h0, cone_rep = r.invariants, r.rho, r.h0_minus_k, r.cone
-    mk, root, kc = cone_rep.minus_k, cone_rep.k_root, cone_rep.restriction
+    rho, h0, mk, root, kc = r.rho, r.h0_minus_k, r.minus_k, r.k_root, r.restriction
     via = f" via {kc.via}" if kc.via else ""
     lines = [
         f"bundle: {r.spec.describe()}",
-        f"  chern pair: ({r.spec.chern.c1}, {r.spec.chern.c2})   gamma: {inv.gamma}"
-        f"   c3(X): {inv.c3}   h12: {_or(r.h12_display, 'n/a')}",
+        f"  chern pair: ({r.spec.chern.c1}, {r.spec.chern.c2})   gamma: {r.spec.gamma}"
+        f"   c3(X): {r.pairings.c3}   h12: {_or(r.h12, 'n/a')}",
         f"  rho(X): {_or(rho.value, 'unknown')} ({rho.reason})",
         f"  -K_Z: nef={tri(mk.nef)} ample={tri(mk.ample)} big={tri(mk.big)}"
         f" h0>1={tri(mk.h0_gt_1)}",
         f"  h0(-K_Z): {_or(h0.value, 'n/a')} ({h0.reason})",
         f"  cone boundary root k (O_Z(3) ray): {root.k if root.exists else 'none'}",
-        f"  verdict: {cone_rep.verdict}  trail: {', '.join(cone_rep.trail) or '-'}",
-        f"  c2(X) positivity: {tri(cone_rep.c2.positive)}"
-        f" (boundary {_or(cone_rep.c2.boundary_value, 'n/a')}, h-ray 36)",
+        f"  verdict: {r.verdict}  trail: {', '.join(r.trail) or '-'}",
+        f"  c2(X) positivity: {tri(r.c2.positive)}"
+        f" (boundary {_or(r.c2.boundary_value, 'n/a')}, h-ray 36)",
         f"  restriction K(X)=K(Z)|X: {kc.case}{via}",
         f"  exceptional-surface class: coeffs {r.surface.coeffs},"
         f" mu candidates {list(r.surface.mu_candidates) or 'none'}",

@@ -11,7 +11,11 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
-from . import bundles, chow, cohom, cone, invariants
+import cycone.bundles as bundles
+import cycone.chow as chow
+import cycone.cohom as cohom
+import cycone.cone as cone
+import cycone.invariants as invariants
 from .bundles import BundleSpec
 from .chow import ChernPair, ChowClass
 from .exactnum import QuadValue, is_perfect_square, sqrt_to_quad

@@ -71,6 +71,8 @@ def test_named_rejects_unknown_and_wrong_rank():
     spec = BundleSpec.named("SymT(1,0)+O")  # T + O, the catalog's TP2+O
     assert (spec.kind, spec.name) == ("named", "SymT(1,0)+O")
     assert (spec.chern, spec.splitting_type, spec.exponents) == (ChernPair(3, 3), (0, 1, 2), None)
+    # a non-catalog expression is named by its atoms, largest a first
+    assert BundleSpec.named("sym(SymT(1,-1),2)").name == "SymT(2,-2)"  # S2TP2(-1)
 
 
 def test_catalog_gamma_values():

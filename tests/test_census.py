@@ -67,10 +67,10 @@ HOMOGENEOUS = {
 def facts(spec: BundleSpec) -> tuple:
     """(nef, ample, big, rho, h0, verdict, restriction case) of the spec."""
     r = build_report(spec)
-    mk = r.cone.minus_k
+    mk = r.minus_k
     return (
         mk.nef, mk.ample, mk.big, r.rho.value, r.h0_minus_k.value,
-        r.cone.verdict, r.cone.restriction.case,
+        r.verdict, r.restriction.case,
     )
 
 

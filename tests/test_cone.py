@@ -24,13 +24,13 @@ from cycone.cone import (
     c2_bound_for_gamma,
     c2_positivity,
     c2_positivity_for_gamma,
-    cone_report,
     cone_restriction_case,
     is_allowed_splitting_type,
     rationality_verdict,
 )
 from cycone.errors import DomainError
 from cycone.exactnum import QuadValue, is_perfect_square, sqrt_to_quad
+from cycone.report import build_report, report_to_dict
 
 
 def status_of(spec):
@@ -140,7 +140,11 @@ def test_c2_boundary_value_at_gamma_minus_27():
     rep = c2_positivity_for_gamma(-27)
     assert rep.boundary_value == QuadValue.make(-36, 18, 13)
     assert rep.boundary_value > 0
-    assert rep.positive and rep.gamma_in_rho2_range
+    assert rep.positive
+    # gamma = -27 gives c3(X) = 0: the edge of the rho(X) = 2 range, not past it
+    warnings = build_report(BundleSpec.chern_only(0, 9)).warnings
+    assert "gamma = -27 is the validity edge for rho(X) = 2 (c3(X) = 0)" in warnings
+    assert not any("inconsistent with rho(X) = 2" in w for w in warnings)
 
 
 def test_c2_above_gamma_two_uses_nef_rays():
@@ -293,19 +297,16 @@ def test_nef_survey_gamma_bound_and_verdicts():
 
 def test_cone_report_aggregates():
     spec = BundleSpec.split(0, 1, 2)
-    h0 = h0_anticanonical(spec)
-    status = anticanonical_status(spec, h0)
-    rho = invariants.rho_of_x(spec, status)
-    rep = cone_report(
-        spec, h0, status, rho, exceptional_surface_class(spec.chern),
-        invariants.closed_form_pairings(spec.chern),
-    )
+    rep = build_report(spec)
+    assert rep.minus_k == status_of(spec)
     assert rep.verdict == RATIONAL
     assert rep.k_root.normalization == OZ3
     assert rep.k_root_scaled.normalization == OZ1
+    assert rep.k_root_scaled == boundary_root(spec.chern).scaled()
     assert rep.restriction.case == EXCEPTIONAL_CANDIDATE
+    assert rep.restriction.surface == exceptional_surface_class(spec.chern)
     assert rep.c2.positive
-    assert rep.w_contains_boundary is None
+    assert report_to_dict(rep)["cone"]["w_contains_boundary"] == "unknown"
 
 
 def test_cone_data_is_twist_equivariant():

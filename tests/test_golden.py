@@ -22,6 +22,9 @@ GOLDEN = Path(__file__).parent / "golden"
 
 CATALOG_IDS = ("O+O(1)+O(2)", "2O+O(3)", "TP2+O", "TP2(-1)+O(2)", "S2TP2(-1)", "TP3restP2")
 FORMATS = (("json", ["--json"]), ("tsv", ["--tsv"]), ("txt", []))
+# Other spellings of T + O(2): a non-catalog bundle is named by its atoms,
+# so each one reproduces the "SymT(1,0)+O(2)" goldens byte for byte.
+T_O2_SPELLINGS = ("SymT(1,0) + O(2)", "O(2)+SymT(1,0)", "twist(SymT(1,-1)+O(1),1)")
 
 
 def _slug(text: str) -> str:
@@ -55,6 +58,11 @@ def _cases():
 
 
 CASES = _cases()
+SPELLING_CASES = [
+    (f"analyze-named-SymT_1_0_O_2.{ext}", ["analyze", "--named", text, *flags])
+    for text in T_O2_SPELLINGS
+    for ext, flags in FORMATS
+]
 
 
 def run_main(argv) -> bytes:
@@ -67,6 +75,13 @@ def run_main(argv) -> bytes:
 
 @pytest.mark.parametrize("filename,argv", CASES, ids=[name for name, _ in CASES])
 def test_golden_output(filename, argv):
+    assert run_main(argv) == (GOLDEN / filename).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "filename,argv", SPELLING_CASES, ids=[f"{name}-{_slug(argv[2])}" for name, argv in SPELLING_CASES]
+)
+def test_golden_output_of_another_spelling(filename, argv):
     assert run_main(argv) == (GOLDEN / filename).read_bytes()
 
 

@@ -12,6 +12,7 @@ from cycone.bundles import BundleSpec, h0_anticanonical
 from cycone.chow import ChernPair
 from cycone.cohom import h0_line
 from cycone.errors import InvariantViolationError
+from cycone.report import build_report
 
 GRID = [ChernPair(c1, c2) for c1 in range(-6, 7) for c2 in range(-10, 11)]
 
@@ -63,23 +64,36 @@ def test_pairing_universal_entries():
 
 
 def test_cy_invariants_012():
-    inv = invariants.cy_invariants(ChernPair(3, 2), rho=2)
-    assert (inv.gamma, inv.c3, inv.h12) == (3, -180, 92)
-    assert inv.pairings.as_tuple() == (21, 9, 3, 78, 36, -180)
-    assert inv.gamma_in_rho2_range
+    c = ChernPair(3, 2)
+    pairings = invariants.cy_invariants(c)
+    assert (c.gamma, pairings.c3) == (3, -180)
+    assert pairings.as_tuple() == (21, 9, 3, 78, 36, -180)
+    assert c.gamma >= -27  # forced by c3(X) <= 4 once rho(X) = 2
+    rep = build_report(BundleSpec.split(0, 1, 2))  # the bundle of (3, 2)
+    assert (rep.spec.chern, rep.rho.value, rep.h12) == (c, 2, 92)
+    assert rep.pairings == pairings
+
+
+H12_WARNING = "h12 assumes rho(X) = 2, which is not established for this spec"
 
 
 def test_h12_only_with_rho_two():
-    assert invariants.cy_invariants(ChernPair(3, 0), rho=4).h12 is None
-    assert invariants.cy_invariants(ChernPair(3, 0), rho=None).h12 is None
-    assert invariants.cy_invariants(ChernPair(3, 0), rho=2).h12 == 3 * 9 + 83
+    rep = build_report(BundleSpec.split(0, 0, 3))  # rho(X) = 4
+    assert rep.rho.value == 4 and rep.h12 is None
+    rep = build_report(BundleSpec.split(0, 1, 2))  # rho(X) = 2
+    assert rep.rho.value == 2 and rep.h12 == 3 * rep.spec.gamma + 83
+    assert H12_WARNING not in rep.warnings
+    # unknown rho: shown under the rho(X) = 2 assumption, with a warning
+    rep = build_report(BundleSpec.chern_only(3, 0))
+    assert rep.rho.value is None and rep.h12 == 3 * 9 + 83
+    assert H12_WARNING in rep.warnings
 
 
 def test_h12_consistency_identity():
     # with rho = 2: c3 = 2 (rho - h12) reproduces the closed form
     for c in GRID[:: 17]:
-        inv = invariants.cy_invariants(c, rho=2)
-        assert inv.c3 == 2 * (2 - inv.h12)
+        rep = build_report(BundleSpec.chern_only(c.c1, c.c2))
+        assert rep.pairings.c3 == 2 * (2 - rep.h12)
 
 
 def test_chi_on_cy_closed_forms():

@@ -89,6 +89,12 @@ ROUNDTRIP_SPECS = (
     [BundleSpec.split(*e) for e in combinations_with_replacement(range(-4, 5), 3)]
     + [BundleSpec.chern_only(c.c1, c.c2) for c in selftest.CHERN_GRID]
     + [BundleSpec.named(e.name).twist(t) for e in catalog_entries() for t in range(-3, 4)]
+    # the five homogeneous classes by their own names, which the decoder re-parses
+    + [
+        BundleSpec.named(name).twist(t)
+        for name in ("SymT(1,0)+O(3)", "SymT(1,0)+O(2)", "SymT(1,0)+O(1)", "SymT(1,0)+O", "SymT(2,0)")
+        for t in range(-3, 4)
+    ]
 )
 
 

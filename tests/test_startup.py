@@ -92,7 +92,7 @@ BUNDLE_LAYERS = {"cycone", "cycone.errors", "cycone.chow", "cycone.cohom", "cyco
 
 
 def test_importing_a_layer_loads_only_what_it_imports():
-    """``bundles`` imports ``cohom`` by ``from . import cohom``, which must not load the engine."""
+    """``bundles`` imports ``cohom`` by ``import cycone.cohom as cohom``, which must not load the engine."""
     assert loaded_after("import cycone.bundles") == BUNDLE_LAYERS
 
 
@@ -105,7 +105,7 @@ MODULES = ["errors", "exactnum", "chow", "cohom", "bundles", "invariants", "cone
 
 @pytest.mark.parametrize("module", MODULES)
 def test_any_module_imported_first_then_the_whole_surface(module):
-    """A layer's own ``from . import x`` runs while it is half-initialized."""
+    """A layer's own ``import cycone.x as x`` runs while it is half-initialized."""
     run_python(
         f"import cycone.{module}\n"
         "import cycone\n"
