@@ -10,7 +10,7 @@ which is kept as an exact quadratic number.  The verdict machinery then
 combines section counts, the gamma threshold, and root rationality.
 """
 
-from cycone import chow, cone
+from cycone import chow, cone, invariants
 from cycone.bundles import BundleSpec, catalog_entries, h0_anticanonical
 from cycone.chow import ChernPair, ChowClass
 from cycone.exactnum import QuadValue
@@ -26,19 +26,19 @@ print("rational?", root.k.is_rational)
 d = ChowClass.degree1(QuadValue.rational(3), -root.k)
 print("D^3 on X =", chow.intersect4(d, d, d, chow.anticanonical(c), c))
 
-# Rationality of k is a perfect-square question; for integer gamma in
-# [-27, 2] the rational cases are exactly gamma in {-18, -10, -4, 0, 2}.
-rational_gammas = [
-    g for g in range(-27, 3) if cone.boundary_root_for_gamma(g, 0).k.is_rational
-]
+# Rationality of k is a perfect-square question on 9 - 4 gamma.  Since
+# gamma = c1^2 - 3 c2 is c1^2 mod 3, the pairs with c1 in {0, 1} reach
+# every attainable gamma; in [-27, 2] the rational cases are gamma in {-18, 0}.
+pairs = [ChernPair(c1, c2) for c1 in (0, 1) for c2 in range(10)]
+rational_gammas = sorted(c.gamma for c in pairs if cone.boundary_root(c).k.is_rational)
 print("gamma with rational root:", rational_gammas)
 
 # c2(X) stays positive on the closed cone: the boundary value is exactly
-# 18 + 2 gamma + 12 sqrt(9/4 - gamma), and the pi*h ray gives exactly 36.
-for g in (-27, -9, 0, 3, 27):
-    rep = cone.c2_positivity_for_gamma(g)
+# 18 + 2 gamma + 6 sqrt(9 - 4 gamma), and the pi*h ray gives exactly 36.
+for c in (ChernPair(0, 9), ChernPair(3, 6), ChernPair(0, 0), ChernPair(3, 2), ChernPair(0, -9)):
+    rep = cone.c2_positivity(c, cone.boundary_root(c), invariants.closed_form_pairings(c))
     val = rep.boundary_value if rep.boundary_value is not None else rep.minus_k_ray
-    print(f"gamma {g:>3}: boundary value {val}, positive: {rep.positive}")
+    print(f"gamma {c.gamma:>3}: boundary value {val}, positive: {rep.positive}")
 
 # Full verdicts across the named catalog.
 print()

@@ -66,7 +66,7 @@ class ChernPair:
 
     @property
     def gamma(self) -> int:
-        """The twist-invariant c1^2 - 3*c2."""
+        """The twist-invariant c1^2 - 3*c2; it is c1^2 mod 3, so never 2 mod 3."""
         return self.c1 * self.c1 - 3 * self.c2
 
     def twist(self, t: int) -> "ChernPair":

@@ -7,9 +7,10 @@ The pieces, all in exact arithmetic:
   (-K_Z)^4 = 27 gamma + 486 for bigness;
 * the boundary root of {D^3 = 0} along the ray through O_X(3) and pi*h:
   k = c1 + 3/2 - sqrt(9/4 - gamma), kept as an exact quadratic value in
-  both the O_Z(3) and O_Z(1) normalizations (the scaled root is k/3);
+  the O_Z(3) normalization; its one square root sqrt(9 - 4 gamma) is taken
+  once per spec (``BoundaryRoot.scaled`` gives k/3 for the O_Z(1) ray);
 * positivity of c2(X) on the closed cone: the boundary value is exactly
-  18 + 2 gamma + 12 sqrt(9/4 - gamma), the pi*h ray gives exactly 36, and
+  18 + 2 gamma + 6 sqrt(9 - 4 gamma), the pi*h ray gives exactly 36, and
   above gamma = 2 the anticanonical ray gives 6 gamma + 216;
 * the admissible splitting-type table for -1 <= c1 <= 4;
 * the restriction-equality classification K(X) = K(Z)|X (Kollar case,
@@ -102,57 +103,33 @@ class BoundaryRoot:
         return BoundaryRoot(self.k / 3, self.k_other / 3, True, OZ1)
 
 
-def boundary_root_for_gamma(g: int, c1: int) -> BoundaryRoot:
+def boundary_root(c: ChernPair) -> BoundaryRoot:
     """Solve D^3 = 0 for D = O_X(3) - k pi*h (the OZ3 normalization).
 
-    k = c1 + 3/2 -+ sqrt(9/4 - gamma); no real root exists once gamma
-    exceeds 9/4.  ``BoundaryRoot.scaled`` gives the OZ1 root.
+    k = c1 + 3/2 -+ sqrt(9 - 4 gamma)/2, with the integer 9 - 4 gamma
+    decomposed once; no real root exists once gamma exceeds 9/4.
 
-    >>> boundary_root_for_gamma(-9, 3).k
+    >>> boundary_root(ChernPair(3, 6)).k
     QuadValue(9/2 - 3/2*sqrt(5))
-    >>> boundary_root_for_gamma(3, 3).exists
+    >>> boundary_root(ChernPair(3, 2)).exists
     False
     """
-    disc = Fraction(9, 4) - g
+    disc = 9 - 4 * c.gamma
     if disc < 0:
         return BoundaryRoot(None, None, False, OZ3)
-    half_width = sqrt_to_quad(disc)
-    center = QuadValue.rational(Fraction(2 * c1 + 3, 2))
+    half_width = sqrt_to_quad(disc) / 2
+    center = QuadValue.rational(Fraction(2 * c.c1 + 3, 2))
     return BoundaryRoot(center - half_width, center + half_width, True, OZ3)
-
-
-def boundary_root(c: ChernPair) -> BoundaryRoot:
-    return boundary_root_for_gamma(c.gamma, c.c1)
 
 
 @dataclass(frozen=True)
 class C2Positivity:
     """c2(X)-values on the boundary rays of the (candidate) nef cone."""
 
-    boundary_value: QuadValue | None  # at the O_Z(1)-normalized root, if it exists
+    boundary_value: QuadValue | None  # on the root's ray, O_X(1) - (k/3) pi*h
     minus_k_ray: int                  # -K_Z|X . c2(X) = 6*gamma + 216
     h_ray: int                        # pi*h . c2(X), always 36
     positive: bool
-
-
-def c2_bound_for_gamma(g: int) -> QuadValue | None:
-    """The closed lower bound 18 + 2 gamma + 12 sqrt(9/4 - gamma), if real."""
-    disc = Fraction(9, 4) - g
-    if disc < 0:
-        return None
-    return QuadValue.rational(18 + 2 * g) + 12 * sqrt_to_quad(disc)
-
-
-def c2_positivity_for_gamma(g: int) -> C2Positivity:
-    boundary = c2_bound_for_gamma(g)
-    minus_k_ray = 6 * g + 216
-    values = [minus_k_ray, 36] if boundary is None else [boundary, minus_k_ray, 36]
-    return C2Positivity(
-        boundary_value=boundary,
-        minus_k_ray=minus_k_ray,
-        h_ray=36,
-        positive=all(v > 0 for v in values),
-    )
 
 
 def c2_positivity(
@@ -160,20 +137,24 @@ def c2_positivity(
 ) -> C2Positivity:
     """Evaluate D.c2(X) at the cone-boundary data of the given bundle.
 
-    ``root`` is the bundle's boundary root in the OZ1 normalization and
-    ``pairings`` are the pairings of X.  When the root exists the boundary
-    value is computed through the pairing D.c2(X) = O_X(1).c2(X) - 36 k'
-    with the exact quadratic k', and cross-checked against the closed
-    gamma-only bound.
+    ``root`` is the bundle's OZ3 boundary root and ``pairings`` are the
+    pairings of X.  When the root exists the boundary value is computed
+    twice: through the pairing D.c2(X) = O_X(1).c2(X) - 12 k, and by the
+    gamma-only closed form 18 + 2 gamma + 6 sqrt(9 - 4 gamma), whose square
+    root is the branch gap k_other - k; the two must agree.
     """
-    report = c2_positivity_for_gamma(c.gamma)
+    g = c.gamma
+    boundary = None
     if root.exists:
-        via_root = QuadValue.rational(pairings.o1_c2) - 36 * root.k
-        if via_root != report.boundary_value:
+        boundary = pairings.o1_c2 - 12 * root.k
+        closed = 18 + 2 * g + 6 * (root.k_other - root.k)
+        if boundary != closed:
             raise InvariantViolationError(
-                f"boundary c2-value mismatch for {c}: {via_root} vs {report.boundary_value}"
+                f"boundary c2-value mismatch for {c}: {boundary} vs {closed}"
             )
-    return report
+    minus_k_ray = 6 * g + 216
+    positive = minus_k_ray > 0 and (boundary is None or boundary > 0)  # the h ray gives 36
+    return C2Positivity(boundary, minus_k_ray, 36, positive)
 
 
 def allowed_splitting_types(c1: int) -> list[tuple[int, int, int]]:

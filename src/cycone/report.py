@@ -12,10 +12,11 @@ Conventions (stable across releases):
 
 An ``AnalysisReport`` is flat: one field per stage result, each held once
 (the spec, h^0(-K_Z), the -K_Z status, rho, the pairings of X, h12, the
-two boundary roots, the verdict and its trail, c2 positivity, the
+OZ3 boundary root, the verdict and its trail, c2 positivity, the
 restriction case, the exceptional-surface class, the section bounds and
 the warnings).  Facts that follow from these are not stored: gamma is
-``spec.gamma`` and c3(X) is ``pairings.c3``.
+``spec.gamma``, c3(X) is ``pairings.c3`` and the OZ1 root is
+``k_root.scaled()``.
 
 Where a JSON key comes from: a codec is an (encode, decode) pair, and each
 key is written down in one of two places.  The records ``MinusKStatus``,
@@ -29,8 +30,9 @@ exceptional-surface class (``_SURFACE``, keyed by basis names), and the
 top level with its ``cone`` block (``report_to_dict`` /
 ``report_from_dict``, which group the roots, the verdict, the c2 facts as
 ``c2_*`` keys and the restriction case under ``cone``, and write the
-derived ``gamma``, ``c3`` and ``w_contains_boundary`` keys that the
-decoder skips).
+derived ``gamma``, ``c3``, ``k_root_scaled`` and ``w_contains_boundary``
+keys; the decoder does not read them, and rejects a JSON whose re-encoding
+differs from it, so a derived key that contradicts the rest is refused).
 
 The 12 survey columns come from ``SurveyRow.values``, which the TSV cells,
 the JSON-lines rows and the first cells of ``analyze --tsv`` share.  Their
@@ -85,7 +87,6 @@ class AnalysisReport:
     pairings: XPairings
     h12: int | None               # 3 gamma + 83 unless rho is known and not 2
     k_root: BoundaryRoot          # OZ3 normalization
-    k_root_scaled: BoundaryRoot   # OZ1 normalization
     verdict: str
     trail: tuple[str, ...]
     c2: C2Positivity
@@ -106,8 +107,8 @@ def tab_admissible(spec: BundleSpec) -> bool | None:
 def build_report(spec: BundleSpec) -> AnalysisReport:
     """One evaluation pass: each fact is computed once and handed on.
 
-    The boundary root is solved once; the verdict takes it as is and the
-    c2 cross-check in the OZ1 normalization.
+    The boundary root is solved once, in the OZ3 normalization; the verdict
+    and the c2 cross-check both take it as is.
     """
     c = spec.chern
     h0 = h0_anticanonical(spec)
@@ -115,7 +116,6 @@ def build_report(spec: BundleSpec) -> AnalysisReport:
     rho = invariants.rho_of_x(spec, minus_k)
     pairings = invariants.cy_invariants(c)
     k_root = cone.boundary_root(c)
-    k_root_scaled = k_root.scaled()
     verdict = cone.rationality_verdict(spec, h0, rho, k_root)
     surface = exceptional_surface_class(c)
     bounds = invariants.section_bounds(c, pairings)
@@ -143,10 +143,9 @@ def build_report(spec: BundleSpec) -> AnalysisReport:
         pairings=pairings,
         h12=h12,
         k_root=k_root,
-        k_root_scaled=k_root_scaled,
         verdict=verdict.verdict,
         trail=verdict.trail,
-        c2=cone.c2_positivity(c, k_root_scaled, pairings),
+        c2=cone.c2_positivity(c, k_root, pairings),
         restriction=cone.cone_restriction_case(minus_k, surface),
         surface=surface,
         bounds=bounds,
@@ -273,7 +272,7 @@ def report_to_dict(r: AnalysisReport) -> dict:
         "section_bounds": _BOUNDS.encode(r.bounds),
         "cone": {
             "k_root": _ROOT.encode(r.k_root),
-            "k_root_scaled": _ROOT.encode(r.k_root_scaled),
+            "k_root_scaled": _ROOT.encode(r.k_root.scaled()),
             "verdict": r.verdict,
             "trail": list(r.trail),
             "c2_min_value": _OPT_QUAD.encode(c2.boundary_value),
@@ -290,11 +289,18 @@ def report_to_dict(r: AnalysisReport) -> dict:
     }
 
 
+def _flat(d: dict) -> dict:
+    """The report keys, with those of the ``cone`` block as ``cone.<key>``."""
+    flat = {k: v for k, v in d.items() if k not in ("cone", "meta")}
+    return flat | {f"cone.{k}": v for k, v in d["cone"].items()}
+
+
 def report_from_dict(d: dict) -> AnalysisReport:
-    """The report back from its JSON; ``gamma``, ``c3`` and
-    ``w_contains_boundary`` follow from the rest and are not read."""
+    """The report back from its JSON.  The derived keys (``gamma``, ``c3``,
+    ``k_root_scaled``, ``w_contains_boundary``) are not read; instead a JSON
+    that differs from the re-encoded report, less any ``meta``, is refused."""
     cd = d["cone"]
-    return AnalysisReport(
+    rep = AnalysisReport(
         spec=spec_from_dict(d["spec"]),
         h0_minus_k=_H0.decode(d["h0_minus_k"]),
         minus_k=_MINUS_K.decode(d["minus_k"]),
@@ -302,7 +308,6 @@ def report_from_dict(d: dict) -> AnalysisReport:
         pairings=_PAIRINGS.decode(d["pairings"]),
         h12=d["h12"],
         k_root=_ROOT.decode(cd["k_root"]),
-        k_root_scaled=_ROOT.decode(cd["k_root_scaled"]),
         verdict=cd["verdict"],
         trail=tuple(cd["trail"]),
         c2=C2Positivity(
@@ -316,6 +321,11 @@ def report_from_dict(d: dict) -> AnalysisReport:
         bounds=_BOUNDS.decode(d["section_bounds"]),
         warnings=tuple(d["warnings"]),
     )
+    given, again = _flat(d), _flat(report_to_dict(rep))
+    bad = sorted(k for k in given.keys() | again.keys() if given.get(k) != again.get(k))
+    if bad:
+        raise DomainError(f"report JSON differs from its re-encoding at {bad}")
+    return rep
 
 
 def report_to_json(r: AnalysisReport, meta: dict | None = None) -> str:

@@ -188,8 +188,17 @@ def check_plethysm_sections():
         _require(t.chi == rr and (t.h0, t.h1, t.h2).count(0) >= 2, f"S^{a}T({b}): {t}, chi_rr {rr}")
 
 
+def _pairs_by_gamma(lo: int, hi: int) -> list[ChernPair]:
+    """The grid pairs with lo <= gamma <= hi, which reach every attainable
+    gamma there (gamma = c1^2 - 3 c2 is c1^2 mod 3, so never 2 mod 3)."""
+    pairs = [c for c in CHERN_GRID if lo <= c.gamma <= hi]
+    attainable = {g for g in range(lo, hi + 1) if g % 3 != 2}
+    _require({c.gamma for c in pairs} == attainable, f"grid misses a gamma in [{lo}, {hi}]")
+    return pairs
+
+
 def check_boundary_root_exactness():
-    """k = 9/2 - (3/2) sqrt(5) at (gamma, c1) = (-9, 3); D^3 re-evaluates to 0;
+    """k = 9/2 - (3/2) sqrt(5) at (c1, c2) = (3, 6); D^3 re-evaluates to 0;
     rationality of the root is exactly the perfect-square condition."""
     c = ChernPair(3, 6)  # gamma = -9
     root = cone.boundary_root(c)
@@ -199,12 +208,9 @@ def check_boundary_root_exactness():
     d = chow.ChowClass.degree1(QuadValue.rational(3), -root.k)
     cube = chow.intersect4(d, d, d, chow.anticanonical(c), c)
     _require(cube == 0, f"D^3 = {cube}, expected exact 0")
-    for g in range(-27, 3):
-        k = cone.boundary_root_for_gamma(g, 0).k
-        _require(
-            k.is_rational == is_perfect_square(9 - 4 * g),
-            f"rationality mismatch at gamma = {g}",
-        )
+    for c in _pairs_by_gamma(-27, 2):
+        rational = cone.boundary_root(c).k.is_rational
+        _require(rational == is_perfect_square(9 - 4 * c.gamma), f"rationality mismatch at {c}")
 
 
 def check_gram_unimodularity():
@@ -215,14 +221,15 @@ def check_gram_unimodularity():
 
 
 def check_c2_positivity_sweep():
-    """All boundary values of D.c2(X) are positive for gamma in [-27, 27]."""
-    for g in range(-27, 28):
-        rep = cone.c2_positivity_for_gamma(g)
+    """All boundary values of D.c2(X) are positive for every attainable
+    gamma in [-27, 27], where the pairing route meets the closed form."""
+    for c in _pairs_by_gamma(-27, 27):
+        g = c.gamma
+        rep = cone.c2_positivity(c, cone.boundary_root(c), invariants.closed_form_pairings(c))
         _require(rep.h_ray == 36, "pi*h ray must give exactly 36")
-        _require(rep.positive, f"c2 positivity fails at gamma = {g}")
+        _require(rep.positive, f"c2 positivity fails at {c}")
         if g <= 2:
-            bound = cone.c2_bound_for_gamma(g)
-            _require(bound is not None and bound > 0, f"closed bound fails at gamma = {g}")
+            _require(rep.boundary_value is not None, f"no boundary value at {c}")
         else:
             _require(rep.boundary_value is None, "no root expected above gamma = 2")
             _require(rep.minus_k_ray == 6 * g + 216 > 0, "anticanonical-ray value broken")

@@ -19,22 +19,30 @@ from cycone.cone import (
     MinusKStatus,
     allowed_splitting_types,
     anticanonical_status,
+    BoundaryRoot,
     boundary_root,
-    boundary_root_for_gamma,
-    c2_bound_for_gamma,
     c2_positivity,
-    c2_positivity_for_gamma,
     cone_restriction_case,
     is_allowed_splitting_type,
     rationality_verdict,
 )
-from cycone.errors import DomainError
+from cycone.errors import DomainError, InvariantViolationError
 from cycone.exactnum import QuadValue, is_perfect_square, sqrt_to_quad
 from cycone.report import build_report, report_to_dict
 
 
 def status_of(spec):
     return anticanonical_status(spec, h0_anticanonical(spec))
+
+
+# gamma = c1^2 - 3 c2 is c1^2 mod 3, so c1 in {0, 1} reaches every
+# attainable gamma: here each one in [-27, 27], and 28
+PAIRS_BY_GAMMA = [ChernPair(c1, c2) for c1 in (0, 1) for c2 in range(-9, 10)]
+
+
+def c2_of(c, root=None):
+    root = boundary_root(c) if root is None else root
+    return c2_positivity(c, root, invariants.closed_form_pairings(c))
 
 
 def verdict_of(spec):
@@ -97,7 +105,7 @@ def test_root_example_gamma_minus_nine():
 
 
 def test_root_gamma_zero_c1_zero_is_rational_zero():
-    root = boundary_root_for_gamma(0, 0)
+    root = boundary_root(ChernPair(0, 0))
     assert root.exists and root.k == 0
     assert root.k.is_rational
 
@@ -127,17 +135,18 @@ def test_root_plugs_back_to_zero():
 
 
 def test_root_rationality_is_perfect_square_condition():
-    for g in range(-27, 3):
-        k = boundary_root_for_gamma(g, 0).k
-        assert k.is_rational == is_perfect_square(9 - 4 * g)
-    assert [g for g in range(-27, 3) if is_perfect_square(9 - 4 * g)] == [-18, -10, -4, 0, 2]
+    pairs = [c for c in PAIRS_BY_GAMMA if c.gamma <= 2]
+    assert {c.gamma for c in pairs} == {g for g in range(-27, 3) if g % 3 != 2}
+    for c in pairs:
+        assert boundary_root(c).k.is_rational == is_perfect_square(9 - 4 * c.gamma)
+    assert sorted(c.gamma for c in pairs if boundary_root(c).k.is_rational) == [-18, 0]
 
 
 # --- c2 positivity ----------------------------------------------------------------
 
 
 def test_c2_boundary_value_at_gamma_minus_27():
-    rep = c2_positivity_for_gamma(-27)
+    rep = c2_of(ChernPair(0, 9))  # gamma = -27
     assert rep.boundary_value == QuadValue.make(-36, 18, 13)
     assert rep.boundary_value > 0
     assert rep.positive
@@ -148,27 +157,42 @@ def test_c2_boundary_value_at_gamma_minus_27():
 
 
 def test_c2_above_gamma_two_uses_nef_rays():
-    rep = c2_positivity_for_gamma(3)
+    rep = c2_of(ChernPair(3, 2))  # gamma = 3
     assert rep.boundary_value is None
     assert rep.minus_k_ray == 6 * 3 + 216
     assert rep.h_ray == 36 and rep.positive
 
 
 def test_c2_h_ray_is_36_everywhere():
-    for g in range(-27, 28):
-        assert c2_positivity_for_gamma(g).h_ray == 36
+    assert {c.gamma for c in PAIRS_BY_GAMMA} >= {g for g in range(-27, 28) if g % 3 != 2}
+    for c in PAIRS_BY_GAMMA:
+        assert c2_of(c).h_ray == 36
 
 
 def test_c2_engine_route_matches_closed_bound():
-    # pairing route (36 + 12 c1 + 2 gamma) - 36 k' against the gamma-only bound
+    # pairing route (36 + 12 c1 + 2 gamma) - 12 k against the gamma-only bound,
+    # with its square root taken here afresh
     for c in (ChernPair(3, 6), ChernPair(0, 0), ChernPair(-1, 1), ChernPair(4, 8)):
-        rep = c2_positivity(c, boundary_root(c).scaled(), invariants.closed_form_pairings(c))
-        assert rep.boundary_value == c2_bound_for_gamma(c.gamma)
+        closed = 18 + 2 * c.gamma + 6 * sqrt_to_quad(9 - 4 * c.gamma)
+        assert c2_of(c).boundary_value == closed
 
 
 def test_c2_closed_bound_positive_up_to_gamma_two():
-    for g in range(-27, 3):
-        assert c2_bound_for_gamma(g) > 0
+    for c in PAIRS_BY_GAMMA:
+        if c.gamma <= 2:
+            assert c2_of(c).boundary_value > 0
+
+
+@pytest.mark.parametrize("c", [ChernPair(3, 6), ChernPair(0, 9)], ids=str)
+def test_c2_cross_check_fires_on_a_wrong_root(c):
+    # the closed form reads its square root off the root, so the two routes
+    # share it; they still disagree on a root that is off by 1 in k, or
+    # given in the OZ1 normalization
+    root = boundary_root(c)
+    shifted = BoundaryRoot(root.k + 1, root.k_other, True, OZ3)
+    for wrong in (shifted, root.scaled()):
+        with pytest.raises(InvariantViolationError, match="boundary c2-value mismatch"):
+            c2_of(c, wrong)
 
 
 # --- admissible splitting types ------------------------------------------------------
@@ -301,8 +325,7 @@ def test_cone_report_aggregates():
     assert rep.minus_k == status_of(spec)
     assert rep.verdict == RATIONAL
     assert rep.k_root.normalization == OZ3
-    assert rep.k_root_scaled.normalization == OZ1
-    assert rep.k_root_scaled == boundary_root(spec.chern).scaled()
+    assert report_to_dict(rep)["cone"]["k_root_scaled"]["normalization"] == OZ1
     assert rep.restriction.case == EXCEPTIONAL_CANDIDATE
     assert rep.restriction.surface == exceptional_surface_class(spec.chern)
     assert rep.c2.positive

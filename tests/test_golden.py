@@ -53,6 +53,7 @@ def _cases():
         ("survey-m4_4.jsonl", ["survey", "--emin", "-4", "--emax", "4", "--json"]),
         ("catalog.json", ["catalog", "--json"]),
         ("catalog.tsv", ["catalog"]),
+        ("selftest.out", ["selftest"]),
     ]
     return cases
 

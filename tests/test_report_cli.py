@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from cycone import chow, cli, exactnum, invariants, report, selftest
 from cycone.bundles import BundleSpec, catalog_entries
-from cycone.errors import InvariantViolationError
+from cycone.errors import DomainError, InvariantViolationError
 from cycone.report import (
     build_report,
     report_from_dict,
@@ -104,6 +104,31 @@ def test_report_json_roundtrip():
         rep = build_report(spec)
         assert report_from_dict(json.loads(report.report_to_json(rep))) == rep, spec
         assert len(report.analyze_row_cells(rep)) == width, spec
+
+
+# each derived key, and a value for it that contradicts the rest
+DERIVED_TAMPERS = {
+    "gamma": lambda d: 999,
+    "c3": lambda d: 1,
+    "cone.k_root_scaled": lambda d: d["cone"]["k_root"],
+    "cone.w_contains_boundary": lambda d: "true",
+}
+
+
+@pytest.mark.parametrize("key", DERIVED_TAMPERS)
+def test_report_from_dict_rejects_a_contradicting_derived_key(key):
+    # each of these keys is derived from the rest, so the decoder does not
+    # read it; a value the writer would not have written is refused
+    d = json.loads(report.report_to_json(build_report(BundleSpec.chern_only(3, 6))))
+    block, _, name = key.rpartition(".")
+    (d[block] if block else d)[name] = DERIVED_TAMPERS[key](d)
+    with pytest.raises(DomainError, match=f"at \\['{key}'\\]"):
+        report_from_dict(d)
+
+
+def test_report_from_dict_ignores_meta():
+    rep = build_report(BundleSpec.chern_only(3, 6))
+    assert report_from_dict(json.loads(report.report_to_json(rep, meta={"x": 1}))) == rep
 
 
 def test_tab_admissible_flag():
@@ -581,7 +606,7 @@ def test_cli_chern_request_decomposes_each_radicand_once(monkeypatch):
     monkeypatch.setattr(exactnum, "squarefree_decompose", counting)
     code, out, _ = run_main(["analyze", "--chern=3,6"])
     assert code == 0
-    assert len(calls) <= 2  # one per sqrt_to_quad: the boundary root and the c2 bound
+    assert calls == [45]  # 9 - 4 gamma, once: the root and the c2 bound share it
     assert out.encode() == (GOLDEN / "analyze-chern-3_6.txt").read_bytes()
 
 
@@ -678,3 +703,23 @@ def test_selftest_names_tampered_c3_closed_form(monkeypatch):
     monkeypatch.setattr(invariants, "closed_form_pairings", tampered)
     failures = selftest.run_selftest(emit=lambda line: None)
     assert "pairing-closed-forms-grid" in failures
+
+
+def test_selftest_names_a_shifted_boundary_root(monkeypatch):
+    from cycone import cone
+    from cycone.cone import BoundaryRoot
+
+    original = cone.boundary_root
+
+    def shifted(c):
+        root = original(c)
+        if not root.exists:
+            return root
+        return BoundaryRoot(root.k + 1, root.k_other + 1, True, root.normalization)
+
+    monkeypatch.setattr(cone, "boundary_root", shifted)
+    lines = []
+    failures = selftest.run_selftest(emit=lines.append)
+    for name in ("boundary-root-exactness", "c2-positivity-sweep"):
+        assert name in failures
+        assert any(line.startswith(f"FAIL {name}") for line in lines)
