@@ -26,7 +26,7 @@ from itertools import combinations_with_replacement
 
 import cycone.cohom as cohom
 from .chow import ChernPair, chern_pair_of_split
-from .errors import DomainError, UnknownBundleError, quote_input
+from .errors import DomainError, UnknownBundleError, bounded, quote_input
 
 SPLIT, NAMED, CHERN_ONLY = "split", "named", "chern"
 
@@ -156,6 +156,21 @@ class BundleSpec:
             base = self.name
             return base if not self.twist_applied else f"{base} (x) O({self.twist_applied})"
         return f"chern ({self.chern.c1}, {self.chern.c2})"
+
+
+def spec_from_inputs(kind: str, value, twist: int) -> BundleSpec:
+    """The spec of ``cycone analyze``: split exponents, a name or a Chern
+    pair (by ``kind``) tensored by O(twist), each integer of the untwisted
+    spec and the twist checked by ``bounded`` before any analysis."""
+    if kind == SPLIT:
+        spec = BundleSpec.split(*bounded(value, "--split"))
+    elif kind == NAMED:
+        spec = BundleSpec.named(value)
+        bounded(spec.splitting_type, "--named splitting-type")
+    else:
+        spec = BundleSpec.chern_only(*bounded(value, "--chern"))
+    bounded((twist,), "--twist")
+    return spec.twist(twist)
 
 
 @dataclass(frozen=True)

@@ -22,17 +22,11 @@ import re
 import sys
 
 from . import ANALYZE_EXTRA_COLUMNS, SURVEY_COLUMNS, __version__
-from .errors import ECHO_LIMIT, CyconeError, DomainError, quote_input
+from .errors import MAX_SPEC_VALUE, CyconeError, DomainError, quote_input
 
 # Largest emax - emin a survey accepts: 455 split types at the cap.  The
 # row count grows with the cube of the range, so the cap is fixed.
 MAX_RANGE = 12
-# Largest |value| accepted for a Chern number, a splitting exponent (from
-# --split, or in the splitting type of a --named bundle) or a twist.  The
-# cost of a report grows with the size of gamma (the boundary root factors
-# |9 - 4 gamma|), so unbounded input could run for hours; at this bound
-# every report finishes in milliseconds.
-MAX_SPEC_VALUE = 10_000
 
 
 class UsageError(Exception):
@@ -64,33 +58,19 @@ def _parse_ints(text: str, count: int, what: str) -> tuple[int, ...]:
         raise UsageError(f"{what}: not integers: {quote_input(text)}") from exc
 
 
-def _bounded(values: tuple[int, ...], what: str) -> tuple[int, ...]:
-    for v in values:
-        if abs(v) > MAX_SPEC_VALUE:
-            # too long to quote (and str() raises past 4300 digits): give the size
-            val = v if abs(v) < 10**ECHO_LIMIT else f"of {v.bit_length()} bits"
-            raise UsageError(f"{what} value {val} is outside [-{MAX_SPEC_VALUE}, {MAX_SPEC_VALUE}]")
-    return values
-
-
 def _spec_from_args(args):
     import cycone.bundles as bundles
 
     if args.split is not None:
-        spec = bundles.BundleSpec.split(*_bounded(_parse_ints(args.split, 3, "--split"), "--split"))
+        kind, value = bundles.SPLIT, _parse_ints(args.split, 3, "--split")
     elif args.named is not None:
-        try:
-            spec = bundles.BundleSpec.named(args.named)
-        except DomainError as exc:
-            raise UsageError(str(exc)) from exc
-        _bounded(spec.splitting_type, "--named splitting-type")
+        kind, value = bundles.NAMED, args.named
     else:
-        chern = _bounded(_parse_ints(args.chern, 2, "--chern"), "--chern")
-        spec = bundles.BundleSpec.chern_only(*chern)
-    _bounded((args.twist,), "--twist")
-    if args.twist:
-        spec = spec.twist(args.twist)
-    return spec
+        kind, value = bundles.CHERN_ONLY, _parse_ints(args.chern, 2, "--chern")
+    try:
+        return bundles.spec_from_inputs(kind, value, args.twist)
+    except DomainError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _meta_block() -> dict:

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy and input limits shared by all modules."""
 
 from __future__ import annotations
 
@@ -50,3 +50,19 @@ class UnknownBundleError(DomainError):
 
 class InvariantViolationError(CyconeError):
     """Two independent computations of the same quantity disagree."""
+
+
+# Largest |value| of a Chern number, a splitting exponent or a twist of a
+# spec.  A report factors |9 - 4 gamma| by trial division, so unbounded
+# input could run for hours; at this bound every report takes milliseconds.
+MAX_SPEC_VALUE = 10_000
+
+
+def bounded(values: tuple[int, ...], what: str) -> tuple[int, ...]:
+    """``values``, each of which must lie in [-MAX_SPEC_VALUE, MAX_SPEC_VALUE]."""
+    for v in values:
+        if abs(v) > MAX_SPEC_VALUE:
+            # too long to quote (and str() raises past 4300 digits): give the size
+            val = v if abs(v) < 10**ECHO_LIMIT else f"of {v.bit_length()} bits"
+            raise DomainError(f"{what} value {val} is outside [-{MAX_SPEC_VALUE}, {MAX_SPEC_VALUE}]")
+    return values

@@ -38,14 +38,6 @@ def format_rational(q) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def parse_rational(s: str) -> Fraction:
-    """Parse 'p/q' or a bare integer string."""
-    try:
-        return Fraction(s.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"not a rational literal: {s!r}") from exc
-
-
 def squarefree_decompose(m: int) -> tuple[int, int]:
     """Write m >= 1 as s^2 * n with n squarefree; returns (s, n).
 
@@ -271,10 +263,6 @@ class QuadValue:
 
     def to_json_dict(self) -> dict:
         return {"a": format_rational(self.a), "b": format_rational(self.b), "n": self.n}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "QuadValue":
-        return cls.make(parse_rational(d["a"]), parse_rational(d["b"]), int(d["n"]))
 
 
 def sqrt_to_quad(q) -> QuadValue:

@@ -18,21 +18,13 @@ the warnings).  Facts that follow from these are not stored: gamma is
 ``spec.gamma``, c3(X) is ``pairings.c3`` and the OZ1 root is
 ``k_root.scaled()``.
 
-Where a JSON key comes from: a codec is an (encode, decode) pair, and each
-key is written down in one of two places.  The records ``MinusKStatus``,
-``BoundaryRoot``, ``RhoResult``, ``H0Anticanonical``, ``XPairings``,
-``SectionBounds`` and ``ConeRestriction`` take their codec from
-``_record``: one key per dataclass field, in field order, so renaming or
-reordering a field changes the JSON.  Three layouts are written by hand,
-once per direction: the spec (``spec_to_dict`` / ``spec_from_dict``, which
-flatten ``chern`` and write ``twist_applied`` as ``twist``), the
-exceptional-surface class (``_SURFACE``, keyed by basis names), and the
-top level with its ``cone`` block (``report_to_dict`` /
-``report_from_dict``, which group the roots, the verdict, the c2 facts as
-``c2_*`` keys and the restriction case under ``cone``, and write the
-derived ``gamma``, ``c3``, ``k_root_scaled`` and ``w_contains_boundary``
-keys; the decoder does not read them, and rejects a JSON whose re-encoding
-differs from it, so a derived key that contradicts the rest is refused).
+Where a JSON key comes from: the writer is the one codec.  ``_record``
+writes one key per dataclass field, in field order; the spec, the
+exceptional-surface class and the top level with its ``cone`` block (and
+the derived ``gamma``, ``c3``, ``k_root_scaled`` and
+``w_contains_boundary`` keys) are laid out by hand.  The reader decodes
+nothing: ``report_from_dict`` re-analyzes the spec, read as the CLI reads
+its inputs, and returns that report only when its encoding is the JSON.
 
 The 12 survey columns come from ``SurveyRow.values``, which the TSV cells,
 the JSON-lines rows and the first cells of ``analyze --tsv`` share.  Their
@@ -46,29 +38,23 @@ from __future__ import annotations
 import json
 from collections.abc import Callable
 from dataclasses import dataclass, fields
-from typing import NamedTuple
 
 import cycone.chow as chow
 import cycone.cone as cone
 import cycone.invariants as invariants
 from . import ANALYZE_EXTRA_COLUMNS, SURVEY_COLUMNS
-from .bundles import BundleSpec, H0Anticanonical, h0_anticanonical
+from .bundles import (
+    CHERN_ONLY, NAMED, SPLIT, BundleSpec, H0Anticanonical, h0_anticanonical, spec_from_inputs,
+)
 from .chow import ChernPair, ExceptionalSurfaceClass, exceptional_surface_class
 from .cone import BoundaryRoot, C2Positivity, ConeRestriction, MinusKStatus
-from .errors import DomainError
-from .exactnum import QuadValue, format_rational, parse_rational
+from .errors import DomainError, quote_input
+from .exactnum import QuadValue, format_rational
 from .invariants import RhoResult, SectionBounds, XPairings
 
 
 def tri(value: bool | None) -> str:
     return "unknown" if value is None else ("true" if value else "false")
-
-
-def untri(s: str) -> bool | None:
-    table = {"true": True, "false": False, "unknown": None}
-    if s not in table:
-        raise DomainError(f"not a tri-state value: {s!r}")
-    return table[s]
 
 
 def _or(value, absent: str):
@@ -153,81 +139,49 @@ def build_report(spec: BundleSpec) -> AnalysisReport:
     )
 
 
-# --- codecs ----------------------------------------------------------------
+# --- encoders ---------------------------------------------------------------
 
 
-class _Codec(NamedTuple):
-    """How one value is written to JSON and read back."""
-
-    encode: Callable
-    decode: Callable
+def _nullable(encode: Callable) -> Callable:
+    """``encode`` for a value that may be None, written as JSON null."""
+    return lambda v: None if v is None else encode(v)
 
 
-def _nullable(codec: _Codec) -> _Codec:
-    """``codec`` for a value that may be None, written as JSON null."""
-    enc, dec = codec
-    return _Codec(
-        lambda v: None if v is None else enc(v), lambda j: None if j is None else dec(j)
-    )
+def _record(cls, **overrides: Callable) -> Callable:
+    """The encoder of a dataclass: one JSON key per field, in field order,
+    written as-is unless ``overrides`` names its encoder."""
+    encoders = [(f.name, overrides.get(f.name)) for f in fields(cls)]
+    return lambda obj: {n: getattr(obj, n) if f is None else f(getattr(obj, n)) for n, f in encoders}
 
 
-_TRI = _Codec(tri, untri)
-_RAT = _Codec(format_rational, parse_rational)
-_OPT_QUAD = _nullable(_Codec(QuadValue.to_json_dict, QuadValue.from_json_dict))
-_LIST = _Codec(list, tuple)
-_OPT_LIST = _nullable(_LIST)
-_PAIRS = _Codec(lambda ws: [list(w) for w in ws], lambda ws: tuple(tuple(w) for w in ws))
-
-
-def _record(cls, **overrides: _Codec) -> _Codec:
-    """The codec of a dataclass: one JSON key per field, in field order.
-
-    A field is written as-is unless ``overrides`` names its codec.
-    """
-    names = [f.name for f in fields(cls)]
-    encoders = [(n, overrides[n].encode if n in overrides else None) for n in names]
-    decoders = [(n, overrides[n].decode if n in overrides else None) for n in names]
-
-    def encode(obj) -> dict:
-        return {n: getattr(obj, n) if f is None else f(getattr(obj, n)) for n, f in encoders}
-
-    def decode(d: dict):
-        return cls(*[d[n] if f is None else f(d[n]) for n, f in decoders])
-
-    return _Codec(encode, decode)
-
-
+_OPT_QUAD = _nullable(QuadValue.to_json_dict)
+_OPT_LIST = _nullable(list)
 _SURFACE_BASIS = ("xi2", "xi_h", "h2")  # h2 is the fiber class
-_BASIS = _Codec(
-    lambda v: dict(zip(_SURFACE_BASIS, v)), lambda d: tuple(d[k] for k in _SURFACE_BASIS)
-)
-_OPT_BASIS = _nullable(_BASIS)
 
 
-def _surface_to_json(s: ExceptionalSurfaceClass) -> dict:
+def _basis(v) -> dict:
+    return dict(zip(_SURFACE_BASIS, v))
+
+
+def _surface(s: ExceptionalSurfaceClass) -> dict:
     return {
-        "class_times_mu": _BASIS.encode(s.coeffs),
-        "mu_candidates": _LIST.encode(s.mu_candidates),
-        "reduced_class": _OPT_BASIS.encode(s.reduced),
+        "class_times_mu": _basis(s.coeffs),
+        "mu_candidates": list(s.mu_candidates),
+        "reduced_class": _nullable(_basis)(s.reduced),
     }
 
 
-def _surface_from_json(d: dict) -> ExceptionalSurfaceClass:
-    return ExceptionalSurfaceClass(
-        _BASIS.decode(d["class_times_mu"]),
-        _LIST.decode(d["mu_candidates"]),
-        _OPT_BASIS.decode(d["reduced_class"]),
-    )
-
-
-_SURFACE = _Codec(_surface_to_json, _surface_from_json)
-_MINUS_K = _record(MinusKStatus, nef=_TRI, ample=_TRI, big=_TRI, h0_gt_1=_TRI, witnesses=_PAIRS)
+_MINUS_K = _record(
+    MinusKStatus, nef=tri, ample=tri, big=tri, h0_gt_1=tri, witnesses=lambda ws: [list(w) for w in ws]
+)
 _ROOT = _record(BoundaryRoot, k=_OPT_QUAD, k_other=_OPT_QUAD)
 _RHO = _record(RhoResult)
-_H0 = _record(H0Anticanonical, gt1=_TRI)
+_H0 = _record(H0Anticanonical, gt1=tri)
 _PAIRINGS = _record(XPairings)
-_BOUNDS = _record(SectionBounds, lower_bound_o1_minus_h=_RAT, chi_o1=_RAT, assumes=_LIST)
-_RESTRICTION = _record(ConeRestriction, surface=_nullable(_SURFACE))
+_BOUNDS = _record(
+    SectionBounds, lower_bound_o1_minus_h=format_rational, chi_o1=format_rational, assumes=list
+)
+_RESTRICTION = _record(ConeRestriction, surface=_nullable(_surface))
 
 
 # --- JSON layouts ---------------------------------------------------------
@@ -237,25 +191,40 @@ def spec_to_dict(spec: BundleSpec) -> dict:
     return {
         "kind": spec.kind,
         "name": spec.name,
-        "exponents": _OPT_LIST.encode(spec.exponents),
+        "exponents": _OPT_LIST(spec.exponents),
         "twist": spec.twist_applied,
         "c1": spec.chern.c1,
         "c2": spec.chern.c2,
-        "splitting_type": _OPT_LIST.encode(spec.splitting_type),
+        "splitting_type": _OPT_LIST(spec.splitting_type),
     }
 
 
+def _read(d, key: str, kind: type):
+    """``d[key]`` when ``d`` is a dict and the value is exactly a ``kind`` (a bool is no int)."""
+    value = d.get(key) if type(d) is dict else None
+    if type(value) is not kind:
+        raise DomainError(f"report JSON has no {kind.__name__} at {key!r}")
+    return value
+
+
 def spec_from_dict(d: dict) -> BundleSpec:
-    """The spec back from its JSON; the atoms come from the exponents, else
-    from the name under the twist (a Chern-only spec has neither)."""
-    exps, name, twist = _OPT_LIST.decode(d["exponents"]), d["name"], d["twist"]
-    if exps is not None:
-        atoms = BundleSpec.split(*exps).atoms
-    elif name is not None:
-        atoms = BundleSpec.named(name).twist(twist).atoms
+    """The spec of a JSON, rebuilt by ``spec_from_inputs`` (under the CLI's
+    bounds) from the split exponents less the twist, the name, or the Chern
+    pair untwisted.  The other spec keys are not read."""
+    kind, t = _read(d, "kind", str), _read(d, "twist", int)
+    if kind == SPLIT:
+        exps = _read(d, "exponents", list)
+        if len(exps) != 3 or any(type(e) is not int for e in exps):
+            raise DomainError("report JSON has no 3 integers at 'exponents'")
+        value = tuple(e - t for e in exps)
+    elif kind == NAMED:
+        value = _read(d, "name", str)
+    elif kind == CHERN_ONLY:
+        c = ChernPair(_read(d, "c1", int), _read(d, "c2", int)).twist(-t)
+        value = (c.c1, c.c2)
     else:
-        atoms = None
-    return BundleSpec(d["kind"], ChernPair(d["c1"], d["c2"]), atoms, name, twist)
+        raise DomainError(f"report JSON has an unknown spec kind {quote_input(kind)}")
+    return spec_from_inputs(kind, value, t)
 
 
 def report_to_dict(r: AnalysisReport) -> dict:
@@ -265,66 +234,48 @@ def report_to_dict(r: AnalysisReport) -> dict:
         "gamma": r.spec.gamma,
         "c3": r.pairings.c3,
         "h12": r.h12,
-        "rho": _RHO.encode(r.rho),
-        "minus_k": _MINUS_K.encode(r.minus_k),
-        "h0_minus_k": _H0.encode(r.h0_minus_k),
-        "pairings": _PAIRINGS.encode(r.pairings),
-        "section_bounds": _BOUNDS.encode(r.bounds),
+        "rho": _RHO(r.rho),
+        "minus_k": _MINUS_K(r.minus_k),
+        "h0_minus_k": _H0(r.h0_minus_k),
+        "pairings": _PAIRINGS(r.pairings),
+        "section_bounds": _BOUNDS(r.bounds),
         "cone": {
-            "k_root": _ROOT.encode(r.k_root),
-            "k_root_scaled": _ROOT.encode(r.k_root.scaled()),
+            "k_root": _ROOT(r.k_root),
+            "k_root_scaled": _ROOT(r.k_root.scaled()),
             "verdict": r.verdict,
             "trail": list(r.trail),
-            "c2_min_value": _OPT_QUAD.encode(c2.boundary_value),
+            "c2_min_value": _OPT_QUAD(c2.boundary_value),
             "c2_minus_k_ray": c2.minus_k_ray,
             "c2_h_ray": c2.h_ray,
             "c2_positive": c2.positive,
-            "kollar_case": _RESTRICTION.encode(r.restriction),
+            "kollar_case": _RESTRICTION(r.restriction),
             # whether W contains the boundary is open; ROADMAP item 3 (the
             # nef cone ray by ray) is the change that gives it a value
             "w_contains_boundary": "unknown",
         },
-        "g_surface": _SURFACE.encode(r.surface),
+        "g_surface": _surface(r.surface),
         "warnings": list(r.warnings),
     }
 
 
 def _flat(d: dict) -> dict:
-    """The report keys, with those of the ``cone`` block as ``cone.<key>``."""
-    flat = {k: v for k, v in d.items() if k not in ("cone", "meta")}
-    return flat | {f"cone.{k}": v for k, v in d["cone"].items()}
+    """The report keys, those of a ``cone`` block as ``cone.<key>``, each
+    mapped to its value as canonical JSON text (so 1, 1.0 and true differ)."""
+    flat = {k: v for k, v in d.items() if k != "meta"}
+    if type(flat.get("cone")) is dict:
+        flat |= {f"cone.{k}": v for k, v in flat.pop("cone").items()}
+    return {k: json.dumps(v, sort_keys=True) for k, v in flat.items()}
 
 
 def report_from_dict(d: dict) -> AnalysisReport:
-    """The report back from its JSON.  The derived keys (``gamma``, ``c3``,
-    ``k_root_scaled``, ``w_contains_boundary``) are not read; instead a JSON
-    that differs from the re-encoded report, less any ``meta``, is refused."""
-    cd = d["cone"]
-    rep = AnalysisReport(
-        spec=spec_from_dict(d["spec"]),
-        h0_minus_k=_H0.decode(d["h0_minus_k"]),
-        minus_k=_MINUS_K.decode(d["minus_k"]),
-        rho=_RHO.decode(d["rho"]),
-        pairings=_PAIRINGS.decode(d["pairings"]),
-        h12=d["h12"],
-        k_root=_ROOT.decode(cd["k_root"]),
-        verdict=cd["verdict"],
-        trail=tuple(cd["trail"]),
-        c2=C2Positivity(
-            boundary_value=_OPT_QUAD.decode(cd["c2_min_value"]),
-            minus_k_ray=cd["c2_minus_k_ray"],
-            h_ray=cd["c2_h_ray"],
-            positive=cd["c2_positive"],
-        ),
-        restriction=_RESTRICTION.decode(cd["kollar_case"]),
-        surface=_SURFACE.decode(d["g_surface"]),
-        bounds=_BOUNDS.decode(d["section_bounds"]),
-        warnings=tuple(d["warnings"]),
-    )
+    """``build_report`` of the spec of a JSON report, returned only when its
+    encoding is that JSON less any ``meta``; otherwise, malformed JSON
+    included, a ``DomainError`` that names the keys that differ."""
+    rep = build_report(spec_from_dict(_read(d, "spec", dict)))
     given, again = _flat(d), _flat(report_to_dict(rep))
     bad = sorted(k for k in given.keys() | again.keys() if given.get(k) != again.get(k))
     if bad:
-        raise DomainError(f"report JSON differs from its re-encoding at {bad}")
+        raise DomainError(f"report JSON differs from the report of its spec at {bad}")
     return rep
 
 

@@ -10,13 +10,14 @@ change of the tool's output and has to be deliberate.
 
 import contextlib
 import io
+import json
 import re
 import sys
 from pathlib import Path
 
 import pytest
 
-from cycone import cli
+from cycone import cli, report
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -84,6 +85,16 @@ def test_golden_output(filename, argv):
 )
 def test_golden_output_of_another_spelling(filename, argv):
     assert run_main(argv) == (GOLDEN / filename).read_bytes()
+
+
+ANALYZE_JSON = sorted(path.name for path in GOLDEN.glob("analyze-*.json"))
+
+
+@pytest.mark.parametrize("filename", ANALYZE_JSON)
+def test_golden_json_reads_back(filename):
+    text = (GOLDEN / filename).read_bytes()
+    rep = report.report_from_dict(json.loads(text))
+    assert (report.report_to_json(rep) + "\n").encode("utf-8") == text
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:

@@ -131,6 +131,169 @@ def test_report_from_dict_ignores_meta():
     assert report_from_dict(json.loads(report.report_to_json(rep, meta={"x": 1}))) == rep
 
 
+def _at(d, path):
+    """The container of the value at ``path`` (keys and indices) in ``d``, and its key there."""
+    *outer, last = path
+    for key in outer:
+        d = d[key]
+    return d, last
+
+
+def _set(path, value):
+    """A tamper that writes ``value`` at ``path``."""
+
+    def tamper(d):
+        container, key = _at(d, path)
+        container[key] = value
+
+    return tamper
+
+
+def _drop(path):
+    """A tamper that deletes the value at ``path``."""
+
+    def tamper(d):
+        container, key = _at(d, path)
+        del container[key]
+
+    return tamper
+
+
+# facts the reader checks against a re-analysis of the spec: the flat key
+# that is refused, and a tamper of the JSON of split (0, 1, 2)
+FACT_TAMPERS = {
+    "cone.verdict": _set(("cone", "verdict"), "Unknown"),
+    "h12": _set(("h12",), 93),
+    "rho": _set(("rho", "value"), 3),
+    "minus_k": _set(("minus_k", "witnesses", 0, 1), "487"),
+}
+
+
+@pytest.mark.parametrize("key", FACT_TAMPERS)
+def test_report_from_dict_rejects_a_tampered_fact(key):
+    d = json.loads(report.report_to_json(build_report(BundleSpec.split(0, 1, 2))))
+    assert d["cone"]["verdict"] == "Rational"
+    FACT_TAMPERS[key](d)
+    with pytest.raises(DomainError, match=f"at \\['{key}'\\]"):
+        report_from_dict(d)
+
+
+# malformed JSON of chern (3, 6), split (0, 1, 2) and TP2+O: each is refused
+# with a DomainError, never a KeyError or TypeError
+MALFORMED = {
+    "no-spec": ("chern", _drop(("spec",))),
+    "no-pairings": ("chern", _drop(("pairings",))),
+    "no-cone-key": ("chern", _drop(("cone", "k_root", "k"))),
+    "cone-not-an-object": ("chern", _set(("cone",), [])),
+    "no-c1": ("chern", _drop(("spec", "c1"))),
+    "bool-c1": ("chern", _set(("spec", "c1"), True)),
+    "float-c2": ("chern", _set(("spec", "c2"), 6.0)),
+    "unknown-kind": ("chern", _set(("spec", "kind"), "twisted")),
+    "string-exponent": ("split", _set(("spec", "exponents", 0), "0")),
+    "two-exponents": ("split", _set(("spec", "exponents"), [0, 1])),
+    "no-twist": ("split", _drop(("spec", "twist"))),
+    "true-for-1": ("split", _set(("spec", "exponents", 1), True)),
+    "float-fact": ("split", _set(("pairings", "h_c2"), 36.0)),
+    "true-for-1-fact": ("split", _set(("g_surface", "mu_candidates", 0), True)),
+    "1-for-true-fact": ("split", _set(("section_bounds", "c1_ge_minus_1"), 1)),
+    "name-not-a-string": ("named", _set(("spec", "name"), 3)),
+    "unknown-name": ("named", _set(("spec", "name"), "Q+O")),
+    "name-of-a-split": ("named", _set(("spec", "name"), "O+O+O(5)")),
+}
+MALFORMED_BASES = {
+    "chern": BundleSpec.chern_only(3, 6),
+    "split": BundleSpec.split(0, 1, 2),
+    "named": BundleSpec.named("TP2+O"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_report_from_dict_refuses_malformed_json(case):
+    base, tamper = MALFORMED[case]
+    d = json.loads(report.report_to_json(build_report(MALFORMED_BASES[base])))
+    tamper(d)
+    with pytest.raises(DomainError):
+        report_from_dict(d)
+
+
+@pytest.mark.parametrize("d", [None, [], "report", {}])
+def test_report_from_dict_refuses_a_non_report(d):
+    with pytest.raises(DomainError):
+        report_from_dict(d)
+
+
+def test_report_from_dict_refuses_an_unbounded_spec_before_analysis():
+    # 4 c2 - 9 is prime here, so a report would factor it by trial division
+    d = json.loads(report.report_to_json(build_report(BundleSpec.chern_only(3, 6))))
+    d["spec"]["c2"] = 100000000000018
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="outside"):
+        report_from_dict(d)
+    assert time.perf_counter() - start < 0.05
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # exponents (0, 20000, 20000): past the bound, but the CLI input
+        # they come from, (-10000, 10000, 10000) twisted by 10000, is not
+        ["--split=-10000,10000,10000", "--twist", "10000"],
+        ["--chern=-10000,-10000", "--twist=10000"],
+        ["--named=S2TP2(-1)", "--twist=-10000"],
+    ],
+    ids=["split", "chern", "named"],
+)
+def test_report_from_dict_reads_back_a_twisted_spec_at_the_bound(argv):
+    code, out, _ = run_main(["analyze", *argv, "--json"])
+    assert code == 0
+    rep = report_from_dict(json.loads(out))
+    assert abs(rep.spec.twist_applied) == cli.MAX_SPEC_VALUE
+    assert report.report_to_json(rep) + "\n" == out
+
+
+def _json_paths(value, path=()):
+    """Every (path, value) inside a JSON value, the value itself first."""
+    yield path, value
+    if isinstance(value, (dict, list)):
+        for key, inner in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _json_paths(inner, (*path, key))
+
+
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), st.text(max_size=8)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=8), inner, max_size=3)
+    ),
+    max_leaves=4,
+)
+FUZZ_SPECS = (
+    BundleSpec.split(0, 1, 2).twist(-3),
+    BundleSpec.chern_only(3, 6),
+    BundleSpec.named("S2TP2(-1)").twist(2),
+    BundleSpec.named("SymT(1,0)+O(2)"),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), spec=st.sampled_from(FUZZ_SPECS))
+def test_report_from_dict_fuzz_returns_the_report_or_a_domain_error(data, spec):
+    rep = build_report(spec)
+    d = json.loads(report.report_to_json(rep))
+    for _ in range(data.draw(st.integers(1, 3))):
+        path, _ = data.draw(st.sampled_from(list(_json_paths(d))[1:]))
+        container, key = _at(d, path)
+        if data.draw(st.booleans()):
+            container[key] = data.draw(_JSON_VALUES)
+        else:
+            del container[key]
+    start = time.perf_counter()
+    try:
+        assert report_from_dict(d) == rep
+    except DomainError:
+        pass
+    assert time.perf_counter() - start < 0.5
+
+
 def test_tab_admissible_flag():
     assert tab_admissible(BundleSpec.split(0, 1, 2)) is True
     assert tab_admissible(BundleSpec.split(-1, 2, 2)) is False
