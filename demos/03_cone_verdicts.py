@@ -6,8 +6,10 @@ the cubic {D^3 = 0} at
 
     k = c1 + 3/2 - sqrt(9/4 - gamma)        (along O_X(3) - k pi*h)
 
-which is kept as an exact quadratic number.  The verdict machinery then
-combines section counts, the gamma threshold, and root rationality.
+which is kept as the integers of k = (2 c1 + 3 - s sqrt(n)) / 2, where
+9 - 4 gamma = s^2 n, and read as an exact quadratic number.  The verdict
+machinery then combines section counts, the gamma threshold, and root
+rationality.
 """
 
 from cycone import chow, cone, invariants
@@ -30,7 +32,7 @@ print("D^3 on X =", chow.intersect4(d, d, d, chow.anticanonical(c), c))
 # gamma = c1^2 - 3 c2 is c1^2 mod 3, the pairs with c1 in {0, 1} reach
 # every attainable gamma; in [-27, 2] the rational cases are gamma in {-18, 0}.
 pairs = [ChernPair(c1, c2) for c1 in (0, 1) for c2 in range(10)]
-rational_gammas = sorted(c.gamma for c in pairs if cone.boundary_root(c).k.is_rational)
+rational_gammas = sorted(c.gamma for c in pairs if cone.boundary_root(c).is_rational)
 print("gamma with rational root:", rational_gammas)
 
 # c2(X) stays positive on the closed cone: the boundary value is exactly

@@ -16,6 +16,9 @@ The Chern pair is ``cohom.chern_data`` of the parsed expression.  The
 catalog names rank-3 sheaf expressions, split ones included; any other
 expression is named by its atoms, so its name depends on the bundle only.
 Twisting E by O(t) shifts every b and changes the Chern pair, but not Z.
+The constructors and ``twist`` refuse any exponent, splitting-type degree,
+Chern number or twist past ``errors.MAX_SPEC_VALUE`` (with the message the
+CLI prints for the option that gives it) before anything is analyzed.
 """
 
 from __future__ import annotations
@@ -67,6 +70,11 @@ def _atoms_name(atoms) -> str:
     )
 
 
+def _splitting_type(atoms) -> tuple[int, ...]:
+    """The atoms restricted to any line, as sorted degrees."""
+    return tuple(sorted(a + b + j for a, b in atoms for j in range(a + 1)))
+
+
 @dataclass(frozen=True)
 class BundleSpec:
     """A rank-3 bundle on P2, given as much or as little as is known."""
@@ -79,7 +87,7 @@ class BundleSpec:
 
     @classmethod
     def split(cls, e1: int, e2: int, e3: int) -> "BundleSpec":
-        e1, e2, e3 = sorted((e1, e2, e3))
+        e1, e2, e3 = sorted(bounded((e1, e2, e3), "--split"))
         return cls(SPLIT, chern_pair_of_split(e1, e2, e3), ((0, e1), (0, e2), (0, e3)))
 
     @classmethod
@@ -104,21 +112,17 @@ class BundleSpec:
                     f"{quote_input(name)} is not a catalog id or a rank-3 sheaf expression"
                 )
         atoms = tuple(sorted(cohom.normalize(expr)))
+        bounded(_splitting_type(atoms), "--named splitting-type")
         if entry is None:
             if all(a == 0 for a, _ in atoms):
                 return cls.split(*(b for _, b in atoms))
-            try:
-                name = _atoms_name(atoms)
-            except ValueError:
-                # a degree past str()'s 4300 digits keeps the input text; the
-                # CLI refuses such a bundle by the size of its splitting type
-                pass
+            name = _atoms_name(atoms)
         data = cohom.chern_data(expr)
         return cls(NAMED, ChernPair(data.c1, data.c2), atoms, name)
 
     @classmethod
     def chern_only(cls, c1: int, c2: int) -> "BundleSpec":
-        return cls(CHERN_ONLY, ChernPair(c1, c2))
+        return cls(CHERN_ONLY, ChernPair(*bounded((c1, c2), "--chern")))
 
     # --- derived data ------------------------------------------------------
 
@@ -136,12 +140,11 @@ class BundleSpec:
     @cached_property
     def splitting_type(self) -> tuple[int, ...] | None:
         """E restricted to any line, as sorted degrees; None for a Chern-only spec."""
-        if self.atoms is None:
-            return None
-        return tuple(sorted(a + b + j for a, b in self.atoms for j in range(a + 1)))
+        return None if self.atoms is None else _splitting_type(self.atoms)
 
     def twist(self, t: int) -> "BundleSpec":
         """The spec of E tensor O(t); Z itself is unchanged."""
+        bounded((t,), "--twist")
         if t == 0:
             return self
         atoms = None if self.atoms is None else tuple((a, b + t) for a, b in self.atoms)
@@ -160,16 +163,13 @@ class BundleSpec:
 
 def spec_from_inputs(kind: str, value, twist: int) -> BundleSpec:
     """The spec of ``cycone analyze``: split exponents, a name or a Chern
-    pair (by ``kind``) tensored by O(twist), each integer of the untwisted
-    spec and the twist checked by ``bounded`` before any analysis."""
+    pair (by ``kind``) tensored by O(twist)."""
     if kind == SPLIT:
-        spec = BundleSpec.split(*bounded(value, "--split"))
+        spec = BundleSpec.split(*value)
     elif kind == NAMED:
         spec = BundleSpec.named(value)
-        bounded(spec.splitting_type, "--named splitting-type")
     else:
-        spec = BundleSpec.chern_only(*bounded(value, "--chern"))
-    bounded((twist,), "--twist")
+        spec = BundleSpec.chern_only(*value)
     return spec.twist(twist)
 
 

@@ -6,12 +6,17 @@ The pieces, all in exact arithmetic:
   the line test 3 e1 + 3 - c1 for uniform splitting types and by
   (-K_Z)^4 = 27 gamma + 486 for bigness;
 * the boundary root of {D^3 = 0} along the ray through O_X(3) and pi*h:
-  k = c1 + 3/2 - sqrt(9/4 - gamma), kept as an exact quadratic value in
-  the O_Z(3) normalization; its one square root sqrt(9 - 4 gamma) is taken
-  once per spec (``BoundaryRoot.scaled`` gives k/3 for the O_Z(1) ray);
+  k = c1 + 3/2 - sqrt(9/4 - gamma), held as the integers of
+  k = (2 c1 + 3 - s sqrt(n)) / 2 with 9 - 4 gamma = s^2 n, n squarefree.
+  The integer 9 - 4 gamma is decomposed once per spec; the root is
+  rational exactly when n = 1, and ``BoundaryRoot.scaled`` gives k/3 for
+  the O_Z(1) ray by tripling the denominator.  ``k`` and ``k_other`` are
+  built as ``QuadValue``s only when read, by a report writer or a check
+  in the Chow ring;
 * positivity of c2(X) on the closed cone: the boundary value is exactly
-  18 + 2 gamma + 6 sqrt(9 - 4 gamma), the pi*h ray gives exactly 36, and
-  above gamma = 2 the anticanonical ray gives 6 gamma + 216;
+  18 + 2 gamma + 6 sqrt(9 - 4 gamma), found by two routes on integers and
+  signed by squaring integers; the pi*h ray gives exactly 36, and above
+  gamma = 2 the anticanonical ray gives 6 gamma + 216;
 * the admissible splitting-type table for -1 <= c1 <= 4;
 * the restriction-equality classification K(X) = K(Z)|X (Kollar case,
   canonical-side case, or an exceptional-surface candidate whose class is
@@ -24,15 +29,15 @@ calls each once per spec and keeps the results side by side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, replace
 
 import cycone.chow as chow
+import cycone.exactnum as exactnum
 import cycone.invariants as invariants
 from .bundles import BundleSpec, H0Anticanonical
 from .chow import ChernPair, ExceptionalSurfaceClass
 from .errors import DomainError, InvariantViolationError
-from .exactnum import QuadValue, sqrt_to_quad
+from .exactnum import QuadValue, quad_over, quad_sign
 
 RATIONAL, UNKNOWN = "Rational", "Unknown"
 EQUALITY, EXCEPTIONAL_CANDIDATE, NOT_DETERMINED = (
@@ -89,24 +94,38 @@ def anticanonical_status(spec: BundleSpec, h0: H0Anticanonical) -> MinusKStatus:
 
 @dataclass(frozen=True)
 class BoundaryRoot:
-    """Roots of D^3 = 0 along the ray; ``k`` is the smaller branch."""
+    """Roots of D^3 = 0 along the ray, as integers: the smaller branch is
+    k = (center - s sqrt(n)) / den and the larger k_other = (center +
+    s sqrt(n)) / den, with n squarefree.  No real root leaves s = 0."""
 
-    k: QuadValue | None
-    k_other: QuadValue | None
     exists: bool
     normalization: str
+    center: int = 0
+    s: int = 0
+    n: int = 0
+    den: int = 2
+
+    @property
+    def is_rational(self) -> bool:
+        return self.n == 1
+
+    @property
+    def k(self) -> QuadValue | None:
+        return quad_over(self.center, -self.s, self.n, self.den) if self.exists else None
+
+    @property
+    def k_other(self) -> QuadValue | None:
+        return quad_over(self.center, self.s, self.n, self.den) if self.exists else None
 
     def scaled(self) -> "BoundaryRoot":
         """This OZ3 root in the OZ1 normalization: both branches divided by 3."""
-        if not self.exists:
-            return BoundaryRoot(None, None, False, OZ1)
-        return BoundaryRoot(self.k / 3, self.k_other / 3, True, OZ1)
+        return replace(self, normalization=OZ1, den=3 * self.den)
 
 
 def boundary_root(c: ChernPair) -> BoundaryRoot:
     """Solve D^3 = 0 for D = O_X(3) - k pi*h (the OZ3 normalization).
 
-    k = c1 + 3/2 -+ sqrt(9 - 4 gamma)/2, with the integer 9 - 4 gamma
+    k = (2 c1 + 3 -+ sqrt(9 - 4 gamma)) / 2, with the integer 9 - 4 gamma
     decomposed once; no real root exists once gamma exceeds 9/4.
 
     >>> boundary_root(ChernPair(3, 6)).k
@@ -116,20 +135,24 @@ def boundary_root(c: ChernPair) -> BoundaryRoot:
     """
     disc = 9 - 4 * c.gamma
     if disc < 0:
-        return BoundaryRoot(None, None, False, OZ3)
-    half_width = sqrt_to_quad(disc) / 2
-    center = QuadValue.rational(Fraction(2 * c.c1 + 3, 2))
-    return BoundaryRoot(center - half_width, center + half_width, True, OZ3)
+        return BoundaryRoot(False, OZ3)
+    s, n = exactnum.squarefree_decompose(disc)
+    return BoundaryRoot(True, OZ3, 2 * c.c1 + 3, s, n)
 
 
 @dataclass(frozen=True)
 class C2Positivity:
     """c2(X)-values on the boundary rays of the (candidate) nef cone."""
 
-    boundary_value: QuadValue | None  # on the root's ray, O_X(1) - (k/3) pi*h
-    minus_k_ray: int                  # -K_Z|X . c2(X) = 6*gamma + 216
-    h_ray: int                        # pi*h . c2(X), always 36
+    boundary: tuple[int, int, int, int] | None  # (a, b, n, den): D.c2(X) = (a + b sqrt(n))/den
+    minus_k_ray: int                            # -K_Z|X . c2(X) = 6*gamma + 216
+    h_ray: int                                  # pi*h . c2(X), always 36
     positive: bool
+
+    @property
+    def boundary_value(self) -> QuadValue | None:
+        """D.c2(X) on the root's ray, O_X(1) - (k/3) pi*h."""
+        return None if self.boundary is None else quad_over(*self.boundary)
 
 
 def c2_positivity(
@@ -139,22 +162,30 @@ def c2_positivity(
 
     ``root`` is the bundle's OZ3 boundary root and ``pairings`` are the
     pairings of X.  When the root exists the boundary value is computed
-    twice: through the pairing D.c2(X) = O_X(1).c2(X) - 12 k, and by the
+    twice, each as the integer pair (a, b) of den * value = a + b sqrt(n):
+    through the pairing D.c2(X) = O_X(1).c2(X) - 12 k, and by the
     gamma-only closed form 18 + 2 gamma + 6 sqrt(9 - 4 gamma), whose square
-    root is the branch gap k_other - k; the two must agree.
+    root is the branch gap k_other - k = 2 s sqrt(n) / den; the two must
+    agree.  Its sign is decided by squaring integers.
     """
     g = c.gamma
     boundary = None
+    positive = True  # the h ray gives 36
     if root.exists:
-        boundary = pairings.o1_c2 - 12 * root.k
-        closed = 18 + 2 * g + 6 * (root.k_other - root.k)
-        if boundary != closed:
+        den, s, n = root.den, root.s, root.n
+        # den (O_X(1).c2(X) - 12 k), with k = (center - s sqrt(n)) / den
+        via_pairing = (den * pairings.o1_c2 - 12 * root.center, 12 * s)
+        # den (18 + 2 gamma + 6 (k_other - k)), with k_other - k = 2 s sqrt(n) / den
+        closed = (den * (18 + 2 * g), 6 * 2 * s)
+        if via_pairing != closed:
             raise InvariantViolationError(
-                f"boundary c2-value mismatch for {c}: {boundary} vs {closed}"
+                f"boundary c2-value mismatch for {c}: {quad_over(*via_pairing, n, den)}"
+                f" vs {quad_over(*closed, n, den)}"
             )
+        boundary = (*via_pairing, n, den)
+        positive = quad_sign(*via_pairing, n) > 0
     minus_k_ray = 6 * g + 216
-    positive = minus_k_ray > 0 and (boundary is None or boundary > 0)  # the h ray gives 36
-    return C2Positivity(boundary, minus_k_ray, 36, positive)
+    return C2Positivity(boundary, minus_k_ray, 36, positive and minus_k_ray > 0)
 
 
 def allowed_splitting_types(c1: int) -> list[tuple[int, int, int]]:
@@ -261,7 +292,7 @@ def rationality_verdict(
     if not root.exists:
         notes.append("conditional-on-boundary-in-cubic")
         return RationalityResult(RATIONAL, ("no-real-cubic-root",), tuple(notes))
-    if root.k.is_rational:
+    if root.is_rational:
         notes.append("conditional-on-boundary-in-cubic")
         return RationalityResult(RATIONAL, ("rational-cubic-root",), tuple(notes))
     notes.append("h0(-K_Z) may equal 1; open territory")

@@ -53,8 +53,9 @@ class InvariantViolationError(CyconeError):
 
 
 # Largest |value| of a Chern number, a splitting exponent or a twist of a
-# spec.  A report factors |9 - 4 gamma| by trial division, so unbounded
-# input could run for hours; at this bound every report takes milliseconds.
+# spec; every ``BundleSpec`` constructor and ``twist`` check it.  A report
+# factors 9 - 4 gamma by trial division, so unbounded input could run for
+# hours; at this bound every report takes milliseconds.
 MAX_SPEC_VALUE = 10_000
 
 

@@ -7,9 +7,15 @@ squarefree integer radicand n; this is the smallest number field that holds
 every Kahler-cone boundary root produced downstream.  Sums of distinct
 radicals never occur in this problem and are rejected.
 
+The boundary itself is decided on integers: every number there is
+(a + b*sqrt(n)) / den with integers a, b, den, where 9 - 4 gamma = s^2 n.
+``quad_sign`` gives the sign of such a number by squaring integers, and
+``quad_over`` turns one into a ``QuadValue`` only where a report writes it
+or the Chow ring checks it.
+
 All values are immutable, arithmetic is referentially transparent, and no
-floating point is used anywhere (comparisons against rationals are decided
-by exact sign analysis).
+floating point is used anywhere (signs are decided by exact integer
+comparison).
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .errors import DomainError, InvariantViolationError, MixedRadicalError
+from .errors import DomainError, MixedRadicalError
 
 _RATIONAL_TYPES = (int, Fraction)
 
@@ -41,8 +47,9 @@ def format_rational(q) -> str:
 def squarefree_decompose(m: int) -> tuple[int, int]:
     """Write m >= 1 as s^2 * n with n squarefree; returns (s, n).
 
-    Trial division only: every radicand this library meets is tiny
-    (|9 - 4*gamma| stays below a few hundred on the supported range).
+    Trial division, about sqrt(m) steps.  The spec constructors bound every
+    Chern number by ``errors.MAX_SPEC_VALUE``, so the one radicand a report
+    decomposes, 9 - 4 gamma, stays below 120,010: at most about 350 steps.
     """
     if m < 1:
         raise DomainError(f"squarefree decomposition needs m >= 1, got {m}")
@@ -132,9 +139,6 @@ class QuadValue:
     def __bool__(self) -> bool:
         return self.a != 0 or self.b != 0
 
-    def __float__(self) -> float:
-        return float(self.a) + float(self.b) * float(self.n) ** 0.5
-
     def __repr__(self) -> str:
         return f"QuadValue({self})"
 
@@ -180,11 +184,6 @@ class QuadValue:
             return NotImplemented
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other):
-        if not isinstance(other, (QuadValue, *_RATIONAL_TYPES)):
-            return NotImplemented
-        return self._coerce(other) + (-self)
-
     def __mul__(self, other):
         if not isinstance(other, (QuadValue, *_RATIONAL_TYPES)):
             return NotImplemented
@@ -196,36 +195,7 @@ class QuadValue:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, QuadValue):
-            if not other.is_rational:
-                raise DomainError("division by an irrational QuadValue is out of scope")
-            other = other.a
-        other = as_rational(other)
-        if other == 0:
-            raise DomainError("division by zero")
-        return QuadValue._canonical(self.a / other, self.b / other, self.n)
-
-    # --- exact ordering --------------------------------------------------
-
-    def sign(self) -> int:
-        """Exact sign of a + b*sqrt(n) via case split and squaring."""
-        if self.b == 0:
-            return (self.a > 0) - (self.a < 0)
-        if self.a == 0:
-            return 1 if self.b > 0 else -1
-        sa = 1 if self.a > 0 else -1
-        sb = 1 if self.b > 0 else -1
-        if sa == sb:
-            return sa
-        lhs, rhs = self.a * self.a, self.b * self.b * self.n
-        if lhs == rhs:
-            # a^2 = b^2 n would make sqrt(n) rational; n is squarefree >= 2
-            raise InvariantViolationError(f"impossible sign tie for {self!r}")
-        return sa if lhs > rhs else sb
-
-    def _cmp_sign(self, other) -> int:
-        return (self - self._coerce(other)).sign()
+    # --- equality ------------------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, QuadValue):
@@ -238,26 +208,6 @@ class QuadValue:
         if self.is_rational:
             return hash(self.a)
         return hash((self.a, self.b, self.n))
-
-    def __lt__(self, other):
-        if not isinstance(other, (QuadValue, *_RATIONAL_TYPES)):
-            return NotImplemented
-        return self._cmp_sign(other) < 0
-
-    def __le__(self, other):
-        if not isinstance(other, (QuadValue, *_RATIONAL_TYPES)):
-            return NotImplemented
-        return self._cmp_sign(other) <= 0
-
-    def __gt__(self, other):
-        if not isinstance(other, (QuadValue, *_RATIONAL_TYPES)):
-            return NotImplemented
-        return self._cmp_sign(other) > 0
-
-    def __ge__(self, other):
-        if not isinstance(other, (QuadValue, *_RATIONAL_TYPES)):
-            return NotImplemented
-        return self._cmp_sign(other) >= 0
 
     # --- serialization ---------------------------------------------------
 
@@ -284,3 +234,28 @@ def sqrt_to_quad(q) -> QuadValue:
     p, r = q.numerator, q.denominator
     s, n = squarefree_decompose(p * r)  # sqrt(p/r) = sqrt(p*r)/r
     return QuadValue._canonical(Fraction(0), Fraction(s, r), n)
+
+
+def quad_over(a: int, b: int, n: int, den: int) -> QuadValue:
+    """(a + b*sqrt(n)) / den as a ``QuadValue``, for integers a, b, den != 0
+    and a squarefree n >= 1 (n = 1 gives a rational value).
+
+    >>> quad_over(9, -3, 5, 2)
+    QuadValue(9/2 - 3/2*sqrt(5))
+    >>> quad_over(6, 2, 1, 4)
+    QuadValue(2)
+    """
+    return QuadValue._canonical(Fraction(a, den), Fraction(b, den), n)
+
+
+def quad_sign(a: int, b: int, n: int) -> int:
+    """The sign of a + b*sqrt(n) for integers a, b and n >= 1, by squaring.
+
+    >>> quad_sign(-36, 18, 13), quad_sign(3, -2, 1), quad_sign(2, -1, 5)
+    (1, 1, -1)
+    """
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sa == sb or sb == 0:
+        return sa
+    gap = a * a - b * b * n
+    return sa if gap > 0 else sb if gap < 0 else 0

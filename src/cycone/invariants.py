@@ -127,13 +127,14 @@ class SectionBounds:
 
 
 def section_bounds(c: ChernPair, p: XPairings) -> SectionBounds:
-    """The section bounds of ``c``, given its pairings ``p``."""
+    """The section bounds of ``c``, given its pairings ``p``: each is one
+    integer over 6 or 12 (gamma/3 + c1^2/6 + c1/2, and chi(O_X(1)) =
+    O_X(1)^3/6 + O_X(1).c2(X)/12)."""
     g = c.gamma
-    lb = Fraction(g, 3) + Fraction(c.c1 * c.c1, 6) + Fraction(c.c1, 2)
-    chi_o1 = chi_on_cy(p, (1, 0), 1)
+    lb = 2 * g + c.c1 * c.c1 + 3 * c.c1
     return SectionBounds(
-        lower_bound_o1_minus_h=lb,
-        chi_o1=chi_o1,
+        lower_bound_o1_minus_h=Fraction(lb, 6),
+        chi_o1=Fraction(2 * p.o1_cubed + p.o1_c2, 12),
         normal_bound=5 * g + 91,
         c1_ge_minus_1=c.c1 >= -1,
         positive_bound_forces_c1_ge_1=lb > 0,

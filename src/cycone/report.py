@@ -19,7 +19,8 @@ the warnings).  Facts that follow from these are not stored: gamma is
 ``k_root.scaled()``.
 
 Where a JSON key comes from: the writer is the one codec.  ``_record``
-writes one key per dataclass field, in field order; the spec, the
+writes one key per dataclass field, in field order; the spec, the boundary
+root (its branches are quadratic values built here from its integers), the
 exceptional-surface class and the top level with its ``cone`` block (and
 the derived ``gamma``, ``c3``, ``k_root_scaled`` and
 ``w_contains_boundary`` keys) are laid out by hand.  The reader decodes
@@ -171,10 +172,18 @@ def _surface(s: ExceptionalSurfaceClass) -> dict:
     }
 
 
+def _root(r: BoundaryRoot) -> dict:
+    return {
+        "k": _OPT_QUAD(r.k),
+        "k_other": _OPT_QUAD(r.k_other),
+        "exists": r.exists,
+        "normalization": r.normalization,
+    }
+
+
 _MINUS_K = _record(
     MinusKStatus, nef=tri, ample=tri, big=tri, h0_gt_1=tri, witnesses=lambda ws: [list(w) for w in ws]
 )
-_ROOT = _record(BoundaryRoot, k=_OPT_QUAD, k_other=_OPT_QUAD)
 _RHO = _record(RhoResult)
 _H0 = _record(H0Anticanonical, gt1=tri)
 _PAIRINGS = _record(XPairings)
@@ -240,8 +249,8 @@ def report_to_dict(r: AnalysisReport) -> dict:
         "pairings": _PAIRINGS(r.pairings),
         "section_bounds": _BOUNDS(r.bounds),
         "cone": {
-            "k_root": _ROOT(r.k_root),
-            "k_root_scaled": _ROOT(r.k_root.scaled()),
+            "k_root": _root(r.k_root),
+            "k_root_scaled": _root(r.k_root.scaled()),
             "verdict": r.verdict,
             "trail": list(r.trail),
             "c2_min_value": _OPT_QUAD(c2.boundary_value),
@@ -258,13 +267,16 @@ def report_to_dict(r: AnalysisReport) -> dict:
     }
 
 
+_CANONICAL_JSON = json.JSONEncoder(sort_keys=True).encode
+
+
 def _flat(d: dict) -> dict:
     """The report keys, those of a ``cone`` block as ``cone.<key>``, each
     mapped to its value as canonical JSON text (so 1, 1.0 and true differ)."""
     flat = {k: v for k, v in d.items() if k != "meta"}
     if type(flat.get("cone")) is dict:
         flat |= {f"cone.{k}": v for k, v in flat.pop("cone").items()}
-    return {k: json.dumps(v, sort_keys=True) for k, v in flat.items()}
+    return {k: _CANONICAL_JSON(v) for k, v in flat.items()}
 
 
 def report_from_dict(d: dict) -> AnalysisReport:
@@ -383,7 +395,7 @@ def analyze_row_cells(r: AnalysisReport) -> list[str]:
         _or(r.h12, ""),
         _or(r.h0_minus_k.value, ""),
         tri(root.exists),
-        tri(root.k.is_rational if root.exists else None),
+        tri(root.is_rational if root.exists else None),
         tri(r.c2.positive),
         r.restriction.case,
     ]

@@ -209,7 +209,7 @@ def check_boundary_root_exactness():
     cube = chow.intersect4(d, d, d, chow.anticanonical(c), c)
     _require(cube == 0, f"D^3 = {cube}, expected exact 0")
     for c in _pairs_by_gamma(-27, 2):
-        rational = cone.boundary_root(c).k.is_rational
+        rational = cone.boundary_root(c).is_rational
         _require(rational == is_perfect_square(9 - 4 * c.gamma), f"rationality mismatch at {c}")
 
 
@@ -229,9 +229,9 @@ def check_c2_positivity_sweep():
         _require(rep.h_ray == 36, "pi*h ray must give exactly 36")
         _require(rep.positive, f"c2 positivity fails at {c}")
         if g <= 2:
-            _require(rep.boundary_value is not None, f"no boundary value at {c}")
+            _require(rep.boundary is not None, f"no boundary value at {c}")
         else:
-            _require(rep.boundary_value is None, "no root expected above gamma = 2")
+            _require(rep.boundary is None, "no root expected above gamma = 2")
             _require(rep.minus_k_ray == 6 * g + 216 > 0, "anticanonical-ray value broken")
 
 

@@ -1,5 +1,6 @@
 """Bundle specs, the named catalog, and anticanonical section counts."""
 
+import time
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -24,7 +25,8 @@ from cycone.cohom import (
     expr_rank,
     h0_line,
 )
-from cycone.errors import UnknownBundleError
+from cycone.errors import MAX_SPEC_VALUE, DomainError, UnknownBundleError
+from cycone.report import build_report
 
 
 def test_split_spec_sorts_and_derives_chern():
@@ -41,6 +43,30 @@ def test_chern_only_spec():
     assert spec.gamma == -27
     assert spec.splitting_type is None
     assert spec.atoms is None and spec.exponents is None
+
+
+@pytest.mark.parametrize(
+    "build, label",
+    [
+        (lambda: BundleSpec.split(0, 0, MAX_SPEC_VALUE + 1), "--split"),
+        (lambda: BundleSpec.chern_only(-MAX_SPEC_VALUE - 1, 0), "--chern"),
+        (lambda: BundleSpec.named("SymT(1,10000)+O"), "--named splitting-type"),
+        (lambda: BundleSpec.named("O(-10001)+O+O"), "--named splitting-type"),
+        (lambda: BundleSpec.chern_only(3, 6).twist(MAX_SPEC_VALUE + 1), "--twist"),
+    ],
+    ids=["split", "chern", "named", "named-split", "twist"],
+)
+def test_spec_constructors_refuse_values_past_the_bound(build, label):
+    with pytest.raises(DomainError, match=f"^{label} value .* is outside"):
+        build()
+
+
+def test_library_refuses_an_unbounded_spec_before_analysis():
+    # 4 c2 - 9 is prime here: analyzed, it would be factored by trial division
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="outside"):
+        build_report(BundleSpec.chern_only(3, 100000000000018))
+    assert time.perf_counter() - start < 0.05
 
 
 def test_named_catalog_lookup():

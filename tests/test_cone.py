@@ -1,5 +1,6 @@
 """Cone analysis: anticanonical status, boundary roots, c2, verdicts."""
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
@@ -19,7 +20,6 @@ from cycone.cone import (
     MinusKStatus,
     allowed_splitting_types,
     anticanonical_status,
-    BoundaryRoot,
     boundary_root,
     c2_positivity,
     cone_restriction_case,
@@ -27,7 +27,7 @@ from cycone.cone import (
     rationality_verdict,
 )
 from cycone.errors import DomainError, InvariantViolationError
-from cycone.exactnum import QuadValue, is_perfect_square, sqrt_to_quad
+from cycone.exactnum import QuadValue, is_perfect_square, quad_sign, sqrt_to_quad
 from cycone.report import build_report, report_to_dict
 
 
@@ -142,13 +142,54 @@ def test_root_rationality_is_perfect_square_condition():
     assert sorted(c.gamma for c in pairs if boundary_root(c).k.is_rational) == [-18, 0]
 
 
+# --- the integer boundary against QuadValue formulas -------------------------------
+
+# Every Chern pair with |c1| <= 40 and -400 <= gamma <= 2, so a real root exists.
+ORACLE_PAIRS = [
+    ChernPair(c1, c2)
+    for c1 in range(-40, 41)
+    for c2 in range(-((2 - c1 * c1) // 3), (c1 * c1 + 400) // 3 + 1)
+]
+
+
+def _oracle_sign(v: QuadValue) -> int:
+    """The sign of a + b sqrt(n) on its Fraction parts, by case split and squaring."""
+    sa, sb = (v.a > 0) - (v.a < 0), (v.b > 0) - (v.b < 0)
+    if sb == 0 or sa == sb:
+        return sa
+    if sa == 0:
+        return sb
+    return sa if v.a * v.a > v.b * v.b * v.n else sb
+
+
+def test_integer_boundary_matches_the_quadvalue_formulas():
+    # gamma = c1^2 - 3 c2 is never 2 mod 3; every other value in range occurs
+    assert {c.gamma for c in ORACLE_PAIRS} == {g for g in range(-400, 3) if g % 3 != 2}
+    for c in ORACLE_PAIRS:
+        g = c.gamma
+        half_width = sqrt_to_quad(Fraction(9 - 4 * g, 4))
+        center = QuadValue.rational(Fraction(2 * c.c1 + 3, 2))
+        k, k_other = center - half_width, center + half_width
+        boundary = -12 * k + invariants.closed_form_pairings(c).o1_c2
+        assert boundary == 18 + 2 * g + 6 * (k_other - k)
+
+        root = boundary_root(c)
+        assert root.exists and (root.k, root.k_other) == (k, k_other)
+        assert root.is_rational == k.is_rational
+        scaled = root.scaled()
+        assert (scaled.k, scaled.k_other) == (k * Fraction(1, 3), k_other * Fraction(1, 3))
+        rep = c2_of(c, root)
+        assert rep.boundary_value == boundary
+        assert rep.positive == (6 * g + 216 > 0 and _oracle_sign(boundary) > 0)
+
+
 # --- c2 positivity ----------------------------------------------------------------
 
 
 def test_c2_boundary_value_at_gamma_minus_27():
     rep = c2_of(ChernPair(0, 9))  # gamma = -27
     assert rep.boundary_value == QuadValue.make(-36, 18, 13)
-    assert rep.boundary_value > 0
+    assert rep.boundary == (-72, 36, 13, 2) and quad_sign(-72, 36, 13) > 0
     assert rep.positive
     # gamma = -27 gives c3(X) = 0: the edge of the rho(X) = 2 range, not past it
     warnings = build_report(BundleSpec.chern_only(0, 9)).warnings
@@ -180,16 +221,18 @@ def test_c2_engine_route_matches_closed_bound():
 def test_c2_closed_bound_positive_up_to_gamma_two():
     for c in PAIRS_BY_GAMMA:
         if c.gamma <= 2:
-            assert c2_of(c).boundary_value > 0
+            a, b, n, _ = c2_of(c).boundary
+            assert quad_sign(a, b, n) > 0
 
 
 @pytest.mark.parametrize("c", [ChernPair(3, 6), ChernPair(0, 9)], ids=str)
 def test_c2_cross_check_fires_on_a_wrong_root(c):
     # the closed form reads its square root off the root, so the two routes
-    # share it; they still disagree on a root that is off by 1 in k, or
-    # given in the OZ1 normalization
+    # share it; they still disagree on a root that is off by 1 in k (both
+    # branches shifted, so the gap stays), or given in the OZ1 normalization
     root = boundary_root(c)
-    shifted = BoundaryRoot(root.k + 1, root.k_other, True, OZ3)
+    shifted = replace(root, center=root.center + root.den)
+    assert shifted.k == root.k + 1 and shifted.normalization == OZ3
     for wrong in (shifted, root.scaled()):
         with pytest.raises(InvariantViolationError, match="boundary c2-value mismatch"):
             c2_of(c, wrong)

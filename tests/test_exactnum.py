@@ -11,6 +11,8 @@ from cycone.exactnum import (
     QuadValue,
     format_rational,
     is_perfect_square,
+    quad_over,
+    quad_sign,
     sqrt_to_quad,
     squarefree_decompose,
 )
@@ -126,7 +128,6 @@ def test_arithmetic_with_rationals():
     assert 1 + x == QuadValue.make(2, 2, 5)
     assert x - Fraction(1, 2) == QuadValue.make(Fraction(1, 2), 2, 5)
     assert 3 * x == QuadValue.make(3, 6, 5)
-    assert x / 2 == QuadValue.make(Fraction(1, 2), 1, 5)
 
 
 def test_mixed_radicals_rejected():
@@ -136,22 +137,30 @@ def test_mixed_radicals_rejected():
         QuadValue.make(0, 1, 2) * QuadValue.make(0, 1, 7)
 
 
-def test_exact_comparisons_against_rationals():
-    k = QuadValue.make(Fraction(9, 2), Fraction(-3, 2), 5)  # about 1.146
-    assert k > 1
-    assert k < Fraction(3, 2)
-    assert k < 2
-    assert QuadValue.make(-36, 18, 13) > 0  # boundary c2-value at gamma = -27
-    assert QuadValue.make(0, 1, 2) < QuadValue.make(0, 1, 2) + 1
+def test_quad_sign_examples():
+    # k = 9/2 - (3/2) sqrt(5), about 1.146, as (9 - 3 sqrt(5)) / 2
+    assert quad_sign(9 - 2, -3, 5) > 0  # k > 1
+    assert quad_sign(9 - 3, -3, 5) < 0  # k < 3/2
+    assert quad_sign(-36, 18, 13) > 0  # boundary c2-value at gamma = -27
+    assert quad_sign(0, 1, 2) > 0 and quad_sign(0, -1, 2) < 0
+    assert quad_sign(0, 0, 7) == 0 and quad_sign(-3, 0, 7) < 0
+    assert quad_sign(3, -3, 1) == 0 and quad_sign(-2, 3, 1) > 0  # n = 1 is rational
 
 
-@given(rationals, st.fractions(min_value=-20, max_value=20, max_denominator=20),
-       st.sampled_from([2, 3, 5, 7, 13]))
-def test_sign_matches_float(a, b, n):
-    v = QuadValue.make(a, b, n)
-    approx = float(v)
+@given(st.integers(-400, 400), st.integers(-400, 400), st.sampled_from([1, 2, 3, 5, 7, 13]))
+def test_quad_sign_matches_float(a, b, n):
+    approx = a + b * n**0.5
     if abs(approx) > 1e-9:
-        assert (v > 0) == (approx > 0)
+        assert quad_sign(a, b, n) == (1 if approx > 0 else -1)
+    else:
+        assert quad_sign(a, b, n) == 0
+
+
+def test_quad_over_is_the_canonical_quotient():
+    assert quad_over(9, -3, 5, 2) == QuadValue.make(Fraction(9, 2), Fraction(-3, 2), 5)
+    assert quad_over(9, -3, 5, 6) == QuadValue.make(Fraction(3, 2), Fraction(-1, 2), 5)
+    assert quad_over(5, 3, 1, 2) == Fraction(4) and quad_over(5, 3, 1, 2).n == 0
+    assert quad_over(4, 0, 5, 2) == Fraction(2) and quad_over(4, 0, 5, 2).n == 0
 
 
 @given(rationals, st.fractions(min_value=-10, max_value=10, max_denominator=12),
@@ -188,7 +197,7 @@ def test_radicands_are_decomposed_once_where_they_enter(monkeypatch):
 
     monkeypatch.setattr(exactnum, "squarefree_decompose", counting)
     root = sqrt_to_quad(Fraction(45, 4))  # sqrt(45 * 4) / 4
-    values = (root + 1, root - root, root * root, -root, root / 3, 2 * root * Fraction(1, 5))
+    values = (root + 1, root - root, root * root, -root, 2 * root * Fraction(1, 5))
     assert QuadValue.make(1, 2, 12) == QuadValue.make(1, 4, 3)
     assert calls == [180, 12, 3]
     for value in values:

@@ -869,16 +869,15 @@ def test_selftest_names_tampered_c3_closed_form(monkeypatch):
 
 
 def test_selftest_names_a_shifted_boundary_root(monkeypatch):
+    from dataclasses import replace
+
     from cycone import cone
-    from cycone.cone import BoundaryRoot
 
     original = cone.boundary_root
 
     def shifted(c):
-        root = original(c)
-        if not root.exists:
-            return root
-        return BoundaryRoot(root.k + 1, root.k_other + 1, True, root.normalization)
+        root = original(c)  # k + 1 and k_other + 1 when it exists
+        return replace(root, center=root.center + root.den)
 
     monkeypatch.setattr(cone, "boundary_root", shifted)
     lines = []
