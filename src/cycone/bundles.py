@@ -39,6 +39,16 @@ class CatalogEntry:
     name: str
     expr: object  # the bundle as a SheafExpr
 
+    # an entry's atoms and Chern pair: worked out on first use, not at import
+    @cached_property
+    def atoms(self) -> tuple[tuple[int, int], ...]:
+        return tuple(sorted(cohom.normalize(self.expr)))
+
+    @cached_property
+    def chern(self) -> ChernPair:
+        data = cohom.chern_data(self.expr)
+        return ChernPair(data.c1, data.c2)
+
 
 CATALOG: dict[str, CatalogEntry] = {
     name: CatalogEntry(name, cohom.parse_sheaf_expr(expr))
@@ -99,26 +109,23 @@ class BundleSpec:
         """
         entry = CATALOG.get(name)
         if entry is not None:
-            expr = entry.expr
-        else:
-            try:
-                expr = cohom.parse_sheaf_expr(name)
-            except DomainError as exc:
-                raise UnknownBundleError(f"unknown bundle {quote_input(name)}: {exc}") from exc
-            # The rank is read off the tree before anything is expanded, so a
-            # sym() whose expansion would run to millions of atoms is refused here.
-            if cohom.expr_rank(expr) != 3:
-                raise UnknownBundleError(
-                    f"{quote_input(name)} is not a catalog id or a rank-3 sheaf expression"
-                )
+            return cls(NAMED, entry.chern, entry.atoms, name)
+        try:
+            expr = cohom.parse_sheaf_expr(name)
+        except DomainError as exc:
+            raise UnknownBundleError(f"unknown bundle {quote_input(name)}: {exc}") from exc
+        # The rank is read off the tree before anything is expanded, so a
+        # sym() whose expansion would run to millions of atoms is refused here.
+        if cohom.expr_rank(expr) != 3:
+            raise UnknownBundleError(
+                f"{quote_input(name)} is not a catalog id or a rank-3 sheaf expression"
+            )
         atoms = tuple(sorted(cohom.normalize(expr)))
         bounded(_splitting_type(atoms), "--named splitting-type")
-        if entry is None:
-            if all(a == 0 for a, _ in atoms):
-                return cls.split(*(b for _, b in atoms))
-            name = _atoms_name(atoms)
+        if all(a == 0 for a, _ in atoms):
+            return cls.split(*(b for _, b in atoms))
         data = cohom.chern_data(expr)
-        return cls(NAMED, ChernPair(data.c1, data.c2), atoms, name)
+        return cls(NAMED, ChernPair(data.c1, data.c2), atoms, _atoms_name(atoms))
 
     @classmethod
     def chern_only(cls, c1: int, c2: int) -> "BundleSpec":

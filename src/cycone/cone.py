@@ -11,8 +11,8 @@ The pieces, all in exact arithmetic:
   The integer 9 - 4 gamma is decomposed once per spec; the root is
   rational exactly when n = 1, and ``BoundaryRoot.scaled`` gives k/3 for
   the O_Z(1) ray by tripling the denominator.  ``k`` and ``k_other`` are
-  built as ``QuadValue``s only when read, by a report writer or a check
-  in the Chow ring;
+  built as ``QuadValue``s only when read, by the text report or a check
+  in the Chow ring; the JSON report writes the integers;
 * positivity of c2(X) on the closed cone: the boundary value is exactly
   18 + 2 gamma + 6 sqrt(9 - 4 gamma), found by two routes on integers and
   signed by squaring integers; the pi*h ray gives exactly 36, and above

@@ -10,8 +10,9 @@ radicals never occur in this problem and are rejected.
 The boundary itself is decided on integers: every number there is
 (a + b*sqrt(n)) / den with integers a, b, den, where 9 - 4 gamma = s^2 n.
 ``quad_sign`` gives the sign of such a number by squaring integers, and
-``quad_over`` turns one into a ``QuadValue`` only where a report writes it
-or the Chow ring checks it.
+``quad_over`` turns one into a ``QuadValue`` only where it is read as one:
+the text report, the c2 cross-check's error message, the selftest and the
+demos.  The JSON report writes these numbers from their integers.
 
 All values are immutable, arithmetic is referentially transparent, and no
 floating point is used anywhere (signs are decided by exact integer
@@ -208,11 +209,6 @@ class QuadValue:
         if self.is_rational:
             return hash(self.a)
         return hash((self.a, self.b, self.n))
-
-    # --- serialization ---------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {"a": format_rational(self.a), "b": format_rational(self.b), "n": self.n}
 
 
 def sqrt_to_quad(q) -> QuadValue:

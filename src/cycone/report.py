@@ -20,10 +20,12 @@ the warnings).  Facts that follow from these are not stored: gamma is
 
 Where a JSON key comes from: the writer is the one codec.  ``_record``
 writes one key per dataclass field, in field order; the spec, the boundary
-root (its branches are quadratic values built here from its integers), the
-exceptional-surface class and the top level with its ``cone`` block (and
-the derived ``gamma``, ``c3``, ``k_root_scaled`` and
-``w_contains_boundary`` keys) are laid out by hand.  The reader decodes
+root (its branches, like the c2 boundary value, are written as quadratic
+values straight from the integers the report holds), the exceptional-surface
+class and the top level with its ``cone`` block (and the derived ``gamma``,
+``c3``, ``k_root_scaled`` and ``w_contains_boundary`` keys) are laid out by
+hand.  ``_indented`` writes the text of ``json.dumps(d, indent=2)`` at under
+half its cost, since CPython 3.11 indents in pure Python.  The reader decodes
 nothing: ``report_from_dict`` re-analyzes the spec, read as the CLI reads
 its inputs, and returns that report only when its encoding is the JSON.
 
@@ -39,6 +41,8 @@ from __future__ import annotations
 import json
 from collections.abc import Callable
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring_ascii
+from math import gcd
 
 import cycone.chow as chow
 import cycone.cone as cone
@@ -50,7 +54,7 @@ from .bundles import (
 from .chow import ChernPair, ExceptionalSurfaceClass, exceptional_surface_class
 from .cone import BoundaryRoot, C2Positivity, ConeRestriction, MinusKStatus
 from .errors import DomainError, quote_input
-from .exactnum import QuadValue, format_rational
+from .exactnum import format_rational
 from .invariants import RhoResult, SectionBounds, XPairings
 
 
@@ -155,7 +159,6 @@ def _record(cls, **overrides: Callable) -> Callable:
     return lambda obj: {n: getattr(obj, n) if f is None else f(getattr(obj, n)) for n, f in encoders}
 
 
-_OPT_QUAD = _nullable(QuadValue.to_json_dict)
 _OPT_LIST = _nullable(list)
 _SURFACE_BASIS = ("xi2", "xi_h", "h2")  # h2 is the fiber class
 
@@ -172,10 +175,23 @@ def _surface(s: ExceptionalSurfaceClass) -> dict:
     }
 
 
+def _ratio(p: int, q: int) -> str:
+    g = gcd(p, q) if q > 0 else -gcd(p, q)  # the sign goes on p, as in a Fraction
+    return f"{p // g}/{q // g}"
+
+
+def _quad(a: int, b: int, n: int, den: int) -> dict:
+    """(a + b sqrt(n)) / den in the canonical form of a ``QuadValue``:
+    n = 1 folds b into a, and b = 0 writes n = 0."""
+    if n == 1:
+        a, b = a + b, 0
+    return {"a": _ratio(a, den), "b": _ratio(b, den), "n": n if b else 0}
+
+
 def _root(r: BoundaryRoot) -> dict:
     return {
-        "k": _OPT_QUAD(r.k),
-        "k_other": _OPT_QUAD(r.k_other),
+        "k": _quad(r.center, -r.s, r.n, r.den) if r.exists else None,
+        "k_other": _quad(r.center, r.s, r.n, r.den) if r.exists else None,
         "exists": r.exists,
         "normalization": r.normalization,
     }
@@ -253,7 +269,7 @@ def report_to_dict(r: AnalysisReport) -> dict:
             "k_root_scaled": _root(r.k_root.scaled()),
             "verdict": r.verdict,
             "trail": list(r.trail),
-            "c2_min_value": _OPT_QUAD(c2.boundary_value),
+            "c2_min_value": None if c2.boundary is None else _quad(*c2.boundary),
             "c2_minus_k_ray": c2.minus_k_ray,
             "c2_h_ray": c2.h_ray,
             "c2_positive": c2.positive,
@@ -291,11 +307,41 @@ def report_from_dict(d: dict) -> AnalysisReport:
     return rep
 
 
+# each JSON scalar's writer, by exact type, so that True is never written as 1
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, type(None): {None: "null"}.__getitem__,
+            bool: {True: "true", False: "false"}.__getitem__}
+
+
+def _indented(v, pad: str = "\n") -> str:
+    """``json.dumps(v, indent=2)`` for str-keyed dicts, lists, str, int, bool and
+    None, with a ``TypeError`` on any other type.  ``pad`` is the newline and
+    indent that close ``v``; scalar items are written in place, not recursed into."""
+    kind = type(v)
+    if kind is not dict and kind is not list:
+        write = _SCALARS.get(kind)
+        if write is None:
+            raise TypeError(f"no JSON form for a {kind.__name__} in a report: {v!r}")
+        return write(v)
+    if not v:
+        return "{}" if kind is dict else "[]"
+    inner = pad + "  "
+    parts = []
+    if kind is list:
+        for x in v:
+            write = _SCALARS.get(type(x))
+            parts.append(write(x) if write else _indented(x, inner))
+        return "[" + inner + ("," + inner).join(parts) + pad + "]"
+    for key, x in v.items():
+        write = _SCALARS.get(type(x))
+        parts.append(f"{encode_basestring_ascii(key)}: {write(x) if write else _indented(x, inner)}")
+    return "{" + inner + ("," + inner).join(parts) + pad + "}"
+
+
 def report_to_json(r: AnalysisReport, meta: dict | None = None) -> str:
     d = report_to_dict(r)
     if meta is not None:
         d["meta"] = meta
-    return json.dumps(d, indent=2)
+    return _indented(d)
 
 
 # --- flat rows (survey and analyze --tsv) -----------------------------------

@@ -78,6 +78,23 @@ def test_named_catalog_lookup():
     assert s2.gamma == -9
 
 
+def test_named_catalog_id_is_normalized_once(monkeypatch):
+    import cycone.bundles as bundles
+    import cycone.cohom as cohom
+
+    # a fresh entry, so that no earlier lookup has filled its cache
+    entry = bundles.CatalogEntry("TP2+O", CATALOG["TP2+O"].expr)
+    monkeypatch.setitem(bundles.CATALOG, "TP2+O", entry)
+    calls, normalize = [], cohom.normalize
+    monkeypatch.setattr(cohom, "normalize", lambda e: calls.append(e) or normalize(e))
+    first = BundleSpec.named("TP2+O")
+    assert calls.count(entry.expr) == 1
+    made = len(calls)
+    assert BundleSpec.named("TP2+O") == first
+    assert len(calls) == made and calls.count(entry.expr) == 1
+    assert first.atoms == ((0, 0), (1, 0)) and first.chern == ChernPair(3, 3)
+
+
 def test_named_line_bundle_sums_parse_as_split():
     spec = BundleSpec.named("O+O(1)+O(2)")
     assert spec.exponents == (0, 1, 2)

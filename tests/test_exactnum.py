@@ -174,11 +174,6 @@ def test_quad_arithmetic_stays_canonical(a, b, n, a2, b2):
         assert QuadValue.make(value.a, value.b, value.n) == value
 
 
-def test_to_json_dict():
-    v = QuadValue.make(Fraction(9, 2), Fraction(-3, 2), 5)
-    assert v.to_json_dict() == {"a": "9/2", "b": "-3/2", "n": 5}
-
-
 def test_is_perfect_square():
     squares = {m * m for m in range(0, 15)} | {10**400, (10**200 + 1) ** 2}
     for m in [*range(-5, 130), 10**400, (10**200 + 1) ** 2, 10**400 + 1]:

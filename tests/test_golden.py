@@ -97,6 +97,23 @@ def test_golden_json_reads_back(filename):
     assert (report.report_to_json(rep) + "\n").encode("utf-8") == text
 
 
+# the --meta block as cycone writes it: the provenance keys, in order, at depth one
+META_BLOCK = re.compile(
+    rb',\n  "meta": \{\n    "tool": "cycone",\n    "version": "[^"\\]+",\n'
+    rb'    "generated_at": "[^"\\]+"\n  \}\n\}\n$'
+)
+ANALYZE_JSON_CASES = [(name, argv) for name, argv in CASES if name in ANALYZE_JSON]
+
+
+@pytest.mark.parametrize("filename,argv", ANALYZE_JSON_CASES, ids=[n for n, _ in ANALYZE_JSON_CASES])
+def test_golden_json_with_meta_adds_one_block(filename, argv):
+    # the bytes, not the parsed JSON: a whitespace slip in the writer shows here
+    text = run_main([*argv, "--meta"])
+    block = META_BLOCK.search(text)
+    assert block is not None, text[-200:]
+    assert text[: block.start()] + b"\n}\n" == (GOLDEN / filename).read_bytes()
+
+
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
     GOLDEN.mkdir(exist_ok=True)
     for filename, argv in CASES:

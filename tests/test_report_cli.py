@@ -106,6 +106,64 @@ def test_report_json_roundtrip():
         assert len(report.analyze_row_cells(rep)) == width, spec
 
 
+# Every Chern pair with |c1| <= 40 and -400 <= gamma <= 2, so a real root exists.
+ROOT_PAIRS = [
+    (c1, c2)
+    for c1 in range(-40, 41)
+    for c2 in range(-((2 - c1 * c1) // 3), (c1 * c1 + 400) // 3 + 1)
+]
+
+
+def _quad_oracle(a, b, n, den):
+    q = exactnum.quad_over(a, b, n, den)
+    return {"a": exactnum.format_rational(q.a), "b": exactnum.format_rational(q.b), "n": q.n}
+
+
+def test_root_values_are_written_as_their_quadratic_values():
+    rational = 0
+    for c1, c2 in ROOT_PAIRS:
+        rep = build_report(BundleSpec.chern_only(c1, c2))
+        cone = report_to_dict(rep)["cone"]
+        for key, root in (("k_root", rep.k_root), ("k_root_scaled", rep.k_root.scaled())):
+            assert cone[key]["k"] == _quad_oracle(root.center, -root.s, root.n, root.den), (c1, c2)
+            assert cone[key]["k_other"] == _quad_oracle(root.center, root.s, root.n, root.den)
+        assert cone["c2_min_value"] == _quad_oracle(*rep.c2.boundary), (c1, c2)
+        rational += rep.k_root.is_rational
+    assert (0, 9) in ROOT_PAIRS  # gamma = -27
+    assert rational > 100  # 9 - 4 gamma a square: the roots are rational, n = 1
+    # past gamma = 2 there is no root, and every root value is null
+    cone = report_to_dict(build_report(BundleSpec.chern_only(3, 2)))["cone"]
+    assert cone["k_root"]["k"] is cone["k_root_scaled"]["k_other"] is cone["c2_min_value"] is None
+
+
+_JSON_LEAVES = (
+    st.text(max_size=12)
+    | st.sampled_from(['"', "\\", "\"\\\n\t\x00\x1f\x7f", "é", "\u2028", "\U0001F600", ""])
+    | st.integers(min_value=-(10**60), max_value=10**60)
+    | st.booleans() | st.none()
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@given(_JSON_VALUES)
+def test_indented_emitter_writes_what_json_dumps_writes(value):
+    assert report._indented(value) == json.dumps(value, indent=2)
+
+
+def test_indented_emitter_keeps_bools_apart_from_ints_and_refuses_floats():
+    assert report._indented([True, 1, False, 0, None]) == json.dumps([True, 1, False, 0, None], indent=2)
+    assert report._indented({"t": True}) != report._indented({"t": 1})
+    assert report._indented(False) == "false" and report._indented(0) == "0"
+    assert report._indented({}) == "{}" and report._indented([[], {}]) == "[\n  [],\n  {}\n]"
+    for bad in (1.5, {"x": [0.0]}, (1, 2), {"x": {1, 2}}):
+        with pytest.raises(TypeError):
+            report._indented(bad)
+
+
 # each derived key, and a value for it that contradicts the rest
 DERIVED_TAMPERS = {
     "gamma": lambda d: 999,
