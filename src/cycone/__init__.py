@@ -3,7 +3,7 @@ hypersurfaces in rank-3 projective bundles over the projective plane.
 
 The public surface, by layer:
 
-* :mod:`cycone.exactnum`   exact rationals and quadratic irrationals
+* :mod:`cycone.exactnum`   exact rationals, and quadratic numbers as integers
 * :mod:`cycone.chow`       the ambient Chow ring, Chern calculus, pairing data
 * :mod:`cycone.cohom`      sheaf cohomology on P2 and the expression grammar
 * :mod:`cycone.bundles`    bundle specs and the named catalog
@@ -31,11 +31,10 @@ _LAYERS = {
         "CyconeError",
         "DomainError",
         "InvariantViolationError",
-        "MixedRadicalError",
         "UnknownBundleError",
         "UnsupportedExpressionError",
     ),
-    "exactnum": ("QuadValue", "sqrt_to_quad"),
+    "exactnum": (),
     "chow": ("ChernPair", "ChowClass", "exceptional_surface_class", "gram_matrix"),
     "cohom": (
         "CohomologyTable",

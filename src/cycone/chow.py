@@ -10,10 +10,14 @@ where (c1, c2) are the Chern numbers of E.  Classes are returned reduced in
 the monomial basis {1; xi, H; xi^2, xi*H, H^2; xi^2*H, xi*H^2; xi^2*H^2},
 and the degree-4 coefficient is the integral against the point class
 xi^2 H^2.  The ring is integral: the relation has integer coefficients, so
-classes built from ints keep plain ``int`` coefficients throughout.
-``Fraction`` and ``QuadValue`` coefficients (the latter for boundary-root
-computations) are accepted as given and never introduced by the engine;
-integrality of geometric quantities is asserted, never assumed.
+classes built from ints keep plain ``int`` coefficients throughout, and
+every caller in the package builds its classes from ints (the boundary
+root is checked through the integer quadratic D^3 . (-K_Z) in k, not by
+plugging it in).  The engine still touches coefficients only through
+``+``, ``*``, ``**`` and truthiness, so other exact coefficients
+(``Fraction`` in the tests, or polynomials in c1 and c2) pass through as
+given and are never introduced by the engine; integrality of geometric
+quantities is asserted, never assumed.
 
 Products have one route, ``_expand``: a polynomial product over the twelve
 monomials xi^i H^j with j <= 2 and i + j <= 4, with no relation applied.
@@ -127,12 +131,6 @@ class ChowClass:
         ]
         return ChowClass(tuple(coeffs))
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def is_homogeneous(self, d: int) -> bool:
-        return all(c == 0 for (i, j), c in zip(MONOMIALS, self.coeffs) if i + j != d)
-
     def __add__(self, other: "ChowClass") -> "ChowClass":
         return ChowClass(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
@@ -231,7 +229,7 @@ def mul(x: ChowClass, y: ChowClass, c: ChernPair) -> ChowClass:
 
 def intersect4(f1: ChowClass, f2: ChowClass, f3: ChowClass, f4: ChowClass, c: ChernPair):
     """Total intersection number of four degree-1 classes on Z: the integral
-    of their expansion.  Coefficients may be int, Fraction or QuadValue."""
+    of their expansion.  Coefficients may be int or Fraction."""
     for f in (f1, f2, f3, f4):
         unit, _, _, *higher = f.coeffs  # the basis is ordered by degree
         if unit or any(higher):

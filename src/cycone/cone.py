@@ -10,9 +10,10 @@ The pieces, all in exact arithmetic:
   k = (2 c1 + 3 - s sqrt(n)) / 2 with 9 - 4 gamma = s^2 n, n squarefree.
   The integer 9 - 4 gamma is decomposed once per spec; the root is
   rational exactly when n = 1, and ``BoundaryRoot.scaled`` gives k/3 for
-  the O_Z(1) ray by tripling the denominator.  ``k`` and ``k_other`` are
-  built as ``QuadValue``s only when read, by the text report or a check
-  in the Chow ring; the JSON report writes the integers;
+  the O_Z(1) ray by tripling the denominator.  No number class is built
+  for the root: the reports write it from these integers through
+  ``exactnum.quad_parts``, and the selftest checks it against the integer
+  quadratic D^3 . (-K_Z) in k that the Chow ring gives;
 * positivity of c2(X) on the closed cone: the boundary value is exactly
   18 + 2 gamma + 6 sqrt(9 - 4 gamma), found by two routes on integers and
   signed by squaring integers; the pi*h ray gives exactly 36, and above
@@ -37,7 +38,7 @@ import cycone.invariants as invariants
 from .bundles import BundleSpec, H0Anticanonical
 from .chow import ChernPair, ExceptionalSurfaceClass
 from .errors import DomainError, InvariantViolationError
-from .exactnum import QuadValue, quad_over, quad_sign
+from .exactnum import quad_sign, quad_text
 
 RATIONAL, UNKNOWN = "Rational", "Unknown"
 EQUALITY, EXCEPTIONAL_CANDIDATE, NOT_DETERMINED = (
@@ -109,14 +110,6 @@ class BoundaryRoot:
     def is_rational(self) -> bool:
         return self.n == 1
 
-    @property
-    def k(self) -> QuadValue | None:
-        return quad_over(self.center, -self.s, self.n, self.den) if self.exists else None
-
-    @property
-    def k_other(self) -> QuadValue | None:
-        return quad_over(self.center, self.s, self.n, self.den) if self.exists else None
-
     def scaled(self) -> "BoundaryRoot":
         """This OZ3 root in the OZ1 normalization: both branches divided by 3."""
         return replace(self, normalization=OZ1, den=3 * self.den)
@@ -128,8 +121,8 @@ def boundary_root(c: ChernPair) -> BoundaryRoot:
     k = (2 c1 + 3 -+ sqrt(9 - 4 gamma)) / 2, with the integer 9 - 4 gamma
     decomposed once; no real root exists once gamma exceeds 9/4.
 
-    >>> boundary_root(ChernPair(3, 6)).k
-    QuadValue(9/2 - 3/2*sqrt(5))
+    >>> boundary_root(ChernPair(3, 6))  # k = (9 - 3 sqrt(5)) / 2
+    BoundaryRoot(exists=True, normalization='OZ3', center=9, s=3, n=5, den=2)
     >>> boundary_root(ChernPair(3, 2)).exists
     False
     """
@@ -142,17 +135,13 @@ def boundary_root(c: ChernPair) -> BoundaryRoot:
 
 @dataclass(frozen=True)
 class C2Positivity:
-    """c2(X)-values on the boundary rays of the (candidate) nef cone."""
+    """c2(X)-values on the boundary rays of the (candidate) nef cone; the
+    root's ray is O_X(1) - (k/3) pi*h."""
 
     boundary: tuple[int, int, int, int] | None  # (a, b, n, den): D.c2(X) = (a + b sqrt(n))/den
     minus_k_ray: int                            # -K_Z|X . c2(X) = 6*gamma + 216
     h_ray: int                                  # pi*h . c2(X), always 36
     positive: bool
-
-    @property
-    def boundary_value(self) -> QuadValue | None:
-        """D.c2(X) on the root's ray, O_X(1) - (k/3) pi*h."""
-        return None if self.boundary is None else quad_over(*self.boundary)
 
 
 def c2_positivity(
@@ -179,8 +168,8 @@ def c2_positivity(
         closed = (den * (18 + 2 * g), 6 * 2 * s)
         if via_pairing != closed:
             raise InvariantViolationError(
-                f"boundary c2-value mismatch for {c}: {quad_over(*via_pairing, n, den)}"
-                f" vs {quad_over(*closed, n, den)}"
+                f"boundary c2-value mismatch for {c}: {quad_text(*via_pairing, n, den)}"
+                f" vs {quad_text(*closed, n, den)}"
             )
         boundary = (*via_pairing, n, den)
         positive = quad_sign(*via_pairing, n) > 0

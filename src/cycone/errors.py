@@ -28,10 +28,6 @@ class DomainError(CyconeError, ValueError):
     """An operation was called outside its mathematical domain."""
 
 
-class MixedRadicalError(DomainError):
-    """Arithmetic would need two distinct irrational radicands."""
-
-
 class UnsupportedExpressionError(DomainError):
     """A sheaf expression falls outside the evaluable fragment.
 

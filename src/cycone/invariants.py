@@ -38,9 +38,6 @@ class XPairings:
     h_c2: int
     c3: int
 
-    def as_tuple(self):
-        return (self.o1_cubed, self.o1_sq_h, self.o1_fiber, self.o1_c2, self.h_c2, self.c3)
-
 
 def closed_form_pairings(c: ChernPair) -> XPairings:
     g = c.gamma

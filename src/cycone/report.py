@@ -4,7 +4,8 @@ Conventions (stable across releases):
 
 * all JSON keys are snake_case;
 * exact rationals are strings "p/q" (always with an explicit denominator);
-* quadratic values are {"a": "p/q", "b": "r/s", "n": m};
+* quadratic values are {"a": "p/q", "b": "r/s", "n": m}, the
+  ``exactnum.quad_parts`` canonical form, which the text report also writes;
 * tri-state facts serialize as "true" / "false" / "unknown";
 * conditional values carry their hypotheses in an "assumes" list, and
   report-level caveats land in "warnings";
@@ -20,9 +21,9 @@ the warnings).  Facts that follow from these are not stored: gamma is
 
 Where a JSON key comes from: the writer is the one codec.  ``_record``
 writes one key per dataclass field, in field order; the spec, the boundary
-root (its branches, like the c2 boundary value, are written as quadratic
-values straight from the integers the report holds), the exceptional-surface
-class and the top level with its ``cone`` block (and the derived ``gamma``,
+root (its branches, like the c2 boundary value, are written by ``_quad``
+from the integers the report holds), the exceptional-surface class and
+the top level with its ``cone`` block (and the derived ``gamma``,
 ``c3``, ``k_root_scaled`` and ``w_contains_boundary`` keys) are laid out by
 hand.  ``_indented`` writes the text of ``json.dumps(d, indent=2)`` at under
 half its cost, since CPython 3.11 indents in pure Python.  The reader decodes
@@ -42,7 +43,6 @@ import json
 from collections.abc import Callable
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
-from math import gcd
 
 import cycone.chow as chow
 import cycone.cone as cone
@@ -54,7 +54,7 @@ from .bundles import (
 from .chow import ChernPair, ExceptionalSurfaceClass, exceptional_surface_class
 from .cone import BoundaryRoot, C2Positivity, ConeRestriction, MinusKStatus
 from .errors import DomainError, quote_input
-from .exactnum import format_rational
+from .exactnum import format_rational, quad_parts, quad_text
 from .invariants import RhoResult, SectionBounds, XPairings
 
 
@@ -175,17 +175,11 @@ def _surface(s: ExceptionalSurfaceClass) -> dict:
     }
 
 
-def _ratio(p: int, q: int) -> str:
-    g = gcd(p, q) if q > 0 else -gcd(p, q)  # the sign goes on p, as in a Fraction
-    return f"{p // g}/{q // g}"
-
-
 def _quad(a: int, b: int, n: int, den: int) -> dict:
-    """(a + b sqrt(n)) / den in the canonical form of a ``QuadValue``:
-    n = 1 folds b into a, and b = 0 writes n = 0."""
-    if n == 1:
-        a, b = a + b, 0
-    return {"a": _ratio(a, den), "b": _ratio(b, den), "n": n if b else 0}
+    """(a + b sqrt(n)) / den as JSON: the parts of ``quad_parts``, each
+    ratio written "p/q"."""
+    (p, q), (r, t), n = quad_parts(a, b, n, den)
+    return {"a": f"{p}/{q}", "b": f"{r}/{t}", "n": n}
 
 
 def _root(r: BoundaryRoot) -> dict:
@@ -453,6 +447,8 @@ def render_text_report(r: AnalysisReport) -> str:
     """Human-readable rendering; mirrors the JSON content."""
     rho, h0, mk, root, kc = r.rho, r.h0_minus_k, r.minus_k, r.k_root, r.restriction
     via = f" via {kc.via}" if kc.via else ""
+    k = quad_text(root.center, -root.s, root.n, root.den) if root.exists else "none"
+    boundary = "n/a" if r.c2.boundary is None else quad_text(*r.c2.boundary)
     lines = [
         f"bundle: {r.spec.describe()}",
         f"  chern pair: ({r.spec.chern.c1}, {r.spec.chern.c2})   gamma: {r.spec.gamma}"
@@ -461,10 +457,10 @@ def render_text_report(r: AnalysisReport) -> str:
         f"  -K_Z: nef={tri(mk.nef)} ample={tri(mk.ample)} big={tri(mk.big)}"
         f" h0>1={tri(mk.h0_gt_1)}",
         f"  h0(-K_Z): {_or(h0.value, 'n/a')} ({h0.reason})",
-        f"  cone boundary root k (O_Z(3) ray): {root.k if root.exists else 'none'}",
+        f"  cone boundary root k (O_Z(3) ray): {k}",
         f"  verdict: {r.verdict}  trail: {', '.join(r.trail) or '-'}",
         f"  c2(X) positivity: {tri(r.c2.positive)}"
-        f" (boundary {_or(r.c2.boundary_value, 'n/a')}, h-ray 36)",
+        f" (boundary {boundary}, h-ray 36)",
         f"  restriction K(X)=K(Z)|X: {kc.case}{via}",
         f"  exceptional-surface class: coeffs {r.surface.coeffs},"
         f" mu candidates {list(r.surface.mu_candidates) or 'none'}",

@@ -18,7 +18,7 @@ import cycone.cone as cone
 import cycone.invariants as invariants
 from .bundles import BundleSpec
 from .chow import ChernPair, ChowClass
-from .exactnum import QuadValue, is_perfect_square, sqrt_to_quad
+from .exactnum import is_perfect_square, quad_text
 
 CHERN_GRID = [ChernPair(c1, c2) for c1 in range(-6, 7) for c2 in range(-10, 11)]
 SPLIT_GRID = list(combinations_with_replacement(range(-4, 5), 3))
@@ -197,20 +197,37 @@ def _pairs_by_gamma(lo: int, hi: int) -> list[ChernPair]:
     return pairs
 
 
+def _doubled_cube_quadratic(c: ChernPair) -> tuple[int, int, int]:
+    """The coefficients of 2 q(k) = 2 D^3 . (-K_Z) for D = 3 xi - k H, with
+    q read off the Chow ring at k = -1, 0, 1 on int classes; H^3 = 0 makes
+    q quadratic in k."""
+    minus_k = chow.anticanonical(c)
+    q_minus, q_zero, q_plus = (
+        chow.intersect4(d, d, d, minus_k, c) for d in (ChowClass.degree1(3, -k) for k in (-1, 0, 1))
+    )
+    return q_plus + q_minus - 2 * q_zero, q_plus - q_minus, 2 * q_zero
+
+
 def check_boundary_root_exactness():
-    """k = 9/2 - (3/2) sqrt(5) at (c1, c2) = (3, 6); D^3 re-evaluates to 0;
-    rationality of the root is exactly the perfect-square condition."""
-    c = ChernPair(3, 6)  # gamma = -9
-    root = cone.boundary_root(c)
-    expected = QuadValue.rational(Fraction(9, 2)) - Fraction(3, 2) * sqrt_to_quad(5)
-    _require(root.exists and root.k == expected, f"root {root.k} != {expected}")
-    _require(not root.k.is_rational, "root should be irrational")
-    d = chow.ChowClass.degree1(QuadValue.rational(3), -root.k)
-    cube = chow.intersect4(d, d, d, chow.anticanonical(c), c)
-    _require(cube == 0, f"D^3 = {cube}, expected exact 0")
+    """k = 9/2 - (3/2) sqrt(5) at (c1, c2) = (3, 6); D^3 vanishes at both
+    branches of every root for gamma in [-27, 2], since its quadratic
+    D^3 . (-K_Z) in k from the Chow ring is a nonzero multiple of the root's
+    minimal polynomial; rationality of the root is exactly the
+    perfect-square condition."""
+    root = cone.boundary_root(ChernPair(3, 6))  # gamma = -9
+    k = quad_text(root.center, -root.s, root.n, root.den) if root.exists else None
+    _require(k == "9/2 - 3/2*sqrt(5)", f"root {k} != 9/2 - 3/2*sqrt(5)")
+    _require(not root.is_rational, "root should be irrational")
     for c in _pairs_by_gamma(-27, 2):
-        rational = cone.boundary_root(c).is_rational
-        _require(rational == is_perfect_square(9 - 4 * c.gamma), f"rationality mismatch at {c}")
+        root = cone.boundary_root(c)
+        a, b, const = _doubled_cube_quadratic(c)
+        # (den k - center)^2 - s^2 n, whose zeros are k and k_other
+        pa, pb, pc = root.den**2, -2 * root.center * root.den, root.center**2 - root.s**2 * root.n
+        _require(
+            root.exists and a != 0 and a * pb == b * pa and a * pc == const * pa,
+            f"{root} does not solve D^3 = 0 at {c}: 2 D^3.(-K_Z) = {a} k^2 + {b} k + {const}",
+        )
+        _require(root.is_rational == is_perfect_square(9 - 4 * c.gamma), f"rationality mismatch at {c}")
 
 
 def check_gram_unimodularity():

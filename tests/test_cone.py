@@ -1,7 +1,6 @@
 """Cone analysis: anticanonical status, boundary roots, c2, verdicts."""
 
 from dataclasses import replace
-from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 import pytest
@@ -27,7 +26,7 @@ from cycone.cone import (
     rationality_verdict,
 )
 from cycone.errors import DomainError, InvariantViolationError
-from cycone.exactnum import QuadValue, is_perfect_square, quad_sign, sqrt_to_quad
+from cycone.exactnum import is_perfect_square, quad_parts, quad_sign, quad_text, squarefree_decompose
 from cycone.report import build_report, report_to_dict
 
 
@@ -43,6 +42,26 @@ PAIRS_BY_GAMMA = [ChernPair(c1, c2) for c1 in (0, 1) for c2 in range(-9, 10)]
 def c2_of(c, root=None):
     root = boundary_root(c) if root is None else root
     return c2_positivity(c, root, invariants.closed_form_pairings(c))
+
+
+def cube_quadratic(c):
+    """(A, B, C) with D^3 . (-K_Z) = A k^2 + B k + C for D = 3 xi - k H, read
+    off the Chow ring at k = -1, 0, 1 on int classes; H^3 = 0 makes it
+    quadratic."""
+    q_minus, q_zero, q_plus = (
+        chow.intersect4(d, d, d, chow.anticanonical(c), c)
+        for d in (ChowClass.degree1(3, -k) for k in (-1, 0, 1))
+    )
+    assert (q_plus + q_minus) % 2 == 0
+    return (q_plus + q_minus) // 2 - q_zero, (q_plus - q_minus) // 2, q_zero
+
+
+def solves_cube(root, c) -> bool:
+    """Whether D^3 . (-K_Z) is a nonzero multiple of (den k - center)^2 - s^2 n,
+    the polynomial whose zeros are the root's two branches."""
+    a, b, const = cube_quadratic(c)
+    pa, pb, pc = root.den**2, -2 * root.center * root.den, root.center**2 - root.s**2 * root.n
+    return a != 0 and a * pb == b * pa and a * pc == const * pa
 
 
 def verdict_of(spec):
@@ -98,21 +117,21 @@ def test_status_rejects_inconsistent_construction():
 def test_root_example_gamma_minus_nine():
     c = ChernPair(3, 6)  # gamma = -9
     root = boundary_root(c)
-    expected = QuadValue.rational(Fraction(9, 2)) - Fraction(3, 2) * sqrt_to_quad(5)
-    assert root.exists and root.k == expected
-    assert not root.k.is_rational
-    assert root.k_other == QuadValue.rational(Fraction(9, 2)) + Fraction(3, 2) * sqrt_to_quad(5)
+    assert root.exists and (root.center, root.s, root.n, root.den) == (9, 3, 5, 2)
+    assert not root.is_rational
+    assert quad_text(root.center, -root.s, root.n, root.den) == "9/2 - 3/2*sqrt(5)"
+    assert quad_text(root.center, root.s, root.n, root.den) == "9/2 + 3/2*sqrt(5)"
 
 
 def test_root_gamma_zero_c1_zero_is_rational_zero():
     root = boundary_root(ChernPair(0, 0))
-    assert root.exists and root.k == 0
-    assert root.k.is_rational
+    assert root.exists and quad_parts(root.center, -root.s, root.n, root.den) == ((0, 1), (0, 1), 0)
+    assert root.is_rational
 
 
 def test_root_absent_for_gamma_three():
     root = boundary_root(ChernPair(3, 2))
-    assert not root.exists and root.k is None
+    assert not root.exists and (root.s, root.n) == (0, 0)
 
 
 def test_scaled_normalization_is_one_third():
@@ -120,7 +139,9 @@ def test_scaled_normalization_is_one_third():
     root = boundary_root(c)
     scaled = root.scaled()
     assert scaled.normalization == OZ1
-    assert scaled.k * 3 == root.k and scaled.k_other * 3 == root.k_other
+    # both branches (center -+ s sqrt(n)) / den divided by 3
+    assert (scaled.center, scaled.s, scaled.n) == (root.center, root.s, root.n)
+    assert scaled.den == 3 * root.den
 
 
 def test_root_plugs_back_to_zero():
@@ -128,21 +149,19 @@ def test_root_plugs_back_to_zero():
         root = boundary_root(c)
         if not root.exists:
             continue
-        for k in (root.k, root.k_other):
-            d = ChowClass.degree1(QuadValue.rational(3), -k)
-            cube = chow.intersect4(d, d, d, chow.anticanonical(c), c)
-            assert cube == 0
+        assert solves_cube(root, c)
+        assert not solves_cube(replace(root, s=root.s + 1), c)
 
 
 def test_root_rationality_is_perfect_square_condition():
     pairs = [c for c in PAIRS_BY_GAMMA if c.gamma <= 2]
     assert {c.gamma for c in pairs} == {g for g in range(-27, 3) if g % 3 != 2}
     for c in pairs:
-        assert boundary_root(c).k.is_rational == is_perfect_square(9 - 4 * c.gamma)
-    assert sorted(c.gamma for c in pairs if boundary_root(c).k.is_rational) == [-18, 0]
+        assert boundary_root(c).is_rational == is_perfect_square(9 - 4 * c.gamma)
+    assert sorted(c.gamma for c in pairs if boundary_root(c).is_rational) == [-18, 0]
 
 
-# --- the integer boundary against QuadValue formulas -------------------------------
+# --- the integer boundary against Chow-ring oracles ------------------------------
 
 # Every Chern pair with |c1| <= 40 and -400 <= gamma <= 2, so a real root exists.
 ORACLE_PAIRS = [
@@ -152,35 +171,43 @@ ORACLE_PAIRS = [
 ]
 
 
-def _oracle_sign(v: QuadValue) -> int:
-    """The sign of a + b sqrt(n) on its Fraction parts, by case split and squaring."""
-    sa, sb = (v.a > 0) - (v.a < 0), (v.b > 0) - (v.b < 0)
+def _oracle_sign(a: int, b: int, n: int) -> int:
+    """The sign of a + b sqrt(n), by case split and squaring."""
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
     if sb == 0 or sa == sb:
         return sa
     if sa == 0:
         return sb
-    return sa if v.a * v.a > v.b * v.b * v.n else sb
+    return sa if a * a > b * b * n else sb if a * a < b * b * n else 0
 
 
-def test_integer_boundary_matches_the_quadvalue_formulas():
+def test_integer_boundary_matches_the_chow_ring_oracles():
     # gamma = c1^2 - 3 c2 is never 2 mod 3; every other value in range occurs
     assert {c.gamma for c in ORACLE_PAIRS} == {g for g in range(-400, 3) if g % 3 != 2}
     for c in ORACLE_PAIRS:
         g = c.gamma
-        half_width = sqrt_to_quad(Fraction(9 - 4 * g, 4))
-        center = QuadValue.rational(Fraction(2 * c.c1 + 3, 2))
-        k, k_other = center - half_width, center + half_width
-        boundary = -12 * k + invariants.closed_form_pairings(c).o1_c2
-        assert boundary == 18 + 2 * g + 6 * (k_other - k)
-
         root = boundary_root(c)
-        assert root.exists and (root.k, root.k_other) == (k, k_other)
-        assert root.is_rational == k.is_rational
-        scaled = root.scaled()
-        assert (scaled.k, scaled.k_other) == (k * Fraction(1, 3), k_other * Fraction(1, 3))
+        center, s, n, den = root.center, root.s, root.n, root.den
+        assert root.exists and root.normalization == OZ3
+        # k and k_other are the zeros of D^3 . (-K_Z), with k < k_other
+        assert solves_cube(root, c), c
+        assert s > 0 and den > 0
+        assert s * s * n == 9 - 4 * g and squarefree_decompose(n) == (1, n)
+        assert root.is_rational == (n == 1)
+        scaled = root.scaled()  # k / 3 and k_other / 3
+        assert scaled.normalization == OZ1 and scaled.n == n
+        assert (3 * den * scaled.center, 3 * den * scaled.s) == (scaled.den * center, scaled.den * s)
+
+        # D.c2(X) on the ray O_X(1) - (k/3) pi*h is linear in k, with the
+        # pairings read off the pushforward of c(T_X) . [X]:
+        # 3 den D.c2(X) = 3 den o1_c2 - h_c2 (center - s sqrt(n))
+        x = chow.cy_chern_pushforward(c)
+        o1_c2, h_c2 = chow.integral(x, c, (1, 0)), chow.integral(x, c, (0, 1))
         rep = c2_of(c, root)
-        assert rep.boundary_value == boundary
-        assert rep.positive == (6 * g + 216 > 0 and _oracle_sign(boundary) > 0)
+        a, b, bn, bden = rep.boundary
+        assert (bn, bden) == (n, den)
+        assert (3 * a, 3 * b) == (3 * den * o1_c2 - h_c2 * center, h_c2 * s)
+        assert rep.positive == (6 * g + 216 > 0 and _oracle_sign(a, b, n) > 0)
 
 
 # --- c2 positivity ----------------------------------------------------------------
@@ -188,7 +215,7 @@ def test_integer_boundary_matches_the_quadvalue_formulas():
 
 def test_c2_boundary_value_at_gamma_minus_27():
     rep = c2_of(ChernPair(0, 9))  # gamma = -27
-    assert rep.boundary_value == QuadValue.make(-36, 18, 13)
+    assert quad_text(*rep.boundary) == "-36 + 18*sqrt(13)"
     assert rep.boundary == (-72, 36, 13, 2) and quad_sign(-72, 36, 13) > 0
     assert rep.positive
     # gamma = -27 gives c3(X) = 0: the edge of the rho(X) = 2 range, not past it
@@ -199,7 +226,7 @@ def test_c2_boundary_value_at_gamma_minus_27():
 
 def test_c2_above_gamma_two_uses_nef_rays():
     rep = c2_of(ChernPair(3, 2))  # gamma = 3
-    assert rep.boundary_value is None
+    assert rep.boundary is None
     assert rep.minus_k_ray == 6 * 3 + 216
     assert rep.h_ray == 36 and rep.positive
 
@@ -214,8 +241,8 @@ def test_c2_engine_route_matches_closed_bound():
     # pairing route (36 + 12 c1 + 2 gamma) - 12 k against the gamma-only bound,
     # with its square root taken here afresh
     for c in (ChernPair(3, 6), ChernPair(0, 0), ChernPair(-1, 1), ChernPair(4, 8)):
-        closed = 18 + 2 * c.gamma + 6 * sqrt_to_quad(9 - 4 * c.gamma)
-        assert c2_of(c).boundary_value == closed
+        s, n = squarefree_decompose(9 - 4 * c.gamma)
+        assert quad_parts(*c2_of(c).boundary) == quad_parts(18 + 2 * c.gamma, 6 * s, n, 1)
 
 
 def test_c2_closed_bound_positive_up_to_gamma_two():
@@ -232,10 +259,12 @@ def test_c2_cross_check_fires_on_a_wrong_root(c):
     # branches shifted, so the gap stays), or given in the OZ1 normalization
     root = boundary_root(c)
     shifted = replace(root, center=root.center + root.den)
-    assert shifted.k == root.k + 1 and shifted.normalization == OZ3
     for wrong in (shifted, root.scaled()):
-        with pytest.raises(InvariantViolationError, match="boundary c2-value mismatch"):
+        with pytest.raises(InvariantViolationError, match="boundary c2-value mismatch") as err:
             c2_of(c, wrong)
+        # the message gives both values in the canonical text form
+        closed = quad_text(wrong.den * (18 + 2 * c.gamma), 12 * root.s, root.n, wrong.den)
+        assert str(err.value).endswith(f" vs {closed}")
 
 
 # --- admissible splitting types ------------------------------------------------------
@@ -345,7 +374,7 @@ def test_verdict_rational_root_clause():
 def test_verdict_monotone_in_h0():
     # h0 > 1 dominates even when the root is irrational
     spec = BundleSpec.named("S2TP2(-1)")  # gamma = -9, root irrational
-    assert not boundary_root(spec.chern).k.is_rational
+    assert not boundary_root(spec.chern).is_rational
     v = verdict_of(spec)
     assert v.verdict == RATIONAL and "h0-minus-k-gt-1" in v.trail
 

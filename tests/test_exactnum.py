@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cycone.errors import DomainError, MixedRadicalError
+from cycone import report
+from cycone.errors import DomainError
 from cycone.exactnum import (
-    QuadValue,
     format_rational,
     is_perfect_square,
-    quad_over,
+    quad_parts,
     quad_sign,
-    sqrt_to_quad,
+    quad_text,
     squarefree_decompose,
 )
 
@@ -52,6 +52,9 @@ def test_field_results_stay_canonical(x, y):
 def test_format_rational():
     assert format_rational(Fraction(-3, 7)) == "-3/7"
     assert format_rational(Fraction(4)) == "4/1"
+    assert format_rational(-5) == "-5/1"
+    with pytest.raises(DomainError):
+        format_rational(0.5)
 
 
 @pytest.mark.parametrize(
@@ -62,79 +65,62 @@ def test_squarefree_decompose(m, expected):
     assert squarefree_decompose(m) == expected
 
 
+def _sqrt_parts(q: Fraction):
+    """The canonical form of sqrt(q) = sqrt(p r) / r = s sqrt(n) / r, for q = p/r."""
+    if q == 0:
+        return quad_parts(0, 0, 1, 1)
+    s, n = squarefree_decompose(q.numerator * q.denominator)
+    return quad_parts(0, s, n, q.denominator)
+
+
 def test_sqrt_perfect_square_is_rational():
-    v = sqrt_to_quad(Fraction(9, 4))
-    assert v.is_rational and v == Fraction(3, 2)
+    assert _sqrt_parts(Fraction(9, 4)) == ((3, 2), (0, 1), 0)
 
 
 def test_sqrt_of_45_over_4():
     # 9/4 - (-9) = 45/4, whose root is (3/2) sqrt(5)
-    v = sqrt_to_quad(Fraction(45, 4))
-    assert v == QuadValue.make(0, Fraction(3, 2), 5)
-    assert not v.is_rational
+    assert _sqrt_parts(Fraction(45, 4)) == ((0, 1), (3, 2), 5)
 
 
 def test_sqrt_of_quarter():
     # 9/4 - 2 = 1/4: 9 - 4*gamma is a perfect square for gamma = 2
-    assert sqrt_to_quad(Fraction(1, 4)) == Fraction(1, 2)
+    assert _sqrt_parts(Fraction(1, 4)) == ((1, 2), (0, 1), 0)
 
 
 def test_sqrt_rejects_negatives():
     with pytest.raises(DomainError):
-        sqrt_to_quad(Fraction(-1, 4))
+        _sqrt_parts(Fraction(-1, 4))
 
 
 @given(st.fractions(min_value=0, max_value=120, max_denominator=30))
 def test_sqrt_squares_back(q):
-    v = sqrt_to_quad(q)
-    assert v * v == q
+    (p, r), (u, t), n = _sqrt_parts(q)
+    a, b = Fraction(p, r), Fraction(u, t)
+    assert a * b == 0 and a * a + b * b * n == q
 
 
 @given(st.integers(min_value=-40, max_value=40), st.integers(min_value=1, max_value=40))
 def test_rational_squares_have_rational_roots(p, q):
-    assert sqrt_to_quad(Fraction(p * p, q * q)).is_rational
+    assert _sqrt_parts(Fraction(p * p, q * q))[2] == 0
 
 
 def test_quad_is_rational_examples():
-    assert QuadValue.make(Fraction(3, 2)).is_rational
-    assert not QuadValue.make(Fraction(9, 2), Fraction(-3, 2), 5).is_rational
-    assert QuadValue.rational(0).is_rational
+    # a canonical value is rational exactly when its radicand is written 0
+    assert quad_parts(3, 0, 5, 2)[2] == 0
+    assert quad_parts(9, -3, 5, 2)[2] == 5
+    assert quad_parts(0, 0, 1, 1)[2] == 0
+
+
+def _with_radicand(a, b, m):
+    """a + b sqrt(m) for any m >= 1: the square part of m moves into b."""
+    s, n = squarefree_decompose(m)
+    return quad_parts(a, b * s, n, 1)
 
 
 def test_make_normalizes_square_factors():
-    assert QuadValue.make(0, 1, 12) == QuadValue.make(0, 2, 3)
-    assert QuadValue.make(1, 2, 9) == Fraction(7)  # 1 + 2*sqrt(9) = 7
-    assert QuadValue.make(5, 0, 7) == Fraction(5)
-
-
-def test_constructor_rejects_non_canonical():
-    with pytest.raises(DomainError):
-        QuadValue(Fraction(0), Fraction(1), 12)  # 12 is not squarefree
-    with pytest.raises(DomainError):
-        QuadValue(Fraction(0), Fraction(0), 5)  # b = 0 forces n = 0
-
-
-def test_arithmetic_same_radicand():
-    x = QuadValue.make(1, 2, 5)
-    y = QuadValue.make(3, -1, 5)
-    assert x + y == QuadValue.make(4, 1, 5)
-    assert x - y == QuadValue.make(-2, 3, 5)
-    assert x * y == QuadValue.make(3 - 10, 5, 5)  # (1+2r5)(3-r5), r5^2 = 5
-    assert (x * y) * 0 == 0
-
-
-def test_arithmetic_with_rationals():
-    x = QuadValue.make(1, 2, 5)
-    assert 1 + x == QuadValue.make(2, 2, 5)
-    assert x - Fraction(1, 2) == QuadValue.make(Fraction(1, 2), 2, 5)
-    assert 3 * x == QuadValue.make(3, 6, 5)
-
-
-def test_mixed_radicals_rejected():
-    with pytest.raises(MixedRadicalError):
-        QuadValue.make(0, 1, 2) + QuadValue.make(0, 1, 3)
-    with pytest.raises(MixedRadicalError):
-        QuadValue.make(0, 1, 2) * QuadValue.make(0, 1, 7)
+    assert _with_radicand(0, 1, 12) == _with_radicand(0, 2, 3) == ((0, 1), (2, 1), 3)
+    assert _with_radicand(1, 2, 9) == ((7, 1), (0, 1), 0)  # 1 + 2*sqrt(9) = 7
+    assert _with_radicand(5, 0, 7) == ((5, 1), (0, 1), 0)
 
 
 def test_quad_sign_examples():
@@ -156,44 +142,51 @@ def test_quad_sign_matches_float(a, b, n):
         assert quad_sign(a, b, n) == 0
 
 
-def test_quad_over_is_the_canonical_quotient():
-    assert quad_over(9, -3, 5, 2) == QuadValue.make(Fraction(9, 2), Fraction(-3, 2), 5)
-    assert quad_over(9, -3, 5, 6) == QuadValue.make(Fraction(3, 2), Fraction(-1, 2), 5)
-    assert quad_over(5, 3, 1, 2) == Fraction(4) and quad_over(5, 3, 1, 2).n == 0
-    assert quad_over(4, 0, 5, 2) == Fraction(2) and quad_over(4, 0, 5, 2).n == 0
+def test_quad_parts_is_the_canonical_quotient():
+    assert quad_parts(9, -3, 5, 2) == ((9, 2), (-3, 2), 5)
+    assert quad_parts(9, -3, 5, 6) == ((3, 2), (-1, 2), 5)
+    assert quad_parts(9, -3, 5, -2) == ((-9, 2), (3, 2), 5)  # the sign goes on p
+    assert quad_parts(5, 3, 1, 2) == ((4, 1), (0, 1), 0)  # n = 1 folds b into a
+    assert quad_parts(4, 0, 5, 2) == ((2, 1), (0, 1), 0)  # b = 0 writes n = 0
+    assert quad_parts(0, 36, 5, 2) == ((0, 1), (18, 1), 5)
 
 
-@given(rationals, st.fractions(min_value=-10, max_value=10, max_denominator=12),
-       st.integers(min_value=0, max_value=60),
-       rationals, st.fractions(min_value=-10, max_value=10, max_denominator=12))
-def test_quad_arithmetic_stays_canonical(a, b, n, a2, b2):
-    x = QuadValue.make(a, b, n)
-    y = QuadValue.make(a2, b2, x.n)  # same radicand, so everything combines
-    for value in (x + y, x - y, x * y, -x, x * Fraction(3, 7)):
-        # re-canonicalizing must be the identity on results
-        assert QuadValue.make(value.a, value.b, value.n) == value
+def test_quad_text_examples():
+    assert quad_text(9, -3, 5, 2) == "9/2 - 3/2*sqrt(5)"
+    assert quad_text(0, 36, 5, 2) == "0 + 18*sqrt(5)"
+    assert quad_text(-72, 36, 13, 2) == "-36 + 18*sqrt(13)"
+    assert quad_text(5, 1, 1, 2) == "3"
+    assert quad_text(-3, 0, 7, 6) == "-1/2"
+
+
+def _parse_text(text):
+    """The (a, b, n) of "a", or of "a + b*sqrt(n)" and "a - b*sqrt(n)"."""
+    head, _, tail = text.partition(" ")
+    if not tail:
+        return Fraction(head), Fraction(0), 0
+    sign, coef = tail[0], tail[2:]
+    b, n = coef.removesuffix(")").split("*sqrt(")
+    return Fraction(head), Fraction(b) * (-1 if sign == "-" else 1), int(n)
+
+
+@given(st.integers(-500, 500), st.integers(-500, 500), st.sampled_from([1, 2, 3, 5, 13]),
+       st.integers(-60, 60).filter(bool))
+def test_quad_parts_matches_fractions(a, b, n, den):
+    (p, q), (r, t), m = parts = quad_parts(a, b, n, den)
+    folded = (a + b, 0) if n == 1 else (a, b)  # sqrt(1) = 1
+    expected_a, expected_b = (Fraction(v, den) for v in folded)
+    assert (p, q) == (expected_a.numerator, expected_a.denominator)
+    assert (r, t) == (expected_b.numerator, expected_b.denominator)
+    assert m == (n if expected_b else 0)
+    # canonical parts are a fixed point
+    assert quad_parts(p * t, r * q, m or 1, q * t) == parts
+    # the JSON and the text carry the same parts
+    d = report._quad(a, b, n, den)
+    assert (d["a"], d["b"], d["n"]) == (f"{p}/{q}", f"{r}/{t}", m)
+    assert _parse_text(quad_text(a, b, n, den)) == (expected_a, expected_b, m)
 
 
 def test_is_perfect_square():
     squares = {m * m for m in range(0, 15)} | {10**400, (10**200 + 1) ** 2}
     for m in [*range(-5, 130), 10**400, (10**200 + 1) ** 2, 10**400 + 1]:
         assert is_perfect_square(m) == (m in squares)
-
-
-def test_radicands_are_decomposed_once_where_they_enter(monkeypatch):
-    from cycone import exactnum
-
-    calls = []
-    original = exactnum.squarefree_decompose
-
-    def counting(m):
-        calls.append(m)
-        return original(m)
-
-    monkeypatch.setattr(exactnum, "squarefree_decompose", counting)
-    root = sqrt_to_quad(Fraction(45, 4))  # sqrt(45 * 4) / 4
-    values = (root + 1, root - root, root * root, -root, 2 * root * Fraction(1, 5))
-    assert QuadValue.make(1, 2, 12) == QuadValue.make(1, 4, 3)
-    assert calls == [180, 12, 3]
-    for value in values:
-        assert QuadValue(value.a, value.b, value.n) == value  # the validating constructor

@@ -52,7 +52,7 @@ def test_engine_route_calls_no_closed_form(monkeypatch):
 
     monkeypatch.setattr(invariants, "closed_form_pairings", forbidden)
     engine = invariants.engine_pairings(ChernPair(3, 2))
-    assert engine.as_tuple() == (21, 9, 3, 78, 36, -180)
+    assert engine == invariants.XPairings(21, 9, 3, 78, 36, -180)
 
 
 def test_pairing_universal_entries():
@@ -67,7 +67,7 @@ def test_cy_invariants_012():
     c = ChernPair(3, 2)
     pairings = invariants.cy_invariants(c)
     assert (c.gamma, pairings.c3) == (3, -180)
-    assert pairings.as_tuple() == (21, 9, 3, 78, 36, -180)
+    assert pairings == invariants.XPairings(21, 9, 3, 78, 36, -180)
     assert c.gamma >= -27  # forced by c3(X) <= 4 once rho(X) = 2
     rep = build_report(BundleSpec.split(0, 1, 2))  # the bundle of (3, 2)
     assert (rep.spec.chern, rep.rho.value, rep.h12) == (c, 2, 92)

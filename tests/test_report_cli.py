@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from itertools import combinations_with_replacement
 from pathlib import Path
 
@@ -114,23 +115,53 @@ ROOT_PAIRS = [
 ]
 
 
-def _quad_oracle(a, b, n, den):
-    q = exactnum.quad_over(a, b, n, den)
-    return {"a": exactnum.format_rational(q.a), "b": exactnum.format_rational(q.b), "n": q.n}
+def _doubled_cube_quadratic(c):
+    """(A, B, C) with 2 D^3 . (-K_Z) = A k^2 + B k + C for D = 3 xi - k H, from
+    the Chow ring at k = -1, 0, 1 (H^3 = 0, so it is quadratic)."""
+    q_minus, q_zero, q_plus = (chow.intersect4(d, d, d, chow.anticanonical(c), c)
+                               for d in (chow.ChowClass.degree1(3, -k) for k in (-1, 0, 1)))
+    return q_plus + q_minus - 2 * q_zero, q_plus - q_minus, 2 * q_zero
+
+
+def _read_quad(d):
+    """The Fractions (a, b) and the radicand of a JSON {"a", "b", "n"}, which
+    must be in canonical form: reduced "p/q" with q > 0, n = 0 exactly when
+    b = 0, and otherwise a squarefree n >= 2."""
+    a, b = (Fraction(d[key]) for key in ("a", "b"))
+    assert (d["a"], d["b"]) == (f"{a.numerator}/{a.denominator}", f"{b.numerator}/{b.denominator}")
+    n = d["n"]
+    assert (n == 0) == (b == 0) and (n == 0 or (n >= 2 and exactnum.squarefree_decompose(n) == (1, n)))
+    return a, b, n
 
 
 def test_root_values_are_written_as_their_quadratic_values():
     rational = 0
     for c1, c2 in ROOT_PAIRS:
+        c = chow.ChernPair(c1, c2)
         rep = build_report(BundleSpec.chern_only(c1, c2))
         cone = report_to_dict(rep)["cone"]
-        for key, root in (("k_root", rep.k_root), ("k_root_scaled", rep.k_root.scaled())):
-            assert cone[key]["k"] == _quad_oracle(root.center, -root.s, root.n, root.den), (c1, c2)
-            assert cone[key]["k_other"] == _quad_oracle(root.center, root.s, root.n, root.den)
-        assert cone["c2_min_value"] == _quad_oracle(*rep.c2.boundary), (c1, c2)
+        qa, qb, qc = _doubled_cube_quadratic(c)
+        k, k_other = (_read_quad(cone["k_root"][branch]) for branch in ("k", "k_other"))
+        for a, b, n in (k, k_other):
+            # q(a + b sqrt(n)) = 0: its rational and sqrt(n) parts
+            assert qa * (a * a + b * b * n) + qb * a + qc == 0, (c1, c2)
+            assert (2 * qa * a + qb) * b == 0, (c1, c2)
+        # k < k_other: with n = 0 by their values, otherwise they share the
+        # rational part and only k has a negative sqrt(n) part
+        assert k[2] == k_other[2]
+        if k[2] == 0:
+            assert k[0] < k_other[0]
+        else:
+            assert k[0] == k_other[0] and k[1] < 0 < k_other[1]
+        # the OZ1 branches are a third of these
+        for branch, (a, b, n) in (("k", k), ("k_other", k_other)):
+            assert _read_quad(cone["k_root_scaled"][branch]) == (a / 3, b / 3, n), (c1, c2)
+        # D.c2(X) = O_X(1).c2(X) - 12 k on the ray O_X(1) - (k/3) pi*h, at the k written
+        a, b, n = k
+        assert _read_quad(cone["c2_min_value"]) == (rep.pairings.o1_c2 - 12 * a, -12 * b, n), (c1, c2)
         rational += rep.k_root.is_rational
     assert (0, 9) in ROOT_PAIRS  # gamma = -27
-    assert rational > 100  # 9 - 4 gamma a square: the roots are rational, n = 1
+    assert rational > 100  # 9 - 4 gamma a square: the roots are rational, n = 0 in the JSON
     # past gamma = 2 there is no root, and every root value is null
     cone = report_to_dict(build_report(BundleSpec.chern_only(3, 2)))["cone"]
     assert cone["k_root"]["k"] is cone["k_root_scaled"]["k_other"] is cone["c2_min_value"] is None
@@ -933,13 +964,60 @@ def test_selftest_names_a_shifted_boundary_root(monkeypatch):
 
     original = cone.boundary_root
 
-    def shifted(c):
-        root = original(c)  # k + 1 and k_other + 1 when it exists
-        return replace(root, center=root.center + root.den)
+    wrong_roots = [
+        # k + 1 and k_other + 1: the c2 routes disagree too
+        (lambda r: replace(r, center=r.center + r.den), {"boundary-root-exactness", "c2-positivity-sweep"}),
+        # a wider gap between the branches: the c2 routes share it and agree
+        (lambda r: replace(r, s=r.s + 1), {"boundary-root-exactness"}),
+    ]
+    for wrong, names in wrong_roots:
 
-    monkeypatch.setattr(cone, "boundary_root", shifted)
-    lines = []
-    failures = selftest.run_selftest(emit=lines.append)
-    for name in ("boundary-root-exactness", "c2-positivity-sweep"):
-        assert name in failures
-        assert any(line.startswith(f"FAIL {name}") for line in lines)
+        def tampered(c, wrong=wrong):
+            root = original(c)
+            return wrong(root) if root.exists else root
+
+        monkeypatch.setattr(cone, "boundary_root", tampered)
+        lines = []
+        failures = selftest.run_selftest(emit=lines.append)
+        assert set(failures) == names
+        for name in names:
+            assert any(line.startswith(f"FAIL {name}") for line in lines)
+
+
+@pytest.mark.parametrize("field", ["center", "s", "n", "den"])
+def test_boundary_root_check_reads_each_integer_off_the_chow_ring(field, monkeypatch):
+    # every root but the pinned (3, 6) example is off by one in one integer, so
+    # only the comparison with the Chow ring's quadratic can catch it
+    from dataclasses import replace
+
+    from cycone import cone
+
+    original = cone.boundary_root
+
+    def tampered(c):
+        root = original(c)
+        if not root.exists or c == chow.ChernPair(3, 6):
+            return root
+        return replace(root, **{field: getattr(root, field) + 1})
+
+    monkeypatch.setattr(cone, "boundary_root", tampered)
+    with pytest.raises(selftest.CheckFailure, match="does not solve D\\^3 = 0"):
+        selftest.check_boundary_root_exactness()
+
+
+def test_text_and_json_write_the_same_root():
+    # the text report's k and c2 boundary value carry the JSON's canonical parts
+    specs = [BundleSpec.named(e.name) for e in catalog_entries()]
+    specs += [BundleSpec.chern_only(c1, c2) for c1, c2 in ROOT_PAIRS[::97]]
+    for spec in specs:
+        rep = build_report(spec)
+        cone = report_to_dict(rep)["cone"]
+        text = report.render_text_report(rep)
+        for label, value in (("(O_Z(3) ray): ", cone["k_root"]["k"]), ("(boundary ", cone["c2_min_value"])):
+            written = text.split(label, 1)[1].split("\n", 1)[0].split(", h-ray", 1)[0]
+            if value is None:
+                assert written in ("none", "n/a"), spec
+                continue
+            a, b, n = Fraction(value["a"]), Fraction(value["b"]), value["n"]
+            sign, coef = ("-", -b) if b < 0 else ("+", b)
+            assert written == (f"{a}" if n == 0 else f"{a} {sign} {coef}*sqrt({n})"), spec

@@ -4,6 +4,7 @@
 interpreter, where nothing is loaded yet.  Nothing here is timed.
 """
 
+import ast
 import contextlib
 import io
 import json
@@ -123,6 +124,36 @@ def test_exports_are_the_defining_modules_objects():
         "print(json.dumps(bad))\n"
     )
     assert json.loads(out) == []
+
+
+def test_public_surface_is_pinned():
+    """Adding or removing an exported name is a deliberate change to this list."""
+    assert sorted(cycone.__all__) == [
+        "AnalysisReport", "BundleSpec", "CatalogEntry", "ChernPair", "ChowClass",
+        "CohomologyTable", "CyconeError", "DomainError", "InvariantViolationError",
+        "UnknownBundleError", "UnsupportedExpressionError",
+        "allowed_splitting_types", "anticanonical_status", "boundary_root", "build_report",
+        "c2_positivity", "catalog_entries", "chi_on_cy", "chi_rr", "cohom_expr", "cohom_line",
+        "cohom_sym_tangent", "cone_restriction_case", "cy_invariants",
+        "exceptional_surface_class", "gram_matrix", "h0_anticanonical", "parse_sheaf_expr",
+        "rationality_verdict", "report_from_dict", "report_to_dict", "rho_of_x",
+        "section_bounds",
+    ]
+
+
+def test_fractions_only_where_a_denominator_can_appear():
+    """``Fraction`` is imported by the modules that hold a rational value (chi
+    on X and the section bounds, the selftest's pinned chi values, a Chow
+    coefficient checked for integrality, and the 'p/q' writer), and nowhere
+    else: the Chow ring, the cohomology on P2 and the boundary root run on int."""
+    importers = set()
+    for path in (ROOT / "src" / "cycone").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "fractions" or (
+                isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names)
+            ):
+                importers.add(path.stem)
+    assert importers == {"chow", "exactnum", "invariants", "selftest"}
 
 
 def test_dir_and_unknown_names_load_nothing():
