@@ -128,24 +128,11 @@ def _parse_filters(filters):
                 keyed.append((key, int(value)))
             except ValueError as exc:
                 raise UsageError(f"filter {quote_input(f)}: value must be an integer") from exc
-        elif f in ("nef", "ample", "big", "tab"):
-            flags.append(f)
+        elif (flag := f.strip()) in ("nef", "ample", "big", "tab"):
+            flags.append(flag)
         else:
             raise UsageError(f"unknown filter {quote_input(f)}")
     return keyed, flags
-
-
-def _row_passes(row, keyed, flags) -> bool:
-    values = {"c1": row.c1, "c2": row.c2, "gamma": row.gamma}
-    if any(values[k] != v for k, v in keyed):
-        return False
-    checks = {
-        "nef": row.nef is True,
-        "ample": row.ample is True,
-        "big": row.big is True,
-        "tab": row.tab_admissible,
-    }
-    return all(checks[f] for f in flags)
 
 
 def cmd_survey(args) -> int:
@@ -158,15 +145,12 @@ def cmd_survey(args) -> int:
         raise UsageError(f"range size {args.emax - args.emin} exceeds the cap {MAX_RANGE}")
     keyed, flags = _parse_filters(args.filter)
     types = chow.split_types(args.emin, args.emax)  # already lexicographically sorted
-    rows = [r for r in report.survey_rows(types) if _row_passes(r, keyed, flags)]
     lines = []
     if args.meta:
         lines.append(json.dumps({"meta": _meta_block()}) if args.json else _meta_comment())
-    if args.json:
-        lines += [json.dumps(r.to_json_dict()) for r in rows]
-    else:
+    if not args.json:
         lines.append("\t".join(SURVEY_COLUMNS))
-        lines += ["\t".join(r.cells()) for r in rows]
+    lines += report.survey_lines(types, keyed, flags, args.json)
     _emit("\n".join(lines), args.out)
     return 0
 

@@ -30,11 +30,13 @@ half its cost, since CPython 3.11 indents in pure Python.  The reader decodes
 nothing: ``report_from_dict`` re-analyzes the spec, read as the CLI reads
 its inputs, and returns that report only when its encoding is the JSON.
 
-The 12 survey columns come from ``SurveyRow.values``, which the TSV cells,
-the JSON-lines rows and the first cells of ``analyze --tsv`` share.  Their
-names, ``SURVEY_COLUMNS`` and ``ANALYZE_EXTRA_COLUMNS``, are defined in the
-package ``__init__`` (so the CLI's help can print them without loading the
-engine) and re-exported here.
+The 12 survey columns come from ``SurveyRow.values``: the first cells of
+``analyze --tsv`` per report, and in ``survey_lines`` the six cells of a
+twist class (gamma to the verdict), written once per class as TSV or as a
+JSON fragment, between each row's own five integers and its table
+admissibility.  Their names, ``SURVEY_COLUMNS`` and
+``ANALYZE_EXTRA_COLUMNS``, are defined in the package ``__init__`` (so the
+CLI's help can print them without loading the engine) and re-exported here.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
 
-import cycone.chow as chow
 import cycone.cone as cone
 import cycone.invariants as invariants
 from . import ANALYZE_EXTRA_COLUMNS, SURVEY_COLUMNS
@@ -393,38 +394,55 @@ def survey_row(exponents: tuple[int, int, int]) -> SurveyRow:
     return _row(spec, minus_k, rho, cone.rationality_verdict(spec, h0, rho).verdict)
 
 
-def survey_rows(types) -> list[SurveyRow]:
-    """``survey_row`` of each triple, evaluated once per twist class.
+# The survey columns a twist class shares: gamma, nef, ample, big, rho, verdict.
+_CLASS_COLUMNS = slice(5, 11)
 
-    Twisting by O(t) leaves Z = P(E) alone, so nef, ample, big, rho and
-    the verdict depend only on the class (e2 - e1, e3 - e1).  Each class
-    is evaluated through ``survey_row`` at its representative
-    (0, e2 - e1, e3 - e1), in a memo that lives for this call only; a row
-    computes just its own c1, c2, gamma and table admissibility from the
-    sorted triple, with no spec of its own.
+
+def survey_lines(types, keyed, flags, as_json: bool) -> list[str]:
+    """The TSV or JSON-lines rows of the triples that pass every filter.
+
+    A row's c1, c2 and gamma come from its sorted triple, and the keyed
+    filters (``(key, value)`` pairs) and ``tab`` drop it before its twist
+    class (e2 - e1, e3 - e1) is looked up.  Twisting by O(t) leaves Z = P(E)
+    alone, so gamma, nef, ample, big, rho and the verdict depend only on the
+    class: each one is evaluated once, through ``survey_row`` at
+    (0, e2 - e1, e3 - e1), in a memo that lives for this call only.  Its
+    ``nef``/``ample``/``big`` filters are applied and its six cells written
+    once; a row adds e1, e2, e3, c1, c2 and its table admissibility.
     """
+    checks = [(("c1", "c2", "gamma").index(key), value) for key, value in keyed]
+    class_flags = [f for f in flags if f != "tab"]
+    need_tab = "tab" in flags
     classes = {}
-    rows = []
+    lines = []
     for exponents in types:
-        e1, e2, e3 = exponents = tuple(sorted(exponents))
+        e1, e2, e3 = sorted(exponents)
+        c1, c2 = e1 + e2 + e3, e1 * e2 + e1 * e3 + e2 * e3
+        if checks and any((c1, c2, c1 * c1 - 3 * c2)[i] != v for i, v in checks):
+            continue
+        tab = cone.is_allowed_splitting_type(e1, e2, e3)
+        if need_tab and not tab:
+            continue
         key = (e2 - e1, e3 - e1)
-        facts = classes.get(key)
-        if facts is None:
-            facts = classes[key] = survey_row((0, *key))
-        c = chow.chern_pair_of_split(e1, e2, e3)
-        rows.append(SurveyRow(
-            exponents=exponents,
-            c1=c.c1,
-            c2=c.c2,
-            gamma=c.gamma,
-            nef=facts.nef,
-            ample=facts.ample,
-            big=facts.big,
-            rho=facts.rho,
-            verdict=facts.verdict,
-            tab_admissible=cone.is_allowed_splitting_type(e1, e2, e3),
-        ))
-    return rows
+        cells = classes.get(key)
+        if cells is None:
+            facts = survey_row((0, *key))
+            values = facts.values()[_CLASS_COLUMNS]
+            if not all(getattr(facts, f) for f in class_flags):
+                cells = ""  # the class fails a flag filter: none of its rows is written
+            elif as_json:
+                cells = json.dumps(dict(zip(SURVEY_COLUMNS[_CLASS_COLUMNS], values)))[1:-1]
+            else:
+                cells = "\t".join(map(str, values))
+            classes[key] = cells
+        if not cells:
+            continue
+        if as_json:
+            lines.append(f'{{"e1": {e1}, "e2": {e2}, "e3": {e3}, "c1": {c1}, "c2": {c2},'
+                         f' {cells}, "tab_admissible": "{tri(tab)}"}}')
+        else:
+            lines.append(f"{e1}\t{e2}\t{e3}\t{c1}\t{c2}\t{cells}\t{tri(tab)}")
+    return lines
 
 
 def analyze_row_cells(r: AnalysisReport) -> list[str]:

@@ -4,8 +4,10 @@ Each case runs ``cycone.cli.main`` in-process and compares its stdout with
 the file of the same name under ``tests/golden/``.  The files were written
 by this module (``python tests/test_golden.py --write``) from the code
 before the single-pass refactor of the report pipeline (``catalog.tsv``
-from the code before the report codec refactor); any change to them is a
-change of the tool's output and has to be deliberate.
+from the code before the report codec refactor, the filtered ``survey-*``
+files from the code before the survey filtered rows ahead of evaluating
+their twist class); any change to them is a change of the tool's output and
+has to be deliberate.
 """
 
 import contextlib
@@ -52,6 +54,13 @@ def _cases():
     cases += [
         ("survey-m4_4.tsv", ["survey", "--emin", "-4", "--emax", "4"]),
         ("survey-m4_4.jsonl", ["survey", "--emin", "-4", "--emax", "4", "--json"]),
+        ("survey-m6_6-c1_3.tsv", ["survey", "--emin", "-6", "--emax", "6", "--filter", "c1=3"]),
+        ("survey-m8_4-nef-tab.jsonl",
+         ["survey", "--emin", "-8", "--emax", "4", "--filter", "nef", "--filter", "tab", "--json"]),
+        ("survey-m5_3-gamma_4.tsv", ["survey", "--emin", "-5", "--emax", "3", "--filter", "gamma=4"]),
+        # repeated keyed filters must all hold: no row, and JSON lines print one empty line
+        ("survey-0_3-c1_3-c1_4.jsonl",
+         ["survey", "--emin", "0", "--emax", "3", "--filter", "c1=3", "--filter", "c1=4", "--json"]),
         ("catalog.json", ["catalog", "--json"]),
         ("catalog.tsv", ["catalog"]),
         ("selftest.out", ["selftest"]),

@@ -534,6 +534,23 @@ def test_cli_survey_repeated_keyed_filters_all_hold(capsys):
     assert capsys.readouterr().out.strip().split("\n") == ["\t".join(report.SURVEY_COLUMNS)]
 
 
+@pytest.mark.parametrize(
+    "spaced, plain", [(" c1 = 3", "c1=3"), (" nef", "nef"), ("tab ", "tab"), ("\tbig\t", "big")]
+)
+def test_cli_survey_filter_ignores_surrounding_spaces(spaced, plain):
+    base = ["survey", "--emin", "-2", "--emax", "2", "--filter"]
+    code, out, err = run_main([*base, spaced])
+    assert (code, err) == (0, "")
+    assert out == run_main([*base, plain])[1]
+
+
+@pytest.mark.parametrize("bad", ["ne f", " bogus", "c3=1", " c 1=3", "nef=1"])
+def test_cli_survey_unknown_filter_exits_1(bad):
+    code, out, err = run_main(["survey", "--emin", "0", "--emax", "1", "--filter", bad])
+    assert (code, out) == (1, "")
+    assert "unknown filter" in err
+
+
 def test_cli_rejects_deeply_nested_named_expression(capsys):
     assert cli.main(["analyze", "--named", "dual(" * 3000 + "O" + ")" * 3000]) == 1
     assert "usage error" in capsys.readouterr().err

@@ -1,7 +1,14 @@
-"""The survey evaluates each twist class once and prints what the per-triple route prints."""
+"""The survey evaluates each twist class once and prints what the per-triple route prints.
+
+The reference route is built here from ``survey_row`` of every triple, a
+filter predicate of its own and the row's ``cells``/``to_json_dict``, so it
+shares nothing with the class memo or the row writer of ``cycone survey``.
+"""
 
 import contextlib
+import functools
 import io
+import json
 from itertools import combinations_with_replacement
 
 import pytest
@@ -10,8 +17,9 @@ from hypothesis import strategies as st
 
 from cycone import chow, cli, cone, report
 from cycone.chow import ChernPair
-from cycone.report import survey_row, survey_rows
+from cycone.report import SURVEY_COLUMNS, survey_lines, survey_row
 
+EMPTY = ["c1=3", "c1=4"]  # repeated keyed filters must all hold: no row passes
 FILTERS = [
     [],
     ["nef"],
@@ -22,6 +30,14 @@ FILTERS = [
     ["c2=2"],
     ["gamma=3"],
     ["nef", "tab"],
+    ["c2=-4"],
+    ["c1=3", "c1=3"],
+    EMPTY,
+    ["gamma=3", "c1=0"],
+    ["c1=3", "tab"],
+    ["gamma=4", "nef"],
+    ["c2=1", "ample", "tab"],
+    ["big", "c1=1", "big"],
 ]
 
 
@@ -33,27 +49,86 @@ def run_main(argv):
     return out.getvalue()
 
 
-def _per_triple(types):
-    return [survey_row(t) for t in types]
+_survey_row = functools.cache(survey_row)
+
+
+def _per_triple(emin, emax):
+    return [_survey_row(t) for t in combinations_with_replacement(range(emin, emax + 1), 3)]
+
+
+def _passes(row, filters):
+    for f in filters:
+        key, eq, value = f.partition("=")
+        if eq:
+            ok = getattr(row, key) == int(value)
+        elif f == "tab":
+            ok = row.tab_admissible
+        else:
+            ok = getattr(row, f) is True
+        if not ok:
+            return False
+    return True
+
+
+def _lines(rows, as_json):
+    if as_json:
+        return [json.dumps(row.to_json_dict()) for row in rows]
+    return ["\t".join(row.cells()) for row in rows]
+
+
+def reference(emin, emax, filters, as_json):
+    """What ``cycone survey`` prints, from ``survey_row`` of each triple."""
+    rows = [row for row in _per_triple(emin, emax) if _passes(row, filters)]
+    header = [] if as_json else ["\t".join(SURVEY_COLUMNS)]
+    return "\n".join(header + _lines(rows, as_json)) + "\n", len(rows)
+
+
+def survey_argv(emin, emax, filters, as_json):
+    argv = ["survey", "--emin", str(emin), "--emax", str(emax)]
+    for f in filters:
+        argv += ["--filter", f]
+    return argv + ["--json"] * as_json
 
 
 @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["tsv", "json"])
 @pytest.mark.parametrize("filters", FILTERS, ids=lambda f: "+".join(f) or "none")
 @pytest.mark.parametrize("emin, emax", [(-6, 6), (-8, 4)])
-def test_class_memo_prints_what_per_triple_rows_print(emin, emax, filters, fmt, monkeypatch):
-    argv = ["survey", "--emin", str(emin), "--emax", str(emax), *fmt]
-    for f in filters:
-        argv += ["--filter", f]
-    memo = run_main(argv)
-    monkeypatch.setattr(report, "survey_rows", _per_triple)
-    reference = run_main(argv)
-    assert memo == reference
-    assert memo.count("\n") >= 1 + (not fmt)  # every filter keeps at least one row
+def test_class_memo_prints_what_per_triple_rows_print(emin, emax, filters, fmt):
+    expected, kept = reference(emin, emax, filters, bool(fmt))
+    assert run_main(survey_argv(emin, emax, filters, bool(fmt))) == expected
+    assert (kept == 0) == (filters == EMPTY)  # every other filter keeps at least one row
+
+
+# flags make half the draws, so that "tab" and a keyed filter often meet
+FLAG_WORDS = st.sampled_from(["nef", "ample", "big", "tab"])
+FILTER_WORDS = st.one_of(
+    FLAG_WORDS,
+    FLAG_WORDS,
+    st.builds("c1={}".format, st.integers(-3, 6)),
+    st.builds("c2={}".format, st.integers(-12, 12)),
+    st.builds("gamma={}".format, st.sampled_from([0, 1, 3, 4, 7, 9, 12, 13])),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=-10, max_value=10),
+    st.integers(min_value=0, max_value=12),
+    st.lists(FILTER_WORDS, min_size=1, max_size=3),
+    st.booleans(),
+)
+def test_survey_prints_the_per_triple_reference_for_any_range_and_filters(
+    emin, width, filters, as_json
+):
+    expected, _ = reference(emin, emin + width, filters, as_json)
+    assert run_main(survey_argv(emin, emin + width, filters, as_json)) == expected
 
 
 def test_survey_rows_matches_survey_row_in_any_order():
-    types = [(2, 0, 1), (5, 3, 4), (-1, -1, 7), (0, 0, 8), (0, 1, 2)]
-    assert survey_rows(types) == [survey_row(t) for t in types]
+    types = [(2, 0, 1), (5, 3, 4), (-1, -1, 7), (0, 0, 8), (0, 1, 2), (8, 0, 0)]
+    rows = [survey_row(t) for t in types]
+    for as_json in (False, True):
+        assert survey_lines(types, [], [], as_json) == _lines(rows, as_json)
 
 
 @settings(max_examples=60)
@@ -87,3 +162,13 @@ def test_survey_evaluates_each_class_once_and_multiplies_nothing(monkeypatch):
     assert out.count("\n") == 1 + len(list(combinations_with_replacement(range(13), 3)))
     # one class per (e2 - e1, e3 - e1) with 0 <= e2 - e1 <= e3 - e1 <= 12: C(14, 2)
     assert calls == {"anticanonical_status": 91, "mul": 0}
+
+    # a keyed filter drops rows before their class is looked up: only the
+    # classes of the rows with c1 = 3 are evaluated
+    calls.update(anticanonical_status=0)
+    out = run_main(["survey", "--emin", "-6", "--emax", "6", "--filter", "c1=3"])
+    kept = [t for t in combinations_with_replacement(range(-6, 7), 3) if sum(t) == 3]
+    assert out.count("\n") == 1 + len(kept)
+    classes = {(e2 - e1, e3 - e1) for e1, e2, e3 in kept}
+    assert calls == {"anticanonical_status": len(classes), "mul": 0}
+    assert len(classes) < 91
