@@ -8,9 +8,14 @@ E is read off that form:
 * the splitting type on lines: T|L = O(1) + O(2), so S^a T(b) restricts to
   every line L as O(a+b) + O(a+b+1) + ... + O(2a+b); the type is uniform;
 * ``exponents``, the sorted b's when every atom is a line bundle;
-* h^0(-K_Z) = h^0(S^3 E (3 - c1)), a sum over exponent multisets when every
-  atom is a line bundle and ``cohom.cohom_atoms`` of S^3 of the atoms
-  otherwise.
+* h^0(-K_Z) = h^0(S^3 E (3 - c1)), ten binomials C(s + 5 - c1, 2) over the
+  exponent sums s = e_i + e_j + e_k (i <= j <= k) when every atom is a line
+  bundle, and ``cohom.cohom_atoms`` of S^3 of the atoms otherwise.
+
+``exponents`` and ``splitting_type`` are fields, filled in by the
+constructors and kept in step by ``twist`` (for a split spec both are the
+sorted triple), so reading them costs an attribute lookup.  Being functions
+of the atoms, they take no part in ``==``, ``hash`` or ``repr``.
 
 The Chern pair is ``cohom.chern_data`` of the parsed expression.  The
 catalog names rank-3 sheaf expressions, split ones included; any other
@@ -23,9 +28,8 @@ CLI prints for the option that gives it) before anything is analyzed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import combinations_with_replacement
 
 import cycone.cohom as cohom
 from .chow import ChernPair, chern_pair_of_split
@@ -94,11 +98,18 @@ class BundleSpec:
     atoms: tuple[tuple[int, int], ...] | None = None  # sorted S^a T(b) pairs
     name: str | None = None
     twist_applied: int = 0
+    # The degrees of the line bundles E splits into (None when it does not)
+    # and E restricted to any line, as sorted degrees (None for a Chern-only
+    # spec).  Both are read off ``atoms``, so they are not compared or shown.
+    exponents: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
+    splitting_type: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def split(cls, e1: int, e2: int, e3: int) -> "BundleSpec":
-        e1, e2, e3 = sorted(bounded((e1, e2, e3), "--split"))
-        return cls(SPLIT, chern_pair_of_split(e1, e2, e3), ((0, e1), (0, e2), (0, e3)))
+        e1, e2, e3 = exps = tuple(sorted(bounded((e1, e2, e3), "--split")))
+        return cls(
+            SPLIT, chern_pair_of_split(e1, e2, e3), ((0, e1), (0, e2), (0, e3)), None, 0, exps, exps
+        )
 
     @classmethod
     def named(cls, name: str) -> "BundleSpec":
@@ -109,7 +120,9 @@ class BundleSpec:
         """
         entry = CATALOG.get(name)
         if entry is not None:
-            return cls(NAMED, entry.chern, entry.atoms, name)
+            atoms = entry.atoms
+            exps = None if any(a for a, _ in atoms) else tuple(b for _, b in atoms)
+            return cls(NAMED, entry.chern, atoms, name, 0, exps, _splitting_type(atoms))
         try:
             expr = cohom.parse_sheaf_expr(name)
         except DomainError as exc:
@@ -121,11 +134,11 @@ class BundleSpec:
                 f"{quote_input(name)} is not a catalog id or a rank-3 sheaf expression"
             )
         atoms = tuple(sorted(cohom.normalize(expr)))
-        bounded(_splitting_type(atoms), "--named splitting-type")
+        stype = bounded(_splitting_type(atoms), "--named splitting-type")
         if all(a == 0 for a, _ in atoms):
             return cls.split(*(b for _, b in atoms))
         data = cohom.chern_data(expr)
-        return cls(NAMED, ChernPair(data.c1, data.c2), atoms, _atoms_name(atoms))
+        return cls(NAMED, ChernPair(data.c1, data.c2), atoms, _atoms_name(atoms), 0, None, stype)
 
     @classmethod
     def chern_only(cls, c1: int, c2: int) -> "BundleSpec":
@@ -137,26 +150,21 @@ class BundleSpec:
     def gamma(self) -> int:
         return self.chern.gamma
 
-    @cached_property
-    def exponents(self) -> tuple[int, ...] | None:
-        """The degrees of the line bundles E splits into; None when it does not."""
-        if self.atoms is None or any(a for a, _ in self.atoms):
-            return None
-        return tuple(b for _, b in self.atoms)
-
-    @cached_property
-    def splitting_type(self) -> tuple[int, ...] | None:
-        """E restricted to any line, as sorted degrees; None for a Chern-only spec."""
-        return None if self.atoms is None else _splitting_type(self.atoms)
-
     def twist(self, t: int) -> "BundleSpec":
         """The spec of E tensor O(t); Z itself is unchanged."""
         bounded((t,), "--twist")
         if t == 0:
             return self
+        # every degree shifts by t; exponents, when present, equal the splitting type
         atoms = None if self.atoms is None else tuple((a, b + t) for a, b in self.atoms)
+        stype = None if self.splitting_type is None else tuple(d + t for d in self.splitting_type)
         return replace(
-            self, chern=self.chern.twist(t), atoms=atoms, twist_applied=self.twist_applied + t
+            self,
+            chern=self.chern.twist(t),
+            atoms=atoms,
+            twist_applied=self.twist_applied + t,
+            exponents=None if self.exponents is None else stype,
+            splitting_type=stype,
         )
 
     def describe(self) -> str:
@@ -190,19 +198,25 @@ class H0Anticanonical:
 
 
 def _split_sections_h0(exponents, c1: int) -> int:
-    t = 3 - c1
-    return sum(
-        cohom.h0_line(sum(triple) + t)
-        for triple in combinations_with_replacement(exponents, 3)
-    )
+    """h^0(S^3 E (3 - c1)) for E = O(e1) + O(e2) + O(e3): the sum of
+    h^0(O(d)) = C(d + 2, 2), zero for d < 0, over the ten degrees
+    d = e_i + e_j + e_k + 3 - c1 with i <= j <= k, each taken as m = d + 2."""
+    e1, e2, e3 = exponents
+    t = 5 - c1
+    total = 0
+    for m in (3 * e1 + t, 3 * e2 + t, 3 * e3 + t, 2 * e1 + e2 + t, 2 * e1 + e3 + t,
+              2 * e2 + e1 + t, 2 * e2 + e3 + t, 2 * e3 + e1 + t, 2 * e3 + e2 + t, e1 + e2 + e3 + t):
+        if m > 1:
+            total += m * (m - 1)
+    return total // 2
 
 
 def h0_anticanonical(spec: BundleSpec) -> H0Anticanonical:
     """h^0(-K_Z) = h^0(S^3 E (3 - c1)), exact for every spec with atoms.
 
-    A sum of line bundles takes the sum over exponent multisets, about five
-    times cheaper than the atom route, which takes the rest: S^3 of the
-    atoms by ``cohom.sym_atoms``, twisted, then ``cohom.cohom_atoms``.  For
+    A sum of line bundles takes the ten binomials of ``_split_sections_h0``,
+    many times cheaper than the atom route, which takes the rest: S^3 of
+    the atoms by ``cohom.sym_atoms``, twisted, then ``cohom.cohom_atoms``.  For
     Chern-only specs the > 1 question falls back to the topological bound:
     gamma >= -18 forces h^0(-K_Z) > 1 (assuming rho(X) = 2), and below that
     the answer is open.

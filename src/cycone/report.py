@@ -30,10 +30,12 @@ half its cost, since CPython 3.11 indents in pure Python.  The reader decodes
 nothing: ``report_from_dict`` re-analyzes the spec, read as the CLI reads
 its inputs, and returns that report only when its encoding is the JSON.
 
-The 12 survey columns come from ``SurveyRow.values``: the first cells of
-``analyze --tsv`` per report, and in ``survey_lines`` the six cells of a
-twist class (gamma to the verdict), written once per class as TSV or as a
-JSON fragment, between each row's own five integers and its table
+The 12 survey columns are written in two places from one cell format,
+``_class_values`` for the six a twist class shares (gamma to the verdict).
+``SurveyRow.values`` gives the first cells of ``analyze --tsv`` per report
+and the rows of ``survey_row``.  ``survey_lines`` builds no ``SurveyRow``: it
+writes a class's six cells once, as TSV or as a JSON fragment, straight
+from the stage results, between each row's own five integers and its table
 admissibility.  Their names, ``SURVEY_COLUMNS`` and
 ``ANALYZE_EXTRA_COLUMNS``, are defined in the package ``__init__`` (so the
 CLI's help can print them without loading the engine) and re-exported here.
@@ -341,6 +343,12 @@ def report_to_json(r: AnalysisReport, meta: dict | None = None) -> str:
 
 # --- flat rows (survey and analyze --tsv) -----------------------------------
 
+
+def _class_values(gamma: int, nef, ample, big, rho: int | None, verdict: str) -> list:
+    """The six survey values a twist class shares, gamma to the verdict."""
+    return [gamma, tri(nef), tri(ample), tri(big), _or(rho, "unknown"), verdict]
+
+
 @dataclass(frozen=True)
 class SurveyRow:
     exponents: tuple[int, int, int] | None  # None for a Chern-only spec
@@ -358,10 +366,9 @@ class SurveyRow:
         """The ``SURVEY_COLUMNS`` values, in column order."""
         e1, e2, e3 = self.exponents or ("", "", "")
         return [
-            e1, e2, e3, self.c1, self.c2, self.gamma,
-            tri(self.nef), tri(self.ample), tri(self.big),
-            _or(self.rho, "unknown"),
-            self.verdict, tri(self.tab_admissible),
+            e1, e2, e3, self.c1, self.c2,
+            *_class_values(self.gamma, self.nef, self.ample, self.big, self.rho, self.verdict),
+            tri(self.tab_admissible),
         ]
 
     def cells(self) -> list[str]:
@@ -386,16 +393,22 @@ def _row(spec: BundleSpec, minus_k: MinusKStatus, rho: RhoResult, verdict: str) 
     )
 
 
-def survey_row(exponents: tuple[int, int, int]) -> SurveyRow:
+def _split_stages(exponents: tuple[int, int, int]):
+    """The stages of ``build_report`` that a survey row reads, run on a
+    split triple: its spec, -K_Z status, rho and verdict."""
     spec = BundleSpec.split(*exponents)
     h0 = h0_anticanonical(spec)
     minus_k = cone.anticanonical_status(spec, h0)
     rho = invariants.rho_of_x(spec, minus_k)
-    return _row(spec, minus_k, rho, cone.rationality_verdict(spec, h0, rho).verdict)
+    return spec, minus_k, rho, cone.rationality_verdict(spec, h0, rho).verdict
 
 
-# The survey columns a twist class shares: gamma, nef, ample, big, rho, verdict.
-_CLASS_COLUMNS = slice(5, 11)
+def survey_row(exponents: tuple[int, int, int]) -> SurveyRow:
+    return _row(*_split_stages(exponents))
+
+
+# the JSON key, written "<column>": , of each value a twist class shares
+_CLASS_KEYS = tuple(f"{encode_basestring_ascii(name)}: " for name in SURVEY_COLUMNS[5:11])
 
 
 def survey_lines(types, keyed, flags, as_json: bool) -> list[str]:
@@ -405,10 +418,12 @@ def survey_lines(types, keyed, flags, as_json: bool) -> list[str]:
     filters (``(key, value)`` pairs) and ``tab`` drop it before its twist
     class (e2 - e1, e3 - e1) is looked up.  Twisting by O(t) leaves Z = P(E)
     alone, so gamma, nef, ample, big, rho and the verdict depend only on the
-    class: each one is evaluated once, through ``survey_row`` at
+    class: each one is evaluated once, by the stages ``survey_row`` runs at
     (0, e2 - e1, e3 - e1), in a memo that lives for this call only.  Its
-    ``nef``/``ample``/``big`` filters are applied and its six cells written
-    once; a row adds e1, e2, e3, c1, c2 and its table admissibility.
+    ``nef``/``ample``/``big`` filters are applied to its -K_Z status, and its
+    six cells are written once, straight from the stage results, as TSV or
+    as a JSON fragment; a row adds e1, e2, e3, c1, c2 and its table
+    admissibility.
     """
     checks = [(("c1", "c2", "gamma").index(key), value) for key, value in keyed]
     class_flags = [f for f in flags if f != "tab"]
@@ -426,12 +441,14 @@ def survey_lines(types, keyed, flags, as_json: bool) -> list[str]:
         key = (e2 - e1, e3 - e1)
         cells = classes.get(key)
         if cells is None:
-            facts = survey_row((0, *key))
-            values = facts.values()[_CLASS_COLUMNS]
-            if not all(getattr(facts, f) for f in class_flags):
+            spec, minus_k, rho, verdict = _split_stages((0, *key))
+            values = _class_values(
+                spec.gamma, minus_k.nef, minus_k.ample, minus_k.big, rho.value, verdict
+            )
+            if not all(getattr(minus_k, f) for f in class_flags):
                 cells = ""  # the class fails a flag filter: none of its rows is written
             elif as_json:
-                cells = json.dumps(dict(zip(SURVEY_COLUMNS[_CLASS_COLUMNS], values)))[1:-1]
+                cells = ", ".join([k + _SCALARS[type(v)](v) for k, v in zip(_CLASS_KEYS, values)])
             else:
                 cells = "\t".join(map(str, values))
             classes[key] = cells

@@ -1,7 +1,7 @@
 """Bundle specs, the named catalog, and anticanonical section counts."""
 
 import time
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations, product
 from math import comb
 
 import pytest
@@ -10,6 +10,7 @@ from cycone.bundles import (
     CATALOG,
     UNIFORM_012_NAMES,
     BundleSpec,
+    _splitting_type,
     catalog_entries,
     h0_anticanonical,
 )
@@ -21,9 +22,11 @@ from cycone.cohom import (
     SymTangent,
     TwistBy,
     chern_data,
+    cohom_atoms,
     cohom_expr,
     expr_rank,
     h0_line,
+    sym_atoms,
 )
 from cycone.errors import MAX_SPEC_VALUE, DomainError, UnknownBundleError
 from cycone.report import build_report
@@ -255,6 +258,48 @@ def test_split_h0_path_matches_cohomology():
         e = DirectSum(*[LineBundle(k) for k in spec.exponents])
         sections = TwistBy(SymPower(e, 3), 3 - spec.chern.c1)
         assert h0_anticanonical(spec).value == cohom_expr(sections).h0, exps
+
+
+def test_split_h0_binomials_match_the_atom_route():
+    # the ten binomials of a split spec against S^3 of its atoms by Bott's theorem
+    for exps in product(range(-6, 7), repeat=3):
+        for t in range(-3, 4):
+            spec = BundleSpec.split(*exps).twist(t)
+            shift = 3 - spec.chern.c1
+            atom_route = cohom_atoms([(a, b + shift) for a, b in sym_atoms(spec.atoms, 3)]).h0
+            assert h0_anticanonical(spec).value == atom_route, (exps, t)
+
+
+def test_split_spec_holds_facts_consistent_with_its_atoms():
+    for exps in product(range(-6, 7), repeat=3):
+        for t in range(-3, 4):
+            spec = BundleSpec.split(*exps).twist(t)
+            shifted = tuple(sorted(e + t for e in exps))
+            assert spec.exponents == spec.splitting_type == _splitting_type(spec.atoms) == shifted
+    for exps in [(2, 0, 1), (-6, 6, 0), (3, 3, -1)]:
+        specs = {BundleSpec.split(*p) for p in permutations(exps)}
+        assert len(specs) == 1
+        assert len({hash(BundleSpec.split(*p).twist(2)) for p in permutations(exps)}) == 1
+    # the stored facts are left out of repr, as of == and hash
+    assert repr(BundleSpec.split(2, 0, 1)) == (
+        "BundleSpec(kind='split', chern=ChernPair(c1=3, c2=2), atoms=((0, 0), (0, 1), (0, 2)),"
+        " name=None, twist_applied=0)"
+    )
+
+
+def test_named_and_chern_only_specs_keep_their_facts():
+    for name in ("O+O(1)+O(2)", "TP2+O"):
+        assert BundleSpec.named(name).splitting_type == (0, 1, 2)
+    assert BundleSpec.named("O+O(1)+O(2)").exponents == (0, 1, 2)
+    assert BundleSpec.named("TP2+O").exponents is None
+    for name in CATALOG:
+        for t in range(-3, 4):
+            spec = BundleSpec.named(name).twist(t)
+            assert spec.splitting_type == _splitting_type(spec.atoms), (name, t)
+            lines = all(a == 0 for a, _ in spec.atoms)
+            assert spec.exponents == (spec.splitting_type if lines else None), (name, t)
+    chern = BundleSpec.chern_only(3, 2).twist(1)
+    assert (chern.atoms, chern.exponents, chern.splitting_type) == (None, None, None)
 
 
 def test_h0_anticanonical_chern_only():

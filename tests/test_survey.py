@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycone import chow, cli, cone, report
+from cycone.bundles import h0_anticanonical
 from cycone.chow import ChernPair
 from cycone.report import SURVEY_COLUMNS, survey_lines, survey_row
 
@@ -172,3 +173,41 @@ def test_survey_evaluates_each_class_once_and_multiplies_nothing(monkeypatch):
     classes = {(e2 - e1, e3 - e1) for e1, e2, e3 in kept}
     assert calls == {"anticanonical_status": len(classes), "mul": 0}
     assert len(classes) < 91
+
+
+def test_survey_runs_h0_once_per_class(monkeypatch):
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return h0_anticanonical(spec)
+
+    monkeypatch.setattr(report, "h0_anticanonical", counted)
+    run_main(["survey", "--emin", "-6", "--emax", "6"])
+    assert len(calls) == 91  # one per class (d1, d2) with 0 <= d1 <= d2 <= 12
+
+    calls.clear()
+    run_main(["survey", "--emin", "-6", "--emax", "6", "--filter", "c1=3"])
+    kept = [t for t in combinations_with_replacement(range(-6, 7), 3) if sum(t) == 3]
+    assert len(calls) == len({(e2 - e1, e3 - e1) for e1, e2, e3 in kept})
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["tsv", "json"])
+def test_class_cells_are_the_survey_row_cells(as_json):
+    # (0, d1, d2) is the row of its own class that survey --emin 0 writes
+    lines = run_main(survey_argv(0, 12, [], as_json)).splitlines()[1 - as_json:]
+    seen = 0
+    for line in lines:
+        if as_json:
+            e1, d1, d2 = (json.loads(line)[k] for k in ("e1", "e2", "e3"))
+        else:
+            e1, d1, d2 = map(int, line.split("\t")[:3])
+        if e1 != 0:
+            continue
+        values = survey_row((0, d1, d2)).values()[5:11]
+        if as_json:
+            assert json.dumps(dict(zip(SURVEY_COLUMNS[5:11], values)))[1:-1] in line
+        else:
+            assert line.split("\t")[5:11] == [str(v) for v in values]
+        seen += 1
+    assert seen == 91
