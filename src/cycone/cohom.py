@@ -29,11 +29,17 @@ Method notes:
 * ``chi_rr`` is a second route to chi, Riemann-Roch on P2,
   chi = rank + c1(c1+3)/2 - c2, through the splitting principle on the
   unexpanded tree.  The tables never call it, so the two check each other.
+* The walk carries each node's Chern data as an int triple
+  (rank, c1, ch2x2), ch2x2 = 2 ch2 = c1^2 - 2 c2, so 2 chi = ch2x2 + 3 c1
+  + 2 rank, and the integrality of chi is checked as the parity of that sum.
+  A twist is the closed form (r, c1 + r k, ch2x2 + 2 c1 k + r k^2); a
+  ``ChernData`` is built only for the caller of ``chern_data``.
+* ``parse_sheaf_expr`` reads its tokens with one regex ``findall`` and
+  descends by index over the token list.  Before it, one regex search finds
+  the first character that is neither whitespace nor part of a token, and
+  the error names that character and its position.
 
-``ChernData`` is integral: it carries (rank, c1, ch2x2) with
-ch2x2 = 2 ch2 = c1^2 - 2 c2, so 2 chi = ch2x2 + 3 c1 + 2 rank, and the
-integrality of chi is checked as the parity of that sum.  Nothing is
-cached; all functions are pure.
+Nothing is cached; all functions are pure.
 """
 
 from __future__ import annotations
@@ -290,73 +296,71 @@ class ChernData:
     c1: int
     ch2x2: int
 
-    @classmethod
-    def line(cls, k: int) -> "ChernData":
-        return cls(1, k, k * k)
-
-    @classmethod
-    def tangent(cls) -> "ChernData":
-        return cls(2, 3, 3)  # c1 = 3, c2 = 3
-
     @property
     def c2(self) -> int:
         return (self.c1 * self.c1 - self.ch2x2) // 2
 
-    def __add__(self, other: "ChernData") -> "ChernData":
-        return ChernData(self.rank + other.rank, self.c1 + other.c1, self.ch2x2 + other.ch2x2)
 
-    def tensor(self, other: "ChernData") -> "ChernData":
-        return ChernData(
-            self.rank * other.rank,
-            other.rank * self.c1 + self.rank * other.c1,
-            other.rank * self.ch2x2 + 2 * self.c1 * other.c1 + self.rank * other.ch2x2,
-        )
+# (rank, c1, ch2x2) of T_P2: c1 = 3, c2 = 3
+_TANGENT = (2, 3, 3)
 
-    def twist(self, k: int) -> "ChernData":
-        return self.tensor(ChernData.line(k))
 
-    def dual(self) -> "ChernData":
-        return ChernData(self.rank, -self.c1, self.ch2x2)
+def _twist(d: tuple, k: int) -> tuple:
+    """(rank, c1, ch2x2) of E(k), the tensor product with O(k) = (1, k, k^2)."""
+    rank, c1, ch2x2 = d
+    return rank, c1 + rank * k, ch2x2 + 2 * c1 * k + rank * k * k
 
-    def sym(self, p: int) -> "ChernData":
-        if p <= 0:
-            return ChernData.line(0)
-        # ch of S^p through the splitting principle: the roots of S^p are the
-        # sums m.x over multisets m of size p of the Chern roots x_i, and the
-        # sums of m_0, m_0^2 and m_0 m_1 over them are binomials in n.
-        n = self.rank + p - 1
-        sum_m0 = comb(n, p - 1)
-        pairs = comb(n, p - 2) if p >= 2 else 0  # sum of C(m_0, 2), and of m_0 m_1
-        cross = pairs if self.rank >= 2 else 0
-        return ChernData(
-            comb(n, p),
-            sum_m0 * self.c1,
-            (sum_m0 + 2 * pairs - cross) * self.ch2x2 + cross * self.c1 * self.c1,
-        )
+
+def _sym(d: tuple, p: int) -> tuple:
+    """(rank, c1, ch2x2) of S^p E; S^p for p <= 0 is O.
+
+    Through the splitting principle: the roots of S^p are the sums m.x over
+    multisets m of size p of the Chern roots x_i, and the sums of m_0, m_0^2
+    and m_0 m_1 over them are binomials in n.
+    """
+    if p <= 0:
+        return 1, 0, 0
+    rank, c1, ch2x2 = d
+    n = rank + p - 1
+    sum_m0 = comb(n, p - 1)
+    pairs = comb(n, p - 2) if p >= 2 else 0  # sum of C(m_0, 2), and of m_0 m_1
+    cross = pairs if rank >= 2 else 0
+    return comb(n, p), sum_m0 * c1, (sum_m0 + 2 * pairs - cross) * ch2x2 + cross * c1 * c1
+
+
+def _chern(expr) -> tuple:
+    """(rank, c1, ch2x2) of any expression, by the splitting principle."""
+    if isinstance(expr, LineBundle):
+        k = expr.k
+        return 1, k, k * k
+    if isinstance(expr, SymTangent):
+        return _twist(_sym(_TANGENT, expr.a), expr.b)
+    if isinstance(expr, DirectSum):
+        rank = c1 = ch2x2 = 0
+        for p in expr.parts:
+            r, c, x = _chern(p)
+            rank += r
+            c1 += c
+            ch2x2 += x
+        return rank, c1, ch2x2
+    if isinstance(expr, TwistBy):
+        return _twist(_chern(expr.expr), expr.k)
+    if isinstance(expr, DualOf):
+        rank, c1, ch2x2 = _chern(expr.expr)
+        return rank, -c1, ch2x2
+    if isinstance(expr, SymPower):
+        # S^p for p <= 0 is O, whatever the inner expression
+        return _sym(_chern(expr.expr), expr.p) if expr.p > 0 else (1, 0, 0)
+    if isinstance(expr, EndOf):
+        # E^v (x) E: rank r^2, c1 = -r c1 + r c1, ch2x2 = r ch2x2 - 2 c1^2 + r ch2x2
+        rank, c1, ch2x2 = _chern(expr.expr)
+        return rank * rank, 0, 2 * (rank * ch2x2 - c1 * c1)
+    raise UnsupportedExpressionError(expr, "unknown expression node")
 
 
 def chern_data(expr) -> ChernData:
     """Chern-character data of any expression, by the splitting principle (no size check)."""
-    if isinstance(expr, LineBundle):
-        return ChernData.line(expr.k)
-    if isinstance(expr, SymTangent):
-        return ChernData.tangent().sym(expr.a).twist(expr.b)
-    if isinstance(expr, DirectSum):
-        data = ChernData(0, 0, 0)
-        for p in expr.parts:
-            data = data + chern_data(p)
-        return data
-    if isinstance(expr, TwistBy):
-        return chern_data(expr.expr).twist(expr.k)
-    if isinstance(expr, DualOf):
-        return chern_data(expr.expr).dual()
-    if isinstance(expr, SymPower):
-        # S^p for p <= 0 is O, whatever the inner expression
-        return chern_data(expr.expr).sym(expr.p) if expr.p > 0 else ChernData.line(0)
-    if isinstance(expr, EndOf):
-        d = chern_data(expr.expr)
-        return d.dual().tensor(d)
-    raise UnsupportedExpressionError(expr, "unknown expression node")
+    return ChernData(*_chern(expr))
 
 
 def chi_rr(e) -> int:
@@ -366,8 +370,8 @@ def chi_rr(e) -> int:
     Raises DomainError when the rank reaches ``RANK_CAP``.
     """
     _check_rank(expr_rank(e))
-    d = chern_data(e)
-    twice = d.ch2x2 + 3 * d.c1 + 2 * d.rank
+    rank, c1, ch2x2 = _chern(e)
+    twice = ch2x2 + 3 * c1 + 2 * rank
     if twice % 2:
         raise InvariantViolationError(f"Riemann-Roch produced a non-integer chi for {e!r}")
     return twice // 2
@@ -375,7 +379,8 @@ def chi_rr(e) -> int:
 
 # --- textual grammar --------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z]+)|([()+,*-]))")
+_TOKENS = re.compile(r"\d+|[A-Za-z]+|[()+,*-]")
+_BAD = re.compile(r"[^\s\dA-Za-z()+,*-]")
 
 # Deepest nesting of twist/sym/end/dual the parser accepts.  The catalog and
 # every expression seen in practice stay within 4 levels; the cap keeps a
@@ -396,119 +401,117 @@ def _literal(digits: str) -> int:
         raise DomainError(f"integer literal of {len(digits)} digits is too long to read") from exc
 
 
-class _Parser:
-    """Recursive-descent parser for the expression grammar.
+def _tokens(text: str) -> list:
+    """The tokens of ``text``, then the end sentinel ``""``.
 
-    expr := term ('+' term)*
-    term := [INT ['*']] atom
-    atom := 'O' ['(' int ')'] | 'SymT' '(' int ',' int ')'
-          | 'twist' '(' expr ',' int ')' | 'sym' '(' expr ',' int ')'
-          | 'end' '(' expr ')' | 'dual' '(' expr ')'
-
-    Nesting deeper than ``MAX_EXPR_DEPTH``, or a multiplicity INT above
-    ``MAX_MULTIPLICITY``, raises DomainError.
+    A character that is neither whitespace nor part of a token is the one
+    where a token-by-token read would stop, so it is named with its position.
     """
+    m = _BAD.search(text)
+    if m:
+        raise DomainError(f"bad character {m.group()!r} at character {m.start()}")
+    tokens = _TOKENS.findall(text)
+    tokens.append("")
+    return tokens
 
-    def __init__(self, text: str):
-        self.tokens = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if not m or m.end() == pos:
-                rest = text[pos:].lstrip()
-                if rest:
-                    raise DomainError(
-                        f"bad character {rest[0]!r} at character {len(text) - len(rest)}"
-                    )
-                break
-            pos = m.end()
-            self.tokens.append(m.group(1) or m.group(2) or m.group(3))
-        self.i = 0
-        self.depth = 0
 
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
+# Recursive descent over the token list.  Each rule takes the index of its
+# first token and returns its node with the index after its last token; the
+# end sentinel "" matches no expected token, so no rule reads past it.
+#
+#   expr := term ('+' term)*
+#   term := [INT ['*']] atom
+#   atom := 'O' ['(' int ')'] | 'SymT' '(' int ',' int ')'
+#         | 'twist' '(' expr ',' int ')' | 'sym' '(' expr ',' int ')'
+#         | 'end' '(' expr ')' | 'dual' '(' expr ')'
+#
+# Nesting deeper than ``MAX_EXPR_DEPTH``, or a multiplicity INT above
+# ``MAX_MULTIPLICITY``, raises DomainError.
 
-    def take(self, expected=None):
-        tok = self.peek()
-        if tok is None or (expected is not None and tok != expected):
-            want = repr(expected) if expected else "more input"
-            raise DomainError(f"expected {want} at token {self.i}")
-        self.i += 1
-        return tok
 
-    def parse(self):
-        e = self.expr()
-        if self.peek() is not None:
-            raise DomainError(f"trailing input at token {self.i}")
-        return e
+def _expected(i: int, want: str = "") -> DomainError:
+    """The error at token ``i``: it is not ``want``, or, with no ``want``, the input ended."""
+    return DomainError(f"expected {repr(want) if want else 'more input'} at token {i}")
 
-    def expr(self):
-        parts = [self.term()]
-        while self.peek() == "+":
-            self.take("+")
-            parts.append(self.term())
-        return parts[0] if len(parts) == 1 else DirectSum(*parts)
 
-    def integer(self) -> int:
-        sign = 1
-        if self.peek() == "-":
-            self.take("-")
-            sign = -1
-        tok = self.take()
-        if not tok.isdigit():
-            raise DomainError(f"expected an integer at token {self.i - 1}, got {quote_input(tok)}")
-        return sign * _literal(tok)
+def _expr(tokens: list, i: int, depth: int) -> tuple:
+    e, i = _term(tokens, i, depth)
+    if tokens[i] != "+":
+        return e, i
+    parts = [e]
+    while tokens[i] == "+":
+        e, i = _term(tokens, i + 1, depth)
+        parts.append(e)
+    return DirectSum(*parts), i
 
-    def term(self):
-        mult = 1
-        if self.peek() is not None and self.peek().isdigit():
-            mult = _literal(self.take())
-            if self.peek() == "*":
-                self.take("*")
-        atom = self.atom()
-        if not 1 <= mult <= MAX_MULTIPLICITY:
-            raise DomainError(f"multiplicity must lie in [1, {MAX_MULTIPLICITY}]")
-        return atom if mult == 1 else DirectSum(*([atom] * mult))
 
-    def nested(self):
-        """An expression one level down, within ``MAX_EXPR_DEPTH``."""
-        self.depth += 1
-        if self.depth > MAX_EXPR_DEPTH:
+def _term(tokens: list, i: int, depth: int) -> tuple:
+    tok = tokens[i]
+    if not tok.isdigit():
+        return _atom(tokens, i, depth)
+    mult = _literal(tok)
+    i += 1
+    if tokens[i] == "*":
+        i += 1
+    atom, i = _atom(tokens, i, depth)
+    if not 1 <= mult <= MAX_MULTIPLICITY:
+        raise DomainError(f"multiplicity must lie in [1, {MAX_MULTIPLICITY}]")
+    return (atom if mult == 1 else DirectSum(*([atom] * mult))), i
+
+
+def _integer(tokens: list, i: int) -> tuple:
+    tok = tokens[i]
+    sign = 1
+    if tok == "-":
+        sign = -1
+        i += 1
+        tok = tokens[i]
+    if tok.isdigit():
+        return sign * _literal(tok), i + 1
+    if not tok:
+        raise _expected(i)
+    raise DomainError(f"expected an integer at token {i}, got {quote_input(tok)}")
+
+
+def _atom(tokens: list, i: int, depth: int) -> tuple:
+    tok = tokens[i]
+    i += 1
+    if tok == "O":
+        if tokens[i] != "(":
+            return LineBundle(0), i
+        k, i = _integer(tokens, i + 1)
+        if tokens[i] != ")":
+            raise _expected(i, ")")
+        return LineBundle(k), i + 1
+    if tok == "SymT":
+        if tokens[i] != "(":
+            raise _expected(i, "(")
+        a, i = _integer(tokens, i + 1)
+        if tokens[i] != ",":
+            raise _expected(i, ",")
+        b, i = _integer(tokens, i + 1)
+        if tokens[i] != ")":
+            raise _expected(i, ")")
+        return SymTangent(a, b), i + 1
+    if tok in ("twist", "sym", "end", "dual"):
+        if tokens[i] != "(":
+            raise _expected(i, "(")
+        if depth >= MAX_EXPR_DEPTH:
             raise DomainError(f"expression nested deeper than {MAX_EXPR_DEPTH} levels")
-        e = self.expr()
-        self.depth -= 1
-        return e
-
-    def atom(self):
-        tok = self.take()
-        if tok == "O":
-            if self.peek() == "(":
-                self.take("(")
-                k = self.integer()
-                self.take(")")
-                return LineBundle(k)
-            return LineBundle(0)
-        if tok == "SymT":
-            self.take("(")
-            a = self.integer()
-            self.take(",")
-            b = self.integer()
-            self.take(")")
-            return SymTangent(a, b)
-        if tok in ("twist", "sym"):
-            self.take("(")
-            e = self.nested()
-            self.take(",")
-            k = self.integer()
-            self.take(")")
-            return TwistBy(e, k) if tok == "twist" else SymPower(e, k)
-        if tok in ("end", "dual"):
-            self.take("(")
-            e = self.nested()
-            self.take(")")
-            return EndOf(e) if tok == "end" else DualOf(e)
-        raise DomainError(f"unknown symbol {quote_input(tok)} at token {self.i - 1}")
+        e, i = _expr(tokens, i + 1, depth + 1)
+        if tok == "twist" or tok == "sym":
+            if tokens[i] != ",":
+                raise _expected(i, ",")
+            k, i = _integer(tokens, i + 1)
+            e = TwistBy(e, k) if tok == "twist" else SymPower(e, k)
+        else:
+            e = EndOf(e) if tok == "end" else DualOf(e)
+        if tokens[i] != ")":
+            raise _expected(i, ")")
+        return e, i + 1
+    if not tok:
+        raise _expected(i - 1)
+    raise DomainError(f"unknown symbol {quote_input(tok)} at token {i - 1}")
 
 
 def parse_sheaf_expr(text: str):
@@ -518,7 +521,11 @@ def parse_sheaf_expr(text: str):
     A DomainError names the offending token and where it stands, never the
     whole text, which the caller quotes once if it wants to.
     """
-    return _Parser(text).parse()
+    tokens = _tokens(text)
+    e, i = _expr(tokens, 0, 0)
+    if tokens[i]:
+        raise DomainError(f"trailing input at token {i}")
+    return e
 
 
 # Largest rank ``expr_rank`` reports exactly; any larger rank reads as the

@@ -254,10 +254,11 @@ def rationality_verdict(
     1. h^0(-K_Z) > 1: the boundary is rational.
     2. gamma >= -18 (equivalently c3(X) <= -54): same conclusion, since
        this forces h^0(-K_Z) > 1.
-    3. no real root of D^3 = 0 on the ray, or a rational one: boundary
-       rays off the cubic {D^3 = 0} are rational, and a rational root
-       covers the rays on it (conditional on the boundary lying in that
-       cubic; tagged as such).
+    3. a rational root of D^3 = 0 on the ray: boundary rays off the cubic
+       {D^3 = 0} are rational, and the rational root covers the rays on it
+       (conditional on the boundary lying in that cubic; tagged as such).
+       A real root always exists here: it is absent only when
+       9 - 4 gamma < 0, that is gamma >= 3, and clause 2 has fired first.
     4. otherwise open: this is exactly the h^0(-K_Z) = 1 territory.
 
     ``root`` is the OZ3 boundary root when the caller holds it; otherwise
@@ -278,9 +279,6 @@ def rationality_verdict(
         return RationalityResult(RATIONAL, ("gamma-ge-minus-18",), tuple(notes))
     if root is None:
         root = boundary_root(spec.chern)
-    if not root.exists:
-        notes.append("conditional-on-boundary-in-cubic")
-        return RationalityResult(RATIONAL, ("no-real-cubic-root",), tuple(notes))
     if root.is_rational:
         notes.append("conditional-on-boundary-in-cubic")
         return RationalityResult(RATIONAL, ("rational-cubic-root",), tuple(notes))

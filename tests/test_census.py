@@ -6,7 +6,14 @@ representative.  Each class pins nef, ample and big of -K_Z, rho(X),
 h^0(-K_Z), the verdict and the restriction case.  Wherever -K_Z is nef and
 big, Kawamata-Viehweg kills the higher cohomology of -K_Z, so h^0(-K_Z)
 must equal chi(Z, -K_Z) = 5 gamma + 100; that closed form lives only here.
+
+Below the census, the tests pin where the verdict stays open under
+rho(X) = 2 (six values of gamma in [-27, -19]) and the gamma floor of each
+atom shape.
 """
+
+from itertools import combinations, product
+from math import isqrt
 
 import pytest
 
@@ -122,3 +129,54 @@ def test_no_other_tangent_plus_line_class_is_nef_and_big():
     for d in range(-8, 9):
         f = facts(BundleSpec.named(f"SymT(1,0)+O({-d})"))
         assert (f[0] is True and f[2] is True) == (-3 <= d <= 0), d
+
+
+# --- where the verdict stays open, and the gamma floor of each atom shape ---
+
+# gamma = c1^2 - 3 c2 is c1^2 mod 3, never 2 mod 3; c1 in [-3, 3] reaches
+# every residue, and c2 in [-20, 20] every value of gamma in [-27, -19]
+CHERN_GRID = [(c1, c2) for c1 in range(-3, 4) for c2 in range(-20, 21)]
+OPEN_GAMMAS = (-27, -26, -24, -23, -21, -20)
+
+
+def test_gamma_is_never_2_mod_3():
+    gammas = {BundleSpec.chern_only(c1, c2).gamma for c1, c2 in CHERN_GRID}
+    assert {g % 3 for g in gammas} == {0, 1}
+    assert sorted(g for g in gammas if -27 <= g <= -19) == list(OPEN_GAMMAS)
+
+
+def test_open_gammas_have_irrational_roots_and_unknown_verdicts():
+    seen = set()
+    for c1, c2 in CHERN_GRID:
+        spec = BundleSpec.chern_only(c1, c2)
+        if spec.gamma not in OPEN_GAMMAS:
+            continue
+        seen.add(spec.gamma)
+        disc = 9 - 4 * spec.gamma
+        assert isqrt(disc) ** 2 != disc, spec
+        assert build_report(spec).verdict == "Unknown", spec
+    assert seen == set(OPEN_GAMMAS)
+
+
+def test_gamma_floor_of_split_sums():
+    # gamma = ((e1 - e2)^2 + (e1 - e3)^2 + (e2 - e3)^2) / 2 >= 0, 0 on O^3
+    gammas = set()
+    for e in product(range(-4, 5), repeat=3):
+        gamma = BundleSpec.split(*e).gamma
+        assert 2 * gamma == sum((x - y) ** 2 for x, y in combinations(e, 2)), e
+        gammas.add(gamma)
+    assert min(gammas) == 0
+
+
+def test_gamma_floor_of_tangent_plus_line():
+    # gamma of T(b) + O(c) is d^2 + 3 d for d = b - c, least (-2) at d = -1, -2
+    gammas = set()
+    for b, c in product(range(-5, 6), repeat=2):
+        gamma = BundleSpec.named(f"SymT(1,{b})+O({c})").gamma
+        assert gamma == (b - c) ** 2 + 3 * (b - c), (b, c)
+        gammas.add(gamma)
+    assert min(gammas) == -2
+
+
+def test_gamma_of_s2_tangent_is_minus_9():
+    assert {BundleSpec.named(f"SymT(2,{b})").gamma for b in range(-6, 7)} == {-9}

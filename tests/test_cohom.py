@@ -3,6 +3,7 @@
 import importlib
 import pkgutil
 import time
+from dataclasses import replace
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -304,7 +305,7 @@ def test_chi_end_grid():
 
 def test_chern_data_examples():
     t = chern_data(SymTangent(1, 0))
-    assert (t.rank, t.c1, t.c2) == (2, 3, 3)
+    assert t == ChernData(2, 3, 3) and t.c2 == 3
     s2 = chern_data(SymPower(SymTangent(1, -1), 2))
     assert (s2.rank, s2.c1, s2.c2) == (3, 3, 6)  # S^2(T(-1))
     end = chern_data(EndOf(split_sum(0, 1, 2)))
@@ -321,7 +322,7 @@ def test_chern_data_and_chi_are_plain_ints(e):
 
 def test_odd_parity_chern_data_fails_the_integrality_check(monkeypatch):
     # ch2x2 = 2 for c1 = 3 has the wrong parity: c2 would be 7/2
-    monkeypatch.setattr(ChernData, "tangent", classmethod(lambda cls: cls(2, 3, 2)))
+    monkeypatch.setattr(cohom, "_TANGENT", (2, 3, 2))
     with pytest.raises(InvariantViolationError, match="non-integer chi"):
         chi_rr(SymTangent(1, 0))
     # the table takes nothing from the Chern data, so it does not move
@@ -345,6 +346,7 @@ def test_tables_never_call_riemann_roch(monkeypatch):
     assert len(sections) == 6
     monkeypatch.setattr(cohom, "chi_rr", counted(cohom.chi_rr))
     monkeypatch.setattr(cohom, "chern_data", counted(cohom.chern_data))
+    monkeypatch.setattr(cohom, "_chern", counted(cohom._chern))
     for e in sections + [parse_sheaf_expr("end(O+O(1)+O(2))")]:
         cohom_expr(e)
     assert calls == []
@@ -370,22 +372,46 @@ def _sym_by_enumeration(d, p):
     # the roots of S^p are the sums m.x over multisets m of size p of the
     # Chern roots x_i; by symmetry only the counts of roots 0 and 1 matter
     if p <= 0:
-        return ChernData.line(0)
+        return (1, 0, 0)
+    rank, c1, ch2x2 = d
     sum_m0 = sq_m0 = m0_m1 = n = 0
-    for idx in combinations_with_replacement(range(d.rank), p):
+    for idx in combinations_with_replacement(range(rank), p):
         n += 1
         m0 = idx.count(0)
         sum_m0 += m0
         sq_m0 += m0 * m0
         m0_m1 += m0 * idx.count(1)
-    return ChernData(n, sum_m0 * d.c1, (sq_m0 - m0_m1) * d.ch2x2 + m0_m1 * d.c1 * d.c1)
+    return (n, sum_m0 * c1, (sq_m0 - m0_m1) * ch2x2 + m0_m1 * c1 * c1)
 
 
 @given(st.integers(1, 8), st.integers(0, 8), st.integers(), st.integers())
 @settings(max_examples=80, deadline=None)
 def test_chern_data_sym_matches_multiset_enumeration(rank, p, c1, ch2x2):
-    d = ChernData(rank, c1, ch2x2)
-    assert d.sym(p) == _sym_by_enumeration(d, p)
+    # cohom._sym is the formula chi_rr runs, for SymT and for sym(e, p)
+    d = (rank, c1, ch2x2)
+    assert cohom._sym(d, p) == _sym_by_enumeration(d, p)
+
+
+def _tensor(d, e):
+    """(rank, c1, ch2x2) of a tensor product: ch(E (x) F) = ch(E) ch(F)."""
+    (r, c, x), (s, b, y) = d, e
+    return r * s, s * c + r * b, s * x + 2 * c * b + r * y
+
+
+@given(st.integers(0, 8), st.integers(), st.integers(), st.integers())
+@settings(max_examples=80, deadline=None)
+def test_closed_form_twist_is_the_tensor_with_a_line(rank, c1, ch2x2, k):
+    d = (rank, c1, ch2x2)
+    assert cohom._twist(d, k) == _tensor(d, (1, k, k * k))  # O(k) = (1, k, k^2)
+
+
+@given(_grammar_exprs())
+@settings(max_examples=60, deadline=None)
+def test_closed_forms_match_the_tensor_product(e):
+    rank, c1, ch2x2 = d = cohom._chern(e)
+    assert cohom._chern(EndOf(e)) == _tensor((rank, -c1, ch2x2), d)  # End E = E^v (x) E
+    for k in (-3, 1):
+        assert cohom._chern(TwistBy(e, k)) == _tensor(d, cohom._chern(LineBundle(k)))
 
 
 def test_chern_data_of_a_huge_symmetric_power_is_immediate():
@@ -459,6 +485,121 @@ def test_parse_errors_echo_the_input_in_short(text):
     with pytest.raises(DomainError) as info:
         parse_sheaf_expr(text)
     assert len(str(info.value)) < 200
+
+
+# The exact DomainError text of each way a parse can fail.  A message names
+# the token or character and where it stands; the CLI quotes it verbatim.
+PARSE_ERRORS = [
+    ("O(1)+@", "bad character '@' at character 5"),
+    ("  O(1) +\t#", "bad character '#' at character 9"),
+    ("O(1)+ \xa0 $", "bad character '$' at character 8"),
+    ("\x1c?", "bad character '?' at character 1"),
+    ("O(²)", "bad character '²' at character 2"),
+    ("SymT(٣,²)", "bad character '²' at character 7"),
+    ("O(1)\u200b", "bad character '\\u200b' at character 4"),
+    ("", "expected more input at token 0"),
+    ("  \t\n", "expected more input at token 0"),
+    ("O(", "expected more input at token 2"),
+    ("O(1)+", "expected more input at token 5"),
+    ("2*", "expected more input at token 2"),
+    ("O(-", "expected more input at token 3"),
+    ("65O(", "expected more input at token 3"),
+    ("O(1", "expected ')' at token 3"),
+    ("SymT1", "expected '(' at token 1"),
+    ("end O", "expected '(' at token 1"),
+    ("SymT(1 2)", "expected ',' at token 3"),
+    ("twist(O,1", "expected ')' at token 5"),
+    ("dual(O,1)", "expected ')' at token 3"),
+    ("O(3))", "trailing input at token 4"),
+    ("O(1) O(2)", "trailing input at token 4"),
+    ("sym(O(1)+O,2)3", "trailing input at token 11"),
+    ("Q(3)", "unknown symbol 'Q' at token 0"),
+    ("o", "unknown symbol 'o' at token 0"),
+    ("3 4 O", "unknown symbol '4' at token 1"),
+    ("dual(" * 32 + "x", "unknown symbol 'x' at token 64"),
+    ("O(x)", "expected an integer at token 2, got 'x'"),
+    ("sym(O,)", "expected an integer at token 4, got ')'"),
+    ("O(-)", "expected an integer at token 3, got ')'"),
+    ("0*O(x)", "expected an integer at token 4, got 'x'"),
+    ("O(" + "1" * 5000 + ")", "integer literal of 5000 digits is too long to read"),
+    ("O(1)+" + "9" * 4301 + "O", "integer literal of 4301 digits is too long to read"),
+    ("0O", "multiplicity must lie in [1, 64]"),
+    ("65*O", "multiplicity must lie in [1, 64]"),
+    ("9" * 30 + "*O", "multiplicity must lie in [1, 64]"),
+    ("dual(" * 33 + "O" + ")" * 33, "expression nested deeper than 32 levels"),
+    ("dual(" * 33 + "O", "expression nested deeper than 32 levels"),
+    ("SymT(-1,0)", "symmetric power degree must be nonnegative"),
+]
+
+
+@pytest.mark.parametrize("text, message", PARSE_ERRORS, ids=range(len(PARSE_ERRORS)))
+def test_parse_error_messages(text, message):
+    with pytest.raises(DomainError) as info:
+        parse_sheaf_expr(text)
+    assert str(info.value) == message
+
+
+# Whitespace is whatever str.isspace() calls whitespace, \xa0 and \x1c among
+# it, and a digit is any Unicode decimal digit; '²' is neither.
+PARSE_TREES = [
+    ("O(٣)", LineBundle(3)),
+    ("O(12٣)", LineBundle(123)),
+    ("٣O", DirectSum(LineBundle(0), LineBundle(0), LineBundle(0))),
+    ("O(1)\x1c+O", DirectSum(LineBundle(1), LineBundle(0))),
+    ("O(1)\xa0+ O(2)\u2003", DirectSum(LineBundle(1), LineBundle(2))),
+    ("O\t(\n-2 )", LineBundle(-2)),
+    ("O(- 2)", LineBundle(-2)),
+    (" sym ( O + O(1) , 2 ) ", SymPower(DirectSum(LineBundle(0), LineBundle(1)), 2)),
+    ("2 * O(1)\t+\tSymT( 1 , -1 )", DirectSum(DirectSum(LineBundle(1), LineBundle(1)), SymTangent(1, -1))),
+]
+
+
+@pytest.mark.parametrize("text, tree", PARSE_TREES, ids=range(len(PARSE_TREES)))
+def test_parse_whitespace_and_unicode_digits(text, tree):
+    assert parse_sheaf_expr(text) == tree
+
+
+_SPACES = ("", " ", "\t", "\n", "\xa0", "\x1c", "\u2003")
+
+
+def _render(e) -> list:
+    """The tokens of ``e``; a sum inside a sum renders as its parts."""
+
+    def integer(k):
+        return ["-", str(-k)] if k < 0 else [str(k)]
+
+    if isinstance(e, LineBundle):
+        return ["O"] if e.k == 0 else ["O", "(", *integer(e.k), ")"]
+    if isinstance(e, SymTangent):
+        return ["SymT", "(", *integer(e.a), ",", *integer(e.b), ")"]
+    if isinstance(e, DirectSum):
+        tokens = _render(e.parts[0])
+        for p in e.parts[1:]:
+            tokens += ["+", *_render(p)]
+        return tokens
+    if isinstance(e, (TwistBy, SymPower)):
+        name, k = ("twist", e.k) if isinstance(e, TwistBy) else ("sym", e.p)
+        return [name, "(", *_render(e.expr), ",", *integer(k), ")"]
+    return ["end" if isinstance(e, EndOf) else "dual", "(", *_render(e.expr), ")"]
+
+
+def _flat_sums(e):
+    """``e`` with each sum inside a sum replaced by its parts, as text reads."""
+    if isinstance(e, DirectSum):
+        parts = [_flat_sums(p) for p in e.parts]
+        return DirectSum(*[q for p in parts for q in (p.parts if isinstance(p, DirectSum) else [p])])
+    if isinstance(e, (TwistBy, SymPower, EndOf, DualOf)):
+        return replace(e, expr=_flat_sums(e.expr))
+    return e
+
+
+@given(_grammar_exprs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_parse_round_trips_rendered_trees(e, data):
+    tokens = _render(e)
+    spaces = data.draw(st.lists(st.sampled_from(_SPACES), min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    text = spaces[0] + "".join(t + w for t, w in zip(tokens, spaces[1:]))
+    assert parse_sheaf_expr(text) == _flat_sums(e)
 
 
 def test_parse_caps_nesting_depth():

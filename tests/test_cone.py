@@ -371,6 +371,17 @@ def test_verdict_rational_root_clause():
     assert rationality_verdict(spec20, blank, rho).verdict == UNKNOWN
 
 
+def test_report_reaches_the_rational_root_clause():
+    # gamma = -54: 9 - 4 gamma = 225 = 15^2, so the root is rational, and the
+    # c2 boundary value 18 + 2 gamma + 6 sqrt(9 - 4 gamma) is exactly 0
+    r = build_report(BundleSpec.chern_only(0, 18))
+    assert r.spec.gamma == -54
+    assert r.verdict == RATIONAL
+    assert r.trail == ("rational-cubic-root",)
+    assert "conditional-on-boundary-in-cubic" in r.warnings
+    assert quad_parts(*r.c2.boundary) == ((0, 1), (0, 1), 0)
+
+
 def test_verdict_monotone_in_h0():
     # h0 > 1 dominates even when the root is irrational
     spec = BundleSpec.named("S2TP2(-1)")  # gamma = -9, root irrational
