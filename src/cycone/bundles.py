@@ -28,7 +28,7 @@ CLI prints for the option that gives it) before anything is analyzed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import cycone.cohom as cohom
@@ -158,13 +158,14 @@ class BundleSpec:
         # every degree shifts by t; exponents, when present, equal the splitting type
         atoms = None if self.atoms is None else tuple((a, b + t) for a, b in self.atoms)
         stype = None if self.splitting_type is None else tuple(d + t for d in self.splitting_type)
-        return replace(
-            self,
-            chern=self.chern.twist(t),
-            atoms=atoms,
-            twist_applied=self.twist_applied + t,
-            exponents=None if self.exponents is None else stype,
-            splitting_type=stype,
+        return type(self)(
+            self.kind,
+            self.chern.twist(t),
+            atoms,
+            self.name,
+            self.twist_applied + t,
+            None if self.exponents is None else stype,
+            stype,
         )
 
     def describe(self) -> str:

@@ -28,6 +28,17 @@ The relation is applied only when a class is returned: ``mul``,
 ``tangent_chern_classes`` and ``cy_chern_lifts`` reduce their expansion
 once, in closed form on the only three monomials above the basis
 (xi^3, xi^3 H, xi^4); there is no reduction table.
+
+The engine reads product tables built at import, so no term of a product
+computes a slot, a binomial or a test of whether it survives:
+``_PRODUCTS[a]`` lists the (b, slot) pairs whose product with monomial a
+survives H^3 = 0 and the degree cap, and ``_power_sum`` and
+``_tangent_total`` read their (slot, exponent, binomial) terms from
+``_POWER_TERMS`` and ``_TWISTED_TERMS``.  The adjunction lift c(T_Z) *
+(1 + K + K^2 + K^3) stops at degree 3 (``_PRODUCTS_TO_3``): its readers use
+c2 and c3 of the lift, or the lift times -K_Z integrated over Z, which sees
+degrees up to 3 only; degree 4 would be c4(X) = 0 on a threefold.  So K^4
+and every product of degree 4 are never formed.
 """
 
 from __future__ import annotations
@@ -50,15 +61,36 @@ _INDEX = {m: i for i, m in enumerate(MONOMIALS)}
 # basis take slots 9-11, where ``_reduce`` reads them.
 _REDUCIBLE = MONOMIALS + ((3, 0), (3, 1), (4, 0))
 _SLOT = {m: k for k, m in enumerate(_REDUCIBLE)}
-# _PRODUCT_SLOT[a][b]: slot of monomial a times monomial b, or None when the
-# product dies (H^3 = 0, or degree above 4)
-_PRODUCT_SLOT = tuple(
-    tuple(_SLOT.get((i1 + i2, j1 + j2)) for (i2, j2) in _REDUCIBLE) for (i1, j1) in _REDUCIBLE
+# _PRODUCTS[a]: the (b, slot) pairs for which monomial a times monomial b
+# survives (H^3 = 0 and degree above 4 kill the rest), with its slot
+_PRODUCTS = tuple(
+    tuple(
+        (b, _SLOT[i1 + i2, j1 + j2])
+        for b, (i2, j2) in enumerate(_REDUCIBLE)
+        if (i1 + i2, j1 + j2) in _SLOT
+    )
+    for (i1, j1) in _REDUCIBLE
+)
+# the same pairs, keeping only products of degree at most 3 (the lift's)
+_PRODUCTS_TO_3 = tuple(
+    tuple((b, slot) for b, slot in row if sum(_REDUCIBLE[slot]) <= 3) for row in _PRODUCTS
 )
 # _OF_DEGREE[d]: (slot, xi-exponent) of every monomial of degree d
 _OF_DEGREE = tuple(
     tuple((k, i) for k, (i, j) in enumerate(_REDUCIBLE) if i + j == d) for d in range(5)
 )
+# _POWER_TERMS[k]: (slot, m, C(k, m)) of each term C(k, m) xi^m H^(k-m) of
+# (xi + H)^k that survives H^3 = 0, for k = 0..4
+_POWER_TERMS = tuple(
+    tuple((_SLOT[m, k - m], m, math.comb(k, m)) for m in range(max(0, k - 2), k + 1))
+    for k in range(5)
+)
+# (slot, i, C(3 - i, m)) of each term of sum_i c_i(E-dual) (1 + xi)^(3 - i),
+# the twisted factor of c(T_Z): c_i(E-dual) H^i times C(3 - i, m) xi^m
+_TWISTED_TERMS = tuple(
+    (_SLOT[m, i], i, math.comb(3 - i, m)) for i in range(3) for m in range(4 - i)
+)
+_ZEROS = (0,) * len(_REDUCIBLE)
 
 
 @dataclass(frozen=True)
@@ -182,19 +214,21 @@ def reduce_monomial(i: int, j: int, c: ChernPair) -> ChowClass:
     return _reduce(p, c)
 
 
-def _expand(x, y) -> list:
+def _expand(x, y, products=_PRODUCTS) -> list:
     """The module's one product: x * y on the slots of ``_REDUCIBLE`` (a
-    ``ChowClass``'s coefficients are the first nine), no relation applied."""
-    ys = [(b, yb) for b, yb in enumerate(y) if yb]
+    ``ChowClass``'s coefficients are the first nine), no relation applied.
+    ``products`` is the table of surviving pairs; ``_PRODUCTS_TO_3`` keeps
+    the product's degree-<=3 part only.  The loop runs over the nonzero
+    entries of x, so the sparser factor goes first."""
+    if len(y) < len(_REDUCIBLE):  # nine coefficients: the slots above are 0
+        y = (*y, *_ZEROS[len(y):])
     out = [0] * len(_REDUCIBLE)
     for a, xa in enumerate(x):
-        if not xa:
-            continue
-        slots = _PRODUCT_SLOT[a]
-        for b, yb in ys:
-            slot = slots[b]
-            if slot is not None:
-                out[slot] += xa * yb
+        if xa:
+            for b, slot in products[a]:
+                yb = y[b]
+                if yb:
+                    out[slot] += xa * yb
     return out
 
 
@@ -239,23 +273,25 @@ def intersect4(f1: ChowClass, f2: ChowClass, f3: ChowClass, f4: ChowClass, c: Ch
 
 def anticanonical(c: ChernPair) -> ChowClass:
     """-K_Z = 3*xi + (3 - c1)*H."""
-    return ChowClass.degree1(3, 3 - c.c1)
+    return ChowClass((0, 3, 3 - c.c1, 0, 0, 0, 0, 0, 0))
 
 
-def _power_sum(d: ChowClass, powers) -> list:
-    """The sum of d^k over ``powers`` for a degree-1 class d = a xi + b H,
+def _power_sum(a, b, powers) -> list:
+    """The sum of d^k over ``powers`` for the degree-1 class d = a xi + b H,
     written binomially as an expansion (H^3 = 0 drops the rest)."""
-    _, a, b, *_ = d.coeffs
+    a2 = a * a
+    a_pow, b_pow = (1, a, a2, a2 * a, a2 * a2), (1, b, b * b)
     out = [0] * len(_REDUCIBLE)
     for k in powers:
-        for m in range(max(0, k - 2), k + 1):
-            out[_SLOT[m, k - m]] += math.comb(k, m) * a**m * b ** (k - m)
+        for slot, m, binomial in _POWER_TERMS[k]:
+            out[slot] += binomial * a_pow[m] * b_pow[k - m]
     return out
 
 
 def minus_k_quartic(c: ChernPair) -> int:
     """(-K_Z)^4, which evaluates to 27*gamma + 486."""
-    return as_integer(integral(_power_sum(anticanonical(c), (4,)), c))
+    _, a, b, *_ = anticanonical(c).coeffs
+    return as_integer(integral(_power_sum(a, b, (4,)), c))
 
 
 def _tangent_total(c: ChernPair) -> list:
@@ -264,10 +300,10 @@ def _tangent_total(c: ChernPair) -> list:
     The twisted factor is written from the Chern roots as sum_i c_i(E-dual)
     (1 + xi)^(3 - i), with c_i(E-dual) = 1, -c1 H, c2 H^2 (c3 dies with H^3).
     """
+    dual = (1, -c.c1, c.c2)
     twisted = [0] * len(_REDUCIBLE)
-    for i, dual_i in enumerate((1, -c.c1, c.c2)):
-        for m in range(4 - i):
-            twisted[_SLOT[m, i]] += dual_i * math.comb(3 - i, m)
+    for slot, i, binomial in _TWISTED_TERMS:
+        twisted[slot] = dual[i] * binomial
     return _expand((1, 0, 3, 0, 0, 3), twisted)  # c(p^* T_P2) = 1 + 3H + 3H^2
 
 
@@ -283,12 +319,16 @@ def euler_number(c: ChernPair) -> int:
 
 
 def _adjunction_lift(c: ChernPair) -> list:
-    """c(T_Z) * (1 + K + ... + K^4) with K = K_Z, which restricts to c(T_X)
-    on X in |-K_Z| (adjunction).  The powers of K are written binomially, so
-    the lift takes two expansions.  Its degree-1 part must cancel exactly
-    (X is Calabi-Yau); that cancellation is asserted.
+    """c(T_Z) * (1 + K + K^2 + K^3) with K = K_Z, in degrees <= 3, which
+    restricts to c(T_X) on X in |-K_Z| (adjunction).  The powers of K are
+    written binomially, so the lift takes two expansions.  Degree 4 is never
+    formed: its readers take degrees 2 and 3 (``cy_chern_lifts``) or multiply
+    by -K_Z and integrate (``cy_chern_pushforward``), and c4(X) = 0 anyway.
+    Its degree-1 part must cancel exactly (X is Calabi-Yau); that
+    cancellation is asserted.
     """
-    lift = _expand(_tangent_total(c), _power_sum(-anticanonical(c), range(5)))
+    _, a, b, *_ = anticanonical(c).coeffs  # K = -a xi - b H
+    lift = _expand(_tangent_total(c), _power_sum(-a, -b, range(4)), _PRODUCTS_TO_3)
     if lift[1] or lift[2]:
         raise InvariantViolationError("adjunction did not cancel c1 on the hypersurface")
     return lift
@@ -304,7 +344,7 @@ def cy_chern_lifts(c: ChernPair) -> tuple[ChowClass, ChowClass]:
 def cy_chern_pushforward(c: ChernPair) -> list:
     """c(T_X) . [X] on Z as an expansion: the adjunction lift times -K_Z.
     Its ``integral`` against xi^i H^j integrates xi^i H^j c_(3-i-j)(X) over X."""
-    return _expand(_adjunction_lift(c), anticanonical(c).coeffs)
+    return _expand(anticanonical(c).coeffs, _adjunction_lift(c))
 
 
 def pair_on_cy(u: ChowClass, v: ChowClass, c: ChernPair):

@@ -11,6 +11,13 @@ every layer: a relative ``from . import report`` asks the package's lazy
 ``__getattr__``, which loads the whole engine, and in a function body it
 costs about three times as much, which ``analyze`` and ``survey`` pay on
 every call.
+
+When ``argv[0]`` is exactly a command name, ``main`` parses the rest with
+that command's own parser (``build_parser().commands``), which is what the
+full parser would hand it after a complete scan of its own; the namespace
+differs only in ``command``, which nothing reads, and every usage error and
+help text is the same.  Anything else takes the full parser: no argv,
+``--help``, or an unknown command.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import re
 import sys
 
 from . import ANALYZE_EXTRA_COLUMNS, SURVEY_COLUMNS, __version__
-from .errors import MAX_SPEC_VALUE, CyconeError, DomainError, quote_input
+from .errors import MAX_SPEC_VALUE, CyconeError, DomainError, bounded, quote_input
 
 # Largest emax - emin a survey accepts: 455 split types at the cap.  The
 # row count grows with the cube of the range, so the cap is fixed.
@@ -139,6 +146,11 @@ def cmd_survey(args) -> int:
     import cycone.chow as chow
     import cycone.report as report
 
+    try:
+        bounded((args.emin,), "--emin")
+        bounded((args.emax,), "--emax")
+    except DomainError as exc:
+        raise UsageError(str(exc)) from exc
     if args.emin > args.emax:
         raise UsageError("--emin must not exceed --emax")
     if args.emax - args.emin > MAX_RANGE:
@@ -209,6 +221,7 @@ def build_parser() -> _Parser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # each command's own parser, by name, for ``main``
 
     analyze = sub.add_parser(
         "analyze",
@@ -287,10 +300,20 @@ def _join_int_list_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _parse_argv(argv: list[str]) -> argparse.Namespace:
+    """The namespace of ``argv``: a command's own parser reads the rest
+    when ``argv[0]`` is exactly its name, the full parser anything else."""
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    return command.parse_args(argv[1:])
+
+
 def main(argv=None) -> int:
     argv = _join_int_list_values(sys.argv[1:] if argv is None else argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_argv(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"cycone: usage error: {exc}", file=sys.stderr)

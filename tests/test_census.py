@@ -8,11 +8,14 @@ big, Kawamata-Viehweg kills the higher cohomology of -K_Z, so h^0(-K_Z)
 must equal chi(Z, -K_Z) = 5 gamma + 100; that closed form lives only here.
 
 Below the census, the tests pin where the verdict stays open under
-rho(X) = 2 (six values of gamma in [-27, -19]) and the gamma floor of each
-atom shape.
+rho(X) = 2 (six values of gamma in [-27, -19]), the gamma floor of each
+atom shape, and how often each (verdict, trail) and (restriction case, via)
+comes out of the 689 atom specs and of two grids of Chern pairs, so that no
+change to the engine moves a verdict unseen.
 """
 
-from itertools import combinations, product
+from collections import Counter
+from itertools import combinations, combinations_with_replacement, product
 from math import isqrt
 
 import pytest
@@ -180,3 +183,52 @@ def test_gamma_floor_of_tangent_plus_line():
 
 def test_gamma_of_s2_tangent_is_minus_9():
     assert {BundleSpec.named(f"SymT(2,{b})").gamma for b in range(-6, 7)} == {-9}
+
+
+# --- every (verdict, trail) and (case, via) that build_report reaches ---
+
+
+def _atom_specs() -> list:
+    """The 455 split triples in [-6, 6]^3, T(b) + O(c) for b in [-6, 6] and
+    c in [-8, 8], and S^2 T(b) for b in [-6, 6]."""
+    return (
+        [BundleSpec.split(*e) for e in combinations_with_replacement(range(-6, 7), 3)]
+        + [BundleSpec.named(f"SymT(1,{b})+O({c})") for b in range(-6, 7) for c in range(-8, 9)]
+        + [BundleSpec.named(f"SymT(2,{b})") for b in range(-6, 7)]
+    )
+
+
+def _outcomes(specs) -> tuple[Counter, Counter]:
+    reports = [build_report(spec) for spec in specs]
+    return (
+        Counter((r.restriction.case, r.restriction.via) for r in reports),
+        Counter((r.verdict, r.trail) for r in reports),
+    )
+
+
+def test_outcomes_of_the_atom_specs():
+    specs = _atom_specs()
+    assert len(specs) == 689
+    cases, verdicts = _outcomes(specs)
+    assert cases == {
+        (EQ, "canonical-side-only"): 556,
+        (EQ, "ample-anticanonical"): 74,
+        (EXC, None): 59,
+    }
+    assert verdicts == {(R, ("h0-minus-k-gt-1",)): 689}
+
+
+def test_restriction_case_of_chern_only_specs():
+    specs = [BundleSpec.chern_only(c1, c2) for c1 in range(-3, 4) for c2 in range(-30, 40)]
+    assert _outcomes(specs)[0] == {("not_determined", None): 490}
+
+
+def test_verdicts_of_chern_only_specs_on_both_sides_of_gamma_minus_27():
+    specs = [BundleSpec.chern_only(c1, c2) for c1 in range(-3, 4) for c2 in range(-40, 60)]
+    at_or_above = [spec for spec in specs if spec.gamma >= -27]
+    below = [spec for spec in specs if spec.gamma < -27]
+    assert _outcomes(at_or_above)[1] == {
+        (R, ("gamma-ge-minus-18", "h0-minus-k-gt-1")): 337,
+        ("Unknown", ()): 21,
+    }
+    assert _outcomes(below)[1] == {(R, ("rational-cubic-root",)): 6, ("Unknown", ()): 336}

@@ -278,6 +278,32 @@ def test_broken_adjunction_raises(monkeypatch):
             route(c)
 
 
+def _uncut_lift(c):
+    """c(T_Z) * (1 + K + ... + K^4), every degree, the powers of K = K_Z
+    taken as repeated products (no binomial table)."""
+    k = [-v for v in anticanonical(c).coeffs]
+    power = total = [1] + [0] * 11
+    for _ in range(4):
+        power = chow._expand(power, k)
+        total = [t + p for t, p in zip(total, power)]
+    return chow._expand(chow._tangent_total(c), total)
+
+
+# slots of the expansion by degree: at most 3, and exactly 4
+LOW = [k for k, (i, j) in enumerate(chow._REDUCIBLE) if i + j <= 3]
+TOP = [k for k, (i, j) in enumerate(chow._REDUCIBLE) if i + j == 4]
+
+
+def test_cut_lift_is_the_uncut_lift_up_to_degree_3():
+    fractions = [ChernPair(Fraction(p, 3), Fraction(q, 2)) for p in (-7, 1, 5) for q in (-3, 0, 9)]
+    for c in GRID + fractions:
+        lift, uncut = chow._adjunction_lift(c), _uncut_lift(c)
+        assert [lift[k] for k in LOW] == [uncut[k] for k in LOW], c
+        assert [lift[k] for k in TOP] == [0, 0, 0]
+    # the uncut lift has a degree-4 part that the cut one leaves out
+    assert any(_uncut_lift(c)[k] for c in GRID for k in TOP)
+
+
 def test_pushforward_integrals_are_the_pairings_on_x():
     # xi^i H^j against c(T_X).[X] picks c_(3-i-j)(X) by degree
     for c in GRID[:: 19]:

@@ -452,24 +452,87 @@ def test_cli_analyze_meta_is_separate():
     assert d == plain
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("analyze",),
-        ("analyze", "--split", "0,1"),
-        ("analyze", "--split", "a,b,c"),
-        ("analyze", "--named", "nope"),
-        ("analyze", "--split", "0,1,2", "--named", "TP2+O"),
-        ("survey", "--emin", "3", "--emax", "1"),
-        ("survey", "--emin", "-9", "--emax", "9"),
-        ("survey", "--emin", "0", "--emax", "1", "--filter", "bogus"),
-        ("nonsense",),
-    ],
-)
+USAGE_ERRORS = [
+    ("analyze",),
+    ("analyze", "--split", "0,1"),
+    ("analyze", "--split", "a,b,c"),
+    ("analyze", "--named", "nope"),
+    ("analyze", "--split", "0,1,2", "--named", "TP2+O"),
+    ("survey", "--emin", "3", "--emax", "1"),
+    ("survey", "--emin", "-9", "--emax", "9"),
+    ("survey", "--emin", "0", "--emax", "1", "--filter", "bogus"),
+    ("nonsense",),
+    # a survey's exponents obey the bound of a spec's
+    ("survey", "--emin", "100000", "--emax", "100001"),
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS)
 def test_cli_usage_errors_exit_1(argv):
     code, _, err = run_cli(*argv)
     assert code == 1
     assert err != ""
+
+
+def test_survey_bound_names_the_option():
+    for argv, option in [
+        (("survey", "--emin", "100000", "--emax", "100001"), "--emin"),
+        (("survey", "--emin=-10000", "--emax=-9990"), None),
+        (("survey", "--emin=9990", "--emax=10001"), "--emax"),
+    ]:
+        code, _, err = run_main(argv)
+        if option is None:
+            assert code == 0, err
+        else:
+            assert code == 1
+            assert err.startswith(f"cycone: usage error: {option} value ")
+            assert "is outside [-10000, 10000]" in err
+
+
+def _parse_outcome(parse, argv):
+    """What ``parse`` makes of ``argv``: the namespace, the usage error, or
+    the exit code and output of ``--help``."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return "namespace", vars(parse(list(argv)))
+    except cli.UsageError as exc:
+        return "usage error", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, out.getvalue()
+
+
+def _dispatch_corpus() -> list:
+    from test_golden import CASES, SPELLING_CASES
+
+    corpus = [tuple(argv) for _, argv in CASES + SPELLING_CASES]
+    corpus += [(command, flag) for command in ("analyze", "survey") for flag in ("-h", "--help")]
+    corpus += USAGE_ERRORS
+    corpus += [
+        ("analyze", "--split", "-5,6,6"),
+        ("analyze", "--split=0,1,2", "--bogus"),
+        ("analyze", "--split=0,1,2", "extra"),
+        ("analyze", "--spl=0,1,2"),
+        ("survey", "--emin=0", "--emax=2", "--json", "--", "x"),
+        (),
+        ("--help",),
+    ]
+    # each as given, and as main passes it on (a bare -5,6,6 joined to --split)
+    return sorted({v for argv in corpus for v in (argv, tuple(cli._join_int_list_values(argv)))})
+
+
+def test_command_parser_matches_the_full_parser():
+    corpus = _dispatch_corpus()
+    kinds = set()
+    for argv in corpus:
+        full = _parse_outcome(cli.build_parser().parse_args, argv)
+        alone = _parse_outcome(cli._parse_argv, argv)
+        if full[0] == "namespace":
+            assert full[1].pop("command") == argv[0], argv
+        assert alone == full, argv
+        kinds.add(full[0])
+    assert kinds == {"namespace", "usage error", "exit"}
+    assert len(corpus) > 80
 
 
 def test_cli_internal_invariant_errors_exit_2(monkeypatch, capsys):
