@@ -15,7 +15,7 @@ counts, the gamma threshold, and root rationality.
 from cycone import chow, cone, invariants
 from cycone.exactnum import quad_text
 from cycone.bundles import BundleSpec, catalog_entries, h0_anticanonical
-from cycone.chow import ChernPair, ChowClass
+from cycone.chow import ChernPair
 from cycone.report import build_report
 
 # The boundary root for E = S^2(T(-1)) (gamma = -9): irrational.
@@ -30,8 +30,8 @@ print("rational?", root.is_rational)
 # Chow ring at k = -1, 0, 1 on integer classes.  With u = den k =
 # center - s sqrt(n), den^2 D^3 = A u^2 + B den u + C den^2 in Z[sqrt(n)].
 q_minus, q_zero, q_plus = (
-    chow.intersect4(d, d, d, chow.anticanonical(c), c)
-    for d in (ChowClass.degree1(3, -k) for k in (-1, 0, 1))
+    chow.integral(chow.expand(chow.expand(d, d), chow.expand(d, chow.anticanonical(c))), c)
+    for d in ((0, 3, -k) for k in (-1, 0, 1))
 )
 a, b, const = (q_plus + q_minus) // 2 - q_zero, (q_plus - q_minus) // 2, q_zero
 rational_part = a * (center**2 + s**2 * n) + b * den * center + const * den**2
@@ -66,8 +66,9 @@ for entry in catalog_entries():
     )
 
 # The restriction question K(X) = K(Z)|X: ample bundles go through
-# directly, the big-nef-not-ample ones carry a contracted-surface
-# candidate, and c1 = 2 kills the candidate by integrality.
+# directly, and the big-nef-not-ample ones carry a contracted-surface
+# candidate.  No spec is big, nef and not ample with c1 = 2, where
+# integrality kills the candidate; asserted by hand, it is not determined.
 for spec in (BundleSpec.split(0, 0, 1), BundleSpec.split(0, 1, 2)):
     status = cone.anticanonical_status(spec, h0_anticanonical(spec))
     res = cone.cone_restriction_case(status, chow.exceptional_surface_class(spec.chern))

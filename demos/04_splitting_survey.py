@@ -1,8 +1,9 @@
 """Survey of split bundles: positivity, Picard rank, verdicts.
 
-Sweeps every monotone exponent triple in a range, exactly like the CLI's
-``cycone survey`` (the CLI adds TSV/JSON output and filters on top of the
-same rows).  Two structural facts appear in the data:
+Sweeps every monotone exponent triple in a range and writes the rows of
+the CLI's ``cycone survey`` (which adds TSV/JSON output and filters) from
+full reports, as the first 12 cells of ``analyze --tsv``.  Two structural
+facts appear in the data:
 
 * whenever -K_Z is nef, gamma >= -18, and the verdict is Rational;
 * the admissible splitting types for -1 <= c1 <= 4 form a short table.
@@ -11,23 +12,24 @@ same rows).  Two structural facts appear in the data:
 from collections import Counter
 
 from cycone import cone
-from cycone.report import SURVEY_COLUMNS, survey_row
+from cycone.bundles import BundleSpec
+from cycone.report import SURVEY_COLUMNS, analyze_row_cells, build_report
 from cycone.chow import split_types
 
-rows = [survey_row(t) for t in split_types(-4, 4)]
-print(f"{len(rows)} split types with exponents in [-4, 4]")
+reports = [build_report(BundleSpec.split(*t)) for t in split_types(-4, 4)]
+print(f"{len(reports)} split types with exponents in [-4, 4]")
 
-nef_rows = [r for r in rows if r.nef]
-print(f"{len(nef_rows)} of them have nef -K_Z; gamma range:",
-      (min(r.gamma for r in nef_rows), max(r.gamma for r in nef_rows)))
-assert all(r.gamma >= -18 for r in nef_rows)
+nef_rows = [r for r in reports if r.minus_k.nef]
+gammas = [r.spec.gamma for r in nef_rows]
+print(f"{len(nef_rows)} of them have nef -K_Z; gamma range:", (min(gammas), max(gammas)))
+assert all(g >= -18 for g in gammas)
 assert all(r.verdict == "Rational" for r in nef_rows)
 print("every nef case is Rational, and nef forces gamma >= -18")
 
 print()
 print("verdict and rank distribution over the nef rows:")
-print("  rho:", dict(Counter(r.rho for r in nef_rows)))
-print("  ample:", dict(Counter(r.ample for r in nef_rows)))
+print("  rho:", dict(Counter(r.rho.value for r in nef_rows)))
+print("  ample:", dict(Counter(r.minus_k.ample for r in nef_rows)))
 
 # The nef non-ample rows are where the anticanonical map contracts a
 # surface; their types normalize into the admissible table.
@@ -36,8 +38,8 @@ print("nef-but-not-ample rows:")
 header = "  " + "\t".join(SURVEY_COLUMNS)
 print(header)
 for r in nef_rows:
-    if not r.ample:
-        print("  " + "\t".join(r.cells()))
+    if not r.minus_k.ample:
+        print("  " + "\t".join(analyze_row_cells(r)[:12]))
 
 print()
 print("admissible splitting types by c1:")

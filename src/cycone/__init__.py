@@ -35,7 +35,7 @@ _LAYERS = {
         "UnsupportedExpressionError",
     ),
     "exactnum": (),
-    "chow": ("ChernPair", "ChowClass", "exceptional_surface_class", "gram_matrix"),
+    "chow": ("ChernPair", "exceptional_surface_class", "gram_matrix"),
     "cohom": (
         "CohomologyTable",
         "chi_rr",

@@ -6,39 +6,32 @@ down: H^3 = 0 (the base is a surface) and the tautological relation
 
     xi^3 = c1 * xi^2 H  -  c2 * xi H^2
 
-where (c1, c2) are the Chern numbers of E.  Classes are returned reduced in
-the monomial basis {1; xi, H; xi^2, xi*H, H^2; xi^2*H, xi*H^2; xi^2*H^2},
-and the degree-4 coefficient is the integral against the point class
-xi^2 H^2.  The ring is integral: the relation has integer coefficients, so
-classes built from ints keep plain ``int`` coefficients throughout, and
-every caller in the package builds its classes from ints (the boundary
-root is checked through the integer quadratic D^3 . (-K_Z) in k, not by
-plugging it in).  The engine still touches coefficients only through
-``+``, ``*``, ``**`` and truthiness, so other exact coefficients
-(``Fraction`` in the tests, or polynomials in c1 and c2) pass through as
-given and are never introduced by the engine; integrality of geometric
-quantities is asserted, never assumed.
+where (c1, c2) are the Chern numbers of E.  A class has one
+representation, an expansion: its coefficients on the twelve monomials
+xi^i H^j with j <= 2 and i + j <= 4 (``_REDUCIBLE``), as a tuple or list
+that a factor of ``expand`` may cut short (missing slots are 0).  There is
+one product, ``expand``, in the truncated ring Z[xi, H]/(H^3, deg > 4),
+and one number, ``integral``, which weights the degree-4 part of an
+expansion by the point integrals ``ChernPair.point_integrals``.  The
+relation enters only there, so no class is ever reduced: (-K_Z)^4, the
+Euler number, the Gram matrix and the pairings of X are all integrals.
 
-Products have one route, ``_expand``: a polynomial product over the twelve
-monomials xi^i H^j with j <= 2 and i + j <= 4, with no relation applied.
-Numbers come from the point integrals: ``integral`` weights the degree-4
-part of an expansion by ``ChernPair.point_integrals``, so ``intersect4``,
-``pair_on_cy``, the Gram matrix and every pairing on X need no reduction.
-The relation is applied only when a class is returned: ``mul``,
-``tangent_chern_classes`` and ``cy_chern_lifts`` reduce their expansion
-once, in closed form on the only three monomials above the basis
-(xi^3, xi^3 H, xi^4); there is no reduction table.
+The ring is integral: expansions of ints keep plain ``int`` coefficients,
+and every caller in the package builds its classes from ints.  The engine
+touches coefficients only through ``+``, ``*``, ``**`` and truthiness, so
+other exact coefficients (``Fraction`` in the tests, or polynomials in c1
+and c2) pass through as given; integrality of geometric quantities is
+asserted, never assumed.
 
-The engine reads product tables built at import, so no term of a product
-computes a slot, a binomial or a test of whether it survives:
-``_PRODUCTS[a]`` lists the (b, slot) pairs whose product with monomial a
-survives H^3 = 0 and the degree cap, and ``_power_sum`` and
-``_tangent_total`` read their (slot, exponent, binomial) terms from
-``_POWER_TERMS`` and ``_TWISTED_TERMS``.  The adjunction lift c(T_Z) *
-(1 + K + K^2 + K^3) stops at degree 3 (``_PRODUCTS_TO_3``): its readers use
-c2 and c3 of the lift, or the lift times -K_Z integrated over Z, which sees
-degrees up to 3 only; degree 4 would be c4(X) = 0 on a threefold.  So K^4
-and every product of degree 4 are never formed.
+The engine reads tables built at import, so no term of a product computes
+a slot, a binomial or a test of whether it survives: ``_PRODUCTS[a]``
+lists the (b, slot) pairs whose product with monomial a survives, and
+``_power_sum`` and ``tangent_total`` read their (slot, exponent, binomial)
+terms from ``_POWER_TERMS`` and ``_TWISTED_TERMS``.  The adjunction lift
+c(T_Z) * (1 + K + K^2 + K^3) stops at degree 3 (``_PRODUCTS_TO_3``): its
+one reader multiplies it by -K_Z and integrates, which sees degrees up to
+3 only (degree 4 would be c4(X) = 0).  So no product of degree 4 is formed
+there.
 """
 
 from __future__ import annotations
@@ -48,17 +41,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .errors import DomainError, InvariantViolationError
+from .errors import InvariantViolationError
 
-# Basis monomials as (xi-exponent, H-exponent), grouped by total degree.
+# The basis of the ring, as (xi-exponent, H-exponent), grouped by total degree.
 MONOMIALS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (2, 1), (1, 2), (2, 2))
-MONOMIAL_NAMES = ("1", "xi", "h", "xi2", "xi_h", "h2", "xi2_h", "xi_h2", "xi2_h2")
-_INDEX = {m: i for i, m in enumerate(MONOMIALS)}
 
-# Every xi^i H^j a product of two basis monomials can give with j <= 2 and
-# i + j <= 4 (anything else dies by H^3 = 0 or by degree).  The basis comes
-# first, so slot k < 9 is basis index k; the three monomials above the
-# basis take slots 9-11, where ``_reduce`` reads them.
+# Every xi^i H^j a product can give with j <= 2 and i + j <= 4 (anything
+# else dies by H^3 = 0 or by degree): the basis, then xi^3, xi^3 H and xi^4
+# in slots 9-11.  Slot k of an expansion holds the coefficient of
+# _REDUCIBLE[k].
 _REDUCIBLE = MONOMIALS + ((3, 0), (3, 1), (4, 0))
 _SLOT = {m: k for k, m in enumerate(_REDUCIBLE)}
 # _PRODUCTS[a]: the (b, slot) pairs for which monomial a times monomial b
@@ -119,79 +110,6 @@ class ChernPair:
         return (0, 0, 1, self.c1, self.c1 * self.c1 - self.c2)
 
 
-@dataclass(frozen=True)
-class ChowClass:
-    """A (possibly inhomogeneous) reduced class, as coefficients on MONOMIALS."""
-
-    coeffs: tuple
-
-    @classmethod
-    def zero(cls) -> "ChowClass":
-        return cls((0,) * 9)
-
-    @classmethod
-    def monomial(cls, i: int, j: int, coeff=1) -> "ChowClass":
-        if (i, j) not in _INDEX:
-            raise DomainError(f"xi^{i} H^{j} is not a basis monomial")
-        coeffs = [0] * 9
-        coeffs[_INDEX[(i, j)]] = coeff
-        return cls(tuple(coeffs))
-
-    @classmethod
-    def one(cls) -> "ChowClass":
-        return cls.monomial(0, 0)
-
-    @classmethod
-    def degree1(cls, xi_coef, h_coef) -> "ChowClass":
-        coeffs = [0] * 9
-        coeffs[_INDEX[(1, 0)]] = xi_coef
-        coeffs[_INDEX[(0, 1)]] = h_coef
-        return cls(tuple(coeffs))
-
-    def coefficient(self, i: int, j: int):
-        return self.coeffs[_INDEX[(i, j)]]
-
-    @property
-    def point_coefficient(self):
-        """Degree-4 part, i.e. the integral against xi^2 H^2."""
-        return self.coeffs[8]
-
-    def degree_part(self, d: int) -> "ChowClass":
-        coeffs = [
-            c if i + j == d else 0
-            for (i, j), c in zip(MONOMIALS, self.coeffs)
-        ]
-        return ChowClass(tuple(coeffs))
-
-    def __add__(self, other: "ChowClass") -> "ChowClass":
-        return ChowClass(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "ChowClass") -> "ChowClass":
-        return ChowClass(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "ChowClass":
-        return ChowClass(tuple(-a for a in self.coeffs))
-
-    def scale(self, k) -> "ChowClass":
-        if isinstance(k, ChowClass):
-            raise DomainError("'*' scales by numbers; ring products need mul(x, y, c)")
-        return ChowClass(tuple(k * a for a in self.coeffs))
-
-    __rmul__ = scale
-    __mul__ = scale
-
-    def to_coeff_map(self) -> dict:
-        return {
-            name: coeff
-            for name, coeff in zip(MONOMIAL_NAMES, self.coeffs)
-            if coeff != 0
-        }
-
-    def __str__(self) -> str:
-        terms = [f"{c}*{n}" if n != "1" else str(c) for n, c in self.to_coeff_map().items()]
-        return " + ".join(terms) if terms else "0"
-
-
 def as_integer(q) -> int:
     """Assert a coefficient is an integer and return it."""
     if isinstance(q, int):
@@ -203,24 +121,12 @@ def as_integer(q) -> int:
     raise InvariantViolationError(f"expected an integer, got {q!r}")
 
 
-def reduce_monomial(i: int, j: int, c: ChernPair) -> ChowClass:
-    """Rewrite xi^i H^j in the canonical basis; anything with H^3 or of total
-    degree above 4 dies."""
-    if i < 0 or j < 0:
-        raise DomainError("exponents must be nonnegative")
-    p = [0] * len(_REDUCIBLE)
-    if (i, j) in _SLOT:
-        p[_SLOT[i, j]] = 1
-    return _reduce(p, c)
-
-
-def _expand(x, y, products=_PRODUCTS) -> list:
-    """The module's one product: x * y on the slots of ``_REDUCIBLE`` (a
-    ``ChowClass``'s coefficients are the first nine), no relation applied.
-    ``products`` is the table of surviving pairs; ``_PRODUCTS_TO_3`` keeps
-    the product's degree-<=3 part only.  The loop runs over the nonzero
-    entries of x, so the sparser factor goes first."""
-    if len(y) < len(_REDUCIBLE):  # nine coefficients: the slots above are 0
+def expand(x, y, products=_PRODUCTS) -> list:
+    """The product x * y of two expansions, on all twelve slots, with no
+    relation applied.  ``products`` is the table of surviving pairs;
+    ``_PRODUCTS_TO_3`` keeps the product's degree-<=3 part only.  The loop
+    runs over the nonzero entries of x, so the sparser factor goes first."""
+    if len(y) < len(_REDUCIBLE):
         y = (*y, *_ZEROS[len(y):])
     out = [0] * len(_REDUCIBLE)
     for a, xa in enumerate(x):
@@ -232,22 +138,10 @@ def _expand(x, y, products=_PRODUCTS) -> list:
     return out
 
 
-def _reduce(p: list, c: ChernPair) -> ChowClass:
-    """The class of an expansion: the relation in closed form on the three
-    monomials above the basis, xi^3 -> c1 xi^2 H - c2 xi H^2,
-    xi^3 H -> c1 xi^2 H^2 and xi^4 -> (c1^2 - c2) xi^2 H^2."""
-    out = p[:9]
-    xi3, xi3_h, xi4 = p[9:]
-    out[6] += c.c1 * xi3
-    out[7] -= c.c2 * xi3
-    out[8] += c.c1 * xi3_h + (c.c1 * c.c1 - c.c2) * xi4
-    return ChowClass(tuple(out))
-
-
-def integral(p: list, c: ChernPair, monomial: tuple[int, int] = (0, 0)):
-    """The integral over Z of xi^i H^j times the expansion ``p``, for
-    ``monomial`` = (i, j): each xi^k H^l of degree 4 - i - j in ``p`` is
-    weighted by the point integral s_(k+i) of ``c``."""
+def integral(p, c: ChernPair, monomial: tuple[int, int] = (0, 0)):
+    """The integral over Z of xi^i H^j times the expansion ``p`` (all twelve
+    slots), for ``monomial`` = (i, j): each xi^k H^l of degree 4 - i - j in
+    ``p`` is weighted by the point integral s_(k+i) of ``c``."""
     i, j = monomial
     s = c.point_integrals
     total = 0
@@ -256,24 +150,9 @@ def integral(p: list, c: ChernPair, monomial: tuple[int, int] = (0, 0)):
     return total
 
 
-def mul(x: ChowClass, y: ChowClass, c: ChernPair) -> ChowClass:
-    """Graded product, fully reduced; commutative and associative."""
-    return _reduce(_expand(x.coeffs, y.coeffs), c)
-
-
-def intersect4(f1: ChowClass, f2: ChowClass, f3: ChowClass, f4: ChowClass, c: ChernPair):
-    """Total intersection number of four degree-1 classes on Z: the integral
-    of their expansion.  Coefficients may be int or Fraction."""
-    for f in (f1, f2, f3, f4):
-        unit, _, _, *higher = f.coeffs  # the basis is ordered by degree
-        if unit or any(higher):
-            raise DomainError("intersect4 needs purely degree-1 classes")
-    return integral(_expand(_expand(f1.coeffs, f2.coeffs), _expand(f3.coeffs, f4.coeffs)), c)
-
-
-def anticanonical(c: ChernPair) -> ChowClass:
-    """-K_Z = 3*xi + (3 - c1)*H."""
-    return ChowClass((0, 3, 3 - c.c1, 0, 0, 0, 0, 0, 0))
+def anticanonical(c: ChernPair) -> tuple[int, int, int]:
+    """-K_Z = 3*xi + (3 - c1)*H, as the slots (1, xi, H)."""
+    return (0, 3, 3 - c.c1)
 
 
 def _power_sum(a, b, powers) -> list:
@@ -290,11 +169,11 @@ def _power_sum(a, b, powers) -> list:
 
 def minus_k_quartic(c: ChernPair) -> int:
     """(-K_Z)^4, which evaluates to 27*gamma + 486."""
-    _, a, b, *_ = anticanonical(c).coeffs
+    _, a, b = anticanonical(c)
     return as_integer(integral(_power_sum(a, b, (4,)), c))
 
 
-def _tangent_total(c: ChernPair) -> list:
+def tangent_total(c: ChernPair) -> list:
     """c(T_Z) = c(p^* T_P2) * c(p^* E-dual (x) O_Z(1)), in one expansion.
 
     The twisted factor is written from the Chern roots as sum_i c_i(E-dual)
@@ -304,52 +183,33 @@ def _tangent_total(c: ChernPair) -> list:
     twisted = [0] * len(_REDUCIBLE)
     for slot, i, binomial in _TWISTED_TERMS:
         twisted[slot] = dual[i] * binomial
-    return _expand((1, 0, 3, 0, 0, 3), twisted)  # c(p^* T_P2) = 1 + 3H + 3H^2
-
-
-def tangent_chern_classes(c: ChernPair) -> tuple[ChowClass, ChowClass, ChowClass, ChowClass]:
-    """Chern classes c1..c4 of the tangent bundle of Z."""
-    total = _reduce(_tangent_total(c), c)
-    return tuple(total.degree_part(d) for d in (1, 2, 3, 4))
+    return expand((1, 0, 3, 0, 0, 3), twisted)  # c(p^* T_P2) = 1 + 3H + 3H^2
 
 
 def euler_number(c: ChernPair) -> int:
     """Integral of c4(T_Z); the topological Euler number of Z (always 9)."""
-    return as_integer(integral(_tangent_total(c), c))
+    return as_integer(integral(tangent_total(c), c))
 
 
 def _adjunction_lift(c: ChernPair) -> list:
     """c(T_Z) * (1 + K + K^2 + K^3) with K = K_Z, in degrees <= 3, which
     restricts to c(T_X) on X in |-K_Z| (adjunction).  The powers of K are
     written binomially, so the lift takes two expansions.  Degree 4 is never
-    formed: its readers take degrees 2 and 3 (``cy_chern_lifts``) or multiply
-    by -K_Z and integrate (``cy_chern_pushforward``), and c4(X) = 0 anyway.
-    Its degree-1 part must cancel exactly (X is Calabi-Yau); that
-    cancellation is asserted.
+    formed: the lift is multiplied by -K_Z and integrated
+    (``cy_chern_pushforward``), and c4(X) = 0 anyway.  Its degree-1 part
+    must cancel exactly (X is Calabi-Yau); that cancellation is asserted.
     """
-    _, a, b, *_ = anticanonical(c).coeffs  # K = -a xi - b H
-    lift = _expand(_tangent_total(c), _power_sum(-a, -b, range(4)), _PRODUCTS_TO_3)
+    _, a, b = anticanonical(c)  # K = -a xi - b H
+    lift = expand(tangent_total(c), _power_sum(-a, -b, range(4)), _PRODUCTS_TO_3)
     if lift[1] or lift[2]:
         raise InvariantViolationError("adjunction did not cancel c1 on the hypersurface")
     return lift
 
 
-def cy_chern_lifts(c: ChernPair) -> tuple[ChowClass, ChowClass]:
-    """Degree-2 and degree-3 classes on Z restricting to c2(X) and c3(X):
-    the adjunction lift, reduced once."""
-    total = _reduce(_adjunction_lift(c), c)
-    return total.degree_part(2), total.degree_part(3)
-
-
 def cy_chern_pushforward(c: ChernPair) -> list:
     """c(T_X) . [X] on Z as an expansion: the adjunction lift times -K_Z.
     Its ``integral`` against xi^i H^j integrates xi^i H^j c_(3-i-j)(X) over X."""
-    return _expand(anticanonical(c).coeffs, _adjunction_lift(c))
-
-
-def pair_on_cy(u: ChowClass, v: ChowClass, c: ChernPair):
-    """Intersection number of u.v restricted to X, i.e. u.v.(-K_Z) on Z."""
-    return integral(_expand(_expand(u.coeffs, v.coeffs), anticanonical(c).coeffs), c)
+    return expand(anticanonical(c), _adjunction_lift(c))
 
 
 @dataclass(frozen=True)
@@ -369,14 +229,9 @@ def _det3(m) -> int:
 
 
 def gram_matrix(c: ChernPair) -> GramMatrix:
-    basis = (
-        ChowClass.monomial(0, 2),  # F = H^2
-        ChowClass.monomial(1, 1),  # xi*H
-        ChowClass.monomial(2, 0),  # xi^2
-    )
-    entries = tuple(
-        tuple(as_integer(integral(_expand(u.coeffs, v.coeffs), c)) for v in basis) for u in basis
-    )
+    # F = H^2, xi*H and xi^2 as expansions
+    basis = ((0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 1), (0, 0, 0, 1))
+    entries = tuple(tuple(as_integer(integral(expand(u, v), c)) for v in basis) for u in basis)
     return GramMatrix(entries, _det3(entries))
 
 
@@ -397,16 +252,6 @@ class ExceptionalSurfaceClass:
     mu_candidates: tuple[int, ...]
     reduced: tuple[int, int, int] | None
 
-    def reduced_class(self) -> ChowClass | None:
-        if self.reduced is None:
-            return None
-        g2, g11, gf = self.reduced
-        return (
-            ChowClass.monomial(2, 0, g2)
-            + ChowClass.monomial(1, 1, g11)
-            + ChowClass.monomial(0, 2, gf)
-        )
-
 
 def exceptional_surface_class(c: ChernPair) -> ExceptionalSurfaceClass:
     coeffs = (
@@ -421,11 +266,6 @@ def exceptional_surface_class(c: ChernPair) -> ExceptionalSurfaceClass:
     else:
         candidates, reduced = (), None
     return ExceptionalSurfaceClass(coeffs, candidates, reduced)
-
-
-def split_section_product(e2: int, e3: int, c: ChernPair) -> ChowClass:
-    """(xi - e2*H)(xi - e3*H): the class of the section P(O(e1)) in a split bundle."""
-    return mul(ChowClass.degree1(1, -e2), ChowClass.degree1(1, -e3), c)
 
 
 def chern_pair_of_split(e1: int, e2: int, e3: int) -> ChernPair:

@@ -213,19 +213,24 @@ def cone_restriction_case(
 
     Ample -K_Z gives equality outright; non-nef -K_Z gives equality on the
     canonical side; big and nef but not ample is the one exceptional
-    pattern, which still collapses to equality when the contracted-surface
-    class ``surface`` admits no integral multiple (empty mu-candidate set).
+    pattern, which carries the contracted-surface class ``surface``.
+    Anything else is not determined.
+
+    No spec reaches two further cases, so they have no branch.  A nef,
+    non-ample spec with a splitting type has 3 e1 + 3 = c1, so 3 | c1; then
+    9 divides every coefficient of ``surface`` and its mu candidates are
+    (1, 3, 9), never empty.  Nef and not big needs (-K_Z)^4 = 27 gamma +
+    486 <= 0, that is gamma <= -18, below the floor gamma >= -9 of every
+    atom spec.  A hand-built status in either case (say big, nef, not ample
+    with c1 = 2, where the candidates are empty) gets ``not_determined``.
     """
     if minus_k.ample is True:
         return ConeRestriction(EQUALITY, "ample-anticanonical")
     if minus_k.nef is False:
         return ConeRestriction(EQUALITY, "canonical-side-only")
-    if minus_k.nef is True and minus_k.big is True and minus_k.ample is False:
-        if not surface.mu_candidates:
-            return ConeRestriction(EQUALITY, "exceptional-class-impossible", surface)
+    exceptional = minus_k.nef is True and minus_k.big is True and minus_k.ample is False
+    if exceptional and surface.mu_candidates:
         return ConeRestriction(EXCEPTIONAL_CANDIDATE, None, surface)
-    if minus_k.nef is True and minus_k.big is False:
-        return ConeRestriction(EQUALITY, "outside-exceptional-pattern")
     return ConeRestriction(NOT_DETERMINED)
 
 

@@ -31,12 +31,11 @@ nothing: ``report_from_dict`` re-analyzes the spec, read as the CLI reads
 its inputs, and returns that report only when its encoding is the JSON.
 
 The 12 survey columns are written in two places from one cell format,
-``_class_values`` for the six a twist class shares (gamma to the verdict).
-``SurveyRow.values`` gives the first cells of ``analyze --tsv`` per report
-and the rows of ``survey_row``.  ``survey_lines`` builds no ``SurveyRow``: it
-writes a class's six cells once, as TSV or as a JSON fragment, straight
-from the stage results, between each row's own five integers and its table
-admissibility.  Their names, ``SURVEY_COLUMNS`` and
+``_class_values`` for the six a twist class shares (gamma to the verdict):
+``analyze_row_cells`` writes a report's cells for ``analyze --tsv``, and
+``survey_lines`` writes a class's six cells once, as TSV or as a JSON
+fragment, straight from the stage results, between each row's own five
+integers and its table admissibility.  Their names, ``SURVEY_COLUMNS`` and
 ``ANALYZE_EXTRA_COLUMNS``, are defined in the package ``__init__`` (so the
 CLI's help can print them without loading the engine) and re-exported here.
 """
@@ -349,50 +348,6 @@ def _class_values(gamma: int, nef, ample, big, rho: int | None, verdict: str) ->
     return [gamma, tri(nef), tri(ample), tri(big), _or(rho, "unknown"), verdict]
 
 
-@dataclass(frozen=True)
-class SurveyRow:
-    exponents: tuple[int, int, int] | None  # None for a Chern-only spec
-    c1: int
-    c2: int
-    gamma: int
-    nef: bool | None
-    ample: bool | None
-    big: bool | None
-    rho: int | None
-    verdict: str
-    tab_admissible: bool | None  # None for a Chern-only spec
-
-    def values(self) -> list:
-        """The ``SURVEY_COLUMNS`` values, in column order."""
-        e1, e2, e3 = self.exponents or ("", "", "")
-        return [
-            e1, e2, e3, self.c1, self.c2,
-            *_class_values(self.gamma, self.nef, self.ample, self.big, self.rho, self.verdict),
-            tri(self.tab_admissible),
-        ]
-
-    def cells(self) -> list[str]:
-        return [str(v) for v in self.values()]
-
-    def to_json_dict(self) -> dict:
-        return dict(zip(SURVEY_COLUMNS, self.values()))
-
-
-def _row(spec: BundleSpec, minus_k: MinusKStatus, rho: RhoResult, verdict: str) -> SurveyRow:
-    return SurveyRow(
-        exponents=spec.splitting_type,
-        c1=spec.chern.c1,
-        c2=spec.chern.c2,
-        gamma=spec.gamma,
-        nef=minus_k.nef,
-        ample=minus_k.ample,
-        big=minus_k.big,
-        rho=rho.value,
-        verdict=verdict,
-        tab_admissible=tab_admissible(spec),
-    )
-
-
 def _split_stages(exponents: tuple[int, int, int]):
     """The stages of ``build_report`` that a survey row reads, run on a
     split triple: its spec, -K_Z status, rho and verdict."""
@@ -401,10 +356,6 @@ def _split_stages(exponents: tuple[int, int, int]):
     minus_k = cone.anticanonical_status(spec, h0)
     rho = invariants.rho_of_x(spec, minus_k)
     return spec, minus_k, rho, cone.rationality_verdict(spec, h0, rho).verdict
-
-
-def survey_row(exponents: tuple[int, int, int]) -> SurveyRow:
-    return _row(*_split_stages(exponents))
 
 
 # the JSON key, written "<column>": , of each value a twist class shares
@@ -418,7 +369,7 @@ def survey_lines(types, keyed, flags, as_json: bool) -> list[str]:
     filters (``(key, value)`` pairs) and ``tab`` drop it before its twist
     class (e2 - e1, e3 - e1) is looked up.  Twisting by O(t) leaves Z = P(E)
     alone, so gamma, nef, ample, big, rho and the verdict depend only on the
-    class: each one is evaluated once, by the stages ``survey_row`` runs at
+    class: each one is evaluated once, by ``_split_stages`` at
     (0, e2 - e1, e3 - e1), in a memo that lives for this call only.  Its
     ``nef``/``ample``/``big`` filters are applied to its -K_Z status, and its
     six cells are written once, straight from the stage results, as TSV or
@@ -474,8 +425,14 @@ def analyze_row_cells(r: AnalysisReport) -> list[str]:
         tri(r.c2.positive),
         r.restriction.case,
     ]
-    row = _row(r.spec, r.minus_k, r.rho, r.verdict)
-    return row.cells() + [str(v) for v in extra]
+    spec, mk = r.spec, r.minus_k
+    e1, e2, e3 = spec.splitting_type or ("", "", "")
+    cells = [
+        e1, e2, e3, spec.chern.c1, spec.chern.c2,
+        *_class_values(spec.gamma, mk.nef, mk.ample, mk.big, r.rho.value, r.verdict),
+        tri(tab_admissible(spec)),
+    ]
+    return [str(v) for v in cells + extra]
 
 
 def render_text_report(r: AnalysisReport) -> str:

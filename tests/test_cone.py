@@ -7,7 +7,7 @@ import pytest
 
 from cycone import chow, invariants
 from cycone.bundles import BundleSpec, H0Anticanonical, h0_anticanonical
-from cycone.chow import ChernPair, ChowClass, exceptional_surface_class
+from cycone.chow import ChernPair, exceptional_surface_class
 from cycone.cone import (
     EQUALITY,
     EXCEPTIONAL_CANDIDATE,
@@ -49,8 +49,8 @@ def cube_quadratic(c):
     off the Chow ring at k = -1, 0, 1 on int classes; H^3 = 0 makes it
     quadratic."""
     q_minus, q_zero, q_plus = (
-        chow.intersect4(d, d, d, chow.anticanonical(c), c)
-        for d in (ChowClass.degree1(3, -k) for k in (-1, 0, 1))
+        chow.integral(chow.expand(chow.expand(d, d), chow.expand(d, chow.anticanonical(c))), c)
+        for d in ((0, 3, -k) for k in (-1, 0, 1))
     )
     assert (q_plus + q_minus) % 2 == 0
     return (q_plus + q_minus) // 2 - q_zero, (q_plus - q_minus) // 2, q_zero
@@ -318,12 +318,21 @@ def test_restriction_equality_for_non_nef():
     assert (res.case, res.via) == (EQUALITY, "canonical-side-only")
 
 
-def test_restriction_c1_2_downgrades_to_equality():
-    # statuses asserted externally: big and nef, not ample
+def test_restriction_c1_2_asserted_status_is_not_determined():
+    # statuses asserted externally: big and nef, not ample, at c1 = 2, where
+    # no spec lands (3 | c1 there) and the surface class admits no mu
     asserted = MinusKStatus(nef=True, ample=False, big=True, h0_gt_1=None)
-    res = cone_restriction_case(asserted, exceptional_surface_class(ChernPair(2, 5)))
-    assert (res.case, res.via) == (EQUALITY, "exceptional-class-impossible")
-    assert res.surface.mu_candidates == ()
+    surface = exceptional_surface_class(ChernPair(2, 5))
+    assert surface.mu_candidates == ()
+    res = cone_restriction_case(asserted, surface)
+    assert (res.case, res.via, res.surface) == (NOT_DETERMINED, None, None)
+
+
+def test_restriction_nef_not_big_asserted_status_is_not_determined():
+    # nef and not big needs gamma <= -18, below every atom spec's gamma
+    asserted = MinusKStatus(nef=True, ample=False, big=False, h0_gt_1=None)
+    res = cone_restriction_case(asserted, exceptional_surface_class(ChernPair(3, 2)))
+    assert (res.case, res.via) == (NOT_DETERMINED, None)
 
 
 def test_restriction_not_determined_without_status():

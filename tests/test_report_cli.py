@@ -21,7 +21,6 @@ from cycone.report import (
     build_report,
     report_from_dict,
     report_to_dict,
-    survey_row,
     tab_admissible,
 )
 
@@ -118,8 +117,10 @@ ROOT_PAIRS = [
 def _doubled_cube_quadratic(c):
     """(A, B, C) with 2 D^3 . (-K_Z) = A k^2 + B k + C for D = 3 xi - k H, from
     the Chow ring at k = -1, 0, 1 (H^3 = 0, so it is quadratic)."""
-    q_minus, q_zero, q_plus = (chow.intersect4(d, d, d, chow.anticanonical(c), c)
-                               for d in (chow.ChowClass.degree1(3, -k) for k in (-1, 0, 1)))
+    q_minus, q_zero, q_plus = (
+        chow.integral(chow.expand(chow.expand(d, d), chow.expand(d, chow.anticanonical(c))), c)
+        for d in ((0, 3, -k) for k in (-1, 0, 1))
+    )
     return q_plus + q_minus - 2 * q_zero, q_plus - q_minus, 2 * q_zero
 
 
@@ -387,13 +388,6 @@ def test_tab_admissible_flag():
     assert tab_admissible(BundleSpec.split(0, 1, 2)) is True
     assert tab_admissible(BundleSpec.split(-1, 2, 2)) is False
     assert tab_admissible(BundleSpec.chern_only(3, 2)) is None
-
-
-def test_survey_row_fields():
-    row = survey_row((0, 0, 0))
-    assert (row.c1, row.c2, row.gamma) == (0, 0, 0)
-    assert row.ample is True and row.rho == 2 and row.verdict == "Rational"
-    assert row.cells()[6:9] == ["true", "true", "true"]
 
 
 # --- CLI ------------------------------------------------------------------------
@@ -962,17 +956,19 @@ def test_build_report_evaluates_closed_forms_once(monkeypatch):
     [BundleSpec.split(0, 1, 2), BundleSpec.named("TP2+O"), BundleSpec.chern_only(3, 6)],
     ids=["split", "catalog", "chern-only"],
 )
-def test_build_report_multiplies_nothing(spec, monkeypatch):
-    calls = {"mul": 0}
+def test_build_report_forms_three_expansions(spec, monkeypatch):
+    # c(T_Z), its adjunction lift and the lift times -K_Z; every other
+    # number of the report is a point integral or a closed form
+    calls = {"expand": 0}
 
     def counted(*args):
-        calls["mul"] += 1
+        calls["expand"] += 1
         return original(*args)
 
-    original = chow.mul
-    monkeypatch.setattr(chow, "mul", counted)
+    original = chow.expand
+    monkeypatch.setattr(chow, "expand", counted)
     build_report(spec)
-    assert calls == {"mul": 0}
+    assert calls == {"expand": 3}
 
 
 def test_cli_catalog_contents():
@@ -1035,6 +1031,38 @@ def test_selftest_names_tampered_c3_closed_form(monkeypatch):
     monkeypatch.setattr(invariants, "closed_form_pairings", tampered)
     failures = selftest.run_selftest(emit=lambda line: None)
     assert "pairing-closed-forms-grid" in failures
+
+
+def test_selftest_names_a_tampered_surface_class(monkeypatch):
+    from dataclasses import replace
+
+    original = chow.exceptional_surface_class
+
+    def tampered(c):
+        surface = original(c)
+        return surface if surface.reduced is None else replace(surface, reduced=(1, -3, 3))
+
+    monkeypatch.setattr(chow, "exceptional_surface_class", tampered)
+    lines = []
+    failures = selftest.run_selftest(emit=lines.append)
+    assert failures == ["split-012-regression"]
+    assert any(line.startswith("FAIL split-012-regression") for line in lines)
+
+
+def test_selftest_names_a_tampered_tangent_degree_one(monkeypatch):
+    original = chow.tangent_total
+
+    def tampered(c):
+        total = original(c)
+        total[2] += 1  # c1(T_Z) off by one H
+        return total
+
+    monkeypatch.setattr(chow, "tangent_total", tampered)
+    lines = []
+    failures = selftest.run_selftest(emit=lines.append)
+    # the engine's adjunction lift no longer cancels c1 either
+    assert failures == ["pairing-closed-forms-grid", "adjunction-degree-1"]
+    assert any(line.startswith("FAIL adjunction-degree-1") for line in lines)
 
 
 def test_selftest_names_a_shifted_boundary_root(monkeypatch):

@@ -1,8 +1,9 @@
 """The survey evaluates each twist class once and prints what the per-triple route prints.
 
-The reference route is built here from ``survey_row`` of every triple, a
-filter predicate of its own and the row's ``cells``/``to_json_dict``, so it
-shares nothing with the class memo or the row writer of ``cycone survey``.
+The reference route is built here from the full report of every triple
+(the first 12 cells of ``analyze --tsv``), a filter predicate of its own
+and a JSON writer of its own, so it shares nothing with the class memo,
+``_split_stages`` or the row writer of ``cycone survey``.
 """
 
 import contextlib
@@ -16,9 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycone import chow, cli, cone, report
-from cycone.bundles import h0_anticanonical
+from cycone.bundles import BundleSpec, h0_anticanonical
 from cycone.chow import ChernPair
-from cycone.report import SURVEY_COLUMNS, survey_lines, survey_row
+from cycone.report import SURVEY_COLUMNS, analyze_row_cells, build_report, survey_lines
 
 EMPTY = ["c1=3", "c1=4"]  # repeated keyed filters must all hold: no row passes
 FILTERS = [
@@ -50,36 +51,49 @@ def run_main(argv):
     return out.getvalue()
 
 
-_survey_row = functools.cache(survey_row)
+@functools.cache
+def survey_cells(exponents):
+    """The 12 survey cells of one triple, from its full report."""
+    return analyze_row_cells(build_report(BundleSpec.split(*exponents)))[:12]
+
+
+COLUMN = {name: k for k, name in enumerate(SURVEY_COLUMNS)}
 
 
 def _per_triple(emin, emax):
-    return [_survey_row(t) for t in combinations_with_replacement(range(emin, emax + 1), 3)]
+    return [survey_cells(t) for t in combinations_with_replacement(range(emin, emax + 1), 3)]
 
 
-def _passes(row, filters):
+def _passes(cells, filters):
     for f in filters:
         key, eq, value = f.partition("=")
         if eq:
-            ok = getattr(row, key) == int(value)
-        elif f == "tab":
-            ok = row.tab_admissible
+            ok = cells[COLUMN[key]] == value
         else:
-            ok = getattr(row, f) is True
+            ok = cells[COLUMN["tab_admissible" if f == "tab" else f]] == "true"
         if not ok:
             return False
     return True
 
 
+def _value(cell):
+    """A cell as its JSON value: an integer, or the word itself."""
+    return int(cell) if cell.lstrip("-").isdigit() else cell
+
+
+def _json_values(cells):
+    return {name: _value(cell) for name, cell in zip(SURVEY_COLUMNS, cells)}
+
+
 def _lines(rows, as_json):
     if as_json:
-        return [json.dumps(row.to_json_dict()) for row in rows]
-    return ["\t".join(row.cells()) for row in rows]
+        return [json.dumps(_json_values(cells)) for cells in rows]
+    return ["\t".join(cells) for cells in rows]
 
 
 def reference(emin, emax, filters, as_json):
-    """What ``cycone survey`` prints, from ``survey_row`` of each triple."""
-    rows = [row for row in _per_triple(emin, emax) if _passes(row, filters)]
+    """What ``cycone survey`` prints, from the report of each triple."""
+    rows = [cells for cells in _per_triple(emin, emax) if _passes(cells, filters)]
     header = [] if as_json else ["\t".join(SURVEY_COLUMNS)]
     return "\n".join(header + _lines(rows, as_json)) + "\n", len(rows)
 
@@ -127,7 +141,7 @@ def test_survey_prints_the_per_triple_reference_for_any_range_and_filters(
 
 def test_survey_rows_matches_survey_row_in_any_order():
     types = [(2, 0, 1), (5, 3, 4), (-1, -1, 7), (0, 0, 8), (0, 1, 2), (8, 0, 0)]
-    rows = [survey_row(t) for t in types]
+    rows = [survey_cells(t) for t in types]
     for as_json in (False, True):
         assert survey_lines(types, [], [], as_json) == _lines(rows, as_json)
 
@@ -138,16 +152,15 @@ def test_survey_rows_matches_survey_row_in_any_order():
     st.integers(min_value=-10, max_value=10),
 )
 def test_survey_row_facts_are_twist_invariant(exponents, t):
-    row = survey_row(tuple(exponents))
-    twisted = survey_row(tuple(e + t for e in exponents))
-    facts = ("nef", "ample", "big", "rho", "verdict")
-    assert [getattr(twisted, f) for f in facts] == [getattr(row, f) for f in facts]
-    c = ChernPair(row.c1, row.c2).twist(t)
-    assert (twisted.c1, twisted.c2, twisted.gamma) == (c.c1, c.c2, row.gamma)
+    row = survey_cells(tuple(exponents))
+    twisted = survey_cells(tuple(e + t for e in exponents))
+    assert twisted[6:11] == row[6:11]  # nef, ample, big, rho and the verdict
+    c = ChernPair(int(row[3]), int(row[4])).twist(t)
+    assert twisted[3:6] == [str(c.c1), str(c.c2), row[5]]
 
 
 def test_survey_evaluates_each_class_once_and_multiplies_nothing(monkeypatch):
-    calls = {"anticanonical_status": 0, "mul": 0}
+    calls = {"anticanonical_status": 0, "expand": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -158,11 +171,11 @@ def test_survey_evaluates_each_class_once_and_multiplies_nothing(monkeypatch):
     monkeypatch.setattr(
         cone, "anticanonical_status", counted("anticanonical_status", cone.anticanonical_status)
     )
-    monkeypatch.setattr(chow, "mul", counted("mul", chow.mul))
+    monkeypatch.setattr(chow, "expand", counted("expand", chow.expand))
     out = run_main(["survey", "--emin", "-6", "--emax", "6"])
     assert out.count("\n") == 1 + len(list(combinations_with_replacement(range(13), 3)))
     # one class per (e2 - e1, e3 - e1) with 0 <= e2 - e1 <= e3 - e1 <= 12: C(14, 2)
-    assert calls == {"anticanonical_status": 91, "mul": 0}
+    assert calls == {"anticanonical_status": 91, "expand": 0}
 
     # a keyed filter drops rows before their class is looked up: only the
     # classes of the rows with c1 = 3 are evaluated
@@ -171,7 +184,7 @@ def test_survey_evaluates_each_class_once_and_multiplies_nothing(monkeypatch):
     kept = [t for t in combinations_with_replacement(range(-6, 7), 3) if sum(t) == 3]
     assert out.count("\n") == 1 + len(kept)
     classes = {(e2 - e1, e3 - e1) for e1, e2, e3 in kept}
-    assert calls == {"anticanonical_status": len(classes), "mul": 0}
+    assert calls == {"anticanonical_status": len(classes), "expand": 0}
     assert len(classes) < 91
 
 
@@ -204,10 +217,11 @@ def test_class_cells_are_the_survey_row_cells(as_json):
             e1, d1, d2 = map(int, line.split("\t")[:3])
         if e1 != 0:
             continue
-        values = survey_row((0, d1, d2)).values()[5:11]
+        cells = survey_cells((0, d1, d2))
         if as_json:
-            assert json.dumps(dict(zip(SURVEY_COLUMNS[5:11], values)))[1:-1] in line
+            values = {k: _value(cells[COLUMN[k]]) for k in SURVEY_COLUMNS[5:11]}
+            assert json.dumps(values)[1:-1] in line
         else:
-            assert line.split("\t")[5:11] == [str(v) for v in values]
+            assert line.split("\t")[5:11] == cells[5:11]
         seen += 1
     assert seen == 91
