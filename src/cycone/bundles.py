@@ -127,13 +127,17 @@ class BundleSpec:
             expr = cohom.parse_sheaf_expr(name)
         except DomainError as exc:
             raise UnknownBundleError(f"unknown bundle {quote_input(name)}: {exc}") from exc
-        # The rank is read off the tree before anything is expanded, so a
-        # sym() whose expansion would run to millions of atoms is refused here.
-        if cohom.expr_rank(expr) != 3:
+        # normalize refuses a rank of cohom.RANK_CAP or more at the first node
+        # that reaches it, so a sym() whose expansion would run to millions of
+        # atoms is never expanded; the rank is then read off the atoms.
+        try:
+            atoms = tuple(sorted(cohom.normalize(expr)))
+        except DomainError:
+            atoms = ()
+        if sum(a + 1 for a, _ in atoms) != 3:
             raise UnknownBundleError(
                 f"{quote_input(name)} is not a catalog id or a rank-3 sheaf expression"
             )
-        atoms = tuple(sorted(cohom.normalize(expr)))
         stype = bounded(_splitting_type(atoms), "--named splitting-type")
         if all(a == 0 for a, _ in atoms):
             return cls.split(*(b for _, b in atoms))

@@ -14,11 +14,19 @@ with det T = O(3):
 * symmetric powers follow Cayley-Sylvester,
   S^p(S^a T) = sum_j m_j S^(pa-2j) T (x) det^j, where m_j = N(j) - N(j-1)
   and N(j) counts the partitions of j that fit in a p x a box; S^p of a
-  sum is sum_i S^i A (x) S^(p-i) B, and End(E) = E^v (x) E.
+  sum is sum_i S^i A (x) S^(p-i) B, and End(E) = E^v (x) E.  S^p of a sum
+  of line bundles O(k_i) is the sum of O(k_i1 + ... + k_ip) over the
+  multisets of size p, written in the order that recursion gives.
 
-``cohom_expr`` and ``chi_rr`` refuse an expression of rank ``RANK_CAP`` or
-more with a DomainError before anything is expanded.  Only an unknown node
-raises UnsupportedExpressionError.
+The two walks that expand, ``normalize`` (the tables) and ``_chern``
+(Riemann-Roch), refuse an expression of rank ``RANK_CAP`` or more with a
+DomainError.  Each node whose rank can grow checks it before it expands:
+SymT(a, b) has rank a + 1, a sum its total, end(e) r^2 and sym(e, p > 0)
+C(r + p - 1, p).  Every construction but sym(e, p <= 0), whose e neither
+walk enters, is monotone in rank, so a walk meets a node at the cap
+exactly when the expression's rank reaches it.  Only an unknown node raises
+UnsupportedExpressionError.  A node is checked once its parts have been
+walked, and the first error met ends the walk.
 
 Method notes:
 
@@ -46,6 +54,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from math import comb
 
 from .errors import (
@@ -175,31 +184,62 @@ def cohom_atoms(atoms) -> CohomologyTable:
 
 # --- normalization to S^a T(b) pairs ---------------------------------------
 
+# Smallest rank the walks refuse.  Rank-3 checks only need to tell 3 from
+# the rest; the cap keeps an expression whose true rank runs into the
+# millions from being expanded, or its rank from being worked out in full.
+RANK_CAP = 64
+
 
 def normalize(expr) -> tuple:
     """The expression as a tuple of (a, b) pairs, each meaning S^a T(b).
 
-    a = 0 stands for the line bundle O(b).  Raises
-    UnsupportedExpressionError on an unknown node.
+    a = 0 stands for the line bundle O(b).  Raises DomainError when the rank
+    reaches ``RANK_CAP`` and UnsupportedExpressionError on an unknown node.
 
     >>> normalize(parse_sheaf_expr("end(SymT(1,0))"))
     ((2, -3), (0, 0))
     """
-    if isinstance(expr, LineBundle):
-        return ((0, expr.k),)
-    if isinstance(expr, SymTangent):
-        return ((expr.a, expr.b),)
-    if isinstance(expr, DirectSum):
-        return tuple([atom for p in expr.parts for atom in normalize(p)])
-    if isinstance(expr, TwistBy):
-        return tuple([(a, b + expr.k) for a, b in normalize(expr.expr)])
-    if isinstance(expr, DualOf):
-        return tuple(_dual(normalize(expr.expr)))
-    if isinstance(expr, SymPower):
-        # S^p for p <= 0 is O, whatever the inner expression
-        return tuple(sym_atoms(normalize(expr.expr), expr.p)) if expr.p > 0 else ((0, 0),)
-    if isinstance(expr, EndOf):
-        return tuple(end_atoms(normalize(expr.expr)))
+    return tuple(_normal(expr)[1])
+
+
+def _normal(expr) -> tuple:
+    """(rank, atoms) of an expression; a node whose rank can grow checks it
+    before it expands."""
+    kind = type(expr)
+    if kind is LineBundle:
+        return 1, [(0, expr.k)]
+    if kind is SymTangent:
+        _check_rank(expr.a + 1)
+        return expr.a + 1, [(expr.a, expr.b)]
+    if kind is DirectSum:
+        rank, atoms = 0, []
+        for p in expr.parts:
+            r, xs = _normal(p)
+            rank += r
+            atoms += xs
+        _check_rank(rank)
+        return rank, atoms
+    if kind is TwistBy:
+        k = expr.k
+        rank, atoms = _normal(expr.expr)
+        return rank, [(a, b + k) for a, b in atoms]
+    if kind is DualOf:
+        rank, atoms = _normal(expr.expr)
+        return rank, _dual(atoms)
+    if kind is SymPower:
+        p = expr.p
+        if p <= 0:  # S^p for p <= 0 is O, whatever the inner expression
+            return 1, [(0, 0)]
+        r, atoms = _normal(expr.expr)
+        rank = _sym_rank(r, p)
+        if r == len(atoms) > 1:  # a sum of lines: S^p is its multisets, and p < RANK_CAP
+            degrees = [b for _, b in atoms]
+            return rank, [(0, sum(m)) for m in combinations_with_replacement(degrees, p)]
+        return rank, sym_atoms(atoms, p)
+    if kind is EndOf:
+        r, atoms = _normal(expr.expr)
+        _check_rank(r * r)
+        return r * r, end_atoms(atoms)
     raise UnsupportedExpressionError(expr, "unknown expression node")
 
 
@@ -266,9 +306,19 @@ def _box_partitions(p: int, a: int) -> list[int]:
 
 
 def _check_rank(rank: int) -> None:
-    """Refuse, before any expansion, an expression of rank ``RANK_CAP`` or more."""
+    """Refuse a node of rank ``RANK_CAP`` or more; each walk that expands
+    calls it before the node expands."""
     if rank >= RANK_CAP:
         raise DomainError(f"expression of rank {RANK_CAP} or more is too large to evaluate")
+
+
+def _sym_rank(r: int, p: int) -> int:
+    """The rank C(r + p - 1, p) of S^p, p > 0, of a rank-r sheaf, checked by
+    ``_check_rank``; for r >= 2 and p >= ``RANK_CAP`` it is not worked out,
+    since it is at least p + 1."""
+    rank = RANK_CAP if r >= 2 and p >= RANK_CAP else comb(r + p - 1, p)
+    _check_rank(rank)
+    return rank
 
 
 def cohom_expr(e) -> CohomologyTable:
@@ -280,8 +330,11 @@ def cohom_expr(e) -> CohomologyTable:
     2
     >>> cohom_expr(parse_sheaf_expr("twist(sym(sym(SymT(1,-1),2),2),-1)")).h0
     3
+    >>> cohom_expr(parse_sheaf_expr("sym(O+O(1)+O(2),2000)"))
+    Traceback (most recent call last):
+    ...
+    cycone.errors.DomainError: expression of rank 64 or more is too large to evaluate
     """
-    _check_rank(expr_rank(e))
     return cohom_atoms(normalize(e))
 
 
@@ -329,37 +382,52 @@ def _sym(d: tuple, p: int) -> tuple:
 
 
 def _chern(expr) -> tuple:
-    """(rank, c1, ch2x2) of any expression, by the splitting principle."""
-    if isinstance(expr, LineBundle):
+    """(rank, c1, ch2x2) of any expression, by the splitting principle; a
+    node whose rank can grow checks it before its Chern data is formed."""
+    kind = type(expr)
+    if kind is LineBundle:
         k = expr.k
         return 1, k, k * k
-    if isinstance(expr, SymTangent):
+    if kind is SymTangent:
+        _check_rank(expr.a + 1)
         return _twist(_sym(_TANGENT, expr.a), expr.b)
-    if isinstance(expr, DirectSum):
+    if kind is DirectSum:
         rank = c1 = ch2x2 = 0
         for p in expr.parts:
             r, c, x = _chern(p)
             rank += r
             c1 += c
             ch2x2 += x
+        _check_rank(rank)
         return rank, c1, ch2x2
-    if isinstance(expr, TwistBy):
+    if kind is TwistBy:
         return _twist(_chern(expr.expr), expr.k)
-    if isinstance(expr, DualOf):
+    if kind is DualOf:
         rank, c1, ch2x2 = _chern(expr.expr)
         return rank, -c1, ch2x2
-    if isinstance(expr, SymPower):
-        # S^p for p <= 0 is O, whatever the inner expression
-        return _sym(_chern(expr.expr), expr.p) if expr.p > 0 else (1, 0, 0)
-    if isinstance(expr, EndOf):
+    if kind is SymPower:
+        p = expr.p
+        if p <= 0:  # S^p for p <= 0 is O, whatever the inner expression
+            return 1, 0, 0
+        d = _chern(expr.expr)
+        _sym_rank(d[0], p)
+        return _sym(d, p)
+    if kind is EndOf:
         # E^v (x) E: rank r^2, c1 = -r c1 + r c1, ch2x2 = r ch2x2 - 2 c1^2 + r ch2x2
         rank, c1, ch2x2 = _chern(expr.expr)
+        _check_rank(rank * rank)
         return rank * rank, 0, 2 * (rank * ch2x2 - c1 * c1)
     raise UnsupportedExpressionError(expr, "unknown expression node")
 
 
 def chern_data(expr) -> ChernData:
-    """Chern-character data of any expression, by the splitting principle (no size check)."""
+    """Chern-character data of any expression, by the splitting principle.
+
+    Raises DomainError when the rank reaches ``RANK_CAP``.
+
+    >>> chern_data(parse_sheaf_expr("sym(end(SymT(5,0)),0)+twist(SymT(1,0),3)"))
+    ChernData(rank=3, c1=9, ch2x2=39)
+    """
     return ChernData(*_chern(expr))
 
 
@@ -369,7 +437,6 @@ def chi_rr(e) -> int:
 
     Raises DomainError when the rank reaches ``RANK_CAP``.
     """
-    _check_rank(expr_rank(e))
     rank, c1, ch2x2 = _chern(e)
     twice = ch2x2 + 3 * c1 + 2 * rank
     if twice % 2:
@@ -526,42 +593,3 @@ def parse_sheaf_expr(text: str):
     if tokens[i]:
         raise DomainError(f"trailing input at token {i}")
     return e
-
-
-# Largest rank ``expr_rank`` reports exactly; any larger rank reads as the
-# cap.  Rank-3 checks only need to tell 3 from the rest, and the cap keeps
-# the count small for expressions whose true rank runs into the millions.
-RANK_CAP = 64
-
-
-def expr_rank(expr) -> int:
-    """Rank of an expression, from the tree alone, saturating at ``RANK_CAP``.
-
-    Nothing is expanded: ``sym(e, p)`` has rank C(r + p - 1, p) for e of
-    rank r (1 when p <= 0) and ``end(e)`` has rank r^2.  Every construction
-    is monotone in r, so anything built on a saturated rank stays saturated.
-
-    >>> expr_rank(parse_sheaf_expr("sym(O+O(1)+O(2),2000)"))
-    64
-    >>> expr_rank(parse_sheaf_expr("sym(end(SymT(5,0)),0)+twist(SymT(1,0),3)"))
-    3
-    """
-    if isinstance(expr, LineBundle):
-        return 1
-    if isinstance(expr, SymTangent):
-        return min(expr.a + 1, RANK_CAP)
-    if isinstance(expr, DirectSum):
-        return min(sum(expr_rank(p) for p in expr.parts), RANK_CAP)
-    if isinstance(expr, (TwistBy, DualOf)):
-        return expr_rank(expr.expr)
-    if isinstance(expr, EndOf):
-        return min(expr_rank(expr.expr) ** 2, RANK_CAP)
-    if isinstance(expr, SymPower):
-        if expr.p <= 0:
-            return 1
-        r = expr_rank(expr.expr)
-        if r >= 2 and expr.p >= RANK_CAP:  # C(r + p - 1, p) >= p + 1 >= the cap
-            return RANK_CAP
-        return min(comb(r + expr.p - 1, expr.p), RANK_CAP)
-    raise UnsupportedExpressionError(expr, "unknown expression node")
-

@@ -125,6 +125,8 @@ def build_report(spec: BundleSpec) -> AnalysisReport:
         warnings.append("gamma = -27 is the validity edge for rho(X) = 2 (c3(X) = 0)")
     elif g < -27:
         warnings.append("gamma < -27 is inconsistent with rho(X) = 2")
+    if h12 is not None and h12 < 0:
+        warnings.append(f"h12 = {h12} is negative, so it is not a Hodge number of X")
     if not bounds.c1_ge_minus_1:
         warnings.append("c1 < -1 is impossible when O_X(1) is ample and -K_Z is nef")
 

@@ -24,12 +24,12 @@ from cycone.cohom import (
     chern_data,
     cohom_atoms,
     cohom_expr,
-    expr_rank,
     h0_line,
     sym_atoms,
 )
 from cycone.errors import MAX_SPEC_VALUE, DomainError, UnknownBundleError
 from cycone.report import build_report
+from test_cohom import expr_rank
 
 
 def test_split_spec_sorts_and_derives_chern():

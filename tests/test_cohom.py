@@ -33,10 +33,10 @@ from cycone.cohom import (
     cohom_expr,
     cohom_line,
     cohom_sym_tangent,
-    expr_rank,
     h0_line,
     normalize,
     parse_sheaf_expr,
+    sym_atoms,
 )
 from cycone.errors import DomainError, InvariantViolationError, UnsupportedExpressionError
 
@@ -47,6 +47,34 @@ def table(h0, h1, h2):
 
 def split_sum(*exps):
     return DirectSum(*[LineBundle(e) for e in exps])
+
+
+def expr_rank(expr) -> int:
+    """Reference rank of an expression, from the tree alone, saturating at ``RANK_CAP``.
+
+    Nothing is expanded: ``sym(e, p)`` has rank C(r + p - 1, p) for e of
+    rank r (1 when p <= 0) and ``end(e)`` has rank r^2.  Every construction
+    is monotone in r, so anything built on a saturated rank stays saturated.
+    The walks of ``cohom`` refuse an expression exactly when this reads the cap.
+    """
+    if isinstance(expr, LineBundle):
+        return 1
+    if isinstance(expr, SymTangent):
+        return min(expr.a + 1, RANK_CAP)
+    if isinstance(expr, DirectSum):
+        return min(sum(expr_rank(p) for p in expr.parts), RANK_CAP)
+    if isinstance(expr, (TwistBy, DualOf)):
+        return expr_rank(expr.expr)
+    if isinstance(expr, EndOf):
+        return min(expr_rank(expr.expr) ** 2, RANK_CAP)
+    if isinstance(expr, SymPower):
+        if expr.p <= 0:
+            return 1
+        r = expr_rank(expr.expr)
+        if r >= 2 and expr.p >= RANK_CAP:  # C(r + p - 1, p) >= p + 1 >= the cap
+            return RANK_CAP
+        return min(comb(r + expr.p - 1, expr.p), RANK_CAP)
+    raise UnsupportedExpressionError(expr, "unknown expression node")
 
 
 # --- line bundles -------------------------------------------------------------
@@ -201,7 +229,7 @@ def test_unsupported_expressions_name_the_node():
 )
 def test_size_is_checked_before_any_expansion(text):
     e = parse_sheaf_expr(text)
-    for evaluate in (cohom_expr, chi_rr):
+    for evaluate in (cohom_expr, chi_rr, chern_data):
         start = time.perf_counter()
         with pytest.raises(DomainError, match="too large"):
             evaluate(e)
@@ -231,7 +259,7 @@ def _box_partitions_by_enumeration(p, a):
 @pytest.mark.parametrize("p, a", [(p, a) for p in range(0, 6) for a in range(0, 6)])
 def test_cayley_sylvester_multiplicities(p, a):
     assert _box_partitions(p, a) == _box_partitions_by_enumeration(p, a)
-    atoms = normalize(SymPower(SymTangent(a, 0), p))
+    atoms = sym_atoms(((a, 0),), p)  # normalize of S^p(S^a T), without its rank cap
     # sum_j m_j (pa - 2j + 1) = rank S^p(S^a) = C(a + p, p)
     assert sum(deg + 1 for deg, _ in atoms) == comb(a + p, p)
     assert all(3 * (p * a - deg) == 2 * b for deg, b in atoms)  # S^(pa-2j) (x) det^j
@@ -409,16 +437,23 @@ def test_closed_form_twist_is_the_tensor_with_a_line(rank, c1, ch2x2, k):
 @settings(max_examples=60, deadline=None)
 def test_closed_forms_match_the_tensor_product(e):
     rank, c1, ch2x2 = d = cohom._chern(e)
-    assert cohom._chern(EndOf(e)) == _tensor((rank, -c1, ch2x2), d)  # End E = E^v (x) E
+    if rank * rank < RANK_CAP:
+        assert cohom._chern(EndOf(e)) == _tensor((rank, -c1, ch2x2), d)  # End E = E^v (x) E
+    else:
+        with pytest.raises(DomainError, match="too large"):
+            cohom._chern(EndOf(e))
     for k in (-3, 1):
         assert cohom._chern(TwistBy(e, k)) == _tensor(d, cohom._chern(LineBundle(k)))
 
 
 def test_chern_data_of_a_huge_symmetric_power_is_immediate():
+    # the closed form is immediate; chern_data refuses the rank at once
     start = time.perf_counter()
-    d = chern_data(SymPower(SymTangent(1, 0), 10**6))
+    rank, c1, _ = cohom._sym(cohom._chern(SymTangent(1, 0)), 10**6)
+    with pytest.raises(DomainError, match="too large"):
+        chern_data(SymPower(SymTangent(1, 0), 10**6))
     assert time.perf_counter() - start < 0.05
-    assert (d.rank, d.c1) == (10**6 + 1, 3 * comb(10**6 + 1, 2))
+    assert (rank, c1) == (10**6 + 1, 3 * comb(10**6 + 1, 2))
 
 
 def test_huge_atom_is_refused_at_once():
@@ -634,18 +669,112 @@ def test_sym_tangent_rejects_negative_degree():
     ],
 )
 def test_expr_rank_matches_chern_data(text):
+    # below the cap, both walks give the rank the reference reads off the tree
     expr = parse_sheaf_expr(text)
-    assert expr_rank(expr) == min(chern_data(expr).rank, RANK_CAP)
+    assert expr_rank(expr) == chern_data(expr).rank == sum(a + 1 for a, _ in normalize(expr))
 
 
 def test_expr_rank_saturates_without_expanding():
+    # where the reference saturates, every walk refuses at once
     for text in (
         "sym(O+O(1)+O(2),2000)",
         "sym(sym(O+O(1)+O(2),1000),1000)",
         "end(end(end(SymT(100,0))))",
         "sym(SymT(1,0)," + "9" * 400 + ")",
+        "sym(sym(O+O(1),1000)," + "9" * 400 + ")",
     ):
-        assert expr_rank(parse_sheaf_expr(text)) == RANK_CAP
-    assert expr_rank(parse_sheaf_expr("sym(sym(O+O(1),1000)," + "9" * 400 + ")")) == RANK_CAP
-    assert expr_rank(parse_sheaf_expr("sym(O(1),1000000)")) == 1
-    assert expr_rank(parse_sheaf_expr("sym(end(SymT(40,0)),0)")) == 1
+        expr = parse_sheaf_expr(text)
+        assert expr_rank(expr) == RANK_CAP
+        for evaluate in (cohom_expr, chi_rr, chern_data):
+            start = time.perf_counter()
+            with pytest.raises(DomainError, match="too large"):
+                evaluate(expr)
+            assert time.perf_counter() - start < 0.05
+    for text, expected in (
+        ("sym(O(1),1000000)", table(500001500001, 0, 0)),
+        ("sym(end(SymT(40,0)),0)", table(1, 0, 0)),
+    ):
+        expr = parse_sheaf_expr(text)
+        assert expr_rank(expr) == chern_data(expr).rank == 1
+        assert cohom_expr(expr) == expected
+        assert chi_rr(expr) == expected.chi
+
+
+def _capped_exprs():
+    # trees whose rank runs from 1 to far past the cap, many of them near it
+    leaves = st.one_of(
+        st.builds(LineBundle, st.integers(-3, 3)),
+        st.builds(SymTangent, st.integers(0, 70), st.integers(-3, 3)),
+    )
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.builds(lambda *ps: DirectSum(*ps), *[inner] * 3),
+            st.builds(lambda ps: DirectSum(*ps), st.lists(inner, min_size=1, max_size=9)),
+            st.builds(TwistBy, inner, st.integers(-4, 4)),
+            st.builds(DualOf, inner),
+            st.builds(SymPower, inner, st.integers(-1, 70)),
+            st.builds(EndOf, inner),
+        ),
+        max_leaves=12,
+    )
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        SymTangent(62, 0),
+        SymTangent(63, 0),
+        EndOf(split_sum(*range(7))),
+        EndOf(split_sum(*range(8))),
+        SymPower(split_sum(0, 1), 62),
+        SymPower(split_sum(0, 1), 63),
+        SymPower(split_sum(0, 1), 64),
+        split_sum(*range(63)),
+        split_sum(*range(64)),
+        SymPower(EndOf(split_sum(*range(8))), 0),
+        SymPower(LineBundle(2), 10**6),
+    ],
+)
+def test_walks_refuse_at_the_cap_on_the_boundary(expr):
+    _refused_exactly_at_the_cap(expr)
+
+
+@given(_capped_exprs())
+@settings(max_examples=300, deadline=None)
+def test_walks_refuse_exactly_where_the_reference_saturates(e):
+    _refused_exactly_at_the_cap(e)
+
+
+def _refused_exactly_at_the_cap(e):
+    if expr_rank(e) == RANK_CAP:
+        for evaluate in (cohom_expr, chi_rr, chern_data):
+            with pytest.raises(DomainError, match="too large"):
+                evaluate(e)
+    else:
+        assert cohom_expr(e).chi == chi_rr(e)
+        assert chern_data(e).rank == expr_rank(e)
+
+
+def test_an_over_cap_part_before_an_unknown_node_decides_the_error():
+    # each walk checks a node once its parts are walked, so the first
+    # offender in walk order decides the error
+    for evaluate in (cohom_expr, chi_rr, chern_data, normalize):
+        with pytest.raises(DomainError, match="too large") as err:
+            evaluate(DirectSum(SymTangent(100, 0), "Q"))
+        assert type(err.value) is DomainError
+        with pytest.raises(UnsupportedExpressionError) as err:
+            evaluate(DirectSum("Q", SymTangent(100, 0)))
+        assert err.value.node == "Q"
+
+
+@given(st.lists(st.integers(-1000, 1000), min_size=1, max_size=4), st.integers(0, 6))
+@settings(max_examples=200, deadline=None)
+def test_sym_of_a_line_sum_is_its_multisets_in_recursion_order(degrees, p):
+    lines = split_sum(*degrees)
+    expr = SymPower(lines, p)
+    if comb(len(degrees) + p - 1, p) >= RANK_CAP:
+        with pytest.raises(DomainError, match="too large"):
+            normalize(expr)
+        return
+    assert normalize(expr) == tuple(sym_atoms(normalize(lines), p))

@@ -77,6 +77,20 @@ def test_report_for_chern_3_12():
     assert d["cone"]["w_contains_boundary"] == "unknown"
 
 
+def test_report_warns_of_a_negative_h12():
+    # gamma = -54: h12 = 3 gamma + 83 = -79 is still written as a number
+    warning = "h12 = -79 is negative, so it is not a Hodge number of X"
+    d = report_to_dict(build_report(BundleSpec.chern_only(0, 18)))
+    assert d["gamma"] == -54 and d["h12"] == -79
+    assert d["warnings"][-1] == warning
+    assert report_from_dict(json.loads(json.dumps(d))).warnings[-1] == warning
+    code, out, _ = run_main(["analyze", "--chern=0,18"])
+    assert code == 0 and "h12: -79" in out and f"  warning: {warning}\n" in out
+    # gamma = -29 is the largest gamma with h12 < 0; at -27 h12 is 2
+    assert build_report(BundleSpec.chern_only(1, 10)).warnings[-1].startswith("h12 = -4 is negative")
+    assert not any(w.startswith("h12 = ") for w in build_report(BundleSpec.chern_only(3, 12)).warnings)
+
+
 def test_report_h12_suppressed_when_rho_known_not_two():
     d = report_to_dict(build_report(BundleSpec.split(0, 0, 3)))
     assert d["rho"]["value"] == 4
