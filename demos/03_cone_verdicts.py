@@ -14,7 +14,7 @@ counts, the gamma threshold, and root rationality.
 
 from cycone import chow, cone, invariants
 from cycone.exactnum import quad_text
-from cycone.bundles import BundleSpec, catalog_entries, h0_anticanonical
+from cycone.bundles import BundleSpec, catalog_entries
 from cycone.chow import ChernPair
 from cycone.report import build_report
 
@@ -70,9 +70,9 @@ for entry in catalog_entries():
 # candidate.  No spec is big, nef and not ample with c1 = 2, where
 # integrality kills the candidate; asserted by hand, it is not determined.
 for spec in (BundleSpec.split(0, 0, 1), BundleSpec.split(0, 1, 2)):
-    status = cone.anticanonical_status(spec, h0_anticanonical(spec))
+    status = cone.anticanonical_status(spec)
     res = cone.cone_restriction_case(status, chow.exceptional_surface_class(spec.chern))
     print(spec.describe(), "->", res.case, res.via or "")
-asserted = cone.MinusKStatus(nef=True, ample=False, big=True, h0_gt_1=None)
+asserted = cone.MinusKStatus(nef=True, ample=False, big=True)
 res = cone.cone_restriction_case(asserted, chow.exceptional_surface_class(ChernPair(2, 5)))
 print("chern (2, 5) with big-nef-not-ample asserted ->", res.case, res.via)

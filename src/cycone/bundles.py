@@ -181,18 +181,6 @@ class BundleSpec:
         return f"chern ({self.chern.c1}, {self.chern.c2})"
 
 
-def spec_from_inputs(kind: str, value, twist: int) -> BundleSpec:
-    """The spec of ``cycone analyze``: split exponents, a name or a Chern
-    pair (by ``kind``) tensored by O(twist)."""
-    if kind == SPLIT:
-        spec = BundleSpec.split(*value)
-    elif kind == NAMED:
-        spec = BundleSpec.named(value)
-    else:
-        spec = BundleSpec.chern_only(*value)
-    return spec.twist(twist)
-
-
 @dataclass(frozen=True)
 class H0Anticanonical:
     """h^0(-K_Z) when computable, plus the > 1 verdict with its provenance."""

@@ -89,13 +89,7 @@ class DirectSum:
     parts: tuple
 
     def __init__(self, *parts):
-        flat = []
-        for p in parts:
-            if isinstance(p, (tuple, list)):
-                flat.extend(p)
-            else:
-                flat.append(p)
-        object.__setattr__(self, "parts", tuple(flat))
+        object.__setattr__(self, "parts", parts)
 
 
 @dataclass(frozen=True)
@@ -454,11 +448,6 @@ _BAD = re.compile(r"[^\s\dA-Za-z()+,*-]")
 # hostile input from exhausting the interpreter's recursion limit.
 MAX_EXPR_DEPTH = 32
 
-# Largest multiplicity N accepted in an ``N*atom`` term.  The parser builds
-# the N parts before any rank check runs, so N is bounded here; rank-3 sums
-# need N <= 3, and the cap equals RANK_CAP.
-MAX_MULTIPLICITY = 64
-
 
 def _literal(digits: str) -> int:
     """The value of an integer token; one too long for ``int`` is a DomainError."""
@@ -493,7 +482,8 @@ def _tokens(text: str) -> list:
 #         | 'end' '(' expr ')' | 'dual' '(' expr ')'
 #
 # Nesting deeper than ``MAX_EXPR_DEPTH``, or a multiplicity INT above
-# ``MAX_MULTIPLICITY``, raises DomainError.
+# ``RANK_CAP``, raises DomainError: the parser builds the N parts of an
+# ``N*atom`` term before any rank check runs, so N is bounded here.
 
 
 def _expected(i: int, want: str = "") -> DomainError:
@@ -521,8 +511,8 @@ def _term(tokens: list, i: int, depth: int) -> tuple:
     if tokens[i] == "*":
         i += 1
     atom, i = _atom(tokens, i, depth)
-    if not 1 <= mult <= MAX_MULTIPLICITY:
-        raise DomainError(f"multiplicity must lie in [1, {MAX_MULTIPLICITY}]")
+    if not 1 <= mult <= RANK_CAP:
+        raise DomainError(f"multiplicity must lie in [1, {RANK_CAP}]")
     return (atom if mult == 1 else DirectSum(*([atom] * mult))), i
 
 

@@ -24,8 +24,11 @@ The pieces, all in exact arithmetic:
   pinned numerically);
 * the rationality verdict with a first-match trail of criteria.
 
-Each is a function of facts its caller already holds; ``report.build_report``
-calls each once per spec and keeps the results side by side.
+Each is a function of the facts it decides from, and no result relays
+another: the -K_Z status reads the spec alone, and the verdict carries no
+caveats.  ``report.build_report`` calls each once per spec, keeps the
+results side by side, and writes every caveat itself, the flag on a spec
+that contradicts the rho(X) = 2 hypothesis among them.
 """
 
 from __future__ import annotations
@@ -56,7 +59,6 @@ class MinusKStatus:
     nef: bool | None
     ample: bool | None
     big: bool | None
-    h0_gt_1: bool | None
     witnesses: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self):
@@ -64,8 +66,8 @@ class MinusKStatus:
             raise DomainError("ample implies nef")
 
 
-def anticanonical_status(spec: BundleSpec, h0: H0Anticanonical) -> MinusKStatus:
-    """Positivity of -K_Z from the spec and its h^0(-K_Z) record.
+def anticanonical_status(spec: BundleSpec) -> MinusKStatus:
+    """Positivity of -K_Z, read off the spec alone.
 
     A spec with atoms has a uniform splitting type, and the line test on it
     is exact: -K_Z is nef iff E (x) O((3 - c1)/3) is, and with Q = T(-1) a
@@ -88,9 +90,7 @@ def anticanonical_status(spec: BundleSpec, h0: H0Anticanonical) -> MinusKStatus:
         if nef:
             big = quartic > 0
         # without nefness the top self-intersection proves nothing; big stays unknown
-    if h0.value is not None:
-        witnesses.append(("h0_minus_k", str(h0.value)))
-    return MinusKStatus(nef, ample, big, h0.gt1, tuple(witnesses))
+    return MinusKStatus(nef, ample, big, tuple(witnesses))
 
 
 @dataclass(frozen=True)
@@ -238,7 +238,6 @@ def cone_restriction_case(
 class RationalityResult:
     verdict: str
     trail: tuple[str, ...]
-    notes: tuple[str, ...]
 
     def __post_init__(self):
         if self.verdict == RATIONAL and not self.trail:
@@ -246,46 +245,35 @@ class RationalityResult:
 
 
 def rationality_verdict(
-    spec: BundleSpec,
-    h0: H0Anticanonical,
-    rho: invariants.RhoResult,
-    root: BoundaryRoot | None = None,
+    spec: BundleSpec, h0: H0Anticanonical, root: BoundaryRoot | None = None
 ) -> RationalityResult:
     """Is the boundary of the Kahler cone of X spanned by rational classes?
 
     Decision procedure (first match wins), under the standing rho(X) = 2
-    hypothesis, which is flagged when contradicted:
+    hypothesis; ``report.build_report`` flags a spec that contradicts it:
 
     1. h^0(-K_Z) > 1: the boundary is rational.
     2. gamma >= -18 (equivalently c3(X) <= -54): same conclusion, since
        this forces h^0(-K_Z) > 1.
     3. a rational root of D^3 = 0 on the ray: boundary rays off the cubic
        {D^3 = 0} are rational, and the rational root covers the rays on it
-       (conditional on the boundary lying in that cubic; tagged as such).
-       A real root always exists here: it is absent only when
+       (conditional on the boundary lying in that cubic, which the report
+       warns of).  A real root always exists here: it is absent only when
        9 - 4 gamma < 0, that is gamma >= 3, and clause 2 has fired first.
     4. otherwise open: this is exactly the h^0(-K_Z) = 1 territory.
 
     ``root`` is the OZ3 boundary root when the caller holds it; otherwise
     it is solved only if clauses 1 and 2 do not decide.
     """
-    notes = []
-    if rho.value is not None and rho.value != 2:
-        notes.append(f"rho(X) = {rho.value} contradicts the rho(X) = 2 hypothesis")
-    g = spec.gamma
     if h0.gt1 is True:
         # the trail records how the section bound was established
         if h0.reason == "exact":
-            trail = ("h0-minus-k-gt-1",)
-        else:
-            trail = ("gamma-ge-minus-18", "h0-minus-k-gt-1")
-        return RationalityResult(RATIONAL, trail, tuple(notes))
-    if g >= -18:
-        return RationalityResult(RATIONAL, ("gamma-ge-minus-18",), tuple(notes))
+            return RationalityResult(RATIONAL, ("h0-minus-k-gt-1",))
+        return RationalityResult(RATIONAL, ("gamma-ge-minus-18", "h0-minus-k-gt-1"))
+    if spec.gamma >= -18:
+        return RationalityResult(RATIONAL, ("gamma-ge-minus-18",))
     if root is None:
         root = boundary_root(spec.chern)
     if root.is_rational:
-        notes.append("conditional-on-boundary-in-cubic")
-        return RationalityResult(RATIONAL, ("rational-cubic-root",), tuple(notes))
-    notes.append("h0(-K_Z) may equal 1; open territory")
-    return RationalityResult(UNKNOWN, (), tuple(notes))
+        return RationalityResult(RATIONAL, ("rational-cubic-root",))
+    return RationalityResult(UNKNOWN, ())

@@ -13,6 +13,10 @@ closed forms are, with gamma = c1^2 - 3 c2:
     O_X(1) . c2(X)    = 36 + 12 c1 + 2 gamma
     pi*h . c2(X)      = 36
     c3(X)             = -6 gamma - 162      (so rho = 2 forces gamma >= -27)
+
+Riemann-Roch on X is written once, in ``chi_on_cy``: chi(m D|X) =
+(2 m^3 D^3 + m D.c2(X)) / 12 from these pairings, one ``Fraction`` per
+call; ``section_bounds`` takes its chi(O_X(1)) from there.
 """
 
 from __future__ import annotations
@@ -80,35 +84,19 @@ def cy_invariants(c: ChernPair) -> XPairings:
     return closed
 
 
-def divisor_cube(p: XPairings, d: tuple[int, int]) -> int:
-    """(alpha*O_X(1) + beta*pi*h)^3 on X, from the pairings ``p`` of X."""
-    alpha, beta = d
-    return (
-        alpha**3 * p.o1_cubed
-        + 3 * alpha**2 * beta * p.o1_sq_h
-        + 3 * alpha * beta**2 * p.o1_fiber
-    )
-
-
-def divisor_dot_c2(p: XPairings, d: tuple[int, int]) -> int:
-    alpha, beta = d
-    return alpha * p.o1_c2 + beta * p.h_c2
-
-
-def chi_cubic_coefficients(p: XPairings, d: tuple[int, int]) -> tuple[Fraction, Fraction]:
-    """(a, b) with chi(m D|X) = a m^3 + b m; no quadratic or constant term
-    since K_X = 0."""
-    return Fraction(divisor_cube(p, d), 6), Fraction(divisor_dot_c2(p, d), 12)
-
-
 def chi_on_cy(p: XPairings, d: tuple[int, int], m: int) -> Fraction:
-    """Riemann-Roch on X: chi(m D|X) = m^3 D^3 / 6 + m D.c2(X) / 12.
+    """Riemann-Roch on X: chi(m D|X) = (2 m^3 D^3 + m D.c2(X)) / 12 for
+    D = alpha O_X(1) + beta pi*h, from the pairings ``p`` of X; no
+    quadratic or constant term since K_X = 0.
 
     Equals h^0 when D|X is ample (Kodaira vanishing, K_X = 0); knowing
-    ampleness is the caller's business.  ``p`` are the pairings of X.
+    ampleness is the caller's business.
     """
-    a, b = chi_cubic_coefficients(p, d)
-    return a * m**3 + b * m
+    alpha, beta = d
+    cube = alpha * (
+        alpha * alpha * p.o1_cubed + 3 * alpha * beta * p.o1_sq_h + 3 * beta * beta * p.o1_fiber
+    )
+    return Fraction(2 * m**3 * cube + m * (alpha * p.o1_c2 + beta * p.h_c2), 12)
 
 
 @dataclass(frozen=True)
@@ -124,14 +112,14 @@ class SectionBounds:
 
 
 def section_bounds(c: ChernPair, p: XPairings) -> SectionBounds:
-    """The section bounds of ``c``, given its pairings ``p``: each is one
-    integer over 6 or 12 (gamma/3 + c1^2/6 + c1/2, and chi(O_X(1)) =
-    O_X(1)^3/6 + O_X(1).c2(X)/12)."""
+    """The section bounds of ``c``, given its pairings ``p``: the lower
+    bound gamma/3 + c1^2/6 + c1/2 is one integer over 6, and chi(O_X(1)) is
+    ``chi_on_cy`` at D = O_X(1), m = 1."""
     g = c.gamma
     lb = 2 * g + c.c1 * c.c1 + 3 * c.c1
     return SectionBounds(
         lower_bound_o1_minus_h=Fraction(lb, 6),
-        chi_o1=Fraction(2 * p.o1_cubed + p.o1_c2, 12),
+        chi_o1=chi_on_cy(p, (1, 0), 1),
         normal_bound=5 * g + 91,
         c1_ge_minus_1=c.c1 >= -1,
         positive_bound_forces_c1_ge_1=lb > 0,

@@ -8,7 +8,8 @@ Conventions (stable across releases):
   ``exactnum.quad_parts`` canonical form, which the text report also writes;
 * tri-state facts serialize as "true" / "false" / "unknown";
 * conditional values carry their hypotheses in an "assumes" list, and
-  report-level caveats land in "warnings";
+  report-level caveats land in "warnings", all written by ``build_report``:
+  the stage results decide and carry no caveat;
 * data output is deterministic; provenance only appears under --meta.
 
 An ``AnalysisReport`` is flat: one field per stage result, each held once
@@ -20,12 +21,13 @@ the warnings).  Facts that follow from these are not stored: gamma is
 ``k_root.scaled()``.
 
 Where a JSON key comes from: the writer is the one codec.  ``_record``
-writes one key per dataclass field, in field order; the spec, the boundary
-root (its branches, like the c2 boundary value, are written by ``_quad``
-from the integers the report holds), the exceptional-surface class and
-the top level with its ``cone`` block (and the derived ``gamma``,
-``c3``, ``k_root_scaled`` and ``w_contains_boundary`` keys) are laid out by
-hand.  ``_indented`` writes the text of ``json.dumps(d, indent=2)`` at under
+writes one key per dataclass field, in field order; the spec, the -K_Z
+status (``_minus_k`` adds the h^0 > 1 verdict and, last among the
+witnesses, the h^0 value, both from ``h0_minus_k``), the boundary root
+(its branches, like the c2 boundary value, are written by ``_quad`` from
+the integers the report holds), the exceptional-surface class and the top
+level with its ``cone`` block (and the derived ``gamma``, ``c3``,
+``k_root_scaled`` and ``w_contains_boundary`` keys) are laid out by hand.  ``_indented`` writes the text of ``json.dumps(d, indent=2)`` at under
 half its cost, since CPython 3.11 indents in pure Python.  The reader decodes
 nothing: ``report_from_dict`` re-analyzes the spec, read as the CLI reads
 its inputs, and returns that report only when its encoding is the JSON.
@@ -50,9 +52,7 @@ from json.encoder import encode_basestring_ascii
 import cycone.cone as cone
 import cycone.invariants as invariants
 from . import ANALYZE_EXTRA_COLUMNS, SURVEY_COLUMNS
-from .bundles import (
-    CHERN_ONLY, NAMED, SPLIT, BundleSpec, H0Anticanonical, h0_anticanonical, spec_from_inputs,
-)
+from .bundles import CHERN_ONLY, NAMED, SPLIT, BundleSpec, H0Anticanonical, h0_anticanonical
 from .chow import ChernPair, ExceptionalSurfaceClass, exceptional_surface_class
 from .cone import BoundaryRoot, C2Positivity, ConeRestriction, MinusKStatus
 from .errors import DomainError, quote_input
@@ -97,25 +97,38 @@ def tab_admissible(spec: BundleSpec) -> bool | None:
     return cone.is_allowed_splitting_type(*stype)
 
 
+def _stages(spec: BundleSpec, root: BoundaryRoot | None = None):
+    """h^0(-K_Z), the -K_Z status, rho and the verdict of ``spec``, each
+    from the facts it decides from; ``root`` is the OZ3 boundary root when
+    the caller holds it."""
+    h0 = h0_anticanonical(spec)
+    minus_k = cone.anticanonical_status(spec)
+    rho = invariants.rho_of_x(spec, minus_k)
+    return h0, minus_k, rho, cone.rationality_verdict(spec, h0, root)
+
+
 def build_report(spec: BundleSpec) -> AnalysisReport:
     """One evaluation pass: each fact is computed once and handed on.
 
     The boundary root is solved once, in the OZ3 normalization; the verdict
-    and the c2 cross-check both take it as is.
+    and the c2 cross-check both take it as is.  The report owns all
+    caveats: the stages decide, and the warnings are written here.
     """
     c = spec.chern
-    h0 = h0_anticanonical(spec)
-    minus_k = cone.anticanonical_status(spec, h0)
-    rho = invariants.rho_of_x(spec, minus_k)
     pairings = invariants.cy_invariants(c)
     k_root = cone.boundary_root(c)
-    verdict = cone.rationality_verdict(spec, h0, rho, k_root)
+    h0, minus_k, rho, verdict = _stages(spec, k_root)
     surface = exceptional_surface_class(c)
     bounds = invariants.section_bounds(c, pairings)
     g = spec.gamma
 
-    # the verdict's notes become report warnings; the report owns all caveats
-    warnings = list(verdict.notes)
+    warnings = []
+    if rho.value not in (None, 2):
+        warnings.append(f"rho(X) = {rho.value} contradicts the rho(X) = 2 hypothesis")
+    if verdict.trail == ("rational-cubic-root",):
+        warnings.append("conditional-on-boundary-in-cubic")
+    elif verdict.verdict == cone.UNKNOWN:
+        warnings.append("h0(-K_Z) may equal 1; open territory")
     h12 = 3 * g + 83 if rho.value in (None, 2) else None
     if rho.value is None:
         warnings.append("h12 assumes rho(X) = 2, which is not established for this spec")
@@ -195,9 +208,6 @@ def _root(r: BoundaryRoot) -> dict:
     }
 
 
-_MINUS_K = _record(
-    MinusKStatus, nef=tri, ample=tri, big=tri, h0_gt_1=tri, witnesses=lambda ws: [list(w) for w in ws]
-)
 _RHO = _record(RhoResult)
 _H0 = _record(H0Anticanonical, gt1=tri)
 _PAIRINGS = _record(XPairings)
@@ -208,6 +218,16 @@ _RESTRICTION = _record(ConeRestriction, surface=_nullable(_surface))
 
 
 # --- JSON layouts ---------------------------------------------------------
+
+
+def _minus_k(mk: MinusKStatus, h0: H0Anticanonical) -> dict:
+    """The ``minus_k`` block: the status, with the > 1 verdict of h^0(-K_Z)
+    and, when h^0 is known, its value as the last witness."""
+    witnesses = [list(w) for w in mk.witnesses]
+    if h0.value is not None:
+        witnesses.append(["h0_minus_k", str(h0.value)])
+    return {"nef": tri(mk.nef), "ample": tri(mk.ample), "big": tri(mk.big),
+            "h0_gt_1": tri(h0.gt1), "witnesses": witnesses}
 
 
 def spec_to_dict(spec: BundleSpec) -> dict:
@@ -231,23 +251,23 @@ def _read(d, key: str, kind: type):
 
 
 def spec_from_dict(d: dict) -> BundleSpec:
-    """The spec of a JSON, rebuilt by ``spec_from_inputs`` (under the CLI's
+    """The spec of a JSON, rebuilt as the CLI builds it (under the same
     bounds) from the split exponents less the twist, the name, or the Chern
-    pair untwisted.  The other spec keys are not read."""
+    pair untwisted, then twisted.  The other spec keys are not read."""
     kind, t = _read(d, "kind", str), _read(d, "twist", int)
     if kind == SPLIT:
         exps = _read(d, "exponents", list)
         if len(exps) != 3 or any(type(e) is not int for e in exps):
             raise DomainError("report JSON has no 3 integers at 'exponents'")
-        value = tuple(e - t for e in exps)
+        spec = BundleSpec.split(*(e - t for e in exps))
     elif kind == NAMED:
-        value = _read(d, "name", str)
+        spec = BundleSpec.named(_read(d, "name", str))
     elif kind == CHERN_ONLY:
         c = ChernPair(_read(d, "c1", int), _read(d, "c2", int)).twist(-t)
-        value = (c.c1, c.c2)
+        spec = BundleSpec.chern_only(c.c1, c.c2)
     else:
         raise DomainError(f"report JSON has an unknown spec kind {quote_input(kind)}")
-    return spec_from_inputs(kind, value, t)
+    return spec.twist(t)
 
 
 def report_to_dict(r: AnalysisReport) -> dict:
@@ -258,7 +278,7 @@ def report_to_dict(r: AnalysisReport) -> dict:
         "c3": r.pairings.c3,
         "h12": r.h12,
         "rho": _RHO(r.rho),
-        "minus_k": _MINUS_K(r.minus_k),
+        "minus_k": _minus_k(r.minus_k, r.h0_minus_k),
         "h0_minus_k": _H0(r.h0_minus_k),
         "pairings": _PAIRINGS(r.pairings),
         "section_bounds": _BOUNDS(r.bounds),
@@ -350,16 +370,6 @@ def _class_values(gamma: int, nef, ample, big, rho: int | None, verdict: str) ->
     return [gamma, tri(nef), tri(ample), tri(big), _or(rho, "unknown"), verdict]
 
 
-def _split_stages(exponents: tuple[int, int, int]):
-    """The stages of ``build_report`` that a survey row reads, run on a
-    split triple: its spec, -K_Z status, rho and verdict."""
-    spec = BundleSpec.split(*exponents)
-    h0 = h0_anticanonical(spec)
-    minus_k = cone.anticanonical_status(spec, h0)
-    rho = invariants.rho_of_x(spec, minus_k)
-    return spec, minus_k, rho, cone.rationality_verdict(spec, h0, rho).verdict
-
-
 # the JSON key, written "<column>": , of each value a twist class shares
 _CLASS_KEYS = tuple(f"{encode_basestring_ascii(name)}: " for name in SURVEY_COLUMNS[5:11])
 
@@ -371,7 +381,7 @@ def survey_lines(types, keyed, flags, as_json: bool) -> list[str]:
     filters (``(key, value)`` pairs) and ``tab`` drop it before its twist
     class (e2 - e1, e3 - e1) is looked up.  Twisting by O(t) leaves Z = P(E)
     alone, so gamma, nef, ample, big, rho and the verdict depend only on the
-    class: each one is evaluated once, by ``_split_stages`` at
+    class: each one is evaluated once, by ``_stages`` on the split spec at
     (0, e2 - e1, e3 - e1), in a memo that lives for this call only.  Its
     ``nef``/``ample``/``big`` filters are applied to its -K_Z status, and its
     six cells are written once, straight from the stage results, as TSV or
@@ -394,9 +404,10 @@ def survey_lines(types, keyed, flags, as_json: bool) -> list[str]:
         key = (e2 - e1, e3 - e1)
         cells = classes.get(key)
         if cells is None:
-            spec, minus_k, rho, verdict = _split_stages((0, *key))
+            spec = BundleSpec.split(0, *key)
+            _, minus_k, rho, verdict = _stages(spec)
             values = _class_values(
-                spec.gamma, minus_k.nef, minus_k.ample, minus_k.big, rho.value, verdict
+                spec.gamma, minus_k.nef, minus_k.ample, minus_k.big, rho.value, verdict.verdict
             )
             if not all(getattr(minus_k, f) for f in class_flags):
                 cells = ""  # the class fails a flag filter: none of its rows is written
@@ -449,7 +460,7 @@ def render_text_report(r: AnalysisReport) -> str:
         f"   c3(X): {r.pairings.c3}   h12: {_or(r.h12, 'n/a')}",
         f"  rho(X): {_or(rho.value, 'unknown')} ({rho.reason})",
         f"  -K_Z: nef={tri(mk.nef)} ample={tri(mk.ample)} big={tri(mk.big)}"
-        f" h0>1={tri(mk.h0_gt_1)}",
+        f" h0>1={tri(h0.gt1)}",
         f"  h0(-K_Z): {_or(h0.value, 'n/a')} ({h0.reason})",
         f"  cone boundary root k (O_Z(3) ray): {k}",
         f"  verdict: {r.verdict}  trail: {', '.join(r.trail) or '-'}",

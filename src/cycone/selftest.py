@@ -33,10 +33,6 @@ def _require(ok: bool, message: str):
         raise CheckFailure(message)
 
 
-def _status(spec: BundleSpec) -> cone.MinusKStatus:
-    return cone.anticanonical_status(spec, bundles.h0_anticanonical(spec))
-
-
 def check_anticanonical_contraction_example():
     """Split (0,1,2): (-K_Z)^4 = 567, big and nef but not ample, and the
     contracted-surface class is xi^2 - 3 xi*H + 2 F, the product
@@ -44,7 +40,7 @@ def check_anticanonical_contraction_example():
     spec = BundleSpec.split(0, 1, 2)
     c = spec.chern
     _require(chow.minus_k_quartic(c) == 567, "(-K_Z)^4 != 567 for split (0,1,2)")
-    status = _status(spec)
+    status = cone.anticanonical_status(spec)
     _require(
         (status.nef, status.ample, status.big) == (True, False, True),
         f"unexpected -K_Z status for split (0,1,2): {status}",
@@ -70,7 +66,7 @@ def check_picard_rank_four_example():
     _require(chow.minus_k_quartic(spec.chern) == 729, "(-K_Z)^4 != 729")
     end = cohom.EndOf(cohom.DirectSum(*[cohom.LineBundle(e) for e in (0, 0, 3)]))
     _require(cohom.cohom_expr(end).h2 == 2, "h^2(End E) != 2 for 2O+O(3)")
-    rho = invariants.rho_of_x(spec, _status(spec))
+    rho = invariants.rho_of_x(spec, cone.anticanonical_status(spec))
     _require(rho.value == 4, f"rho(X) = {rho.value}, expected 4")
 
 
@@ -93,7 +89,7 @@ def check_gamma_catalog():
         _require(spec.gamma == g, f"gamma({name}) = {spec.gamma}, expected {g}")
         _require(spec.chern == ChernPair(*pair), f"chern({name}) = {spec.chern}, expected {pair}")
         _require(spec.splitting_type == (0, 1, 2), f"{name} splitting type")
-        rho = invariants.rho_of_x(spec, _status(spec)).value
+        rho = invariants.rho_of_x(spec, cone.anticanonical_status(spec)).value
         criterion = _rho_by_splitting_type(spec.splitting_type)
         _require(rho == criterion, f"rho({name}) = {rho}, the criterion gives {criterion}")
 
@@ -252,13 +248,10 @@ def check_nef_gamma_survey():
     nef_count = 0
     for exps in SPLIT_GRID:
         spec = BundleSpec.split(*exps)
-        h0 = bundles.h0_anticanonical(spec)
-        status = cone.anticanonical_status(spec, h0)
-        if status.nef:
+        if cone.anticanonical_status(spec).nef:
             nef_count += 1
             _require(spec.gamma >= -18, f"nef split {exps} with gamma {spec.gamma}")
-            rho = invariants.rho_of_x(spec, status)
-            verdict = cone.rationality_verdict(spec, h0, rho)
+            verdict = cone.rationality_verdict(spec, bundles.h0_anticanonical(spec))
             _require(verdict.verdict == cone.RATIONAL, f"verdict not Rational at {exps}")
     _require(nef_count > 0, "no nef split type in the grid")
 

@@ -31,7 +31,7 @@ from cycone.report import build_report, report_to_dict
 
 
 def status_of(spec):
-    return anticanonical_status(spec, h0_anticanonical(spec))
+    return anticanonical_status(spec)
 
 
 # gamma = c1^2 - 3 c2 is c1^2 mod 3, so c1 in {0, 1} reaches every
@@ -65,9 +65,7 @@ def solves_cube(root, c) -> bool:
 
 
 def verdict_of(spec):
-    h0 = h0_anticanonical(spec)
-    rho = invariants.rho_of_x(spec, anticanonical_status(spec, h0))
-    return rationality_verdict(spec, h0, rho)
+    return rationality_verdict(spec, h0_anticanonical(spec))
 
 
 def restriction_of(spec):
@@ -78,8 +76,10 @@ def restriction_of(spec):
 
 
 def test_status_split_012():
-    s = status_of(BundleSpec.split(0, 1, 2))
-    assert (s.nef, s.ample, s.big, s.h0_gt_1) == (True, False, True, True)
+    spec = BundleSpec.split(0, 1, 2)
+    s = status_of(spec)
+    assert (s.nef, s.ample, s.big) == (True, False, True)
+    assert h0_anticanonical(spec).gt1 is True
     assert ("minus_k_quartic", "567") in s.witnesses
 
 
@@ -95,9 +95,10 @@ def test_status_split_003():
 
 
 def test_status_chern_only_is_unknown():
-    s = status_of(BundleSpec.chern_only(3, 2))
+    spec = BundleSpec.chern_only(3, 2)
+    s = status_of(spec)
     assert (s.nef, s.ample, s.big) == (None, None, None)
-    assert s.h0_gt_1 is True  # gamma = 3 >= -18
+    assert h0_anticanonical(spec).gt1 is True  # gamma = 3 >= -18
 
 
 def test_status_non_nef_split():
@@ -108,7 +109,7 @@ def test_status_non_nef_split():
 
 def test_status_rejects_inconsistent_construction():
     with pytest.raises(DomainError):
-        MinusKStatus(nef=False, ample=True, big=None, h0_gt_1=None)
+        MinusKStatus(nef=False, ample=True, big=None)
 
 
 # --- boundary roots --------------------------------------------------------------
@@ -321,7 +322,7 @@ def test_restriction_equality_for_non_nef():
 def test_restriction_c1_2_asserted_status_is_not_determined():
     # statuses asserted externally: big and nef, not ample, at c1 = 2, where
     # no spec lands (3 | c1 there) and the surface class admits no mu
-    asserted = MinusKStatus(nef=True, ample=False, big=True, h0_gt_1=None)
+    asserted = MinusKStatus(nef=True, ample=False, big=True)
     surface = exceptional_surface_class(ChernPair(2, 5))
     assert surface.mu_candidates == ()
     res = cone_restriction_case(asserted, surface)
@@ -330,7 +331,7 @@ def test_restriction_c1_2_asserted_status_is_not_determined():
 
 def test_restriction_nef_not_big_asserted_status_is_not_determined():
     # nef and not big needs gamma <= -18, below every atom spec's gamma
-    asserted = MinusKStatus(nef=True, ample=False, big=False, h0_gt_1=None)
+    asserted = MinusKStatus(nef=True, ample=False, big=False)
     res = cone_restriction_case(asserted, exceptional_surface_class(ChernPair(3, 2)))
     assert (res.case, res.via) == (NOT_DETERMINED, None)
 
@@ -364,9 +365,31 @@ def test_verdict_gamma_minus_18_boundary():
 
 
 def test_verdict_flags_rho_contradiction():
-    v = verdict_of(BundleSpec.split(0, 0, 3))
-    assert v.verdict == RATIONAL
-    assert any("rho(X) = 4" in note for note in v.notes)
+    spec = BundleSpec.split(0, 0, 3)
+    assert verdict_of(spec).verdict == RATIONAL
+    # the verdict decides; the report flags the rho(X) = 2 hypothesis, first
+    assert build_report(spec).warnings[0] == "rho(X) = 4 contradicts the rho(X) = 2 hypothesis"
+
+
+@pytest.mark.parametrize(
+    "spec, warnings",
+    [
+        (BundleSpec.chern_only(0, 18), (  # gamma = -54: rational cubic root
+            "conditional-on-boundary-in-cubic",
+            "h12 assumes rho(X) = 2, which is not established for this spec",
+            "gamma < -27 is inconsistent with rho(X) = 2",
+            "h12 = -79 is negative, so it is not a Hodge number of X",
+        )),
+        (BundleSpec.chern_only(1, 7), (  # gamma = -20: open
+            "h0(-K_Z) may equal 1; open territory",
+            "h12 assumes rho(X) = 2, which is not established for this spec",
+        )),
+        (BundleSpec.named("2O+O(3)"), ("rho(X) = 4 contradicts the rho(X) = 2 hypothesis",)),
+    ],
+    ids=["chern-0-18", "chern-1-7", "2O+O(3)"],
+)
+def test_report_warnings_in_order(spec, warnings):
+    assert build_report(spec).warnings == warnings
 
 
 def test_verdict_rational_root_clause():
@@ -375,9 +398,8 @@ def test_verdict_rational_root_clause():
     assert v.verdict == UNKNOWN
     # force the root-rationality clause: fake record with unknown h0
     blank = H0Anticanonical(value=None, gt1=None, reason="test")
-    rho = invariants.RhoResult(None, "test")
     spec20 = BundleSpec.chern_only(1, 7)  # gamma = -20, 9 - 4g = 89: irrational
-    assert rationality_verdict(spec20, blank, rho).verdict == UNKNOWN
+    assert rationality_verdict(spec20, blank).verdict == UNKNOWN
 
 
 def test_report_reaches_the_rational_root_clause():

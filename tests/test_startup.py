@@ -58,6 +58,22 @@ def test_building_the_parser_loads_no_engine():
     assert loaded_after("from cycone import cli; cli.build_parser()") == FRONT
 
 
+def test_every_traced_layer_is_loaded_by_the_benchmark_imports():
+    # perfbench's tracer looks each module of its LAYERS up in sys.modules
+    # once the workloads have imported cycone, cycone.cli and cycone.cohom,
+    # so a layer renamed or merged away would break every traced run; the
+    # tuple is read with ast, so perfbench itself is not imported
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    layers = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"]
+    )
+    assert layers
+    loaded = loaded_after("import cycone, cycone.cli; cycone.cohom")
+    assert {f"cycone.{layer}" for layer in layers} <= loaded
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [
