@@ -54,7 +54,7 @@ _LAYERS = {
         "cone_restriction_case",
         "rationality_verdict",
     ),
-    "report": ("AnalysisReport", "build_report", "report_from_dict", "report_to_dict"),
+    "report": ("AnalysisReport", "build_report", "report_to_dict"),
 }
 
 __all__ = sorted(name for names in _LAYERS.values() for name in names)

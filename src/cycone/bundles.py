@@ -211,8 +211,8 @@ def h0_anticanonical(spec: BundleSpec) -> H0Anticanonical:
     many times cheaper than the atom route, which takes the rest: S^3 of
     the atoms by ``cohom.sym_atoms``, twisted, then ``cohom.cohom_atoms``.  For
     Chern-only specs the > 1 question falls back to the topological bound:
-    gamma >= -18 forces h^0(-K_Z) > 1 (assuming rho(X) = 2), and below that
-    the answer is open.
+    gamma >= -18 (c3(X) <= -54) forces h^0(-K_Z) > 1 (assuming rho(X) = 2), and
+    below it is open; the verdict has no other gamma test (atom specs: h^0 >= 55).
     """
     value = None
     exps = spec.exponents

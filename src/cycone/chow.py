@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .errors import InvariantViolationError
@@ -111,13 +110,10 @@ class ChernPair:
 
 
 def as_integer(q) -> int:
-    """Assert a coefficient is an integer and return it."""
+    """Assert a coefficient is an ``int`` and return it; any other type, a
+    whole ``Fraction`` included, is refused."""
     if isinstance(q, int):
         return q
-    if isinstance(q, Fraction):
-        if q.denominator != 1:
-            raise InvariantViolationError(f"expected an integer, got {q}")
-        return q.numerator
     raise InvariantViolationError(f"expected an integer, got {q!r}")
 
 

@@ -168,8 +168,6 @@ def cmd_survey(args) -> int:
 
 
 def _catalog_cell(value) -> str:
-    if value is None:
-        return "n/a"
     if isinstance(value, list):
         return "(" + ",".join(str(x) for x in value) + ")"
     return str(value)

@@ -19,14 +19,15 @@ with det T = O(3):
   multisets of size p, written in the order that recursion gives.
 
 The two walks that expand, ``normalize`` (the tables) and ``_chern``
-(Riemann-Roch), refuse an expression of rank ``RANK_CAP`` or more with a
-DomainError.  Each node whose rank can grow checks it before it expands:
-SymT(a, b) has rank a + 1, a sum its total, end(e) r^2 and sym(e, p > 0)
-C(r + p - 1, p).  Every construction but sym(e, p <= 0), whose e neither
-walk enters, is monotone in rank, so a walk meets a node at the cap
-exactly when the expression's rank reaches it.  Only an unknown node raises
-UnsupportedExpressionError.  A node is checked once its parts have been
-walked, and the first error met ends the walk.
+(Riemann-Roch), refuse with a DomainError an expression of rank ``RANK_CAP``
+or more, and S^p O(k) once pk has over ``DEGREE_BITS_CAP`` bits.  Each node
+whose rank can grow checks it before it expands: SymT(a, b) has rank a + 1,
+a sum its total, end(e) r^2 and sym(e, p > 0) C(r + p - 1, p).  Every
+construction but sym(e, p <= 0), whose e neither walk enters, is monotone in
+rank, so a walk meets a node at the cap exactly when the expression's rank
+reaches it.  Only an unknown node raises UnsupportedExpressionError.  A node
+is checked once its parts have been walked, and the first error met ends the
+walk.
 
 Method notes:
 
@@ -183,6 +184,11 @@ def cohom_atoms(atoms) -> CohomologyTable:
 # millions from being expanded, or its rank from being worked out in full.
 RANK_CAP = 64
 
+# Most bits of the degree pk of S^p O(k) (for r >= 2, ``_sym_rank`` bounds p).  No spec needs
+# more: its degrees end within MAX_SPEC_VALUE, and only a twist literal (at most 14,300 bits)
+# shifts one back.  end() sends any O(pk) to O, and the cap refuses such a pk there too.
+DEGREE_BITS_CAP = 1 << 15
+
 
 def normalize(expr) -> tuple:
     """The expression as a tuple of (a, b) pairs, each meaning S^a T(b).
@@ -226,6 +232,8 @@ def _normal(expr) -> tuple:
             return 1, [(0, 0)]
         r, atoms = _normal(expr.expr)
         rank = _sym_rank(r, p)
+        if r == 1:  # a line bundle O(k), its one atom (0, k)
+            _check_degree(p * atoms[0][1])
         if r == len(atoms) > 1:  # a sum of lines: S^p is its multisets, and p < RANK_CAP
             degrees = [b for _, b in atoms]
             return rank, [(0, sum(m)) for m in combinations_with_replacement(degrees, p)]
@@ -304,6 +312,12 @@ def _check_rank(rank: int) -> None:
     calls it before the node expands."""
     if rank >= RANK_CAP:
         raise DomainError(f"expression of rank {RANK_CAP} or more is too large to evaluate")
+
+
+def _check_degree(degree: int) -> None:
+    """Refuse the degree of S^p O(k) past ``DEGREE_BITS_CAP``, before it expands."""
+    if degree.bit_length() > DEGREE_BITS_CAP:
+        raise DomainError(f"line degree of over {DEGREE_BITS_CAP} bits is too large to evaluate")
 
 
 def _sym_rank(r: int, p: int) -> int:
@@ -405,6 +419,8 @@ def _chern(expr) -> tuple:
             return 1, 0, 0
         d = _chern(expr.expr)
         _sym_rank(d[0], p)
+        if d[0] == 1:  # a line bundle O(c1)
+            _check_degree(p * d[1])
         return _sym(d, p)
     if kind is EndOf:
         # E^v (x) E: rank r^2, c1 = -r c1 + r c1, ch2x2 = r ch2x2 - 2 c1^2 + r ch2x2

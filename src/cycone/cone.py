@@ -22,7 +22,7 @@ The pieces, all in exact arithmetic:
 * the restriction-equality classification K(X) = K(Z)|X (Kollar case,
   canonical-side case, or an exceptional-surface candidate whose class is
   pinned numerically);
-* the rationality verdict with a first-match trail of criteria.
+* the rationality verdict, h^0(-K_Z) > 1 then a rational root, with a trail.
 
 Each is a function of the facts it decides from, and no result relays
 another: the -K_Z status reads the spec alone, and the verdict carries no
@@ -252,26 +252,24 @@ def rationality_verdict(
     Decision procedure (first match wins), under the standing rho(X) = 2
     hypothesis; ``report.build_report`` flags a spec that contradicts it:
 
-    1. h^0(-K_Z) > 1: the boundary is rational.
-    2. gamma >= -18 (equivalently c3(X) <= -54): same conclusion, since
-       this forces h^0(-K_Z) > 1.
-    3. a rational root of D^3 = 0 on the ray: boundary rays off the cubic
+    1. h^0(-K_Z) > 1: the boundary is rational.  ``h0_anticanonical``
+       answers it on every spec with gamma >= -18 (c3(X) <= -54).
+    2. a rational root of D^3 = 0 on the ray: boundary rays off the cubic
        {D^3 = 0} are rational, and the rational root covers the rays on it
        (conditional on the boundary lying in that cubic, which the report
-       warns of).  A real root always exists here: it is absent only when
-       9 - 4 gamma < 0, that is gamma >= 3, and clause 2 has fired first.
-    4. otherwise open: this is exactly the h^0(-K_Z) = 1 territory.
+       warns of).  With a spec's own ``h0`` a real root exists here: there is
+       none only for gamma >= 3 (9 - 4 gamma < 0), which clause 1 decides.
+    3. otherwise open: this is exactly the h^0(-K_Z) = 1 territory.
 
-    ``root`` is the OZ3 boundary root when the caller holds it; otherwise
-    it is solved only if clauses 1 and 2 do not decide.
+    A hand-built ``h0`` with ``gt1`` None goes on to clause 2 at any gamma.
+    ``root`` is the OZ3 boundary root when the caller holds it; otherwise it
+    is solved only if clause 1 does not decide.
     """
     if h0.gt1 is True:
         # the trail records how the section bound was established
         if h0.reason == "exact":
             return RationalityResult(RATIONAL, ("h0-minus-k-gt-1",))
         return RationalityResult(RATIONAL, ("gamma-ge-minus-18", "h0-minus-k-gt-1"))
-    if spec.gamma >= -18:
-        return RationalityResult(RATIONAL, ("gamma-ge-minus-18",))
     if root is None:
         root = boundary_root(spec.chern)
     if root.is_rational:

@@ -137,10 +137,8 @@ def rho_of_x(spec: BundleSpec, minus_k) -> RhoResult:
 
     ``minus_k`` is the spec's -K_Z status (a ``cone.MinusKStatus``).
     h^2(End E) is read off End of the spec's atoms by ``cohom``, one route
-    for every spec that has them; rho is unknown for a Chern-only spec.
+    for every spec that has them; a Chern-only spec has none, and nef unknown.
     """
-    if not (minus_k.nef is True and minus_k.big is True):
+    if spec.atoms is None or not (minus_k.nef is True and minus_k.big is True):
         return RhoResult(None, "anticanonical-not-known-big-nef")
-    if spec.atoms is None:
-        return RhoResult(None, "insufficient-data")
     return RhoResult(2 + cohom_atoms(end_atoms(spec.atoms)).h2, "end-cohomology")

@@ -1,4 +1,4 @@
-"""Analysis reports and their lossless JSON / TSV serialization.
+"""Analysis reports and their JSON / TSV serialization.
 
 Conventions (stable across releases):
 
@@ -27,10 +27,10 @@ witnesses, the h^0 value, both from ``h0_minus_k``), the boundary root
 (its branches, like the c2 boundary value, are written by ``_quad`` from
 the integers the report holds), the exceptional-surface class and the top
 level with its ``cone`` block (and the derived ``gamma``, ``c3``,
-``k_root_scaled`` and ``w_contains_boundary`` keys) are laid out by hand.  ``_indented`` writes the text of ``json.dumps(d, indent=2)`` at under
-half its cost, since CPython 3.11 indents in pure Python.  The reader decodes
-nothing: ``report_from_dict`` re-analyzes the spec, read as the CLI reads
-its inputs, and returns that report only when its encoding is the JSON.
+``k_root_scaled`` and ``w_contains_boundary`` keys) are laid out by hand.
+``_indented`` writes the text of ``json.dumps(d, indent=2)`` at under half
+its cost, since CPython 3.11 indents in pure Python.  There is no reader:
+a report is rebuilt from its spec, never decoded from its JSON.
 
 The 12 survey columns are written in two places from one cell format,
 ``_class_values`` for the six a twist class shares (gamma to the verdict):
@@ -44,7 +44,6 @@ CLI's help can print them without loading the engine) and re-exported here.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Callable
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
@@ -52,10 +51,9 @@ from json.encoder import encode_basestring_ascii
 import cycone.cone as cone
 import cycone.invariants as invariants
 from . import ANALYZE_EXTRA_COLUMNS, SURVEY_COLUMNS
-from .bundles import CHERN_ONLY, NAMED, SPLIT, BundleSpec, H0Anticanonical, h0_anticanonical
-from .chow import ChernPair, ExceptionalSurfaceClass, exceptional_surface_class
+from .bundles import BundleSpec, H0Anticanonical, h0_anticanonical
+from .chow import ExceptionalSurfaceClass, exceptional_surface_class
 from .cone import BoundaryRoot, C2Positivity, ConeRestriction, MinusKStatus
-from .errors import DomainError, quote_input
 from .exactnum import format_rational, quad_parts, quad_text
 from .invariants import RhoResult, SectionBounds, XPairings
 
@@ -92,9 +90,7 @@ class AnalysisReport:
 def tab_admissible(spec: BundleSpec) -> bool | None:
     """Whether the splitting type occurs in the admissible-type table."""
     stype = spec.splitting_type
-    if stype is None:
-        return None
-    return cone.is_allowed_splitting_type(*stype)
+    return None if stype is None else cone.is_allowed_splitting_type(*stype)
 
 
 def _stages(spec: BundleSpec, root: BoundaryRoot | None = None):
@@ -242,34 +238,6 @@ def spec_to_dict(spec: BundleSpec) -> dict:
     }
 
 
-def _read(d, key: str, kind: type):
-    """``d[key]`` when ``d`` is a dict and the value is exactly a ``kind`` (a bool is no int)."""
-    value = d.get(key) if type(d) is dict else None
-    if type(value) is not kind:
-        raise DomainError(f"report JSON has no {kind.__name__} at {key!r}")
-    return value
-
-
-def spec_from_dict(d: dict) -> BundleSpec:
-    """The spec of a JSON, rebuilt as the CLI builds it (under the same
-    bounds) from the split exponents less the twist, the name, or the Chern
-    pair untwisted, then twisted.  The other spec keys are not read."""
-    kind, t = _read(d, "kind", str), _read(d, "twist", int)
-    if kind == SPLIT:
-        exps = _read(d, "exponents", list)
-        if len(exps) != 3 or any(type(e) is not int for e in exps):
-            raise DomainError("report JSON has no 3 integers at 'exponents'")
-        spec = BundleSpec.split(*(e - t for e in exps))
-    elif kind == NAMED:
-        spec = BundleSpec.named(_read(d, "name", str))
-    elif kind == CHERN_ONLY:
-        c = ChernPair(_read(d, "c1", int), _read(d, "c2", int)).twist(-t)
-        spec = BundleSpec.chern_only(c.c1, c.c2)
-    else:
-        raise DomainError(f"report JSON has an unknown spec kind {quote_input(kind)}")
-    return spec.twist(t)
-
-
 def report_to_dict(r: AnalysisReport) -> dict:
     c2 = r.c2
     return {
@@ -299,30 +267,6 @@ def report_to_dict(r: AnalysisReport) -> dict:
         "g_surface": _surface(r.surface),
         "warnings": list(r.warnings),
     }
-
-
-_CANONICAL_JSON = json.JSONEncoder(sort_keys=True).encode
-
-
-def _flat(d: dict) -> dict:
-    """The report keys, those of a ``cone`` block as ``cone.<key>``, each
-    mapped to its value as canonical JSON text (so 1, 1.0 and true differ)."""
-    flat = {k: v for k, v in d.items() if k != "meta"}
-    if type(flat.get("cone")) is dict:
-        flat |= {f"cone.{k}": v for k, v in flat.pop("cone").items()}
-    return {k: _CANONICAL_JSON(v) for k, v in flat.items()}
-
-
-def report_from_dict(d: dict) -> AnalysisReport:
-    """``build_report`` of the spec of a JSON report, returned only when its
-    encoding is that JSON less any ``meta``; otherwise, malformed JSON
-    included, a ``DomainError`` that names the keys that differ."""
-    rep = build_report(spec_from_dict(_read(d, "spec", dict)))
-    given, again = _flat(d), _flat(report_to_dict(rep))
-    bad = sorted(k for k in given.keys() | again.keys() if given.get(k) != again.get(k))
-    if bad:
-        raise DomainError(f"report JSON differs from the report of its spec at {bad}")
-    return rep
 
 
 # each JSON scalar's writer, by exact type, so that True is never written as 1

@@ -309,6 +309,13 @@ def test_mul_matches_recursive_reference_for_int_coefficients(data, c):
     assert all(type(v) is int for v in values)
 
 
+def test_as_integer_refuses_every_non_int():
+    assert as_integer(-7) == -7
+    for q in (Fraction(2), Fraction(1, 2), 2.0):
+        with pytest.raises(InvariantViolationError, match="expected an integer"):
+            as_integer(q)
+
+
 def test_broken_adjunction_raises(monkeypatch):
     # with -K_Z off by one H, K_Z no longer cancels c1(T_Z) in the lift
     monkeypatch.setattr(chow, "anticanonical", lambda c: (0, 3, 4 - c.c1))

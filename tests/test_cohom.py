@@ -38,7 +38,12 @@ from cycone.cohom import (
     parse_sheaf_expr,
     sym_atoms,
 )
-from cycone.errors import DomainError, InvariantViolationError, UnsupportedExpressionError
+from cycone.errors import (
+    DomainError,
+    InvariantViolationError,
+    UnknownBundleError,
+    UnsupportedExpressionError,
+)
 
 
 def table(h0, h1, h2):
@@ -463,6 +468,53 @@ def test_huge_atom_is_refused_at_once():
     assert time.perf_counter() - start < 0.05
 
 
+def test_direct_calls_outside_the_domain_are_refused():
+    with pytest.raises(InvariantViolationError, match="negative cohomology dimension"):
+        CohomologyTable(-1, 0, 0)
+    with pytest.raises(DomainError, match="must be nonnegative"):
+        cohom_sym_tangent(-1, 0)
+
+
+def test_sym_of_the_empty_sum_is_the_empty_sum_by_both_routes():
+    # DirectSum() has rank 0 and no atoms, and so has every S^p of it
+    expr = SymPower(DirectSum(), 2)
+    assert normalize(expr) == ()
+    assert cohom_expr(expr) == table(0, 0, 0)
+    assert chi_rr(expr) == 0
+    assert sym_atoms([], 0) == [(0, 0)]  # S^0 is O
+
+
+# 32 sym( around O(N), each level closed by ,N): N is 4,000 nines, and the
+# degree of S^p O(k) = O(pk) grows by about 13,300 bits a level
+RANK_ONE_NEST = "sym(" * 32 + f"O({'9' * 4000})" + f",{'9' * 4000})" * 32
+
+
+@pytest.mark.parametrize("walk", [normalize, chi_rr], ids=["normalize", "chi_rr"])
+def test_each_walk_refuses_a_rank_one_nest_by_its_degree_at_once(walk):
+    expr = parse_sheaf_expr(RANK_ONE_NEST)
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match=f"line degree of over {cohom.DEGREE_BITS_CAP} bits"):
+        walk(expr)
+    assert time.perf_counter() - start < 0.01
+
+
+def test_the_degree_cap_is_past_what_a_twist_can_cancel():
+    n = "9" * 4300  # the longest literal the parser reads
+    with pytest.raises(UnknownBundleError, match="is not a catalog id or a rank-3 sheaf expression"):
+        BundleSpec.named(RANK_ONE_NEST)
+    # a twist by the longest literal cancels a degree of its size
+    assert BundleSpec.named(f"twist(sym(O(1),{n}),-{n})+O+O") == BundleSpec.split(0, 0, 0)
+    # two levels stay under the cap in both walks; end() sends O(pk) to O,
+    # but past the cap the degree under it is refused all the same
+    two_levels = parse_sheaf_expr(f"sym(sym(O(1),{n}),{n})")
+    assert normalize(two_levels) == ((0, int(n) ** 2),)
+    assert chern_data(two_levels).c1 == int(n) ** 2
+    three_levels = parse_sheaf_expr(f"end(sym(sym(sym(O(1),{n}),{n}),{n}))")
+    for walk in (normalize, chi_rr):
+        with pytest.raises(DomainError, match="line degree"):
+            walk(three_levels)
+
+
 def test_only_the_cli_parser_is_memoized():
     memoized = set()
     for info in pkgutil.iter_modules(cycone.__path__, "cycone."):
@@ -564,6 +616,8 @@ PARSE_ERRORS = [
     ("dual(" * 33 + "O" + ")" * 33, "expression nested deeper than 32 levels"),
     ("dual(" * 33 + "O", "expression nested deeper than 32 levels"),
     ("SymT(-1,0)", "symmetric power degree must be nonnegative"),
+    ("SymT(1,0", "expected ')' at token 5"),
+    ("twist(O 1)", "expected ',' at token 3"),
 ]
 
 

@@ -17,6 +17,7 @@ from cycone.cone import (
     RATIONAL,
     UNKNOWN,
     MinusKStatus,
+    RationalityResult,
     allowed_splitting_types,
     anticanonical_status,
     boundary_root,
@@ -360,7 +361,7 @@ def test_verdict_gamma_minus_18_boundary():
     spec = BundleSpec.chern_only(0, 6)  # gamma = -18, c3 = -54
     v = verdict_of(spec)
     assert v.verdict == RATIONAL
-    assert v.trail[0] == "gamma-ge-minus-18"
+    assert v.trail == ("gamma-ge-minus-18", "h0-minus-k-gt-1")
     assert invariants.cy_invariants(spec.chern).c3 == -54
 
 
@@ -400,6 +401,15 @@ def test_verdict_rational_root_clause():
     blank = H0Anticanonical(value=None, gt1=None, reason="test")
     spec20 = BundleSpec.chern_only(1, 7)  # gamma = -20, 9 - 4g = 89: irrational
     assert rationality_verdict(spec20, blank).verdict == UNKNOWN
+    # blank reaches the root clause at any gamma: rational at -18 (9 - 4g = 81), none at 3
+    spec18 = BundleSpec.chern_only(0, 6)
+    assert rationality_verdict(spec18, blank) == RationalityResult(RATIONAL, ("rational-cubic-root",))
+    assert rationality_verdict(BundleSpec.chern_only(3, 2), blank) == RationalityResult(UNKNOWN, ())
+
+
+def test_a_rational_verdict_needs_a_trail():
+    with pytest.raises(DomainError, match="nonempty trail"):
+        RationalityResult(RATIONAL, ())
 
 
 def test_report_reaches_the_rational_root_clause():

@@ -184,6 +184,10 @@ def test_rho_unknown_without_positivity():
     res = rho_of(BundleSpec.chern_only(3, 2))
     assert res.value is None
     assert res.reason == "anticanonical-not-known-big-nef"
+    # nor does a hand-built nef and big status give a spec without atoms a rho
+    status = cone.MinusKStatus(nef=True, ample=False, big=True)
+    res = invariants.rho_of_x(BundleSpec.chern_only(3, 6), status)
+    assert (res.value, res.reason) == (None, "anticanonical-not-known-big-nef")
     # non-nef split: formula hypotheses fail as well
     assert rho_of(BundleSpec.split(-1, 2, 2)).value is None
 

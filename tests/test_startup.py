@@ -152,16 +152,16 @@ def test_public_surface_is_pinned():
         "c2_positivity", "catalog_entries", "chi_on_cy", "chi_rr", "cohom_expr", "cohom_line",
         "cohom_sym_tangent", "cone_restriction_case", "cy_invariants",
         "exceptional_surface_class", "gram_matrix", "h0_anticanonical", "parse_sheaf_expr",
-        "rationality_verdict", "report_from_dict", "report_to_dict", "rho_of_x",
+        "rationality_verdict", "report_to_dict", "rho_of_x",
         "section_bounds",
     ]
 
 
 def test_fractions_only_where_a_denominator_can_appear():
     """``Fraction`` is imported by the modules that hold a rational value (chi
-    on X and the section bounds, the selftest's pinned chi values, a Chow
-    coefficient checked for integrality, and the 'p/q' writer), and nowhere
-    else: the Chow ring, the cohomology on P2 and the boundary root run on int."""
+    on X and the section bounds, the selftest's pinned chi values, and the
+    'p/q' writer), and nowhere else: the Chow ring, the cohomology on P2 and
+    the boundary root run on int."""
     importers = set()
     for path in (ROOT / "src" / "cycone").glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -169,7 +169,7 @@ def test_fractions_only_where_a_denominator_can_appear():
                 isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names)
             ):
                 importers.add(path.stem)
-    assert importers == {"chow", "exactnum", "invariants", "selftest"}
+    assert importers == {"exactnum", "invariants", "selftest"}
 
 
 def test_dir_and_unknown_names_load_nothing():
