@@ -70,9 +70,8 @@ for entry in catalog_entries():
 # candidate.  No spec is big, nef and not ample with c1 = 2, where
 # integrality kills the candidate; asserted by hand, it is not determined.
 for spec in (BundleSpec.split(0, 0, 1), BundleSpec.split(0, 1, 2)):
-    status = cone.anticanonical_status(spec)
-    res = cone.cone_restriction_case(status, chow.exceptional_surface_class(spec.chern))
+    res = cone.cone_restriction_case(spec, cone.anticanonical_status(spec))
     print(spec.describe(), "->", res.case, res.via or "")
 asserted = cone.MinusKStatus(nef=True, ample=False, big=True)
-res = cone.cone_restriction_case(asserted, chow.exceptional_surface_class(ChernPair(2, 5)))
+res = cone.cone_restriction_case(BundleSpec.chern_only(2, 5), asserted)
 print("chern (2, 5) with big-nef-not-ample asserted ->", res.case, res.via)

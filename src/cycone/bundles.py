@@ -127,17 +127,16 @@ class BundleSpec:
             expr = cohom.parse_sheaf_expr(name)
         except DomainError as exc:
             raise UnknownBundleError(f"unknown bundle {quote_input(name)}: {exc}") from exc
-        # normalize refuses a rank of cohom.RANK_CAP or more at the first node
-        # that reaches it, so a sym() whose expansion would run to millions of
-        # atoms is never expanded; the rank is then read off the atoms.
+        # normalize refuses a rank of cohom.RANK_CAP or more, or a degree past
+        # cohom.DEGREE_BITS_CAP, at the first node that reaches it, so a sym()
+        # never expands to millions of atoms; the rank is read off the atoms.
+        not_rank_3 = f"{quote_input(name)} is not a catalog id or a rank-3 sheaf expression"
         try:
             atoms = tuple(sorted(cohom.normalize(expr)))
-        except DomainError:
-            atoms = ()
+        except DomainError as exc:
+            raise UnknownBundleError(f"{not_rank_3}: {exc}") from exc
         if sum(a + 1 for a, _ in atoms) != 3:
-            raise UnknownBundleError(
-                f"{quote_input(name)} is not a catalog id or a rank-3 sheaf expression"
-            )
+            raise UnknownBundleError(not_rank_3)
         stype = bounded(_splitting_type(atoms), "--named splitting-type")
         if all(a == 0 for a, _ in atoms):
             return cls.split(*(b for _, b in atoms))

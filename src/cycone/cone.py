@@ -136,11 +136,11 @@ def boundary_root(c: ChernPair) -> BoundaryRoot:
 @dataclass(frozen=True)
 class C2Positivity:
     """c2(X)-values on the boundary rays of the (candidate) nef cone; the
-    root's ray is O_X(1) - (k/3) pi*h."""
+    root's ray is O_X(1) - (k/3) pi*h.  The pi*h ray's value, always 36, is
+    ``XPairings.h_c2`` and is not held here."""
 
     boundary: tuple[int, int, int, int] | None  # (a, b, n, den): D.c2(X) = (a + b sqrt(n))/den
     minus_k_ray: int                            # -K_Z|X . c2(X) = 6*gamma + 216
-    h_ray: int                                  # pi*h . c2(X), always 36
     positive: bool
 
 
@@ -174,7 +174,7 @@ def c2_positivity(
         boundary = (*via_pairing, n, den)
         positive = quad_sign(*via_pairing, n) > 0
     minus_k_ray = 6 * g + 216
-    return C2Positivity(boundary, minus_k_ray, 36, positive and minus_k_ray > 0)
+    return C2Positivity(boundary, minus_k_ray, positive and minus_k_ray > 0)
 
 
 def allowed_splitting_types(c1: int) -> list[tuple[int, int, int]]:
@@ -206,31 +206,31 @@ class ConeRestriction:
     surface: ExceptionalSurfaceClass | None = None
 
 
-def cone_restriction_case(
-    minus_k: MinusKStatus, surface: ExceptionalSurfaceClass
-) -> ConeRestriction:
+def cone_restriction_case(spec: BundleSpec, minus_k: MinusKStatus) -> ConeRestriction:
     """Classify the restriction equality K(X) = K(Z)|X.
 
     Ample -K_Z gives equality outright; non-nef -K_Z gives equality on the
     canonical side; big and nef but not ample is the one exceptional
-    pattern, which carries the contracted-surface class ``surface``.
-    Anything else is not determined.
+    pattern, which carries the contracted-surface class of ``spec``.  That
+    branch is the only one that computes the class.  Anything else is not
+    determined.
 
     No spec reaches two further cases, so they have no branch.  A nef,
     non-ample spec with a splitting type has 3 e1 + 3 = c1, so 3 | c1; then
-    9 divides every coefficient of ``surface`` and its mu candidates are
-    (1, 3, 9), never empty.  Nef and not big needs (-K_Z)^4 = 27 gamma +
-    486 <= 0, that is gamma <= -18, below the floor gamma >= -9 of every
+    9 divides every coefficient of the surface class and its mu candidates
+    are (1, 3, 9), never empty.  Nef and not big needs (-K_Z)^4 = 27 gamma
+    + 486 <= 0, that is gamma <= -18, below the floor gamma >= -9 of every
     atom spec.  A hand-built status in either case (say big, nef, not ample
-    with c1 = 2, where the candidates are empty) gets ``not_determined``.
+    on chern (2, 5), where the candidates are empty) gets ``not_determined``.
     """
     if minus_k.ample is True:
         return ConeRestriction(EQUALITY, "ample-anticanonical")
     if minus_k.nef is False:
         return ConeRestriction(EQUALITY, "canonical-side-only")
-    exceptional = minus_k.nef is True and minus_k.big is True and minus_k.ample is False
-    if exceptional and surface.mu_candidates:
-        return ConeRestriction(EXCEPTIONAL_CANDIDATE, None, surface)
+    if minus_k.nef is True and minus_k.big is True and minus_k.ample is False:
+        surface = chow.exceptional_surface_class(spec.chern)
+        if surface.mu_candidates:
+            return ConeRestriction(EXCEPTIONAL_CANDIDATE, None, surface)
     return ConeRestriction(NOT_DETERMINED)
 
 

@@ -15,17 +15,17 @@ Conventions (stable across releases):
 An ``AnalysisReport`` is flat: one field per stage result, each held once
 (the spec, h^0(-K_Z), the -K_Z status, rho, the pairings of X, h12, the
 OZ3 boundary root, the verdict and its trail, c2 positivity, the
-restriction case, the exceptional-surface class, the section bounds and
-the warnings).  Facts that follow from these are not stored: gamma is
-``spec.gamma``, c3(X) is ``pairings.c3`` and the OZ1 root is
-``k_root.scaled()``.
+restriction case, which holds the surface class only where it decides, the
+section bounds and the warnings).  Facts that follow from these are not
+stored: gamma is ``spec.gamma``, c3(X) is ``pairings.c3``, the OZ1 root is
+``k_root.scaled()`` and the pi*h ray's c2 value, 36, is ``pairings.h_c2``.
 
 Where a JSON key comes from: the writer is the one codec.  ``_record``
-writes one key per dataclass field, in field order; the spec, the -K_Z
-status (``_minus_k`` adds the h^0 > 1 verdict and, last among the
-witnesses, the h^0 value, both from ``h0_minus_k``), the boundary root
-(its branches, like the c2 boundary value, are written by ``_quad`` from
-the integers the report holds), the exceptional-surface class and the top
+writes one key per dataclass field, in field order, the -K_Z status among
+them (h^0(-K_Z) and its > 1 verdict are written only in ``h0_minus_k``);
+the spec, the boundary root (its branches, like the c2 boundary value, are
+written by ``_quad`` from the integers the report holds), the
+exceptional-surface class (under ``cone.kollar_case`` only) and the top
 level with its ``cone`` block (and the derived ``gamma``, ``c3``,
 ``k_root_scaled`` and ``w_contains_boundary`` keys) are laid out by hand.
 ``_indented`` writes the text of ``json.dumps(d, indent=2)`` at under half
@@ -52,7 +52,7 @@ import cycone.cone as cone
 import cycone.invariants as invariants
 from . import ANALYZE_EXTRA_COLUMNS, SURVEY_COLUMNS
 from .bundles import BundleSpec, H0Anticanonical, h0_anticanonical
-from .chow import ExceptionalSurfaceClass, exceptional_surface_class
+from .chow import ExceptionalSurfaceClass
 from .cone import BoundaryRoot, C2Positivity, ConeRestriction, MinusKStatus
 from .exactnum import format_rational, quad_parts, quad_text
 from .invariants import RhoResult, SectionBounds, XPairings
@@ -81,8 +81,7 @@ class AnalysisReport:
     verdict: str
     trail: tuple[str, ...]
     c2: C2Positivity
-    restriction: ConeRestriction
-    surface: ExceptionalSurfaceClass
+    restriction: ConeRestriction  # holds the surface class on an exceptional candidate
     bounds: SectionBounds
     warnings: tuple[str, ...]
 
@@ -114,7 +113,6 @@ def build_report(spec: BundleSpec) -> AnalysisReport:
     pairings = invariants.cy_invariants(c)
     k_root = cone.boundary_root(c)
     h0, minus_k, rho, verdict = _stages(spec, k_root)
-    surface = exceptional_surface_class(c)
     bounds = invariants.section_bounds(c, pairings)
     g = spec.gamma
 
@@ -150,8 +148,7 @@ def build_report(spec: BundleSpec) -> AnalysisReport:
         verdict=verdict.verdict,
         trail=verdict.trail,
         c2=cone.c2_positivity(c, k_root, pairings),
-        restriction=cone.cone_restriction_case(minus_k, surface),
-        surface=surface,
+        restriction=cone.cone_restriction_case(spec, minus_k),
         bounds=bounds,
         warnings=tuple(warnings),
     )
@@ -211,19 +208,12 @@ _BOUNDS = _record(
     SectionBounds, lower_bound_o1_minus_h=format_rational, chi_o1=format_rational, assumes=list
 )
 _RESTRICTION = _record(ConeRestriction, surface=_nullable(_surface))
+_MINUS_K = _record(
+    MinusKStatus, nef=tri, ample=tri, big=tri, witnesses=lambda ws: [list(w) for w in ws]
+)
 
 
 # --- JSON layouts ---------------------------------------------------------
-
-
-def _minus_k(mk: MinusKStatus, h0: H0Anticanonical) -> dict:
-    """The ``minus_k`` block: the status, with the > 1 verdict of h^0(-K_Z)
-    and, when h^0 is known, its value as the last witness."""
-    witnesses = [list(w) for w in mk.witnesses]
-    if h0.value is not None:
-        witnesses.append(["h0_minus_k", str(h0.value)])
-    return {"nef": tri(mk.nef), "ample": tri(mk.ample), "big": tri(mk.big),
-            "h0_gt_1": tri(h0.gt1), "witnesses": witnesses}
 
 
 def spec_to_dict(spec: BundleSpec) -> dict:
@@ -246,7 +236,7 @@ def report_to_dict(r: AnalysisReport) -> dict:
         "c3": r.pairings.c3,
         "h12": r.h12,
         "rho": _RHO(r.rho),
-        "minus_k": _minus_k(r.minus_k, r.h0_minus_k),
+        "minus_k": _MINUS_K(r.minus_k),
         "h0_minus_k": _H0(r.h0_minus_k),
         "pairings": _PAIRINGS(r.pairings),
         "section_bounds": _BOUNDS(r.bounds),
@@ -257,14 +247,12 @@ def report_to_dict(r: AnalysisReport) -> dict:
             "trail": list(r.trail),
             "c2_min_value": None if c2.boundary is None else _quad(*c2.boundary),
             "c2_minus_k_ray": c2.minus_k_ray,
-            "c2_h_ray": c2.h_ray,
             "c2_positive": c2.positive,
             "kollar_case": _RESTRICTION(r.restriction),
             # whether W contains the boundary is open; ROADMAP item 3 (the
             # nef cone ray by ray) is the change that gives it a value
             "w_contains_boundary": "unknown",
         },
-        "g_surface": _surface(r.surface),
         "warnings": list(r.warnings),
     }
 
@@ -409,10 +397,11 @@ def render_text_report(r: AnalysisReport) -> str:
         f"  cone boundary root k (O_Z(3) ray): {k}",
         f"  verdict: {r.verdict}  trail: {', '.join(r.trail) or '-'}",
         f"  c2(X) positivity: {tri(r.c2.positive)}"
-        f" (boundary {boundary}, h-ray 36)",
+        f" (boundary {boundary}, h-ray {r.pairings.h_c2})",
         f"  restriction K(X)=K(Z)|X: {kc.case}{via}",
-        f"  exceptional-surface class: coeffs {r.surface.coeffs},"
-        f" mu candidates {list(r.surface.mu_candidates) or 'none'}",
     ]
+    if kc.surface is not None:
+        lines.append(f"  exceptional-surface class: coeffs {kc.surface.coeffs},"
+                     f" mu candidates {list(kc.surface.mu_candidates)}")
     lines += [f"  warning: {w}" for w in r.warnings]
     return "\n".join(lines)

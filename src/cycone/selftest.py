@@ -38,14 +38,13 @@ def check_anticanonical_contraction_example():
     contracted-surface class is xi^2 - 3 xi*H + 2 F, the product
     (xi - H)(xi - 2H) of the section P(O) (degree 2 needs no relation)."""
     spec = BundleSpec.split(0, 1, 2)
-    c = spec.chern
-    _require(chow.minus_k_quartic(c) == 567, "(-K_Z)^4 != 567 for split (0,1,2)")
+    _require(chow.minus_k_quartic(spec.chern) == 567, "(-K_Z)^4 != 567 for split (0,1,2)")
     status = cone.anticanonical_status(spec)
     _require(
         (status.nef, status.ample, status.big) == (True, False, True),
         f"unexpected -K_Z status for split (0,1,2): {status}",
     )
-    restriction = cone.cone_restriction_case(status, chow.exceptional_surface_class(c))
+    restriction = cone.cone_restriction_case(spec, status)
     _require(
         restriction.case == cone.EXCEPTIONAL_CANDIDATE,
         f"expected an exceptional candidate, got {restriction.case}",
@@ -233,7 +232,6 @@ def check_c2_positivity_sweep():
     for c in _pairs_by_gamma(-27, 27):
         g = c.gamma
         rep = cone.c2_positivity(c, cone.boundary_root(c), invariants.closed_form_pairings(c))
-        _require(rep.h_ray == 36, "pi*h ray must give exactly 36")
         _require(rep.positive, f"c2 positivity fails at {c}")
         if g <= 2:
             _require(rep.boundary is not None, f"no boundary value at {c}")

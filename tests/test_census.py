@@ -14,6 +14,7 @@ comes out of the 689 atom specs and of two grids of Chern pairs, so that no
 change to the engine moves a verdict unseen.
 """
 
+import json
 from collections import Counter
 from itertools import combinations, combinations_with_replacement, product
 from math import isqrt
@@ -21,7 +22,7 @@ from math import isqrt
 import pytest
 
 from cycone.bundles import BundleSpec
-from cycone.report import build_report
+from cycone.report import build_report, report_to_dict
 
 R, EQ, EXC = "Rational", "equality", "exceptional_candidate"
 
@@ -216,6 +217,35 @@ def test_outcomes_of_the_atom_specs():
         (EXC, None): 59,
     }
     assert verdicts == {(R, ("h0-minus-k-gt-1",)): 689}
+
+
+def test_surface_block_only_on_exceptional_candidates():
+    for spec in _atom_specs():
+        kollar = report_to_dict(build_report(spec))["cone"]["kollar_case"]
+        assert (kollar["surface"] is not None) == (kollar["case"] == EXC), spec
+
+
+def _dict_blocks(value, path=()):
+    """(path, block) of every dict in a report's JSON but the quadratic values."""
+    if isinstance(value, dict):
+        if set(value) != {"a", "b", "n"}:
+            yield path, value
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, x in items:
+        yield from _dict_blocks(x, (*path, key))
+
+
+def test_no_block_of_a_report_is_written_twice():
+    for spec in _atom_specs():
+        seen = {}
+        for path, block in _dict_blocks(report_to_dict(build_report(spec))):
+            text = json.dumps(block, sort_keys=True)
+            assert text not in seen, (spec, seen[text], path)
+            seen[text] = path
 
 
 def test_restriction_case_of_chern_only_specs():

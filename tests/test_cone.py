@@ -70,7 +70,7 @@ def verdict_of(spec):
 
 
 def restriction_of(spec):
-    return cone_restriction_case(status_of(spec), exceptional_surface_class(spec.chern))
+    return cone_restriction_case(spec, status_of(spec))
 
 
 # --- anticanonical status ------------------------------------------------------
@@ -230,13 +230,13 @@ def test_c2_above_gamma_two_uses_nef_rays():
     rep = c2_of(ChernPair(3, 2))  # gamma = 3
     assert rep.boundary is None
     assert rep.minus_k_ray == 6 * 3 + 216
-    assert rep.h_ray == 36 and rep.positive
+    assert rep.positive
 
 
 def test_c2_h_ray_is_36_everywhere():
     assert {c.gamma for c in PAIRS_BY_GAMMA} >= {g for g in range(-27, 28) if g % 3 != 2}
     for c in PAIRS_BY_GAMMA:
-        assert c2_of(c).h_ray == 36
+        assert invariants.cy_invariants(c).h_c2 == 36
 
 
 def test_c2_engine_route_matches_closed_bound():
@@ -326,20 +326,38 @@ def test_restriction_c1_2_asserted_status_is_not_determined():
     asserted = MinusKStatus(nef=True, ample=False, big=True)
     surface = exceptional_surface_class(ChernPair(2, 5))
     assert surface.mu_candidates == ()
-    res = cone_restriction_case(asserted, surface)
+    res = cone_restriction_case(BundleSpec.chern_only(2, 5), asserted)
     assert (res.case, res.via, res.surface) == (NOT_DETERMINED, None, None)
 
 
 def test_restriction_nef_not_big_asserted_status_is_not_determined():
     # nef and not big needs gamma <= -18, below every atom spec's gamma
     asserted = MinusKStatus(nef=True, ample=False, big=False)
-    res = cone_restriction_case(asserted, exceptional_surface_class(ChernPair(3, 2)))
+    res = cone_restriction_case(BundleSpec.chern_only(3, 2), asserted)
     assert (res.case, res.via) == (NOT_DETERMINED, None)
 
 
 def test_restriction_not_determined_without_status():
     res = restriction_of(BundleSpec.chern_only(3, 2))
     assert res.case == NOT_DETERMINED
+
+
+@pytest.mark.parametrize(
+    ("spec", "calls"),
+    [
+        (BundleSpec.split(0, 0, 1), 0),  # ample -K_Z
+        (BundleSpec.split(-2, 2, 3), 0),  # -K_Z not nef
+        (BundleSpec.chern_only(3, 6), 0),  # status unknown
+        (BundleSpec.split(0, 1, 2), 1),  # the exceptional candidate
+    ],
+    ids=["split-001", "split-m2_2_3", "chern-3_6", "split-012"],
+)
+def test_surface_class_is_computed_only_where_it_decides(monkeypatch, spec, calls):
+    seen = []
+    original = chow.exceptional_surface_class
+    monkeypatch.setattr(chow, "exceptional_surface_class", lambda c: seen.append(c) or original(c))
+    build_report(spec)
+    assert seen == [spec.chern] * calls
 
 
 # --- rationality verdict -----------------------------------------------------------------

@@ -7,7 +7,11 @@ before the single-pass refactor of the report pipeline (``catalog.tsv``
 from the code before the report codec refactor, the filtered ``survey-*``
 files from the code before the survey filtered rows ahead of evaluating
 their twist class); any change to them is a change of the tool's output and
-has to be deliberate.
+has to be deliberate.  One such change: when the report stopped writing a
+fact twice, the 16 ``analyze-*.json`` files lost ``g_surface``,
+``cone.c2_h_ray``, ``minus_k.h0_gt_1`` and the ``h0_minus_k`` witness of
+``minus_k``, and the six ``.txt`` files of specs that are not exceptional
+candidates lost their surface line; nothing else moved.
 """
 
 import contextlib

@@ -60,7 +60,7 @@ def test_report_for_split_012():
     assert d["h0_minus_k"]["value"] == 115
     assert d["cone"]["verdict"] == "Rational"
     assert d["cone"]["kollar_case"]["case"] == "exceptional_candidate"
-    assert d["g_surface"]["mu_candidates"] == [1, 3, 9]
+    assert d["cone"]["kollar_case"]["surface"]["mu_candidates"] == [1, 3, 9]
     assert d["section_bounds"]["lower_bound_o1_minus_h"] == "4/1"
     assert d["section_bounds"]["chi_o1"] == "10/1"
     assert d["section_bounds"]["normal_bound"] == 106
@@ -517,6 +517,16 @@ def test_cli_rejects_named_rank_before_expanding(expr):
     assert time.perf_counter() - start < 1.0
     assert code == 1
     assert "is not a catalog id or a rank-3 sheaf expression" in err
+
+
+def test_cli_named_degree_cap_refusal_gives_its_reason():
+    n = "9" * 4300
+    expr = f"end(sym(sym(sym(O(1),{n}),{n}),{n}))+O+O"  # rank 3, a degree past the cap
+    code, out, err = run_main(["analyze", "--named", expr])
+    assert (code, out) == (1, "")
+    assert err.endswith(": line degree of over 32768 bits is too large to evaluate\n")
+    assert "is not a catalog id or a rank-3 sheaf expression: " in err
+    assert len(err) < 200
 
 
 def test_cli_named_rank_one_sym_and_multiplicity_do_not_expand():
