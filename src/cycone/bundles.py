@@ -28,7 +28,7 @@ CLI prints for the option that gives it) before anything is analyzed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 
 import cycone.cohom as cohom
@@ -38,12 +38,16 @@ from .errors import DomainError, UnknownBundleError, bounded, quote_input
 SPLIT, NAMED, CHERN_ONLY = "split", "named", "chern"
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    expr: object  # the bundle as a SheafExpr
+class CatalogEntry(namedtuple("CatalogEntry", "name expr")):
+    """A catalog id and its bundle as a ``cohom.SheafExpr``.
 
-    # an entry's atoms and Chern pair: worked out on first use, not at import
+    No ``__slots__``: the instance dict holds the atoms and the Chern pair,
+    worked out on first use, not at import.  Nothing else may be set.
+    """
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name!r}: a CatalogEntry is immutable")
+
     @cached_property
     def atoms(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(cohom.normalize(self.expr)))
@@ -89,20 +93,38 @@ def _splitting_type(atoms) -> tuple[int, ...]:
     return tuple(sorted(a + b + j for a, b in atoms for j in range(a + 1)))
 
 
-@dataclass(frozen=True)
-class BundleSpec:
-    """A rank-3 bundle on P2, given as much or as little as is known."""
+class BundleSpec(
+    namedtuple(
+        "BundleSpec",
+        "kind chern atoms name twist_applied exponents splitting_type",
+        defaults=(None, None, 0, None, None),
+    )
+):
+    """A rank-3 bundle on P2, given as much or as little as is known.
 
-    kind: str
-    chern: ChernPair
-    atoms: tuple[tuple[int, int], ...] | None = None  # sorted S^a T(b) pairs
-    name: str | None = None
-    twist_applied: int = 0
-    # The degrees of the line bundles E splits into (None when it does not)
-    # and E restricted to any line, as sorted degrees (None for a Chern-only
-    # spec).  Both are read off ``atoms``, so they are not compared or shown.
-    exponents: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
-    splitting_type: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
+    ``kind`` is ``SPLIT``, ``NAMED`` or ``CHERN_ONLY`` and ``chern`` a
+    ``ChernPair``; ``atoms`` are the sorted S^a T(b) pairs (None for a
+    Chern-only spec), ``name`` the catalog id or expression name of a named
+    spec and ``twist_applied`` the t of E (x) O(t).  ``exponents`` are the
+    degrees of the line bundles E splits into (None when it does not), and
+    ``splitting_type`` is E restricted to any line, as sorted degrees (None
+    for a Chern-only spec).  Both are read off ``atoms``, so ``==``, ``hash``
+    and ``repr`` see only the first five fields.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(self) is type(other) and self[:5] == other[:5]
+
+    def __ne__(self, other):
+        return type(self) is not type(other) or self[:5] != other[:5]
+
+    def __hash__(self):
+        return hash(self[:5])
+
+    def __repr__(self):
+        return "BundleSpec(kind=%r, chern=%r, atoms=%r, name=%r, twist_applied=%r)" % self[:5]
 
     @classmethod
     def split(cls, e1: int, e2: int, e3: int) -> "BundleSpec":
@@ -180,13 +202,11 @@ class BundleSpec:
         return f"chern ({self.chern.c1}, {self.chern.c2})"
 
 
-@dataclass(frozen=True)
-class H0Anticanonical:
-    """h^0(-K_Z) when computable, plus the > 1 verdict with its provenance."""
+class H0Anticanonical(namedtuple("H0Anticanonical", "value gt1 reason")):
+    """h^0(-K_Z) when computable (else None), plus the > 1 verdict (None when
+    open) with its provenance."""
 
-    value: int | None
-    gt1: bool | None
-    reason: str
+    __slots__ = ()
 
 
 def _split_sections_h0(exponents, c1: int) -> int:

@@ -37,7 +37,7 @@ there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations_with_replacement
 
 from .errors import InvariantViolationError
@@ -83,12 +83,10 @@ _TWISTED_TERMS = tuple(
 _ZEROS = (0,) * len(_REDUCIBLE)
 
 
-@dataclass(frozen=True)
-class ChernPair:
+class ChernPair(namedtuple("ChernPair", "c1 c2")):
     """Chern numbers (c1(E).h, c2(E)) of a rank-3 bundle on P2."""
 
-    c1: int
-    c2: int
+    __slots__ = ()
 
     @property
     def gamma(self) -> int:
@@ -208,12 +206,10 @@ def cy_chern_pushforward(c: ChernPair) -> list:
     return expand(anticanonical(c), _adjunction_lift(c))
 
 
-@dataclass(frozen=True)
-class GramMatrix:
+class GramMatrix(namedtuple("GramMatrix", "entries det")):
     """Pairing matrix of the degree-4 basis (F, xi*H, xi^2), with determinant."""
 
-    entries: tuple[tuple[int, int, int], ...]
-    det: int
+    __slots__ = ()
 
 
 def _det3(m) -> int:
@@ -231,8 +227,9 @@ def gram_matrix(c: ChernPair) -> GramMatrix:
     return GramMatrix(entries, _det3(entries))
 
 
-@dataclass(frozen=True)
-class ExceptionalSurfaceClass:
+class ExceptionalSurfaceClass(
+    namedtuple("ExceptionalSurfaceClass", "coeffs mu_candidates reduced")
+):
     """Numerical class data of a potential anticanonically-contracted surface.
 
     ``coeffs`` are the (xi^2, xi*H, F) coefficients of the mu-multiplied
@@ -244,9 +241,7 @@ class ExceptionalSurfaceClass:
     mu = 9 when admissible.
     """
 
-    coeffs: tuple[int, int, int]
-    mu_candidates: tuple[int, ...]
-    reduced: tuple[int, int, int] | None
+    __slots__ = ()
 
 
 def exceptional_surface_class(c: ChernPair) -> ExceptionalSurfaceClass:

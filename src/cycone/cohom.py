@@ -54,7 +54,7 @@ Nothing is cached; all functions are pure.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -68,68 +68,82 @@ from .errors import (
 # --- expression trees ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LineBundle:
-    k: int
+class SheafExpr(tuple):
+    """The base of the seven expression nodes below.  A node compares by type
+    as well as by value, so TwistBy(e, 2) != SymPower(e, 2) and no node
+    equals a bare tuple; the walks dispatch on the exact type."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(self) is type(other) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):  # else tuple's own __ne__ would ignore the type
+        return type(self) is not type(other) or tuple.__ne__(self, other)
+
+    __hash__ = tuple.__hash__
 
 
-@dataclass(frozen=True)
-class SymTangent:
+class LineBundle(SheafExpr, namedtuple("LineBundle", "k")):
+    __slots__ = ()
+
+
+class SymTangent(SheafExpr, namedtuple("SymTangent", "a b")):
     """S^a(T_P2) tensor O(b)."""
 
-    a: int
-    b: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.a < 0:
+    def __new__(cls, a: int, b: int):
+        if a < 0:
             raise DomainError("symmetric power degree must be nonnegative")
+        return tuple.__new__(cls, (a, b))
+
+    @classmethod
+    def _make(cls, values):  # so that _replace checks too
+        return cls(*values)
 
 
-@dataclass(frozen=True)
-class DirectSum:
-    parts: tuple
+class DirectSum(SheafExpr, namedtuple("DirectSum", "parts")):
+    __slots__ = ()
 
-    def __init__(self, *parts):
-        object.__setattr__(self, "parts", parts)
+    def __new__(cls, *parts):
+        return tuple.__new__(cls, (parts,))
 
-
-@dataclass(frozen=True)
-class TwistBy:
-    expr: object
-    k: int
+    def __getnewargs__(self):  # copy and pickle call DirectSum(*parts)
+        return self.parts
 
 
-@dataclass(frozen=True)
-class SymPower:
-    expr: object
-    p: int
+class TwistBy(SheafExpr, namedtuple("TwistBy", "expr k")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EndOf:
-    expr: object
+class SymPower(SheafExpr, namedtuple("SymPower", "expr p")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DualOf:
-    expr: object
+class EndOf(SheafExpr, namedtuple("EndOf", "expr")):
+    __slots__ = ()
 
 
-SheafExpr = object  # structural union of the node classes above
+class DualOf(SheafExpr, namedtuple("DualOf", "expr")):
+    __slots__ = ()
 
 
 # --- cohomology tables -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CohomologyTable:
-    h0: int
-    h1: int
-    h2: int
+class CohomologyTable(namedtuple("CohomologyTable", "h0 h1 h2")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if min(self.h0, self.h1, self.h2) < 0:
+    def __new__(cls, h0: int, h1: int, h2: int):
+        self = tuple.__new__(cls, (h0, h1, h2))
+        if min(h0, h1, h2) < 0:
             raise InvariantViolationError(f"negative cohomology dimension: {self}")
+        return self
+
+    @classmethod
+    def _make(cls, values):  # so that _replace checks too
+        return cls(*values)
 
     @property
     def chi(self) -> int:
@@ -349,13 +363,10 @@ def cohom_expr(e) -> CohomologyTable:
 # --- Chern-character bookkeeping and Riemann-Roch --------------------------
 
 
-@dataclass(frozen=True)
-class ChernData:
+class ChernData(namedtuple("ChernData", "rank c1 ch2x2")):
     """Rank, c1 and twice ch2 (ch2x2 = c1^2 - 2 c2) of a sheaf on P2, all ints."""
 
-    rank: int
-    c1: int
-    ch2x2: int
+    __slots__ = ()
 
     @property
     def c2(self) -> int:

@@ -33,13 +33,13 @@ that contradicts the rho(X) = 2 hypothesis among them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 import cycone.chow as chow
 import cycone.exactnum as exactnum
 import cycone.invariants as invariants
 from .bundles import BundleSpec, H0Anticanonical
-from .chow import ChernPair, ExceptionalSurfaceClass
+from .chow import ChernPair
 from .errors import DomainError, InvariantViolationError
 from .exactnum import quad_sign, quad_text
 
@@ -52,18 +52,20 @@ EQUALITY, EXCEPTIONAL_CANDIDATE, NOT_DETERMINED = (
 OZ3, OZ1 = "OZ3", "OZ1"
 
 
-@dataclass(frozen=True)
-class MinusKStatus:
-    """Tri-state positivity record for -K_Z (None means unknown)."""
+class MinusKStatus(namedtuple("MinusKStatus", "nef ample big witnesses", defaults=((),))):
+    """Tri-state positivity record for -K_Z (None means unknown); the
+    witnesses are (name, value) string pairs."""
 
-    nef: bool | None
-    ample: bool | None
-    big: bool | None
-    witnesses: tuple[tuple[str, str], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.ample is True and self.nef is False:
+    def __new__(cls, nef, ample, big, witnesses=()):
+        if ample is True and nef is False:
             raise DomainError("ample implies nef")
+        return tuple.__new__(cls, (nef, ample, big, witnesses))
+
+    @classmethod
+    def _make(cls, values):  # so that _replace checks too
+        return cls(*values)
 
 
 def anticanonical_status(spec: BundleSpec) -> MinusKStatus:
@@ -93,18 +95,14 @@ def anticanonical_status(spec: BundleSpec) -> MinusKStatus:
     return MinusKStatus(nef, ample, big, tuple(witnesses))
 
 
-@dataclass(frozen=True)
-class BoundaryRoot:
+class BoundaryRoot(
+    namedtuple("BoundaryRoot", "exists normalization center s n den", defaults=(0, 0, 0, 2))
+):
     """Roots of D^3 = 0 along the ray, as integers: the smaller branch is
     k = (center - s sqrt(n)) / den and the larger k_other = (center +
     s sqrt(n)) / den, with n squarefree.  No real root leaves s = 0."""
 
-    exists: bool
-    normalization: str
-    center: int = 0
-    s: int = 0
-    n: int = 0
-    den: int = 2
+    __slots__ = ()
 
     @property
     def is_rational(self) -> bool:
@@ -112,7 +110,7 @@ class BoundaryRoot:
 
     def scaled(self) -> "BoundaryRoot":
         """This OZ3 root in the OZ1 normalization: both branches divided by 3."""
-        return replace(self, normalization=OZ1, den=3 * self.den)
+        return self._replace(normalization=OZ1, den=3 * self.den)
 
 
 def boundary_root(c: ChernPair) -> BoundaryRoot:
@@ -133,15 +131,14 @@ def boundary_root(c: ChernPair) -> BoundaryRoot:
     return BoundaryRoot(True, OZ3, 2 * c.c1 + 3, s, n)
 
 
-@dataclass(frozen=True)
-class C2Positivity:
+class C2Positivity(namedtuple("C2Positivity", "boundary minus_k_ray positive")):
     """c2(X)-values on the boundary rays of the (candidate) nef cone; the
-    root's ray is O_X(1) - (k/3) pi*h.  The pi*h ray's value, always 36, is
+    root's ray is O_X(1) - (k/3) pi*h.  ``boundary`` is (a, b, n, den) with
+    D.c2(X) = (a + b sqrt(n))/den, or None, and ``minus_k_ray`` is -K_Z|X .
+    c2(X) = 6*gamma + 216.  The pi*h ray's value, always 36, is
     ``XPairings.h_c2`` and is not held here."""
 
-    boundary: tuple[int, int, int, int] | None  # (a, b, n, den): D.c2(X) = (a + b sqrt(n))/den
-    minus_k_ray: int                            # -K_Z|X . c2(X) = 6*gamma + 216
-    positive: bool
+    __slots__ = ()
 
 
 def c2_positivity(
@@ -197,13 +194,11 @@ def is_allowed_splitting_type(a: int, b: int, c: int) -> bool:
     return -1 <= c1 <= 4 and a <= b <= c and 3 * a >= c1 - 3 and 3 * b + 3 - c1 > 0
 
 
-@dataclass(frozen=True)
-class ConeRestriction:
-    """Whether K(X) = K(Z)|X, and through which mechanism."""
+class ConeRestriction(namedtuple("ConeRestriction", "case via surface", defaults=(None, None))):
+    """Whether K(X) = K(Z)|X, and through which mechanism; ``surface`` is
+    the ``ExceptionalSurfaceClass`` of an exceptional candidate, else None."""
 
-    case: str
-    via: str | None = None
-    surface: ExceptionalSurfaceClass | None = None
+    __slots__ = ()
 
 
 def cone_restriction_case(spec: BundleSpec, minus_k: MinusKStatus) -> ConeRestriction:
@@ -234,14 +229,20 @@ def cone_restriction_case(spec: BundleSpec, minus_k: MinusKStatus) -> ConeRestri
     return ConeRestriction(NOT_DETERMINED)
 
 
-@dataclass(frozen=True)
-class RationalityResult:
-    verdict: str
-    trail: tuple[str, ...]
+class RationalityResult(namedtuple("RationalityResult", "verdict trail")):
+    """The verdict, ``RATIONAL`` or ``UNKNOWN``, and the names of the steps
+    that decided it."""
 
-    def __post_init__(self):
-        if self.verdict == RATIONAL and not self.trail:
+    __slots__ = ()
+
+    def __new__(cls, verdict: str, trail: tuple[str, ...]):
+        if verdict == RATIONAL and not trail:
             raise DomainError("a Rational verdict needs a nonempty trail")
+        return tuple.__new__(cls, (verdict, trail))
+
+    @classmethod
+    def _make(cls, values):  # so that _replace checks too
+        return cls(*values)
 
 
 def rationality_verdict(

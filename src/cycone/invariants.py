@@ -21,7 +21,7 @@ call; ``section_bounds`` takes its chi(O_X(1)) from there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 import cycone.chow as chow
@@ -31,16 +31,10 @@ from .cohom import cohom_atoms, end_atoms
 from .errors import InvariantViolationError
 
 
-@dataclass(frozen=True)
-class XPairings:
+class XPairings(namedtuple("XPairings", "o1_cubed o1_sq_h o1_fiber o1_c2 h_c2 c3")):
     """The six intersection pairings on X (all integers)."""
 
-    o1_cubed: int
-    o1_sq_h: int
-    o1_fiber: int
-    o1_c2: int
-    h_c2: int
-    c3: int
+    __slots__ = ()
 
 
 def closed_form_pairings(c: ChernPair) -> XPairings:
@@ -99,16 +93,23 @@ def chi_on_cy(p: XPairings, d: tuple[int, int], m: int) -> Fraction:
     return Fraction(2 * m**3 * cube + m * (alpha * p.o1_c2 + beta * p.h_c2), 12)
 
 
-@dataclass(frozen=True)
-class SectionBounds:
+class SectionBounds(
+    namedtuple(
+        "SectionBounds",
+        [
+            "lower_bound_o1_minus_h",  # Fraction: h^0(O_X(1) - pi*h) is at least this
+            "chi_o1",                  # Fraction: chi(O_X(1)) = h^0 under ampleness
+            "normal_bound",            # h^0(N_{X|Z}) >= 5*gamma + 91
+            "c1_ge_minus_1",           # necessary once the hypotheses hold
+            "positive_bound_forces_c1_ge_1",
+            "assumes",
+        ],
+        defaults=(("O_X(1) ample", "-K_Z nef"),),
+    )
+):
     """Section-count bounds, all conditional on O_X(1) ample and -K_Z nef."""
 
-    lower_bound_o1_minus_h: Fraction  # h^0(O_X(1) - pi*h) is at least this
-    chi_o1: Fraction                  # chi(O_X(1)) = h^0 under ampleness
-    normal_bound: int                 # h^0(N_{X|Z}) >= 5*gamma + 91
-    c1_ge_minus_1: bool               # necessary once the hypotheses hold
-    positive_bound_forces_c1_ge_1: bool
-    assumes: tuple[str, ...] = ("O_X(1) ample", "-K_Z nef")
+    __slots__ = ()
 
 
 def section_bounds(c: ChernPair, p: XPairings) -> SectionBounds:
@@ -126,10 +127,10 @@ def section_bounds(c: ChernPair, p: XPairings) -> SectionBounds:
     )
 
 
-@dataclass(frozen=True)
-class RhoResult:
-    value: int | None
-    reason: str
+class RhoResult(namedtuple("RhoResult", "value reason")):
+    """rho(X), or None when it is not known, and the reason for it."""
+
+    __slots__ = ()
 
 
 def rho_of_x(spec: BundleSpec, minus_k) -> RhoResult:

@@ -21,7 +21,7 @@ stored: gamma is ``spec.gamma``, c3(X) is ``pairings.c3``, the OZ1 root is
 ``k_root.scaled()`` and the pi*h ray's c2 value, 36, is ``pairings.h_c2``.
 
 Where a JSON key comes from: the writer is the one codec.  ``_record``
-writes one key per dataclass field, in field order, the -K_Z status among
+writes one key per record field, in field order, the -K_Z status among
 them (h^0(-K_Z) and its > 1 verdict are written only in ``h0_minus_k``);
 the spec, the boundary root (its branches, like the c2 boundary value, are
 written by ``_quad`` from the integers the report holds), the
@@ -44,8 +44,8 @@ CLI's help can print them without loading the engine) and re-exported here.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Callable
-from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
 
 import cycone.cone as cone
@@ -53,7 +53,7 @@ import cycone.invariants as invariants
 from . import ANALYZE_EXTRA_COLUMNS, SURVEY_COLUMNS
 from .bundles import BundleSpec, H0Anticanonical, h0_anticanonical
 from .chow import ExceptionalSurfaceClass
-from .cone import BoundaryRoot, C2Positivity, ConeRestriction, MinusKStatus
+from .cone import BoundaryRoot, ConeRestriction, MinusKStatus
 from .exactnum import format_rational, quad_parts, quad_text
 from .invariants import RhoResult, SectionBounds, XPairings
 
@@ -67,23 +67,29 @@ def _or(value, absent: str):
     return absent if value is None else value
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(
+    namedtuple(
+        "AnalysisReport",
+        [
+            "spec",         # BundleSpec
+            "h0_minus_k",   # H0Anticanonical
+            "minus_k",      # MinusKStatus
+            "rho",          # RhoResult
+            "pairings",     # XPairings
+            "h12",          # 3 gamma + 83 unless rho is known and not 2
+            "k_root",       # BoundaryRoot, OZ3 normalization
+            "verdict",
+            "trail",
+            "c2",           # C2Positivity
+            "restriction",  # ConeRestriction: holds the surface class on an exceptional candidate
+            "bounds",       # SectionBounds
+            "warnings",
+        ],
+    )
+):
     """Everything the analyzer knows about one bundle spec, each fact once."""
 
-    spec: BundleSpec
-    h0_minus_k: H0Anticanonical
-    minus_k: MinusKStatus
-    rho: RhoResult
-    pairings: XPairings
-    h12: int | None               # 3 gamma + 83 unless rho is known and not 2
-    k_root: BoundaryRoot          # OZ3 normalization
-    verdict: str
-    trail: tuple[str, ...]
-    c2: C2Positivity
-    restriction: ConeRestriction  # holds the surface class on an exceptional candidate
-    bounds: SectionBounds
-    warnings: tuple[str, ...]
+    __slots__ = ()
 
 
 def tab_admissible(spec: BundleSpec) -> bool | None:
@@ -163,9 +169,9 @@ def _nullable(encode: Callable) -> Callable:
 
 
 def _record(cls, **overrides: Callable) -> Callable:
-    """The encoder of a dataclass: one JSON key per field, in field order,
-    written as-is unless ``overrides`` names its encoder."""
-    encoders = [(f.name, overrides.get(f.name)) for f in fields(cls)]
+    """The encoder of a record (a named tuple): one JSON key per field, in
+    field order, written as-is unless ``overrides`` names its encoder."""
+    encoders = [(name, overrides.get(name)) for name in cls._fields]
     return lambda obj: {n: getattr(obj, n) if f is None else f(getattr(obj, n)) for n, f in encoders}
 
 

@@ -3,7 +3,6 @@
 import importlib
 import pkgutil
 import time
-from dataclasses import replace
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -678,7 +677,7 @@ def _flat_sums(e):
         parts = [_flat_sums(p) for p in e.parts]
         return DirectSum(*[q for p in parts for q in (p.parts if isinstance(p, DirectSum) else [p])])
     if isinstance(e, (TwistBy, SymPower, EndOf, DualOf)):
-        return replace(e, expr=_flat_sums(e.expr))
+        return e._replace(expr=_flat_sums(e.expr))
     return e
 
 

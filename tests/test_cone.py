@@ -1,6 +1,5 @@
 """Cone analysis: anticanonical status, boundary roots, c2, verdicts."""
 
-from dataclasses import replace
 from itertools import combinations_with_replacement, product
 
 import pytest
@@ -152,7 +151,7 @@ def test_root_plugs_back_to_zero():
         if not root.exists:
             continue
         assert solves_cube(root, c)
-        assert not solves_cube(replace(root, s=root.s + 1), c)
+        assert not solves_cube(root._replace(s=root.s + 1), c)
 
 
 def test_root_rationality_is_perfect_square_condition():
@@ -260,7 +259,7 @@ def test_c2_cross_check_fires_on_a_wrong_root(c):
     # share it; they still disagree on a root that is off by 1 in k (both
     # branches shifted, so the gap stays), or given in the OZ1 normalization
     root = boundary_root(c)
-    shifted = replace(root, center=root.center + root.den)
+    shifted = root._replace(center=root.center + root.den)
     for wrong in (shifted, root.scaled()):
         with pytest.raises(InvariantViolationError, match="boundary c2-value mismatch") as err:
             c2_of(c, wrong)

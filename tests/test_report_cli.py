@@ -907,13 +907,11 @@ def test_selftest_names_tampered_c3_closed_form(monkeypatch):
 
 
 def test_selftest_names_a_tampered_surface_class(monkeypatch):
-    from dataclasses import replace
-
     original = chow.exceptional_surface_class
 
     def tampered(c):
         surface = original(c)
-        return surface if surface.reduced is None else replace(surface, reduced=(1, -3, 3))
+        return surface if surface.reduced is None else surface._replace(reduced=(1, -3, 3))
 
     monkeypatch.setattr(chow, "exceptional_surface_class", tampered)
     lines = []
@@ -939,17 +937,15 @@ def test_selftest_names_a_tampered_tangent_degree_one(monkeypatch):
 
 
 def test_selftest_names_a_shifted_boundary_root(monkeypatch):
-    from dataclasses import replace
-
     from cycone import cone
 
     original = cone.boundary_root
 
     wrong_roots = [
         # k + 1 and k_other + 1: the c2 routes disagree too
-        (lambda r: replace(r, center=r.center + r.den), {"boundary-root-exactness", "c2-positivity-sweep"}),
+        (lambda r: r._replace(center=r.center + r.den), {"boundary-root-exactness", "c2-positivity-sweep"}),
         # a wider gap between the branches: the c2 routes share it and agree
-        (lambda r: replace(r, s=r.s + 1), {"boundary-root-exactness"}),
+        (lambda r: r._replace(s=r.s + 1), {"boundary-root-exactness"}),
     ]
     for wrong, names in wrong_roots:
 
@@ -969,8 +965,6 @@ def test_selftest_names_a_shifted_boundary_root(monkeypatch):
 def test_boundary_root_check_reads_each_integer_off_the_chow_ring(field, monkeypatch):
     # every root but the pinned (3, 6) example is off by one in one integer, so
     # only the comparison with the Chow ring's quadratic can catch it
-    from dataclasses import replace
-
     from cycone import cone
 
     original = cone.boundary_root
@@ -979,7 +973,7 @@ def test_boundary_root_check_reads_each_integer_off_the_chow_ring(field, monkeyp
         root = original(c)
         if not root.exists or c == chow.ChernPair(3, 6):
             return root
-        return replace(root, **{field: getattr(root, field) + 1})
+        return root._replace(**{field: getattr(root, field) + 1})
 
     monkeypatch.setattr(cone, "boundary_root", tampered)
     with pytest.raises(selftest.CheckFailure, match="does not solve D\\^3 = 0"):

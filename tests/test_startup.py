@@ -54,6 +54,17 @@ def main(argv):
 """
 
 
+def test_the_engine_loads_no_dataclass_machinery():
+    """The records are named tuples, so a report loads neither ``dataclasses``
+    nor ``inspect``; the baseline is a bare interpreter, whose site hooks may
+    load either."""
+    every_module = "print(json.dumps(sorted(sys.modules)))"
+    bare = json.loads(run_python(f"import json, sys\n{every_module}"))
+    code = f"import cycone.report\n{QUIET_MAIN}\nassert main(['analyze', '--split=0,1,2']) == 0"
+    engine = json.loads(run_python(f"import json, sys\n{code}\n{every_module}").splitlines()[-1])
+    assert {"dataclasses", "inspect"} & (set(engine) - set(bare)) == set()
+
+
 def test_building_the_parser_loads_no_engine():
     assert loaded_after("from cycone import cli; cli.build_parser()") == FRONT
 
