@@ -55,13 +55,12 @@ for c in (ChernPair(0, 9), ChernPair(3, 6), ChernPair(0, 0), ChernPair(3, 2), Ch
 # Full verdicts across the named catalog.
 print()
 print("catalog verdicts:")
-for entry in catalog_entries():
-    spec = BundleSpec.named(entry.name)
+for spec in catalog_entries():
     report = build_report(spec)
     r = report.k_root
     k_desc = quad_text(r.center, -r.s, r.n, r.den) if r.exists else "none"
     print(
-        f"  {entry.name:<14} gamma {spec.gamma:>3}  verdict {report.verdict:<9}"
+        f"  {spec.name:<14} gamma {spec.gamma:>3}  verdict {report.verdict:<9}"
         f" trail {'/'.join(report.trail) or '-':<36} root {k_desc}"
     )
 

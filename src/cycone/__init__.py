@@ -44,7 +44,7 @@ _LAYERS = {
         "cohom_sym_tangent",
         "parse_sheaf_expr",
     ),
-    "bundles": ("BundleSpec", "CatalogEntry", "catalog_entries", "h0_anticanonical"),
+    "bundles": ("BundleSpec", "catalog_entries", "h0_anticanonical"),
     "invariants": ("chi_on_cy", "cy_invariants", "rho_of_x", "section_bounds"),
     "cone": (
         "allowed_splitting_types",

@@ -12,68 +12,32 @@ E is read off that form:
   exponent sums s = e_i + e_j + e_k (i <= j <= k) when every atom is a line
   bundle, and ``cohom.cohom_atoms`` of S^3 of the atoms otherwise.
 
-``exponents`` and ``splitting_type`` are fields, filled in by the
-constructors and kept in step by ``twist`` (for a split spec both are the
-sorted triple), so reading them costs an attribute lookup.  Being functions
-of the atoms, they take no part in ``==``, ``hash`` or ``repr``.
+``splitting_type`` is a field, filled in by the constructors and shifted
+by ``twist``, so reading it costs an attribute lookup; ``exponents`` is a
+property that returns it when every atom is a line bundle.  Being functions
+of the atoms, neither takes part in ``==``, ``hash`` or ``repr``.
 
-The Chern pair is ``cohom.chern_data`` of the parsed expression.  The
-catalog names rank-3 sheaf expressions, split ones included; any other
+The Chern pair is ``cohom.chern_data`` of the parsed expression.  One
+builder, ``_spec_of_expr``, makes a spec of a parsed expression: of the six
+catalog expressions once at import, and of any other text ``named`` reads.
+The catalog names rank-3 sheaf expressions, split ones included; any other
 expression is named by its atoms, so its name depends on the bundle only.
 Twisting E by O(t) shifts every b and changes the Chern pair, but not Z.
-The constructors and ``twist`` refuse any exponent, splitting-type degree,
-Chern number or twist past ``errors.MAX_SPEC_VALUE`` (with the message the
-CLI prints for the option that gives it) before anything is analyzed.
+Each constructor refuses an input of its own (exponent, named splitting
+type, Chern number) past ``errors.MAX_SPEC_VALUE``, with the message the CLI
+prints for that option, and ``twist`` refuses such a t.  The values a twist
+derives are not bounded; the comment on the bound says why that is enough.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property
 
 import cycone.cohom as cohom
 from .chow import ChernPair, chern_pair_of_split
 from .errors import DomainError, UnknownBundleError, bounded, quote_input
 
 SPLIT, NAMED, CHERN_ONLY = "split", "named", "chern"
-
-
-class CatalogEntry(namedtuple("CatalogEntry", "name expr")):
-    """A catalog id and its bundle as a ``cohom.SheafExpr``.
-
-    No ``__slots__``: the instance dict holds the atoms and the Chern pair,
-    worked out on first use, not at import.  Nothing else may be set.
-    """
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot set {name!r}: a CatalogEntry is immutable")
-
-    @cached_property
-    def atoms(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(cohom.normalize(self.expr)))
-
-    @cached_property
-    def chern(self) -> ChernPair:
-        data = cohom.chern_data(self.expr)
-        return ChernPair(data.c1, data.c2)
-
-
-CATALOG: dict[str, CatalogEntry] = {
-    name: CatalogEntry(name, cohom.parse_sheaf_expr(expr))
-    for name, expr in (
-        ("O+O(1)+O(2)", "O+O(1)+O(2)"),
-        ("2O+O(3)", "2O+O(3)"),
-        ("TP2+O", "SymT(1,0)+O"),
-        ("TP2(-1)+O(2)", "SymT(1,-1)+O(2)"),
-        ("S2TP2(-1)", "sym(SymT(1,-1),2)"),
-        # The normal-bundle sequence 0 -> T -> T_P3|P2 -> O(1) -> 0 splits,
-        # because Ext^1(O(1), T) = H^1(T(-1)) = 0.
-        ("TP3restP2", "SymT(1,0)+O(1)"),
-    )
-}
-
-# The four uniform bundles of splitting type (0,1,2), in their survey order.
-UNIFORM_012_NAMES = ("O+O(1)+O(2)", "TP2+O", "TP2(-1)+O(2)", "S2TP2(-1)")
 
 
 def _atoms_name(atoms) -> str:
@@ -96,8 +60,8 @@ def _splitting_type(atoms) -> tuple[int, ...]:
 class BundleSpec(
     namedtuple(
         "BundleSpec",
-        "kind chern atoms name twist_applied exponents splitting_type",
-        defaults=(None, None, 0, None, None),
+        "kind chern atoms name twist_applied splitting_type",
+        defaults=(None, None, 0, None),
     )
 ):
     """A rank-3 bundle on P2, given as much or as little as is known.
@@ -105,11 +69,10 @@ class BundleSpec(
     ``kind`` is ``SPLIT``, ``NAMED`` or ``CHERN_ONLY`` and ``chern`` a
     ``ChernPair``; ``atoms`` are the sorted S^a T(b) pairs (None for a
     Chern-only spec), ``name`` the catalog id or expression name of a named
-    spec and ``twist_applied`` the t of E (x) O(t).  ``exponents`` are the
-    degrees of the line bundles E splits into (None when it does not), and
-    ``splitting_type`` is E restricted to any line, as sorted degrees (None
-    for a Chern-only spec).  Both are read off ``atoms``, so ``==``, ``hash``
-    and ``repr`` see only the first five fields.
+    spec and ``twist_applied`` the t of E (x) O(t).  ``splitting_type`` is
+    E restricted to any line, as sorted degrees (None for a Chern-only spec);
+    it is read off ``atoms``, so ``==``, ``hash`` and ``repr`` see only the
+    first five fields.
     """
 
     __slots__ = ()
@@ -129,41 +92,20 @@ class BundleSpec(
     @classmethod
     def split(cls, e1: int, e2: int, e3: int) -> "BundleSpec":
         e1, e2, e3 = exps = tuple(sorted(bounded((e1, e2, e3), "--split")))
-        return cls(
-            SPLIT, chern_pair_of_split(e1, e2, e3), ((0, e1), (0, e2), (0, e3)), None, 0, exps, exps
-        )
+        return cls(SPLIT, chern_pair_of_split(e1, e2, e3), ((0, e1), (0, e2), (0, e3)), None, 0, exps)
 
     @classmethod
     def named(cls, name: str) -> "BundleSpec":
-        """A catalog id, or any rank-3 expression of the sheaf grammar.
-
-        A sum of line bundles that is not a catalog id is a split spec; any
-        other expression is named by ``_atoms_name`` of its atoms.
-        """
-        entry = CATALOG.get(name)
-        if entry is not None:
-            atoms = entry.atoms
-            exps = None if any(a for a, _ in atoms) else tuple(b for _, b in atoms)
-            return cls(NAMED, entry.chern, atoms, name, 0, exps, _splitting_type(atoms))
+        """The spec built at import for a catalog id, else ``_spec_of_expr``
+        of ``name`` read as a rank-3 expression of the sheaf grammar."""
+        spec = CATALOG.get(name)
+        if spec is not None:
+            return spec
         try:
             expr = cohom.parse_sheaf_expr(name)
         except DomainError as exc:
             raise UnknownBundleError(f"unknown bundle {quote_input(name)}: {exc}") from exc
-        # normalize refuses a rank of cohom.RANK_CAP or more, or a degree past
-        # cohom.DEGREE_BITS_CAP, at the first node that reaches it, so a sym()
-        # never expands to millions of atoms; the rank is read off the atoms.
-        not_rank_3 = f"{quote_input(name)} is not a catalog id or a rank-3 sheaf expression"
-        try:
-            atoms = tuple(sorted(cohom.normalize(expr)))
-        except DomainError as exc:
-            raise UnknownBundleError(f"{not_rank_3}: {exc}") from exc
-        if sum(a + 1 for a, _ in atoms) != 3:
-            raise UnknownBundleError(not_rank_3)
-        stype = bounded(_splitting_type(atoms), "--named splitting-type")
-        if all(a == 0 for a, _ in atoms):
-            return cls.split(*(b for _, b in atoms))
-        data = cohom.chern_data(expr)
-        return cls(NAMED, ChernPair(data.c1, data.c2), atoms, _atoms_name(atoms), 0, None, stype)
+        return _spec_of_expr(expr, name)
 
     @classmethod
     def chern_only(cls, c1: int, c2: int) -> "BundleSpec":
@@ -175,31 +117,69 @@ class BundleSpec(
     def gamma(self) -> int:
         return self.chern.gamma
 
+    @property
+    def exponents(self) -> tuple[int, ...] | None:
+        """The degrees of the line bundles E splits into, or None when it does not."""
+        atoms = self.atoms  # sorted, so the last atom has the largest a
+        return self.splitting_type if atoms is not None and atoms[-1][0] == 0 else None
+
     def twist(self, t: int) -> "BundleSpec":
         """The spec of E tensor O(t); Z itself is unchanged."""
         bounded((t,), "--twist")
         if t == 0:
             return self
-        # every degree shifts by t; exponents, when present, equal the splitting type
         atoms = None if self.atoms is None else tuple((a, b + t) for a, b in self.atoms)
         stype = None if self.splitting_type is None else tuple(d + t for d in self.splitting_type)
-        return type(self)(
-            self.kind,
-            self.chern.twist(t),
-            atoms,
-            self.name,
-            self.twist_applied + t,
-            None if self.exponents is None else stype,
-            stype,
-        )
+        return type(self)(self.kind, self.chern.twist(t), atoms, self.name, self.twist_applied + t, stype)
 
     def describe(self) -> str:
         if self.kind == SPLIT:
-            return "O(%d)+O(%d)+O(%d)" % self.exponents
+            return "O(%d)+O(%d)+O(%d)" % self.splitting_type
         if self.kind == NAMED:
             base = self.name
             return base if not self.twist_applied else f"{base} (x) O({self.twist_applied})"
         return f"chern ({self.chern.c1}, {self.chern.c2})"
+
+
+def _spec_of_expr(expr, text: str, catalog_id: str | None = None) -> BundleSpec:
+    """The spec of ``expr``, parsed from ``text``: named ``catalog_id`` if given,
+    else a split spec for a sum of line bundles, else named by its atoms."""
+    # normalize refuses a rank of cohom.RANK_CAP or more, or a degree past
+    # cohom.DEGREE_BITS_CAP, at the first node that reaches it, so a sym()
+    # never expands to millions of atoms; the rank is read off the atoms.
+    not_rank_3 = f"{quote_input(text)} is not a catalog id or a rank-3 sheaf expression"
+    try:
+        atoms = tuple(sorted(cohom.normalize(expr)))
+    except DomainError as exc:
+        raise UnknownBundleError(f"{not_rank_3}: {exc}") from exc
+    if sum(a + 1 for a, _ in atoms) != 3:
+        raise UnknownBundleError(not_rank_3)
+    stype = bounded(_splitting_type(atoms), "--named splitting-type")
+    if catalog_id is None and atoms[-1][0] == 0:
+        return BundleSpec.split(*(b for _, b in atoms))
+    data = cohom.chern_data(expr)
+    name = catalog_id or _atoms_name(atoms)
+    return BundleSpec(NAMED, ChernPair(data.c1, data.c2), atoms, name, 0, stype)
+
+
+# The catalog: each id with its sheaf expression, in id order.
+_CATALOG_TEXTS = (
+    ("2O+O(3)", "2O+O(3)"),
+    ("O+O(1)+O(2)", "O+O(1)+O(2)"),
+    ("S2TP2(-1)", "sym(SymT(1,-1),2)"),
+    ("TP2(-1)+O(2)", "SymT(1,-1)+O(2)"),
+    ("TP2+O", "SymT(1,0)+O"),
+    # The normal-bundle sequence 0 -> T -> T_P3|P2 -> O(1) -> 0 splits,
+    # because Ext^1(O(1), T) = H^1(T(-1)) = 0.
+    ("TP3restP2", "SymT(1,0)+O(1)"),
+)
+
+CATALOG: dict[str, BundleSpec] = {
+    name: _spec_of_expr(cohom.parse_sheaf_expr(text), text, name) for name, text in _CATALOG_TEXTS
+}
+
+# The four uniform bundles of splitting type (0,1,2), in their survey order.
+UNIFORM_012_NAMES = ("O+O(1)+O(2)", "TP2+O", "TP2(-1)+O(2)", "S2TP2(-1)")
 
 
 class H0Anticanonical(namedtuple("H0Anticanonical", "value gt1 reason")):
@@ -247,5 +227,6 @@ def h0_anticanonical(spec: BundleSpec) -> H0Anticanonical:
     return H0Anticanonical(None, None, "open-below-gamma-minus-18")
 
 
-def catalog_entries() -> list[CatalogEntry]:
-    return sorted(CATALOG.values(), key=lambda e: e.name)
+def catalog_entries() -> list[BundleSpec]:
+    """The six catalog specs, in id order; each is ``BundleSpec.named`` of its id."""
+    return list(CATALOG.values())

@@ -29,7 +29,7 @@ import re
 import sys
 
 from . import ANALYZE_EXTRA_COLUMNS, SURVEY_COLUMNS, __version__
-from .errors import MAX_SPEC_VALUE, CyconeError, DomainError, bounded, quote_input
+from .errors import MAX_SPEC_VALUE, CyconeError, DomainError, _literal, bounded, quote_input
 
 # Largest emax - emin a survey accepts: 455 split types at the cap.  The
 # row count grows with the cube of the range, so the cap is fixed.
@@ -60,7 +60,9 @@ def _parse_ints(text: str, count: int, what: str) -> tuple[int, ...]:
             f"{what} needs {count} comma-separated integers, got {quote_input(text)}"
         )
     try:
-        return tuple(int(p) for p in parts)
+        return tuple(_literal(p) for p in parts)
+    except DomainError as exc:
+        raise UsageError(f"{what}: {exc}") from exc
     except ValueError as exc:
         raise UsageError(f"{what}: not integers: {quote_input(text)}") from exc
 
@@ -132,7 +134,9 @@ def _parse_filters(filters):
             if key not in ("c1", "c2", "gamma"):
                 raise UsageError(f"unknown filter key {quote_input(key)}")
             try:
-                keyed.append((key, int(value)))
+                keyed.append((key, _literal(value)))
+            except DomainError as exc:
+                raise UsageError(f"filter {quote_input(f)}: {exc}") from exc
             except ValueError as exc:
                 raise UsageError(f"filter {quote_input(f)}: value must be an integer") from exc
         elif (flag := f.strip()) in ("nef", "ample", "big", "tab"):
@@ -174,7 +178,7 @@ def _catalog_cell(value) -> str:
 
 
 def cmd_catalog(args) -> int:
-    from cycone.bundles import BundleSpec, catalog_entries, h0_anticanonical
+    from cycone.bundles import catalog_entries, h0_anticanonical
 
     records = [
         {
@@ -185,7 +189,7 @@ def cmd_catalog(args) -> int:
             "splitting_type": list(spec.splitting_type),
             "h0_minus_k": h0_anticanonical(spec).value,
         }
-        for spec in (BundleSpec.named(e.name) for e in catalog_entries())
+        for spec in catalog_entries()
     ]
     if args.json:
         _emit(json.dumps(records, indent=2), args.out)

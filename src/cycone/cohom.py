@@ -62,6 +62,7 @@ from .errors import (
     DomainError,
     InvariantViolationError,
     UnsupportedExpressionError,
+    _literal,
     quote_input,
 )
 
@@ -474,14 +475,6 @@ _BAD = re.compile(r"[^\s\dA-Za-z()+,*-]")
 # every expression seen in practice stay within 4 levels; the cap keeps a
 # hostile input from exhausting the interpreter's recursion limit.
 MAX_EXPR_DEPTH = 32
-
-
-def _literal(digits: str) -> int:
-    """The value of an integer token; one too long for ``int`` is a DomainError."""
-    try:
-        return int(digits)
-    except ValueError as exc:
-        raise DomainError(f"integer literal of {len(digits)} digits is too long to read") from exc
 
 
 def _tokens(text: str) -> list:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 # Longest input an error message repeats in full; longer inputs are cut to
 # this many characters and their length is given instead.
 ECHO_LIMIT = 40
@@ -48,10 +50,12 @@ class InvariantViolationError(CyconeError):
     """Two independent computations of the same quantity disagree."""
 
 
-# Largest |value| of a Chern number, a splitting exponent or a twist of a
-# spec; every ``BundleSpec`` constructor and ``twist`` check it.  A report
-# factors 9 - 4 gamma by trial division, so unbounded input could run for
-# hours; at this bound every report takes milliseconds.
+# Largest |value| of an input to a spec: each ``BundleSpec`` constructor
+# checks its own inputs and ``twist`` checks t; what a twist derives is not
+# bounded.  A report factors 9 - 4 gamma by trial division, and gamma does
+# not change under a twist and is at least -9 on a spec with atoms (a split
+# one has gamma = sum_{i<j} (e_i - e_j)^2 / 2 >= 0), so the radicand stays
+# at most 120,009 (Chern-only) and every report takes milliseconds.
 MAX_SPEC_VALUE = 10_000
 
 
@@ -63,3 +67,15 @@ def bounded(values: tuple[int, ...], what: str) -> tuple[int, ...]:
             val = v if abs(v) < 10**ECHO_LIMIT else f"of {v.bit_length()} bits"
             raise DomainError(f"{what} value {val} is outside [-{MAX_SPEC_VALUE}, {MAX_SPEC_VALUE}]")
     return values
+
+
+def _literal(text: str) -> int:
+    """``int(text)``, but a literal too long for ``int`` (by default over 4,300
+    digits) is a DomainError; ``int``'s ValueError is left for the caller to word."""
+    try:
+        return int(text)
+    except ValueError as exc:
+        if re.fullmatch(r"\s*[+-]?\d+(?:_\d+)*\s*", text) is None:
+            raise
+        digits = sum(map(str.isdigit, text))
+        raise DomainError(f"integer literal of {digits} digits is too long to read") from exc

@@ -35,9 +35,9 @@ def format_rational(q) -> str:
 def squarefree_decompose(m: int) -> tuple[int, int]:
     """Write m >= 1 as s^2 * n with n squarefree; returns (s, n).
 
-    Trial division, about sqrt(m) steps.  The spec constructors bound every
-    Chern number by ``errors.MAX_SPEC_VALUE``, so the one radicand a report
-    decomposes, 9 - 4 gamma, stays below 120,010: at most about 350 steps.
+    Trial division, about sqrt(m) steps.  The spec bound
+    ``errors.MAX_SPEC_VALUE`` keeps the one radicand a report decomposes,
+    9 - 4 gamma, below 120,010: at most about 350 steps.
     """
     if m < 1:
         raise DomainError(f"squarefree decomposition needs m >= 1, got {m}")

@@ -7,6 +7,7 @@ from math import comb
 import pytest
 
 from cycone.bundles import (
+    _CATALOG_TEXTS,
     CATALOG,
     UNIFORM_012_NAMES,
     BundleSpec,
@@ -25,6 +26,7 @@ from cycone.cohom import (
     cohom_atoms,
     cohom_expr,
     h0_line,
+    parse_sheaf_expr,
     sym_atoms,
 )
 from cycone.errors import MAX_SPEC_VALUE, DomainError, UnknownBundleError
@@ -81,21 +83,39 @@ def test_named_catalog_lookup():
     assert s2.gamma == -9
 
 
-def test_named_catalog_id_is_normalized_once(monkeypatch):
-    import cycone.bundles as bundles
+def test_catalog_ids_are_not_parsed_again(monkeypatch):
     import cycone.cohom as cohom
 
-    # a fresh entry, so that no earlier lookup has filled its cache
-    entry = bundles.CatalogEntry("TP2+O", CATALOG["TP2+O"].expr)
-    monkeypatch.setitem(bundles.CATALOG, "TP2+O", entry)
-    calls, normalize = [], cohom.normalize
-    monkeypatch.setattr(cohom, "normalize", lambda e: calls.append(e) or normalize(e))
-    first = BundleSpec.named("TP2+O")
-    assert calls.count(entry.expr) == 1
-    made = len(calls)
-    assert BundleSpec.named("TP2+O") == first
-    assert len(calls) == made and calls.count(entry.expr) == 1
-    assert first.atoms == ((0, 0), (1, 0)) and first.chern == ChernPair(3, 3)
+    calls = []
+    for fn in ("parse_sheaf_expr", "normalize", "chern_data"):
+        monkeypatch.setattr(cohom, fn, lambda *args, fn=fn: calls.append(fn))
+    for name in CATALOG:
+        for t in range(-3, 4):
+            assert BundleSpec.named(name).twist(t).name == name
+    assert calls == []
+    assert BundleSpec.named("TP2+O") is CATALOG["TP2+O"]
+
+
+# Each id's expression spelled another way, which is not an id: the
+# expression path must build the same bundle.
+RESPELLED = {
+    "O+O(1)+O(2)": "O(2) + O(1) + O",
+    "2O+O(3)": "O + O(3) + O",
+    "TP2+O": " SymT(1,0) + O",
+    "TP2(-1)+O(2)": "O(2) + twist(SymT(1,0), -1)",
+    "S2TP2(-1)": "sym(SymT(1, -1), 2)",
+    "TP3restP2": "O(1) + SymT(1,0)",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RESPELLED))
+def test_catalog_specs_agree_with_the_expression_path(name):
+    spec, other = BundleSpec.named(name), BundleSpec.named(RESPELLED[name])
+    assert other.name != name
+    for a, b in ((spec, other), (spec.twist(2), other.twist(2))):
+        assert (a.atoms, a.chern, a.splitting_type, a.exponents) == (
+            b.atoms, b.chern, b.splitting_type, b.exponents
+        )
 
 
 def test_named_line_bundle_sums_parse_as_split():
@@ -137,8 +157,10 @@ def test_catalog_gamma_values():
 
 
 def test_catalog_entries_sorted():
-    names = [e.name for e in catalog_entries()]
-    assert names == sorted(names)
+    specs = catalog_entries()
+    names = [spec.name for spec in specs]
+    assert names == sorted(names) == [name for name, _ in _CATALOG_TEXTS]
+    assert all(spec is BundleSpec.named(spec.name) for spec in specs)
 
 
 def test_twist_moves_chern_and_type_only():
@@ -210,7 +232,7 @@ def test_h0_anticanonical_matches_euler_restriction():
 
 
 # Hand-typed catalog data: (c1, c2), the splitting type on lines and, for
-# the split ids, the exponents.  The spec reads all three off the entry's
+# the split ids, the exponents.  The spec reads all three off the id's
 # sheaf expression, so these are a second route.
 HAND_TYPED = {
     "O+O(1)+O(2)": ((3, 2), (0, 1, 2), (0, 1, 2)),
@@ -222,14 +244,15 @@ HAND_TYPED = {
 }
 
 
-@pytest.mark.parametrize("entry", catalog_entries(), ids=lambda e: e.name)
-def test_catalog_expressions_match_the_hand_typed_chern_pairs(entry):
-    pair, stype, exponents = HAND_TYPED[entry.name]
-    data = chern_data(entry.expr)
+@pytest.mark.parametrize("name, text", _CATALOG_TEXTS, ids=[name for name, _ in _CATALOG_TEXTS])
+def test_catalog_expressions_match_the_hand_typed_chern_pairs(name, text):
+    pair, stype, exponents = HAND_TYPED[name]
+    expr = parse_sheaf_expr(text)
+    data = chern_data(expr)
     assert (data.rank, data.c1, data.c2) == (3, *pair)
-    assert expr_rank(entry.expr) == 3
-    spec = BundleSpec.named(entry.name)
-    assert (spec.kind, spec.name) == ("named", entry.name)
+    assert expr_rank(expr) == 3
+    spec = BundleSpec.named(name)
+    assert (spec.kind, spec.name) == ("named", name)
     assert (spec.chern, spec.splitting_type, spec.exponents) == (ChernPair(*pair), stype, exponents)
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import cycone
 from cycone import cohom
-from cycone.bundles import CATALOG, BundleSpec
+from cycone.bundles import _CATALOG_TEXTS, BundleSpec
 from cycone.chow import chern_pair_of_split
 from cycone.cohom import (
     MAX_EXPR_DEPTH,
@@ -372,8 +372,8 @@ def test_tables_never_call_riemann_roch(monkeypatch):
         return wrapper
 
     sections = [
-        TwistBy(SymPower(entry.expr, 3), 3 - BundleSpec.named(entry.name).chern.c1)
-        for entry in CATALOG.values()
+        TwistBy(SymPower(parse_sheaf_expr(text), 3), 3 - BundleSpec.named(name).chern.c1)
+        for name, text in _CATALOG_TEXTS
     ]
     assert len(sections) == 6
     monkeypatch.setattr(cohom, "chi_rr", counted(cohom.chi_rr))

@@ -7,7 +7,7 @@ import pickle
 import pytest
 
 from cycone import bundles, chow, cohom, cone, invariants, report
-from cycone.bundles import CATALOG, BundleSpec
+from cycone.bundles import BundleSpec
 from cycone.cohom import (
     CohomologyTable,
     DirectSum,
@@ -24,13 +24,13 @@ from cycone.errors import DomainError, InvariantViolationError
 
 
 def _instances():
-    """One instance of each of the 24 record types, by type name."""
+    """One instance of each of the 23 record types, by type name."""
     spec = BundleSpec.named("SymT(2,0)")  # nef, big, not ample: an exceptional candidate
     rep = report.build_report(spec)
     expr = parse_sheaf_expr("end(twist(sym(SymT(1,0)+O(1),2),1))+dual(O(2))")
     nodes = [expr, expr.parts[0], expr.parts[0].expr, expr.parts[0].expr.expr]
     nodes += [expr.parts[1], expr.parts[1].expr, nodes[-1].expr.parts[0]]
-    found = [rep, *rep, spec.chern, rep.restriction.surface, *nodes, CATALOG["TP2+O"]]
+    found = [rep, *rep, spec.chern, rep.restriction.surface, *nodes]
     found += [chow.gram_matrix(spec.chern), cohom.chern_data(expr), cohom.cohom_expr(expr),
               cone.rationality_verdict(spec, rep.h0_minus_k, rep.k_root)]
     return {type(x).__name__: x for x in found if hasattr(x, "_fields")}
@@ -45,7 +45,7 @@ def test_every_record_type_is_covered():
         name for m in modules for name, obj in vars(m).items()
         if isinstance(obj, type) and obj.__module__ == m.__name__ and hasattr(obj, "_fields")
     }
-    assert len(defined) == 24
+    assert len(defined) == 23
     assert set(RECORDS) == defined
 
 
@@ -119,7 +119,7 @@ def test_nodes_compare_by_type_as_well_as_value():
 
 def test_bundle_spec_equality_ignores_the_stored_facts():
     spec = BundleSpec.split(0, 1, 2)
-    other = spec._replace(exponents=None, splitting_type=(9, 9, 9))
+    other = spec._replace(splitting_type=(9, 9, 9))
     assert other == spec and not other != spec
     assert hash(other) == hash(spec)
     assert repr(other) == repr(spec)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycone import chow, cli, exactnum, invariants, report, selftest
+from cycone import chow, cli, errors, exactnum, invariants, report, selftest
 from cycone.bundles import BundleSpec, catalog_entries
 from cycone.errors import InvariantViolationError
 from cycone.report import (
@@ -100,7 +100,7 @@ def test_report_h12_suppressed_when_rho_known_not_two():
 ROUNDTRIP_SPECS = (
     [BundleSpec.split(*e) for e in combinations_with_replacement(range(-4, 5), 3)]
     + [BundleSpec.chern_only(c.c1, c.c2) for c in selftest.CHERN_GRID]
-    + [BundleSpec.named(e.name).twist(t) for e in catalog_entries() for t in range(-3, 4)]
+    + [spec.twist(t) for spec in catalog_entries() for t in range(-3, 4)]
     # the five homogeneous classes by their own names, which the parser reads
     + [
         BundleSpec.named(name).twist(t)
@@ -225,6 +225,24 @@ def test_cli_analyzes_a_twisted_spec_at_the_bound(argv):
     rep = build_report(cli._spec_from_args(cli._parse_argv(["analyze", *argv])))
     assert abs(rep.spec.twist_applied) == cli.MAX_SPEC_VALUE
     assert report.report_to_json(rep) + "\n" == out
+
+
+@pytest.mark.parametrize(
+    "argv, cells",
+    [
+        (["--split=10000,10000,10000", "--twist", "10000"], ["20000"] * 3 + ["60000", "1200000000"]),
+        (["--chern=10000,-10000", "--twist=10000"], [""] * 3 + ["40000", "499990000"]),
+    ],
+    ids=["split", "chern"],
+)
+def test_cli_twist_derives_values_past_the_bound(argv, cells):
+    # the bound holds each input and t, not what the twist derives; gamma and
+    # so the radicand 9 - 4 gamma do not change under a twist
+    start = time.perf_counter()
+    code, out, err = run_main(["analyze", *argv, "--tsv"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].split("\t")[:5] == cells
 
 
 def test_tab_admissible_flag():
@@ -568,6 +586,40 @@ def test_cli_rejects_named_integer_literal_too_long_to_read(expr):
     assert code == 1
     assert err.startswith("cycone: usage error: unknown bundle")
     assert len(err.encode()) < 300
+
+
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [
+        (["analyze", "--split=" + "9" * 5000 + ",0,0"], "--split: "),
+        (["analyze", "--chern=0," + "9" * 5000], "--chern: "),
+        (["survey", "--emin", "0", "--emax", "1", "--filter", "c2=" + "9" * 5000], "filter 'c2=999"),
+    ],
+    ids=["split", "chern", "filter"],
+)
+def test_cli_option_integer_literal_too_long_to_read(argv, prefix):
+    code, out, err = run_main(argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"cycone: usage error: {prefix}")
+    assert err.endswith(": integer literal of 5000 digits is too long to read\n")
+    assert len(err.encode()) < 300
+
+
+@pytest.mark.parametrize(
+    "text", [" -12 ", "+7", "1_000", "0" * 4000 + "5"], ids=["spaced", "plus", "underscore", "long"]
+)
+def test_literal_reads_what_int_reads(text):
+    assert errors._literal(text) == int(text)
+
+
+@pytest.mark.parametrize(
+    "text", ["x", "--5", "1__2", "_1", "1.0", "9" * 5000 + "x"],
+    ids=["letter", "two-signs", "two-underscores", "leading-underscore", "float", "long"],
+)
+def test_literal_leaves_a_non_integer_to_its_caller(text):
+    with pytest.raises(ValueError) as exc:
+        errors._literal(text)
+    assert not isinstance(exc.value, errors.DomainError)
 
 
 @pytest.mark.parametrize(
@@ -982,7 +1034,7 @@ def test_boundary_root_check_reads_each_integer_off_the_chow_ring(field, monkeyp
 
 def test_text_and_json_write_the_same_root():
     # the text report's k and c2 boundary value carry the JSON's canonical parts
-    specs = [BundleSpec.named(e.name) for e in catalog_entries()]
+    specs = catalog_entries()
     specs += [BundleSpec.chern_only(c1, c2) for c1, c2 in ROOT_PAIRS[::97]]
     for spec in specs:
         rep = build_report(spec)
