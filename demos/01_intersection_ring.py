@@ -62,7 +62,7 @@ gram = chow.gram_matrix(c)
 print("Gram matrix:", gram.entries, "det =", gram.det)
 
 # Hypersurface data: c2(X) pairings and the Euler number c3(X), as point
-# integrals of the adjunction lift of c(T_X) times [X] = -K_Z.
+# integrals of c(T_X) . [X] = c(T_Z) times -K_Z (1 + K + K^2 + K^3).
 x = invariants.engine_pairings(c)
 print("O_X(1) . c2(X) =", x.o1_c2)
 print("pi*h   . c2(X) =", x.h_c2, "(36 for every bundle)")

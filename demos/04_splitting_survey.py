@@ -10,13 +10,15 @@ facts appear in the data:
 """
 
 from collections import Counter
+from itertools import combinations_with_replacement
 
 from cycone import cone
 from cycone.bundles import BundleSpec
 from cycone.report import SURVEY_COLUMNS, analyze_row_cells, build_report
-from cycone.chow import split_types
 
-reports = [build_report(BundleSpec.split(*t)) for t in split_types(-4, 4)]
+# every monotone exponent triple with entries in [-4, 4]
+types = combinations_with_replacement(range(-4, 5), 3)
+reports = [build_report(BundleSpec.split(*t)) for t in types]
 print(f"{len(reports)} split types with exponents in [-4, 4]")
 
 nef_rows = [r for r in reports if r.minus_k.nef]

@@ -27,18 +27,15 @@ The engine reads tables built at import, so no term of a product computes
 a slot, a binomial or a test of whether it survives: ``_PRODUCTS[a]``
 lists the (b, slot) pairs whose product with monomial a survives, and
 ``_power_sum`` and ``tangent_total`` read their (slot, exponent, binomial)
-terms from ``_POWER_TERMS`` and ``_TWISTED_TERMS``.  The adjunction lift
-c(T_Z) * (1 + K + K^2 + K^3) stops at degree 3 (``_PRODUCTS_TO_3``): its
-one reader multiplies it by -K_Z and integrates, which sees degrees up to
-3 only (degree 4 would be c4(X) = 0).  So no product of degree 4 is formed
-there.
+terms from ``_POWER_TERMS`` and ``_TWISTED_TERMS``.  Adjunction on X in
+|-K_Z| is one product too: ``cy_chern_pushforward`` expands c(T_Z) by
+-K_Z (1 + K + K^2 + K^3), whose degree-2 part c1(X) . [X] must vanish.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from itertools import combinations_with_replacement
 
 from .errors import InvariantViolationError
 
@@ -60,10 +57,6 @@ _PRODUCTS = tuple(
         if (i1 + i2, j1 + j2) in _SLOT
     )
     for (i1, j1) in _REDUCIBLE
-)
-# the same pairs, keeping only products of degree at most 3 (the lift's)
-_PRODUCTS_TO_3 = tuple(
-    tuple((b, slot) for b, slot in row if sum(_REDUCIBLE[slot]) <= 3) for row in _PRODUCTS
 )
 # _OF_DEGREE[d]: (slot, xi-exponent) of every monomial of degree d
 _OF_DEGREE = tuple(
@@ -115,17 +108,16 @@ def as_integer(q) -> int:
     raise InvariantViolationError(f"expected an integer, got {q!r}")
 
 
-def expand(x, y, products=_PRODUCTS) -> list:
+def expand(x, y) -> list:
     """The product x * y of two expansions, on all twelve slots, with no
-    relation applied.  ``products`` is the table of surviving pairs;
-    ``_PRODUCTS_TO_3`` keeps the product's degree-<=3 part only.  The loop
-    runs over the nonzero entries of x, so the sparser factor goes first."""
+    relation applied.  The loop runs over the nonzero entries of x, so the
+    sparser factor goes first."""
     if len(y) < len(_REDUCIBLE):
         y = (*y, *_ZEROS[len(y):])
     out = [0] * len(_REDUCIBLE)
-    for a, xa in enumerate(x):
+    for xa, row in zip(x, _PRODUCTS):
         if xa:
-            for b, slot in products[a]:
+            for b, slot in row:
                 yb = y[b]
                 if yb:
                     out[slot] += xa * yb
@@ -185,25 +177,20 @@ def euler_number(c: ChernPair) -> int:
     return as_integer(integral(tangent_total(c), c))
 
 
-def _adjunction_lift(c: ChernPair) -> list:
-    """c(T_Z) * (1 + K + K^2 + K^3) with K = K_Z, in degrees <= 3, which
-    restricts to c(T_X) on X in |-K_Z| (adjunction).  The powers of K are
-    written binomially, so the lift takes two expansions.  Degree 4 is never
-    formed: the lift is multiplied by -K_Z and integrated
-    (``cy_chern_pushforward``), and c4(X) = 0 anyway.  Its degree-1 part
-    must cancel exactly (X is Calabi-Yau); that cancellation is asserted.
-    """
-    _, a, b = anticanonical(c)  # K = -a xi - b H
-    lift = expand(tangent_total(c), _power_sum(-a, -b, range(4)), _PRODUCTS_TO_3)
-    if lift[1] or lift[2]:
-        raise InvariantViolationError("adjunction did not cancel c1 on the hypersurface")
-    return lift
-
-
 def cy_chern_pushforward(c: ChernPair) -> list:
-    """c(T_X) . [X] on Z as an expansion: the adjunction lift times -K_Z.
-    Its ``integral`` against xi^i H^j integrates xi^i H^j c_(3-i-j)(X) over X."""
-    return expand(anticanonical(c), _adjunction_lift(c))
+    """c(T_X) . [X] on Z as an expansion: by adjunction on X in |-K_Z|, the
+    product of -K_Z (1 + K + K^2 + K^3), K = K_Z, and c(T_Z), whose degree-5
+    term ``expand`` drops.  Its ``integral`` against xi^i H^j integrates
+    xi^i H^j c_(3-i-j)(X) over X.  Its degree-2 part c1(X) . [X] must cancel
+    exactly (X is Calabi-Yau); that cancellation is asserted.
+    """
+    _, a, b = anticanonical(c)  # d = -K_Z = a xi + b H
+    # d - d^2 + d^3 - d^4, the negated power sum of -d = K; it has no degree-0
+    # term, so it is the sparser factor
+    x = expand([-v for v in _power_sum(-a, -b, range(1, 5))], tangent_total(c))
+    if x[3] or x[4] or x[5]:
+        raise InvariantViolationError("adjunction did not cancel c1 on the hypersurface")
+    return x
 
 
 class GramMatrix(namedtuple("GramMatrix", "entries det")):
@@ -262,7 +249,3 @@ def exceptional_surface_class(c: ChernPair) -> ExceptionalSurfaceClass:
 def chern_pair_of_split(e1: int, e2: int, e3: int) -> ChernPair:
     return ChernPair(e1 + e2 + e3, e1 * e2 + e1 * e3 + e2 * e3)
 
-
-def split_types(emin: int, emax: int):
-    """All monotone exponent triples with entries in [emin, emax]."""
-    return list(combinations_with_replacement(range(emin, emax + 1), 3))

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import re
 import sys
 
@@ -147,7 +146,8 @@ def _parse_filters(filters):
 
 
 def cmd_survey(args) -> int:
-    import cycone.chow as chow
+    from itertools import combinations_with_replacement
+
     import cycone.report as report
 
     try:
@@ -160,9 +160,12 @@ def cmd_survey(args) -> int:
     if args.emax - args.emin > MAX_RANGE:
         raise UsageError(f"range size {args.emax - args.emin} exceeds the cap {MAX_RANGE}")
     keyed, flags = _parse_filters(args.filter)
-    types = chow.split_types(args.emin, args.emax)  # already lexicographically sorted
+    # every monotone exponent triple in [emin, emax], lexicographically sorted
+    types = list(combinations_with_replacement(range(args.emin, args.emax + 1), 3))
     lines = []
     if args.meta:
+        import json
+
         lines.append(json.dumps({"meta": _meta_block()}) if args.json else _meta_comment())
     if not args.json:
         lines.append("\t".join(SURVEY_COLUMNS))
@@ -178,6 +181,8 @@ def _catalog_cell(value) -> str:
 
 
 def cmd_catalog(args) -> int:
+    import json
+
     from cycone.bundles import catalog_entries, h0_anticanonical
 
     records = [

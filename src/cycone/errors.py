@@ -60,8 +60,12 @@ MAX_SPEC_VALUE = 10_000
 
 
 def bounded(values: tuple[int, ...], what: str) -> tuple[int, ...]:
-    """``values``, each of which must lie in [-MAX_SPEC_VALUE, MAX_SPEC_VALUE]."""
+    """``values``, each of which must be an ``int`` in [-MAX_SPEC_VALUE,
+    MAX_SPEC_VALUE]; any other type, a whole float included, is refused by
+    its type name (the str of a huge ``Fraction`` would raise)."""
     for v in values:
+        if type(v) is not int:
+            raise DomainError(f"{what} value of type {type(v).__name__} is not an integer")
         if abs(v) > MAX_SPEC_VALUE:
             # too long to quote (and str() raises past 4300 digits): give the size
             val = v if abs(v) < 10**ECHO_LIMIT else f"of {v.bit_length()} bits"

@@ -3,9 +3,10 @@
 Every pairing on X is computed twice: through the ambient Chow engine and
 through closed forms; the two routes must agree exactly or an
 InvariantViolationError is raised.  The engine route takes each pairing
-as a point integral (``chow.integral``) of one unreduced expansion of the
-adjunction lift times [X] = -K_Z, with no reduction table.  The
-closed forms are, with gamma = c1^2 - 3 c2:
+as a point integral (``chow.integral``) of c(T_X) . [X], the one unreduced
+product of c(T_Z) and -K_Z (1 + K + K^2 + K^3) that adjunction gives
+(``chow.cy_chern_pushforward``), with no reduction table.  The closed
+forms are, with gamma = c1^2 - 3 c2:
 
     O_X(1)^3          = gamma + c1^2 + 3 c1
     O_X(1)^2 . pi*h   = 2 c1 + 3

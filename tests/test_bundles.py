@@ -1,6 +1,7 @@
 """Bundle specs, the named catalog, and anticanonical section counts."""
 
 import time
+from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 from math import comb
 
@@ -63,6 +64,24 @@ def test_chern_only_spec():
 )
 def test_spec_constructors_refuse_values_past_the_bound(build, label):
     with pytest.raises(DomainError, match=f"^{label} value .* is outside"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build, label",
+    [
+        (lambda: BundleSpec.chern_only(1e300, 0), "--chern"),
+        (lambda: BundleSpec.chern_only(float("nan"), 0), "--chern"),
+        (lambda: BundleSpec.chern_only(1.5, 2), "--chern"),
+        (lambda: BundleSpec.chern_only(3, Fraction(2)), "--chern"),
+        (lambda: BundleSpec.split(0.0, 1, 2), "--split"),
+        (lambda: BundleSpec.split(0, 1, 2).twist(1.0), "--twist"),
+    ],
+    ids=["chern-huge-float", "chern-nan", "chern-float", "chern-fraction", "split-float", "twist-float"],
+)
+def test_spec_constructors_refuse_non_integer_values(build, label):
+    # a whole float is refused too: the engine would take it for a broken invariant
+    with pytest.raises(DomainError, match=f"^{label} value of type .* is not an integer"):
         build()
 
 

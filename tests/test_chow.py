@@ -336,19 +336,34 @@ def _uncut_lift(c):
     return expand(tangent_total(c), total)
 
 
-# slots of the expansion by degree: at most 3, and exactly 4
-LOW = [k for k, (i, j) in enumerate(SLOTS) if i + j <= 3]
-TOP = [k for k, (i, j) in enumerate(SLOTS) if i + j == 4]
-
-
-def test_cut_lift_is_the_uncut_lift_up_to_degree_3():
+def test_pushforward_is_minus_k_times_the_uncut_lift():
+    # slot for slot, on int and Fraction pairs: the binomial powers of K and
+    # the degree-5 term that the product drops change no slot
     fractions = [ChernPair(Fraction(p, 3), Fraction(q, 2)) for p in (-7, 1, 5) for q in (-3, 0, 9)]
     for c in GRID + fractions:
-        lift, uncut = chow._adjunction_lift(c), _uncut_lift(c)
-        assert [lift[k] for k in LOW] == [uncut[k] for k in LOW], c
-        assert [lift[k] for k in TOP] == [0, 0, 0]
-    # the uncut lift has a degree-4 part that the cut one leaves out
-    assert any(_uncut_lift(c)[k] for c in GRID for k in TOP)
+        x = chow.cy_chern_pushforward(c)
+        assert x == expand(anticanonical(c), _uncut_lift(c)), c
+        assert degree_part(x, 2) == slots()  # c1(X) . [X] cancels
+    # the uncut lift has a degree-4 part, which the product drops
+    assert any(degree_part(_uncut_lift(c), 4) != slots() for c in GRID)
+
+
+@pytest.mark.parametrize("slot", [1, 2], ids=["xi", "H"])
+def test_a_tampered_c1_of_tz_breaks_adjunction(slot, monkeypatch):
+    # c1(T_Z) off by one xi or one H, all else unchanged: c1(X) . [X] is no
+    # longer 0, so the product's degree-2 part does not cancel
+    true_total = chow.tangent_total
+
+    def tampered(c):
+        total = true_total(c)
+        total[slot] += 1
+        return total
+
+    monkeypatch.setattr(chow, "tangent_total", tampered)
+    c = ChernPair(3, 2)
+    for route in (chow.cy_chern_pushforward, invariants.engine_pairings):
+        with pytest.raises(InvariantViolationError, match="adjunction"):
+            route(c)
 
 
 def test_pushforward_integrals_are_the_pairings_on_x():
@@ -394,7 +409,7 @@ def test_tangent_chern_closed_forms():
 
 def _c2_of_x(c):
     """The degree-2 part of the adjunction lift, whose restriction to X is c2(X)."""
-    return degree_part(chow._adjunction_lift(c), 2)
+    return degree_part(_uncut_lift(c), 2)
 
 
 def _pair_on_x(u, v, c):
@@ -404,7 +419,7 @@ def _pair_on_x(u, v, c):
 
 def _c3_of_x(c):
     """The Euler number of X, integrated through the ambient ring."""
-    c3_lift = degree_part(chow._adjunction_lift(c), 3)
+    c3_lift = degree_part(_uncut_lift(c), 3)
     return as_integer(integral(expand(anticanonical(c), c3_lift), c))
 
 
@@ -422,7 +437,7 @@ def test_euler_number_is_nine(c):
 
 def test_integer_input_keeps_int_coefficients():
     for c in GRID[::7]:
-        for p in (tangent_total(c), chow._adjunction_lift(c), chow.cy_chern_pushforward(c)):
+        for p in (tangent_total(c), _uncut_lift(c), chow.cy_chern_pushforward(c)):
             assert all(type(v) is int for v in p), p
 
 

@@ -881,8 +881,8 @@ def test_build_report_evaluates_closed_forms_once(monkeypatch):
     [BundleSpec.split(0, 1, 2), BundleSpec.named("TP2+O"), BundleSpec.chern_only(3, 6)],
     ids=["split", "catalog", "chern-only"],
 )
-def test_build_report_forms_three_expansions(spec, monkeypatch):
-    # c(T_Z), its adjunction lift and the lift times -K_Z; every other
+def test_build_report_forms_two_expansions(spec, monkeypatch):
+    # c(T_Z), and c(T_Z) times -K_Z (1 + K + K^2 + K^3); every other
     # number of the report is a point integral or a closed form
     calls = {"expand": 0}
 
@@ -893,7 +893,7 @@ def test_build_report_forms_three_expansions(spec, monkeypatch):
     original = chow.expand
     monkeypatch.setattr(chow, "expand", counted)
     build_report(spec)
-    assert calls == {"expand": 3}
+    assert calls == {"expand": 2}
 
 
 def test_cli_catalog_contents():

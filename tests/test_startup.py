@@ -69,6 +69,16 @@ def test_building_the_parser_loads_no_engine():
     assert loaded_after("from cycone import cli; cli.build_parser()") == FRONT
 
 
+def test_building_the_parser_loads_no_json():
+    """Only ``catalog`` and ``survey --meta`` write JSON from the CLI, so they
+    import it; the baseline is a bare interpreter, whose site hooks may load it."""
+    every_module = "print(repr(sorted(sys.modules)))"
+    bare = run_python(f"import sys\n{every_module}")
+    parser = run_python(f"import sys\nfrom cycone import cli; cli.build_parser()\n{every_module}")
+    new = set(ast.literal_eval(parser)) - set(ast.literal_eval(bare))
+    assert {m for m in new if m == "json" or m.startswith("json.")} == set()
+
+
 def test_every_traced_layer_is_loaded_by_the_benchmark_imports():
     # perfbench's tracer looks each module of its LAYERS up in sys.modules
     # once the workloads have imported cycone, cycone.cli and cycone.cohom,
