@@ -22,7 +22,7 @@ The pieces, all in exact arithmetic:
 * the restriction-equality classification K(X) = K(Z)|X (Kollar case,
   canonical-side case, or an exceptional-surface candidate whose class is
   pinned numerically);
-* the rationality verdict, h^0(-K_Z) > 1 then a rational root, with a trail.
+* the rationality verdict, h^0(-K_Z) > 1 or open, with a trail.
 
 Each is a function of the facts it decides from, and no result relays
 another: the -K_Z status reads the spec alone, and the verdict carries no
@@ -245,34 +245,25 @@ class RationalityResult(namedtuple("RationalityResult", "verdict trail")):
         return cls(*values)
 
 
-def rationality_verdict(
-    spec: BundleSpec, h0: H0Anticanonical, root: BoundaryRoot | None = None
-) -> RationalityResult:
+def rationality_verdict(h0: H0Anticanonical) -> RationalityResult:
     """Is the boundary of the Kahler cone of X spanned by rational classes?
 
-    Decision procedure (first match wins), under the standing rho(X) = 2
-    hypothesis; ``report.build_report`` flags a spec that contradicts it:
+    Under the standing rho(X) = 2 hypothesis (``report.build_report`` flags
+    a spec that contradicts it), h^0(-K_Z) > 1 makes the boundary rational;
+    ``h0_anticanonical`` answers it on every spec with gamma >= -18
+    (c3(X) <= -54).  Otherwise the verdict is open: this is exactly the
+    h^0(-K_Z) = 1 territory.
 
-    1. h^0(-K_Z) > 1: the boundary is rational.  ``h0_anticanonical``
-       answers it on every spec with gamma >= -18 (c3(X) <= -54).
-    2. a rational root of D^3 = 0 on the ray: boundary rays off the cubic
-       {D^3 = 0} are rational, and the rational root covers the rays on it
-       (conditional on the boundary lying in that cubic, which the report
-       warns of).  With a spec's own ``h0`` a real root exists here: there is
-       none only for gamma >= 3 (9 - 4 gamma < 0), which clause 1 decides.
-    3. otherwise open: this is exactly the h^0(-K_Z) = 1 territory.
-
-    A hand-built ``h0`` with ``gt1`` None goes on to clause 2 at any gamma.
-    ``root`` is the OZ3 boundary root when the caller holds it; otherwise it
-    is solved only if clause 1 does not decide.
+    No clause reads the boundary root, by the root lemma: the root is
+    rational only when 9 - 4 gamma is a square, and for an attainable gamma
+    (gamma = c1^2 mod 3, so never 2 mod 3) that is gamma = -9 j (j + 1).
+    j = 0 and j = 1 give gamma = 0 and -18, which h^0(-K_Z) > 1 decides;
+    every other such gamma is at most -54, where c3(X) = -6 gamma - 162 > 4,
+    while rho(X) = 2 forces c3(X) = 2 (2 - h12) <= 4.
     """
     if h0.gt1 is True:
         # the trail records how the section bound was established
         if h0.reason == "exact":
             return RationalityResult(RATIONAL, ("h0-minus-k-gt-1",))
         return RationalityResult(RATIONAL, ("gamma-ge-minus-18", "h0-minus-k-gt-1"))
-    if root is None:
-        root = boundary_root(spec.chern)
-    if root.is_rational:
-        return RationalityResult(RATIONAL, ("rational-cubic-root",))
     return RationalityResult(UNKNOWN, ())

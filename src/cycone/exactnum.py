@@ -1,7 +1,10 @@
-"""Exact scalars: rationals, square-free parts, and quadratic numbers on integers.
+"""Exact scalars on integers: the "p/q" writer, square-free parts, and
+quadratic numbers.
 
-Rationals are ``fractions.Fraction``, which is already canonical (reduced,
-positive denominator); ``format_rational`` writes one as "p/q".
+Every rational value the engine computes is an ``int`` (chi on X and the
+section bounds included), and ``format_rational`` writes one as "p/1", the
+report's form of an exact rational.  A proper ratio appears only inside a
+quadratic number, as the reduced integer pair (p, q) of ``quad_parts``.
 
 The one irrational number this problem meets is the Kahler-cone boundary
 root and what is computed from it.  Every such number is
@@ -18,18 +21,18 @@ comparison.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, isqrt
 
 from .errors import DomainError
 
 
-def format_rational(q) -> str:
-    """Serialize an int or Fraction as the canonical 'p/q' string (always
-    with /q); anything else, a float included, is refused, not rounded."""
-    if not isinstance(q, (int, Fraction)):
-        raise DomainError(f"not an exact rational: {q!r}")
-    return f"{q.numerator}/{q.denominator}"
+def format_rational(q: int) -> str:
+    """Serialize an int as the canonical 'p/q' string, "p/1"; anything
+    else, a float, a bool or a ``Fraction`` included, is refused, not
+    rounded."""
+    if type(q) is not int:
+        raise DomainError(f"not an exact integer: {q!r}")
+    return f"{q}/1"
 
 
 def squarefree_decompose(m: int) -> tuple[int, int]:
@@ -60,7 +63,7 @@ def is_perfect_square(m: int) -> bool:
 
 
 def _ratio(p: int, q: int) -> tuple[int, int]:
-    """p/q reduced, with the sign on p, as in a Fraction."""
+    """p/q reduced, with q > 0 and the sign on p."""
     g = gcd(p, q) if q > 0 else -gcd(p, q)
     return p // g, q // g
 

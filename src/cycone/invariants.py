@@ -16,14 +16,14 @@ forms are, with gamma = c1^2 - 3 c2:
     c3(X)             = -6 gamma - 162      (so rho = 2 forces gamma >= -27)
 
 Riemann-Roch on X is written once, in ``chi_on_cy``: chi(m D|X) =
-(2 m^3 D^3 + m D.c2(X)) / 12 from these pairings, one ``Fraction`` per
-call; ``section_bounds`` takes its chi(O_X(1)) from there.
+(2 m^3 D^3 + m D.c2(X)) / 12 from these pairings, an ``int`` whose
+divisibility by 12 is checked on every call; ``section_bounds`` takes its
+chi(O_X(1)) from there.  Every value here is an integer.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
 import cycone.chow as chow
 from .bundles import BundleSpec
@@ -79,27 +79,33 @@ def cy_invariants(c: ChernPair) -> XPairings:
     return closed
 
 
-def chi_on_cy(p: XPairings, d: tuple[int, int], m: int) -> Fraction:
+def chi_on_cy(p: XPairings, d: tuple[int, int], m: int) -> int:
     """Riemann-Roch on X: chi(m D|X) = (2 m^3 D^3 + m D.c2(X)) / 12 for
     D = alpha O_X(1) + beta pi*h, from the pairings ``p`` of X; no
     quadratic or constant term since K_X = 0.
 
     Equals h^0 when D|X is ample (Kodaira vanishing, K_X = 0); knowing
-    ampleness is the caller's business.
+    ampleness is the caller's business.  Raises InvariantViolationError
+    when 12 does not divide the numerator, which the pairings of X rule out.
     """
     alpha, beta = d
     cube = alpha * (
         alpha * alpha * p.o1_cubed + 3 * alpha * beta * p.o1_sq_h + 3 * beta * beta * p.o1_fiber
     )
-    return Fraction(2 * m**3 * cube + m * (alpha * p.o1_c2 + beta * p.h_c2), 12)
+    chi, rest = divmod(2 * m**3 * cube + m * (alpha * p.o1_c2 + beta * p.h_c2), 12)
+    if rest:
+        raise InvariantViolationError(
+            f"Riemann-Roch on X produced a non-integer chi for D = {d}, m = {m}"
+        )
+    return chi
 
 
 class SectionBounds(
     namedtuple(
         "SectionBounds",
         [
-            "lower_bound_o1_minus_h",  # Fraction: h^0(O_X(1) - pi*h) is at least this
-            "chi_o1",                  # Fraction: chi(O_X(1)) = h^0 under ampleness
+            "lower_bound_o1_minus_h",  # h^0(O_X(1) - pi*h) is at least this
+            "chi_o1",                  # chi(O_X(1)) = h^0 under ampleness
             "normal_bound",            # h^0(N_{X|Z}) >= 5*gamma + 91
             "c1_ge_minus_1",           # necessary once the hypotheses hold
             "positive_bound_forces_c1_ge_1",
@@ -115,12 +121,12 @@ class SectionBounds(
 
 def section_bounds(c: ChernPair, p: XPairings) -> SectionBounds:
     """The section bounds of ``c``, given its pairings ``p``: the lower
-    bound gamma/3 + c1^2/6 + c1/2 is one integer over 6, and chi(O_X(1)) is
-    ``chi_on_cy`` at D = O_X(1), m = 1."""
+    bound gamma/3 + c1^2/6 + c1/2 is lb/6 with lb = 6 ((c1^2 + c1)/2 - c2),
+    an integer, and chi(O_X(1)) is ``chi_on_cy`` at D = O_X(1), m = 1."""
     g = c.gamma
     lb = 2 * g + c.c1 * c.c1 + 3 * c.c1
     return SectionBounds(
-        lower_bound_o1_minus_h=Fraction(lb, 6),
+        lower_bound_o1_minus_h=lb // 6,
         chi_o1=chi_on_cy(p, (1, 0), 1),
         normal_bound=5 * g + 91,
         c1_ge_minus_1=c.c1 >= -1,

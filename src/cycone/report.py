@@ -98,36 +98,33 @@ def tab_admissible(spec: BundleSpec) -> bool | None:
     return None if stype is None else cone.is_allowed_splitting_type(*stype)
 
 
-def _stages(spec: BundleSpec, root: BoundaryRoot | None = None):
+def _stages(spec: BundleSpec):
     """h^0(-K_Z), the -K_Z status, rho and the verdict of ``spec``, each
-    from the facts it decides from; ``root`` is the OZ3 boundary root when
-    the caller holds it."""
+    from the facts it decides from."""
     h0 = h0_anticanonical(spec)
     minus_k = cone.anticanonical_status(spec)
     rho = invariants.rho_of_x(spec, minus_k)
-    return h0, minus_k, rho, cone.rationality_verdict(spec, h0, root)
+    return h0, minus_k, rho, cone.rationality_verdict(h0)
 
 
 def build_report(spec: BundleSpec) -> AnalysisReport:
     """One evaluation pass: each fact is computed once and handed on.
 
-    The boundary root is solved once, in the OZ3 normalization; the verdict
-    and the c2 cross-check both take it as is.  The report owns all
-    caveats: the stages decide, and the warnings are written here.
+    The boundary root is solved once, in the OZ3 normalization, and the c2
+    cross-check takes it as is.  The report owns all caveats: the stages
+    decide, and the warnings are written here.
     """
     c = spec.chern
     pairings = invariants.cy_invariants(c)
     k_root = cone.boundary_root(c)
-    h0, minus_k, rho, verdict = _stages(spec, k_root)
+    h0, minus_k, rho, verdict = _stages(spec)
     bounds = invariants.section_bounds(c, pairings)
     g = spec.gamma
 
     warnings = []
     if rho.value not in (None, 2):
         warnings.append(f"rho(X) = {rho.value} contradicts the rho(X) = 2 hypothesis")
-    if verdict.trail == ("rational-cubic-root",):
-        warnings.append("conditional-on-boundary-in-cubic")
-    elif verdict.verdict == cone.UNKNOWN:
+    if verdict.verdict == cone.UNKNOWN:
         warnings.append("h0(-K_Z) may equal 1; open territory")
     h12 = 3 * g + 83 if rho.value in (None, 2) else None
     if rho.value is None:

@@ -261,4 +261,4 @@ def test_verdicts_of_chern_only_specs_on_both_sides_of_gamma_minus_27():
         (R, ("gamma-ge-minus-18", "h0-minus-k-gt-1")): 337,
         ("Unknown", ()): 21,
     }
-    assert _outcomes(below)[1] == {(R, ("rational-cubic-root",)): 6, ("Unknown", ()): 336}
+    assert _outcomes(below)[1] == {("Unknown", ()): 342}

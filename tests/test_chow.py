@@ -125,7 +125,7 @@ def test_reduce_xi_fourth_is_top_form():
     assert 81 * 7 == minus_k_quartic(c)  # -K_Z = 3 xi here
 
 
-@settings(max_examples=60)
+@settings(max_examples=60, deadline=None)
 @given(chern_pairs)
 def test_reduction_confluence(c):
     # xi and H times the reduced xi^3 integrate like xi^4 and xi^3 H
@@ -148,7 +148,7 @@ def test_reduce_monomial_matches_recursive_reference():
 # --- products ----------------------------------------------------------------
 
 
-@settings(max_examples=60)
+@settings(max_examples=60, deadline=None)
 @given(coeffs_strategy(), coeffs_strategy(), chern_pairs)
 def test_table_mul_matches_recursive_reference(x, y, c):
     ref = _reference_mul(x, y, c)
@@ -168,26 +168,26 @@ def test_xi_cubed_times_h():
     assert integral(expand(monomial(3, 0), H), c) == 3  # equals c1
 
 
-@settings(max_examples=40)
+@settings(max_examples=40, deadline=None)
 @given(expansion_strategy(), expansion_strategy())
 def test_ring_commutativity(x, y):
     assert expand(x, y) == expand(y, x)
 
 
-@settings(max_examples=30)
+@settings(max_examples=30, deadline=None)
 @given(expansion_strategy(), expansion_strategy(), expansion_strategy())
 def test_ring_associativity(x, y, z):
     assert expand(expand(x, y), z) == expand(x, expand(y, z))
 
 
-@settings(max_examples=30)
+@settings(max_examples=30, deadline=None)
 @given(expansion_strategy(), expansion_strategy(), expansion_strategy())
 def test_ring_distributivity(x, y, z):
     total = expand(x, [a + b for a, b in zip(y, z)])
     assert total == [a + b for a, b in zip(expand(x, y), expand(x, z))]
 
 
-@settings(max_examples=30)
+@settings(max_examples=30, deadline=None)
 @given(expansion_strategy(), expansion_strategy(), st.integers(min_value=0, max_value=12))
 def test_expand_reads_a_short_factor_as_zero_padded(x, y, n):
     # a factor may stop early: the slots it leaves out are 0
@@ -235,7 +235,7 @@ def _intersect4_oracle(factors, c):
     return total
 
 
-@settings(max_examples=60)
+@settings(max_examples=60, deadline=None)
 @given(
     st.lists(
         st.tuples(
@@ -267,7 +267,7 @@ _COEFFS = {
 
 
 @pytest.mark.parametrize("kind", sorted(_COEFFS))
-@settings(max_examples=40)
+@settings(max_examples=40, deadline=None)
 @given(data=st.data(), c=chern_pairs)
 def test_intersect4_matches_ring_route(kind, data, c):
     coeff = _COEFFS[kind]
@@ -291,14 +291,14 @@ def test_minus_k_quartic_at_3_2():
 # --- one expansion: numbers from the point integrals -----------------------------
 
 
-@settings(max_examples=60)
+@settings(max_examples=60, deadline=None)
 @given(coeffs_strategy(), coeffs_strategy(), st.sampled_from(MONOMIALS), chern_pairs)
 def test_integral_of_expansion_matches_reduced_product(x, y, m, c):
     # integrating against xi^i H^j is integrating the product with it
     assert integral(expand(x, y), c, m) == integral(expand(expand(x, y), monomial(*m)), c)
 
 
-@settings(max_examples=30)
+@settings(max_examples=30, deadline=None)
 @given(data=st.data(), c=chern_pairs)
 def test_mul_matches_recursive_reference_for_int_coefficients(data, c):
     # Fraction coefficients: see test_table_mul_matches_recursive_reference
@@ -430,7 +430,7 @@ def test_cy_c2_lift_collapses_to_ambient_c2():
 
 
 @given(chern_pairs)
-@settings(max_examples=25)
+@settings(max_examples=25, deadline=None)
 def test_euler_number_is_nine(c):
     assert chow.euler_number(c) == 9
 

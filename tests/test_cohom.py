@@ -187,7 +187,7 @@ def test_serre_duality_for_every_evaluable_shape():
 
 def test_additivity_of_direct_sums():
     @given(st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=5))
-    @settings(max_examples=40)
+    @settings(max_examples=40, deadline=None)
     def run(exps):
         total = cohom_expr(split_sum(*exps))
         parts = [cohom_line(e) for e in exps]

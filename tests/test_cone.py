@@ -65,7 +65,7 @@ def solves_cube(root, c) -> bool:
 
 
 def verdict_of(spec):
-    return rationality_verdict(spec, h0_anticanonical(spec))
+    return rationality_verdict(h0_anticanonical(spec))
 
 
 def restriction_of(spec):
@@ -392,8 +392,8 @@ def test_verdict_flags_rho_contradiction():
 @pytest.mark.parametrize(
     "spec, warnings",
     [
-        (BundleSpec.chern_only(0, 18), (  # gamma = -54: rational cubic root
-            "conditional-on-boundary-in-cubic",
+        (BundleSpec.chern_only(0, 18), (  # gamma = -54: rational root, open verdict
+            "h0(-K_Z) may equal 1; open territory",
             "h12 assumes rho(X) = 2, which is not established for this spec",
             "gamma < -27 is inconsistent with rho(X) = 2",
             "h12 = -79 is negative, so it is not a Hodge number of X",
@@ -414,14 +414,32 @@ def test_verdict_rational_root_clause():
     # gamma = -22 < -18 with no h0 information, root exists and is irrational
     v = verdict_of(BundleSpec.chern_only(2, 2 + 8))  # gamma = 4 - 30 = -26
     assert v.verdict == UNKNOWN
-    # force the root-rationality clause: fake record with unknown h0
+    # the verdict reads h0 alone, so a record with unknown h0 is open at
+    # every gamma, whatever the root there: none at 3, rational at -18 and
+    # -54, irrational at -20
     blank = H0Anticanonical(value=None, gt1=None, reason="test")
-    spec20 = BundleSpec.chern_only(1, 7)  # gamma = -20, 9 - 4g = 89: irrational
-    assert rationality_verdict(spec20, blank).verdict == UNKNOWN
-    # blank reaches the root clause at any gamma: rational at -18 (9 - 4g = 81), none at 3
-    spec18 = BundleSpec.chern_only(0, 6)
-    assert rationality_verdict(spec18, blank) == RationalityResult(RATIONAL, ("rational-cubic-root",))
-    assert rationality_verdict(BundleSpec.chern_only(3, 2), blank) == RationalityResult(UNKNOWN, ())
+    assert rationality_verdict(blank) == RationalityResult(UNKNOWN, ())
+
+
+def test_root_lemma_no_rational_root_survives_rho_2():
+    """Why the verdict has no root clause: for every attainable gamma
+    (gamma = c1^2 mod 3, never 2 mod 3), 9 - 4 gamma is a square exactly
+    when gamma = -9 j (j + 1).  j = 0, 1 give gamma = 0 and -18, which
+    h^0(-K_Z) > 1 decides; every other such gamma has c3(X) > 4, while
+    rho(X) = 2 forces c3(X) = 2 (2 - h12) <= 4."""
+    lemma = {-9 * j * (j + 1) for j in range(40)}
+    squares = set()
+    for g in range(-10**4, 3):
+        if g % 3 == 2:
+            continue
+        if is_perfect_square(9 - 4 * g):
+            squares.add(g)
+            c3 = -6 * g - 162
+            assert g in (0, -18) or c3 > 4, g
+    assert squares == {g for g in lemma if g >= -10**4}
+    for g in (0, -18):
+        spec = BundleSpec.chern_only(0, -g // 3)
+        assert spec.gamma == g and verdict_of(spec).verdict == RATIONAL
 
 
 def test_a_rational_verdict_needs_a_trail():
@@ -431,12 +449,13 @@ def test_a_rational_verdict_needs_a_trail():
 
 def test_report_reaches_the_rational_root_clause():
     # gamma = -54: 9 - 4 gamma = 225 = 15^2, so the root is rational, and the
-    # c2 boundary value 18 + 2 gamma + 6 sqrt(9 - 4 gamma) is exactly 0
+    # c2 boundary value 18 + 2 gamma + 6 sqrt(9 - 4 gamma) is exactly 0; the
+    # verdict stays open there, since c3(X) = 162 rules out rho(X) = 2
     r = build_report(BundleSpec.chern_only(0, 18))
     assert r.spec.gamma == -54
-    assert r.verdict == RATIONAL
-    assert r.trail == ("rational-cubic-root",)
-    assert "conditional-on-boundary-in-cubic" in r.warnings
+    assert r.k_root.is_rational
+    assert r.verdict == UNKNOWN
+    assert r.trail == ()
     assert quad_parts(*r.c2.boundary) == ((0, 1), (0, 1), 0)
 
 

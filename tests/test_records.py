@@ -32,7 +32,7 @@ def _instances():
     nodes += [expr.parts[1], expr.parts[1].expr, nodes[-1].expr.parts[0]]
     found = [rep, *rep, spec.chern, rep.restriction.surface, *nodes]
     found += [chow.gram_matrix(spec.chern), cohom.chern_data(expr), cohom.cohom_expr(expr),
-              cone.rationality_verdict(spec, rep.h0_minus_k, rep.k_root)]
+              cone.rationality_verdict(rep.h0_minus_k)]
     return {type(x).__name__: x for x in found if hasattr(x, "_fields")}
 
 

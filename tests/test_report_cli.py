@@ -194,6 +194,7 @@ _JSON_VALUES = st.recursive(
 
 
 @given(_JSON_VALUES)
+@settings(deadline=None)
 def test_indented_emitter_writes_what_json_dumps_writes(value):
     assert report._indented(value) == json.dumps(value, indent=2)
 

@@ -54,15 +54,29 @@ def main(argv):
 """
 
 
-def test_the_engine_loads_no_dataclass_machinery():
-    """The records are named tuples, so a report loads neither ``dataclasses``
-    nor ``inspect``; the baseline is a bare interpreter, whose site hooks may
-    load either."""
+def loaded_beyond_bare(argv: list[str]) -> set[str]:
+    """Every module, stdlib included, that ``cli.main(argv)`` loads in a fresh
+    interpreter beyond what a bare one loads, whose site hooks may load any."""
     every_module = "print(json.dumps(sorted(sys.modules)))"
     bare = json.loads(run_python(f"import json, sys\n{every_module}"))
-    code = f"import cycone.report\n{QUIET_MAIN}\nassert main(['analyze', '--split=0,1,2']) == 0"
-    engine = json.loads(run_python(f"import json, sys\n{code}\n{every_module}").splitlines()[-1])
-    assert {"dataclasses", "inspect"} & (set(engine) - set(bare)) == set()
+    code = f"{QUIET_MAIN}\nassert main({argv!r}) == 0"
+    loaded = json.loads(run_python(f"import json, sys\n{code}\n{every_module}").splitlines()[-1])
+    return set(loaded) - set(bare)
+
+
+def test_the_engine_loads_no_dataclass_machinery():
+    """The records are named tuples, so a report loads neither ``dataclasses``
+    nor ``inspect``."""
+    assert {"dataclasses", "inspect"} & loaded_beyond_bare(["analyze", "--split=0,1,2"]) == set()
+
+
+@pytest.mark.parametrize(
+    "argv", [["analyze", "--split=0,1,2", "--json"], ["analyze", "--chern=3,12"]], ids=["split", "chern"]
+)
+def test_analyze_loads_no_rational_number_machinery(argv):
+    """Every value a report computes is an int, so ``analyze`` loads none of
+    ``fractions``, ``decimal`` or ``numbers``."""
+    assert {"fractions", "decimal", "numbers"} & loaded_beyond_bare(argv) == set()
 
 
 def test_building_the_parser_loads_no_engine():
@@ -178,11 +192,10 @@ def test_public_surface_is_pinned():
     ]
 
 
-def test_fractions_only_where_a_denominator_can_appear():
-    """``Fraction`` is imported by the modules that hold a rational value (chi
-    on X and the section bounds, the selftest's pinned chi values, and the
-    'p/q' writer), and nowhere else: the Chow ring, the cohomology on P2 and
-    the boundary root run on int."""
+def test_no_module_imports_fractions():
+    """Every value the engine computes is an int: chi on X and the section
+    bounds are checked integers, the boundary root is held as integers, and
+    the 'p/q' writer takes ints only."""
     importers = set()
     for path in (ROOT / "src" / "cycone").glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -190,7 +203,7 @@ def test_fractions_only_where_a_denominator_can_appear():
                 isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names)
             ):
                 importers.add(path.stem)
-    assert importers == {"exactnum", "invariants", "selftest"}
+    assert importers == set()
 
 
 def test_dir_and_unknown_names_load_nothing():

@@ -146,7 +146,7 @@ def test_survey_rows_matches_survey_row_in_any_order():
         assert survey_lines(types, [], [], as_json) == _lines(rows, as_json)
 
 
-@settings(max_examples=60)
+@settings(max_examples=60, deadline=None)
 @given(
     st.tuples(*[st.integers(min_value=-8, max_value=8)] * 3).map(sorted),
     st.integers(min_value=-10, max_value=10),
