@@ -30,6 +30,9 @@ import sys
 from . import ANALYZE_EXTRA_COLUMNS, SURVEY_COLUMNS, __version__
 from .errors import MAX_SPEC_VALUE, CyconeError, DomainError, _literal, bounded, quote_input
 
+# The header line of ``analyze --tsv``.
+ANALYZE_TSV_HEADER = "\t".join(SURVEY_COLUMNS + ANALYZE_EXTRA_COLUMNS)
+
 # Largest emax - emin a survey accepts: 455 split types at the cap.  The
 # row count grows with the cube of the range, so the cap is fixed.
 MAX_RANGE = 12
@@ -114,10 +117,9 @@ def cmd_analyze(args) -> int:
         meta = _meta_block() if args.meta else None
         _emit(report.report_to_json(rep, meta), args.out)
     elif args.tsv:
-        header = "\t".join(SURVEY_COLUMNS + ANALYZE_EXTRA_COLUMNS)
         row = "\t".join(report.analyze_row_cells(rep))
         lines = [_meta_comment()] if args.meta else []
-        lines += [header, row]
+        lines += [ANALYZE_TSV_HEADER, row]
         _emit("\n".join(lines), args.out)
     else:
         _emit(report.render_text_report(rep), args.out)

@@ -20,17 +20,21 @@ section bounds and the warnings).  Facts that follow from these are not
 stored: gamma is ``spec.gamma``, c3(X) is ``pairings.c3``, the OZ1 root is
 ``k_root.scaled()`` and the pi*h ray's c2 value, 36, is ``pairings.h_c2``.
 
-Where a JSON key comes from: the writer is the one codec.  ``_record``
-writes one key per record field, in field order, the -K_Z status among
-them (h^0(-K_Z) and its > 1 verdict are written only in ``h0_minus_k``);
+Where a JSON key comes from: the text that ``report_to_json`` writes is
+the one codec, and ``report_to_dict`` is that text read back.  Each object
+has a %-template built once at import for the depth it sits at, so the
+text is ``json.dumps(d, indent=2)`` without a dict being built or walked.
+The blocks of the rho, -K_Z status, h^0(-K_Z), pairings, section-bound and
+restriction records take their keys from the record's fields, in field
+order (h^0(-K_Z) and its > 1 verdict are written only in ``h0_minus_k``);
 the spec, the boundary root (its branches, like the c2 boundary value, are
 written by ``_quad`` from the integers the report holds), the
 exceptional-surface class (under ``cone.kollar_case`` only) and the top
 level with its ``cone`` block (and the derived ``gamma``, ``c3``,
 ``k_root_scaled`` and ``w_contains_boundary`` keys) are laid out by hand.
-``_indented`` writes the text of ``json.dumps(d, indent=2)`` at under half
-its cost, since CPython 3.11 indents in pure Python.  There is no reader:
-a report is rebuilt from its spec, never decoded from its JSON.
+Every scalar goes through ``_json``, which writes a str, int, bool or None
+by its exact type and refuses anything else.  There is no parser of
+reports: a report is rebuilt from its spec, never decoded from its JSON.
 
 The 12 survey columns are written in two places from one cell format,
 ``_class_values`` for the six a twist class shares (gamma to the verdict):
@@ -44,15 +48,14 @@ CLI's help can print them without loading the engine) and re-exported here.
 
 from __future__ import annotations
 
+import json
 from collections import namedtuple
-from collections.abc import Callable
 from json.encoder import encode_basestring_ascii
 
 import cycone.cone as cone
 import cycone.invariants as invariants
 from . import ANALYZE_EXTRA_COLUMNS, SURVEY_COLUMNS
 from .bundles import BundleSpec, H0Anticanonical, h0_anticanonical
-from .chow import ExceptionalSurfaceClass
 from .cone import BoundaryRoot, ConeRestriction, MinusKStatus
 from .exactnum import format_rational, quad_parts, quad_text
 from .invariants import RhoResult, SectionBounds, XPairings
@@ -157,144 +160,129 @@ def build_report(spec: BundleSpec) -> AnalysisReport:
     )
 
 
-# --- encoders ---------------------------------------------------------------
+# --- the JSON writer --------------------------------------------------------
 
 
-def _nullable(encode: Callable) -> Callable:
-    """``encode`` for a value that may be None, written as JSON null."""
-    return lambda v: None if v is None else encode(v)
-
-
-def _record(cls, **overrides: Callable) -> Callable:
-    """The encoder of a record (a named tuple): one JSON key per field, in
-    field order, written as-is unless ``overrides`` names its encoder."""
-    encoders = [(name, overrides.get(name)) for name in cls._fields]
-    return lambda obj: {n: getattr(obj, n) if f is None else f(getattr(obj, n)) for n, f in encoders}
-
-
-_OPT_LIST = _nullable(list)
-_SURFACE_BASIS = ("xi2", "xi_h", "h2")  # h2 is the fiber class
-
-
-def _basis(v) -> dict:
-    return dict(zip(_SURFACE_BASIS, v))
-
-
-def _surface(s: ExceptionalSurfaceClass) -> dict:
-    return {
-        "class_times_mu": _basis(s.coeffs),
-        "mu_candidates": list(s.mu_candidates),
-        "reduced_class": _nullable(_basis)(s.reduced),
-    }
-
-
-def _quad(a: int, b: int, n: int, den: int) -> dict:
-    """(a + b sqrt(n)) / den as JSON: the parts of ``quad_parts``, each
-    ratio written "p/q"."""
-    (p, q), (r, t), n = quad_parts(a, b, n, den)
-    return {"a": f"{p}/{q}", "b": f"{r}/{t}", "n": n}
-
-
-def _root(r: BoundaryRoot) -> dict:
-    return {
-        "k": _quad(r.center, -r.s, r.n, r.den) if r.exists else None,
-        "k_other": _quad(r.center, r.s, r.n, r.den) if r.exists else None,
-        "exists": r.exists,
-        "normalization": r.normalization,
-    }
-
-
-_RHO = _record(RhoResult)
-_H0 = _record(H0Anticanonical, gt1=tri)
-_PAIRINGS = _record(XPairings)
-_BOUNDS = _record(
-    SectionBounds, lower_bound_o1_minus_h=format_rational, chi_o1=format_rational, assumes=list
-)
-_RESTRICTION = _record(ConeRestriction, surface=_nullable(_surface))
-_MINUS_K = _record(
-    MinusKStatus, nef=tri, ample=tri, big=tri, witnesses=lambda ws: [list(w) for w in ws]
-)
-
-
-# --- JSON layouts ---------------------------------------------------------
-
-
-def spec_to_dict(spec: BundleSpec) -> dict:
-    return {
-        "kind": spec.kind,
-        "name": spec.name,
-        "exponents": _OPT_LIST(spec.exponents),
-        "twist": spec.twist_applied,
-        "c1": spec.chern.c1,
-        "c2": spec.chern.c2,
-        "splitting_type": _OPT_LIST(spec.splitting_type),
-    }
-
-
-def report_to_dict(r: AnalysisReport) -> dict:
-    c2 = r.c2
-    return {
-        "spec": spec_to_dict(r.spec),
-        "gamma": r.spec.gamma,
-        "c3": r.pairings.c3,
-        "h12": r.h12,
-        "rho": _RHO(r.rho),
-        "minus_k": _MINUS_K(r.minus_k),
-        "h0_minus_k": _H0(r.h0_minus_k),
-        "pairings": _PAIRINGS(r.pairings),
-        "section_bounds": _BOUNDS(r.bounds),
-        "cone": {
-            "k_root": _root(r.k_root),
-            "k_root_scaled": _root(r.k_root.scaled()),
-            "verdict": r.verdict,
-            "trail": list(r.trail),
-            "c2_min_value": None if c2.boundary is None else _quad(*c2.boundary),
-            "c2_minus_k_ray": c2.minus_k_ray,
-            "c2_positive": c2.positive,
-            "kollar_case": _RESTRICTION(r.restriction),
-            # whether W contains the boundary is open; ROADMAP item 3 (the
-            # nef cone ray by ray) is the change that gives it a value
-            "w_contains_boundary": "unknown",
-        },
-        "warnings": list(r.warnings),
-    }
+class _Scalars(dict):
+    def __missing__(self, kind):
+        raise TypeError(f"no JSON form for a {kind.__name__} in a report")
 
 
 # each JSON scalar's writer, by exact type, so that True is never written as 1
-_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, type(None): {None: "null"}.__getitem__,
-            bool: {True: "true", False: "false"}.__getitem__}
+_SCALARS = _Scalars({str: encode_basestring_ascii, int: repr, type(None): {None: "null"}.__getitem__,
+                     bool: {True: "true", False: "false"}.__getitem__})
+_PADS = tuple("\n" + "  " * depth for depth in range(6))  # a newline and the indent of a depth
 
 
-def _indented(v, pad: str = "\n") -> str:
-    """``json.dumps(v, indent=2)`` for str-keyed dicts, lists, str, int, bool and
-    None, with a ``TypeError`` on any other type.  ``pad`` is the newline and
-    indent that close ``v``; scalar items are written in place, not recursed into."""
-    kind = type(v)
-    if kind is not dict and kind is not list:
-        write = _SCALARS.get(kind)
-        if write is None:
-            raise TypeError(f"no JSON form for a {kind.__name__} in a report: {v!r}")
-        return write(v)
-    if not v:
-        return "{}" if kind is dict else "[]"
-    inner = pad + "  "
-    parts = []
-    if kind is list:
-        for x in v:
-            write = _SCALARS.get(type(x))
-            parts.append(write(x) if write else _indented(x, inner))
-        return "[" + inner + ("," + inner).join(parts) + pad + "]"
-    for key, x in v.items():
-        write = _SCALARS.get(type(x))
-        parts.append(f"{encode_basestring_ascii(key)}: {write(x) if write else _indented(x, inner)}")
-    return "{" + inner + ("," + inner).join(parts) + pad + "}"
+def _json(v) -> str:
+    """A str, int, bool or None as JSON; a ``TypeError`` on any other type."""
+    return _SCALARS[type(v)](v)
+
+
+def _template(names, depth: int) -> str:
+    """The %-template of an object with keys ``names`` whose braces sit at
+    ``depth``: one ``%s`` a key, in order, for its value as JSON."""
+    pad = _PADS[depth + 1]
+    keys = (encode_basestring_ascii(name).replace("%", "%%") for name in names)
+    return "{" + ",".join(f"{pad}{key}: %s" for key in keys) + _PADS[depth] + "}"
+
+
+def _list(items, depth: int) -> str:
+    """The array that sits at ``depth`` of ``items``, each already JSON."""
+    pad = _PADS[depth + 1]
+    body = ("," + pad).join(items)
+    return f"[{pad}{body}{_PADS[depth]}]" if body else "[]"
+
+
+def _scalars(values, depth: int) -> str:
+    """The array of ``values`` (scalars), or null in place of None."""
+    return "null" if values is None else _list(map(_json, values), depth)
+
+
+# The layout of ``json.dumps(report_to_dict(r), indent=2)``, fixed here: each
+# object's template at the one depth it sits at.  A record's keys are its
+# fields, in field order.
+_TOP_KEYS = ("spec", "gamma", "c3", "h12", "rho", "minus_k", "h0_minus_k", "pairings",
+             "section_bounds", "cone", "warnings")
+_TOP, _TOP_META = _template(_TOP_KEYS, 0), _template(_TOP_KEYS + ("meta",), 0)
+_SPEC = _template(("kind", "name", "exponents", "twist", "c1", "c2", "splitting_type"), 1)
+_RHO, _MINUS_K, _H0, _PAIRINGS, _BOUNDS = (
+    _template(cls._fields, 1) for cls in (RhoResult, MinusKStatus, H0Anticanonical, XPairings, SectionBounds)
+)
+_CONE = _template(("k_root", "k_root_scaled", "verdict", "trail", "c2_min_value", "c2_minus_k_ray",
+                   "c2_positive", "kollar_case", "w_contains_boundary"), 1)
+_ROOT = _template(("k", "k_other", "exists", "normalization"), 2)
+_RESTRICTION = _template(ConeRestriction._fields, 2)
+_SURFACE = _template(("class_times_mu", "mu_candidates", "reduced_class"), 3)
+_SURFACE_BASIS = _template(("xi2", "xi_h", "h2"), 4)  # h2 is the fiber class
+_QUADS = {depth: _template(("a", "b", "n"), depth) for depth in (2, 3)}
+
+
+def _quad(a: int, b: int, n: int, den: int, depth: int) -> str:
+    """(a + b sqrt(n)) / den as a JSON object at ``depth``: the parts of
+    ``quad_parts``, each ratio written "p/q"."""
+    (p, q), (r, t), n = quad_parts(a, b, n, den)
+    return _QUADS[depth] % (_json(f"{p}/{q}"), _json(f"{r}/{t}"), _json(n))
+
+
+def _root(r: BoundaryRoot) -> str:
+    k = k_other = "null"
+    if r.exists:
+        k, k_other = _quad(r.center, -r.s, r.n, r.den, 3), _quad(r.center, r.s, r.n, r.den, 3)
+    return _ROOT % (k, k_other, _json(r.exists), _json(r.normalization))
+
+
+def _restriction(kc: ConeRestriction) -> str:
+    s, surface = kc.surface, "null"
+    if s is not None:
+        reduced = "null" if s.reduced is None else _SURFACE_BASIS % tuple(map(_json, s.reduced))
+        surface = _SURFACE % (_SURFACE_BASIS % tuple(map(_json, s.coeffs)), _scalars(s.mu_candidates, 4), reduced)
+    return _RESTRICTION % (_json(kc.case), _json(kc.via), surface)
 
 
 def report_to_json(r: AnalysisReport, meta: dict | None = None) -> str:
-    d = report_to_dict(r)
-    if meta is not None:
-        d["meta"] = meta
-    return _indented(d)
+    """The text of ``json.dumps(d, indent=2)`` for the report's JSON form
+    ``d``, with ``meta`` (a flat str-keyed dict) last under "meta",
+    written straight from the records."""
+    spec, mk, h0, b, c2, root = r.spec, r.minus_k, r.h0_minus_k, r.bounds, r.c2, r.k_root
+    values = (
+        _SPEC % (_json(spec.kind), _json(spec.name), _scalars(spec.exponents, 2), _json(spec.twist_applied),
+                 _json(spec.chern.c1), _json(spec.chern.c2), _scalars(spec.splitting_type, 2)),
+        _json(spec.gamma),
+        _json(r.pairings.c3),
+        _json(r.h12),
+        _RHO % tuple(map(_json, r.rho)),
+        _MINUS_K % (_json(tri(mk.nef)), _json(tri(mk.ample)), _json(tri(mk.big)),
+                    _list([_scalars(w, 3) for w in mk.witnesses], 2)),
+        _H0 % (_json(h0.value), _json(tri(h0.gt1)), _json(h0.reason)),
+        _PAIRINGS % tuple(map(_json, r.pairings)),
+        _BOUNDS % (_json(format_rational(b.lower_bound_o1_minus_h)), _json(format_rational(b.chi_o1)),
+                   _json(b.normal_bound), _json(b.c1_ge_minus_1), _json(b.positive_bound_forces_c1_ge_1),
+                   _scalars(b.assumes, 2)),
+        _CONE % (
+            _root(root),
+            _root(root.scaled()),
+            _json(r.verdict),
+            _scalars(r.trail, 2),
+            "null" if c2.boundary is None else _quad(*c2.boundary, 2),
+            _json(c2.minus_k_ray),
+            _json(c2.positive),
+            _restriction(r.restriction),
+            # whether W contains the boundary is open; ROADMAP item 3 (the
+            # nef cone ray by ray) is the change that gives it a value
+            '"unknown"',
+        ),
+        _scalars(r.warnings, 1),
+    )
+    if meta is None:
+        return _TOP % values
+    block = _template(meta, 1) % tuple(map(_json, meta.values())) if meta else "{}"
+    return _TOP_META % (*values, block)
+
+
+def report_to_dict(r: AnalysisReport) -> dict:
+    """The report's JSON form: ``report_to_json`` read back."""
+    return json.loads(report_to_json(r))
 
 
 # --- flat rows (survey and analyze --tsv) -----------------------------------

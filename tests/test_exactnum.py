@@ -1,5 +1,6 @@
 """Exact-arithmetic kernel: canonical forms, square roots, sign analysis."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -187,7 +188,7 @@ def test_quad_parts_matches_fractions(a, b, n, den):
     # canonical parts are a fixed point
     assert quad_parts(p * t, r * q, m or 1, q * t) == parts
     # the JSON and the text carry the same parts
-    d = report._quad(a, b, n, den)
+    d = json.loads(report._quad(a, b, n, den, 2))
     assert (d["a"], d["b"], d["n"]) == (f"{p}/{q}", f"{r}/{t}", m)
     assert _parse_text(quad_text(a, b, n, den)) == (expected_a, expected_b, m)
 

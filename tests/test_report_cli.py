@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycone import chow, cli, errors, exactnum, invariants, report, selftest
-from cycone.bundles import BundleSpec, catalog_entries
+from cycone import chow, cli, cone, errors, exactnum, invariants, report, selftest
+from cycone.bundles import BundleSpec, H0Anticanonical, catalog_entries
 from cycone.errors import InvariantViolationError
 from cycone.report import (
     build_report,
@@ -114,7 +114,9 @@ def test_report_json_roundtrip():
     width = len(report.SURVEY_COLUMNS + report.ANALYZE_EXTRA_COLUMNS)
     for spec in ROUNDTRIP_SPECS:
         rep = build_report(spec)
-        assert json.loads(report.report_to_json(rep)) == report_to_dict(rep), spec
+        d = report_to_dict(rep)
+        assert (d["spec"]["c1"], d["spec"]["c2"], d["gamma"], d["h12"]) == (*spec.chern, spec.gamma, rep.h12), spec
+        assert list(d["pairings"].values()) == list(rep.pairings), spec
         assert len(report.analyze_row_cells(rep)) == width, spec
 
 
@@ -180,33 +182,78 @@ def test_root_values_are_written_as_their_quadratic_values():
     assert cone["k_root"]["k"] is cone["k_root_scaled"]["k_other"] is cone["c2_min_value"] is None
 
 
-_JSON_LEAVES = (
-    st.text(max_size=12)
-    | st.sampled_from(['"', "\\", "\"\\\n\t\x00\x1f\x7f", "é", "\u2028", "\U0001F600", ""])
-    | st.integers(min_value=-(10**60), max_value=10**60)
-    | st.booleans() | st.none()
-)
-_JSON_VALUES = st.recursive(
-    _JSON_LEAVES,
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
-    max_leaves=25,
-)
+# Every Chern pair with |c1| <= 6 and -12 <= c2 <= 24, attainable or not.
+CHERN_SWEEP = [BundleSpec.chern_only(c1, c2) for c1 in range(-6, 7) for c2 in range(-12, 25)]
+META = {"tool": "cycone", "version": "0.1.0", "generated_at": "2026-01-01T00:00:00+00:00"}
 
 
-@given(_JSON_VALUES)
-@settings(deadline=None)
-def test_indented_emitter_writes_what_json_dumps_writes(value):
-    assert report._indented(value) == json.dumps(value, indent=2)
+def test_report_json_writes_what_json_dumps_writes():
+    for spec in ROUNDTRIP_SPECS + CHERN_SWEEP:
+        rep = build_report(spec)
+        for meta in (None, META, {}):
+            text = report.report_to_json(rep, meta)
+            assert text == json.dumps(json.loads(text), indent=2), (spec, meta)
+        assert json.loads(text)["meta"] == {} and json.loads(report.report_to_json(rep, META))["meta"] == META
+    # byte for byte what the JSON goldens hold
+    from test_golden import CASES
+
+    cases = [(name, argv) for name, argv in CASES if name.startswith("analyze-") and name.endswith(".json")]
+    assert len(cases) == 16
+    for name, argv in cases:
+        rep = build_report(cli._spec_from_args(cli._parse_argv(argv)))
+        assert report.report_to_json(rep) + "\n" == (GOLDEN / name).read_text(encoding="utf-8"), name
 
 
-def test_indented_emitter_keeps_bools_apart_from_ints_and_refuses_floats():
-    assert report._indented([True, 1, False, 0, None]) == json.dumps([True, 1, False, 0, None], indent=2)
-    assert report._indented({"t": True}) != report._indented({"t": 1})
-    assert report._indented(False) == "false" and report._indented(0) == "0"
-    assert report._indented({}) == "{}" and report._indented([[], {}]) == "[\n  [],\n  {}\n]"
-    for bad in (1.5, {"x": [0.0]}, (1, 2), {"x": {1, 2}}):
+# a quote, a backslash, a newline, a NUL, an accent, two non-ASCII spaces and an emoji
+AWKWARD = 'say "a\\b"\n\x00 \u00e9\u00a0\u2028 \U0001F600'
+
+
+def test_report_json_escapes_as_json_dumps_does_and_refuses_other_types():
+    rep = build_report(BundleSpec.split(0, 1, 2))
+    odd = rep._replace(spec=rep.spec._replace(name=AWKWARD), warnings=(AWKWARD, "plain"))
+    text = report.report_to_json(odd, {"note": AWKWARD})
+    assert text == json.dumps(json.loads(text), indent=2)
+    assert text.count(json.dumps(AWKWARD)) == 3
+    d = json.loads(text)
+    assert d["spec"]["name"] == d["warnings"][0] == d["meta"]["note"] == AWKWARD
+    # a bool is written as a bool, never as 1, and a number never as a bool
+    assert '"h12": true,' in report.report_to_json(rep._replace(h12=True))
+    assert '"h12": 1,' in report.report_to_json(rep._replace(h12=1))
+    # no float, nor any other type, gets through, wherever it sits
+    for bad in (
+        rep._replace(h12=1.5),
+        rep._replace(pairings=rep.pairings._replace(o1_c2=362.0)),
+        rep._replace(pairings=rep.pairings._replace(c3=-180.0)),
+        rep._replace(rho=rep.rho._replace(value=2.0)),
+        rep._replace(spec=rep.spec._replace(twist_applied=0.0)),
+        rep._replace(trail=(1.5,)),
+        rep._replace(verdict=("Rational",)),
+        rep._replace(warnings=(Fraction(1, 2),)),
+    ):
         with pytest.raises(TypeError):
-            report._indented(bad)
+            report.report_to_json(bad)
+    with pytest.raises(TypeError):
+        report.report_to_json(rep, {"generated_at": 1.5})
+
+
+def test_each_record_block_has_one_key_per_field_in_order():
+    blocks = {
+        ("rho",): invariants.RhoResult,
+        ("minus_k",): cone.MinusKStatus,
+        ("h0_minus_k",): H0Anticanonical,
+        ("pairings",): invariants.XPairings,
+        ("section_bounds",): invariants.SectionBounds,
+        ("cone", "kollar_case"): cone.ConeRestriction,
+    }
+    # an exceptional candidate, a split type, a Chern pair and a named bundle
+    for spec in (BundleSpec.named("SymT(2,0)"), BundleSpec.split(-5, 6, 6), BundleSpec.chern_only(3, 6),
+                 BundleSpec.named("TP2+O")):
+        d = report_to_dict(build_report(spec))
+        for path, cls in blocks.items():
+            block = d
+            for key in path:
+                block = block[key]
+            assert list(block) == list(cls._fields), (spec, path)
 
 
 @pytest.mark.parametrize(
@@ -860,6 +907,19 @@ def test_cli_chern_request_decomposes_each_radicand_once(monkeypatch):
     assert code == 0
     assert calls == [45]  # 9 - 4 gamma, once: the root and the c2 bound share it
     assert out.encode() == (GOLDEN / "analyze-chern-3_6.txt").read_bytes()
+
+
+def test_cli_json_request_writes_its_text_in_one_pass(monkeypatch):
+    # the text is written straight from the records: no dict, no encoder, no reader
+    def refuse(*args, **kwargs):
+        raise AssertionError("the JSON report took a second pass")
+
+    for owner, name in ((report, "report_to_dict"), (json, "dumps"), (json, "loads")):
+        monkeypatch.setattr(owner, name, refuse)
+    code, out, err = run_main(["analyze", "--split=0,1,2", "--json"])
+    monkeypatch.undo()
+    assert (code, err) == (0, "")
+    assert out == json.dumps(report_to_dict(build_report(BundleSpec.split(0, 1, 2))), indent=2) + "\n"
 
 
 def test_build_report_evaluates_closed_forms_once(monkeypatch):
