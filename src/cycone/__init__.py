@@ -71,6 +71,12 @@ ANALYZE_EXTRA_COLUMNS = (
     "c3", "h12", "h0_minus_k", "k_exists", "k_rational", "c2_positive", "kollar_case",
 )
 
+# Largest emax - emin a survey accepts: 455 split types at the cap.  The
+# row count grows with the cube of the range, so the cap is fixed.  It is
+# defined here so that ``cycone.report`` sizes its twist-class table from
+# it without loading the CLI.
+MAX_RANGE = 12
+
 
 def __getattr__(name):
     if name not in _LAYERS and name not in __all__:

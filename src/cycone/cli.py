@@ -27,15 +27,11 @@ import functools
 import re
 import sys
 
-from . import ANALYZE_EXTRA_COLUMNS, SURVEY_COLUMNS, __version__
+from . import ANALYZE_EXTRA_COLUMNS, MAX_RANGE, SURVEY_COLUMNS, __version__
 from .errors import MAX_SPEC_VALUE, CyconeError, DomainError, _literal, bounded, quote_input
 
 # The header line of ``analyze --tsv``.
 ANALYZE_TSV_HEADER = "\t".join(SURVEY_COLUMNS + ANALYZE_EXTRA_COLUMNS)
-
-# Largest emax - emin a survey accepts: 455 split types at the cap.  The
-# row count grows with the cube of the range, so the cap is fixed.
-MAX_RANGE = 12
 
 
 class UsageError(Exception):

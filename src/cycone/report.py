@@ -39,8 +39,9 @@ reports: a report is rebuilt from its spec, never decoded from its JSON.
 The 12 survey columns are written in two places from one cell format,
 ``_class_values`` for the six a twist class shares (gamma to the verdict):
 ``analyze_row_cells`` writes a report's cells for ``analyze --tsv``, and
-``survey_lines`` writes a class's six cells once, as TSV or as a JSON
-fragment, straight from the stage results, between each row's own five
+``_twist_class`` writes a class's six cells once per process, as TSV and
+as a JSON fragment, straight from the stage results, into a table of at
+most 91 classes that ``survey_lines`` puts between each row's own five
 integers and its table admissibility.  Their names, ``SURVEY_COLUMNS`` and
 ``ANALYZE_EXTRA_COLUMNS``, are defined in the package ``__init__`` (so the
 CLI's help can print them without loading the engine) and re-exported here.
@@ -48,13 +49,15 @@ CLI's help can print them without loading the engine) and re-exported here.
 
 from __future__ import annotations
 
+import functools
 import json
 from collections import namedtuple
 from json.encoder import encode_basestring_ascii
+from math import comb
 
 import cycone.cone as cone
 import cycone.invariants as invariants
-from . import ANALYZE_EXTRA_COLUMNS, SURVEY_COLUMNS
+from . import ANALYZE_EXTRA_COLUMNS, MAX_RANGE, SURVEY_COLUMNS
 from .bundles import BundleSpec, H0Anticanonical, h0_anticanonical
 from .cone import BoundaryRoot, ConeRestriction, MinusKStatus
 from .exactnum import format_rational, quad_parts, quad_text
@@ -297,6 +300,26 @@ def _class_values(gamma: int, nef, ample, big, rho: int | None, verdict: str) ->
 _CLASS_KEYS = tuple(f"{encode_basestring_ascii(name)}: " for name in SURVEY_COLUMNS[5:11])
 
 
+@functools.lru_cache(maxsize=comb(MAX_RANGE + 2, 2))
+def _twist_class(d1: int, d2: int):
+    """The -K_Z status of the twist class (d1, d2) and its six cells, as
+    TSV and as a JSON fragment, from ``_stages`` of the split spec at
+    (0, d1, d2).
+
+    One table per process, of C(MAX_RANGE + 2, 2) = 91 classes: every
+    class a survey within the CLI's range cap can meet.  A call that
+    raises is not stored, so a failed check is met again by the next call.
+    """
+    spec = BundleSpec.split(0, d1, d2)
+    _, minus_k, rho, verdict = _stages(spec)
+    values = _class_values(spec.gamma, minus_k.nef, minus_k.ample, minus_k.big, rho.value, verdict.verdict)
+    return (
+        minus_k,
+        "\t".join(map(str, values)),
+        ", ".join([k + _json(v) for k, v in zip(_CLASS_KEYS, values)]),
+    )
+
+
 def survey_lines(types, keyed, flags, as_json: bool) -> list[str]:
     """The TSV or JSON-lines rows of the triples that pass every filter.
 
@@ -304,17 +327,15 @@ def survey_lines(types, keyed, flags, as_json: bool) -> list[str]:
     filters (``(key, value)`` pairs) and ``tab`` drop it before its twist
     class (e2 - e1, e3 - e1) is looked up.  Twisting by O(t) leaves Z = P(E)
     alone, so gamma, nef, ample, big, rho and the verdict depend only on the
-    class: each one is evaluated once, by ``_stages`` on the split spec at
-    (0, e2 - e1, e3 - e1), in a memo that lives for this call only.  Its
-    ``nef``/``ample``/``big`` filters are applied to its -K_Z status, and its
-    six cells are written once, straight from the stage results, as TSV or
-    as a JSON fragment; a row adds e1, e2, e3, c1, c2 and its table
+    class: each one is evaluated once per process, by ``_twist_class``,
+    whose table holds its -K_Z status and its six cells as TSV and as a
+    JSON fragment.  The ``nef``/``ample``/``big`` filters are applied to
+    that status on each call; a row adds e1, e2, e3, c1, c2 and its table
     admissibility.
     """
     checks = [(("c1", "c2", "gamma").index(key), value) for key, value in keyed]
     class_flags = [f for f in flags if f != "tab"]
     need_tab = "tab" in flags
-    classes = {}
     lines = []
     for exponents in types:
         e1, e2, e3 = sorted(exponents)
@@ -324,28 +345,14 @@ def survey_lines(types, keyed, flags, as_json: bool) -> list[str]:
         tab = cone.is_allowed_splitting_type(e1, e2, e3)
         if need_tab and not tab:
             continue
-        key = (e2 - e1, e3 - e1)
-        cells = classes.get(key)
-        if cells is None:
-            spec = BundleSpec.split(0, *key)
-            _, minus_k, rho, verdict = _stages(spec)
-            values = _class_values(
-                spec.gamma, minus_k.nef, minus_k.ample, minus_k.big, rho.value, verdict.verdict
-            )
-            if not all(getattr(minus_k, f) for f in class_flags):
-                cells = ""  # the class fails a flag filter: none of its rows is written
-            elif as_json:
-                cells = ", ".join([k + _SCALARS[type(v)](v) for k, v in zip(_CLASS_KEYS, values)])
-            else:
-                cells = "\t".join(map(str, values))
-            classes[key] = cells
-        if not cells:
+        minus_k, tsv, fragment = _twist_class(e2 - e1, e3 - e1)
+        if class_flags and not all(getattr(minus_k, f) for f in class_flags):
             continue
         if as_json:
             lines.append(f'{{"e1": {e1}, "e2": {e2}, "e3": {e3}, "c1": {c1}, "c2": {c2},'
-                         f' {cells}, "tab_admissible": "{tri(tab)}"}}')
+                         f' {fragment}, "tab_admissible": "{tri(tab)}"}}')
         else:
-            lines.append(f"{e1}\t{e2}\t{e3}\t{c1}\t{c2}\t{cells}\t{tri(tab)}")
+            lines.append(f"{e1}\t{e2}\t{e3}\t{c1}\t{c2}\t{tsv}\t{tri(tab)}")
     return lines
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cycone
-from cycone import cohom
+from cycone import cli, cohom, report
 from cycone.bundles import _CATALOG_TEXTS, BundleSpec
 from cycone.chow import chern_pair_of_split
 from cycone.cohom import (
@@ -514,7 +514,7 @@ def test_the_degree_cap_is_past_what_a_twist_can_cancel():
             walk(three_levels)
 
 
-def test_only_the_cli_parser_is_memoized():
+def test_only_the_cli_parser_and_the_twist_class_table_are_memoized():
     memoized = set()
     for info in pkgutil.iter_modules(cycone.__path__, "cycone."):
         if info.name == "cycone.__main__":  # runs the CLI when imported
@@ -523,7 +523,10 @@ def test_only_the_cli_parser_is_memoized():
         for attr, obj in vars(module).items():
             if callable(obj) and hasattr(obj, "cache_info"):
                 memoized.add(f"{obj.__module__}.{attr}")
-    assert memoized == {"cycone.cli.build_parser"}
+    assert memoized == {"cycone.cli.build_parser", "cycone.report._twist_class"}
+    # one entry per twist class a survey within the range cap can meet
+    assert cli.MAX_RANGE == cycone.MAX_RANGE
+    assert report._twist_class.cache_info().maxsize == comb(cycone.MAX_RANGE + 2, 2) == 91
 
 
 # --- grammar ---------------------------------------------------------------------

@@ -100,6 +100,22 @@ def test_golden_output_of_another_spelling(filename, argv):
     assert run_main(argv) == (GOLDEN / filename).read_bytes()
 
 
+SURVEY_CASES = [(name, argv) for name, argv in CASES if argv[0] == "survey"]
+# surveys that fill the twist-class table in the other format and through a flag filter
+WARM_UP = [["survey", "--emin", "-6", "--emax", "6", "--filter", "nef", *fmt] for fmt in ([], ["--json"])]
+
+
+@pytest.mark.parametrize("filename,argv", SURVEY_CASES, ids=[name for name, _ in SURVEY_CASES])
+def test_survey_golden_output_on_a_cold_and_a_warm_table(filename, argv):
+    golden = (GOLDEN / filename).read_bytes()
+    report._twist_class.cache_clear()
+    assert run_main(argv) == golden
+    for warm_up in WARM_UP:
+        run_main(warm_up)
+    assert report._twist_class.cache_info().currsize == 91
+    assert run_main(argv) == golden
+
+
 ANALYZE_JSON = sorted(path.name for path in GOLDEN.glob("analyze-*.json"))
 
 

@@ -1,9 +1,9 @@
-"""The survey evaluates each twist class once and prints what the per-triple route prints.
+"""The survey evaluates each twist class once per process and prints what the per-triple route prints.
 
 The reference route is built here from the full report of every triple
 (the first 12 cells of ``analyze --tsv``), a filter predicate of its own
-and a JSON writer of its own, so it shares nothing with the class memo,
-``report._stages`` or the row writer of ``cycone survey``.
+and a JSON writer of its own, so it shares nothing with the twist-class
+table, ``report._stages`` or the row writer of ``cycone survey``.
 """
 
 import contextlib
@@ -11,6 +11,7 @@ import functools
 import io
 import json
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,8 +20,10 @@ from hypothesis import strategies as st
 from cycone import chow, cli, cone, report
 from cycone.bundles import BundleSpec, h0_anticanonical
 from cycone.chow import ChernPair
+from cycone.errors import InvariantViolationError
 from cycone.report import SURVEY_COLUMNS, analyze_row_cells, build_report, survey_lines
 
+GOLDEN = Path(__file__).parent / "golden"
 EMPTY = ["c1=3", "c1=4"]  # repeated keyed filters must all hold: no row passes
 FILTERS = [
     [],
@@ -159,7 +162,13 @@ def test_survey_row_facts_are_twist_invariant(exponents, t):
     assert twisted[3:6] == [str(c.c1), str(c.c2), row[5]]
 
 
+C1_3 = [t for t in combinations_with_replacement(range(-6, 7), 3) if sum(t) == 3]
+C1_3_CLASSES = {(e2 - e1, e3 - e1) for e1, e2, e3 in C1_3}
+FULL = ["survey", "--emin", "-6", "--emax", "6"]
+
+
 def test_survey_evaluates_each_class_once_and_multiplies_nothing(monkeypatch):
+    report._twist_class.cache_clear()
     calls = {"anticanonical_status": 0, "expand": 0}
 
     def counted(name, fn):
@@ -172,23 +181,28 @@ def test_survey_evaluates_each_class_once_and_multiplies_nothing(monkeypatch):
         cone, "anticanonical_status", counted("anticanonical_status", cone.anticanonical_status)
     )
     monkeypatch.setattr(chow, "expand", counted("expand", chow.expand))
-    out = run_main(["survey", "--emin", "-6", "--emax", "6"])
-    assert out.count("\n") == 1 + len(list(combinations_with_replacement(range(13), 3)))
-    # one class per (e2 - e1, e3 - e1) with 0 <= e2 - e1 <= e3 - e1 <= 12: C(14, 2)
-    assert calls == {"anticanonical_status": 91, "expand": 0}
-
     # a keyed filter drops rows before their class is looked up: only the
     # classes of the rows with c1 = 3 are evaluated
+    out = run_main(FULL + ["--filter", "c1=3"])
+    assert out.count("\n") == 1 + len(C1_3)
+    assert calls == {"anticanonical_status": len(C1_3_CLASSES), "expand": 0}
+    assert len(C1_3_CLASSES) < 91
+
+    # the full survey evaluates only the classes the filtered one did not meet:
+    # one class per (e2 - e1, e3 - e1) with 0 <= e2 - e1 <= e3 - e1 <= 12, C(14, 2)
     calls.update(anticanonical_status=0)
-    out = run_main(["survey", "--emin", "-6", "--emax", "6", "--filter", "c1=3"])
-    kept = [t for t in combinations_with_replacement(range(-6, 7), 3) if sum(t) == 3]
-    assert out.count("\n") == 1 + len(kept)
-    classes = {(e2 - e1, e3 - e1) for e1, e2, e3 in kept}
-    assert calls == {"anticanonical_status": len(classes), "expand": 0}
-    assert len(classes) < 91
+    out = run_main(FULL)
+    assert out.count("\n") == 1 + len(list(combinations_with_replacement(range(13), 3)))
+    assert calls == {"anticanonical_status": 91 - len(C1_3_CLASSES), "expand": 0}
+
+    # the table lives for the process: a repeated survey evaluates nothing
+    calls.update(anticanonical_status=0)
+    assert run_main(FULL) == out
+    assert calls == {"anticanonical_status": 0, "expand": 0}
 
 
 def test_survey_runs_h0_once_per_class(monkeypatch):
+    report._twist_class.cache_clear()
     calls = []
 
     def counted(spec):
@@ -196,13 +210,51 @@ def test_survey_runs_h0_once_per_class(monkeypatch):
         return h0_anticanonical(spec)
 
     monkeypatch.setattr(report, "h0_anticanonical", counted)
-    run_main(["survey", "--emin", "-6", "--emax", "6"])
-    assert len(calls) == 91  # one per class (d1, d2) with 0 <= d1 <= d2 <= 12
+    run_main(FULL + ["--filter", "c1=3"])
+    assert len(calls) == len(C1_3_CLASSES)
+    run_main(FULL)
+    run_main(FULL)
+    # one per class (d1, d2) with 0 <= d1 <= d2 <= 12, over the whole sequence
+    assert len(calls) == 91
+    assert len(set(calls)) == 91
 
-    calls.clear()
-    run_main(["survey", "--emin", "-6", "--emax", "6", "--filter", "c1=3"])
-    kept = [t for t in combinations_with_replacement(range(-6, 7), 3) if sum(t) == 3]
-    assert len(calls) == len({(e2 - e1, e3 - e1) for e1, e2, e3 in kept})
+
+def test_table_beyond_the_cap_prints_the_per_triple_reference():
+    # every sorted triple in [0, 20] meets 231 classes, more than the table
+    # holds: the classes it drops are evaluated again, and each row is still
+    # the reference row
+    report._twist_class.cache_clear()
+    types = list(combinations_with_replacement(range(21), 3))
+    assert len({(e2 - e1, e3 - e1) for e1, e2, e3 in types}) == 231
+    rows = [survey_cells(t) for t in types]
+    for as_json in (False, True):
+        assert survey_lines(types, [], [], as_json) == _lines(rows, as_json)
+    assert report._twist_class.cache_info().currsize <= 91
+
+
+def test_a_failed_class_is_not_stored(monkeypatch, capsys):
+    # on a cold table the tenth class evaluated fails its check: the survey
+    # exits 2 with the check's message, and neither the error nor the class
+    # is kept, so the next survey prints the golden rows
+    report._twist_class.cache_clear()
+    original = cone.anticanonical_status
+    seen = []
+
+    def failing(spec):
+        seen.append(spec)
+        if len(seen) == 10:
+            raise InvariantViolationError("synthetic class failure")
+        return original(spec)
+
+    monkeypatch.setattr(cone, "anticanonical_status", failing)
+    assert cli.main(["survey", "--emin", "-4", "--emax", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cycone: error: synthetic class failure" in captured.err
+    assert report._twist_class.cache_info().currsize == 9
+    monkeypatch.undo()
+    out = run_main(["survey", "--emin", "-4", "--emax", "4"])
+    assert out.encode() == (GOLDEN / "survey-m4_4.tsv").read_bytes()
 
 
 @pytest.mark.parametrize("as_json", [False, True], ids=["tsv", "json"])
