@@ -144,8 +144,6 @@ def _parse_filters(filters):
 
 
 def cmd_survey(args) -> int:
-    from itertools import combinations_with_replacement
-
     import cycone.report as report
 
     try:
@@ -158,8 +156,6 @@ def cmd_survey(args) -> int:
     if args.emax - args.emin > MAX_RANGE:
         raise UsageError(f"range size {args.emax - args.emin} exceeds the cap {MAX_RANGE}")
     keyed, flags = _parse_filters(args.filter)
-    # every monotone exponent triple in [emin, emax], lexicographically sorted
-    types = list(combinations_with_replacement(range(args.emin, args.emax + 1), 3))
     lines = []
     if args.meta:
         import json
@@ -167,7 +163,7 @@ def cmd_survey(args) -> int:
         lines.append(json.dumps({"meta": _meta_block()}) if args.json else _meta_comment())
     if not args.json:
         lines.append("\t".join(SURVEY_COLUMNS))
-    lines += report.survey_lines(types, keyed, flags, args.json)
+    lines += report.survey_lines(args.emin, args.emax, keyed, flags, args.json)
     _emit("\n".join(lines), args.out)
     return 0
 

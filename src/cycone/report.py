@@ -41,10 +41,13 @@ The 12 survey columns are written in two places from one cell format,
 ``analyze_row_cells`` writes a report's cells for ``analyze --tsv``, and
 ``_twist_class`` writes a class's six cells once per process, as TSV and
 as a JSON fragment, straight from the stage results, into a table of at
-most 91 classes that ``survey_lines`` puts between each row's own five
-integers and its table admissibility.  Their names, ``SURVEY_COLUMNS`` and
-``ANALYZE_EXTRA_COLUMNS``, are defined in the package ``__init__`` (so the
-CLI's help can print them without loading the engine) and re-exported here.
+most 91 classes.  ``survey_lines`` walks its range class by class (e1,
+then e2 - e1, then e3 - e1, which is sorted-triple order), applies each
+keyed filter where its value is fixed, and puts the class's cells between
+each row's own five integers and its table admissibility.  Their names,
+``SURVEY_COLUMNS`` and ``ANALYZE_EXTRA_COLUMNS``, are defined in the
+package ``__init__`` (so the CLI's help can print them without loading the
+engine) and re-exported here.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ import cycone.invariants as invariants
 from . import ANALYZE_EXTRA_COLUMNS, MAX_RANGE, SURVEY_COLUMNS
 from .bundles import BundleSpec, H0Anticanonical, h0_anticanonical
 from .cone import BoundaryRoot, ConeRestriction, MinusKStatus
+from .errors import InvariantViolationError
 from .exactnum import format_rational, quad_parts, quad_text
 from .invariants import RhoResult, SectionBounds, XPairings
 
@@ -106,9 +110,19 @@ def tab_admissible(spec: BundleSpec) -> bool | None:
 
 def _stages(spec: BundleSpec):
     """h^0(-K_Z), the -K_Z status, rho and the verdict of ``spec``, each
-    from the facts it decides from."""
+    from the facts it decides from.
+
+    Where -K_Z is nef and big, Kawamata-Viehweg kills its higher
+    cohomology, so h^0(-K_Z) must equal chi(Z, -K_Z) = 5 gamma + 100;
+    an ``InvariantViolationError`` is raised when it does not.
+    """
     h0 = h0_anticanonical(spec)
     minus_k = cone.anticanonical_status(spec)
+    if minus_k.nef and minus_k.big and h0.value != 5 * spec.gamma + 100:
+        raise InvariantViolationError(
+            f"h0(-K_Z) = {h0.value} for {spec.describe()}, but -K_Z is nef and big,"
+            f" so it must equal chi(Z, -K_Z) = 5 gamma + 100 = {5 * spec.gamma + 100}"
+        )
     rho = invariants.rho_of_x(spec, minus_k)
     return h0, minus_k, rho, cone.rationality_verdict(h0)
 
@@ -320,39 +334,63 @@ def _twist_class(d1: int, d2: int):
     )
 
 
-def survey_lines(types, keyed, flags, as_json: bool) -> list[str]:
-    """The TSV or JSON-lines rows of the triples that pass every filter.
+def survey_lines(emin: int, emax: int, keyed, flags, as_json: bool) -> list[str]:
+    """The TSV or JSON-lines rows of the sorted triples e1 <= e2 <= e3 in
+    [emin, emax] that pass every filter, in lexicographic order.
 
-    A row's c1, c2 and gamma come from its sorted triple, and the keyed
-    filters (``(key, value)`` pairs) and ``tab`` drop it before its twist
-    class (e2 - e1, e3 - e1) is looked up.  Twisting by O(t) leaves Z = P(E)
-    alone, so gamma, nef, ample, big, rho and the verdict depend only on the
-    class: each one is evaluated once per process, by ``_twist_class``,
-    whose table holds its -K_Z status and its six cells as TSV and as a
-    JSON fragment.  The ``nef``/``ample``/``big`` filters are applied to
-    that status on each call; a row adds e1, e2, e3, c1, c2 and its table
-    admissibility.
+    The range is walked class by class: e1 ascending, then d1 = e2 - e1 in
+    [0, emax - e1], then d2 = e3 - e1 in [d1, emax - e1], so each row holds
+    its twist class (d1, d2) as it is made.  Twisting by O(t) leaves
+    Z = P(E) alone, so gamma, nef, ample, big, rho and the verdict depend
+    only on the class: each one is evaluated once per process, by
+    ``_twist_class``, whose table holds its -K_Z status and its six cells
+    as TSV and as a JSON fragment.
+
+    Each keyed filter (a ``(key, value)`` pair) is applied where its value
+    is fixed, before the class is looked up: two values for one key pass
+    no row; ``c1`` solves d2 = c1 - 3 e1 - d1, one row per (e1, d1) at
+    most; ``gamma`` = d1^2 - d1 d2 + d2^2, the gamma of (0, d1, d2), is
+    decided per class; ``c2`` per row.  ``tab`` drops a row before its
+    class is looked up, and ``nef``/``ample``/``big`` are applied to the
+    class's status on each call.  A row adds e1, e2, e3, c1, c2 and its
+    table admissibility.
     """
-    checks = [(("c1", "c2", "gamma").index(key), value) for key, value in keyed]
+    fixed = {}
+    for key, value in keyed:
+        if fixed.setdefault(key, value) != value:
+            return []
+    want_c1, want_c2, want_gamma = fixed.get("c1"), fixed.get("c2"), fixed.get("gamma")
     class_flags = [f for f in flags if f != "tab"]
     need_tab = "tab" in flags
     lines = []
-    for exponents in types:
-        e1, e2, e3 = sorted(exponents)
-        c1, c2 = e1 + e2 + e3, e1 * e2 + e1 * e3 + e2 * e3
-        if checks and any((c1, c2, c1 * c1 - 3 * c2)[i] != v for i, v in checks):
-            continue
-        tab = cone.is_allowed_splitting_type(e1, e2, e3)
-        if need_tab and not tab:
-            continue
-        minus_k, tsv, fragment = _twist_class(e2 - e1, e3 - e1)
-        if class_flags and not all(getattr(minus_k, f) for f in class_flags):
-            continue
-        if as_json:
-            lines.append(f'{{"e1": {e1}, "e2": {e2}, "e3": {e3}, "c1": {c1}, "c2": {c2},'
-                         f' {fragment}, "tab_admissible": "{tri(tab)}"}}')
-        else:
-            lines.append(f"{e1}\t{e2}\t{e3}\t{c1}\t{c2}\t{tsv}\t{tri(tab)}")
+    for e1 in range(emin, emax + 1):
+        top = emax - e1
+        for d1 in range(top + 1):
+            e2 = e1 + d1
+            if want_c1 is None:
+                d2s = range(d1, top + 1)
+            else:
+                d2 = want_c1 - 3 * e1 - d1
+                d2s = (d2,) if d1 <= d2 <= top else ()
+            for d2 in d2s:
+                if want_gamma is not None and d1 * d1 - d1 * d2 + d2 * d2 != want_gamma:
+                    continue
+                e3 = e1 + d2
+                c2 = e1 * e2 + e1 * e3 + e2 * e3
+                if want_c2 is not None and c2 != want_c2:
+                    continue
+                tab = cone.is_allowed_splitting_type(e1, e2, e3)
+                if need_tab and not tab:
+                    continue
+                minus_k, tsv, fragment = _twist_class(d1, d2)
+                if class_flags and not all(getattr(minus_k, f) for f in class_flags):
+                    continue
+                c1 = e1 + e2 + e3
+                if as_json:
+                    lines.append(f'{{"e1": {e1}, "e2": {e2}, "e3": {e3}, "c1": {c1}, "c2": {c2},'
+                                 f' {fragment}, "tab_admissible": "{tri(tab)}"}}')
+                else:
+                    lines.append(f"{e1}\t{e2}\t{e3}\t{c1}\t{c2}\t{tsv}\t{tri(tab)}")
     return lines
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycone import chow, cli, cone, errors, exactnum, invariants, report, selftest
+from cycone import bundles, chow, cli, cone, errors, exactnum, invariants, report, selftest
 from cycone.bundles import BundleSpec, H0Anticanonical, catalog_entries
 from cycone.errors import InvariantViolationError
 from cycone.report import (
@@ -445,6 +445,40 @@ def test_cli_internal_invariant_errors_exit_2(monkeypatch, capsys):
     monkeypatch.setattr(report, "build_report", explode)
     assert cli.main(["analyze", "--split", "0,1,2"]) == 2
     assert "synthetic failure" in capsys.readouterr().err
+
+
+# split triples in [-8, 8] and the catalog ids at twists -6..6
+STAGE_SPECS = [BundleSpec.split(*e) for e in combinations_with_replacement(range(-8, 9), 3)] + [
+    spec.twist(t) for spec in catalog_entries() for t in range(-6, 7)
+]
+
+
+def test_h0_of_a_nef_and_big_minus_k_is_5_gamma_plus_100():
+    # Kawamata-Viehweg: h0(-K_Z) = chi(Z, -K_Z) = 5 gamma + 100, typed here
+    # by hand, never read from chi_rr or the pairings
+    nef_big = 0
+    for spec in STAGE_SPECS:
+        h0, minus_k, _, _ = report._stages(spec)
+        if minus_k.nef and minus_k.big:
+            assert h0.value == 5 * spec.gamma + 100, spec.describe()
+            nef_big += 1
+    assert (len(STAGE_SPECS), nef_big) == (1047, 171)
+
+
+def test_a_wrong_h0_on_a_nef_and_big_minus_k_exits_2(monkeypatch, capsys):
+    original = bundles._split_sections_h0
+    monkeypatch.setattr(bundles, "_split_sections_h0", lambda exps, c1: original(exps, c1) + 1)
+    assert cli.main(["analyze", "--split=0,1,2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "cycone: error: h0(-K_Z) = 116 for O(0)+O(1)+O(2), but -K_Z is nef and big,"
+        " so it must equal chi(Z, -K_Z) = 5 gamma + 100 = 115\n"
+    )
+    # -K_Z is not nef on O(-5)+O(6)+O(6): no check applies, and the report
+    # prints the tampered value
+    assert cli.main(["analyze", "--split=-5,6,6"]) == 0
+    assert "h0(-K_Z): 511 (exact)" in capsys.readouterr().out  # 510 untampered
 
 
 def test_cli_survey_single_row():

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycone import chow, cli, cone, report
+from cycone import bundles, chow, cli, cone, report
 from cycone.bundles import BundleSpec, h0_anticanonical
 from cycone.chow import ChernPair
 from cycone.errors import InvariantViolationError
@@ -65,6 +65,17 @@ COLUMN = {name: k for k, name in enumerate(SURVEY_COLUMNS)}
 
 def _per_triple(emin, emax):
     return [survey_cells(t) for t in combinations_with_replacement(range(emin, emax + 1), 3)]
+
+
+def _class_of(exponents):
+    e1, e2, e3 = exponents
+    return e2 - e1, e3 - e1
+
+
+def _gamma_c2(exponents):
+    e1, e2, e3 = exponents
+    c1, c2 = e1 + e2 + e3, e1 * e2 + e1 * e3 + e2 * e3
+    return c1 * c1 - 3 * c2, c2
 
 
 def _passes(cells, filters):
@@ -142,11 +153,63 @@ def test_survey_prints_the_per_triple_reference_for_any_range_and_filters(
     assert run_main(survey_argv(emin, emin + width, filters, as_json)) == expected
 
 
-def test_survey_rows_matches_survey_row_in_any_order():
-    types = [(2, 0, 1), (5, 3, 4), (-1, -1, 7), (0, 0, 8), (0, 1, 2), (8, 0, 0)]
-    rows = [survey_cells(t) for t in types]
+def _split_filters(filters):
+    """The ``(key, value)`` pairs and the flags of filter words, for ``survey_lines``."""
+    keyed, flags = [], []
+    for f in filters:
+        key, eq, value = f.partition("=")
+        if eq:
+            keyed.append((key, int(value)))
+        else:
+            flags.append(f)
+    return keyed, flags
+
+
+def library_reference(emin, emax, filters, as_json):
+    """The rows ``survey_lines`` returns, from the report of each triple."""
+    return _lines([cells for cells in _per_triple(emin, emax) if _passes(cells, filters)], as_json)
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["tsv", "json"])
+@pytest.mark.parametrize("emin, emax", [(0, 0), (5, 5), (-3, -3), (-7, -2), (-2, 5), (3, 9), (4, 3), (0, -6)])
+def test_survey_lines_walks_the_range_in_sorted_triple_order(emin, emax, as_json):
+    # emin == emax is one row, of class (0, 0); emin > emax is no row
+    expected = library_reference(emin, emax, [], as_json)
+    assert survey_lines(emin, emax, [], [], as_json) == expected
+    if emin == emax:
+        assert len(expected) == 1
+        assert survey_cells((emin,) * 3)[5:11] == survey_cells((0, 0, 0))[5:11]
+    elif emin > emax:
+        assert expected == []
+
+
+@st.composite
+def library_surveys(draw):
+    """A range of width 0..20 from emin in [-10, 10], past the CLI's cap of
+    12, and 1-3 filters: flags, and keyed values that either a triple of the
+    range has, so that rows pass, or are drawn free, up to those that e1 = -10
+    or a class beyond the table reaches."""
+    emin = draw(st.integers(min_value=-10, max_value=10))
+    emax = emin + draw(st.integers(min_value=0, max_value=20))
+    triple = sorted(draw(st.lists(st.integers(emin, emax), min_size=3, max_size=3)))
+    gamma, c2 = _gamma_c2(triple)
+    in_range = st.sampled_from([f"c1={sum(triple)}", f"c2={c2}", f"gamma={gamma}"])
+    free = st.one_of(
+        st.builds("c1={}".format, st.integers(-30, 60)),
+        st.builds("c2={}".format, st.integers(-40, 40)),
+        st.builds("gamma={}".format, st.integers(-1, 400)),
+    )
+    word = st.one_of(FLAG_WORDS, in_range, in_range, in_range, free)
+    return emin, emax, draw(st.lists(word, min_size=1, max_size=3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(library_surveys())
+def test_survey_lines_is_the_per_triple_reference_past_the_cap(survey):
+    emin, emax, filters = survey
+    keyed, flags = _split_filters(filters)
     for as_json in (False, True):
-        assert survey_lines(types, [], [], as_json) == _lines(rows, as_json)
+        assert survey_lines(emin, emax, keyed, flags, as_json) == library_reference(emin, emax, filters, as_json)
 
 
 @settings(max_examples=60, deadline=None)
@@ -219,6 +282,50 @@ def test_survey_runs_h0_once_per_class(monkeypatch):
     assert len(set(calls)) == 91
 
 
+RANGE_M6_6 = list(combinations_with_replacement(range(-6, 7), 3))
+
+
+@pytest.fixture
+def evaluated(monkeypatch):
+    """The specs ``cone.anticanonical_status`` is called on, from a cleared table."""
+    report._twist_class.cache_clear()
+    original = cone.anticanonical_status
+    specs = []
+
+    def counted(spec):
+        specs.append(spec)
+        return original(spec)
+
+    monkeypatch.setattr(cone, "anticanonical_status", counted)
+    return specs
+
+
+@pytest.mark.parametrize("gamma", [0, 7, 13, 49, 5])
+def test_a_gamma_filter_evaluates_exactly_the_classes_with_that_gamma(evaluated, gamma):
+    classes = {_class_of(t) for t in RANGE_M6_6 if _gamma_c2(t)[0] == gamma}
+    expected, kept = reference(-6, 6, [f"gamma={gamma}"], False)
+    assert run_main(FULL + ["--filter", f"gamma={gamma}"]) == expected
+    assert sorted(spec.exponents[1:] for spec in evaluated) == sorted(classes)
+    assert (kept == 0) == (gamma == 5)  # 5 is no d1^2 - d1 d2 + d2^2
+
+
+@pytest.mark.parametrize("c2", [2, -4, 11, 40])
+def test_a_c2_filter_evaluates_only_the_classes_of_its_rows(evaluated, c2):
+    classes = {_class_of(t) for t in RANGE_M6_6 if _gamma_c2(t)[1] == c2}
+    expected, _ = reference(-6, 6, [f"c2={c2}"], True)
+    assert run_main(FULL + ["--filter", f"c2={c2}", "--json"]) == expected
+    assert sorted(spec.exponents[1:] for spec in evaluated) == sorted(classes)
+    assert len(classes) < 91
+
+
+def test_two_values_of_one_key_evaluate_no_class(evaluated):
+    argv = survey_argv(0, 3, EMPTY, True)
+    assert run_main(argv).encode() == (GOLDEN / "survey-0_3-c1_3-c1_4.jsonl").read_bytes()
+    assert evaluated == []
+    assert survey_lines(-6, 6, [("gamma", 3), ("c2", 2), ("gamma", 4)], ["nef"], False) == []
+    assert evaluated == []
+
+
 def test_table_beyond_the_cap_prints_the_per_triple_reference():
     # every sorted triple in [0, 20] meets 231 classes, more than the table
     # holds: the classes it drops are evaluated again, and each row is still
@@ -228,7 +335,7 @@ def test_table_beyond_the_cap_prints_the_per_triple_reference():
     assert len({(e2 - e1, e3 - e1) for e1, e2, e3 in types}) == 231
     rows = [survey_cells(t) for t in types]
     for as_json in (False, True):
-        assert survey_lines(types, [], [], as_json) == _lines(rows, as_json)
+        assert survey_lines(0, 20, [], [], as_json) == _lines(rows, as_json)
     assert report._twist_class.cache_info().currsize <= 91
 
 
@@ -255,6 +362,24 @@ def test_a_failed_class_is_not_stored(monkeypatch, capsys):
     monkeypatch.undo()
     out = run_main(["survey", "--emin", "-4", "--emax", "4"])
     assert out.encode() == (GOLDEN / "survey-m4_4.tsv").read_bytes()
+
+
+def test_a_class_that_fails_the_h0_check_is_not_stored(evaluated, monkeypatch, capsys):
+    # with h0(-K_Z) one too many, every nef and big class fails the
+    # 5 gamma + 100 check: a cold survey exits 2 at the first, and the table
+    # keeps only the classes evaluated before it, none of them nef and big
+    original = bundles._split_sections_h0
+    monkeypatch.setattr(bundles, "_split_sections_h0", lambda exps, c1: original(exps, c1) + 1)
+    argv = ["survey", "--emin", "-4", "--emax", "4", "--filter", "c1=-2"]
+    assert cli.main(argv) == 2
+    assert "must equal chi(Z, -K_Z) = 5 gamma + 100" in capsys.readouterr().err
+    specs = list(evaluated)
+    assert len(specs) > 1 and report._twist_class.cache_info().currsize == len(specs) - 1
+    nef_and_big = [status.nef and status.big for status in map(cone.anticanonical_status, specs)]
+    assert nef_and_big == [False] * (len(specs) - 1) + [True]
+    monkeypatch.setattr(bundles, "_split_sections_h0", original)
+    expected, _ = reference(-4, 4, ["c1=-2"], False)
+    assert run_main(argv) == expected
 
 
 @pytest.mark.parametrize("as_json", [False, True], ids=["tsv", "json"])
