@@ -12,12 +12,16 @@ every layer: a relative ``from . import report`` asks the package's lazy
 costs about three times as much, which ``analyze`` and ``survey`` pay on
 every call.
 
-When ``argv[0]`` is exactly a command name, ``main`` parses the rest with
-that command's own parser (``build_parser().commands``), which is what the
-full parser would hand it after a complete scan of its own; the namespace
-differs only in ``command``, which nothing reads, and every usage error and
-help text is the same.  Anything else takes the full parser: no argv,
-``--help``, or an unknown command.
+When ``argv[0]`` is exactly a command name, ``main`` reads the rest from
+that command's reader table, derived once by ``build_parser`` from the
+command's own argparse actions: exact option strings, their values and
+types, its groups, required options and defaults.  Where the table cannot
+give argparse's namespace for certain (help, an abbreviation, ``--``, a
+stray token, a bad value, a conflict or a missing option), the command's
+own parser (``build_parser().commands``) reads it, as the full parser would
+hand it on; the namespace differs only in ``command``, which nothing reads.
+So argparse writes every help text and usage message.  Anything else takes
+the full parser: no argv, ``--help``, or an unknown command.
 """
 
 from __future__ import annotations
@@ -279,7 +283,42 @@ def build_parser() -> _Parser:
     selftest = sub.add_parser("selftest", help="run the built-in regression checks")
     selftest.set_defaults(func=cmd_selftest)
 
+    for command in parser.commands.values():
+        command.reader = _reader_table(command)
     return parser
+
+
+# The argparse action classes the reader stands in for, by kind; an option
+# of any other class (``-h`` among them) is left out, so naming it defers.
+_READER_KINDS = {
+    argparse._StoreAction: "value",
+    argparse._StoreTrueAction: "flag",
+    argparse._AppendAction: "append",
+}
+
+
+def _reader_table(command: argparse.ArgumentParser) -> tuple:
+    """What ``_read`` needs of ``command``, from its own actions: option
+    string -> (dest, kind, type); (required, dests) of each mutually
+    exclusive group; the required dests; the namespace defaults, ``func``
+    included, in argparse's order; and argparse's negative-number pattern,
+    None where an option looks like a negative number."""
+    options, defaults = {}, {}
+    for action in command._actions:
+        kind = _READER_KINDS.get(type(action))
+        if kind and action.choices is None and (kind == "flag" or action.nargs is None):
+            options.update(dict.fromkeys(action.option_strings, (action.dest, kind, action.type)))
+        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+            defaults.setdefault(action.dest, action.default)
+    groups = tuple(
+        (group.required, frozenset(a.dest for a in group._group_actions))
+        for group in command._mutually_exclusive_groups
+    )
+    required = frozenset(a.dest for a in command._actions if a.required)
+    for dest, default in command._defaults.items():
+        defaults.setdefault(dest, default)
+    negative = None if command._has_negative_number_optionals else command._negative_number_matcher
+    return options, groups, required, defaults, negative
 
 
 # A comma-separated integer list, as --split and --chern take.
@@ -301,14 +340,75 @@ def _join_int_list_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _read(table: tuple, args: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse would make of ``args`` with the command of
+    ``table``, or None wherever that is not certain.
+
+    Taken: an exact option string as ``--opt=value`` or ``--opt value``, a
+    separate value that starts with '-' only where argparse's
+    negative-number rule makes it a value; an exact flag with no '='; a
+    repeat only of an append option.  Anything else is None: help, ``--``,
+    an abbreviation, a stray token, a value its ``type`` refuses, two
+    members of one group, or a missing required option or group.
+    """
+    options, groups, required, defaults, negative = table
+    values, present = {}, set()
+    i, n = 0, len(args)
+    while i < n:
+        option, eq, value = args[i].partition("=")
+        entry = options.get(option)
+        if entry is None:
+            return None
+        dest, kind, convert = entry
+        i += 1
+        if kind == "flag":
+            if eq:
+                return None
+            value = True
+        elif not eq:
+            if i == n:
+                return None
+            value = args[i]
+            i += 1
+            if value[:1] == "-" and not (negative and negative.match(value)):
+                return None
+        elif value == "--":  # argparse drops it and stores []
+            return None
+        if convert is not None:
+            try:
+                value = convert(value)
+            except ValueError:
+                return None
+        # argparse counts a group member present unless its value is the default itself
+        if kind == "flag" or value is not defaults.get(dest):
+            present.add(dest)
+        if kind == "append":
+            values.setdefault(dest, []).append(value)
+        elif dest in values:
+            return None
+        else:
+            values[dest] = value
+    if not required <= values.keys():
+        return None
+    for group_required, dests in groups:
+        count = len(dests & present)
+        if count > 1 or (group_required and not count):
+            return None
+    return argparse.Namespace(**{**defaults, **values})
+
+
 def _parse_argv(argv: list[str]) -> argparse.Namespace:
-    """The namespace of ``argv``: a command's own parser reads the rest
-    when ``argv[0]`` is exactly its name, the full parser anything else."""
+    """The namespace of ``argv``.  When ``argv[0]`` is exactly a command
+    name, ``_read`` takes the rest from that command's reader table, and
+    the command's own parser reads it where ``_read`` gives None; the full
+    parser reads anything else.  So argparse writes every help text and
+    usage message."""
     parser = build_parser()
     command = parser.commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)
-    return command.parse_args(argv[1:])
+    args = _read(command.reader, argv[1:])
+    return command.parse_args(argv[1:]) if args is None else args
 
 
 def main(argv=None) -> int:

@@ -186,12 +186,16 @@ def allowed_splitting_types(c1: int) -> list[tuple[int, int, int]]:
     ]
 
 
+# The c1 of every admissible splitting type: -1 <= c1 <= 4.
+ADMISSIBLE_C1 = range(-1, 5)
+
+
 def is_allowed_splitting_type(a: int, b: int, c: int) -> bool:
-    """Whether (a, b, c) is admissible: -1 <= c1 <= 4 for c1 = a + b + c,
+    """Whether (a, b, c) is admissible: c1 = a + b + c in ``ADMISSIBLE_C1``,
     a <= b <= c, the nef line test 3a + 3 - c1 >= 0 and the strict test
     3b + 3 - c1 > 0."""
     c1 = a + b + c
-    return -1 <= c1 <= 4 and a <= b <= c and 3 * a >= c1 - 3 and 3 * b + 3 - c1 > 0
+    return c1 in ADMISSIBLE_C1 and a <= b <= c and 3 * a >= c1 - 3 and 3 * b + 3 - c1 > 0
 
 
 class ConeRestriction(namedtuple("ConeRestriction", "case via surface", defaults=(None, None))):

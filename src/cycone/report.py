@@ -353,7 +353,7 @@ def survey_lines(emin: int, emax: int, keyed, flags, as_json: bool) -> list[str]
     decided per class; ``c2`` per row.  ``tab`` drops a row before its
     class is looked up, and ``nef``/``ample``/``big`` are applied to the
     class's status on each call.  A row adds e1, e2, e3, c1, c2 and its
-    table admissibility.
+    table admissibility, tested only when c1 is in ``cone.ADMISSIBLE_C1``.
     """
     fixed = {}
     for key, value in keyed:
@@ -362,6 +362,7 @@ def survey_lines(emin: int, emax: int, keyed, flags, as_json: bool) -> list[str]
     want_c1, want_c2, want_gamma = fixed.get("c1"), fixed.get("c2"), fixed.get("gamma")
     class_flags = [f for f in flags if f != "tab"]
     need_tab = "tab" in flags
+    c1_window = cone.ADMISSIBLE_C1
     lines = []
     for e1 in range(emin, emax + 1):
         top = emax - e1
@@ -379,13 +380,13 @@ def survey_lines(emin: int, emax: int, keyed, flags, as_json: bool) -> list[str]
                 c2 = e1 * e2 + e1 * e3 + e2 * e3
                 if want_c2 is not None and c2 != want_c2:
                     continue
-                tab = cone.is_allowed_splitting_type(e1, e2, e3)
+                c1 = e1 + e2 + e3
+                tab = c1 in c1_window and cone.is_allowed_splitting_type(e1, e2, e3)
                 if need_tab and not tab:
                     continue
                 minus_k, tsv, fragment = _twist_class(d1, d2)
                 if class_flags and not all(getattr(minus_k, f) for f in class_flags):
                     continue
-                c1 = e1 + e2 + e3
                 if as_json:
                     lines.append(f'{{"e1": {e1}, "e2": {e2}, "e3": {e3}, "c1": {c1}, "c2": {c2},'
                                  f' {fragment}, "tab_admissible": "{tri(tab)}"}}')

@@ -1,5 +1,6 @@
 """Report serialization and the command-line front end."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -11,7 +12,7 @@ from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cycone import bundles, chow, cli, cone, errors, exactnum, invariants, report, selftest
@@ -436,6 +437,176 @@ def test_command_parser_matches_the_full_parser():
         kinds.add(full[0])
     assert kinds == {"namespace", "usage error", "exit"}
     assert len(corpus) > 80
+
+
+# The words of a generated command line: every option string, abbreviations,
+# help, the option terminator, and values argparse reads by rules of its own
+# (negative-looking ones, ints that int() takes or refuses, spaces, nothing).
+OPTION_STRINGS = ["--split", "--named", "--chern", "--twist", "--json", "--tsv", "--meta",
+                  "--out", "--emin", "--emax", "--filter"]
+VALUES = ["0", "3", "-2", "0,1,2", "3,12", "TP2+O", "nef", "c1=3", "x", "\u0663", "1_000", " 7",
+          "-5", "-1.5", "-.5", "-\u00b2", "-5\n", "-5,6,6", "", "a b", "-5 6", "--"]
+WORDS = OPTION_STRINGS + VALUES + ["--spl", "--js", "--em", "-h", "--help", "--json=1", "-x"]
+UNITS = st.one_of(
+    st.lists(st.sampled_from(WORDS), min_size=1, max_size=1),
+    st.lists(st.sampled_from(OPTION_STRINGS + ["--spl", "--js"]), min_size=1, max_size=1).flatmap(
+        lambda opt: st.sampled_from(VALUES).flatmap(
+            lambda value: st.sampled_from([opt + [value], [f"{opt[0]}={value}"]])
+        )
+    ),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(sorted(cli.build_parser().commands)), st.lists(UNITS, max_size=5))
+@example("analyze", [["--split=0,1,2"], ["--out=--"]])  # argparse stores [] for a lone --
+@example("survey", [["--emin", "-5\n"], ["--emax", "-.5"], ["--filter", "-5,6,6"]])
+@example("survey", [["--emin=0"], ["--emax=0"], ["--json=1"]])
+def test_the_reader_gives_what_the_full_parser_gives(command, units):
+    argv = (command, *(word for unit in units for word in unit))
+    full = _parse_outcome(cli.build_parser().parse_args, argv)
+    if full[0] == "namespace":
+        assert full[1].pop("command") == command
+    assert _parse_outcome(cli._parse_argv, argv) == full
+
+
+def _joined(argv):
+    """``argv`` with each option that takes a value written as --opt=value."""
+    out = []
+    for word in argv:
+        if out and out[-1] in OPTION_STRINGS and out[-1] not in ("--json", "--tsv", "--meta"):
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
+@pytest.fixture
+def argparse_reads(monkeypatch):
+    """The command lines argparse is asked to read."""
+    read = []
+    original = argparse.ArgumentParser.parse_known_args
+
+    def spy(self, args=None, namespace=None):
+        read.append(args)
+        return original(self, args, namespace)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+    return read
+
+
+def test_a_well_formed_command_line_never_reaches_argparse(argparse_reads):
+    from test_golden import CASES, SPELLING_CASES
+
+    cases = CASES + SPELLING_CASES
+    for filename, argv in cases:
+        golden = (GOLDEN / filename).read_bytes()
+        for form in (argv, _joined(argv)):
+            code, out, err = run_main(form)
+            assert (code, err, out.encode()) == (0, "", golden), form
+    assert argparse_reads == []
+    assert len(cases) == 57 + 9
+
+
+# usage errors and help that only argparse answers, each with its exit code
+ARGPARSE_ANSWERS = [
+    (("analyze",), 1),
+    (("analyze", "--split", "0,1,2", "--named", "TP2+O"), 1),
+    (("nonsense",), 1),
+    (("analyze", "-h"), 0),
+    (("survey", "-h"), 0),
+    (("-h",), 0),
+    (("analyze", "--spl=0,1,2"), 0),
+    (("survey", "--emin=0", "--emax=2", "--"), 1),
+    (("analyze", "--split=0,1,2", "--json", "--tsv"), 1),
+]
+
+
+def _answer(argv):
+    """``run_main``, with the exit code of ``--help`` as its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv, code", ARGPARSE_ANSWERS)
+def test_argparse_answers_help_and_its_usage_errors(argparse_reads, monkeypatch, argv, code):
+    got = _answer(argv)
+    assert got[0] == code and argparse_reads
+    monkeypatch.setattr(cli, "_read", lambda table, args: None)
+    assert _answer(argv) == got
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS)
+def test_a_usage_error_is_the_same_with_the_reader_or_without(monkeypatch, argv):
+    got = run_main(argv)
+    assert got[0] == 1 and got[2].startswith("cycone: usage error: ")
+    monkeypatch.setattr(cli, "_read", lambda table, args: None)
+    assert run_main(argv) == got
+
+
+def test_each_command_reader_table_is_pinned():
+    commands = cli.build_parser().commands
+    tables = {name: command.reader[:4] for name, command in commands.items()}
+    assert tables == {
+        "analyze": (
+            {
+                "--split": ("split", "value", None),
+                "--named": ("named", "value", None),
+                "--chern": ("chern", "value", None),
+                "--twist": ("twist", "value", int),
+                "--json": ("json", "flag", None),
+                "--tsv": ("tsv", "flag", None),
+                "--meta": ("meta", "flag", None),
+                "--out": ("out", "value", None),
+            },
+            ((True, frozenset({"split", "named", "chern"})), (False, frozenset({"json", "tsv"}))),
+            frozenset(),
+            {"split": None, "named": None, "chern": None, "twist": 0, "json": False,
+             "tsv": False, "meta": False, "out": None, "func": cli.cmd_analyze},
+        ),
+        "survey": (
+            {
+                "--emin": ("emin", "value", int),
+                "--emax": ("emax", "value", int),
+                "--filter": ("filter", "append", None),
+                "--json": ("json", "flag", None),
+                "--meta": ("meta", "flag", None),
+                "--out": ("out", "value", None),
+            },
+            (),
+            frozenset({"emin", "emax"}),
+            {"emin": None, "emax": None, "filter": None, "json": False, "meta": False,
+             "out": None, "func": cli.cmd_survey},
+        ),
+        "catalog": (
+            {"--json": ("json", "flag", None), "--out": ("out", "value", None)},
+            (),
+            frozenset(),
+            {"json": False, "out": None, "func": cli.cmd_catalog},
+        ),
+        "selftest": ({}, (), frozenset(), {"func": cli.cmd_selftest}),
+    }
+    # the defaults in the order argparse sets them
+    for name, command in commands.items():
+        assert list(command.reader[3]) == list(vars(command.parse_args(_WELL_FORMED[name])))
+    # argparse's own negative-number rule decides a separate value that starts with '-'
+    negative = commands["survey"].reader[4]
+    assert [bool(negative.match(v)) for v in ("-5", "-.5", "-1.5", "-5,6,6", "-x", "--")] == [
+        True, True, True, False, False, False
+    ]
+
+
+_WELL_FORMED = {
+    "analyze": ["--split=0,1,2"],
+    "survey": ["--emin=0", "--emax=1"],
+    "catalog": [],
+    "selftest": [],
+}
 
 
 def test_cli_internal_invariant_errors_exit_2(monkeypatch, capsys):

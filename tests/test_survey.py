@@ -285,6 +285,26 @@ def test_survey_runs_h0_once_per_class(monkeypatch):
 RANGE_M6_6 = list(combinations_with_replacement(range(-6, 7), 3))
 
 
+@pytest.mark.parametrize("fmt", [[], ["--json"]])
+def test_a_survey_tests_admissibility_only_in_the_c1_window(monkeypatch, fmt):
+    run_main(FULL)  # fill the twist-class table, so only the rows call in
+    original = cone.is_allowed_splitting_type
+    calls = []
+
+    def counted(*stype):
+        calls.append(stype)
+        return original(*stype)
+
+    monkeypatch.setattr(cone, "is_allowed_splitting_type", counted)
+    out = run_main(FULL + fmt)
+    assert calls == [t for t in RANGE_M6_6 if -1 <= sum(t) <= 4]
+    assert len(calls) == 142  # of 455 rows
+    monkeypatch.undo()
+    assert out == run_main(FULL + fmt)
+    # a row outside the window is not admissible
+    assert [t for t in RANGE_M6_6 if original(*t)] == [t for t in calls if original(*t)]
+
+
 @pytest.fixture
 def evaluated(monkeypatch):
     """The specs ``cone.anticanonical_status`` is called on, from a cleared table."""
