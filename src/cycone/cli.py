@@ -12,24 +12,25 @@ every layer: a relative ``from . import report`` asks the package's lazy
 costs about three times as much, which ``analyze`` and ``survey`` pay on
 every call.
 
-When ``argv[0]`` is exactly a command name, ``main`` reads the rest from
-that command's reader table, derived once by ``build_parser`` from the
-command's own argparse actions: exact option strings, their values and
-types, its groups, required options and defaults.  Where the table cannot
-give argparse's namespace for certain (help, an abbreviation, ``--``, a
-stray token, a bad value, a conflict or a missing option), the command's
-own parser (``build_parser().commands``) reads it, as the full parser would
-hand it on; the namespace differs only in ``command``, which nothing reads.
-So argparse writes every help text and usage message.  Anything else takes
-the full parser: no argv, ``--help``, or an unknown command.
+Each command is declared once, as plain data (``_COMMANDS``).  When
+``argv[0]`` is exactly a command name, ``main`` reads the rest with that
+command's reader, derived from the declaration at import: exact option
+strings, their values and types, its groups, required options and
+defaults.  Where the reader cannot give argparse's namespace for certain
+(help, an abbreviation, ``--``, a stray token, a bad value, a conflict or a
+missing option), argparse is imported and the command's own parser, built
+from the same declaration, reads it; the namespace differs only in
+``command``, which nothing reads.  So argparse writes every help text and
+usage message.  Anything else takes the full parser: no argv, ``--help``,
+or an unknown command.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import re
 import sys
+from types import SimpleNamespace
 
 from . import ANALYZE_EXTRA_COLUMNS, MAX_RANGE, SURVEY_COLUMNS, __version__
 from .errors import MAX_SPEC_VALUE, CyconeError, DomainError, _literal, bounded, quote_input
@@ -46,13 +47,6 @@ class UsageError(Exception):
 # offending value whole, so a long one is cut to this many characters and
 # its length is given instead, as ``errors.quote_input`` does for inputs.
 USAGE_MESSAGE_LIMIT = 200
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse defaults to exit code 2; we use 1
-        if len(message) > USAGE_MESSAGE_LIMIT:
-            message = f"{message[:USAGE_MESSAGE_LIMIT]}... ({len(message)} chars)"
-        raise UsageError(message)
 
 
 def _parse_ints(text: str, count: int, what: str) -> tuple[int, ...]:
@@ -210,115 +204,112 @@ def cmd_selftest(args) -> int:
     return 2 if failures else 0
 
 
-@functools.cache
-def build_parser() -> _Parser:
-    """The ``cycone`` argument parser, built once per process and shared.
-
-    ``parse_args`` keeps no state on the parser between calls (each call
-    gets a fresh namespace), so every ``main`` call reuses this one object.
-    Callers must not mutate it.
-    """
-    parser = _Parser(
-        prog="cycone",
-        description=(
-            "Exact invariants and Kahler-cone verdicts for Calabi-Yau "
-            "hypersurfaces in P2-bundles over P2."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = sub.choices  # each command's own parser, by name, for ``main``
-
-    analyze = sub.add_parser(
-        "analyze",
-        help="full report for one bundle spec",
-        epilog=(
+# Each command once, as plain data: its help, its epilog, its function and
+# its options in help order.  An option is (option string, kind, mutually
+# exclusive group, ``add_argument`` keywords); a kind is "value", "flag"
+# (``store_true``) or "append", and a group is (name, required) or None.
+# ``_read`` and ``build_parser`` both read this table.
+_SPEC, _FORMAT = ("spec", True), ("format", False)
+_COMMANDS = {
+    "analyze": (
+        "full report for one bundle spec",
+        (
             "TSV columns: "
             + " ".join(SURVEY_COLUMNS + ANALYZE_EXTRA_COLUMNS)
             + ". Tri-state columns print true/false/unknown. Every integer of the spec"
             f" (--split, --chern, --named exponents, --twist) lies in"
             f" [-{MAX_SPEC_VALUE}, {MAX_SPEC_VALUE}]."
         ),
-    )
-    spec_group = analyze.add_mutually_exclusive_group(required=True)
-    spec_group.add_argument("--split", metavar="E1,E2,E3", help="split bundle exponents")
-    spec_group.add_argument("--named", metavar="ID", help="catalog id or rank-3 sheaf expression")
-    spec_group.add_argument("--chern", metavar="C1,C2", help="Chern numbers only")
-    analyze.add_argument("--twist", type=int, default=0, help="tensor E by O(t) first")
-    fmt = analyze.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="emit the JSON report")
-    fmt.add_argument("--tsv", action="store_true", help="emit a one-row TSV report")
-    analyze.add_argument("--meta", action="store_true", help="add provenance metadata")
-    analyze.add_argument("--out", metavar="FILE", help="write output to FILE")
-    analyze.set_defaults(func=cmd_analyze)
-
-    survey = sub.add_parser(
-        "survey",
-        help="sweep all split types in a range",
-        epilog=(
+        cmd_analyze,
+        (
+            ("--split", "value", _SPEC, {"metavar": "E1,E2,E3", "help": "split bundle exponents"}),
+            ("--named", "value", _SPEC,
+             {"metavar": "ID", "help": "catalog id or rank-3 sheaf expression"}),
+            ("--chern", "value", _SPEC, {"metavar": "C1,C2", "help": "Chern numbers only"}),
+            ("--twist", "value", None, {"type": int, "default": 0, "help": "tensor E by O(t) first"}),
+            ("--json", "flag", _FORMAT, {"help": "emit the JSON report"}),
+            ("--tsv", "flag", _FORMAT, {"help": "emit a one-row TSV report"}),
+            ("--meta", "flag", None, {"help": "add provenance metadata"}),
+            ("--out", "value", None, {"metavar": "FILE", "help": "write output to FILE"}),
+        ),
+    ),
+    "survey": (
+        "sweep all split types in a range",
+        (
             "TSV columns: "
             + " ".join(SURVEY_COLUMNS)
             + ". Tri-state columns print true/false/unknown; rows are sorted by (e1, e2, e3)."
         ),
-    )
-    survey.add_argument("--emin", type=int, required=True)
-    survey.add_argument(
-        "--emax", type=int, required=True, help=f"at most emin + {MAX_RANGE}"
-    )
-    survey.add_argument(
-        "--filter",
-        action="append",
-        metavar="F",
-        help="c1=N, c2=N, gamma=N, or one of: nef ample big tab (repeatable; all must hold)",
-    )
-    survey.add_argument("--json", action="store_true", help="JSON-lines instead of TSV")
-    survey.add_argument("--meta", action="store_true", help="add provenance metadata")
-    survey.add_argument("--out", metavar="FILE")
-    survey.set_defaults(func=cmd_survey)
+        cmd_survey,
+        (
+            ("--emin", "value", None, {"type": int, "required": True}),
+            ("--emax", "value", None,
+             {"type": int, "required": True, "help": f"at most emin + {MAX_RANGE}"}),
+            ("--filter", "append", None, {"metavar": "F", "help": "c1=N, c2=N, gamma=N, or one of:"
+                                          " nef ample big tab (repeatable; all must hold)"}),
+            ("--json", "flag", None, {"help": "JSON-lines instead of TSV"}),
+            ("--meta", "flag", None, {"help": "add provenance metadata"}),
+            ("--out", "value", None, {"metavar": "FILE"}),
+        ),
+    ),
+    "catalog": ("list the named bundles", None, cmd_catalog,
+                (("--json", "flag", None, {}), ("--out", "value", None, {"metavar": "FILE"}))),
+    "selftest": ("run the built-in regression checks", None, cmd_selftest, ()),
+}
+_ACTIONS = {"value": "store", "flag": "store_true", "append": "append"}
 
-    catalog = sub.add_parser("catalog", help="list the named bundles")
-    catalog.add_argument("--json", action="store_true")
-    catalog.add_argument("--out", metavar="FILE")
-    catalog.set_defaults(func=cmd_catalog)
 
-    selftest = sub.add_parser("selftest", help="run the built-in regression checks")
-    selftest.set_defaults(func=cmd_selftest)
+@functools.cache
+def build_parser():
+    """The ``cycone`` argument parser, built from ``_COMMANDS`` once per
+    process and shared; ``parser.commands`` holds each command's own parser.
 
-    for command in parser.commands.values():
-        command.reader = _reader_table(command)
+    Only help and usage errors need it, so argparse is imported here.
+    ``parse_args`` keeps no state on the parser between calls, so every
+    call reuses this one object.  Callers must not mutate it.
+    """
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):  # argparse defaults to exit code 2; we use 1
+            if len(message) > USAGE_MESSAGE_LIMIT:
+                message = f"{message[:USAGE_MESSAGE_LIMIT]}... ({len(message)} chars)"
+            raise UsageError(message)
+
+    parser = Parser(prog="cycone", description="Exact invariants and Kahler-cone verdicts for"
+                    " Calabi-Yau hypersurfaces in P2-bundles over P2.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # each command's own parser, by name, for ``main``
+    for name, (help_text, epilog, func, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text, epilog=epilog)
+        groups = {}
+        for option, kind, group, keywords in options:
+            if group and group not in groups:
+                groups[group] = command.add_mutually_exclusive_group(required=group[1])
+            container = groups[group] if group else command
+            container.add_argument(option, action=_ACTIONS[kind], **keywords)
+        command.set_defaults(func=func)
     return parser
 
 
-# The argparse action classes the reader stands in for, by kind; an option
-# of any other class (``-h`` among them) is left out, so naming it defers.
-_READER_KINDS = {
-    argparse._StoreAction: "value",
-    argparse._StoreTrueAction: "flag",
-    argparse._AppendAction: "append",
-}
+def _reader(options, func) -> tuple:
+    """What ``_read`` needs of one command: option string -> (dest, kind,
+    type); (required, dests) of each group; the required dests; and the
+    namespace defaults in argparse's order, ``func`` last."""
+    table, groups, required, defaults = {}, {}, set(), {}
+    for option, kind, group, keywords in options:
+        dest = option.lstrip("-").replace("-", "_")  # argparse's own rule
+        table[option] = (dest, kind, keywords.get("type"))
+        if group:
+            groups.setdefault(group, set()).add(dest)
+        if keywords.get("required"):
+            required.add(dest)
+        defaults[dest] = keywords.get("default", False if kind == "flag" else None)
+    groups = tuple((group_required, frozenset(dests)) for (_, group_required), dests in groups.items())
+    return table, groups, frozenset(required), {**defaults, "func": func}
 
 
-def _reader_table(command: argparse.ArgumentParser) -> tuple:
-    """What ``_read`` needs of ``command``, from its own actions: option
-    string -> (dest, kind, type); (required, dests) of each mutually
-    exclusive group; the required dests; the namespace defaults, ``func``
-    included, in argparse's order; and argparse's negative-number pattern,
-    None where an option looks like a negative number."""
-    options, defaults = {}, {}
-    for action in command._actions:
-        kind = _READER_KINDS.get(type(action))
-        if kind and action.choices is None and (kind == "flag" or action.nargs is None):
-            options.update(dict.fromkeys(action.option_strings, (action.dest, kind, action.type)))
-        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
-            defaults.setdefault(action.dest, action.default)
-    groups = tuple(
-        (group.required, frozenset(a.dest for a in group._group_actions))
-        for group in command._mutually_exclusive_groups
-    )
-    required = frozenset(a.dest for a in command._actions if a.required)
-    for dest, default in command._defaults.items():
-        defaults.setdefault(dest, default)
-    negative = None if command._has_negative_number_optionals else command._negative_number_matcher
-    return options, groups, required, defaults, negative
+_READERS = {name: _reader(options, func) for name, (_, _, func, options) in _COMMANDS.items()}
 
 
 # A comma-separated integer list, as --split and --chern take.
@@ -340,18 +331,23 @@ def _join_int_list_values(argv: list[str]) -> list[str]:
     return out
 
 
-def _read(table: tuple, args: list[str]) -> argparse.Namespace | None:
+# A separate value that starts with '-' and that ``_read`` takes: argparse
+# takes it too, as a negative number, on every Python version.
+_NEGATIVE = re.compile(r"-[0-9]+")
+
+
+def _read(reader: tuple, args: list[str]) -> SimpleNamespace | None:
     """The namespace argparse would make of ``args`` with the command of
-    ``table``, or None wherever that is not certain.
+    ``reader``, or None wherever that is not certain.
 
     Taken: an exact option string as ``--opt=value`` or ``--opt value``, a
-    separate value that starts with '-' only where argparse's
-    negative-number rule makes it a value; an exact flag with no '='; a
-    repeat only of an append option.  Anything else is None: help, ``--``,
-    an abbreviation, a stray token, a value its ``type`` refuses, two
-    members of one group, or a missing required option or group.
+    separate value that starts with '-' only where it fully matches
+    ``-[0-9]+``; an exact flag with no '='; a repeat only of an append
+    option.  Anything else is None: help, ``--``, an abbreviation, a stray
+    token, a value its ``type`` refuses, two members of one group, or a
+    missing required option or group.
     """
-    options, groups, required, defaults, negative = table
+    options, groups, required, defaults = reader
     values, present = {}, set()
     i, n = 0, len(args)
     while i < n:
@@ -370,7 +366,7 @@ def _read(table: tuple, args: list[str]) -> argparse.Namespace | None:
                 return None
             value = args[i]
             i += 1
-            if value[:1] == "-" and not (negative and negative.match(value)):
+            if value[:1] == "-" and not _NEGATIVE.fullmatch(value):
                 return None
         elif value == "--":  # argparse drops it and stores []
             return None
@@ -394,21 +390,22 @@ def _read(table: tuple, args: list[str]) -> argparse.Namespace | None:
         count = len(dests & present)
         if count > 1 or (group_required and not count):
             return None
-    return argparse.Namespace(**{**defaults, **values})
+    return SimpleNamespace(**{**defaults, **values})
 
 
-def _parse_argv(argv: list[str]) -> argparse.Namespace:
+def _parse_argv(argv: list[str]):
     """The namespace of ``argv``.  When ``argv[0]`` is exactly a command
-    name, ``_read`` takes the rest from that command's reader table, and
-    the command's own parser reads it where ``_read`` gives None; the full
-    parser reads anything else.  So argparse writes every help text and
+    name, ``_read`` takes the rest from that command's reader, and the
+    command's own parser reads it where ``_read`` gives None; the full
+    parser reads anything else.  So argparse is imported only where
+    ``_read`` gives None (help, an abbreviation, ``--``, a usage error of
+    argparse's) or for an unknown command, and writes every help text and
     usage message."""
-    parser = build_parser()
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args = _read(command.reader, argv[1:])
-    return command.parse_args(argv[1:]) if args is None else args
+    reader = _READERS.get(argv[0]) if argv else None
+    if reader is None:
+        return build_parser().parse_args(argv)
+    args = _read(reader, argv[1:])
+    return build_parser().commands[argv[0]].parse_args(argv[1:]) if args is None else args
 
 
 def main(argv=None) -> int:

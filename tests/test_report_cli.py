@@ -549,64 +549,40 @@ def test_a_usage_error_is_the_same_with_the_reader_or_without(monkeypatch, argv)
     assert run_main(argv) == got
 
 
-def test_each_command_reader_table_is_pinned():
-    commands = cli.build_parser().commands
-    tables = {name: command.reader[:4] for name, command in commands.items()}
-    assert tables == {
-        "analyze": (
-            {
-                "--split": ("split", "value", None),
-                "--named": ("named", "value", None),
-                "--chern": ("chern", "value", None),
-                "--twist": ("twist", "value", int),
-                "--json": ("json", "flag", None),
-                "--tsv": ("tsv", "flag", None),
-                "--meta": ("meta", "flag", None),
-                "--out": ("out", "value", None),
-            },
-            ((True, frozenset({"split", "named", "chern"})), (False, frozenset({"json", "tsv"}))),
-            frozenset(),
-            {"split": None, "named": None, "chern": None, "twist": 0, "json": False,
-             "tsv": False, "meta": False, "out": None, "func": cli.cmd_analyze},
-        ),
-        "survey": (
-            {
-                "--emin": ("emin", "value", int),
-                "--emax": ("emax", "value", int),
-                "--filter": ("filter", "append", None),
-                "--json": ("json", "flag", None),
-                "--meta": ("meta", "flag", None),
-                "--out": ("out", "value", None),
-            },
-            (),
-            frozenset({"emin", "emax"}),
-            {"emin": None, "emax": None, "filter": None, "json": False, "meta": False,
-             "out": None, "func": cli.cmd_survey},
-        ),
-        "catalog": (
-            {"--json": ("json", "flag", None), "--out": ("out", "value", None)},
-            (),
-            frozenset(),
-            {"json": False, "out": None, "func": cli.cmd_catalog},
-        ),
-        "selftest": ({}, (), frozenset(), {"func": cli.cmd_selftest}),
-    }
-    # the defaults in the order argparse sets them
-    for name, command in commands.items():
-        assert list(command.reader[3]) == list(vars(command.parse_args(_WELL_FORMED[name])))
-    # argparse's own negative-number rule decides a separate value that starts with '-'
-    negative = commands["survey"].reader[4]
-    assert [bool(negative.match(v)) for v in ("-5", "-.5", "-1.5", "-5,6,6", "-x", "--")] == [
-        True, True, True, False, False, False
-    ]
-
-
 _WELL_FORMED = {
-    "analyze": ["--split=0,1,2"],
-    "survey": ["--emin=0", "--emax=1"],
-    "catalog": [],
-    "selftest": [],
+    "analyze": [["--split=0,1,2"], ["--named", "TP2+O", "--twist", "-2", "--tsv", "--meta", "--out=x"],
+                ["--chern=3,12", "--json", "--twist=0"]],
+    "survey": [["--emin=0", "--emax=1"], ["--filter", "nef", "--emax", "-1", "--json",
+                                          "--emin=-7", "--filter=c1=3", "--meta", "--out", "x"]],
+    "catalog": [[], ["--out=x", "--json"]],
+    "selftest": [[]],
 }
+
+
+def test_the_reader_gives_argparse_namespace_in_its_order():
+    commands = cli.build_parser().commands
+    assert sorted(_WELL_FORMED) == sorted(commands)
+    for name, argvs in _WELL_FORMED.items():
+        for argv in argvs:
+            read = cli._read(cli._READERS[name], argv)
+            assert read is not None, argv
+            full = vars(cli.build_parser().parse_args([name, *argv]))
+            assert full.pop("command") == name
+            assert list(vars(read).items()) == list(full.items()), argv
+
+
+def test_argparse_takes_every_negative_value_the_reader_takes():
+    """A separate value that starts with '-' is read only where it fully
+    matches -[0-9]+, a subset of argparse's own negative-number rule."""
+    survey = cli._READERS["survey"]
+    taken = []
+    for value in VALUES + ["-0", "-007", "-\u0663", "-5\n"]:
+        for argv in (["--emin", value, "--emax", "9"], ["--emin=0", "--emax=0", "--out", value]):
+            read = cli._read(survey, argv)
+            if read is not None:
+                assert vars(read) == vars(cli.build_parser().commands["survey"].parse_args(argv))
+                taken += [value] if value.startswith("-") else []
+    assert taken == ["-2", "-2", "-5", "-5", "-0", "-0", "-007", "-007"]
 
 
 def test_cli_internal_invariant_errors_exit_2(monkeypatch, capsys):

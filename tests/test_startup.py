@@ -54,12 +54,16 @@ def main(argv):
 """
 
 
-def loaded_beyond_bare(argv: list[str]) -> set[str]:
+def loaded_beyond_bare(argv: list[str], exit_code: int = 0) -> set[str]:
     """Every module, stdlib included, that ``cli.main(argv)`` loads in a fresh
     interpreter beyond what a bare one loads, whose site hooks may load any."""
+    return run_beyond_bare(f"{QUIET_MAIN}\nassert main({argv!r}) == {exit_code}")
+
+
+def run_beyond_bare(code: str) -> set[str]:
+    """Every module that ``code`` loads in a fresh interpreter beyond a bare one."""
     every_module = "print(json.dumps(sorted(sys.modules)))"
     bare = json.loads(run_python(f"import json, sys\n{every_module}"))
-    code = f"{QUIET_MAIN}\nassert main({argv!r}) == 0"
     loaded = json.loads(run_python(f"import json, sys\n{code}\n{every_module}").splitlines()[-1])
     return set(loaded) - set(bare)
 
@@ -77,6 +81,22 @@ def test_analyze_loads_no_rational_number_machinery(argv):
     """Every value a report computes is an int, so ``analyze`` loads none of
     ``fractions``, ``decimal`` or ``numbers``."""
     assert {"fractions", "decimal", "numbers"} & loaded_beyond_bare(argv) == set()
+
+
+@pytest.mark.parametrize(
+    "argv", [["analyze", "--split=0,1,2", "--json"], ["survey", "--emin=-1", "--emax=1"], ["catalog"]],
+    ids=["analyze", "survey", "catalog"],
+)
+def test_a_well_formed_command_line_loads_no_argparse(argv):
+    """The reader reads the declared options, so argparse is imported only for help and usage errors."""
+    assert "argparse" not in loaded_beyond_bare(argv)
+
+
+def test_only_help_and_usage_errors_load_argparse():
+    assert "argparse" not in run_beyond_bare("import cycone.cli")
+    # the probe sees argparse where argparse answers
+    assert "argparse" in loaded_beyond_bare(["--help"])
+    assert "argparse" in loaded_beyond_bare(["analyze", "--split=0,1,2", "--json", "--tsv"], 1)
 
 
 def test_building_the_parser_loads_no_engine():
@@ -227,13 +247,14 @@ def test_a_layer_attribute_loads_every_traced_layer():
     assert out.strip() == "[]"
 
 
-@pytest.mark.parametrize("command", ["analyze", "survey"])
+@pytest.mark.parametrize("command", ["cycone", "analyze", "survey", "catalog", "selftest"])
 def test_help_text_is_pinned(command, monkeypatch):
     """The epilogs list the column names without loading the engine; the text is unchanged."""
     monkeypatch.setenv("COLUMNS", "80")
+    argv = ["--help"] if command == "cycone" else [command, "--help"]
     out = io.StringIO()
     with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
-        cli.main([command, "--help"])
+        cli.main(argv)
     assert exc.value.code == 0
     assert out.getvalue().encode("utf-8") == (GOLDEN / f"help-{command}.txt").read_bytes()
 
