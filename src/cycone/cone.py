@@ -2,26 +2,19 @@
 
 The pieces, all in exact arithmetic:
 
-* status of -K_Z (nef / ample / big / more than one section), decided by
-  the line test 3 e1 + 3 - c1 for uniform splitting types and by
-  (-K_Z)^4 = 27 gamma + 486 for bigness;
-* the boundary root of {D^3 = 0} along the ray through O_X(3) and pi*h:
+* status of -K_Z (nef / ample / big), decided by the line test 3 e1 + 3 - c1
+  for uniform splitting types and by (-K_Z)^4 = 27 gamma + 486 for bigness;
+* the boundary root of {D^3 = 0} along the ray through O_X(3) and pi*h,
   k = c1 + 3/2 - sqrt(9/4 - gamma), held as the integers of
-  k = (2 c1 + 3 - s sqrt(n)) / 2 with 9 - 4 gamma = s^2 n, n squarefree.
-  The integer 9 - 4 gamma is decomposed once per spec; the root is
-  rational exactly when n = 1, and ``BoundaryRoot.scaled`` gives k/3 for
-  the O_Z(1) ray by tripling the denominator.  No number class is built
-  for the root: the reports write it from these integers through
-  ``exactnum.quad_parts``, and the selftest checks it against the integer
-  quadratic D^3 . (-K_Z) in k that the Chow ring gives;
-* positivity of c2(X) on the closed cone: the boundary value is exactly
-  18 + 2 gamma + 6 sqrt(9 - 4 gamma), found by two routes on integers and
-  signed by squaring integers; the pi*h ray gives exactly 36, and above
-  gamma = 2 the anticanonical ray gives 6 gamma + 216;
+  k = (2 c1 + 3 - s sqrt(n)) / 2 with 9 - 4 gamma = s^2 n, n squarefree,
+  and rational exactly when n = 1; no number class is built for it, and
+  the selftest checks it against the Chow ring's quadratic D^3 . (-K_Z);
+* positivity of c2(X) on the closed cone, whose boundary value
+  18 + 2 gamma + 6 sqrt(9 - 4 gamma) is found by two routes on integers;
 * the admissible splitting-type table for -1 <= c1 <= 4;
-* the restriction-equality classification K(X) = K(Z)|X (Kollar case,
-  canonical-side case, or an exceptional-surface candidate whose class is
-  pinned numerically);
+* the restriction case of K(X) = K(Z)|X: equality where -K_Z is ample
+  (Kollar), an exceptional-surface candidate whose class is pinned
+  numerically where it is nef, big and not ample, else ``not_determined``;
 * the rationality verdict, h^0(-K_Z) > 1 or open, with a trail.
 
 Each is a function of the facts it decides from, and no result relays
@@ -208,11 +201,15 @@ class ConeRestriction(namedtuple("ConeRestriction", "case via surface", defaults
 def cone_restriction_case(spec: BundleSpec, minus_k: MinusKStatus) -> ConeRestriction:
     """Classify the restriction equality K(X) = K(Z)|X.
 
-    Ample -K_Z gives equality outright; non-nef -K_Z gives equality on the
-    canonical side; big and nef but not ample is the one exceptional
-    pattern, which carries the contracted-surface class of ``spec``.  That
-    branch is the only one that computes the class.  Anything else is not
-    determined.
+    Ample -K_Z gives equality outright; big and nef but not ample is the one
+    exceptional pattern, which carries (and alone computes) the
+    contracted-surface class of ``spec``.  Anything else, a non-nef -K_Z
+    included, is not determined.  Where a split X is smooth along
+    S = P(O(e1)) and the S determinant -(3 gamma - c1^2 - 3 c1 - 9), c1 at
+    e1 = 0, is nonzero, rho(X) >= 3 and K(Z)|X spans at most two of rho(X)
+    dimensions, so equality is false; elsewhere X is reducible, singular or
+    of open rho(X), and no argument decides it.  The strict case waits for a
+    stage that settles smoothness and rho(X).
 
     No spec reaches two further cases, so they have no branch.  A nef,
     non-ample spec with a splitting type has 3 e1 + 3 = c1, so 3 | c1; then
@@ -224,8 +221,6 @@ def cone_restriction_case(spec: BundleSpec, minus_k: MinusKStatus) -> ConeRestri
     """
     if minus_k.ample is True:
         return ConeRestriction(EQUALITY, "ample-anticanonical")
-    if minus_k.nef is False:
-        return ConeRestriction(EQUALITY, "canonical-side-only")
     if minus_k.nef is True and minus_k.big is True and minus_k.ample is False:
         surface = chow.exceptional_surface_class(spec.chern)
         if surface.mu_candidates:

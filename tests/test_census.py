@@ -5,26 +5,30 @@ Twisting E by O(t) leaves Z = P(E) alone, so a class is analyzed at one
 representative.  Each class pins nef, ample and big of -K_Z, rho(X),
 h^0(-K_Z), the verdict and the restriction case.  Wherever -K_Z is nef and
 big, Kawamata-Viehweg kills the higher cohomology of -K_Z, so h^0(-K_Z)
-must equal chi(Z, -K_Z) = 5 gamma + 100; that closed form lives only here.
+must equal chi(Z, -K_Z) = 5 gamma + 100, which every report and the
+selftest also check.
 
 Below the census, the tests pin where the verdict stays open under
 rho(X) = 2 (six values of gamma in [-27, -19]), the gamma floor of each
 atom shape, and how often each (verdict, trail) and (restriction case, via)
 comes out of the 689 atom specs and of two grids of Chern pairs, so that no
-change to the engine moves a verdict unseen.
+change to the engine moves a verdict unseen.  Equality is claimed only where
+-K_Z is ample, and README.md names every case and trail tag a report writes.
 """
 
 import json
 from collections import Counter
 from itertools import combinations, combinations_with_replacement, product
 from math import isqrt
+from pathlib import Path
 
 import pytest
 
-from cycone.bundles import BundleSpec
+from cycone import selftest
+from cycone.bundles import BundleSpec, catalog_entries
 from cycone.report import build_report, report_to_dict
 
-R, EQ, EXC = "Rational", "equality", "exceptional_candidate"
+R, EQ, EXC, ND = "Rational", "equality", "exceptional_candidate", "not_determined"
 
 # The split classes (0, d2, d3) with -K_Z nef: exactly those with d2 + d3 <= 3.
 NEF_SPLIT = {
@@ -58,7 +62,7 @@ def _split_census() -> dict:
     census = dict(NEF_SPLIT)
     for d2, row in enumerate(NON_NEF_H0):
         for d3, h0 in enumerate(row, start=max(d2, 4 - d2)):
-            census[(0, d2, d3)] = (False, False, None, None, h0, R, EQ)
+            census[(0, d2, d3)] = (False, False, None, None, h0, R, ND)
     return census
 
 
@@ -212,11 +216,69 @@ def test_outcomes_of_the_atom_specs():
     assert len(specs) == 689
     cases, verdicts = _outcomes(specs)
     assert cases == {
-        (EQ, "canonical-side-only"): 556,
+        (ND, None): 556,
         (EQ, "ample-anticanonical"): 74,
         (EXC, None): 59,
     }
     assert verdicts == {(R, ("h0-minus-k-gt-1",)): 689}
+
+
+def _argued_specs() -> list:
+    """The atom specs, the catalog ids at twists -3..3 and the selftest's Chern grid."""
+    return (
+        _atom_specs()
+        + [spec.twist(t) for spec in catalog_entries() for t in range(-3, 4)]
+        + [BundleSpec.chern_only(c.c1, c.c2) for c in selftest.CHERN_GRID]
+    )
+
+
+def test_equality_only_where_minus_k_is_ample():
+    # ample -K_Z is the one argued route to K(X) = K(Z)|X
+    for spec in _argued_specs():
+        r = build_report(spec)
+        assert (r.restriction.case == EQ) == (r.minus_k.ample is True), spec
+
+
+# The split classes (0, d1, d2) with d2 <= 12 whose X is smooth and -K_Z not nef:
+# 3 in {d1, d2}, d1 + d2 > 3 and no fixed divisor (d2 < 2 d1 + 4).  The value is
+# the S determinant, o1_sq_h^2 - o1_fiber * o1_cubed at e1 = 0.
+SMOOTH_NON_NEF_SPLIT = {
+    (0, 1, 3): 16, (0, 2, 3): 28, (0, 3, 3): 36, (0, 3, 4): 40, (0, 3, 5): 40,
+    (0, 3, 6): 36, (0, 3, 7): 28, (0, 3, 8): 16, (0, 3, 9): 0,
+}
+
+
+def test_smooth_non_nef_split_classes_are_not_determined():
+    smooth = {
+        (0, d1, d2)
+        for d1, d2 in combinations_with_replacement(range(13), 2)
+        if 3 in (d1, d2) and d1 + d2 > 3 and d2 < 2 * d1 + 4
+    }
+    assert smooth == set(SMOOTH_NON_NEF_SPLIT)
+    for triple, det in SMOOTH_NON_NEF_SPLIT.items():
+        r = build_report(BundleSpec.split(*triple))
+        p, c1, g = r.pairings, sum(triple), r.spec.gamma
+        assert p.o1_sq_h**2 - p.o1_fiber * p.o1_cubed == -(3 * g - c1 * c1 - 3 * c1 - 9) == det
+        # a nonzero determinant puts [S] outside K(Z)|X, so rho(X) >= 3 and
+        # equality fails; at (0, 3, 9) rho(X) is open
+        assert r.minus_k.nef is False and r.restriction == (ND, None, None), triple
+
+
+README = Path(__file__).parent.parent / "README.md"
+
+
+def test_readme_names_every_restriction_case_and_trail_tag():
+    text = README.read_text(encoding="utf-8")
+    reports = [build_report(spec) for spec in _argued_specs()]
+    cases = {(r.restriction.case, r.restriction.via) for r in reports}
+    tags = {tag for r in reports for tag in r.trail}
+    # not vacuous: the specs reach every outcome known today
+    assert {(EQ, "ample-anticanonical"), (EXC, None), (ND, None)} <= cases
+    assert {"h0-minus-k-gt-1", "gamma-ge-minus-18"} <= tags
+    for case, via in cases:
+        assert f"`{case}`" + (f" via `{via}`" if via else "") in text, (case, via)
+    for tag in tags:
+        assert f"`{tag}`" in text, tag
 
 
 def test_surface_block_only_on_exceptional_candidates():

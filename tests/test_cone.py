@@ -314,9 +314,9 @@ def test_restriction_equality_for_ample():
     assert (res.case, res.via) == (EQUALITY, "ample-anticanonical")
 
 
-def test_restriction_equality_for_non_nef():
+def test_restriction_of_non_nef_is_not_determined():
     res = restriction_of(BundleSpec.split(-2, 2, 3))
-    assert (res.case, res.via) == (EQUALITY, "canonical-side-only")
+    assert (res.case, res.via, res.surface) == (NOT_DETERMINED, None, None)
 
 
 def test_restriction_c1_2_asserted_status_is_not_determined():

@@ -11,7 +11,9 @@ has to be deliberate.  One such change: when the report stopped writing a
 fact twice, the 16 ``analyze-*.json`` files lost ``g_surface``,
 ``cone.c2_h_ray``, ``minus_k.h0_gt_1`` and the ``h0_minus_k`` witness of
 ``minus_k``, and the six ``.txt`` files of specs that are not exceptional
-candidates lost their surface line; nothing else moved.
+candidates lost their surface line; nothing else moved.  Another: when a
+non-nef -K_Z stopped reading ``equality``, the three
+``analyze-split-m5_6_6`` files changed in their restriction case alone.
 """
 
 import contextlib
@@ -49,6 +51,8 @@ def _cases():
         ("chern-3_12", ["--chern", "3,12"]),
         ("chern-3_6", ["--chern", "3,6"]),
         ("split-m5_6_6", ["--split=-5,6,6"]),
+        # T + O(-1), m = c - b = -1: -K_Z mobile but not nef, on the atom route
+        ("named-SymT_1_0_O_m1", ["--named", "SymT(1,0)+O(-1)"]),
     ]
     cases = [
         (f"analyze-{stem}.{ext}", ["analyze", *spec, *flags])

@@ -199,7 +199,7 @@ def test_report_json_writes_what_json_dumps_writes():
     from test_golden import CASES
 
     cases = [(name, argv) for name, argv in CASES if name.startswith("analyze-") and name.endswith(".json")]
-    assert len(cases) == 16
+    assert len(cases) == 17
     for name, argv in cases:
         rep = build_report(cli._spec_from_args(cli._parse_argv(argv)))
         assert report.report_to_json(rep) + "\n" == (GOLDEN / name).read_text(encoding="utf-8"), name
@@ -505,7 +505,7 @@ def test_a_well_formed_command_line_never_reaches_argparse(argparse_reads):
             code, out, err = run_main(form)
             assert (code, err, out.encode()) == (0, "", golden), form
     assert argparse_reads == []
-    assert len(cases) == 57 + 9
+    assert len(cases) == 60 + 9
 
 
 # usage errors and help that only argparse answers, each with its exit code
@@ -1212,6 +1212,31 @@ def test_selftest_names_a_tampered_surface_class(monkeypatch):
     failures = selftest.run_selftest(emit=lines.append)
     assert failures == ["split-012-regression"]
     assert any(line.startswith("FAIL split-012-regression") for line in lines)
+
+
+def test_selftest_names_a_tampered_split_section_count(monkeypatch):
+    from cycone import bundles
+
+    original = bundles._split_sections_h0
+    monkeypatch.setattr(bundles, "_split_sections_h0", lambda exps, c1: original(exps, c1) + 1)
+    lines = []
+    failures = selftest.run_selftest(emit=lines.append)
+    # every nef and big split type now misses h0 = 5 gamma + 100
+    assert failures == ["gamma-catalog", "nef-gamma-survey", "twist-invariance"]
+    assert any(line.startswith("FAIL nef-gamma-survey: h0(-K_Z) = 101 at gamma 0") for line in lines)
+
+
+def test_the_section_threshold_parts_only_at_gamma_minus_19():
+    # 5 gamma + 100 > 1 holds from gamma = -19, which is 2 mod 3 and so no gamma
+    from cycone.cone import MinusKStatus
+
+    unknown = MinusKStatus(None, None, None)
+    for g in range(-60, 61):
+        if g == -19:
+            with pytest.raises(selftest.CheckFailure, match="disagree at gamma -19"):
+                selftest._require_sections_from_gamma(g, unknown, None)
+        else:
+            selftest._require_sections_from_gamma(g, unknown, None)
 
 
 def test_selftest_names_a_tampered_tangent_degree_one(monkeypatch):
