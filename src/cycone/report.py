@@ -108,13 +108,15 @@ def tab_admissible(spec: BundleSpec) -> bool | None:
     return None if stype is None else cone.is_allowed_splitting_type(*stype)
 
 
-def _stages(spec: BundleSpec):
+def stages(spec: BundleSpec):
     """h^0(-K_Z), the -K_Z status, rho and the verdict of ``spec``, each
-    from the facts it decides from.
+    from the facts it decides from; the selftest calls it too.
 
     Where -K_Z is nef and big, Kawamata-Viehweg kills its higher
     cohomology, so h^0(-K_Z) must equal chi(Z, -K_Z) = 5 gamma + 100;
-    an ``InvariantViolationError`` is raised when it does not.
+    an ``InvariantViolationError`` is raised when it does not.  Then
+    5 gamma + 100 > 1 exactly where gamma >= -18, that is c3(X) <= -54:
+    the two part only at gamma = -19, which, being 2 mod 3, no spec has.
     """
     h0 = h0_anticanonical(spec)
     minus_k = cone.anticanonical_status(spec)
@@ -137,7 +139,7 @@ def build_report(spec: BundleSpec) -> AnalysisReport:
     c = spec.chern
     pairings = invariants.cy_invariants(c)
     k_root = cone.boundary_root(c)
-    h0, minus_k, rho, verdict = _stages(spec)
+    h0, minus_k, rho, verdict = stages(spec)
     bounds = invariants.section_bounds(c, pairings)
     g = spec.gamma
 
@@ -317,7 +319,7 @@ _CLASS_KEYS = tuple(f"{encode_basestring_ascii(name)}: " for name in SURVEY_COLU
 @functools.lru_cache(maxsize=comb(MAX_RANGE + 2, 2))
 def _twist_class(d1: int, d2: int):
     """The -K_Z status of the twist class (d1, d2) and its six cells, as
-    TSV and as a JSON fragment, from ``_stages`` of the split spec at
+    TSV and as a JSON fragment, from ``stages`` of the split spec at
     (0, d1, d2).
 
     One table per process, of C(MAX_RANGE + 2, 2) = 91 classes: every
@@ -325,7 +327,7 @@ def _twist_class(d1: int, d2: int):
     raises is not stored, so a failed check is met again by the next call.
     """
     spec = BundleSpec.split(0, d1, d2)
-    _, minus_k, rho, verdict = _stages(spec)
+    _, minus_k, rho, verdict = stages(spec)
     values = _class_values(spec.gamma, minus_k.nef, minus_k.ample, minus_k.big, rho.value, verdict.verdict)
     return (
         minus_k,

@@ -15,6 +15,7 @@ import cycone.chow as chow
 import cycone.cohom as cohom
 import cycone.cone as cone
 import cycone.invariants as invariants
+import cycone.report as report
 from .bundles import BundleSpec
 from .chow import ChernPair
 from .exactnum import is_perfect_square, quad_text
@@ -76,29 +77,18 @@ def _rho_by_splitting_type(stype) -> int | None:
     return None if tuple(e + t for e in stype) == (0, 0, 3) else 2
 
 
-def _require_sections_from_gamma(g: int, minus_k, h0: int | None):
-    """h^0(-K_Z) = chi(Z, -K_Z) = 5 gamma + 100 where -K_Z is nef and big; on
-    attainable gamma, 5 gamma + 100 > 1 iff gamma >= -18 iff c3(X) <= -54."""
-    agree = (5 * g + 100 > 1) == (g >= -18) == (-6 * g - 162 <= -54)
-    _require(agree, f"5 gamma + 100 > 1, gamma >= -18 and c3(X) <= -54 disagree at gamma {g}")
-    if minus_k.nef and minus_k.big:
-        _require(h0 == 5 * g + 100, f"h0(-K_Z) = {h0} at gamma {g}, expected 5 gamma + 100")
-
-
 def check_gamma_catalog():
     """The four uniform (0,1,2) bundles carry gamma = 3, 0, 0, -9; their
     Chern pairs and splitting types, read off the sheaf expressions, match
     the hand-typed ones, rho by End cohomology matches the splitting-type
-    criterion, and h^0(-K_Z) is 5 gamma + 100."""
+    criterion, and ``report.stages`` finds h^0(-K_Z) = 5 gamma + 100."""
     hand_typed = ((3, 2), (3, 3), (3, 3), (3, 6))
     for name, pair, g in zip(bundles.UNIFORM_012_NAMES, hand_typed, (3, 0, 0, -9)):
         spec = BundleSpec.named(name)
         _require(spec.gamma == g, f"gamma({name}) = {spec.gamma}, expected {g}")
         _require(spec.chern == ChernPair(*pair), f"chern({name}) = {spec.chern}, expected {pair}")
         _require(spec.splitting_type == (0, 1, 2), f"{name} splitting type")
-        minus_k = cone.anticanonical_status(spec)
-        _require_sections_from_gamma(g, minus_k, bundles.h0_anticanonical(spec).value)
-        rho = invariants.rho_of_x(spec, minus_k).value
+        rho = report.stages(spec)[2].value
         criterion = _rho_by_splitting_type(spec.splitting_type)
         _require(rho == criterion, f"rho({name}) = {rho}, the criterion gives {criterion}")
 
@@ -141,6 +131,8 @@ def check_splitting_type_table():
         _require(got == rows, f"splitting table row {c1}: {got} != {rows}")
     _require(cone.allowed_splitting_types(-2) == [], "row below range not empty")
     _require(cone.allowed_splitting_types(5) == [], "row above range not empty")
+    total = sum(len(v) for v in expected.values())
+    _require(total == 10, "table should hold 10 types across 6 rows")
 
 
 def check_riemann_roch_on_x():
@@ -148,15 +140,22 @@ def check_riemann_roch_on_x():
     gamma + 27), and the c1 = -1 cubic 2 chi = (9 gamma - 18) m^3 +
     (gamma + 12) m, all as integer identities."""
     for c2 in range(-8, 9):
-        for c1, shift in ((2, 20), (3, 27)):
-            c = ChernPair(c1, c2)
-            chi = invariants.chi_on_cy(invariants.closed_form_pairings(c), (1, 0), 1)
-            _require(3 * chi == c.gamma + shift, f"chi(O_X(1)) broken for {c}")
+        c = ChernPair(2, c2)
+        _require(
+            3 * invariants.chi_on_cy(invariants.closed_form_pairings(c), (1, 0), 1) == c.gamma + 20,
+            f"chi(O_X(1)) broken for {c}",
+        )
+        c = ChernPair(3, c2)
+        _require(
+            3 * invariants.chi_on_cy(invariants.closed_form_pairings(c), (1, 0), 1) == c.gamma + 27,
+            f"chi(O_X(1)) broken for {c}",
+        )
         c = ChernPair(-1, c2)
-        g, pairings = c.gamma, invariants.closed_form_pairings(c)
+        g = c.gamma
         for m in range(-5, 6):
             _require(
-                2 * invariants.chi_on_cy(pairings, (3, 0), m) == (9 * g - 18) * m**3 + (g + 12) * m,
+                2 * invariants.chi_on_cy(invariants.closed_form_pairings(c), (3, 0), m)
+                == (9 * g - 18) * m**3 + (g + 12) * m,
                 f"cubic chi broken for {c}, m = {m}",
             )
 
@@ -247,13 +246,10 @@ def check_nef_gamma_survey():
     nef_count = 0
     for exps in SPLIT_GRID:
         spec = BundleSpec.split(*exps)
-        minus_k = cone.anticanonical_status(spec)
-        if minus_k.nef:
+        if cone.anticanonical_status(spec).nef:
             nef_count += 1
             _require(spec.gamma >= -18, f"nef split {exps} with gamma {spec.gamma}")
-            h0 = bundles.h0_anticanonical(spec)
-            _require_sections_from_gamma(spec.gamma, minus_k, h0.value)
-            verdict = cone.rationality_verdict(h0)
+            verdict = report.stages(spec)[3]  # ``stages`` checks h^0 on nef and big -K_Z
             _require(verdict.verdict == cone.RATIONAL, f"verdict not Rational at {exps}")
     _require(nef_count > 0, "no nef split type in the grid")
 

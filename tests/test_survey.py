@@ -3,7 +3,7 @@
 The reference route is built here from the full report of every triple
 (the first 12 cells of ``analyze --tsv``), a filter predicate of its own
 and a JSON writer of its own, so it shares nothing with the twist-class
-table, ``report._stages`` or the row writer of ``cycone survey``.
+table, ``report.stages`` or the row writer of ``cycone survey``.
 """
 
 import contextlib
