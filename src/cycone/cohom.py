@@ -170,10 +170,7 @@ def cohom_sym_tangent(a: int, b: int) -> CohomologyTable:
     >>> cohom_sym_tangent(4, -5)
     CohomologyTable(h0=0, h1=0, h2=0)
     """
-    if a < 0:
-        raise DomainError("symmetric power degree must be nonnegative")
-    _check_rank(a + 1)
-    return cohom_atoms(((a, b),))
+    return cohom_expr(SymTangent(a, b))
 
 
 def cohom_atoms(atoms) -> CohomologyTable:

@@ -17,8 +17,8 @@ forms are, with gamma = c1^2 - 3 c2:
 
 Riemann-Roch on X is written once, in ``chi_on_cy``: chi(m D|X) =
 (2 m^3 D^3 + m D.c2(X)) / 12 from these pairings, an ``int`` whose
-divisibility by 12 is checked on every call; ``section_bounds`` takes its
-chi(O_X(1)) from there.  Every value here is an integer.
+divisibility by 12 is checked on every call; ``section_bounds`` takes
+chi(O_X(1)) and chi(O_X(1) - pi*h) from there.  Every value here is an integer.
 """
 
 from __future__ import annotations
@@ -120,17 +120,17 @@ class SectionBounds(
 
 
 def section_bounds(c: ChernPair, p: XPairings) -> SectionBounds:
-    """The section bounds of ``c``, given its pairings ``p``: the lower
-    bound gamma/3 + c1^2/6 + c1/2 is lb/6 with lb = 6 ((c1^2 + c1)/2 - c2),
-    an integer, and chi(O_X(1)) is ``chi_on_cy`` at D = O_X(1), m = 1."""
-    g = c.gamma
-    lb = 2 * g + c.c1 * c.c1 + 3 * c.c1
+    """The section bounds of ``c``, given its pairings ``p``, each chi from
+    ``chi_on_cy`` at m = 1: the lower bound is chi(O_X(1) - pi*h) =
+    gamma/3 + c1^2/6 + c1/2 = (c1^2 + c1)/2 - c2, and the bound's sign
+    decides ``positive_bound_forces_c1_ge_1``; chi(O_X(1)) is at D = O_X(1)."""
+    lower = chi_on_cy(p, (1, -1), 1)
     return SectionBounds(
-        lower_bound_o1_minus_h=lb // 6,
+        lower_bound_o1_minus_h=lower,
         chi_o1=chi_on_cy(p, (1, 0), 1),
-        normal_bound=5 * g + 91,
+        normal_bound=5 * c.gamma + 91,
         c1_ge_minus_1=c.c1 >= -1,
-        positive_bound_forces_c1_ge_1=lb > 0,
+        positive_bound_forces_c1_ge_1=lower > 0,
     )
 
 

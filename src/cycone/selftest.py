@@ -1,9 +1,14 @@
 """Built-in regression checks, runnable via ``cycone selftest``.
 
 Each check recomputes a pinned exact value or sweeps a property grid; any
-mismatch raises with a diagnostic.  Checks call through module attributes
-so a tampered implementation is caught by name.  ``CHECKS`` is the one
-list of these checks; the acceptance suite runs the same functions.
+mismatch raises with a diagnostic.  Where the engine has a cross-check of
+its own, such as ``invariants.cy_invariants`` (engine pairings against the
+closed forms) or ``report.stages`` (h^0(-K_Z) against 5 gamma + 100 on nef
+and big -K_Z), the check calls it and lets it raise instead of comparing
+the two routes again.  Checks call through module attributes so a tampered
+implementation is caught by name.  ``CHECKS`` is the one list of these
+checks and the one copy of each sweep: the acceptance suite runs every
+entry, and no test sweeps a property again on the same grid.
 """
 
 from __future__ import annotations
@@ -94,12 +99,10 @@ def check_gamma_catalog():
 
 
 def check_pairing_closed_forms():
-    """Engine pairings equal the closed forms on the whole Chern grid."""
+    """Engine pairings equal the closed forms on the whole Chern grid:
+    ``invariants.cy_invariants`` raises, naming both tables, where they differ."""
     for c in CHERN_GRID:
-        closed = invariants.closed_form_pairings(c)
-        engine = invariants.engine_pairings(c)
-        _require(closed == engine, f"pairings disagree at {c}: {closed} vs {engine}")
-        _require(closed.c3 == -6 * c.gamma - 162, f"c3 closed form broken at {c}")
+        invariants.cy_invariants(c)
 
 
 def check_chi_end_formula():
@@ -279,17 +282,10 @@ def check_adjunction_degree_one():
 
 
 def check_twist_invariance():
-    """gamma and the verdict data are invariant under E -> E(t)."""
+    """gamma is invariant under E -> E(t)."""
     for c in (ChernPair(3, 2), ChernPair(-1, 4), ChernPair(2, -5)):
         for t in range(-3, 4):
             _require(c.twist(t).gamma == c.gamma, f"gamma moved under twist at {c}, t={t}")
-    spec = BundleSpec.split(0, 1, 2)
-    for t in (-2, 1, 3):
-        twisted = spec.twist(t)
-        _require(
-            bundles.h0_anticanonical(twisted).value == 115,
-            "h0(-K_Z) must not move under twisting",
-        )
 
 
 CHECKS = (

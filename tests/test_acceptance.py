@@ -1,10 +1,11 @@
 """Acceptance suite: the exact-value regressions and property grids.
 
 Every criterion runs in exact arithmetic with zero tolerance.  The checks
-themselves are ``cycone.selftest.CHECKS`` (what ``cycone selftest`` runs);
-this suite runs the ones that are acceptance criteria under their AC ids
-and prints one PASS or FAIL line per criterion (run with ``pytest -s`` to
-watch them).
+themselves are ``cycone.selftest.CHECKS`` (what ``cycone selftest`` runs),
+the one copy of each sweep.  This suite runs every one of them: those that
+are acceptance criteria under their AC ids, the rest under their check
+names, and prints one PASS or FAIL line per check (run with ``pytest -s``
+to watch them).
 """
 
 import pytest
@@ -28,15 +29,20 @@ AC_CHECKS = {
     "AC-13 mu-contradiction": "mu-candidates-empty-c1-2",
 }
 
-CHECKS = dict(selftest.CHECKS)
-CRITERIA = [(name, CHECKS[check]) for name, check in AC_CHECKS.items()]
+# every check once: under its AC id where it has one, else under its own name
+AC_IDS = {check: name for name, check in AC_CHECKS.items()}
+CRITERIA = [(AC_IDS.get(check, check), fn) for check, fn in selftest.CHECKS]
 
 
-@pytest.mark.parametrize("name,criterion", CRITERIA, ids=list(AC_CHECKS))
+def test_ac_ids_name_selftest_checks():
+    assert set(AC_CHECKS.values()) <= {check for check, _ in selftest.CHECKS}
+
+
+@pytest.mark.parametrize("name,criterion", CRITERIA, ids=[name for name, _ in CRITERIA])
 def test_acceptance(name, criterion):
     try:
         criterion()
-    except AssertionError:
+    except Exception:
         print(f"{name}: FAIL")
         raise
     print(f"{name}: PASS")

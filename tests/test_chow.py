@@ -23,8 +23,7 @@ from cycone.chow import (
 )
 from cycone.cone import boundary_root
 from cycone.errors import InvariantViolationError
-
-GRID = [ChernPair(c1, c2) for c1 in range(-6, 7) for c2 in range(-10, 11)]
+from cycone.selftest import CHERN_GRID
 
 XI, H = (0, 1), (0, 0, 1)
 SLOTS = chow._REDUCIBLE  # the monomial of each slot of an expansion
@@ -135,7 +134,7 @@ def test_reduction_confluence(c):
 
 
 def test_reduce_monomial_matches_recursive_reference():
-    for c in GRID[::5]:
+    for c in CHERN_GRID[::5]:
         for i in range(7):
             for j in range(5):
                 ref = _reference_reduce(i, j, c)
@@ -213,7 +212,7 @@ def test_intersect4_h_cubed():
 
 
 def test_closed_forms_on_grid():
-    for c in GRID:
+    for c in CHERN_GRID:
         assert intersect4(XI, XI, XI, XI, c) == c.c1 * c.c1 - c.c2
         assert intersect4(XI, XI, XI, H, c) == c.c1
 
@@ -279,7 +278,7 @@ def test_intersect4_matches_ring_route(kind, data, c):
 
 
 def test_point_integrals_match_reduced_monomials():
-    for c in GRID:
+    for c in CHERN_GRID:
         ring = tuple(_reference_reduce(i, 4 - i, c).get((2, 2), 0) for i in range(5))
         assert c.point_integrals == ring
 
@@ -340,12 +339,12 @@ def test_pushforward_is_minus_k_times_the_uncut_lift():
     # slot for slot, on int and Fraction pairs: the binomial powers of K and
     # the degree-5 term that the product drops change no slot
     fractions = [ChernPair(Fraction(p, 3), Fraction(q, 2)) for p in (-7, 1, 5) for q in (-3, 0, 9)]
-    for c in GRID + fractions:
+    for c in CHERN_GRID + fractions:
         x = chow.cy_chern_pushforward(c)
         assert x == expand(anticanonical(c), _uncut_lift(c)), c
         assert degree_part(x, 2) == slots()  # c1(X) . [X] cancels
     # the uncut lift has a degree-4 part, which the product drops
-    assert any(degree_part(_uncut_lift(c), 4) != slots() for c in GRID)
+    assert any(degree_part(_uncut_lift(c), 4) != slots() for c in CHERN_GRID)
 
 
 @pytest.mark.parametrize("slot", [1, 2], ids=["xi", "H"])
@@ -369,7 +368,7 @@ def test_a_tampered_c1_of_tz_breaks_adjunction(slot, monkeypatch):
 def test_pushforward_integrals_are_the_pairings_on_x():
     # xi^i H^j against c(T_X).[X] picks c_(3-i-j)(X) by degree; the second
     # route multiplies the uncut lift by -K_Z
-    for c in GRID[:: 19]:
+    for c in CHERN_GRID[:: 19]:
         x = chow.cy_chern_pushforward(c)
         uncut = expand(anticanonical(c), _uncut_lift(c))
         assert _integrals(x, c) == _integrals(uncut, c)
@@ -390,16 +389,11 @@ def test_anticanonical_coefficients(c, xi_coef, h_coef):
     assert anticanonical(c) == (0, xi_coef, h_coef)
 
 
-def test_tangent_degree_one_matches_anticanonical():
-    for c in (ChernPair(3, 2), ChernPair(0, 0), ChernPair(-4, 9)):
-        assert tangent_total(c)[:3] == [1, *anticanonical(c)[1:]]
-
-
 def test_tangent_chern_closed_forms():
     # expanding the two defining sequences by hand gives
     #   c2(T_Z) = 3 xi^2 + (9 - 2c1) xi h + (c2 - 3c1 + 3) h^2
     #   c3(T_Z) = 9 xi^2 h + (9 - 6c1) xi h^2, after the relation
-    for c in GRID[:: 9]:
+    for c in CHERN_GRID[:: 9]:
         total = tangent_total(c)
         assert total[3:6] == [3, 9 - 2 * c.c1, c.c2 - 3 * c.c1 + 3]
         c3z = slots(0, 0, 0, 0, 0, 0, 9, 9 - 6 * c.c1)
@@ -425,7 +419,7 @@ def _c3_of_x(c):
 
 def test_cy_c2_lift_collapses_to_ambient_c2():
     # adjunction: the c1(Z).K_Z term cancels K_Z^2 exactly, leaving c2(Z)
-    for c in GRID[:: 23]:
+    for c in CHERN_GRID[:: 23]:
         assert _c2_of_x(c) == degree_part(tangent_total(c), 2)
 
 
@@ -436,7 +430,7 @@ def test_euler_number_is_nine(c):
 
 
 def test_integer_input_keeps_int_coefficients():
-    for c in GRID[::7]:
+    for c in CHERN_GRID[::7]:
         for p in (tangent_total(c), _uncut_lift(c), chow.cy_chern_pushforward(c)):
             assert all(type(v) is int for v in p), p
 
@@ -481,7 +475,7 @@ def test_chern_pair_identity():
 def test_c2_pairings():
     c = ChernPair(3, 2)
     assert _pair_on_x(XI, _c2_of_x(c), c) == 78  # 36 + 12*3 + 2*3
-    for cc in GRID[:: 11]:
+    for cc in CHERN_GRID[:: 11]:
         assert _pair_on_x(H, _c2_of_x(cc), cc) == 36
 
 
@@ -522,7 +516,7 @@ def test_gram_matrix_examples():
 
 
 def test_gram_unimodular_on_grid():
-    for c in GRID:
+    for c in CHERN_GRID:
         g = gram_matrix(c)
         assert g.det == _det3_oracle(g.entries) == -1
         assert g.entries[1][2] == c.c1 and g.entries[2][2] == c.c1**2 - c.c2

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 import cycone
 from cycone import cli, cohom, report
 from cycone.bundles import _CATALOG_TEXTS, BundleSpec
-from cycone.chow import chern_pair_of_split
 from cycone.cohom import (
     MAX_EXPR_DEPTH,
     RANK_CAP,
@@ -327,12 +326,6 @@ def test_chi_rr_matches_tables_where_evaluable():
     ]
     for e in exprs:
         assert chi_rr(e) == cohom_expr(e).chi
-
-
-def test_chi_end_grid():
-    for exps in combinations_with_replacement(range(-4, 5), 3):
-        c = chern_pair_of_split(*exps)
-        assert chi_rr(EndOf(split_sum(*exps))) == 2 * c.gamma + 9
 
 
 def test_chern_data_examples():

@@ -1,10 +1,10 @@
 """Cone analysis: anticanonical status, boundary roots, c2, verdicts."""
 
-from itertools import combinations_with_replacement, product
+from itertools import product
 
 import pytest
 
-from cycone import chow, invariants
+from cycone import chow, invariants, selftest
 from cycone.bundles import BundleSpec, H0Anticanonical, h0_anticanonical
 from cycone.chow import ChernPair, exceptional_surface_class
 from cycone.cone import (
@@ -44,22 +44,10 @@ def c2_of(c, root=None):
     return c2_positivity(c, root, invariants.closed_form_pairings(c))
 
 
-def cube_quadratic(c):
-    """(A, B, C) with D^3 . (-K_Z) = A k^2 + B k + C for D = 3 xi - k H, read
-    off the Chow ring at k = -1, 0, 1 on int classes; H^3 = 0 makes it
-    quadratic."""
-    q_minus, q_zero, q_plus = (
-        chow.integral(chow.expand(chow.expand(d, d), chow.expand(d, chow.anticanonical(c))), c)
-        for d in ((0, 3, -k) for k in (-1, 0, 1))
-    )
-    assert (q_plus + q_minus) % 2 == 0
-    return (q_plus + q_minus) // 2 - q_zero, (q_plus - q_minus) // 2, q_zero
-
-
 def solves_cube(root, c) -> bool:
     """Whether D^3 . (-K_Z) is a nonzero multiple of (den k - center)^2 - s^2 n,
     the polynomial whose zeros are the root's two branches."""
-    a, b, const = cube_quadratic(c)
+    a, b, const = selftest._doubled_cube_quadratic(c)
     pa, pb, pc = root.den**2, -2 * root.center * root.den, root.center**2 - root.s**2 * root.n
     return a != 0 and a * pb == b * pa and a * pc == const * pa
 
@@ -165,7 +153,7 @@ def test_root_rationality_is_perfect_square_condition():
 # --- the integer boundary against Chow-ring oracles ------------------------------
 
 # Every Chern pair with |c1| <= 40 and -400 <= gamma <= 2, so a real root exists.
-ORACLE_PAIRS = [
+ROOT_PAIRS = [
     ChernPair(c1, c2)
     for c1 in range(-40, 41)
     for c2 in range(-((2 - c1 * c1) // 3), (c1 * c1 + 400) // 3 + 1)
@@ -184,8 +172,8 @@ def _oracle_sign(a: int, b: int, n: int) -> int:
 
 def test_integer_boundary_matches_the_chow_ring_oracles():
     # gamma = c1^2 - 3 c2 is never 2 mod 3; every other value in range occurs
-    assert {c.gamma for c in ORACLE_PAIRS} == {g for g in range(-400, 3) if g % 3 != 2}
-    for c in ORACLE_PAIRS:
+    assert {c.gamma for c in ROOT_PAIRS} == {g for g in range(-400, 3) if g % 3 != 2}
+    for c in ROOT_PAIRS:
         g = c.gamma
         root = boundary_root(c)
         center, s, n, den = root.center, root.s, root.n, root.den
@@ -246,13 +234,6 @@ def test_c2_engine_route_matches_closed_bound():
         assert quad_parts(*c2_of(c).boundary) == quad_parts(18 + 2 * c.gamma, 6 * s, n, 1)
 
 
-def test_c2_closed_bound_positive_up_to_gamma_two():
-    for c in PAIRS_BY_GAMMA:
-        if c.gamma <= 2:
-            a, b, n, _ = c2_of(c).boundary
-            assert quad_sign(a, b, n) > 0
-
-
 @pytest.mark.parametrize("c", [ChernPair(3, 6), ChernPair(0, 9)], ids=str)
 def test_c2_cross_check_fires_on_a_wrong_root(c):
     # the closed form reads its square root off the root, so the two routes
@@ -269,21 +250,6 @@ def test_c2_cross_check_fires_on_a_wrong_root(c):
 
 
 # --- admissible splitting types ------------------------------------------------------
-
-
-def test_splitting_type_table_rows():
-    assert allowed_splitting_types(-1) == [(-1, -1, 1), (-1, 0, 0)]
-    assert allowed_splitting_types(0) == [(-1, 0, 1), (0, 0, 0)]
-    assert allowed_splitting_types(1) == [(0, 0, 1)]
-    assert allowed_splitting_types(2) == [(0, 0, 2), (0, 1, 1)]
-    assert allowed_splitting_types(3) == [(0, 1, 2), (1, 1, 1)]
-    assert allowed_splitting_types(4) == [(1, 1, 2)]
-
-
-def test_splitting_types_empty_outside_range():
-    assert allowed_splitting_types(-2) == []
-    assert allowed_splitting_types(5) == []
-    assert allowed_splitting_types(9) == []
 
 
 def test_is_allowed_splitting_type_agrees_with_the_table():
@@ -465,15 +431,6 @@ def test_verdict_monotone_in_h0():
     assert not boundary_root(spec.chern).is_rational
     v = verdict_of(spec)
     assert v.verdict == RATIONAL and "h0-minus-k-gt-1" in v.trail
-
-
-def test_nef_survey_gamma_bound_and_verdicts():
-    for exps in combinations_with_replacement(range(-4, 5), 3):
-        spec = BundleSpec.split(*exps)
-        status = status_of(spec)
-        if status.nef:
-            assert spec.gamma >= -18
-            assert verdict_of(spec).verdict == RATIONAL
 
 
 # --- aggregate report ---------------------------------------------------------------------

@@ -14,8 +14,6 @@ from cycone.cohom import h0_line
 from cycone.errors import InvariantViolationError
 from cycone.report import build_report
 
-GRID = [ChernPair(c1, c2) for c1 in range(-6, 7) for c2 in range(-10, 11)]
-
 chern_pairs = st.builds(
     ChernPair, st.integers(min_value=-6, max_value=6), st.integers(min_value=-10, max_value=10)
 )
@@ -34,11 +32,6 @@ def test_gamma_twist_invariance(c, t):
     assert c.twist(t).gamma == c.gamma
 
 
-def test_pairing_tables_agree_on_grid():
-    for c in selftest.CHERN_GRID:
-        assert invariants.closed_form_pairings(c) == invariants.engine_pairings(c)
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=-50, max_value=50), st.integers(min_value=-500, max_value=500))
 def test_pairing_tables_agree_on_a_wide_grid(c1, c2):
@@ -53,14 +46,6 @@ def test_engine_route_calls_no_closed_form(monkeypatch):
     monkeypatch.setattr(invariants, "closed_form_pairings", forbidden)
     engine = invariants.engine_pairings(ChernPair(3, 2))
     assert engine == invariants.XPairings(21, 9, 3, 78, 36, -180)
-
-
-def test_pairing_universal_entries():
-    for c in GRID[:: 13]:
-        p = invariants.closed_form_pairings(c)
-        assert p.o1_fiber == 3
-        assert p.h_c2 == 36
-        assert p.c3 == -6 * c.gamma - 162
 
 
 def test_cy_invariants_012():
@@ -91,17 +76,9 @@ def test_h12_only_with_rho_two():
 
 def test_h12_consistency_identity():
     # with rho = 2: c3 = 2 (rho - h12) reproduces the closed form
-    for c in GRID[:: 17]:
+    for c in selftest.CHERN_GRID[:: 17]:
         rep = build_report(BundleSpec.chern_only(c.c1, c.c2))
         assert rep.pairings.c3 == 2 * (2 - rep.h12)
-
-
-def test_chi_on_cy_closed_forms():
-    for c2 in range(-5, 6):
-        c = ChernPair(2, c2)
-        assert invariants.chi_on_cy(invariants.closed_form_pairings(c), (1, 0), 1) == Fraction(c.gamma, 3) + Fraction(20, 3)
-        c = ChernPair(3, c2)
-        assert invariants.chi_on_cy(invariants.closed_form_pairings(c), (1, 0), 1) == Fraction(c.gamma, 3) + 9
 
 
 def cubic_coefficients(p, d):
@@ -112,18 +89,8 @@ def cubic_coefficients(p, d):
     return a, one - a
 
 
-def test_chi_on_cy_cubic_for_c1_minus_one():
-    for c2 in range(-4, 5):
-        c = ChernPair(-1, c2)
-        g = c.gamma
-        a, b = cubic_coefficients(invariants.closed_form_pairings(c), (3, 0))
-        assert (a, b) == (Fraction(9 * g, 2) - 9, Fraction(g, 2) + 6)
-        for m in range(1, 5):
-            assert invariants.chi_on_cy(invariants.closed_form_pairings(c), (3, 0), m) == a * m**3 + b * m
-
-
 def test_chi_of_trivial_divisor_vanishes():
-    for c in GRID[:: 19]:
+    for c in selftest.CHERN_GRID[:: 19]:
         assert invariants.chi_on_cy(invariants.closed_form_pairings(c), (0, 0), 1) == 0
 
 
