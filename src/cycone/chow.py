@@ -11,8 +11,9 @@ representation, an expansion: its coefficients on the twelve monomials
 xi^i H^j with j <= 2 and i + j <= 4 (``_REDUCIBLE``), as a tuple or list
 that a factor of ``expand`` may cut short (missing slots are 0).  There is
 one product, ``expand``, in the truncated ring Z[xi, H]/(H^3, deg > 4),
-and one number, ``integral``, which weights the degree-4 part of an
-expansion by the point integrals ``ChernPair.point_integrals``.  The
+and one number, ``integrals``, which weights the part of an expansion that
+each monomial xi^i H^j completes to degree 4 by the point integrals
+``ChernPair.point_integrals``; ``integral`` is its one-monomial case.  The
 relation enters only there, so no class is ever reduced: (-K_Z)^4, the
 Euler number, the Gram matrix and the pairings of X are all integrals.
 
@@ -23,13 +24,24 @@ other exact coefficients (``Fraction`` in the tests, or polynomials in c1
 and c2) pass through as given; integrality of geometric quantities is
 asserted, never assumed.
 
-The engine reads tables built at import, so no term of a product computes
-a slot, a binomial or a test of whether it survives: ``_PRODUCTS[a]``
-lists the (b, slot) pairs whose product with monomial a survives, and
-``_power_sum`` and ``tangent_total`` read their (slot, exponent, binomial)
-terms from ``_POWER_TERMS`` and ``_TWISTED_TERMS``.  Adjunction on X in
-|-K_Z| is one product too: ``cy_chern_pushforward`` expands c(T_Z) by
--K_Z (1 + K + K^2 + K^3), whose degree-2 part c1(X) . [X] must vanish.
+The engine reads tables built at import, so no call computes a slot, a
+binomial, a test of whether a term survives, or a product whose factors do
+not depend on c:
+
+* ``_PRODUCTS[a]`` lists the (b, slot) pairs whose product with monomial a
+  survives;
+* ``_READ_OFF[i, j]`` lists the (slot, point-integral index) pairs of the
+  integral against xi^i H^j, and ``read_off`` collects rows of it into one
+  table, so ``invariants`` reads the six pairings of X in one pass;
+* ``_QUARTIC_TERMS`` and ``_ADJUNCTION_TERMS`` are the signed (slot,
+  exponents, coefficient) terms of d^4 and d - d^2 + d^3 - d^4, which
+  ``_power_sum`` evaluates at d = -K_Z;
+* ``_TANGENT_BASIS`` holds the three expansions, formed by ``expand`` once,
+  whose combination with c_i(E-dual) = (1, -c1, c2) is c(T_Z).
+
+Adjunction on X in |-K_Z| is the one product a report makes:
+``cy_chern_pushforward`` expands c(T_Z) by -K_Z (1 + K + K^2 + K^3), whose
+degree-2 part c1(X) . [X] must vanish.
 """
 
 from __future__ import annotations
@@ -58,21 +70,29 @@ _PRODUCTS = tuple(
     )
     for (i1, j1) in _REDUCIBLE
 )
-# _OF_DEGREE[d]: (slot, xi-exponent) of every monomial of degree d
-_OF_DEGREE = tuple(
-    tuple((k, i) for k, (i, j) in enumerate(_REDUCIBLE) if i + j == d) for d in range(5)
-)
-# _POWER_TERMS[k]: (slot, m, C(k, m)) of each term C(k, m) xi^m H^(k-m) of
-# (xi + H)^k that survives H^3 = 0, for k = 0..4
-_POWER_TERMS = tuple(
-    tuple((_SLOT[m, k - m], m, math.comb(k, m)) for m in range(max(0, k - 2), k + 1))
-    for k in range(5)
-)
-# (slot, i, C(3 - i, m)) of each term of sum_i c_i(E-dual) (1 + xi)^(3 - i),
-# the twisted factor of c(T_Z): c_i(E-dual) H^i times C(3 - i, m) xi^m
-_TWISTED_TERMS = tuple(
-    (_SLOT[m, i], i, math.comb(3 - i, m)) for i in range(3) for m in range(4 - i)
-)
+# _READ_OFF[i, j]: the (slot, k) pairs of the integral against xi^i H^j,
+# i + j <= 4: each slot of degree 4 - i - j, holding xi^l H^m, is weighted by
+# the point integral s_k, k = l + i
+_READ_OFF = {
+    (i, j): tuple((slot, l + i) for slot, (l, m) in enumerate(_REDUCIBLE) if l + m + i + j == 4)
+    for i in range(5)
+    for j in range(5 - i)
+}
+
+
+def _power_terms(signs) -> tuple:
+    """The signed term table of sum_k signs[k] d^k, d = xi + H: (slot, m, n,
+    signs[k] C(k, m)) of each term xi^m H^n, n = k - m, that survives H^3 = 0."""
+    return tuple(
+        (_SLOT[m, k - m], m, k - m, sign * math.comb(k, m))
+        for k, sign in enumerate(signs)
+        if sign
+        for m in range(max(0, k - 2), k + 1)
+    )
+
+
+_QUARTIC_TERMS = _power_terms((0, 0, 0, 0, 1))  # d^4
+_ADJUNCTION_TERMS = _power_terms((0, 1, -1, 1, -1))  # d - d^2 + d^3 - d^4
 _ZEROS = (0,) * len(_REDUCIBLE)
 
 
@@ -124,16 +144,31 @@ def expand(x, y) -> list:
     return out
 
 
-def integral(p, c: ChernPair, monomial: tuple[int, int] = (0, 0)):
-    """The integral over Z of xi^i H^j times the expansion ``p`` (all twelve
-    slots), for ``monomial`` = (i, j): each xi^k H^l of degree 4 - i - j in
-    ``p`` is weighted by the point integral s_(k+i) of ``c``."""
-    i, j = monomial
+def read_off(monomials) -> tuple:
+    """The read-off table of the integrals against ``monomials``, each (i, j)
+    for xi^i H^j, as ``integrals`` takes it: one row of (slot, k) pairs per
+    monomial (none when i + j > 4)."""
+    return tuple(_READ_OFF.get(m, ()) for m in monomials)
+
+
+def integrals(p, c: ChernPair, table) -> list:
+    """The integrals over Z of the expansion ``p`` (all twelve slots) times
+    the monomials of the read-off ``table``, in one pass: a row's slots of
+    ``p``, each weighted by its point integral s_k of ``c``, summed."""
     s = c.point_integrals
-    total = 0
-    for slot, k in _OF_DEGREE[4 - i - j] if i + j <= 4 else ():
-        total += p[slot] * s[k + i]
-    return total
+    out = []
+    for row in table:
+        total = 0
+        for slot, k in row:
+            total += p[slot] * s[k]
+        out.append(total)
+    return out
+
+
+def integral(p, c: ChernPair, monomial: tuple[int, int] = (0, 0)):
+    """The integral over Z of xi^i H^j times the expansion ``p``, for
+    ``monomial`` = (i, j): the one-monomial case of ``integrals``."""
+    return integrals(p, c, (_READ_OFF.get(monomial, ()),))[0]
 
 
 def anticanonical(c: ChernPair) -> tuple[int, int, int]:
@@ -141,35 +176,39 @@ def anticanonical(c: ChernPair) -> tuple[int, int, int]:
     return (0, 3, 3 - c.c1)
 
 
-def _power_sum(a, b, powers) -> list:
-    """The sum of d^k over ``powers`` for the degree-1 class d = a xi + b H,
-    written binomially as an expansion (H^3 = 0 drops the rest)."""
+def _power_sum(a, b, terms) -> list:
+    """A power sum of the degree-1 class d = a xi + b H, as an expansion,
+    from its signed term table (``_power_terms``)."""
     a2 = a * a
     a_pow, b_pow = (1, a, a2, a2 * a, a2 * a2), (1, b, b * b)
     out = [0] * len(_REDUCIBLE)
-    for k in powers:
-        for slot, m, binomial in _POWER_TERMS[k]:
-            out[slot] += binomial * a_pow[m] * b_pow[k - m]
+    for slot, m, n, coeff in terms:
+        out[slot] += coeff * a_pow[m] * b_pow[n]
     return out
 
 
 def minus_k_quartic(c: ChernPair) -> int:
     """(-K_Z)^4, which evaluates to 27*gamma + 486."""
     _, a, b = anticanonical(c)
-    return as_integer(integral(_power_sum(a, b, (4,)), c))
+    return as_integer(integral(_power_sum(a, b, _QUARTIC_TERMS), c))
+
+
+# c(T_Z) = c(p^* T_P2) * c(p^* E-dual (x) O_Z(1)), with the twisted factor
+# written from the Chern roots as sum_i c_i(E-dual) H^i (1 + xi)^(3 - i) and
+# c_i(E-dual) = 1, -c1, c2 (c3 dies with H^3), is linear in c_i(E-dual):
+# _TANGENT_BASIS[slot] holds that slot of the three expansions
+# (1 + 3H + 3H^2) H^i (1 + xi)^(3 - i), i = 0, 1, 2
+_TANGENT_BASIS = tuple(zip(*[
+    expand((1, 0, 3, 0, 0, 3), [math.comb(3 - i, l) if m == i else 0 for l, m in _REDUCIBLE])
+    for i in range(3)
+]))
 
 
 def tangent_total(c: ChernPair) -> list:
-    """c(T_Z) = c(p^* T_P2) * c(p^* E-dual (x) O_Z(1)), in one expansion.
-
-    The twisted factor is written from the Chern roots as sum_i c_i(E-dual)
-    (1 + xi)^(3 - i), with c_i(E-dual) = 1, -c1 H, c2 H^2 (c3 dies with H^3).
-    """
-    dual = (1, -c.c1, c.c2)
-    twisted = [0] * len(_REDUCIBLE)
-    for slot, i, binomial in _TWISTED_TERMS:
-        twisted[slot] = dual[i] * binomial
-    return expand((1, 0, 3, 0, 0, 3), twisted)  # c(p^* T_P2) = 1 + 3H + 3H^2
+    """c(T_Z) in one expansion, the combination of ``_TANGENT_BASIS`` with
+    the coefficients c_i(E-dual) = 1, -c1, c2."""
+    u, v = -c.c1, c.c2
+    return [t0 + u * t1 + v * t2 for t0, t1, t2 in _TANGENT_BASIS]
 
 
 def euler_number(c: ChernPair) -> int:
@@ -180,14 +219,13 @@ def euler_number(c: ChernPair) -> int:
 def cy_chern_pushforward(c: ChernPair) -> list:
     """c(T_X) . [X] on Z as an expansion: by adjunction on X in |-K_Z|, the
     product of -K_Z (1 + K + K^2 + K^3), K = K_Z, and c(T_Z), whose degree-5
-    term ``expand`` drops.  Its ``integral`` against xi^i H^j integrates
+    term ``expand`` drops.  Its ``integrals`` against xi^i H^j integrate
     xi^i H^j c_(3-i-j)(X) over X.  Its degree-2 part c1(X) . [X] must cancel
     exactly (X is Calabi-Yau); that cancellation is asserted.
     """
     _, a, b = anticanonical(c)  # d = -K_Z = a xi + b H
-    # d - d^2 + d^3 - d^4, the negated power sum of -d = K; it has no degree-0
-    # term, so it is the sparser factor
-    x = expand([-v for v in _power_sum(-a, -b, range(1, 5))], tangent_total(c))
+    # d - d^2 + d^3 - d^4 has no degree-0 term, so it is the sparser factor
+    x = expand(_power_sum(a, b, _ADJUNCTION_TERMS), tangent_total(c))
     if x[3] or x[4] or x[5]:
         raise InvariantViolationError("adjunction did not cancel c1 on the hypersurface")
     return x

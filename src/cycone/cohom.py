@@ -295,10 +295,12 @@ def _plethysm(a: int, b: int, p: int) -> list:
     """Cayley-Sylvester: S^p(S^a T(b)) = sum_j m_j S^(pa-2j) T(pb + 3j).
 
     m_j = N(j) - N(j-1), where N(j) counts the partitions of j that fit in
-    a p x a box.
+    a p x a box.  When min(p, a) <= 1 every N(j) is 1, so m_0 = 1 is the one
+    nonzero m_j and S^p is the one atom S^(pa) T(pb), with no box count:
+    S^0 = O, S^1 the atom itself, S^p T(b) = S^p T(pb) and S^p O(b) = O(pb).
     """
-    if a == 0:
-        return [(0, p * b)]  # S^p O(b) = O(pb), for any p
+    if p <= 1 or a <= 1:
+        return [(p * a, p * b)]
     n = _box_partitions(p, a)
     return [
         (p * a - 2 * j, p * b + 3 * j)

@@ -3,9 +3,10 @@
 Every pairing on X is computed twice: through the ambient Chow engine and
 through closed forms; the two routes must agree exactly or an
 InvariantViolationError is raised.  The engine route takes each pairing
-as a point integral (``chow.integral``) of c(T_X) . [X], the one unreduced
-product of c(T_Z) and -K_Z (1 + K + K^2 + K^3) that adjunction gives
-(``chow.cy_chern_pushforward``), with no reduction table.  The closed
+as a point integral of c(T_X) . [X], the one unreduced product of c(T_Z)
+and -K_Z (1 + K + K^2 + K^3) that adjunction gives
+(``chow.cy_chern_pushforward``), with no reduction table: ``chow.integrals``
+reads all six in one pass from a read-off table built at import.  The closed
 forms are, with gamma = c1^2 - 3 c2:
 
     O_X(1)^3          = gamma + c1^2 + 3 c1
@@ -50,19 +51,17 @@ def closed_form_pairings(c: ChernPair) -> XPairings:
     )
 
 
+# The read-off of the pairings, in ``XPairings`` order: against
+# O_X(1)^i (pi*h)^j, for (i, j) below, c(T_X) . [X] gives c_(3-i-j)(X)
+_PAIRINGS_READ_OFF = chow.read_off(((3, 0), (2, 1), (1, 2), (1, 0), (0, 1), (0, 0)))
+
+
 def engine_pairings(c: ChernPair) -> XPairings:
-    """The pairings as point integrals of c(T_X) . [X], left unreduced:
-    against O_X(1)^i (pi*h)^j the grading reads off c_(3-i-j)(X), so c2(X)
-    for one divisor and c3(X) for none."""
+    """The pairings as point integrals of c(T_X) . [X], left unreduced and
+    read off in one pass: against O_X(1)^i (pi*h)^j the grading reads off
+    c_(3-i-j)(X), so c2(X) for one divisor and c3(X) for none."""
     x = chow.cy_chern_pushforward(c)
-
-    def on_x(i: int, j: int) -> int:
-        return as_integer(chow.integral(x, c, (i, j)))
-
-    return XPairings(
-        o1_cubed=on_x(3, 0), o1_sq_h=on_x(2, 1), o1_fiber=on_x(1, 2),
-        o1_c2=on_x(1, 0), h_c2=on_x(0, 1), c3=on_x(0, 0),
-    )
+    return XPairings._make(map(as_integer, chow.integrals(x, c, _PAIRINGS_READ_OFF)))
 
 
 def cy_invariants(c: ChernPair) -> XPairings:

@@ -200,6 +200,15 @@ def _doubled_cube_quadratic(c: ChernPair) -> tuple[int, int, int]:
     return q_plus + q_minus - 2 * q_zero, q_plus - q_minus, 2 * q_zero
 
 
+def solves_cube(root, c: ChernPair) -> bool:
+    """Whether 2 D^3 . (-K_Z), read off the Chow ring, is a nonzero multiple
+    of (den k - center)^2 - s^2 n, the polynomial whose zeros are the two
+    branches of ``root``."""
+    a, b, const = _doubled_cube_quadratic(c)
+    pa, pb, pc = root.den**2, -2 * root.center * root.den, root.center**2 - root.s**2 * root.n
+    return a != 0 and a * pb == b * pa and a * pc == const * pa
+
+
 def check_boundary_root_exactness():
     """k = 9/2 - (3/2) sqrt(5) at (c1, c2) = (3, 6); D^3 vanishes at both
     branches of every root for gamma in [-27, 2], since its quadratic
@@ -212,13 +221,7 @@ def check_boundary_root_exactness():
     _require(not root.is_rational, "root should be irrational")
     for c in _pairs_by_gamma(-27, 2):
         root = cone.boundary_root(c)
-        a, b, const = _doubled_cube_quadratic(c)
-        # (den k - center)^2 - s^2 n, whose zeros are k and k_other
-        pa, pb, pc = root.den**2, -2 * root.center * root.den, root.center**2 - root.s**2 * root.n
-        _require(
-            root.exists and a != 0 and a * pb == b * pa and a * pc == const * pa,
-            f"{root} does not solve D^3 = 0 at {c}: 2 D^3.(-K_Z) = {a} k^2 + {b} k + {const}",
-        )
+        _require(root.exists and solves_cube(root, c), f"{root} does not solve D^3 = 0 at {c}")
         _require(root.is_rational == is_perfect_square(9 - 4 * c.gamma), f"rationality mismatch at {c}")
 
 

@@ -62,6 +62,8 @@ def expansion_strategy():
     return st.lists(frac, min_size=len(SLOTS), max_size=len(SLOTS))
 
 
+FRACTION_PAIRS = [ChernPair(Fraction(p, 3), Fraction(q, 2)) for p in (-7, 1, 5) for q in (-3, 0, 9)]
+
 chern_pairs = st.builds(
     ChernPair, st.integers(min_value=-5, max_value=5), st.integers(min_value=-8, max_value=8)
 )
@@ -338,8 +340,7 @@ def _uncut_lift(c):
 def test_pushforward_is_minus_k_times_the_uncut_lift():
     # slot for slot, on int and Fraction pairs: the binomial powers of K and
     # the degree-5 term that the product drops change no slot
-    fractions = [ChernPair(Fraction(p, 3), Fraction(q, 2)) for p in (-7, 1, 5) for q in (-3, 0, 9)]
-    for c in CHERN_GRID + fractions:
+    for c in CHERN_GRID + FRACTION_PAIRS:
         x = chow.cy_chern_pushforward(c)
         assert x == expand(anticanonical(c), _uncut_lift(c)), c
         assert degree_part(x, 2) == slots()  # c1(X) . [X] cancels
@@ -363,6 +364,21 @@ def test_a_tampered_c1_of_tz_breaks_adjunction(slot, monkeypatch):
     for route in (chow.cy_chern_pushforward, invariants.engine_pairings):
         with pytest.raises(InvariantViolationError, match="adjunction"):
             route(c)
+
+
+def test_pairings_read_off_matches_six_integrals():
+    # the import-time read-off of the pairings against one integral per
+    # monomial, and both against each slot of the degree that xi^i H^j
+    # completes to 4, weighted by the point integral s_(l+i) of xi^l H^m
+    monomials = ((3, 0), (2, 1), (1, 2), (1, 0), (0, 1), (0, 0))
+    for c in CHERN_GRID + FRACTION_PAIRS:
+        x = chow.cy_chern_pushforward(c)
+        s = c.point_integrals
+        by_slot = [
+            sum(v * s[l + i] for (l, m), v in zip(SLOTS, x) if l + m + i + j == 4) for i, j in monomials
+        ]
+        read = chow.integrals(x, c, invariants._PAIRINGS_READ_OFF)
+        assert read == [integral(x, c, m) for m in monomials] == by_slot, c
 
 
 def test_pushforward_integrals_are_the_pairings_on_x():
@@ -399,6 +415,15 @@ def test_tangent_chern_closed_forms():
         c3z = slots(0, 0, 0, 0, 0, 0, 9, 9 - 6 * c.c1)
         for m in ((1, 0), (0, 1)):
             assert integral(total, c, m) == integral(c3z, c, m)
+
+
+def test_tangent_total_matches_the_twisted_product():
+    # the per-call route: c(p^* T_P2) = 1 + 3H + 3H^2 times the twisted factor
+    # (1 + xi)^3 - c1 H (1 + xi)^2 + c2 H^2 (1 + xi), written slot by slot
+    for c in CHERN_GRID + FRACTION_PAIRS:
+        c1, c2 = c
+        twisted = slots(1, 3, -c1, 3, -2 * c1, c2, -c1, c2, 0, 1)
+        assert tangent_total(c) == expand((1, 0, 3, 0, 0, 3), twisted), c
 
 
 def _c2_of_x(c):

@@ -268,6 +268,30 @@ def test_cayley_sylvester_multiplicities(p, a):
     assert all(3 * (p * a - deg) == 2 * b for deg, b in atoms)  # S^(pa-2j) (x) det^j
 
 
+def _gaussian_binomial_route(a, b, p):
+    """S^p(S^a T(b)) from every m_j of [p + a, p]_q, with no one-atom branch."""
+    n = _box_partitions(p, a)
+    return [
+        (p * a - 2 * j, p * b + 3 * j)
+        for j in range(p * a // 2 + 1)
+        for _ in range(n[j] - (n[j - 1] if j else 0))
+    ]
+
+
+# every (p, a) with p, a < RANK_CAP whose S^p(S^a T) has rank C(p + a, p)
+# below the cap; min(p, a) <= 1 takes the one-atom branch
+PLETHYSM_SHAPES = [
+    (p, a) for p in range(RANK_CAP) for a in range(RANK_CAP) if comb(p + a, p) < RANK_CAP
+]
+
+
+@pytest.mark.parametrize("b", [-7, 0, 5])
+def test_plethysm_matches_the_gaussian_binomial_route(b):
+    assert any(min(shape) >= 2 for shape in PLETHYSM_SHAPES)
+    for p, a in PLETHYSM_SHAPES:
+        assert cohom._plethysm(a, b, p) == _gaussian_binomial_route(a, b, p), (p, a)
+
+
 def _weyl_dimension(l1, l2):
     """dim S_(l1, l2, 0) C^3 by the Weyl dimension formula."""
     return (l1 - l2 + 1) * (l2 + 1) * (l1 + 2) // 2

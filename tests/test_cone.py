@@ -44,14 +44,6 @@ def c2_of(c, root=None):
     return c2_positivity(c, root, invariants.closed_form_pairings(c))
 
 
-def solves_cube(root, c) -> bool:
-    """Whether D^3 . (-K_Z) is a nonzero multiple of (den k - center)^2 - s^2 n,
-    the polynomial whose zeros are the root's two branches."""
-    a, b, const = selftest._doubled_cube_quadratic(c)
-    pa, pb, pc = root.den**2, -2 * root.center * root.den, root.center**2 - root.s**2 * root.n
-    return a != 0 and a * pb == b * pa and a * pc == const * pa
-
-
 def verdict_of(spec):
     return rationality_verdict(h0_anticanonical(spec))
 
@@ -138,8 +130,8 @@ def test_root_plugs_back_to_zero():
         root = boundary_root(c)
         if not root.exists:
             continue
-        assert solves_cube(root, c)
-        assert not solves_cube(root._replace(s=root.s + 1), c)
+        assert selftest.solves_cube(root, c)
+        assert not selftest.solves_cube(root._replace(s=root.s + 1), c)
 
 
 def test_root_rationality_is_perfect_square_condition():
@@ -179,7 +171,7 @@ def test_integer_boundary_matches_the_chow_ring_oracles():
         center, s, n, den = root.center, root.s, root.n, root.den
         assert root.exists and root.normalization == OZ3
         # k and k_other are the zeros of D^3 . (-K_Z), with k < k_other
-        assert solves_cube(root, c), c
+        assert selftest.solves_cube(root, c), c
         assert s > 0 and den > 0
         assert s * s * n == 9 - 4 * g and squarefree_decompose(n) == (1, n)
         assert root.is_rational == (n == 1)

@@ -1107,9 +1107,10 @@ def test_build_report_evaluates_closed_forms_once(monkeypatch):
     [BundleSpec.split(0, 1, 2), BundleSpec.named("TP2+O"), BundleSpec.chern_only(3, 6)],
     ids=["split", "catalog", "chern-only"],
 )
-def test_build_report_forms_two_expansions(spec, monkeypatch):
-    # c(T_Z), and c(T_Z) times -K_Z (1 + K + K^2 + K^3); every other
-    # number of the report is a point integral or a closed form
+def test_build_report_forms_one_expansion(spec, monkeypatch):
+    # c(T_Z) times -K_Z (1 + K + K^2 + K^3); c(T_Z) itself combines the
+    # import-time basis chow._TANGENT_BASIS, and every other number of the
+    # report is a point integral or a closed form
     calls = {"expand": 0}
 
     def counted(*args):
@@ -1119,7 +1120,7 @@ def test_build_report_forms_two_expansions(spec, monkeypatch):
     original = chow.expand
     monkeypatch.setattr(chow, "expand", counted)
     build_report(spec)
-    assert calls == {"expand": 2}
+    assert calls == {"expand": 1}
 
 
 def test_cli_catalog_contents():
