@@ -16,13 +16,12 @@ Each command is declared once, as plain data (``_COMMANDS``).  When
 ``argv[0]`` is exactly a command name, ``main`` reads the rest with that
 command's reader, derived from the declaration at import: exact option
 strings, their values and types, its groups, required options and
-defaults.  Where the reader cannot give argparse's namespace for certain
-(help, an abbreviation, ``--``, a stray token, a bad value, a conflict or a
-missing option), argparse is imported and the command's own parser, built
-from the same declaration, reads it; the namespace differs only in
+defaults.  Whatever the reader refuses (help, an abbreviation, ``--``, a
+stray token, a bad value, a conflict or a missing option), and no argv or
+an unknown command, goes to argparse, which is imported then, and the full
+parser built from the same declaration reads it; its namespace adds
 ``command``, which nothing reads.  So argparse writes every help text and
-usage message.  Anything else takes the full parser: no argv, ``--help``,
-or an unknown command.
+usage message.
 """
 
 from __future__ import annotations
@@ -262,7 +261,7 @@ _ACTIONS = {"value": "store", "flag": "store_true", "append": "append"}
 @functools.cache
 def build_parser():
     """The ``cycone`` argument parser, built from ``_COMMANDS`` once per
-    process and shared; ``parser.commands`` holds each command's own parser.
+    process and shared.
 
     Only help and usage errors need it, so argparse is imported here.
     ``parse_args`` keeps no state on the parser between calls, so every
@@ -279,7 +278,6 @@ def build_parser():
     parser = Parser(prog="cycone", description="Exact invariants and Kahler-cone verdicts for"
                     " Calabi-Yau hypersurfaces in P2-bundles over P2.")
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = sub.choices  # each command's own parser, by name, for ``main``
     for name, (help_text, epilog, func, options) in _COMMANDS.items():
         command = sub.add_parser(name, help=help_text, epilog=epilog)
         groups = {}
@@ -395,17 +393,14 @@ def _read(reader: tuple, args: list[str]) -> SimpleNamespace | None:
 
 def _parse_argv(argv: list[str]):
     """The namespace of ``argv``.  When ``argv[0]`` is exactly a command
-    name, ``_read`` takes the rest from that command's reader, and the
-    command's own parser reads it where ``_read`` gives None; the full
-    parser reads anything else.  So argparse is imported only where
-    ``_read`` gives None (help, an abbreviation, ``--``, a usage error of
-    argparse's) or for an unknown command, and writes every help text and
-    usage message."""
+    name, ``_read`` takes the rest from that command's reader; the full
+    parser reads whatever ``_read`` gives None for, and no argv or an
+    unknown command.  So argparse is imported only there (help, an
+    abbreviation, ``--``, a usage error of argparse's), and writes every
+    help text and usage message."""
     reader = _READERS.get(argv[0]) if argv else None
-    if reader is None:
-        return build_parser().parse_args(argv)
-    args = _read(reader, argv[1:])
-    return build_parser().commands[argv[0]].parse_args(argv[1:]) if args is None else args
+    args = None if reader is None else _read(reader, argv[1:])
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

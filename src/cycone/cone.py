@@ -3,7 +3,8 @@
 The pieces, all in exact arithmetic:
 
 * status of -K_Z (nef / ample / big), decided by the line test 3 e1 + 3 - c1
-  for uniform splitting types and by (-K_Z)^4 = 27 gamma + 486 for bigness;
+  for uniform splitting types and by (-K_Z)^4 = 27 gamma + 486 for bigness,
+  each value kept as an integer witness;
 * the boundary root of {D^3 = 0} along the ray through O_X(3) and pi*h,
   k = c1 + 3/2 - sqrt(9/4 - gamma), held as the integers of
   k = (2 c1 + 3 - s sqrt(n)) / 2 with 9 - 4 gamma = s^2 n, n squarefree,
@@ -42,12 +43,11 @@ EQUALITY, EXCEPTIONAL_CANDIDATE, NOT_DETERMINED = (
     "exceptional_candidate",
     "not_determined",
 )
-OZ3, OZ1 = "OZ3", "OZ1"
 
 
 class MinusKStatus(namedtuple("MinusKStatus", "nef ample big witnesses", defaults=((),))):
     """Tri-state positivity record for -K_Z (None means unknown); the
-    witnesses are (name, value) string pairs."""
+    witnesses are (name, int) pairs."""
 
     __slots__ = ()
 
@@ -74,12 +74,12 @@ def anticanonical_status(spec: BundleSpec) -> MinusKStatus:
     """
     c = spec.chern
     quartic = chow.minus_k_quartic(c)
-    witnesses = [("minus_k_quartic", str(quartic))]
+    witnesses = [("minus_k_quartic", quartic)]
     nef = ample = big = None
     stype = spec.splitting_type
     if stype is not None:
         line_value = 3 * stype[0] + 3 - c.c1
-        witnesses.append(("line_test_min_summand", str(line_value)))
+        witnesses.append(("line_test_min_summand", line_value))
         nef = line_value >= 0
         ample = line_value > 0
         if nef:
@@ -88,12 +88,11 @@ def anticanonical_status(spec: BundleSpec) -> MinusKStatus:
     return MinusKStatus(nef, ample, big, tuple(witnesses))
 
 
-class BoundaryRoot(
-    namedtuple("BoundaryRoot", "exists normalization center s n den", defaults=(0, 0, 0, 2))
-):
-    """Roots of D^3 = 0 along the ray, as integers: the smaller branch is
-    k = (center - s sqrt(n)) / den and the larger k_other = (center +
-    s sqrt(n)) / den, with n squarefree.  No real root leaves s = 0."""
+class BoundaryRoot(namedtuple("BoundaryRoot", "exists center s n den", defaults=(0, 0, 0, 2))):
+    """Roots of D^3 = 0 on D = O_X(3) - k pi*h, as integers: the smaller
+    branch is k = (center - s sqrt(n)) / den and the larger k_other =
+    (center + s sqrt(n)) / den, with n squarefree.  No real root leaves
+    s = 0."""
 
     __slots__ = ()
 
@@ -101,27 +100,23 @@ class BoundaryRoot(
     def is_rational(self) -> bool:
         return self.n == 1
 
-    def scaled(self) -> "BoundaryRoot":
-        """This OZ3 root in the OZ1 normalization: both branches divided by 3."""
-        return self._replace(normalization=OZ1, den=3 * self.den)
-
 
 def boundary_root(c: ChernPair) -> BoundaryRoot:
-    """Solve D^3 = 0 for D = O_X(3) - k pi*h (the OZ3 normalization).
+    """Solve D^3 = 0 for D = O_X(3) - k pi*h.
 
     k = (2 c1 + 3 -+ sqrt(9 - 4 gamma)) / 2, with the integer 9 - 4 gamma
     decomposed once; no real root exists once gamma exceeds 9/4.
 
     >>> boundary_root(ChernPair(3, 6))  # k = (9 - 3 sqrt(5)) / 2
-    BoundaryRoot(exists=True, normalization='OZ3', center=9, s=3, n=5, den=2)
+    BoundaryRoot(exists=True, center=9, s=3, n=5, den=2)
     >>> boundary_root(ChernPair(3, 2)).exists
     False
     """
     disc = 9 - 4 * c.gamma
     if disc < 0:
-        return BoundaryRoot(False, OZ3)
+        return BoundaryRoot(False)
     s, n = exactnum.squarefree_decompose(disc)
-    return BoundaryRoot(True, OZ3, 2 * c.c1 + 3, s, n)
+    return BoundaryRoot(True, 2 * c.c1 + 3, s, n)
 
 
 class C2Positivity(namedtuple("C2Positivity", "boundary minus_k_ray positive")):
@@ -139,7 +134,7 @@ def c2_positivity(
 ) -> C2Positivity:
     """Evaluate D.c2(X) at the cone-boundary data of the given bundle.
 
-    ``root`` is the bundle's OZ3 boundary root and ``pairings`` are the
+    ``root`` is the bundle's boundary root and ``pairings`` are the
     pairings of X.  When the root exists the boundary value is computed
     twice, each as the integer pair (a, b) of den * value = a + b sqrt(n):
     through the pairing D.c2(X) = O_X(1).c2(X) - 12 k, and by the

@@ -1,10 +1,9 @@
-"""Exact scalars on integers: the "p/q" writer, square-free parts, and
-quadratic numbers.
+"""Exact scalars on integers: square-free parts and quadratic numbers.
 
 Every rational value the engine computes is an ``int`` (chi on X and the
-section bounds included), and ``format_rational`` writes one as "p/1", the
-report's form of an exact rational.  A proper ratio appears only inside a
-quadratic number, as the reduced integer pair (p, q) of ``quad_parts``.
+section bounds included), and a report writes it as a JSON integer.  A
+proper ratio appears only inside a quadratic number, as the reduced integer
+pair (p, q) of ``quad_parts``, which the JSON report writes as "p/q".
 
 The one irrational number this problem meets is the Kahler-cone boundary
 root and what is computed from it.  Every such number is
@@ -24,15 +23,6 @@ from __future__ import annotations
 from math import gcd, isqrt
 
 from .errors import DomainError
-
-
-def format_rational(q: int) -> str:
-    """Serialize an int as the canonical 'p/q' string, "p/1"; anything
-    else, a float, a bool or a ``Fraction`` included, is refused, not
-    rounded."""
-    if type(q) is not int:
-        raise DomainError(f"not an exact integer: {q!r}")
-    return f"{q}/1"
 
 
 def squarefree_decompose(m: int) -> tuple[int, int]:

@@ -3,9 +3,10 @@
 Conventions (stable across releases):
 
 * all JSON keys are snake_case;
-* exact rationals are strings "p/q" (always with an explicit denominator);
+* every integer is a JSON integer;
 * quadratic values are {"a": "p/q", "b": "r/s", "n": m}, the
   ``exactnum.quad_parts`` canonical form, which the text report also writes;
+  their parts a and b are the only "p/q" strings a report holds;
 * tri-state facts serialize as "true" / "false" / "unknown";
 * conditional values carry their hypotheses in an "assumes" list, and
   report-level caveats land in "warnings", all written by ``build_report``:
@@ -14,11 +15,11 @@ Conventions (stable across releases):
 
 An ``AnalysisReport`` is flat: one field per stage result, each held once
 (the spec, h^0(-K_Z), the -K_Z status, rho, the pairings of X, h12, the
-OZ3 boundary root, the verdict and its trail, c2 positivity, the
-restriction case, which holds the surface class only where it decides, the
-section bounds and the warnings).  Facts that follow from these are not
-stored: gamma is ``spec.gamma``, c3(X) is ``pairings.c3``, the OZ1 root is
-``k_root.scaled()`` and the pi*h ray's c2 value, 36, is ``pairings.h_c2``.
+boundary root, the verdict and its trail, c2 positivity, the restriction
+case, which holds the surface class only where it decides, the section
+bounds and the warnings).  Facts that follow from these are not stored:
+gamma is ``spec.gamma``, c3(X) is ``pairings.c3`` and the pi*h ray's c2
+value, 36, is ``pairings.h_c2``.
 
 Where a JSON key comes from: the text that ``report_to_json`` writes is
 the one codec, and ``report_to_dict`` is that text read back.  Each object
@@ -30,11 +31,11 @@ order (h^0(-K_Z) and its > 1 verdict are written only in ``h0_minus_k``);
 the spec, the boundary root (its branches, like the c2 boundary value, are
 written by ``_quad`` from the integers the report holds), the
 exceptional-surface class (under ``cone.kollar_case`` only) and the top
-level with its ``cone`` block (and the derived ``gamma``, ``c3``,
-``k_root_scaled`` and ``w_contains_boundary`` keys) are laid out by hand.
-Every scalar goes through ``_json``, which writes a str, int, bool or None
-by its exact type and refuses anything else.  There is no parser of
-reports: a report is rebuilt from its spec, never decoded from its JSON.
+level with its ``cone`` block (and the derived ``gamma``, ``c3`` and
+``w_contains_boundary`` keys) are laid out by hand.  Every scalar goes
+through ``_json``, which writes a str, int, bool or None by its exact type
+and refuses anything else.  There is no parser of reports: a report is
+rebuilt from its spec, never decoded from its JSON.
 
 The 12 survey columns are written in two places from one cell format,
 ``_class_values`` for the six a twist class shares (gamma to the verdict):
@@ -64,7 +65,7 @@ from . import ANALYZE_EXTRA_COLUMNS, MAX_RANGE, SURVEY_COLUMNS
 from .bundles import BundleSpec, H0Anticanonical, h0_anticanonical
 from .cone import BoundaryRoot, ConeRestriction, MinusKStatus
 from .errors import InvariantViolationError
-from .exactnum import format_rational, quad_parts, quad_text
+from .exactnum import quad_parts, quad_text
 from .invariants import RhoResult, SectionBounds, XPairings
 
 
@@ -87,7 +88,7 @@ class AnalysisReport(
             "rho",          # RhoResult
             "pairings",     # XPairings
             "h12",          # 3 gamma + 83 unless rho is known and not 2
-            "k_root",       # BoundaryRoot, OZ3 normalization
+            "k_root",       # BoundaryRoot of D = O_X(3) - k pi*h
             "verdict",
             "trail",
             "c2",           # C2Positivity
@@ -132,9 +133,9 @@ def stages(spec: BundleSpec):
 def build_report(spec: BundleSpec) -> AnalysisReport:
     """One evaluation pass: each fact is computed once and handed on.
 
-    The boundary root is solved once, in the OZ3 normalization, and the c2
-    cross-check takes it as is.  The report owns all caveats: the stages
-    decide, and the warnings are written here.
+    The boundary root is solved once, and the c2 cross-check takes it as
+    is.  The report owns all caveats: the stages decide, and the warnings
+    are written here.
     """
     c = spec.chern
     pairings = invariants.cy_invariants(c)
@@ -228,9 +229,9 @@ _SPEC = _template(("kind", "name", "exponents", "twist", "c1", "c2", "splitting_
 _RHO, _MINUS_K, _H0, _PAIRINGS, _BOUNDS = (
     _template(cls._fields, 1) for cls in (RhoResult, MinusKStatus, H0Anticanonical, XPairings, SectionBounds)
 )
-_CONE = _template(("k_root", "k_root_scaled", "verdict", "trail", "c2_min_value", "c2_minus_k_ray",
+_CONE = _template(("k_root", "verdict", "trail", "c2_min_value", "c2_minus_k_ray",
                    "c2_positive", "kollar_case", "w_contains_boundary"), 1)
-_ROOT = _template(("k", "k_other", "exists", "normalization"), 2)
+_ROOT = _template(("k", "k_other", "exists"), 2)
 _RESTRICTION = _template(ConeRestriction._fields, 2)
 _SURFACE = _template(("class_times_mu", "mu_candidates", "reduced_class"), 3)
 _SURFACE_BASIS = _template(("xi2", "xi_h", "h2"), 4)  # h2 is the fiber class
@@ -248,7 +249,7 @@ def _root(r: BoundaryRoot) -> str:
     k = k_other = "null"
     if r.exists:
         k, k_other = _quad(r.center, -r.s, r.n, r.den, 3), _quad(r.center, r.s, r.n, r.den, 3)
-    return _ROOT % (k, k_other, _json(r.exists), _json(r.normalization))
+    return _ROOT % (k, k_other, _json(r.exists))
 
 
 def _restriction(kc: ConeRestriction) -> str:
@@ -263,7 +264,7 @@ def report_to_json(r: AnalysisReport, meta: dict | None = None) -> str:
     """The text of ``json.dumps(d, indent=2)`` for the report's JSON form
     ``d``, with ``meta`` (a flat str-keyed dict) last under "meta",
     written straight from the records."""
-    spec, mk, h0, b, c2, root = r.spec, r.minus_k, r.h0_minus_k, r.bounds, r.c2, r.k_root
+    spec, mk, h0, b, c2 = r.spec, r.minus_k, r.h0_minus_k, r.bounds, r.c2
     values = (
         _SPEC % (_json(spec.kind), _json(spec.name), _scalars(spec.exponents, 2), _json(spec.twist_applied),
                  _json(spec.chern.c1), _json(spec.chern.c2), _scalars(spec.splitting_type, 2)),
@@ -275,12 +276,9 @@ def report_to_json(r: AnalysisReport, meta: dict | None = None) -> str:
                     _list([_scalars(w, 3) for w in mk.witnesses], 2)),
         _H0 % (_json(h0.value), _json(tri(h0.gt1)), _json(h0.reason)),
         _PAIRINGS % tuple(map(_json, r.pairings)),
-        _BOUNDS % (_json(format_rational(b.lower_bound_o1_minus_h)), _json(format_rational(b.chi_o1)),
-                   _json(b.normal_bound), _json(b.c1_ge_minus_1), _json(b.positive_bound_forces_c1_ge_1),
-                   _scalars(b.assumes, 2)),
+        _BOUNDS % (*map(_json, b[:-1]), _scalars(b.assumes, 2)),
         _CONE % (
-            _root(root),
-            _root(root.scaled()),
+            _root(r.k_root),
             _json(r.verdict),
             _scalars(r.trail, 2),
             "null" if c2.boundary is None else _quad(*c2.boundary, 2),

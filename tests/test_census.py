@@ -24,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from cycone import selftest
+from cycone import cohom, selftest
 from cycone.bundles import BundleSpec, catalog_entries
 from cycone.report import build_report, report_to_dict
 
@@ -262,6 +262,39 @@ def test_smooth_non_nef_split_classes_are_not_determined():
         # a nonzero determinant puts [S] outside K(Z)|X, so rho(X) >= 3 and
         # equality fails; at (0, 3, 9) rho(X) is open
         assert r.minus_k.nef is False and r.restriction == (ND, None, None), triple
+
+
+def _has_fixed_divisor(d1: int, d2: int) -> bool:
+    """Whether some N = a xi - b H, a in {1, 2} and b in [-5, a d2], is a
+    fixed component of |-K_Z| for E = O + O(d1) + O(d2), by cohomology on
+    P2 alone: h^0(S^a E(-b)) > 0 and h^0(S^(3-a) E(3 - c1 + b)) equals
+    h^0(S^3 E(3 - c1))."""
+    atoms, c1 = [(0, 0), (0, d1), (0, d2)], d1 + d2
+
+    def h0(p: int, t: int) -> int:
+        return cohom.cohom_atoms([(x, y + t) for x, y in cohom.sym_atoms(atoms, p)]).h0
+
+    sections = h0(3, 3 - c1)
+    return any(
+        h0(a, -b) > 0 and h0(3 - a, 3 - c1 + b) == sections
+        for a in (1, 2)
+        for b in range(-5, a * d2 + 1)
+    )
+
+
+def test_fixed_divisor_rule_of_the_split_census_against_cohomology():
+    # the rule d2 >= 2 d1 + 4 holds exactly where the sections of -K_Z have a
+    # fixed component; the census splits into nef classes, those with a
+    # fixed divisor, singular ones and smooth ones whose -K_Z is not nef,
+    # and the four counts sum to 91, so no class is in two parts
+    classes = {(0, d1, d2) for d1, d2 in combinations_with_replacement(range(13), 2)}
+    fixed = {t for t in classes if _has_fixed_divisor(*t[1:])}
+    assert fixed == {(0, d1, d2) for _, d1, d2 in classes if d2 >= 2 * d1 + 4}
+    nef = {(0, d1, d2) for _, d1, d2 in classes if d1 + d2 <= 3}
+    assert nef == set(NEF_SPLIT)
+    singular = classes - nef - fixed - set(SMOOTH_NON_NEF_SPLIT)
+    assert (len(nef), len(fixed), len(singular), len(SMOOTH_NON_NEF_SPLIT)) == (6, 25, 51, 9)
+    assert len(classes) == 91
 
 
 README = Path(__file__).parent.parent / "README.md"

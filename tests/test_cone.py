@@ -11,8 +11,6 @@ from cycone.cone import (
     EQUALITY,
     EXCEPTIONAL_CANDIDATE,
     NOT_DETERMINED,
-    OZ1,
-    OZ3,
     RATIONAL,
     UNKNOWN,
     MinusKStatus,
@@ -60,7 +58,7 @@ def test_status_split_012():
     s = status_of(spec)
     assert (s.nef, s.ample, s.big) == (True, False, True)
     assert h0_anticanonical(spec).gt1 is True
-    assert ("minus_k_quartic", "567") in s.witnesses
+    assert ("minus_k_quartic", 567) in s.witnesses
 
 
 def test_status_split_001_is_ample():
@@ -71,7 +69,7 @@ def test_status_split_001_is_ample():
 def test_status_split_003():
     s = status_of(BundleSpec.split(0, 0, 3))
     assert (s.nef, s.ample, s.big) == (True, False, True)
-    assert ("minus_k_quartic", "729") in s.witnesses
+    assert ("minus_k_quartic", 729) in s.witnesses
 
 
 def test_status_chern_only_is_unknown():
@@ -113,16 +111,6 @@ def test_root_gamma_zero_c1_zero_is_rational_zero():
 def test_root_absent_for_gamma_three():
     root = boundary_root(ChernPair(3, 2))
     assert not root.exists and (root.s, root.n) == (0, 0)
-
-
-def test_scaled_normalization_is_one_third():
-    c = ChernPair(3, 6)
-    root = boundary_root(c)
-    scaled = root.scaled()
-    assert scaled.normalization == OZ1
-    # both branches (center -+ s sqrt(n)) / den divided by 3
-    assert (scaled.center, scaled.s, scaled.n) == (root.center, root.s, root.n)
-    assert scaled.den == 3 * root.den
 
 
 def test_root_plugs_back_to_zero():
@@ -169,15 +157,12 @@ def test_integer_boundary_matches_the_chow_ring_oracles():
         g = c.gamma
         root = boundary_root(c)
         center, s, n, den = root.center, root.s, root.n, root.den
-        assert root.exists and root.normalization == OZ3
+        assert root.exists
         # k and k_other are the zeros of D^3 . (-K_Z), with k < k_other
         assert selftest.solves_cube(root, c), c
         assert s > 0 and den > 0
         assert s * s * n == 9 - 4 * g and squarefree_decompose(n) == (1, n)
         assert root.is_rational == (n == 1)
-        scaled = root.scaled()  # k / 3 and k_other / 3
-        assert scaled.normalization == OZ1 and scaled.n == n
-        assert (3 * den * scaled.center, 3 * den * scaled.s) == (scaled.den * center, scaled.den * s)
 
         # D.c2(X) on the ray O_X(1) - (k/3) pi*h is linear in k, with the
         # pairings read off the pushforward of c(T_X) . [X]:
@@ -230,10 +215,11 @@ def test_c2_engine_route_matches_closed_bound():
 def test_c2_cross_check_fires_on_a_wrong_root(c):
     # the closed form reads its square root off the root, so the two routes
     # share it; they still disagree on a root that is off by 1 in k (both
-    # branches shifted, so the gap stays), or given in the OZ1 normalization
+    # branches shifted, so the gap stays), or divided by 3 (the k / 3 of the
+    # ray through O_X(1))
     root = boundary_root(c)
     shifted = root._replace(center=root.center + root.den)
-    for wrong in (shifted, root.scaled()):
+    for wrong in (shifted, root._replace(den=3 * root.den)):
         with pytest.raises(InvariantViolationError, match="boundary c2-value mismatch") as err:
             c2_of(c, wrong)
         # the message gives both values in the canonical text form
@@ -433,8 +419,6 @@ def test_cone_report_aggregates():
     rep = build_report(spec)
     assert rep.minus_k == status_of(spec)
     assert rep.verdict == RATIONAL
-    assert rep.k_root.normalization == OZ3
-    assert report_to_dict(rep)["cone"]["k_root_scaled"]["normalization"] == OZ1
     assert rep.restriction.case == EXCEPTIONAL_CANDIDATE
     assert rep.restriction.surface == exceptional_surface_class(spec.chern)
     assert rep.c2.positive

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from cycone import report
 from cycone.errors import DomainError
 from cycone.exactnum import (
-    format_rational,
     is_perfect_square,
     quad_parts,
     quad_sign,
@@ -49,15 +48,6 @@ def test_field_results_stay_canonical(x, y):
         import math
 
         assert math.gcd(abs(value.numerator), value.denominator) == 1
-
-
-def test_format_rational():
-    assert format_rational(4) == "4/1"
-    assert format_rational(-5) == "-5/1"
-    # every rational the engine writes is an int: anything else is refused
-    for q in (0.5, Fraction(-3, 7), Fraction(4), True):
-        with pytest.raises(DomainError):
-            format_rational(q)
 
 
 @pytest.mark.parametrize(

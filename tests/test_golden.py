@@ -13,7 +13,11 @@ fact twice, the 16 ``analyze-*.json`` files lost ``g_surface``,
 ``minus_k``, and the six ``.txt`` files of specs that are not exceptional
 candidates lost their surface line; nothing else moved.  Another: when a
 non-nef -K_Z stopped reading ``equality``, the three
-``analyze-split-m5_6_6`` files changed in their restriction case alone.
+``analyze-split-m5_6_6`` files changed in their restriction case alone.  A
+third: when the report wrote the boundary root once and its integers as
+JSON integers, the 17 ``analyze-*.json`` files lost ``cone.k_root_scaled``
+and ``cone.k_root.normalization``, and their two section bounds and -K_Z
+witnesses went from "p/1" and digit strings to integers; nothing else moved.
 """
 
 import contextlib
